@@ -33,9 +33,11 @@
 //! swaps were published between pin and reply — so clients can reason
 //! about how fresh their answer is. Re-issuing the same request after
 //! ingest sees the new data; issuing it concurrently with ingest sees
-//! the pinned past. Writers are never blocked by readers: ingest under
-//! any number of live pins costs the writer nothing beyond its normal
-//! path.
+//! the pinned past. An `Ingest` batch becomes visible as a whole, when
+//! it is acknowledged: a request pinned while the batch is being applied
+//! sees none of it and does not wait for it. Writers are never blocked
+//! by readers: ingest under any number of live pins costs the writer
+//! nothing beyond its normal path.
 //!
 //! ```no_run
 //! use k2_server::{K2Service, LocalClient, Pattern, Request, Response};
@@ -65,7 +67,7 @@ mod server;
 mod service;
 
 pub use client::{LocalClient, TcpClient};
-pub use pool::WorkerPool;
+pub use pool::{JobPanicked, WorkerPool};
 pub use protocol::{MineReply, Pattern, Request, Response, StatsReply, WireConvoy};
 pub use server::Server;
 pub use service::K2Service;

@@ -2,15 +2,22 @@
 //! threads so N connections contend for `workers` mining slots instead
 //! of spawning unbounded work.
 
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// A pool job panicked instead of producing its result (the panic
+/// message went to the process's panic hook).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JobPanicked;
+
 /// A fixed-size thread pool. Jobs run in submission order as workers
 /// free up; dropping the pool finishes queued jobs and joins every
-/// worker.
+/// worker. A job that panics costs the pool nothing: the worker catches
+/// the unwind and takes the next job.
 #[derive(Debug)]
 pub struct WorkerPool {
     jobs: Option<Sender<Job>>,
@@ -36,7 +43,10 @@ impl WorkerPool {
                             guard.recv()
                         };
                         match job {
-                            Ok(job) => job(),
+                            // The job owns everything it touches and
+                            // nothing of the worker's, so there is no
+                            // state a caught unwind could leave broken.
+                            Ok(job) => drop(catch_unwind(AssertUnwindSafe(job))),
                             Err(_) => break, // queue hung up
                         }
                     })
@@ -64,13 +74,23 @@ impl WorkerPool {
     }
 
     /// Runs `job` on a worker and blocks for its result — the
-    /// request/response shape both clients use.
-    pub fn run<R: Send + 'static>(&self, job: impl FnOnce() -> R + Send + 'static) -> R {
-        let (tx, rx): (Sender<R>, Receiver<R>) = channel();
+    /// request/response shape both clients use. A panic inside the job
+    /// comes back as `Err`; the worker survives it.
+    pub fn try_run<R: Send + 'static>(
+        &self,
+        job: impl FnOnce() -> R + Send + 'static,
+    ) -> Result<R, JobPanicked> {
+        let (tx, rx) = channel();
         self.execute(move || {
             let _ = tx.send(job());
         });
-        rx.recv().expect("pool job completes")
+        // A panicking job unwinds past the send and drops `tx`.
+        rx.recv().map_err(|_| JobPanicked)
+    }
+
+    /// [`try_run`](Self::try_run) for jobs that cannot panic.
+    pub fn run<R: Send + 'static>(&self, job: impl FnOnce() -> R + Send + 'static) -> R {
+        self.try_run(job).expect("pool job must not panic")
     }
 }
 
@@ -106,5 +126,19 @@ mod tests {
     fn run_returns_the_job_result() {
         let pool = WorkerPool::new(2);
         assert_eq!(pool.run(|| 6 * 7), 42);
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_its_worker_serving() {
+        let pool = WorkerPool::new(1);
+        assert_eq!(
+            pool.try_run(|| -> u32 { panic!("job blew up") }),
+            Err(JobPanicked)
+        );
+        // A fire-and-forget job may panic too.
+        pool.execute(|| panic!("nobody is waiting for this one"));
+        // The only worker is still there for the next jobs.
+        assert_eq!(pool.try_run(|| 6 * 7), Ok(42));
+        assert_eq!(pool.run(|| 7), 7);
     }
 }

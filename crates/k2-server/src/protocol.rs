@@ -15,7 +15,7 @@
 use crate::ServerError;
 use k2_model::{Oid, Point, Time};
 use k2_storage::IoStats;
-use std::io::{Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Frames larger than this are rejected as corrupt rather than
 /// allocated (64 MiB — far above any legitimate message).
@@ -467,16 +467,47 @@ impl Response {
 
 // ---- framing ------------------------------------------------------------
 
-/// Writes one length-prefixed frame.
+/// Initial capacity of a frame's receive buffer. The buffer grows past
+/// it only as payload bytes actually arrive, so a header announcing
+/// [`MAX_FRAME`] costs the receiver no more than this up front.
+const READ_BUF_INITIAL: usize = 64 << 10;
+
+/// Writes one length-prefixed frame, handing header and payload to the
+/// writer together: one `writev` on a socket, so the payload never sits
+/// behind its own header waiting for the peer's delayed ACK.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ServerError> {
     let len = u32::try_from(payload.len())
         .ok()
         .filter(|&l| l <= MAX_FRAME)
         .ok_or_else(|| ServerError::protocol("frame too large"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    let header = len.to_le_bytes();
+    let total = header.len() + payload.len();
+    let mut sent = 0;
+    while sent < total {
+        // A short write resumes where it stopped, header first.
+        let written = if sent < header.len() {
+            w.write_vectored(&[IoSlice::new(&header[sent..]), IoSlice::new(payload)])
+        } else {
+            w.write(&payload[sent - header.len()..])
+        };
+        match written {
+            Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(())
+}
+
+/// Reads up to `len` payload bytes into a buffer sized by what arrives,
+/// not by what the header announced. A short result means the peer
+/// hung up mid-frame.
+fn read_payload(r: &mut impl Read, len: u32) -> io::Result<Vec<u8>> {
+    let mut payload = Vec::with_capacity((len as usize).min(READ_BUF_INITIAL));
+    r.take(u64::from(len)).read_to_end(&mut payload)?;
+    Ok(payload)
 }
 
 /// Reads one length-prefixed frame. Returns `Ok(None)` on a clean EOF
@@ -489,7 +520,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ServerError> {
             Ok(0) if filled == 0 => return Ok(None),
             Ok(0) => return Err(ServerError::protocol("EOF inside frame header")),
             Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e.into()),
         }
     }
@@ -497,8 +528,10 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ServerError> {
     if len > MAX_FRAME {
         return Err(ServerError::protocol(format!("oversized frame: {len}")));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let payload = read_payload(r, len)?;
+    if payload.len() != len as usize {
+        return Err(ServerError::protocol("EOF inside frame payload"));
+    }
     Ok(Some(payload))
 }
 
@@ -607,5 +640,77 @@ mod tests {
         // EOF mid-header is an error, not a clean end.
         let mut torn = &buf[..2];
         assert!(read_frame(&mut torn).is_err());
+        // So is EOF mid-payload.
+        let mut torn = &buf[..6];
+        assert!(read_frame(&mut torn).is_err());
+    }
+
+    /// Counts calls into the `write` family; accepts everything offered.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.bytes.write(buf)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            self.bytes.write_vectored(bufs)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_call() {
+        for len in [0usize, 100, 1 << 20] {
+            let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.calls, 1, "{len}-byte payload");
+            let mut r = &w.bytes[..];
+            assert_eq!(read_frame(&mut r).unwrap().unwrap(), payload);
+            assert!(read_frame(&mut r).unwrap().is_none());
+        }
+    }
+
+    #[test]
+    fn short_writes_resume_mid_header_and_mid_payload() {
+        /// Accepts at most three bytes per call.
+        struct Dribble(Vec<u8>);
+        impl Write for Dribble {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                let n = buf.len().min(3);
+                self.0.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Dribble(Vec::new());
+        write_frame(&mut w, b"hello, frame").unwrap();
+        assert_eq!(read_frame(&mut &w.0[..]).unwrap().unwrap(), b"hello, frame");
+    }
+
+    #[test]
+    fn an_announced_length_allocates_nothing_until_bytes_arrive() {
+        // Four header bytes claiming the largest legal frame, then EOF.
+        let header = MAX_FRAME.to_le_bytes();
+        assert!(read_frame(&mut &header[..]).is_err());
+        let partial = read_payload(&mut &b"abc"[..], MAX_FRAME).unwrap();
+        assert_eq!(partial, b"abc");
+        assert!(
+            partial.capacity() <= READ_BUF_INITIAL,
+            "receive buffer grew to {} bytes for a 3-byte payload",
+            partial.capacity()
+        );
     }
 }

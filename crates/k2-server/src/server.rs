@@ -112,6 +112,10 @@ impl Drop for Server {
 /// Serves one connection: frame in, handle on the pool, frame out,
 /// until the client hangs up or a protocol error occurs.
 fn serve_connection(mut stream: TcpStream, service: &Arc<K2Service>, pool: &WorkerPool) {
+    // Replies are whole frames written at once; holding one back for the
+    // peer's ACK (Nagle) would only add the peer's delayed-ACK timer to
+    // every round trip. Serving without the option is merely slower.
+    let _ = stream.set_nodelay(true);
     loop {
         let payload = match read_frame(&mut stream) {
             Ok(Some(p)) => p,
@@ -121,10 +125,7 @@ fn serve_connection(mut stream: TcpStream, service: &Arc<K2Service>, pool: &Work
         // A malformed request poisons only this one reply, not the
         // connection: the framing layer is still in sync.
         let response = match Request::decode(&payload) {
-            Ok(req) => {
-                let service = Arc::clone(service);
-                pool.run(move || service.handle(req))
-            }
+            Ok(req) => handle_on_pool(service, pool, req),
             Err(e) => Response::Error {
                 message: e.to_string(),
             },
@@ -133,6 +134,20 @@ fn serve_connection(mut stream: TcpStream, service: &Arc<K2Service>, pool: &Work
             return;
         }
     }
+}
+
+/// Runs one request on the pool. A panic inside the handler becomes an
+/// error reply: the connection, the worker and the server carry on.
+pub(crate) fn handle_on_pool(
+    service: &Arc<K2Service>,
+    pool: &WorkerPool,
+    req: Request,
+) -> Response {
+    let service = Arc::clone(service);
+    pool.try_run(move || service.handle(req))
+        .unwrap_or_else(|_| Response::Error {
+            message: "internal error: the request handler panicked".into(),
+        })
 }
 
 /// Sends `req` over `stream` and reads one response — the client-side

@@ -9,7 +9,7 @@
 
 use crate::protocol::{MineReply, Pattern, Request, Response, StatsReply, WireConvoy};
 use k2_core::{ConvoyMiner, K2Config, K2Hop, MineError, MineOutcome, MineStats};
-use k2_model::{Convoy, Dataset, ObjPos, Snapshot};
+use k2_model::{Convoy, Dataset, ObjPos, Point, Snapshot};
 use k2_patterns::{FlockConfig, FlockMiner};
 use k2_storage::{SharedLsm, SnapshotSource, StorePin, TimeRange};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,7 +121,11 @@ impl K2Service {
                 let miner = if threads == 0 {
                     K2Hop::new(config)
                 } else {
-                    K2Hop::with_threads(config, threads as usize)
+                    // The count comes off the wire and sizes per-worker
+                    // state: more workers than cores buys nothing, so the
+                    // machine caps it. The reply reports the value used.
+                    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+                    K2Hop::with_threads(config, (threads as usize).min(cores))
                 };
                 ConvoyMiner::mine(&miner, &ranged)
             }
@@ -158,19 +162,34 @@ impl K2Service {
         })
     }
 
-    fn ingest(&self, points: Vec<k2_model::Point>) -> Response {
-        let count = points.len() as u64;
-        // One writer-lock acquisition for the whole batch.
-        let mut store = self.store.lock();
-        for p in points {
-            if let Err(e) = store.insert(p) {
-                return Response::Error {
-                    message: e.to_string(),
-                };
-            }
+    fn ingest(&self, points: Vec<Point>) -> Response {
+        // The whole batch is checked before the store sees any of it: a
+        // rejected batch leaves the WAL, the memtable and the version
+        // exactly as they were.
+        if let Some(i) = points
+            .iter()
+            .position(|p| !(p.x.is_finite() && p.y.is_finite()))
+        {
+            let p = points[i];
+            return Response::Error {
+                message: format!(
+                    "point {i} (oid {}, t {}) has a non-finite coordinate; batch rejected",
+                    p.oid, p.t
+                ),
+            };
         }
-        let version = store.version();
-        Response::Ingested { count, version }
+        // One writer-lock hold and one publish for the batch; pins do not
+        // wait for it (see `SharedLsm::pin`).
+        let mut store = self.store.lock();
+        match store.insert_batch(&points) {
+            Ok(()) => Response::Ingested {
+                count: points.len() as u64,
+                version: store.version(),
+            },
+            Err(e) => Response::Error {
+                message: e.to_string(),
+            },
+        }
     }
 
     fn stats(&self, quiesce: bool) -> Response {

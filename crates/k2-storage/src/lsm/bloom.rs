@@ -1,5 +1,10 @@
 //! Bloom filter over composite keys.
 
+use std::io::{self, Read, Write};
+
+/// Serialised header: `num_bits u64 | num_hashes u32`.
+const HEADER_LEN: usize = 12;
+
 /// A classic bloom filter with double hashing.
 ///
 /// Built once per SSTable over all its keys; a negative answer proves the
@@ -60,37 +65,71 @@ impl BloomFilter {
             .all(|pos| self.bits[(pos / 64) as usize] & (1 << (pos % 64)) != 0)
     }
 
-    /// Serialises the filter: `num_bits u64 | num_hashes u32 | words…`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + self.bits.len() * 8);
-        out.extend_from_slice(&self.num_bits.to_le_bytes());
-        out.extend_from_slice(&self.num_hashes.to_le_bytes());
-        for w in &self.bits {
-            out.extend_from_slice(&w.to_le_bytes());
+    /// Byte length of the serialised filter.
+    pub fn serialized_len(&self) -> usize {
+        HEADER_LEN + self.bits.len() * 8
+    }
+
+    /// Streams the serialised filter —
+    /// `num_bits u64 | num_hashes u32 | words…`, little-endian — into `w`
+    /// word by word, so a large filter is never held twice in memory.
+    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+        w.write_all(&self.num_bits.to_le_bytes())?;
+        w.write_all(&self.num_hashes.to_le_bytes())?;
+        for word in &self.bits {
+            w.write_all(&word.to_le_bytes())?;
         }
+        Ok(())
+    }
+
+    /// Serialises the filter (see [`write_to`](Self::write_to)).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.serialized_len());
+        self.write_to(&mut out)
+            .expect("writing to a Vec cannot fail");
         out
     }
 
-    /// Deserialises a filter; `None` on malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 12 {
-            return None;
+    /// Reads a filter serialised in `len` bytes from `r`, decoding in
+    /// small chunks straight into one exact-size word array — the inverse
+    /// of [`write_to`](Self::write_to). `Ok(None)` on malformed input:
+    /// a header that is cut short, inconsistent, or disagrees with `len`
+    /// (checked before anything is allocated for the words).
+    pub fn read_from(r: &mut impl Read, len: u64) -> io::Result<Option<Self>> {
+        if len < HEADER_LEN as u64 {
+            return Ok(None);
         }
-        let num_bits = u64::from_le_bytes(bytes[0..8].try_into().ok()?);
-        let num_hashes = u32::from_le_bytes(bytes[8..12].try_into().ok()?);
-        let words = (num_bits / 64) as usize;
-        if num_bits % 64 != 0 || bytes.len() != 12 + words * 8 || num_hashes == 0 {
-            return None;
+        let mut header = [0u8; HEADER_LEN];
+        r.read_exact(&mut header)?;
+        let num_bits = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
+        let num_hashes = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
+        let words = num_bits / 64;
+        if num_bits % 64 != 0
+            || num_hashes == 0
+            || words.checked_mul(8) != Some(len - HEADER_LEN as u64)
+        {
+            return Ok(None);
         }
-        let bits = bytes[12..]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect();
-        Some(Self {
+        let mut bits = vec![0u64; words as usize];
+        let mut chunk = [0u8; 8192];
+        for part in bits.chunks_mut(chunk.len() / 8) {
+            let bytes = &mut chunk[..part.len() * 8];
+            r.read_exact(bytes)?;
+            for (word, raw) in part.iter_mut().zip(bytes.chunks_exact(8)) {
+                *word = u64::from_le_bytes(raw.try_into().expect("8 bytes"));
+            }
+        }
+        Ok(Some(Self {
             bits,
             num_bits,
             num_hashes,
-        })
+        }))
+    }
+
+    /// Deserialises a filter; `None` on malformed input.
+    pub fn from_bytes(mut bytes: &[u8]) -> Option<Self> {
+        let len = bytes.len() as u64;
+        Self::read_from(&mut bytes, len).ok().flatten()
     }
 
     /// Size of the bit array in bits.
@@ -137,6 +176,29 @@ mod tests {
             assert!(g.may_contain(k));
         }
         assert_eq!(g.may_contain(7), f.may_contain(7));
+    }
+
+    #[test]
+    fn streamed_form_equals_the_buffered_one() {
+        // Large enough to span several read chunks, with a ragged tail.
+        let mut f = BloomFilter::with_capacity(5000, 10);
+        for k in 0..5000u64 {
+            f.insert(k.wrapping_mul(0x9E37_79B9));
+        }
+        let bytes = f.to_bytes();
+        assert_eq!(bytes.len(), f.serialized_len());
+        let g = BloomFilter::read_from(&mut &bytes[..], bytes.len() as u64)
+            .unwrap()
+            .unwrap();
+        assert_eq!(g.to_bytes(), bytes);
+        // A length that disagrees with the header is malformed, not an
+        // allocation request.
+        assert!(BloomFilter::read_from(&mut &bytes[..], u64::MAX)
+            .unwrap()
+            .is_none());
+        // A source that runs dry is an I/O error.
+        let cut = &bytes[..bytes.len() - 1];
+        assert!(BloomFilter::read_from(&mut &cut[..], bytes.len() as u64).is_err());
     }
 
     #[test]

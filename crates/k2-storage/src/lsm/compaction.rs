@@ -135,13 +135,14 @@ pub(crate) struct CompactionDone {
 /// the input files. Used inline by `compact_blocking()` and on the
 /// worker thread by [`CompactionHandle`]; both paths are byte-identical.
 ///
-/// The inputs are read through private readers with caching disabled and
-/// scratch counters: a compaction streams every input block exactly once,
-/// so routing it through the shared cache would evict the read path's hot
-/// blocks, and charging its sequential sweep to the shared seek counters
-/// would drown the read-pattern stats the experiments report. Only the
-/// logical compaction work (`compactions`, `bytes_compacted`) lands in
-/// the shared counters.
+/// The inputs are read through private scan-only readers (no bloom
+/// filters — the merge iterates, it never probes) with caching disabled
+/// and scratch counters: a compaction streams every input block exactly
+/// once, so routing it through the shared cache would evict the read
+/// path's hot blocks, and charging its sequential sweep to the shared
+/// seek counters would drown the read-pattern stats the experiments
+/// report. Only the logical compaction work (`compactions`,
+/// `bytes_compacted`) lands in the shared counters.
 pub(crate) fn run_job(
     dir: &Path,
     bloom_bits_per_key: usize,
@@ -153,7 +154,7 @@ pub(crate) fn run_job(
     let no_cache = Arc::new(BlockCache::new(0));
     let mut readers = Vec::with_capacity(job.inputs.len());
     for &seq in &job.inputs {
-        readers.push(Arc::new(SsTableReader::open(
+        readers.push(Arc::new(SsTableReader::open_scan_only(
             dir.join(sst_name(seq)),
             seq,
             no_cache.clone(),

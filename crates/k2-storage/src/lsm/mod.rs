@@ -31,16 +31,21 @@
 //! The store's durable structure — frozen memtable generations plus the
 //! ordered table list — is published as an immutable `LsmState` behind
 //! `Arc<RwLock<Arc<LsmState>>>` (the classic state-swap idiom).
-//! Inserts fill a writer-private active memtable; every structural
-//! change — flush, compaction commit, snapshot pin — builds a fresh
-//! state and swaps the pointer under a short write lock.
-//! [`LsmStore::pin_snapshot`] freezes the active memtable and returns a
-//! [`StorePin`]: an `Arc` of the published state that serves reads for
-//! an entire mining run without blocking ingest (retired SSTables stay
-//! readable through the pin's open descriptors after compaction unlinks
-//! them; pinned reads share the block cache but account into per-pin
-//! counters). [`SharedLsm`] wraps a store for `&self` ingest + pinning
-//! across threads — the serving substrate `k2-server` builds on.
+//! Records fill a writer-private active memtable; every structural
+//! change builds a fresh state and swaps the pointer under a short write
+//! lock — once per [`LsmStore::insert_batch`] (the batch frozen into one
+//! generation; a flush or compaction commit falling inside it is held
+//! back to its end, so no reader sees part of a batch), and at each
+//! flush and compaction commit outside one. A [`StorePin`] is an `Arc`
+//! of a published state that serves reads for an entire mining run
+//! without blocking ingest (retired SSTables stay readable through the
+//! pin's open descriptors after compaction unlinks them; pinned reads
+//! share the block cache but account into per-pin counters).
+//! [`SharedLsm`] wraps a store for `&self` ingest + pinning across
+//! threads — the serving substrate `k2-server` builds on: its `pin()`
+//! clones the published pointer without touching the writer, falling
+//! back to [`LsmStore::pin_snapshot`] under the writer lock only while
+//! single inserts are acknowledged but not yet published.
 //!
 //! Opening a store runs recovery: fold the manifest (dropping a torn
 //! tail), delete orphaned files from crashed flushes/compactions, replay

@@ -25,7 +25,8 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub(crate) struct LsmState {
     /// Frozen memtable generations, oldest first. The writer's active
-    /// memtable is *not* here — it is frozen in at pin time.
+    /// memtable is *not* here — it is frozen in when a batch ends, or
+    /// at pin time after single inserts.
     pub(crate) frozen: Vec<Arc<Memtable>>,
     /// Open SSTable readers, oldest first (index = recency rank).
     pub(crate) tables: Vec<Arc<SsTableReader>>,
@@ -99,7 +100,7 @@ impl StorePin {
 
     /// The publish version of the pinned state. The difference between
     /// the store's current version and this is the pin's staleness in
-    /// state swaps (flushes, compaction commits, pin freezes).
+    /// state swaps (batches, flushes, compaction commits, pin freezes).
     pub fn version(&self) -> u64 {
         self.state.version
     }

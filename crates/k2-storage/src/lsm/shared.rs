@@ -1,19 +1,34 @@
 //! [`SharedLsm`]: a cloneable, thread-safe handle over one [`LsmStore`]
 //! for the serving path — `&self` ingest and pinning from any thread.
 //!
-//! The store itself is single-writer (`insert`/`flush`/`pin_snapshot`
+//! The store itself is single-writer (`insert`/`insert_batch`/`flush`
 //! take `&mut self`), so the handle serialises writers behind a mutex.
-//! The point of the MVCC design is that this mutex is *never* on the
-//! read path: a miner takes a [`StorePin`] once (one brief lock) and
-//! then reads lock-free for its whole run, and `version()` peeks at the
-//! published state without touching the writer lock at all.
+//! Readers stay off that mutex as far as the data allows:
+//!
+//! * **Publication happens at batch boundaries.** The writer freezes its
+//!   active memtable and swaps in a new published state once per
+//!   [`LsmStore::insert_batch`] (and at every flush and compaction
+//!   commit), never per record and never for a reader's sake.
+//! * **The fast pin path** — the only one a served workload takes —
+//!   clones the published `Arc<LsmState>` under a momentary `RwLock`
+//!   read: [`SharedLsm::pin`] returns at once however long a batch has
+//!   been holding the writer mutex, and sees every batch acknowledged
+//!   before the call and nothing of one still in flight.
+//! * **The slow pin path** exists for single [`SharedLsm::insert`]s,
+//!   which are acknowledged without a publish: while such entries sit
+//!   in the active memtable (an atomic flag says so) a pin takes the
+//!   writer mutex, freezes them in and publishes — queueing behind
+//!   whatever the writer is doing, as every pin once did.
+//!
+//! After pinning, a miner reads lock-free for its whole run, and
+//! `version()` peeks at the published state without the writer mutex.
 
 use super::pin::{LsmState, StorePin};
 use super::store::{LsmConfig, LsmStore};
 use crate::{SnapshotRef, SnapshotSource, StoreResult, TrajectoryStore};
 use k2_model::{Dataset, ObjPos, Oid, Point, Time, TimeInterval};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// Cloneable `&self` handle over an [`LsmStore`] plus direct access to
@@ -22,18 +37,19 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 pub struct SharedLsm {
     store: Arc<Mutex<LsmStore>>,
     state: Arc<RwLock<Arc<LsmState>>>,
+    /// Set while acknowledged single inserts await publication.
+    unpublished: Arc<AtomicBool>,
     pins: Arc<AtomicU64>,
 }
 
 impl SharedLsm {
     /// Wraps an existing store.
     pub fn new(store: LsmStore) -> Self {
-        let state = store.state_handle();
-        let pins = store.pins_handle();
         Self {
+            state: store.state_handle(),
+            unpublished: store.unpublished_handle(),
+            pins: store.pins_handle(),
             store: Arc::new(Mutex::new(store)),
-            state,
-            pins,
         }
     }
 
@@ -53,7 +69,8 @@ impl SharedLsm {
 
     /// Locks the underlying store for direct access. Hold the guard as
     /// briefly as possible — every other writer queues behind it (pinned
-    /// readers are unaffected).
+    /// readers are unaffected, and so is [`Self::pin`] unless single
+    /// inserts await publication).
     pub fn lock(&self) -> MutexGuard<'_, LsmStore> {
         self.store.lock().expect("lsm store lock")
     }
@@ -68,10 +85,21 @@ impl SharedLsm {
         self.lock().flush()
     }
 
-    /// Pins the current contents as an immutable [`StorePin`]; see
-    /// [`LsmStore::pin_snapshot`].
+    /// Pins the current contents as an immutable [`StorePin`]: every
+    /// acknowledged insert and batch, and no part of a batch in flight.
+    ///
+    /// Normally a clone of the published state that waits for no writer.
+    /// Only when single [`Self::insert`]s have left acknowledged entries
+    /// unpublished does it go through [`LsmStore::pin_snapshot`] under
+    /// the writer lock (see the module docs).
     pub fn pin(&self) -> StoreResult<StorePin> {
-        self.lock().pin_snapshot()
+        // Acquire, paired with the Release stores in `LsmStore::insert`
+        // and `LsmStore::publish`.
+        if self.unpublished.load(Ordering::Acquire) {
+            return self.lock().pin_snapshot();
+        }
+        let state = self.state.read().expect("state lock").clone();
+        Ok(StorePin::new(state, self.pins.clone()))
     }
 
     /// Version of the currently published state, read lock-free with

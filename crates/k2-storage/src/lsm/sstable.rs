@@ -21,7 +21,7 @@ use crate::keys::VAL_SIZE;
 use crate::{StoreError, StoreResult};
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -33,6 +33,8 @@ pub const ENTRY_SIZE: usize = 8 + VAL_SIZE;
 
 const MAGIC: &[u8; 4] = b"K2SS";
 const FOOTER_SIZE: usize = 8 * 5 + 4;
+/// Index row width: `first_key u64 | offset u64 | len u32`.
+const INDEX_ROW: usize = 20;
 
 /// Cache key: `(table id, block number)`.
 type CacheKey = (u64, u32);
@@ -302,7 +304,8 @@ pub struct SsTableWriter {
 }
 
 impl SsTableWriter {
-    /// Creates a writer; `expected_entries` sizes the bloom filter.
+    /// Creates a writer; `expected_entries` sizes the bloom filter and
+    /// the index.
     pub fn create(
         path: impl AsRef<Path>,
         expected_entries: usize,
@@ -315,7 +318,9 @@ impl SsTableWriter {
             out,
             block: Vec::with_capacity(BLOCK_SIZE),
             block_first_key: None,
-            index: Vec::new(),
+            // Sized up front like the filter: growing by doubling would
+            // shed a trail of dead buffers half the final size.
+            index: Vec::with_capacity(expected_entries.div_ceil(BLOCK_SIZE / ENTRY_SIZE)),
             bloom: BloomFilter::with_capacity(expected_entries, bloom_bits_per_key),
             offset: 0,
             num_entries: 0,
@@ -369,21 +374,22 @@ impl SsTableWriter {
     pub fn finish(mut self) -> StoreResult<PathBuf> {
         self.flush_block()?;
         let index_off = self.offset;
-        let mut index_bytes = Vec::with_capacity(self.index.len() * 20);
+        let index_len = self.index.len() as u64 * INDEX_ROW as u64;
         for (first, off, len) in &self.index {
-            index_bytes.extend_from_slice(&first.to_be_bytes());
-            index_bytes.extend_from_slice(&off.to_le_bytes());
-            index_bytes.extend_from_slice(&len.to_le_bytes());
+            self.out.write_all(&first.to_be_bytes())?;
+            self.out.write_all(&off.to_le_bytes())?;
+            self.out.write_all(&len.to_le_bytes())?;
         }
-        self.out.write_all(&index_bytes)?;
-        let bloom_off = index_off + index_bytes.len() as u64;
-        let bloom_bytes = self.bloom.to_bytes();
-        self.out.write_all(&bloom_bytes)?;
+        let bloom_off = index_off + index_len;
+        // Streamed through the buffered writer: the filter of a
+        // multi-million-entry run is megabytes, and a serialised copy
+        // beside the live words would double it at the worst moment.
+        self.bloom.write_to(&mut self.out)?;
         let mut footer = Vec::with_capacity(FOOTER_SIZE);
         footer.extend_from_slice(&index_off.to_le_bytes());
-        footer.extend_from_slice(&(index_bytes.len() as u64).to_le_bytes());
+        footer.extend_from_slice(&index_len.to_le_bytes());
         footer.extend_from_slice(&bloom_off.to_le_bytes());
-        footer.extend_from_slice(&(bloom_bytes.len() as u64).to_le_bytes());
+        footer.extend_from_slice(&(self.bloom.serialized_len() as u64).to_le_bytes());
         footer.extend_from_slice(&self.num_entries.to_le_bytes());
         footer.extend_from_slice(MAGIC);
         self.out.write_all(&footer)?;
@@ -407,7 +413,9 @@ pub struct SsTableReader {
     id: u64,
     file: File,
     index: Vec<(u64, u64, u32)>,
-    bloom: BloomFilter,
+    /// `None` on a scan-only reader, which answers every membership
+    /// question with "maybe".
+    bloom: Option<BloomFilter>,
     num_entries: u64,
     cache: Arc<BlockCache>,
     io: Arc<IoCounters>,
@@ -421,7 +429,30 @@ impl SsTableReader {
         cache: Arc<BlockCache>,
         io: Arc<IoCounters>,
     ) -> StoreResult<Self> {
-        let file = File::open(path.as_ref())?;
+        Self::open_impl(path.as_ref(), id, cache, io, true)
+    }
+
+    /// Opens a table for sequential scans only: the bloom filter — the
+    /// one part of a table's resident metadata that grows with its entry
+    /// count — stays on disk. Compaction reads its inputs this way; it
+    /// iterates every entry and never probes a key.
+    pub fn open_scan_only(
+        path: impl AsRef<Path>,
+        id: u64,
+        cache: Arc<BlockCache>,
+        io: Arc<IoCounters>,
+    ) -> StoreResult<Self> {
+        Self::open_impl(path.as_ref(), id, cache, io, false)
+    }
+
+    fn open_impl(
+        path: &Path,
+        id: u64,
+        cache: Arc<BlockCache>,
+        io: Arc<IoCounters>,
+        load_bloom: bool,
+    ) -> StoreResult<Self> {
+        let file = File::open(path)?;
         let len = file.metadata()?.len();
         if len < FOOTER_SIZE as u64 {
             return Err(StoreError::Corrupt("SSTable too small".into()));
@@ -437,25 +468,47 @@ impl SsTableReader {
         let bloom_len = u64::from_le_bytes(footer[24..32].try_into().expect("8"));
         let num_entries = u64::from_le_bytes(footer[32..40].try_into().expect("8"));
 
-        let mut index_bytes = vec![0u8; index_len as usize];
-        file.read_exact_at(&mut index_bytes, index_off)?;
-        if index_len % 20 != 0 {
+        // The footer is input: both regions must lie inside the file
+        // before anything is sized by them.
+        let body = len - FOOTER_SIZE as u64;
+        let inside = |off: u64, n: u64| off.checked_add(n).is_some_and(|end| end <= body);
+        if !inside(index_off, index_len) || !inside(bloom_off, bloom_len) {
+            return Err(StoreError::Corrupt(
+                "SSTable footer points outside the file".into(),
+            ));
+        }
+        if index_len % INDEX_ROW as u64 != 0 {
             return Err(StoreError::Corrupt("bad SSTable index length".into()));
         }
-        let index = index_bytes
-            .chunks_exact(20)
-            .map(|row| {
+        // Index and filter are decoded off the file in small pieces
+        // straight into their exact-size resident form: a serialised copy
+        // of either would be a large short-lived allocation per open, and
+        // the holes those leave are what later fragments the heap.
+        let mut region = &file;
+        region.seek(SeekFrom::Start(index_off))?;
+        let rows = (index_len / INDEX_ROW as u64) as usize;
+        let mut index = Vec::with_capacity(rows);
+        let mut chunk = [0u8; 256 * INDEX_ROW];
+        while index.len() < rows {
+            let bytes = &mut chunk[..(rows - index.len()).min(256) * INDEX_ROW];
+            region.read_exact(bytes)?;
+            index.extend(bytes.chunks_exact(INDEX_ROW).map(|row| {
                 let first = u64::from_be_bytes(row[0..8].try_into().expect("8"));
                 let off = u64::from_le_bytes(row[8..16].try_into().expect("8"));
                 let blen = u32::from_le_bytes(row[16..20].try_into().expect("4"));
                 (first, off, blen)
-            })
-            .collect();
+            }));
+        }
 
-        let mut bloom_bytes = vec![0u8; bloom_len as usize];
-        file.read_exact_at(&mut bloom_bytes, bloom_off)?;
-        let bloom = BloomFilter::from_bytes(&bloom_bytes)
-            .ok_or_else(|| StoreError::Corrupt("bad SSTable bloom filter".into()))?;
+        let bloom = if load_bloom {
+            region.seek(SeekFrom::Start(bloom_off))?;
+            Some(
+                BloomFilter::read_from(&mut region, bloom_len)?
+                    .ok_or_else(|| StoreError::Corrupt("bad SSTable bloom filter".into()))?,
+            )
+        } else {
+            None
+        };
 
         Ok(Self {
             id,
@@ -500,7 +553,7 @@ impl SsTableReader {
 
     /// May `key` be present according to the bloom filter?
     pub fn may_contain(&self, key: u64) -> bool {
-        self.bloom.may_contain(key)
+        self.bloom.as_ref().is_none_or(|b| b.may_contain(key))
     }
 
     /// Index of the block that could contain `key` (last block whose first
@@ -544,7 +597,7 @@ impl SsTableReader {
     /// [`get`](Self::get) with the access accounted into `io` — the
     /// per-pin read path (see `read_block_with`).
     pub fn get_with(&self, key: u64, io: &IoCounters) -> StoreResult<Option<[u8; VAL_SIZE]>> {
-        if !self.bloom.may_contain(key) {
+        if !self.may_contain(key) {
             io.add_bloom_negative();
             return Ok(None);
         }
@@ -868,6 +921,79 @@ mod tests {
         assert_eq!(s.blocks_read, 2, "cache_blocks: 0 must not cache");
         assert_eq!(s.cache_hits, 0);
         assert_eq!(s.cache_misses, 2);
+    }
+
+    #[test]
+    fn scan_only_reader_iterates_and_never_says_no() {
+        let path = build("scanonly.k2ss", (0..3000u64).map(|i| i * 5));
+        let (cache, io) = fixtures();
+        let full = SsTableReader::open(&path, 8, cache.clone(), io.clone()).unwrap();
+        let scan = SsTableReader::open_scan_only(&path, 9, cache, io).unwrap();
+        assert_eq!(scan.num_entries(), full.num_entries());
+        let (mut a, mut b) = (full.iter_from(0), scan.iter_from(0));
+        loop {
+            let (x, y) = (a.next().unwrap(), b.next().unwrap());
+            assert_eq!(x, y);
+            if x.is_none() {
+                break;
+            }
+        }
+        // Without a filter every key is a "maybe"; lookups stay right.
+        assert!(!full.may_contain(1) || full.get(1).unwrap().is_none());
+        assert!(scan.may_contain(1));
+        assert_eq!(scan.get(1).unwrap(), None);
+        assert_eq!(scan.get(10).unwrap(), full.get(10).unwrap());
+    }
+
+    /// Footer field `i` (of the five u64s) of the table at `path`.
+    fn footer_field(bytes: &[u8], i: usize) -> u64 {
+        let at = bytes.len() - FOOTER_SIZE + 8 * i;
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+    }
+
+    #[test]
+    fn malformed_and_truncated_blooms_are_corrupt() {
+        let path = build("badbloom.k2ss", 0..2000u64);
+        let good = std::fs::read(&path).unwrap();
+        let (bloom_off, bloom_len) = (footer_field(&good, 2), footer_field(&good, 3));
+        let open = |bytes: &[u8]| {
+            let p = tmp("badbloom-case.k2ss");
+            std::fs::write(&p, bytes).unwrap();
+            let (cache, io) = fixtures();
+            SsTableReader::open(&p, 10, cache, io)
+        };
+        assert!(open(&good).is_ok());
+        let footer_at = good.len() - FOOTER_SIZE;
+
+        // The filter's own header disagrees with the region's length.
+        let mut bits_off = good.clone();
+        bits_off[bloom_off as usize] ^= 0x40;
+        assert!(matches!(open(&bits_off), Err(StoreError::Corrupt(_))));
+        // Zero hash functions.
+        let mut no_hashes = good.clone();
+        no_hashes[bloom_off as usize + 8..bloom_off as usize + 12].fill(0);
+        assert!(matches!(open(&no_hashes), Err(StoreError::Corrupt(_))));
+        // The footer announces a truncated filter…
+        let mut short = good.clone();
+        short[footer_at + 24..footer_at + 32].copy_from_slice(&(bloom_len - 8).to_le_bytes());
+        assert!(matches!(open(&short), Err(StoreError::Corrupt(_))));
+        // …one shorter than its header…
+        let mut tiny = good.clone();
+        tiny[footer_at + 24..footer_at + 32].copy_from_slice(&5u64.to_le_bytes());
+        assert!(matches!(open(&tiny), Err(StoreError::Corrupt(_))));
+        // …or one reaching past the end of the file: rejected before
+        // anything is allocated for it.
+        let mut huge = good.clone();
+        huge[footer_at + 24..footer_at + 32].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert!(matches!(open(&huge), Err(StoreError::Corrupt(_))));
+        let mut far = good.clone();
+        far[footer_at + 16..footer_at + 24].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(open(&far), Err(StoreError::Corrupt(_))));
+        // A scan-only open does not read the filter at all.
+        let p = tmp("badbloom-case.k2ss");
+        std::fs::write(&p, &bits_off).unwrap();
+        let (cache, io) = fixtures();
+        assert!(SsTableReader::open_scan_only(&p, 11, cache, io).is_ok());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Tuning knobs for [`LsmStore`].
@@ -137,16 +137,29 @@ pub(crate) type Memtable = BTreeMap<u64, [u8; VAL_SIZE]>;
 /// The store's durable structure — frozen memtable generations and the
 /// ordered SSTable list — is published as an immutable `LsmState`
 /// behind `Arc<RwLock<Arc<LsmState>>>`. Writers never mutate a published
-/// state: `insert` fills a **writer-private active memtable**, and every
-/// structural change (flush, compaction commit, snapshot pin) builds a
-/// fresh `Arc<LsmState>` and swaps it in under a short write lock.
-/// [`LsmStore::pin_snapshot`] freezes the active memtable into the
-/// published state and hands back a [`StorePin`] — an `Arc` of that
-/// state plus its own I/O counters — which serves reads for an entire
-/// mining run without ever blocking ingest. Compaction may unlink a
-/// pinned table's file, but unix keeps the data readable through the
-/// pin's open descriptor; pinned block reads share the store's block
-/// cache and account into the pin's counters.
+/// state: records fill a **writer-private active memtable**, and every
+/// structural change builds a fresh `Arc<LsmState>` and swaps it in
+/// under a short write lock. The swaps happen where the writer is at a
+/// boundary anyway:
+///
+/// * at the end of each [`LsmStore::insert_batch`] — the batch is frozen
+///   into one generation and published whole; swaps that fall due inside
+///   it (a mid-batch flush, a finished compaction) are held back to that
+///   point, so the published state never shows part of a batch;
+/// * at a flush or compaction commit outside a batch;
+/// * at [`LsmStore::pin_snapshot`], when single [`LsmStore::insert`]s
+///   have left acknowledged entries in the active memtable: they are
+///   frozen in first, so the pin sees everything acknowledged before it.
+///
+/// A [`StorePin`] is an `Arc` of a published state plus its own I/O
+/// counters, and serves reads for an entire mining run without ever
+/// blocking ingest. [`SharedLsm::pin`](crate::SharedLsm::pin) takes it
+/// straight from the published pointer — without the writer — whenever
+/// no single insert is waiting to be published, which on a store fed by
+/// batches is always. Compaction may unlink a pinned table's file, but
+/// unix keeps the data readable through the pin's open descriptor;
+/// pinned block reads share the store's block cache and account into
+/// the pin's counters.
 ///
 /// Compaction runs under a [`CompactionController`] (size-tiered by
 /// default: only similarly sized young runs are merged, settled tables
@@ -194,6 +207,13 @@ pub struct LsmStore {
     state: Arc<RwLock<Arc<LsmState>>>,
     /// Version of the currently published state; bumped on every swap.
     version: u64,
+    /// True while the active memtable holds acknowledged entries the
+    /// published state lacks — the one case in which a pin has to come
+    /// through the writer (see [`SharedLsm::pin`](crate::SharedLsm::pin)).
+    unpublished: Arc<AtomicBool>,
+    /// Inside [`Self::insert_batch`]: swaps are held back until the batch
+    /// ends, so no pin sees part of it.
+    in_batch: bool,
     /// Live [`StorePin`] count (each pin decrements on drop).
     pins: Arc<AtomicU64>,
     /// Shared with the background compaction worker, which appends its
@@ -238,6 +258,8 @@ impl LsmStore {
             table_seqs: Vec::new(),
             state,
             version: 0,
+            unpublished: Arc::new(AtomicBool::new(false)),
+            in_batch: false,
             pins: Arc::new(AtomicU64::new(0)),
             manifest,
             wal: None,
@@ -386,6 +408,8 @@ impl LsmStore {
             table_seqs: live,
             state: Arc::new(RwLock::new(Arc::new(LsmState::empty()))),
             version: 0,
+            unpublished: Arc::new(AtomicBool::new(false)),
+            in_batch: false,
             pins: Arc::new(AtomicU64::new(0)),
             manifest: Arc::new(Mutex::new(manifest)),
             wal,
@@ -449,6 +473,9 @@ impl LsmStore {
     /// swap costs two small allocations, never a data copy; the write
     /// lock is held only for the pointer store.
     fn publish(&mut self) {
+        if self.in_batch {
+            return; // `insert_batch` publishes when it is done
+        }
         self.version += 1;
         let next = Arc::new(LsmState::new(
             self.frozen.clone(),
@@ -458,14 +485,32 @@ impl LsmStore {
             self.version,
         ));
         *self.state.write().expect("state lock") = next;
+        // Release, paired with the Acquire load in `SharedLsm::pin`: a
+        // reader that finds the flag clear also finds the state above.
+        self.unpublished
+            .store(!self.active.is_empty(), Ordering::Release);
+    }
+
+    /// Moves the active memtable, if it holds anything, into a new frozen
+    /// generation. The caller publishes.
+    fn freeze_active(&mut self) -> bool {
+        if self.active.is_empty() {
+            return false;
+        }
+        let generation = Arc::new(std::mem::take(&mut self.active));
+        self.frozen_entries += generation.len();
+        self.frozen.push(generation);
+        true
     }
 
     /// Pins the store's current contents as an immutable snapshot.
     ///
-    /// The active memtable (if non-empty) is frozen into the published
-    /// state first, so the pin sees every insert acknowledged before
-    /// this call and nothing after it. The returned [`StorePin`] is a
-    /// self-contained [`SnapshotSource`]: it holds `Arc`s to the frozen
+    /// The active memtable (non-empty only after single
+    /// [`Self::insert`]s; [`Self::insert_batch`] leaves it empty) is
+    /// frozen into the published state first, so the pin sees every
+    /// insert acknowledged before this call and nothing after it. The
+    /// returned [`StorePin`] is a self-contained [`SnapshotSource`]: it
+    /// holds `Arc`s to the frozen
     /// generations and open SSTable readers (compaction may unlink a
     /// retired table's file, but the open descriptor keeps it readable),
     /// reads through the store's shared block cache, and accounts its
@@ -473,10 +518,7 @@ impl LsmStore {
     /// writer is never blocked either way.
     pub fn pin_snapshot(&mut self) -> StoreResult<StorePin> {
         self.drain_finished()?;
-        if !self.active.is_empty() {
-            let generation = Arc::new(std::mem::take(&mut self.active));
-            self.frozen_entries += generation.len();
-            self.frozen.push(generation);
+        if self.freeze_active() {
             self.publish();
         }
         let state = self.state.read().expect("state lock").clone();
@@ -492,7 +534,10 @@ impl LsmStore {
     /// flush only writes the memtable and enqueues any merge work, so
     /// insert latency never includes an O(total data) compaction. The
     /// record lands in the writer-private active memtable — no state
-    /// swap, no lock a concurrent pinned reader could contend on.
+    /// swap, no lock a concurrent pinned reader could contend on. It is
+    /// published by the next pin, batch or flush; feed a served store
+    /// through [`Self::insert_batch`], which publishes as it returns and
+    /// so keeps pins off the writer altogether.
     pub fn insert(&mut self, p: Point) -> StoreResult<()> {
         let key = key_of(p.t, p.oid);
         let val = val_of(p.x, p.y);
@@ -500,6 +545,11 @@ impl LsmStore {
             w.append(key, &val)?;
         }
         self.active.insert(key, val);
+        if !self.in_batch {
+            // Acknowledged on return, visible only through the writer
+            // until the next publish. Release: see `publish`.
+            self.unpublished.store(true, Ordering::Release);
+        }
         self.span = Some(match self.span {
             None => (p.t, p.t),
             Some((lo, hi)) => (lo.min(p.t), hi.max(p.t)),
@@ -508,6 +558,42 @@ impl LsmStore {
             self.flush()?;
         }
         Ok(())
+    }
+
+    /// Inserts `points` in order as one unit of publication: each record
+    /// takes the same path as [`Self::insert`] (WAL append under the
+    /// configured [`WalSyncPolicy`], memtable, flush when full), but the
+    /// published state moves exactly once, when the last record is in —
+    /// the batch is frozen into one generation and swapped in. A
+    /// [`StorePin`] taken from the published state while the batch runs
+    /// (see [`SharedLsm::pin`](crate::SharedLsm::pin)) sees none of it,
+    /// even when the memtable fills and flushes midway: the flush's swap,
+    /// and that of any compaction finishing meanwhile, is held back to the
+    /// end. A pin taken after this returns sees all of it.
+    ///
+    /// If a record fails, the records before it stay applied (they are
+    /// in the WAL, recovery would bring them back) and are published;
+    /// the error is returned.
+    pub fn insert_batch(&mut self, points: &[Point]) -> StoreResult<()> {
+        self.drain_finished()?;
+        // Earlier single inserts are acknowledged: publish them now, or a
+        // pin would have to come through the writer for them and wait
+        // for this batch.
+        if self.freeze_active() {
+            self.publish();
+        }
+        if points.is_empty() {
+            return Ok(());
+        }
+        self.in_batch = true;
+        let result = points.iter().try_for_each(|&p| self.insert(p));
+        self.in_batch = false;
+        // Whatever the batch left in the active memtable becomes one
+        // generation; if its last record filled the memtable instead, the
+        // flush's swap is still owed.
+        self.freeze_active();
+        self.publish();
+        result
     }
 
     /// Flushes all buffered entries — frozen generations and the active
@@ -531,28 +617,29 @@ impl LsmStore {
         let seq = self.next_seq;
         self.next_seq += 1;
         let path = self.dir.join(sst_name(seq));
-        // Fold the frozen generations (oldest first) under the active
-        // map: inserting in age order leaves the newest version of every
-        // key — the same order MergeIter resolves reads.
-        let merged: Memtable;
-        let entries: &Memtable = if self.frozen.is_empty() {
-            &self.active
-        } else {
-            let mut m = Memtable::new();
-            for generation in &self.frozen {
-                for (&k, v) in generation.iter() {
-                    m.insert(k, *v);
-                }
-            }
-            for (&k, v) in &self.active {
-                m.insert(k, *v);
-            }
-            merged = m;
-            &merged
+        // The frozen generations (oldest first) and the active memtable
+        // are merged newest-wins straight into the writer — the order
+        // MergeIter resolves reads in — without a merged copy. The bloom
+        // filter is sized by the number of distinct keys, which takes a
+        // counting pass of its own when generations may overlap.
+        let buffered = || {
+            let generations = self.frozen.iter().map(|g| &**g);
+            MergeIter::over_memtables(generations.chain(std::iter::once(&self.active)))
         };
-        let mut w = SsTableWriter::create(&path, entries.len(), self.config.bloom_bits_per_key)?;
-        for (&k, v) in entries {
-            w.put(k, v)?;
+        let distinct = if self.frozen.is_empty() {
+            self.active.len()
+        } else {
+            let mut merge = buffered();
+            let mut n = 0;
+            while merge.next()?.is_some() {
+                n += 1;
+            }
+            n
+        };
+        let mut w = SsTableWriter::create(&path, distinct, self.config.bloom_bits_per_key)?;
+        let mut merge = buffered();
+        while let Some((k, v)) = merge.next()? {
+            w.put(k, &v)?;
         }
         w.finish()?;
         sync_dir(&self.dir)?;
@@ -789,8 +876,8 @@ impl LsmStore {
     }
 
     /// Version of the currently published state; bumped by every swap
-    /// (flush, compaction commit, snapshot pin). `version() -
-    /// pin.version()` is a pin's staleness in state swaps.
+    /// (batch end, flush, compaction commit, a pin that had to freeze).
+    /// `version() - pin.version()` is a pin's staleness in state swaps.
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -815,6 +902,11 @@ impl LsmStore {
     /// The shared live-pin counter.
     pub(crate) fn pins_handle(&self) -> Arc<AtomicU64> {
         self.pins.clone()
+    }
+
+    /// The shared "acknowledged entries await publication" flag.
+    pub(crate) fn unpublished_handle(&self) -> Arc<AtomicBool> {
+        self.unpublished.clone()
     }
 
     /// Path of the live write-ahead log, if the WAL is enabled.
@@ -946,6 +1038,19 @@ impl<'a> MergeIter<'a> {
             tables: v,
             mems: Vec::new(),
         })
+    }
+
+    /// Cursor over whole memtables alone, oldest first.
+    pub(crate) fn over_memtables(generations: impl Iterator<Item = &'a Memtable>) -> Self {
+        let mut merge = Self {
+            tables: Vec::new(),
+            mems: Vec::new(),
+            next_rank: 0,
+        };
+        for generation in generations {
+            merge.add_mem(generation.range(..));
+        }
+        merge
     }
 
     /// Adds a memtable range outranking the tables and every range
@@ -1528,6 +1633,117 @@ mod tests {
         let pin2 = store.pin_snapshot().unwrap();
         assert_eq!(store.version(), v);
         assert_eq!(pin2.version(), v);
+    }
+
+    #[test]
+    fn a_batch_publishes_once_however_many_flushes_it_spans() {
+        let dir = tmpdir("batchonce");
+        let config = LsmConfig {
+            memtable_entries: 32,
+            max_tables: 2,
+            background_compaction: false,
+            ..LsmConfig::default()
+        };
+        let mut store = LsmStore::create_with(&dir, config).unwrap();
+        store.insert(Point::new(0, 0.0, 0.0, 0)).unwrap();
+        let before = store.pin_snapshot().unwrap();
+        let v0 = store.version();
+        // 100 records through a 32-entry memtable: three flushes and an
+        // inline compaction land inside the batch.
+        let batch: Vec<Point> = (1..=100u32)
+            .map(|oid| Point::new(oid, oid as f64, 1.0, 0))
+            .collect();
+        store.insert_batch(&batch).unwrap();
+        assert!(store.num_tables() >= 1, "the batch must have flushed");
+        assert_eq!(store.version(), v0 + 1, "one swap per batch");
+        assert_eq!(before.scan_snapshot(0).unwrap().len(), 1);
+        let after = store.pin_snapshot().unwrap();
+        assert_eq!(after.version(), v0 + 1, "nothing left to freeze");
+        assert_eq!(after.scan_snapshot(0).unwrap().len(), 101);
+        // An empty batch publishes nothing.
+        store.insert_batch(&[]).unwrap();
+        assert_eq!(store.version(), v0 + 1);
+        // Singles before a batch are published ahead of it, the batch
+        // after it: two swaps.
+        store.insert(Point::new(500, 5.0, 5.0, 1)).unwrap();
+        store.insert_batch(&[Point::new(501, 5.0, 5.0, 1)]).unwrap();
+        assert_eq!(store.version(), v0 + 3);
+        // The WAL covered every record of the batch.
+        assert_eq!(store.io_stats().wal_appends, 103);
+    }
+
+    /// Writes `entries` the way the pre-streaming flush and compaction
+    /// did — from one fully merged map, the bloom sized by `expected` —
+    /// and returns the file's bytes.
+    fn reference_table(dir: &Path, entries: &Memtable, expected: usize) -> Vec<u8> {
+        let path = dir.join("reference.k2ss");
+        let mut w = SsTableWriter::create(&path, expected, LsmConfig::default().bloom_bits_per_key)
+            .unwrap();
+        for (&k, v) in entries {
+            w.put(k, v).unwrap();
+        }
+        w.finish().unwrap();
+        let bytes = fs::read(&path).unwrap();
+        fs::remove_file(&path).unwrap();
+        bytes
+    }
+
+    #[test]
+    fn streaming_flush_and_scan_only_compaction_write_the_same_bytes() {
+        let dir = tmpdir("bytes");
+        let config = LsmConfig {
+            memtable_entries: 1 << 20,
+            max_tables: 100,
+            background_compaction: false,
+            wal: false,
+            ..LsmConfig::default()
+        };
+        let mut store = LsmStore::create_with(&dir, config).unwrap();
+        let mut all_tables: Vec<Memtable> = Vec::new();
+        // Three flushes; each folds three overlapping frozen generations
+        // (freeze points set by pins) under a live active memtable. The
+        // last flush has no frozen generation at all.
+        for round in 0..3u32 {
+            let mut folded = Memtable::new();
+            let generations = if round == 2 { 1 } else { 4 };
+            for generation in 0..generations {
+                for i in 0..700u32 {
+                    // Keys recur across generations and rounds, so both
+                    // the flush and the compaction have versions to drop.
+                    let oid = (i * (generation + 2) + round) % 1500;
+                    let p = Point::new(oid, f64::from(i), f64::from(generation), round / 2);
+                    store.insert(p).unwrap();
+                    folded.insert(key_of(p.t, p.oid), val_of(p.x, p.y));
+                }
+                if generation + 1 < generations {
+                    drop(store.pin_snapshot().unwrap());
+                }
+            }
+            store.flush().unwrap();
+            let seq = *store.table_seqs.last().unwrap();
+            assert_eq!(
+                fs::read(dir.join(sst_name(seq))).unwrap(),
+                reference_table(&dir, &folded, folded.len()),
+                "flush {round} differs from the folded-copy table"
+            );
+            all_tables.push(folded);
+        }
+        // Compaction: newest table wins, the bloom sized by the inputs'
+        // total entry count.
+        let total: usize = all_tables.iter().map(|t| t.len()).sum();
+        let mut merged = Memtable::new();
+        for table in &all_tables {
+            merged.extend(table.iter().map(|(&k, &v)| (k, v)));
+        }
+        assert!(merged.len() < total, "the inputs must share keys");
+        store.compact_blocking().unwrap();
+        assert_eq!(store.num_tables(), 1);
+        let out = dir.join(sst_name(store.table_seqs[0]));
+        assert_eq!(
+            fs::read(&out).unwrap(),
+            reference_table(&dir, &merged, total),
+            "compaction output differs from the full-reader merge"
+        );
     }
 
     #[test]

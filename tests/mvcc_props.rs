@@ -1,6 +1,7 @@
 //! MVCC properties of the LSM store: pinned snapshots are immutable
 //! under any interleaving of {insert, flush, background compaction,
-//! pin, mine, unpin}, and holding a pin never blocks the writer.
+//! pin, mine, unpin}, holding a pin never blocks the writer, and taking
+//! one never waits for a batch the writer is in the middle of.
 //!
 //! The golden invariant: a mine run against a [`StorePin`] — even one
 //! executed *after* the store has flushed, compacted and swapped states
@@ -8,10 +9,16 @@
 //! taken at pin time.
 
 use k2hop::model::{Dataset, Point};
-use k2hop::storage::{LsmConfig, LsmStore, SharedLsm, SnapshotSource, StorePin, TrajectoryStore};
+use k2hop::storage::{
+    LsmConfig, LsmStore, SharedLsm, SnapshotSource, StorePin, TrajectoryStore, WalSyncPolicy,
+};
 use k2hop::MiningSession;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 type Model = BTreeMap<(u32, u32), (f64, f64)>;
 
@@ -274,4 +281,137 @@ fn store_stays_model_exact_while_pins_churn() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What a store directory shows of its writer's progress: bytes of WAL
+/// and number of SSTables.
+fn disk_progress(dir: &Path) -> (u64, usize) {
+    let (mut wal_bytes, mut tables) = (0, 0);
+    for entry in std::fs::read_dir(dir).unwrap().flatten() {
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if name.ends_with(".log") {
+            wal_bytes += entry.metadata().map_or(0, |m| m.len());
+        } else if name.ends_with(".k2ss") {
+            tables += 1;
+        }
+    }
+    (wal_bytes, tables)
+}
+
+/// Pins requested while another thread is inside a 16 384-point
+/// `insert_batch` — slowed to seconds by an fsync per record — return
+/// without waiting for it, see everything acknowledged before it and
+/// nothing of it; with `memtable_entries` below the batch size the
+/// memtable also fills and flushes midway. Afterwards a pin sees the
+/// whole batch, and further pins publish nothing.
+fn pins_during_a_batch(name: &str, memtable_entries: usize) {
+    const BATCH: u32 = 16_384;
+    let dir = tmp(name, 0).join("lsm");
+    let config = LsmConfig {
+        memtable_entries,
+        wal_sync: WalSyncPolicy::EveryAppend,
+        ..LsmConfig::default()
+    };
+    let shared = SharedLsm::create_with(&dir, config).unwrap();
+
+    // Acknowledged beforehand: one batch and one single insert.
+    let first: Vec<Point> = (0..300u32)
+        .map(|oid| Point::new(oid, 1.0, 1.0, 0))
+        .collect();
+    let v_first = {
+        let mut store = shared.lock();
+        store.insert_batch(&first).unwrap();
+        store.version()
+    };
+    assert_eq!(shared.pin().unwrap().version(), v_first);
+    shared.insert(Point::new(300, 1.0, 1.0, 0)).unwrap();
+    let acked = 301;
+
+    let base = disk_progress(&dir);
+    let done = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let (shared, done) = (shared.clone(), done.clone());
+        std::thread::spawn(move || {
+            let batch: Vec<Point> = (0..BATCH).map(|i| Point::new(i, 2.0, 2.0, 1)).collect();
+            let version = {
+                let mut store = shared.lock();
+                store.insert_batch(&batch).unwrap();
+                store.version()
+            };
+            done.store(true, Ordering::Release);
+            version
+        })
+    };
+    // The batch is under way once its records show up in the WAL.
+    while disk_progress(&dir) == base {
+        assert!(!done.load(Ordering::Acquire), "the batch left no trace");
+        std::thread::yield_now();
+    }
+
+    let mut waits = Vec::new();
+    let mut pinned_after_flush = false;
+    let mut last_version = v_first;
+    loop {
+        let flushed = disk_progress(&dir).1 > base.1;
+        let t0 = Instant::now();
+        let pin = shared.pin().unwrap();
+        let waited = t0.elapsed();
+        if done.load(Ordering::Acquire) {
+            break; // the batch may have ended under this pin: it proves nothing
+        }
+        // Requested and returned while the writer held the store.
+        waits.push(waited);
+        pinned_after_flush |= flushed;
+        assert_eq!(
+            pin.num_points(),
+            acked,
+            "a pin saw part of a batch in flight"
+        );
+        assert_eq!(pin.scan_snapshot(0).unwrap().len(), acked as usize);
+        assert!(pin.scan_snapshot(1).unwrap().is_empty());
+        assert!(pin.version() >= last_version, "pin versions went backwards");
+        last_version = pin.version();
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let v_batch = writer.join().unwrap();
+
+    assert!(!waits.is_empty(), "no pin landed inside the batch");
+    waits.sort_unstable();
+    assert!(
+        waits[waits.len() / 2] < Duration::from_millis(5),
+        "pins queued behind the batch: median {:?}, worst {:?}",
+        waits[waits.len() / 2],
+        waits[waits.len() - 1]
+    );
+    if memtable_entries < BATCH as usize {
+        assert!(disk_progress(&dir).1 > base.1, "the batch never flushed");
+        assert!(
+            pinned_after_flush,
+            "no pin landed after the mid-batch flush"
+        );
+    }
+
+    // After the ack: all of it, at the version the batch reported.
+    assert!(v_batch > last_version);
+    let after = shared.pin().unwrap();
+    assert_eq!(after.version(), v_batch);
+    assert_eq!(after.num_points(), acked + u64::from(BATCH));
+    assert_eq!(after.scan_snapshot(1).unwrap().len(), BATCH as usize);
+    // Pins between batches freeze nothing and publish nothing.
+    for _ in 0..3 {
+        assert_eq!(shared.pin().unwrap().version(), v_batch);
+    }
+    assert_eq!(shared.version(), v_batch);
+    let _ = std::fs::remove_dir_all(dir.parent().unwrap());
+}
+
+#[test]
+fn pins_do_not_wait_for_a_batch_in_flight() {
+    pins_during_a_batch("inflight", 1 << 16);
+}
+
+#[test]
+fn pins_do_not_see_a_mid_batch_flush() {
+    pins_during_a_batch("inflight-flush", 10_000);
 }

@@ -6,7 +6,7 @@
 
 use k2hop::model::{Dataset, Point};
 use k2hop::server::{K2Service, LocalClient, Pattern, Request, Response, Server, TcpClient};
-use k2hop::storage::{LsmConfig, SharedLsm};
+use k2hop::storage::{LsmConfig, SharedLsm, SnapshotSource};
 use k2hop::MiningSession;
 use std::sync::Arc;
 
@@ -253,5 +253,94 @@ fn flock_requests_serve_over_the_wire() {
     match resp {
         Response::Convoys(r) => assert_eq!(r.engine, "flock-k2hop"),
         other => panic!("expected flock convoys, got {other:?}"),
+    }
+}
+
+/// The wire must not add a timer to a round trip: two writes per frame
+/// or Nagle on the accepted socket park every reply behind the client's
+/// delayed ACK (40 ms each — 100 round trips took 4.4 s).
+#[test]
+fn back_to_back_round_trips_do_not_wait_for_delayed_acks() {
+    let dataset = workload();
+    let store = SharedLsm::bulk_load_with(tmp("rtt"), &dataset, LsmConfig::default()).unwrap();
+    let service = Arc::new(K2Service::new(store));
+    let server = Server::bind("127.0.0.1:0", service, 1).unwrap();
+    let mut tcp = TcpClient::connect(server.addr()).unwrap();
+    let t0 = std::time::Instant::now();
+    for _ in 0..100 {
+        match tcp.request(&Request::Stats { quiesce: false }).unwrap() {
+            Response::Stats(s) => assert_eq!(s.num_points, dataset.num_points()),
+            other => panic!("expected stats, got {other:?}"),
+        }
+    }
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "100 Stats round trips took {elapsed:?}"
+    );
+}
+
+#[test]
+fn wire_thread_count_is_clamped_to_the_machine() {
+    let dataset = workload();
+    let store = SharedLsm::bulk_load_with(tmp("threads"), &dataset, LsmConfig::default()).unwrap();
+    let local = LocalClient::new(Arc::new(K2Service::new(store)), 1);
+    let span_end = dataset.span().end;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u32;
+    let one = local.request(&mine_request(0, span_end, 1)).unwrap();
+    let max = local.request(&mine_request(0, span_end, u32::MAX)).unwrap();
+    assert_eq!(reply_convoys(&max), reply_convoys(&one));
+    assert_eq!(reply_convoys(&max), golden(&dataset));
+    match (&one, &max) {
+        (Response::Convoys(one), Response::Convoys(max)) => {
+            assert_eq!(one.threads, 1);
+            assert_eq!(max.threads, cores, "the reply reports the clamped count");
+        }
+        other => panic!("expected convoys, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_batch_with_a_non_finite_point_is_rejected_whole() {
+    let dataset = workload();
+    let store =
+        SharedLsm::bulk_load_with(tmp("nonfinite"), &dataset, LsmConfig::default()).unwrap();
+    let service = Arc::new(K2Service::new(store));
+    let local = LocalClient::new(Arc::clone(&service), 1);
+    let stats = |local: &LocalClient| match local.request(&Request::Stats { quiesce: false }) {
+        Ok(Response::Stats(s)) => s,
+        other => panic!("expected stats, got {other:?}"),
+    };
+    let before = stats(&local);
+    let t = dataset.span().end + 1;
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for (x, y) in [(bad, 0.0), (0.0, bad)] {
+            // Good points on both sides of the bad one: none may land.
+            let points = vec![
+                Point::new(7001, 1.0, 1.0, t),
+                Point::new(7002, x, y, t),
+                Point::new(7003, 2.0, 2.0, t),
+            ];
+            match local.request(&Request::Ingest { points }).unwrap() {
+                Response::Error { message } => {
+                    assert!(message.contains("non-finite"), "unhelpful error: {message}")
+                }
+                other => panic!("expected an error, got {other:?}"),
+            }
+        }
+    }
+    let after = stats(&local);
+    assert_eq!(after.num_points, before.num_points);
+    assert_eq!(after.memtable_len, before.memtable_len);
+    assert_eq!(after.version, before.version);
+    assert_eq!(service.store().lock().io_stats().wal_appends, 0);
+    // The store still takes a clean batch.
+    let points = vec![Point::new(7001, 1.0, 1.0, t)];
+    match local.request(&Request::Ingest { points }).unwrap() {
+        Response::Ingested { count, version } => {
+            assert_eq!(count, 1);
+            assert!(version > before.version);
+        }
+        other => panic!("expected ingest ack, got {other:?}"),
     }
 }
