@@ -50,7 +50,7 @@ pub fn candidate_clusters(left: &[ObjectSet], right: &[ObjectSet], m: usize) -> 
 /// repeats share storage with the cluster sets already in the pool, so
 /// every downstream equality/subsumption check starts with a pointer
 /// compare.
-pub fn candidate_clusters_pooled(
+pub(crate) fn candidate_clusters_pooled(
     left: &[ObjectSet],
     right: &[ObjectSet],
     m: usize,
@@ -65,7 +65,7 @@ pub fn candidate_clusters_pooled(
 /// Sorted union of the object ids across `sets` — the id list one
 /// hop-window's slab fetch asks the store for (every object HWMT can
 /// probe in that window belongs to one of its candidate clusters).
-pub fn object_id_union(sets: &[ObjectSet]) -> Vec<Oid> {
+pub(crate) fn object_id_union(sets: &[ObjectSet]) -> Vec<Oid> {
     let mut ids: Vec<Oid> = sets.iter().flat_map(|s| s.iter()).collect();
     ids.sort_unstable();
     ids.dedup();

@@ -1,13 +1,11 @@
 //! Mining parameters.
 
 use k2_cluster::DbscanParams;
-use k2_model::ConvoySetTuning;
 use std::fmt;
 
 /// The three user parameters of convoy mining (§1): a convoy is at least
 /// `m` objects within `eps`-density-connection for at least `k`
-/// consecutive timestamps — plus engine tuning knobs with measured
-/// defaults.
+/// consecutive timestamps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct K2Config {
     /// Minimum number of objects (`m ≥ 2`).
@@ -17,13 +15,6 @@ pub struct K2Config {
     pub k: u32,
     /// DBSCAN distance threshold (`eps > 0`).
     pub eps: f64,
-    /// Representation tuning for the maximality sets
-    /// ([`ConvoySet`](k2_model::ConvoySet)) the pipeline maintains in its
-    /// merge, extension, and validation phases: when the posting-list
-    /// index engages and how eagerly tombstones are compacted. The
-    /// default is the measured first-guess crossover; override with
-    /// [`K2Config::with_convoyset_tuning`] to experiment.
-    pub convoyset: ConvoySetTuning,
 }
 
 /// Parameter validation failure.
@@ -61,19 +52,7 @@ impl K2Config {
         if !(eps > 0.0 && eps.is_finite()) {
             return Err(ConfigError::BadEps);
         }
-        Ok(Self {
-            m,
-            k,
-            eps,
-            convoyset: ConvoySetTuning::default(),
-        })
-    }
-
-    /// Returns the configuration with explicit [`ConvoySetTuning`] for
-    /// the pipeline's maximality sets.
-    pub fn with_convoyset_tuning(mut self, tuning: ConvoySetTuning) -> Self {
-        self.convoyset = tuning;
-        self
+        Ok(Self { m, k, eps })
     }
 
     /// The hop length `h = ⌊k/2⌋` — the spacing between benchmark points.

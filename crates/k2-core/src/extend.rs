@@ -1,202 +1,133 @@
 //! Extending maximal spanning convoys to their true endpoints
 //! (§4.5, Algorithm 3 `extendRight` and its left mirror).
 
-use crate::{recluster_at_with, ProbeScratch};
+use crate::par::{PassResult, ProbeReader};
+use crate::{recluster_at, Probe, ProbeScratch};
 use k2_cluster::DbscanParams;
-use k2_model::{Convoy, ConvoySet, ConvoySetTuning, Time};
-use k2_storage::{SnapshotSource, StoreResult};
+use k2_model::{Convoy, ConvoySet, Time};
+use k2_storage::StoreResult;
 
-/// Outcome of an extension pass.
-#[derive(Debug)]
-pub struct ExtendResult {
-    /// Extended convoys (maximal under `update()` subsumption).
-    pub convoys: ConvoySet,
-    /// Points fetched from the store.
-    pub points_fetched: u64,
+/// Which way a pass extends, and where it has to stop.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Direction {
+    /// Algorithm 3: re-cluster the convoy's objects at `te(v)+1,
+    /// te(v)+2, …` up to the dataset's last timestamp. No `k` check
+    /// happens here — a short convoy may still grow leftwards (§4.5).
+    Right {
+        /// Last timestamp of the dataset.
+        end: Time,
+    },
+    /// The left mirror, down to the dataset's first timestamp. After it
+    /// no further growth is possible, so convoys shorter than `min_len`
+    /// are discarded (§4.5: "all the convoys which do not satisfy the k
+    /// constraint are discarded").
+    Left {
+        /// First timestamp of the dataset.
+        start: Time,
+        /// The `k` constraint.
+        min_len: u32,
+    },
 }
 
-/// Algorithm 3: extends each convoy to the right, one timestamp at a time,
-/// re-clustering the convoy's objects at `te(v)+1, te(v)+2, …` until no
-/// cluster survives or the dataset ends.
+/// One extension pass: every seed is extended in `dir` — seeds fan out
+/// over the reader's workers, each an independent chain of probes — and
+/// what the chains emit is folded, in seed order, into one maximal set.
+pub(crate) fn extend_pass(
+    reader: &ProbeReader<'_>,
+    params: DbscanParams,
+    seeds: Vec<Convoy>,
+    dir: Direction,
+) -> StoreResult<PassResult> {
+    reader.map_maximal(&seeds, |seed, probe, scratch| {
+        extend(params, seed.clone(), dir, probe, scratch)
+    })
+}
+
+/// Extends one seed one timestamp at a time until no cluster survives or
+/// the dataset ends, reading `DB[t]|O` through `probe`.
 ///
 /// When re-clustering splits or shrinks a convoy, the original is emitted
-/// (it is right-maximal in its current shape) *and* the shrunken clusters
-/// continue extending. No `k` check happens here — a short convoy may
-/// still grow leftwards (§4.5).
-pub fn extend_right<S: SnapshotSource + ?Sized>(
-    store: &S,
+/// (it is maximal in this direction in its current shape) *and* the
+/// shrunken clusters continue extending. Returns the emitted convoys in
+/// emission order and the number of points fetched.
+fn extend(
     params: DbscanParams,
-    convoys: impl IntoIterator<Item = Convoy>,
-    dataset_end: Time,
-) -> StoreResult<ExtendResult> {
-    extend_right_tuned(
-        store,
-        params,
-        convoys,
-        dataset_end,
-        ConvoySetTuning::default(),
-    )
-}
-
-/// [`extend_right`] with explicit [`ConvoySetTuning`] for its maximality
-/// sets (what the pipeline passes from `K2Config::convoyset`).
-pub fn extend_right_tuned<S: SnapshotSource + ?Sized>(
-    store: &S,
-    params: DbscanParams,
-    convoys: impl IntoIterator<Item = Convoy>,
-    dataset_end: Time,
-    tuning: ConvoySetTuning,
-) -> StoreResult<ExtendResult> {
-    extend_directed(
-        store,
-        params,
-        convoys,
-        dataset_end,
-        Direction::Right,
-        None,
-        tuning,
-    )
-}
-
-/// The left mirror of Algorithm 3: extends towards `dataset_start`.
-///
-/// After leftward extension no further growth is possible, so convoys
-/// shorter than `min_len` are discarded (§4.5: "all the convoys which do
-/// not satisfy the k constraint are discarded").
-pub fn extend_left<S: SnapshotSource + ?Sized>(
-    store: &S,
-    params: DbscanParams,
-    convoys: impl IntoIterator<Item = Convoy>,
-    dataset_start: Time,
-    min_len: u32,
-) -> StoreResult<ExtendResult> {
-    extend_left_tuned(
-        store,
-        params,
-        convoys,
-        dataset_start,
-        min_len,
-        ConvoySetTuning::default(),
-    )
-}
-
-/// [`extend_left`] with explicit [`ConvoySetTuning`] for its maximality
-/// sets (what the pipeline passes from `K2Config::convoyset`).
-pub fn extend_left_tuned<S: SnapshotSource + ?Sized>(
-    store: &S,
-    params: DbscanParams,
-    convoys: impl IntoIterator<Item = Convoy>,
-    dataset_start: Time,
-    min_len: u32,
-    tuning: ConvoySetTuning,
-) -> StoreResult<ExtendResult> {
-    extend_directed(
-        store,
-        params,
-        convoys,
-        dataset_start,
-        Direction::Left,
-        Some(min_len),
-        tuning,
-    )
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Direction {
-    Right,
-    Left,
-}
-
-fn extend_directed<S: SnapshotSource + ?Sized>(
-    store: &S,
-    params: DbscanParams,
-    convoys: impl IntoIterator<Item = Convoy>,
-    limit: Time,
+    seed: Convoy,
     dir: Direction,
-    min_len: Option<u32>,
-    tuning: ConvoySetTuning,
-) -> StoreResult<ExtendResult> {
-    let mut result = ConvoySet::with_tuning(tuning);
+    mut probe: impl Probe,
+    scratch: &mut ProbeScratch,
+) -> StoreResult<(Vec<Convoy>, u64)> {
+    let mut emitted = Vec::new();
     let mut points_fetched = 0u64;
-    // One scratch for the whole pass: probe buffers plus the set-interning
-    // pool, so a convoy that extends intact re-derives the *same* (shared)
-    // object set at every frontier and the survived-intact equality below
-    // is a pointer compare.
-    let mut scratch = ProbeScratch::default();
-    let emit = |set: &mut ConvoySet, v: Convoy| {
-        if min_len.is_none_or(|k| v.len() >= k) {
-            set.update(v);
-        }
+    let mut emit = |v: Convoy| match dir {
+        Direction::Left { min_len, .. } if v.len() < min_len => {}
+        _ => emitted.push(v),
     };
-
-    for vsp in convoys {
-        // Rotate the interning pool per seed: the repeats it captures are
-        // within one extension chain, and clearing keeps its retention
-        // bounded by a single chain's distinct sets.
-        scratch.cluster.pool_mut().clear();
-        // Vprev: convoys still extending (line 2).
-        let mut prev: Vec<Convoy> = vec![vsp];
-        loop {
-            // Next timestamp in the chosen direction, stopping at the
-            // dataset boundary (line 3).
-            let frontier = match dir {
-                Direction::Right => {
-                    let te = prev[0].end();
-                    if te >= limit {
-                        break;
-                    }
-                    te + 1
+    // The set-interning pool is rotated per seed: a convoy that extends
+    // intact re-derives the *same* (shared) object set at every frontier,
+    // so the survived-intact equality below is a pointer compare, and
+    // clearing keeps the pool's retention bounded by a single chain's
+    // distinct sets.
+    scratch.cluster.pool_mut().clear();
+    // Vprev: convoys still extending (line 2).
+    let mut prev: Vec<Convoy> = vec![seed];
+    loop {
+        // Next timestamp in the chosen direction, stopping at the
+        // dataset boundary (line 3).
+        let frontier = match dir {
+            Direction::Right { end } => {
+                let te = prev[0].end();
+                if te >= end {
+                    break;
                 }
-                Direction::Left => {
-                    let ts = prev[0].start();
-                    if ts <= limit {
-                        break;
-                    }
-                    ts - 1
-                }
-            };
-            let mut next = ConvoySet::with_tuning(tuning);
-            for v in &prev {
-                let (clusters, fetched) =
-                    recluster_at_with(store, params, frontier, &v.objects, &mut scratch)?;
-                points_fetched += fetched;
-                if clusters.is_empty() {
-                    // Line 7–8: v cannot be extended.
-                    emit(&mut result, v.clone());
-                    continue;
-                }
-                let mut survived_intact = false;
-                for c in clusters {
-                    if c == v.objects {
-                        survived_intact = true;
-                    }
-                    let (s, e) = match dir {
-                        Direction::Right => (v.start(), frontier),
-                        Direction::Left => (frontier, v.end()),
-                    };
-                    next.update(Convoy::from_parts(c, s, e));
-                }
-                if !survived_intact {
-                    // Line 12–13: v split or shrank; emit it in its
-                    // current shape.
-                    emit(&mut result, v.clone());
-                }
+                te + 1
             }
-            if next.is_empty() {
-                prev.clear();
-                break;
+            Direction::Left { start, .. } => {
+                let ts = prev[0].start();
+                if ts <= start {
+                    break;
+                }
+                ts - 1
             }
-            prev = next.drain();
+        };
+        let mut next = ConvoySet::new();
+        for v in &prev {
+            let (clusters, fetched) =
+                recluster_at(&mut probe, params, frontier, &v.objects, scratch)?;
+            points_fetched += fetched;
+            if clusters.is_empty() {
+                // Line 7–8: v cannot be extended.
+                emit(v.clone());
+                continue;
+            }
+            let mut survived_intact = false;
+            for c in clusters {
+                if c == v.objects {
+                    survived_intact = true;
+                }
+                let (s, e) = match dir {
+                    Direction::Right { .. } => (v.start(), frontier),
+                    Direction::Left { .. } => (frontier, v.end()),
+                };
+                next.update(Convoy::from_parts(c, s, e));
+            }
+            if !survived_intact {
+                // Line 12–13: v split or shrank; emit it in its
+                // current shape.
+                emit(v.clone());
+            }
         }
-        // Line 17: convoys that reached the dataset boundary.
-        for v in prev {
-            emit(&mut result, v);
+        if next.is_empty() {
+            prev.clear();
+            break;
         }
+        prev = next.drain();
     }
-    Ok(ExtendResult {
-        convoys: result,
-        points_fetched,
-    })
+    // Line 17: convoys that reached the dataset boundary.
+    for v in prev {
+        emit(v);
+    }
+    Ok((emitted, points_fetched))
 }
 
 #[cfg(test)]
@@ -204,6 +135,37 @@ mod tests {
     use super::*;
     use k2_model::{Dataset, ObjectSet, Point, TimeInterval};
     use k2_storage::InMemoryStore;
+
+    fn extend_right(
+        store: &InMemoryStore,
+        params: DbscanParams,
+        seeds: impl IntoIterator<Item = Convoy>,
+        end: Time,
+    ) -> StoreResult<PassResult> {
+        let seeds = seeds.into_iter().collect();
+        extend_pass(
+            &ProbeReader::Source(store),
+            params,
+            seeds,
+            Direction::Right { end },
+        )
+    }
+
+    fn extend_left(
+        store: &InMemoryStore,
+        params: DbscanParams,
+        seeds: impl IntoIterator<Item = Convoy>,
+        start: Time,
+        min_len: u32,
+    ) -> StoreResult<PassResult> {
+        let seeds = seeds.into_iter().collect();
+        extend_pass(
+            &ProbeReader::Source(store),
+            params,
+            seeds,
+            Direction::Left { start, min_len },
+        )
+    }
 
     /// Objects 0,1,2 together over [2, 8]; objects 0,1 continue together
     /// through [9, 11]; everything apart elsewhere.

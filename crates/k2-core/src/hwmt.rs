@@ -1,9 +1,9 @@
 //! Hop-Window Mining Tree (§4.3, Algorithm 2).
 
 use crate::benchpoints::{hop_window, hwmt_order};
-use crate::{recluster_at_with, ProbeScratch};
+use crate::{probe_of, recluster_at, Probe, ProbeScratch};
 use k2_cluster::DbscanParams;
-use k2_model::{Convoy, ObjectSet, Time, TimeInterval};
+use k2_model::{Convoy, ObjPos, ObjectSet, Oid, Time, TimeInterval};
 use k2_storage::{SnapshotSource, StoreResult};
 
 /// Outcome of mining one hop-window.
@@ -11,21 +11,15 @@ use k2_storage::{SnapshotSource, StoreResult};
 pub struct WindowResult {
     /// 1st-order spanning convoys, lifespan `[b_left, b_right]`.
     pub spanning: Vec<Convoy>,
-    /// Points fetched from the store while re-clustering.
+    /// Points the probes read while re-clustering.
     pub points_fetched: u64,
     /// Timestamps actually probed (≤ window length thanks to early exit).
     pub timestamps_probed: u32,
 }
 
 /// Mines the 1st-order spanning convoys of the hop-window between
-/// benchmark points `b_left` and `b_right` (Algorithm 2).
-///
-/// `cc` is the window's candidate cluster set `CCᵢ`. The candidates are
-/// re-clustered at each window timestamp in binary-tree order; candidates
-/// that fail to cluster are shed, and the whole window is abandoned as
-/// soon as no candidate survives. Each surviving cluster becomes a
-/// spanning convoy with lifespan `[b_left, b_right]` (the window's
-/// bordering benchmark points, line 11 of Algorithm 2).
+/// benchmark points `b_left` and `b_right` (Algorithm 2), probing
+/// `store` point by point in the paper's binary-tree order.
 pub fn mine_window<S: SnapshotSource + ?Sized>(
     store: &S,
     params: DbscanParams,
@@ -48,30 +42,32 @@ pub fn mine_window_ordered<S: SnapshotSource + ?Sized>(
     cc: &[ObjectSet],
     order: impl Fn(TimeInterval) -> Vec<Time>,
 ) -> StoreResult<WindowResult> {
-    mine_window_scratched(
-        store,
-        params,
-        b_left,
-        b_right,
-        cc,
-        order,
-        &mut ProbeScratch::default(),
-    )
+    let scratch = &mut ProbeScratch::default();
+    mine_window_with(params, b_left, b_right, cc, order, probe_of(store), scratch)
 }
 
-/// [`mine_window_ordered`] reusing a caller-provided probe scratch — the
-/// pipeline passes one scratch (buffers + set-interning pool) across all
-/// its hop-windows so the steady state of the probe loop never allocates.
-/// The candidate reclusters inside each probe filter distances through
-/// the chunked kernel (`k2_cluster::dist2_filter_chunked`), the same
-/// four-lane path the benchmark clustering uses.
-pub(crate) fn mine_window_scratched<S: SnapshotSource + ?Sized>(
-    store: &S,
+/// Algorithm 2, reading `DB[t]|O` through `probe`.
+///
+/// `cc` is the window's candidate cluster set `CCᵢ`. The candidates are
+/// re-clustered at each window timestamp in `order`; candidates that
+/// fail to cluster are shed, and the whole window is abandoned as soon
+/// as no candidate survives. Each surviving cluster becomes a spanning
+/// convoy with lifespan `[b_left, b_right]` (the window's bordering
+/// benchmark points, line 11 of Algorithm 2).
+///
+/// The pipeline passes one `scratch` (buffers + set-interning pool)
+/// across all the hop-windows a worker mines, so the steady state of the
+/// probe loop never allocates. The candidate reclusters inside each
+/// probe filter distances through the chunked kernel
+/// (`k2_cluster::dist2_filter_chunked`), the same four-lane path the
+/// benchmark clustering uses.
+pub(crate) fn mine_window_with(
     params: DbscanParams,
     b_left: Time,
     b_right: Time,
     cc: &[ObjectSet],
     order: impl Fn(TimeInterval) -> Vec<Time>,
+    mut probe: impl Probe,
     scratch: &mut ProbeScratch,
 ) -> StoreResult<WindowResult> {
     let lifespan = TimeInterval::new(b_left, b_right);
@@ -89,7 +85,7 @@ pub(crate) fn mine_window_scratched<S: SnapshotSource + ?Sized>(
             result.timestamps_probed += 1;
             let mut next = Vec::with_capacity(survivors.len());
             for candidate in &survivors {
-                let (clusters, fetched) = recluster_at_with(store, params, t, candidate, scratch)?;
+                let (clusters, fetched) = recluster_at(&mut probe, params, t, candidate, scratch)?;
                 result.points_fetched += fetched;
                 next.extend(clusters);
             }
@@ -114,25 +110,30 @@ pub(crate) fn mine_window_scratched<S: SnapshotSource + ?Sized>(
 /// for every *open-window* timestamp `t ∈ (b_left, b_right)`, one
 /// oid-sorted column per timestamp.
 ///
-/// The bounded prefetcher of
-/// [`K2HopParallel`](crate::K2HopParallel) fills a ring of these on the
-/// calling thread (store I/O is single-threaded) and hands them to the
-/// HWMT workers; the column buffers are reused across temporal shards,
-/// so peak memory is one shard's slabs, never the span.
+/// [`K2HopParallel`](crate::K2HopParallel) on a non-resident source
+/// fills a ring of these on the calling thread (store I/O is
+/// single-threaded) and hands them to the HWMT workers; the column
+/// buffers are reused across temporal shards, so peak memory is one
+/// shard's slabs, never the span.
 #[derive(Debug, Default)]
 pub(crate) struct WindowSlab {
     /// First open-window timestamp (`b_left + 1`); meaningless while
     /// `cols` is empty (degenerate `h = 1` windows fetch nothing).
-    pub(crate) start: Time,
+    start: Time,
     /// One column per open-window timestamp, ascending from `start`.
-    pub(crate) cols: Vec<Vec<k2_model::ObjPos>>,
+    cols: Vec<Vec<ObjPos>>,
 }
 
 impl WindowSlab {
     /// Logical bytes resident in this slab's columns.
     pub(crate) fn bytes(&self) -> u64 {
         let points: u64 = self.cols.iter().map(|c| c.len() as u64).sum();
-        points * std::mem::size_of::<k2_model::ObjPos>() as u64
+        points * std::mem::size_of::<ObjPos>() as u64
+    }
+
+    /// Does the slab hold no column (nothing was fetched for its window)?
+    pub(crate) fn is_empty(&self) -> bool {
+        self.cols.is_empty()
     }
 
     /// Fetches the slab for the window `(b_left, b_right)` restricted to
@@ -143,7 +144,7 @@ impl WindowSlab {
         store: &S,
         b_left: Time,
         b_right: Time,
-        union: &[k2_model::Oid],
+        union: &[Oid],
     ) -> StoreResult<u64> {
         let window = match hop_window(b_left, b_right) {
             Some(w) if !union.is_empty() => w,
@@ -163,53 +164,20 @@ impl WindowSlab {
         }
         Ok(fetched)
     }
-}
 
-/// [`mine_window_scratched`] probing a prefetched [`WindowSlab`] instead
-/// of the store — the compute half of the bounded prefetcher.
-///
-/// Restricting a slab column (already `DB[t]|union(CCᵢ)`, oid-sorted) by
-/// a candidate's ids equals restricting the full snapshot, because every
-/// set HWMT probes is a subset of the window's candidate union — so the
-/// output is bit-identical to probing the store, with zero I/O here.
-pub(crate) fn mine_window_slab(
-    slab: &WindowSlab,
-    params: DbscanParams,
-    b_left: Time,
-    b_right: Time,
-    cc: &[ObjectSet],
-    scratch: &mut crate::validate::DatasetProbeScratch,
-) -> Vec<Convoy> {
-    use k2_cluster::recluster_with;
-    if cc.is_empty() {
-        return Vec::new();
+    /// The probe over this slab: `DB[t]|O` read from the prefetched
+    /// column of `t` instead of the store.
+    ///
+    /// Restricting a column (already `DB[t]|union(CCᵢ)`, oid-sorted) by a
+    /// candidate's ids equals restricting the full snapshot, because
+    /// every set HWMT probes is a subset of the window's candidate union
+    /// — so the clusters are bit-identical to probing the store, with
+    /// zero I/O here.
+    pub(crate) fn probe(&self, t: Time, oids: &[Oid], out: &mut Vec<ObjPos>) -> StoreResult<()> {
+        out.clear();
+        k2_model::restrict_sorted_ids_into(&self.cols[(t - self.start) as usize], oids, out);
+        Ok(())
     }
-    let mut survivors: Vec<ObjectSet> = cc.to_vec();
-    if let Some(window) = hop_window(b_left, b_right) {
-        debug_assert_eq!(slab.start, window.start);
-        debug_assert_eq!(slab.cols.len() as u32, window.len());
-        for t in hwmt_order(window) {
-            let col = &slab.cols[(t - slab.start) as usize];
-            let mut next = Vec::with_capacity(survivors.len());
-            for candidate in &survivors {
-                scratch.positions.clear();
-                k2_model::restrict_sorted_ids_into(col, candidate.ids(), &mut scratch.positions);
-                next.extend(recluster_with(
-                    &scratch.positions,
-                    params,
-                    &mut scratch.cluster,
-                ));
-            }
-            if next.is_empty() {
-                return Vec::new();
-            }
-            survivors = next;
-        }
-    }
-    survivors
-        .into_iter()
-        .map(|objects| Convoy::from_parts(objects.ids(), b_left, b_right))
-        .collect()
 }
 
 #[cfg(test)]

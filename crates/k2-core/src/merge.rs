@@ -1,7 +1,7 @@
 //! Merging 1st-order spanning convoys into maximal spanning convoys
 //! (§4.4, the DCM merge of \[16\]).
 
-use k2_model::{Convoy, ConvoySet, ConvoySetTuning, SetPool};
+use k2_model::{Convoy, ConvoySet, SetPool};
 
 /// Merges the per-window spanning convoy sets (windows ordered left to
 /// right; window `i` spans `[bᵢ, bᵢ₊₁]`) into the set of **maximal
@@ -17,19 +17,8 @@ use k2_model::{Convoy, ConvoySet, ConvoySetTuning, SetPool};
 ///   further right), subject to subsumption,
 /// * after the last window, all remaining active convoys are maximal.
 pub fn merge_spanning(windows: &[Vec<Convoy>], m: usize) -> ConvoySet {
-    merge_spanning_tuned(windows, m, ConvoySetTuning::default())
-}
-
-/// [`merge_spanning`] with explicit [`ConvoySetTuning`] for the
-/// maximality sets it maintains (what the pipeline passes from
-/// `K2Config::convoyset`).
-pub fn merge_spanning_tuned(
-    windows: &[Vec<Convoy>],
-    m: usize,
-    tuning: ConvoySetTuning,
-) -> ConvoySet {
-    let mut result = ConvoySet::with_tuning(tuning);
-    let mut active: ConvoySet = ConvoySet::with_tuning(tuning);
+    let mut result = ConvoySet::new();
+    let mut active = ConvoySet::new();
     // Interning arena for the intersections: a convoy that keeps merging
     // across windows re-derives the same object set every step, so the
     // repeat intersections cost a table hit, share storage, and make the
@@ -42,7 +31,7 @@ pub fn merge_spanning_tuned(
             }
             continue;
         }
-        let mut next_active = ConvoySet::with_tuning(tuning);
+        let mut next_active = ConvoySet::new();
         let boundary = spanning.first().map(|w| w.start());
         for v in active.drain() {
             // Only convoys that end exactly at this window's left

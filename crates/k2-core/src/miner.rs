@@ -42,8 +42,7 @@ use std::fmt;
 
 /// Everything that can go wrong in a mining run — the typed union of
 /// parameter validation ([`ConfigError`]) and storage failures
-/// ([`StoreError`]) that the legacy entry points split between
-/// `Result` layers and panics.
+/// ([`StoreError`]).
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum MineError {

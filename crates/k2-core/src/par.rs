@@ -1,15 +1,16 @@
-//! Self-scheduled, order-preserving parallel map — the work engine shared
-//! by the sequential miner's benchmark-clustering phase and every phase of
-//! [`K2HopParallel`](crate::K2HopParallel) — plus the batched, zero-copy
-//! benchmark-snapshot fetcher both miners cluster through.
+//! The pipeline's work engine: a self-scheduled, order-preserving
+//! parallel map, the [`ProbeReader`] that says where the probe phases
+//! read from and on how many workers, and the batched, zero-copy
+//! benchmark-snapshot fetcher.
 
+use crate::{probe_of, Probe, ProbeScratch};
 use k2_cluster::{dbscan_with, DbscanParams, GridCounters, GridScratch};
-use k2_model::{ObjPos, ObjectSet, Time};
-use k2_storage::{SnapshotRef, StoreResult};
+use k2_model::{Convoy, ConvoySet, Dataset, ObjPos, ObjectSet, Time};
+use k2_storage::{SnapshotRef, SnapshotSource, StoreResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// What the benchmark-clustering phase hands back to the miners: the
+/// What the benchmark-clustering phase hands back to the pipeline: the
 /// per-benchmark cluster sets (in `bench` order), the number of points
 /// scanned, and the grid-reuse counters harvested from every worker's
 /// [`GridScratch`].
@@ -80,6 +81,87 @@ where
         .collect()
 }
 
+/// Where the per-probe phases (HWMT without a prefetch, extension,
+/// validation) read `DB[t]|O` from, and how many workers may read at
+/// once — the two values in which the engines differ. Phase code maps
+/// its items through [`ProbeReader::map`] and never looks inside.
+pub(crate) enum ProbeReader<'a> {
+    /// Any source, probed through its `multi_get_into` (the paper's §5.2
+    /// formulation) on the calling thread only: engines keep buffer
+    /// pools and I/O counters behind interior mutability and need not be
+    /// `Sync`.
+    Source(&'a dyn SnapshotSource),
+    /// A resident dataset. Its `multi_get_into` is its own restriction,
+    /// and it is immutable and `Sync`, so `workers` threads probe it at
+    /// once.
+    Resident {
+        /// The dataset behind the source (`SnapshotSource::as_dataset`).
+        dataset: &'a Dataset,
+        /// Threads a probe phase may use.
+        workers: usize,
+    },
+}
+
+/// Outcome of a pass of probe chains (extension, validation).
+#[derive(Debug)]
+pub(crate) struct PassResult {
+    /// What the chains emitted, maximal under `update()` subsumption.
+    pub convoys: ConvoySet,
+    /// Points the probes read.
+    pub points_fetched: u64,
+}
+
+impl ProbeReader<'_> {
+    /// Maps `f` over `items`, preserving order. Each call gets the probe
+    /// into this reader's data and a worker-local [`ProbeScratch`];
+    /// the first error ends the map.
+    pub(crate) fn map<T: Sync, R: Send>(
+        &self,
+        items: &[T],
+        f: impl Fn(&T, &mut dyn Probe, &mut ProbeScratch) -> StoreResult<R> + Sync,
+    ) -> StoreResult<Vec<R>> {
+        match *self {
+            ProbeReader::Source(source) => {
+                let mut probe = probe_of(source);
+                let mut scratch = ProbeScratch::default();
+                items
+                    .iter()
+                    .map(|item| f(item, &mut probe, &mut scratch))
+                    .collect()
+            }
+            ProbeReader::Resident { dataset, workers } => {
+                self_scheduled_map(workers, items, ProbeScratch::default, |scratch, item| {
+                    f(item, &mut probe_of(dataset), scratch)
+                })
+                .into_iter()
+                .collect()
+            }
+        }
+    }
+
+    /// [`map`](Self::map) for chains of probes that each return the
+    /// convoys they emit and the points they fetched: folds the convoys,
+    /// in item and emission order, into one maximal set and totals the
+    /// points.
+    pub(crate) fn map_maximal<T: Sync>(
+        &self,
+        items: &[T],
+        f: impl Fn(&T, &mut dyn Probe, &mut ProbeScratch) -> StoreResult<(Vec<Convoy>, u64)> + Sync,
+    ) -> StoreResult<PassResult> {
+        let mut result = PassResult {
+            convoys: ConvoySet::new(),
+            points_fetched: 0,
+        };
+        for (emitted, fetched) in self.map(items, f)? {
+            result.points_fetched += fetched;
+            for v in emitted {
+                result.convoys.update(v);
+            }
+        }
+        Ok(result)
+    }
+}
+
 /// Splits `0..len` into at most `shards` contiguous index ranges of
 /// near-equal size (the first `len % shards` ranges are one longer) —
 /// the temporal sharding of the hop-window list. Never produces an
@@ -100,9 +182,8 @@ pub(crate) fn shard_ranges(len: usize, shards: usize) -> Vec<std::ops::Range<usi
     out
 }
 
-/// Benchmark clustering over a fetched snapshot stream — the step-1 engine
-/// shared by [`K2Hop`](crate::K2Hop) and
-/// [`K2HopParallel`](crate::K2HopParallel).
+/// Benchmark clustering over a fetched snapshot stream — step 1 of the
+/// pipeline.
 ///
 /// `fetch` resolves one benchmark timestamp to a [`SnapshotRef`], filling
 /// the passed buffer only when the engine cannot share its storage (see

@@ -3,39 +3,32 @@
 //!
 //! §4.3 observes that HWMT "operates on a hop-window independently of
 //! other hop-windows, [which] makes the HWMT algorithm a good candidate
-//! for distributed execution". This module exploits exactly that:
+//! for distributed execution". [`K2HopParallel`] exploits exactly that.
+//! It runs the same pipeline as [`K2Hop`](crate::K2Hop) — same phases,
+//! same order — with the probe phases fanned out as well:
 //!
-//! * benchmark-point clustering is sharded over worker threads,
-//! * each hop-window (candidate intersection + HWMT) is an independent
-//!   task,
-//! * extension and validation are sharded per candidate convoy,
+//! * benchmark-point clustering is sharded over worker threads (as in
+//!   `K2Hop`), and so is the candidate intersection,
+//! * over a **resident** source ([`SnapshotSource::as_dataset`]: a bare
+//!   [`Dataset`](k2_model::Dataset), an `InMemoryStore`) hop-windows,
+//!   extension seeds and validation candidates are independent tasks
+//!   probing the dataset's own storage — nothing is copied and no point
+//!   query is issued,
+//! * over **any other** source, store I/O stays on the calling thread
+//!   (engines use interior mutability and need not be `Sync`): HWMT runs
+//!   over hop-window slabs prefetched one temporal shard of `threads`
+//!   windows at a time — exactly the points k/2-hop's pruning would
+//!   fetch anyway, never more than `O(window × threads)` of them
+//!   resident ([`PrefetchStats`](crate::PrefetchStats)) — and extension
+//!   and validation probe the source point by point,
 //! * only the cheap DCM merge (and final maximality) runs sequentially.
 //!
-//! The parallel miner reads either an immutable [`Dataset`] directly
-//! (shared snapshots, no interior-mutable I/O counters) or any storage
-//! engine through [`K2HopParallel::mine_store`]: store I/O stays on the
-//! calling thread (engines use interior mutability and need not be
-//! `Sync`), and the hop-window probe loops run against an in-memory
-//! *restriction* of the dataset to the candidate objects — exactly the
-//! points k/2-hop's pruning would fetch anyway. Either way the output is
-//! *identical* to [`K2Hop`](crate::K2Hop) — the unit tests and the
-//! workspace integration tests enforce this.
+//! Either way the output is *identical* to `K2Hop`'s — the unit tests
+//! and the workspace integration tests enforce this.
 
-use crate::benchpoints::benchmark_points;
-use crate::candidates::{candidate_clusters_pooled, object_id_union};
 use crate::config::K2Config;
-use crate::hwmt::{mine_window_slab, WindowSlab};
-use crate::merge::merge_spanning_tuned;
-use crate::par::{cluster_benchmark_snapshots, self_scheduled_map, shard_ranges};
-use crate::pipeline::MiningResult;
-use crate::stats::{GridStats, PhaseTimings, PrefetchStats, PruningStats};
-use crate::validate::{
-    hwmt_star_dataset_scratched, hwmt_star_source_scratched, DatasetProbeScratch,
-};
-use k2_cluster::{recluster_with, DbscanParams};
-use k2_model::{Convoy, ConvoySet, Dataset, ObjectSet, Oid, SetPool, Time};
-use k2_storage::{SnapshotRef, SnapshotSource, StoreResult};
-use std::time::Instant;
+use crate::pipeline::Pipeline;
+use k2_storage::SnapshotSource;
 
 /// Parallel k/2-hop miner over an in-memory dataset or any storage
 /// engine.
@@ -60,7 +53,6 @@ use std::time::Instant;
 pub struct K2HopParallel {
     config: K2Config,
     threads: usize,
-    shards: Option<usize>,
 }
 
 impl K2HopParallel {
@@ -69,23 +61,7 @@ impl K2HopParallel {
         Self {
             config,
             threads: threads.max(1),
-            shards: None,
         }
-    }
-
-    /// Overrides the number of temporal shards the store path splits the
-    /// hop-window list into (clamped to `[1, windows]`).
-    ///
-    /// Each shard is a contiguous window range whose slabs are fetched
-    /// together, so fewer shards mean more resident slab memory and
-    /// fewer fetch/compute barriers; `with_shards(1)` prefetches every
-    /// open window at once. The default — one shard per `threads`
-    /// windows — keeps peak slab memory at `O(window × threads)`.
-    /// Mined convoys are identical at every shard count (the goldens
-    /// pin this).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards.max(1));
-        self
     }
 
     /// The configuration in use.
@@ -97,439 +73,6 @@ impl K2HopParallel {
     pub fn threads(&self) -> usize {
         self.threads
     }
-
-    /// The configured temporal shard override, if any (see
-    /// [`with_shards`](Self::with_shards)).
-    pub fn shards(&self) -> Option<usize> {
-        self.shards
-    }
-
-    /// Mines all maximal fully-connected convoys of `dataset` — the
-    /// legacy dataset-only entry point.
-    ///
-    /// Deprecated in favour of the unified API:
-    /// [`ConvoyMiner::mine`](crate::ConvoyMiner) (or a `MiningSession`
-    /// from the `k2hop` facade) accepts the dataset directly *and* every
-    /// storage engine, and returns a
-    /// [`MineOutcome`](crate::MineOutcome) with run statistics. This
-    /// shim runs the identical phases — the workspace parity suites pin
-    /// old-vs-new equivalence.
-    #[deprecated(
-        since = "0.1.0",
-        note = "mine through `ConvoyMiner::mine` (or the `k2hop` facade's \
-                `MiningSession`), which also accepts storage engines"
-    )]
-    pub fn mine(&self, dataset: &Dataset) -> Vec<Convoy> {
-        self.mine_dataset(dataset).convoys
-    }
-
-    /// Dataset-direct mining with the full [`MiningResult`] (phase
-    /// timings and the pruning counters the parallel phases track).
-    fn mine_dataset(&self, dataset: &Dataset) -> MiningResult {
-        let cfg = self.config;
-        let span = dataset.span();
-        let mut timings = PhaseTimings::default();
-        let mut pruning = PruningStats {
-            total_points: dataset.num_points(),
-            ..PruningStats::default()
-        };
-        if span.len() < cfg.k {
-            return MiningResult {
-                convoys: Vec::new(),
-                timings,
-                pruning,
-                prefetch: PrefetchStats::default(),
-                grid: GridStats::default(),
-            };
-        }
-        let bench = benchmark_points(span, cfg.hop());
-
-        // Step 1 (parallel): benchmark clustering through the same
-        // zero-copy fetcher as the sequential miner — snapshots are handed
-        // to the workers as shared Arc views of the dataset's own storage.
-        let t0 = Instant::now();
-        let bench_res =
-            cluster_benchmark_snapshots(self.threads, &bench, cfg.dbscan(), |t, _buf| {
-                Ok(match dataset.snapshot(t) {
-                    Some(s) => SnapshotRef::Shared(s.positions_shared()),
-                    None => SnapshotRef::Buffered(&[]),
-                })
-            })
-            .expect("dataset-direct fetch cannot fail");
-        let benchmark_clusters = bench_res.clusters;
-        pruning.benchmark_points = bench_res.points;
-        pruning.benchmark_timestamps = bench.len() as u32;
-        timings.benchmark = t0.elapsed();
-
-        let convoys = self.finish_from_benchmarks(
-            dataset,
-            &bench,
-            &benchmark_clusters,
-            &mut timings,
-            &mut pruning,
-        );
-        MiningResult {
-            convoys,
-            timings,
-            pruning,
-            // Dataset-resident mining never prefetches.
-            prefetch: PrefetchStats::default(),
-            grid: GridStats::from(bench_res.grid),
-        }
-    }
-
-    /// Mines from any [`SnapshotSource`], in parallel, with identical
-    /// output to the sequential [`K2Hop`](crate::K2Hop) — the
-    /// store-generic form of [`mine`](Self::mine) that closes the
-    /// paper's §7 parallelism over the §5 storage structures.
-    ///
-    /// Store I/O never leaves the calling thread (engines use interior
-    /// mutability for buffer pools and counters, so they need not be
-    /// `Sync`), and — this is the memory discipline — no phase ever
-    /// materializes more than one temporal shard of the dataset:
-    ///
-    /// 1. benchmark snapshots stream through the shared batched zero-copy
-    ///    fetcher (`SnapshotRef`s fan out to clustering workers);
-    /// 2. the hop-window list is split into contiguous **temporal
-    ///    shards** (default: `threads` windows per shard, override with
-    ///    [`with_shards`](Self::with_shards)). Per shard, the calling
-    ///    thread fetches one [slab] per window — `DB[t]|union(CCᵢ)` for
-    ///    the window's open timestamps, via sorted-probe
-    ///    `multi_get_into` into reused buffers — then HWMT fans out over
-    ///    the shard's slabs. Peak resident slab bytes are
-    ///    `O(window span × threads)`, not `O(full span × union)`;
-    ///    [`PrefetchStats`] reports the measured peak;
-    /// 3. merge consumes the shard outputs in timestamp order, and
-    ///    extension/validation re-fetch their (tiny, candidate-restricted)
-    ///    probes through the same bounded `multi_get_into` path on the
-    ///    calling thread, charging `extend_points`/`validation_points`
-    ///    for exactly what they touch.
-    ///
-    /// Fully-resident sources (a bare dataset, [`InMemoryStore`]) skip
-    /// the prefetch entirely via
-    /// [`SnapshotSource::as_dataset`]: every phase reads the dataset's
-    /// own Arc-backed storage, so nothing is copied and no point query
-    /// is issued.
-    ///
-    /// [slab]: crate::stats::PrefetchStats
-    /// [`PrefetchStats`]: crate::stats::PrefetchStats
-    /// [`InMemoryStore`]: k2_storage::InMemoryStore
-    pub fn mine_store<S: SnapshotSource + ?Sized>(&self, store: &S) -> StoreResult<MiningResult> {
-        // Fully-resident sources skip the restriction prefetch: the
-        // hop-window phases read the dataset's own Arc-backed snapshots.
-        if let Some(dataset) = store.as_dataset() {
-            return Ok(self.mine_dataset(dataset));
-        }
-        let cfg = self.config;
-        let span = store.span();
-        let mut timings = PhaseTimings::default();
-        let mut pruning = PruningStats {
-            total_points: store.num_points(),
-            ..PruningStats::default()
-        };
-        let mut prefetch = PrefetchStats::default();
-        if span.len() < cfg.k {
-            return Ok(MiningResult {
-                convoys: Vec::new(),
-                timings,
-                pruning,
-                prefetch,
-                grid: GridStats::default(),
-            });
-        }
-        let params = cfg.dbscan();
-        let bench = benchmark_points(span, cfg.hop());
-
-        // Step 1: batched zero-copy benchmark fetch on the calling thread,
-        // clustering fanned out to the workers.
-        let t0 = Instant::now();
-        let bench_res = cluster_benchmark_snapshots(self.threads, &bench, params, |t, buf| {
-            store.scan_snapshot_ref(t, buf)
-        })?;
-        let benchmark_clusters = bench_res.clusters;
-        pruning.benchmark_points = bench_res.points;
-        pruning.benchmark_timestamps = bench.len() as u32;
-        timings.benchmark = t0.elapsed();
-
-        // Step 2 (parallel): candidate clusters per hop-window, computed
-        // once up front — the slab fetcher needs each window's candidate
-        // union before its HWMT runs.
-        let t0 = Instant::now();
-        let window_pairs: Vec<(&Vec<ObjectSet>, &Vec<ObjectSet>)> = benchmark_clusters
-            .windows(2)
-            .map(|w| (&w[0], &w[1]))
-            .collect();
-        let ccs: Vec<Vec<ObjectSet>> = self_scheduled_map(
-            self.threads,
-            &window_pairs,
-            SetPool::new,
-            |pool, &(cl, cr)| {
-                pool.clear();
-                candidate_clusters_pooled(cl, cr, cfg.m, pool)
-            },
-        );
-        pruning.candidate_clusters = ccs.iter().map(|cc| cc.len() as u32).sum();
-        let unions: Vec<Vec<Oid>> = ccs.iter().map(|cc| object_id_union(cc)).collect();
-        timings.intersect = t0.elapsed();
-
-        // Step 3: HWMT over temporal shards. Per shard: fetch the slabs
-        // on the calling thread (buffers reused shard to shard), fan the
-        // windows out to the workers, collect in timestamp order.
-        let t0 = Instant::now();
-        let num_windows = ccs.len();
-        let shard_count = self
-            .shards
-            .unwrap_or_else(|| num_windows.div_ceil(self.threads));
-        let mut slabs: Vec<WindowSlab> = Vec::new();
-        let mut spanning_windows: Vec<Vec<Convoy>> = Vec::with_capacity(num_windows);
-        for range in shard_ranges(num_windows, shard_count) {
-            prefetch.shards += 1;
-            slabs.resize_with(range.len().max(slabs.len()), WindowSlab::default);
-            let mut shard_bytes = 0u64;
-            for (slot, w) in range.clone().enumerate() {
-                let slab = &mut slabs[slot];
-                if ccs[w].is_empty() {
-                    slab.cols.clear();
-                    continue;
-                }
-                let fetched = slab.fill(store, bench[w], bench[w + 1], &unions[w])?;
-                pruning.hwmt_points += fetched;
-                shard_bytes += slab.bytes();
-                if !slab.cols.is_empty() {
-                    prefetch.windows_fetched += 1;
-                }
-            }
-            prefetch.prefetch_bytes_peak = prefetch.prefetch_bytes_peak.max(shard_bytes);
-            let inputs: Vec<(Time, Time, &Vec<ObjectSet>, &WindowSlab)> = range
-                .clone()
-                .zip(slabs.iter())
-                .map(|(w, slab)| (bench[w], bench[w + 1], &ccs[w], slab))
-                .collect();
-            let outs: Vec<Vec<Convoy>> = self_scheduled_map(
-                self.threads,
-                &inputs,
-                DatasetProbeScratch::default,
-                |scratch, &(left, right, cc, slab)| {
-                    scratch.cluster.pool_mut().clear();
-                    mine_window_slab(slab, params, left, right, cc, scratch)
-                },
-            );
-            for spanning in outs {
-                pruning.spanning_convoys += spanning.len() as u32;
-                spanning_windows.push(spanning);
-            }
-        }
-        timings.hwmt = t0.elapsed();
-
-        // Step 4 (sequential): merge, in timestamp order.
-        let t0 = Instant::now();
-        let merged = merge_spanning_tuned(&spanning_windows, cfg.m, cfg.convoyset);
-        pruning.merged_convoys = merged.len() as u32;
-        timings.merge = t0.elapsed();
-
-        // Step 5: extension through the bounded fetcher — sequential on
-        // the calling thread (store I/O is not `Sync`), consuming the
-        // merged convoys in the same order the dataset path merges its
-        // per-convoy result sets, so the output is identical.
-        let t0 = Instant::now();
-        let merged_vec: Vec<Convoy> = merged.into_sorted_vec();
-        let mut scratch = DatasetProbeScratch::default();
-        let mut candidates = ConvoySet::with_tuning(cfg.convoyset);
-        for v in &merged_vec {
-            scratch.cluster.pool_mut().clear();
-            let right = extend_source(
-                store,
-                params,
-                v.clone(),
-                Direction::Right,
-                &mut pruning.extend_points,
-                &mut scratch,
-            )?;
-            let mut out = ConvoySet::with_tuning(cfg.convoyset);
-            for r in right {
-                for l in extend_source(
-                    store,
-                    params,
-                    r,
-                    Direction::Left,
-                    &mut pruning.extend_points,
-                    &mut scratch,
-                )? {
-                    if l.len() >= cfg.k {
-                        out.update(l);
-                    }
-                }
-            }
-            candidates.merge(out);
-        }
-        pruning.pre_validation_convoys = candidates.len() as u32;
-        timings.extend_right = t0.elapsed();
-
-        // Step 6: validation through the bounded fetcher, same order as
-        // the dataset path's per-candidate merge.
-        let t0 = Instant::now();
-        let candidate_vec: Vec<Convoy> = candidates.into_sorted_vec();
-        let mut fc = ConvoySet::with_tuning(cfg.convoyset);
-        for v in &candidate_vec {
-            scratch.cluster.pool_mut().clear();
-            let mut queue = vec![v.clone()];
-            let mut set = ConvoySet::with_tuning(cfg.convoyset);
-            while let Some(vin) = queue.pop() {
-                let out = hwmt_star_source_scratched(
-                    store,
-                    params,
-                    cfg.k,
-                    &vin,
-                    &mut pruning.validation_points,
-                    &mut scratch,
-                )?;
-                if out.len() == 1 && out.contains(&vin) {
-                    set.update(vin);
-                } else {
-                    queue.extend(out);
-                }
-            }
-            fc.merge(set);
-        }
-        timings.validation = t0.elapsed();
-
-        Ok(MiningResult {
-            convoys: fc.into_sorted_vec(),
-            timings,
-            pruning,
-            prefetch,
-            grid: GridStats::from(bench_res.grid),
-        })
-    }
-
-    /// Steps 2–6, shared by the dataset-direct and store-generic paths:
-    /// candidate intersection + HWMT per hop-window (parallel), DCM merge
-    /// (sequential), extension and validation per convoy (parallel).
-    ///
-    /// Correctness of the store path rests on every probe here being a
-    /// restriction `DB[t]|O` with `O` a subset of the candidate union, so
-    /// probing the materialized restriction is bit-identical to probing
-    /// the store.
-    fn finish_from_benchmarks(
-        &self,
-        dataset: &Dataset,
-        bench: &[Time],
-        benchmark_clusters: &[Vec<ObjectSet>],
-        timings: &mut PhaseTimings,
-        pruning: &mut PruningStats,
-    ) -> Vec<Convoy> {
-        let cfg = self.config;
-        let params = cfg.dbscan();
-
-        // Steps 2–3 (parallel): candidate clusters + HWMT per window, one
-        // probe scratch (buffers + interning pool) per worker.
-        let t0 = Instant::now();
-        let window_inputs: Vec<(Time, Time, &Vec<ObjectSet>, &Vec<ObjectSet>)> = bench
-            .windows(2)
-            .zip(benchmark_clusters.windows(2))
-            .map(|(bw, cw)| (bw[0], bw[1], &cw[0], &cw[1]))
-            .collect();
-        let windows: Vec<(u32, Vec<Convoy>)> = self_scheduled_map(
-            self.threads,
-            &window_inputs,
-            DatasetProbeScratch::default,
-            |scratch, &(left, right, cl, cr)| {
-                // Pool rotated per window (bounded retention; see the
-                // sequential pipeline).
-                scratch.cluster.pool_mut().clear();
-                let cc = candidate_clusters_pooled(cl, cr, cfg.m, scratch.cluster.pool_mut());
-                let spanning = mine_window_dataset(dataset, params, left, right, &cc, scratch);
-                (cc.len() as u32, spanning)
-            },
-        );
-        let mut spanning_windows: Vec<Vec<Convoy>> = Vec::with_capacity(windows.len());
-        for (candidates, spanning) in windows {
-            pruning.candidate_clusters += candidates;
-            pruning.spanning_convoys += spanning.len() as u32;
-            spanning_windows.push(spanning);
-        }
-        timings.hwmt = t0.elapsed();
-
-        // Step 4 (sequential): merge.
-        let t0 = Instant::now();
-        let merged = merge_spanning_tuned(&spanning_windows, cfg.m, cfg.convoyset);
-        pruning.merged_convoys = merged.len() as u32;
-        timings.merge = t0.elapsed();
-
-        // Step 5 (parallel): extension per convoy, then re-maximalise.
-        let t0 = Instant::now();
-        let merged_vec: Vec<Convoy> = merged.into_sorted_vec();
-        let extended: Vec<ConvoySet> = self_scheduled_map(
-            self.threads,
-            &merged_vec,
-            DatasetProbeScratch::default,
-            |scratch, v| {
-                scratch.cluster.pool_mut().clear();
-                // A dataset's `multi_get_into` is its own restriction, so
-                // the store-generic extender reproduces the dataset-direct
-                // probes bit for bit (and cannot fail); the fetch counter
-                // is discarded — resident reads are free.
-                let mut fetched = 0u64;
-                let right = extend_source(
-                    dataset,
-                    params,
-                    v.clone(),
-                    Direction::Right,
-                    &mut fetched,
-                    scratch,
-                )
-                .expect("dataset-direct extension cannot fail");
-                let mut out = ConvoySet::with_tuning(cfg.convoyset);
-                for r in right {
-                    for l in
-                        extend_source(dataset, params, r, Direction::Left, &mut fetched, scratch)
-                            .expect("dataset-direct extension cannot fail")
-                    {
-                        if l.len() >= cfg.k {
-                            out.update(l);
-                        }
-                    }
-                }
-                out
-            },
-        );
-        let mut candidates = ConvoySet::with_tuning(cfg.convoyset);
-        for set in extended {
-            candidates.merge(set);
-        }
-        pruning.pre_validation_convoys = candidates.len() as u32;
-        timings.extend_right = t0.elapsed();
-
-        // Step 6 (parallel): validation per candidate, then final
-        // maximality.
-        let t0 = Instant::now();
-        let candidate_vec: Vec<Convoy> = candidates.into_sorted_vec();
-        let validated: Vec<ConvoySet> = self_scheduled_map(
-            self.threads,
-            &candidate_vec,
-            DatasetProbeScratch::default,
-            |scratch, v| {
-                scratch.cluster.pool_mut().clear();
-                let mut queue = vec![v.clone()];
-                let mut fc = ConvoySet::with_tuning(cfg.convoyset);
-                while let Some(vin) = queue.pop() {
-                    let out = hwmt_star_dataset_scratched(dataset, params, cfg.k, &vin, scratch);
-                    if out.len() == 1 && out.contains(&vin) {
-                        fc.update(vin);
-                    } else {
-                        queue.extend(out);
-                    }
-                }
-                fc
-            },
-        );
-        let mut fc = ConvoySet::with_tuning(cfg.convoyset);
-        for set in validated {
-            fc.merge(set);
-        }
-        timings.validation = t0.elapsed();
-        fc.into_sorted_vec()
-    }
 }
 
 impl crate::ConvoyMiner for K2HopParallel {
@@ -538,143 +81,32 @@ impl crate::ConvoyMiner for K2HopParallel {
     }
 
     fn mine(&self, source: &dyn SnapshotSource) -> Result<crate::MineOutcome, crate::MineError> {
-        let result = self.mine_store(source)?;
-        Ok(crate::MineOutcome {
-            convoys: result.convoys,
-            stats: crate::MineStats {
-                engine: self.engine_name(),
-                threads: self.threads,
-                timings: result.timings,
-                pruning: result.pruning,
-                prefetch: result.prefetch,
-                grid: result.grid,
-            },
-            io: source.io_stats(),
-        })
-    }
-}
-
-/// Dataset-direct HWMT (same semantics as [`crate::hwmt::mine_window`]).
-fn mine_window_dataset(
-    dataset: &Dataset,
-    params: DbscanParams,
-    b_left: Time,
-    b_right: Time,
-    cc: &[ObjectSet],
-    scratch: &mut DatasetProbeScratch,
-) -> Vec<Convoy> {
-    use crate::benchpoints::{hop_window, hwmt_order};
-    if cc.is_empty() {
-        return Vec::new();
-    }
-    let mut survivors: Vec<ObjectSet> = cc.to_vec();
-    if let Some(window) = hop_window(b_left, b_right) {
-        for t in hwmt_order(window) {
-            let mut next = Vec::with_capacity(survivors.len());
-            for candidate in &survivors {
-                dataset.restrict_at_into(t, candidate, &mut scratch.positions);
-                next.extend(recluster_with(
-                    &scratch.positions,
-                    params,
-                    &mut scratch.cluster,
-                ));
-            }
-            if next.is_empty() {
-                return Vec::new();
-            }
-            survivors = next;
+        Pipeline {
+            config: self.config,
+            engine: self.engine_name(),
+            threads: self.threads,
+            fan_out_probes: true,
         }
+        .run(source)
     }
-    survivors
-        .into_iter()
-        .map(|objects| Convoy::from_parts(objects.ids(), b_left, b_right))
-        .collect()
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Direction {
-    Right,
-    Left,
-}
-
-/// Single-convoy extension probing any [`SnapshotSource`] through
-/// `multi_get_into` (same semantics as [`crate::extend`]) — the bounded
-/// re-fetch path of the parallel store miner, and (with a dataset, whose
-/// `multi_get_into` is its own restriction) the dataset path's extender.
-fn extend_source<S: SnapshotSource + ?Sized>(
-    source: &S,
-    params: DbscanParams,
-    seed: Convoy,
-    dir: Direction,
-    fetched: &mut u64,
-    scratch: &mut DatasetProbeScratch,
-) -> StoreResult<Vec<Convoy>> {
-    let span = source.span();
-    let mut result = ConvoySet::new();
-    let mut prev = vec![seed];
-    loop {
-        let frontier = match dir {
-            Direction::Right => {
-                let te = prev[0].end();
-                if te >= span.end {
-                    break;
-                }
-                te + 1
-            }
-            Direction::Left => {
-                let ts = prev[0].start();
-                if ts <= span.start {
-                    break;
-                }
-                ts - 1
-            }
-        };
-        let mut next = ConvoySet::new();
-        for v in &prev {
-            source.multi_get_into(frontier, v.objects.ids(), &mut scratch.positions)?;
-            *fetched += scratch.positions.len() as u64;
-            let clusters = recluster_with(&scratch.positions, params, &mut scratch.cluster);
-            if clusters.is_empty() {
-                result.update(v.clone());
-                continue;
-            }
-            let mut intact = false;
-            for c in clusters {
-                if c == v.objects {
-                    intact = true;
-                }
-                let (s, e) = match dir {
-                    Direction::Right => (v.start(), frontier),
-                    Direction::Left => (frontier, v.end()),
-                };
-                next.update(Convoy::new(c, k2_model::TimeInterval::new(s, e)));
-            }
-            if !intact {
-                result.update(v.clone());
-            }
-        }
-        if next.is_empty() {
-            prev.clear();
-            break;
-        }
-        prev = next.drain();
-    }
-    for v in prev {
-        result.update(v);
-    }
-    Ok(result.into_sorted_vec())
 }
 
 #[cfg(test)]
 mod tests {
-    // The legacy `mine` shims are exercised deliberately: these tests pin
-    // old-vs-new equivalence.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::K2Hop;
-    use k2_model::Point;
-    use k2_storage::InMemoryStore;
+    use crate::benchpoints::benchmark_points;
+    use crate::{ConvoyMiner, K2Hop, PrefetchStats};
+    use k2_model::{Convoy, Dataset, Point, Time};
+    use k2_storage::{InMemoryStore, TimeRange};
+
+    fn mine(cfg: K2Config, threads: usize, source: &dyn SnapshotSource) -> crate::MineOutcome {
+        K2HopParallel::new(cfg, threads).mine(source).unwrap()
+    }
+
+    /// Hop-windows of a run over `d`.
+    fn num_windows(d: &Dataset, cfg: K2Config) -> usize {
+        benchmark_points(d.span(), cfg.hop()).len() - 1
+    }
 
     fn random_dataset(seed: u64) -> Dataset {
         // Deterministic pseudo-random walkers + a planted convoy, with no
@@ -716,44 +148,16 @@ mod tests {
                 .unwrap()
                 .convoys;
             for threads in [1usize, 2, 4, 8] {
-                let parallel = K2HopParallel::new(cfg, threads).mine(&d);
+                let parallel = mine(cfg, threads, &d).convoys;
                 assert_eq!(parallel, sequential, "seed {seed} threads {threads}");
             }
         }
     }
 
-    /// A source that hides its resident dataset — forces the restriction
-    /// prefetch path the disk engines take.
-    struct OpaqueSource(InMemoryStore);
-
-    impl SnapshotSource for OpaqueSource {
-        fn span(&self) -> k2_model::TimeInterval {
-            self.0.span()
-        }
-        fn num_points(&self) -> u64 {
-            self.0.num_points()
-        }
-        fn scan_snapshot_ref<'a>(
-            &self,
-            t: Time,
-            buf: &'a mut Vec<k2_model::ObjPos>,
-        ) -> StoreResult<SnapshotRef<'a>> {
-            self.0.scan_snapshot_ref(t, buf)
-        }
-        fn multi_get_into(
-            &self,
-            t: Time,
-            oids: &[Oid],
-            out: &mut Vec<k2_model::ObjPos>,
-        ) -> StoreResult<()> {
-            self.0.multi_get_into(t, oids, out)
-        }
-        fn io_stats(&self) -> k2_storage::IoStats {
-            self.0.io_stats()
-        }
-        fn name(&self) -> &'static str {
-            "opaque"
-        }
+    /// Hides the resident dataset behind a full-range clamp — forces the
+    /// slab prefetch the disk engines get.
+    fn opaque(d: Dataset) -> TimeRange<InMemoryStore> {
+        TimeRange::new(InMemoryStore::new(d), 0, Time::MAX)
     }
 
     #[test]
@@ -761,27 +165,33 @@ mod tests {
         for seed in 0..3u64 {
             let d = random_dataset(seed);
             let cfg = K2Config::new(3, 8, 1.5).unwrap();
-            let from_dataset = K2HopParallel::new(cfg, 4).mine_store(&d).unwrap().convoys;
+            let from_dataset = mine(cfg, 4, &d).convoys;
             let resident = InMemoryStore::new(d.clone());
-            let opaque = OpaqueSource(InMemoryStore::new(d));
+            let opaque = opaque(d);
+            let per_probe = K2Hop::with_threads(cfg, 1).mine(&resident).unwrap();
             for threads in [1usize, 4] {
-                let miner = K2HopParallel::new(cfg, threads);
-                // Resident source: as_dataset fast path, zero prefetch.
-                let res = miner.mine_store(&resident).unwrap();
+                // Resident source: probes read the dataset directly — no
+                // prefetch, and the same points as the per-probe engine.
+                let res = mine(cfg, threads, &resident);
                 assert_eq!(res.convoys, from_dataset, "seed {seed} threads {threads}");
                 assert_eq!(
-                    res.pruning.hwmt_points, 0,
+                    res.stats.prefetch,
+                    PrefetchStats::default(),
                     "resident path must not prefetch"
                 );
+                assert_eq!(
+                    res.stats.pruning, per_probe.stats.pruning,
+                    "resident probes are counted like any other"
+                );
                 // Opaque source: restriction prefetch, identical output.
-                let res = miner.mine_store(&opaque).unwrap();
+                let res = mine(cfg, threads, &opaque);
                 assert_eq!(res.convoys, from_dataset, "seed {seed} threads {threads}");
                 assert!(
-                    res.pruning.hwmt_points > 0,
+                    res.stats.pruning.hwmt_points > 0,
                     "restriction prefetch must be accounted"
                 );
                 assert!(
-                    res.pruning.points_processed() < res.pruning.total_points,
+                    res.stats.pruning.points_processed() < res.stats.pruning.total_points,
                     "the restricted prefetch must not defeat pruning"
                 );
             }
@@ -789,26 +199,22 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_does_not_change_output() {
+    fn shard_size_does_not_change_output() {
         for seed in 0..3u64 {
             let d = random_dataset(seed);
             let cfg = K2Config::new(3, 8, 1.5).unwrap();
-            let opaque = OpaqueSource(InMemoryStore::new(d.clone()));
-            let expected = K2HopParallel::new(cfg, 4).mine_store(&d).unwrap().convoys;
-            for threads in [1usize, 4] {
-                for shards in [1usize, 2, 4, 7] {
-                    let miner = K2HopParallel::new(cfg, threads).with_shards(shards);
-                    let res = miner.mine_store(&opaque).unwrap();
-                    assert_eq!(
-                        res.convoys, expected,
-                        "seed {seed} threads {threads} shards {shards}"
-                    );
-                    assert!(res.prefetch.shards >= 1, "shards counted");
-                    assert!(
-                        res.prefetch.shards <= shards as u32,
-                        "never more shards than requested"
-                    );
-                }
+            let opaque = opaque(d.clone());
+            let expected = mine(cfg, 4, &d).convoys;
+            // One shard holds `threads` windows, so the thread count
+            // moves the shard boundaries.
+            for threads in [1usize, 2, 4, 7] {
+                let res = mine(cfg, threads, &opaque);
+                assert_eq!(res.convoys, expected, "seed {seed} threads {threads}");
+                assert_eq!(
+                    res.stats.prefetch.shards as usize,
+                    num_windows(&d, cfg).div_ceil(threads),
+                    "seed {seed} threads {threads}"
+                );
             }
         }
     }
@@ -820,14 +226,12 @@ mod tests {
         let num_objects = 24u64; // 20 walkers + 4 planted
         let point_bytes = std::mem::size_of::<k2_model::ObjPos>() as u64;
         let threads = 2usize;
-        let opaque = OpaqueSource(InMemoryStore::new(d.clone()));
-        let res = K2HopParallel::new(cfg, threads)
-            .mine_store(&opaque)
-            .unwrap();
-        let p = res.prefetch;
+        let opaque = opaque(d.clone());
+        let res = mine(cfg, threads, &opaque);
+        let p = res.stats.prefetch;
         assert!(p.prefetch_bytes_peak > 0, "store path must prefetch");
         assert!(p.windows_fetched > 0);
-        assert!(p.shards > 1, "default sharding splits this span");
+        assert!(p.shards > 1, "two windows a shard splits this span");
         // The bound the whole design exists for: one shard holds at most
         // `threads` hop windows, each at most `h + 1` open timestamps of
         // at most every tracked object.
@@ -846,25 +250,25 @@ mod tests {
             "peak {} is not meaningfully below full-span residency {full_span_bytes}",
             p.prefetch_bytes_peak
         );
-        // A single shard keeps every window resident at once: the peak
-        // can only grow, and the convoys still match.
-        let one = K2HopParallel::new(cfg, threads)
-            .with_shards(1)
-            .mine_store(&opaque)
-            .unwrap();
+        // As many workers as windows make one shard, every window
+        // resident at once: the peak can only grow, and the convoys
+        // still match.
+        let one = mine(cfg, num_windows(&d, cfg), &opaque);
         assert_eq!(one.convoys, res.convoys);
-        assert_eq!(one.prefetch.shards, 1);
-        assert!(one.prefetch.prefetch_bytes_peak >= p.prefetch_bytes_peak);
+        assert_eq!(one.stats.prefetch.shards, 1);
+        assert!(one.stats.prefetch.prefetch_bytes_peak >= p.prefetch_bytes_peak);
         // The dataset fast path never prefetches.
-        let resident = K2HopParallel::new(cfg, threads).mine_store(&d).unwrap();
-        assert_eq!(resident.prefetch, PrefetchStats::default());
+        assert_eq!(
+            mine(cfg, threads, &d).stats.prefetch,
+            PrefetchStats::default()
+        );
     }
 
     #[test]
     fn finds_planted_convoy() {
         let d = random_dataset(1);
         let cfg = K2Config::new(4, 20, 1.0).unwrap();
-        let found = K2HopParallel::new(cfg, 4).mine(&d);
+        let found: Vec<Convoy> = mine(cfg, 4, &d).convoys;
         assert!(found.iter().any(
             |c| c.objects == k2_model::ObjectSet::from([100, 101, 102, 103])
                 && c.lifespan == k2_model::TimeInterval::new(8, 30)
@@ -877,6 +281,6 @@ mod tests {
             .restrict_time(k2_model::TimeInterval::new(0, 3))
             .unwrap();
         let cfg = K2Config::new(3, 10, 1.0).unwrap();
-        assert!(K2HopParallel::new(cfg, 4).mine(&d).is_empty());
+        assert!(mine(cfg, 4, &d).convoys.is_empty());
     }
 }

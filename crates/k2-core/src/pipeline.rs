@@ -1,16 +1,18 @@
-//! The k/2-hop pipeline (Algorithm 1).
+//! The k/2-hop pipeline (Algorithm 1) — orchestrated here and nowhere
+//! else — and the [`K2Hop`] engine that runs it per-probe.
 
 use crate::benchpoints::{benchmark_points, hwmt_order};
-use crate::candidates::candidate_clusters_pooled;
+use crate::candidates::{candidate_clusters_pooled, object_id_union};
 use crate::config::K2Config;
-use crate::extend::{extend_left_tuned, extend_right_tuned};
-use crate::hwmt::mine_window_scratched;
-use crate::merge::merge_spanning_tuned;
-use crate::par::cluster_benchmark_snapshots;
+use crate::extend::{extend_pass, Direction};
+use crate::hwmt::{mine_window_with, WindowSlab};
+use crate::merge::merge_spanning;
+use crate::par::{cluster_benchmark_snapshots, self_scheduled_map, shard_ranges, ProbeReader};
 use crate::stats::{GridStats, PhaseTimings, PrefetchStats, PruningStats};
-use crate::validate::validate_tuned;
-use crate::ProbeScratch;
-use k2_model::{Convoy, ObjectSet};
+use crate::validate::validate_pass;
+use crate::{MineError, MineOutcome, MineStats, ProbeScratch};
+use k2_cluster::DbscanParams;
+use k2_model::{Convoy, ObjectSet, Oid, SetPool, Time};
 use k2_storage::{SnapshotSource, StoreResult};
 use std::time::Instant;
 
@@ -23,7 +25,8 @@ use std::time::Instant;
 /// sharded across worker threads: snapshots are fetched from the store
 /// sequentially (I/O and statistics stay on the calling thread; stores use
 /// interior mutability and need not be `Sync`), then DBSCANed off an
-/// atomic work counter with one `GridScratch` per worker.
+/// atomic work counter with one `GridScratch` per worker. Every later
+/// phase probes the source point by point on the calling thread.
 /// [`K2Hop::new`] sizes the worker pool to the machine;
 /// [`K2Hop::with_threads`] pins it (1 = fully sequential). Clustering is
 /// deterministic, so the mined convoys are identical at every thread
@@ -32,24 +35,6 @@ use std::time::Instant;
 pub struct K2Hop {
     config: K2Config,
     threads: usize,
-}
-
-/// Everything a mining run produces.
-#[derive(Debug)]
-pub struct MiningResult {
-    /// Maximal fully-connected convoys, canonically sorted.
-    pub convoys: Vec<Convoy>,
-    /// Per-phase wall-clock timings (Figure 8i).
-    pub timings: PhaseTimings,
-    /// Data-pruning statistics (Table 5, Figure 8j).
-    pub pruning: PruningStats,
-    /// Memory discipline of the bounded hop-window prefetch — all-zero
-    /// for the sequential pipeline, which probes the store point by
-    /// point and never holds a slab.
-    pub prefetch: PrefetchStats,
-    /// Grid-reuse counters of the benchmark-clustering phase (patched vs
-    /// rebuilt snapshot grids).
-    pub grid: GridStats,
 }
 
 impl K2Hop {
@@ -79,24 +64,43 @@ impl K2Hop {
     pub fn threads(&self) -> usize {
         self.threads
     }
+}
 
-    /// Runs Algorithm 1 end to end — the legacy entry point.
-    ///
-    /// Deprecated in favour of the unified API: mine through
-    /// [`ConvoyMiner::mine`](crate::ConvoyMiner::mine) (or a
-    /// `MiningSession` from the `k2hop` facade), which returns a
-    /// [`MineOutcome`](crate::MineOutcome) with typed errors and the
-    /// source's I/O profile. This shim runs the identical pipeline — the
-    /// workspace parity suites pin old-vs-new equivalence.
-    #[deprecated(
-        since = "0.1.0",
-        note = "mine through `ConvoyMiner::mine` (or the `k2hop` facade's \
-                `MiningSession`), which returns a `MineOutcome`"
-    )]
-    pub fn mine<S: SnapshotSource + ?Sized>(&self, store: &S) -> StoreResult<MiningResult> {
-        self.mine_impl(store)
+impl crate::ConvoyMiner for K2Hop {
+    fn engine_name(&self) -> &'static str {
+        "k2hop"
     }
 
+    fn mine(&self, source: &dyn SnapshotSource) -> Result<MineOutcome, MineError> {
+        Pipeline {
+            config: self.config,
+            engine: self.engine_name(),
+            threads: self.threads,
+            fan_out_probes: false,
+        }
+        .run(source)
+    }
+}
+
+/// One configured run of Algorithm 1. Both engines build one of these
+/// and call [`Pipeline::run`]; everything they differ in is in the two
+/// last fields.
+pub(crate) struct Pipeline {
+    pub(crate) config: K2Config,
+    /// [`ConvoyMiner::engine_name`](crate::ConvoyMiner::engine_name) of
+    /// the engine this run reports as.
+    pub(crate) engine: &'static str,
+    /// Benchmark-clustering workers; reported as `MineStats::threads`.
+    pub(crate) threads: usize,
+    /// Whether the hop-window phases use the workers too
+    /// ([`K2HopParallel`](crate::K2HopParallel)): every probe phase over
+    /// the resident dataset when the source has one, otherwise HWMT over
+    /// prefetched [`WindowSlab`]s. When false ([`K2Hop`]) every probe
+    /// goes to the source on the calling thread.
+    pub(crate) fan_out_probes: bool,
+}
+
+impl Pipeline {
     /// Algorithm 1 end to end:
     ///
     /// 1. cluster benchmark snapshots,
@@ -105,152 +109,231 @@ impl K2Hop {
     /// 4. DCM-merge into maximal spanning convoys,
     /// 5. extend right then left (discarding convoys shorter than `k`),
     /// 6. validate into maximal fully-connected convoys.
-    pub(crate) fn mine_impl<S: SnapshotSource + ?Sized>(
-        &self,
-        store: &S,
-    ) -> StoreResult<MiningResult> {
+    pub(crate) fn run(&self, source: &dyn SnapshotSource) -> Result<MineOutcome, MineError> {
         let cfg = self.config;
         let params = cfg.dbscan();
-        let mut timings = PhaseTimings::default();
-        let mut pruning = PruningStats {
-            total_points: store.num_points(),
-            ..PruningStats::default()
+        let mut stats = MineStats {
+            engine: self.engine,
+            threads: self.threads,
+            timings: PhaseTimings::default(),
+            pruning: PruningStats {
+                total_points: source.num_points(),
+                ..PruningStats::default()
+            },
+            prefetch: PrefetchStats::default(),
+            grid: GridStats::default(),
         };
-        let span = store.span();
+        let outcome = |convoys, stats| MineOutcome {
+            convoys,
+            stats,
+            io: source.io_stats(),
+        };
+        let span = source.span();
         if span.len() < cfg.k {
             // No convoy of length k fits in the dataset.
-            return Ok(MiningResult {
-                convoys: Vec::new(),
-                timings,
-                pruning,
-                prefetch: PrefetchStats::default(),
-                grid: GridStats::default(),
-            });
+            return Ok(outcome(Vec::new(), stats));
         }
+        let MineStats {
+            timings,
+            pruning,
+            prefetch,
+            grid,
+            ..
+        } = &mut stats;
+
+        // The two values the engines differ in: where the probe phases
+        // read from, and how many workers they may use.
+        let workers = if self.fan_out_probes { self.threads } else { 1 };
+        let (reader, prefetched) = match source.as_dataset() {
+            Some(dataset) if self.fan_out_probes => {
+                (ProbeReader::Resident { dataset, workers }, false)
+            }
+            _ => (ProbeReader::Source(source), self.fan_out_probes),
+        };
 
         // Step 1: benchmark clusters (the only full-snapshot scans),
-        // through the shared zero-copy fetcher: the in-memory store hands
+        // through the shared zero-copy fetcher: resident sources hand
         // out Arc-backed snapshot views (no clone per benchmark point),
         // disk engines decode into a bounded ring of reused buffers.
         let t0 = Instant::now();
         let bench = benchmark_points(span, cfg.hop());
         let bench_res = cluster_benchmark_snapshots(self.threads, &bench, params, |t, buf| {
-            store.scan_snapshot_ref(t, buf)
+            source.scan_snapshot_ref(t, buf)
         })?;
-        let benchmark_clusters = bench_res.clusters;
-        pruning.benchmark_points += bench_res.points;
+        pruning.benchmark_points = bench_res.points;
         pruning.benchmark_timestamps = bench.len() as u32;
-        let grid = GridStats::from(bench_res.grid);
+        *grid = GridStats::from(bench_res.grid);
         timings.benchmark = t0.elapsed();
 
-        // One probe scratch (buffers + set-interning pool) for steps 2–3:
-        // candidate sets intern against the clusters the HWMT probes emit,
-        // so a candidate that survives a probe intact costs no allocation
-        // and compares by pointer downstream.
-        let mut scratch = ProbeScratch::default();
-
-        // Step 2: candidate clusters per hop-window.
+        // Step 2: candidate clusters per hop-window, interned through a
+        // worker-local pool so candidates repeated from window to window
+        // share storage.
         let t0 = Instant::now();
-        let ccs: Vec<Vec<ObjectSet>> = benchmark_clusters
-            .windows(2)
-            .map(|pair| {
-                candidate_clusters_pooled(&pair[0], &pair[1], cfg.m, scratch.cluster.pool_mut())
-            })
-            .collect();
+        let pairs: Vec<&[Vec<ObjectSet>]> = bench_res.clusters.windows(2).collect();
+        let ccs: Vec<Vec<ObjectSet>> =
+            self_scheduled_map(workers, &pairs, SetPool::new, |pool, pair| {
+                candidate_clusters_pooled(&pair[0], &pair[1], cfg.m, pool)
+            });
         pruning.candidate_clusters = ccs.iter().map(|cc| cc.len() as u32).sum();
         timings.intersect = t0.elapsed();
 
-        // Step 3: HWMT per window. The interning pool is rotated per
-        // window: the repeats that matter (a candidate surviving every
-        // probe of its window) are within-window, and clearing bounds the
-        // pool to one window's distinct sets instead of pinning every
-        // cluster ever emitted until the run ends (outstanding handles
-        // stay valid through their `Arc`s).
+        // Step 3: HWMT per window.
         let t0 = Instant::now();
-        let mut windows: Vec<Vec<Convoy>> = Vec::with_capacity(ccs.len());
-        for (i, cc) in ccs.iter().enumerate() {
-            scratch.cluster.pool_mut().clear();
-            let res = mine_window_scratched(
-                store,
-                params,
-                bench[i],
-                bench[i + 1],
+        let windows: Vec<Window<'_>> = bench
+            .windows(2)
+            .zip(&ccs)
+            .map(|(b, cc)| Window {
+                left: b[0],
+                right: b[1],
                 cc,
-                hwmt_order,
-                &mut scratch,
-            )?;
-            pruning.hwmt_points += res.points_fetched;
-            pruning.spanning_convoys += res.spanning.len() as u32;
-            windows.push(res.spanning);
-        }
+            })
+            .collect();
+        let spanning: Vec<Vec<Convoy>> = if prefetched {
+            hwmt_over_slabs(source, params, &windows, workers, pruning, prefetch)?
+        } else {
+            let mined = reader.map(&windows, |w, probe, scratch| w.mine(params, probe, scratch))?;
+            mined
+                .into_iter()
+                .map(|res| {
+                    pruning.hwmt_points += res.points_fetched;
+                    res.spanning
+                })
+                .collect()
+        };
+        pruning.spanning_convoys = spanning.iter().map(|s| s.len() as u32).sum();
         timings.hwmt = t0.elapsed();
 
         // Step 4: merge into maximal spanning convoys.
         let t0 = Instant::now();
-        let merged = merge_spanning_tuned(&windows, cfg.m, cfg.convoyset);
+        let merged = merge_spanning(&spanning, cfg.m);
         pruning.merged_convoys = merged.len() as u32;
         timings.merge = t0.elapsed();
 
         // Step 5: extension (right, then left with the k filter).
         let t0 = Instant::now();
-        let right = extend_right_tuned(store, params, merged, span.end, cfg.convoyset)?;
+        let right = extend_pass(
+            &reader,
+            params,
+            merged.into_iter().collect(),
+            Direction::Right { end: span.end },
+        )?;
         pruning.extend_points += right.points_fetched;
         timings.extend_right = t0.elapsed();
 
         let t0 = Instant::now();
-        let left = extend_left_tuned(
-            store,
+        let left = extend_pass(
+            &reader,
             params,
-            right.convoys,
-            span.start,
-            cfg.k,
-            cfg.convoyset,
+            right.convoys.into_iter().collect(),
+            Direction::Left {
+                start: span.start,
+                min_len: cfg.k,
+            },
         )?;
         pruning.extend_points += left.points_fetched;
-        timings.extend_left = t0.elapsed();
         pruning.pre_validation_convoys = left.convoys.len() as u32;
+        timings.extend_left = t0.elapsed();
 
         // Step 6: validation to fully-connected convoys.
         let t0 = Instant::now();
-        let validated = validate_tuned(store, params, cfg.k, left.convoys, cfg.convoyset)?;
-        pruning.validation_points += validated.points_fetched;
+        let validated = validate_pass(&reader, params, cfg.k, left.convoys)?;
+        pruning.validation_points = validated.points_fetched;
         timings.validation = t0.elapsed();
 
-        Ok(MiningResult {
-            convoys: validated.convoys.into_sorted_vec(),
-            timings,
-            pruning,
-            prefetch: PrefetchStats::default(),
-            grid,
-        })
+        Ok(outcome(validated.convoys.into_sorted_vec(), stats))
     }
 }
 
-impl crate::ConvoyMiner for K2Hop {
-    fn engine_name(&self) -> &'static str {
-        "k2hop"
-    }
+/// One hop-window: its bordering benchmark points and its candidate
+/// cluster set `CCᵢ`.
+struct Window<'a> {
+    left: Time,
+    right: Time,
+    cc: &'a [ObjectSet],
+}
 
-    fn mine(&self, source: &dyn SnapshotSource) -> Result<crate::MineOutcome, crate::MineError> {
-        let result = self.mine_impl(source)?;
-        Ok(crate::MineOutcome {
-            convoys: result.convoys,
-            stats: crate::MineStats {
-                engine: self.engine_name(),
-                threads: self.threads,
-                timings: result.timings,
-                pruning: result.pruning,
-                prefetch: result.prefetch,
-                grid: result.grid,
-            },
-            io: source.io_stats(),
-        })
+impl Window<'_> {
+    /// HWMT over this window in the paper's binary-tree order.
+    fn mine(
+        &self,
+        params: DbscanParams,
+        probe: impl crate::Probe,
+        scratch: &mut ProbeScratch,
+    ) -> StoreResult<crate::hwmt::WindowResult> {
+        // The interning pool is rotated per window: the repeats that
+        // matter (a candidate surviving every probe of its window) are
+        // within-window, and clearing bounds the pool to one window's
+        // distinct sets instead of pinning every cluster ever emitted
+        // until the run ends (outstanding handles stay valid through
+        // their `Arc`s).
+        scratch.cluster.pool_mut().clear();
+        mine_window_with(
+            params, self.left, self.right, self.cc, hwmt_order, probe, scratch,
+        )
     }
+}
+
+/// Step 3 over prefetched slabs — the memory discipline of
+/// [`K2HopParallel`](crate::K2HopParallel) on a source that is not
+/// resident. Store I/O never leaves the calling thread (engines need not
+/// be `Sync`), and no more than one temporal shard of the data is ever
+/// materialised.
+///
+/// The hop-window list is split into contiguous **temporal shards** of
+/// `workers` windows. Per shard, the calling thread fetches one
+/// [`WindowSlab`] per window — `DB[t]|union(CCᵢ)` for the window's open
+/// timestamps, via sorted-probe `multi_get_into` into buffers reused
+/// shard to shard — then the shard's windows fan out to the workers,
+/// each probing its own slab. Peak resident slab bytes are
+/// `O(window span × workers)`, not `O(full span × union)`;
+/// [`PrefetchStats`] reports the measured peak, and `hwmt_points`
+/// counts what the slabs fetched.
+fn hwmt_over_slabs(
+    source: &dyn SnapshotSource,
+    params: DbscanParams,
+    windows: &[Window<'_>],
+    workers: usize,
+    pruning: &mut PruningStats,
+    prefetch: &mut PrefetchStats,
+) -> StoreResult<Vec<Vec<Convoy>>> {
+    let mut slabs: Vec<WindowSlab> = Vec::new();
+    let mut spanning = Vec::with_capacity(windows.len());
+    for range in shard_ranges(windows.len(), windows.len().div_ceil(workers)) {
+        prefetch.shards += 1;
+        let shard = &windows[range];
+        slabs.resize_with(shard.len().max(slabs.len()), WindowSlab::default);
+        let mut shard_bytes = 0u64;
+        for (w, slab) in shard.iter().zip(&mut slabs) {
+            let union: Vec<Oid> = object_id_union(w.cc);
+            pruning.hwmt_points += slab.fill(source, w.left, w.right, &union)?;
+            shard_bytes += slab.bytes();
+            prefetch.windows_fetched += u32::from(!slab.is_empty());
+        }
+        prefetch.prefetch_bytes_peak = prefetch.prefetch_bytes_peak.max(shard_bytes);
+        let inputs: Vec<(&Window<'_>, &WindowSlab)> = shard.iter().zip(&slabs).collect();
+        let mined = self_scheduled_map(
+            workers,
+            &inputs,
+            ProbeScratch::default,
+            |scratch, &(w, slab)| {
+                w.mine(
+                    params,
+                    |t, oids: &[Oid], out: &mut _| slab.probe(t, oids, out),
+                    scratch,
+                )
+            },
+        );
+        for res in mined {
+            spanning.push(res?.spanning);
+        }
+    }
+    Ok(spanning)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ConvoyMiner;
     use k2_model::{Dataset, ObjectSet, Point, TimeInterval};
     use k2_storage::InMemoryStore;
 
@@ -278,9 +361,9 @@ mod tests {
         store_of(pts)
     }
 
-    fn mine(store: &InMemoryStore, m: usize, k: u32, eps: f64) -> MiningResult {
+    fn mine(store: &InMemoryStore, m: usize, k: u32, eps: f64) -> MineOutcome {
         K2Hop::new(K2Config::new(m, k, eps).unwrap())
-            .mine_impl(store)
+            .mine(store)
             .unwrap()
     }
 
@@ -366,10 +449,10 @@ mod tests {
         let store = simple_convoy(40);
         let res = mine(&store, 3, 20, 1.0);
         // hop = 10: benchmarks at 0, 10, 20, 30 — 4 timestamps of 5 points.
-        assert_eq!(res.pruning.benchmark_timestamps, 4);
-        assert_eq!(res.pruning.benchmark_points, 20);
+        assert_eq!(res.stats.pruning.benchmark_timestamps, 4);
+        assert_eq!(res.stats.pruning.benchmark_points, 20);
         // Noise objects never enter HWMT: 3 candidate objects per probe.
-        assert!(res.pruning.hwmt_points <= 3 * 36);
+        assert!(res.stats.pruning.hwmt_points <= 3 * 36);
     }
 
     #[test]
@@ -395,9 +478,9 @@ mod tests {
         let res = mine(&store, 3, 20, 1.0);
         assert_eq!(res.convoys.len(), 1);
         assert!(
-            res.pruning.pruning_ratio() > 0.7,
+            res.stats.pruning.pruning_ratio() > 0.7,
             "pruning ratio {} too low",
-            res.pruning.pruning_ratio()
+            res.stats.pruning.pruning_ratio()
         );
     }
 
@@ -452,7 +535,7 @@ mod tests {
     fn timings_are_populated() {
         let store = simple_convoy(30);
         let res = mine(&store, 3, 10, 1.0);
-        assert!(res.timings.total() > std::time::Duration::ZERO);
+        assert!(res.stats.timings.total() > std::time::Duration::ZERO);
     }
 
     #[test]

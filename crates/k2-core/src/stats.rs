@@ -61,7 +61,8 @@ pub struct PruningStats {
     pub total_points: u64,
     /// Points scanned at benchmark timestamps (full snapshots).
     pub benchmark_points: u64,
-    /// Points fetched during HWMT re-clustering.
+    /// Points fetched for HWMT re-clustering: what its probes read, or
+    /// what the hop-window slabs fetched when the run prefetched them.
     pub hwmt_points: u64,
     /// Points fetched during extension.
     pub extend_points: u64,
@@ -98,15 +99,15 @@ impl PruningStats {
     }
 }
 
-/// Memory discipline of the store path's hop-window prefetch — the
-/// bounded slab fetcher of
-/// [`K2HopParallel::mine_store`](crate::K2HopParallel::mine_store).
+/// Memory discipline of the hop-window prefetch — the bounded slab
+/// fetch strategy [`K2HopParallel`](crate::K2HopParallel) uses for HWMT
+/// on a source that is not resident.
 ///
 /// The counters are deterministic for a fixed source, configuration and
-/// shard count (they measure logical slab contents, not allocator
+/// thread count (they measure logical slab contents, not allocator
 /// behaviour), so CI can gate `prefetch_bytes_peak` against a committed
-/// ceiling. Engines and miners that never prefetch (the sequential
-/// pipeline, the dataset-resident fast path) report all-zero stats.
+/// ceiling. Runs that fetch per probe ([`K2Hop`](crate::K2Hop), and
+/// `K2HopParallel` over a resident dataset) report all-zero stats.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefetchStats {
     /// Peak bytes of hop-window slab data resident at once: the largest
@@ -117,7 +118,8 @@ pub struct PrefetchStats {
     /// Hop-windows whose slab was actually fetched (degenerate `h = 1`
     /// windows and windows without candidates fetch nothing).
     pub windows_fetched: u32,
-    /// Temporal shards the hop-window list was processed in.
+    /// Temporal shards the hop-window list was processed in
+    /// (`windows.div_ceil(threads)`).
     pub shards: u32,
 }
 

@@ -13,7 +13,7 @@
 //!   the probed "broken" timestamps chop `T` into fragments all shorter
 //!   than `k`, the candidate is rejected without touching the remaining
 //!   timestamps.
-//! * [`validate`] (Algorithm 4) runs `HWMT*` on each candidate. If the
+//! * [`validate_pass`] (Algorithm 4) runs `HWMT*` on each candidate. If the
 //!   candidate survives unchanged it is a fully-connected convoy;
 //!   otherwise the smaller convoys that came out are fed back for
 //!   re-validation, because *their* connectivity inside the old lifespan
@@ -21,74 +21,69 @@
 //!   has strictly fewer objects or a strictly shorter lifespan.
 
 use crate::benchpoints::hwmt_star_order;
-use crate::{recluster_at_with, ProbeScratch};
+use crate::par::{PassResult, ProbeReader};
+use crate::{recluster_at, Probe, ProbeScratch};
 use k2_cluster::DbscanParams;
-use k2_model::{Convoy, ConvoySet, ConvoySetTuning, ObjectSet, SetPool, Time, TimeInterval};
-use k2_storage::{SnapshotSource, StoreResult};
+use k2_model::{Convoy, ConvoySet, ObjectSet, SetPool, Time, TimeInterval};
+use k2_storage::StoreResult;
 use std::collections::HashMap;
 
-/// Outcome of the validation phase.
-#[derive(Debug)]
-pub struct ValidateResult {
-    /// Maximal fully-connected convoys.
-    pub convoys: ConvoySet,
-    /// Points fetched from the store.
-    pub points_fetched: u64,
-}
-
 /// Algorithm 4: reduces extended candidates to maximal FC convoys.
-pub fn validate<S: SnapshotSource + ?Sized>(
-    store: &S,
+///
+/// Candidates fan out over the reader's workers — each is validated by
+/// its own chain of HWMT\* runs — and the fully-connected convoys they
+/// yield are folded, in candidate order, into one maximal set.
+pub(crate) fn validate_pass(
+    reader: &ProbeReader<'_>,
     params: DbscanParams,
     min_len: u32,
     candidates: impl IntoIterator<Item = Convoy>,
-) -> StoreResult<ValidateResult> {
-    validate_tuned(
-        store,
-        params,
-        min_len,
-        candidates,
-        ConvoySetTuning::default(),
-    )
-}
-
-/// [`validate`] with explicit [`ConvoySetTuning`] for the maximal-FC
-/// result set (what the pipeline passes from `K2Config::convoyset`).
-pub fn validate_tuned<S: SnapshotSource + ?Sized>(
-    store: &S,
-    params: DbscanParams,
-    min_len: u32,
-    candidates: impl IntoIterator<Item = Convoy>,
-    tuning: ConvoySetTuning,
-) -> StoreResult<ValidateResult> {
-    let mut fetched = 0u64;
-    let mut queue: Vec<Convoy> = candidates
+) -> StoreResult<PassResult> {
+    let mut candidates: Vec<Convoy> = candidates
         .into_iter()
         .filter(|v| v.len() >= min_len)
         .collect();
-    let mut fc = ConvoySet::with_tuning(tuning);
-    let mut scratch = ProbeScratch::default();
+    // Last candidate first — the order one work stack over all of them
+    // would pop them in. The per-probe fetch sequence a store (and its
+    // block cache) sees is pinned to that order.
+    candidates.reverse();
+    reader.map_maximal(&candidates, |v, probe, scratch| {
+        validate_one(params, min_len, v, probe, scratch)
+    })
+}
+
+/// Validates one candidate: HWMT\* either confirms it unchanged or
+/// yields smaller convoys, which are validated in turn. Returns the
+/// fully-connected convoys found and the number of points fetched.
+fn validate_one(
+    params: DbscanParams,
+    min_len: u32,
+    candidate: &Convoy,
+    mut probe: impl Probe,
+    scratch: &mut ProbeScratch,
+) -> StoreResult<(Vec<Convoy>, u64)> {
+    let mut fetched = 0u64;
+    let mut fc = Vec::new();
+    let mut queue = vec![candidate.clone()];
     while let Some(vin) = queue.pop() {
-        // Per-candidate pool rotation: HWMT*'s probe repeats are within
-        // one candidate's lifespan sweep; clearing bounds retention.
+        // Per-run pool rotation: HWMT*'s probe repeats are within one
+        // convoy's lifespan sweep; clearing bounds retention.
         scratch.cluster.pool_mut().clear();
-        let out = hwmt_star_scratched(store, params, min_len, &vin, &mut fetched, &mut scratch)?;
+        let out = hwmt_star(params, min_len, &vin, &mut fetched, &mut probe, scratch)?;
         if out.len() == 1 && out.contains(&vin) {
-            fc.update(vin);
+            fc.push(vin);
         } else {
             // Smaller convoys: re-validate (their connectivity within the
             // restriction to their own objects is still unproven).
             queue.extend(out);
         }
     }
-    Ok(ValidateResult {
-        convoys: fc,
-        points_fetched: fetched,
-    })
+    Ok((fc, fetched))
 }
 
 /// HWMT\*: mines the maximal convoys (length ≥ `min_len`) of the dataset
-/// restricted to `v`'s objects over `v`'s lifespan.
+/// restricted to `v`'s objects over `v`'s lifespan, reading `DB[t]|O`
+/// through `probe` and adding what it reads to `fetched`.
 ///
 /// Two phases:
 ///
@@ -101,110 +96,13 @@ pub fn validate_tuned<S: SnapshotSource + ?Sized>(
 /// 2. **Restricted sweep**: using the clusters cached by phase 1, a
 ///    CMC-style sweep assembles the maximal convoys inside the
 ///    restriction. (Lemma 2 applies within `DB|O`, so the sweep is exact.)
-pub fn hwmt_star<S: SnapshotSource + ?Sized>(
-    store: &S,
+fn hwmt_star(
     params: DbscanParams,
     min_len: u32,
     v: &Convoy,
     fetched: &mut u64,
-) -> StoreResult<Vec<Convoy>> {
-    hwmt_star_scratched(
-        store,
-        params,
-        min_len,
-        v,
-        fetched,
-        &mut ProbeScratch::default(),
-    )
-}
-
-/// [`hwmt_star`] reusing a caller-provided probe scratch (what
-/// [`validate`] does across its whole candidate queue).
-fn hwmt_star_scratched<S: SnapshotSource + ?Sized>(
-    store: &S,
-    params: DbscanParams,
-    min_len: u32,
-    v: &Convoy,
-    fetched: &mut u64,
+    mut probe: impl Probe,
     scratch: &mut ProbeScratch,
-) -> StoreResult<Vec<Convoy>> {
-    hwmt_star_with(params, min_len, v, |t, objects| {
-        let (clusters, n) = recluster_at_with(store, params, t, objects, scratch)?;
-        *fetched += n;
-        Ok(clusters)
-    })
-}
-
-/// Dataset-direct HWMT\* (used by the parallel miner, which holds an
-/// immutable [`Dataset`](k2_model::Dataset) instead of a store).
-pub fn hwmt_star_dataset(
-    dataset: &k2_model::Dataset,
-    params: DbscanParams,
-    min_len: u32,
-    v: &Convoy,
-) -> Vec<Convoy> {
-    hwmt_star_dataset_scratched(
-        dataset,
-        params,
-        min_len,
-        v,
-        &mut DatasetProbeScratch::default(),
-    )
-}
-
-/// Reusable buffers for the dataset-direct probe loops of the parallel
-/// miner (mirror of the store-path [`ProbeScratch`]).
-#[derive(Debug, Default)]
-pub(crate) struct DatasetProbeScratch {
-    pub(crate) positions: Vec<k2_model::ObjPos>,
-    pub(crate) cluster: k2_cluster::GridScratch,
-}
-
-/// [`hwmt_star_dataset`] reusing caller-provided scratch buffers.
-pub(crate) fn hwmt_star_dataset_scratched(
-    dataset: &k2_model::Dataset,
-    params: DbscanParams,
-    min_len: u32,
-    v: &Convoy,
-    scratch: &mut DatasetProbeScratch,
-) -> Vec<Convoy> {
-    // A dataset's `multi_get_into` is exactly `restrict_at_into`, so the
-    // source-generic engine below reproduces the dataset-direct probes
-    // bit for bit (and cannot fail).
-    let mut fetched = 0u64;
-    hwmt_star_source_scratched(dataset, params, min_len, v, &mut fetched, scratch)
-        .expect("dataset-direct clustering cannot fail")
-}
-
-/// HWMT\* probing any [`SnapshotSource`] through `multi_get_into` — the
-/// bounded re-fetch path of the parallel store miner's validation phase
-/// (probes are `DB[t]|O` restrictions, sorted-id point lookups, never
-/// full scans).
-pub(crate) fn hwmt_star_source_scratched<S: SnapshotSource + ?Sized>(
-    source: &S,
-    params: DbscanParams,
-    min_len: u32,
-    v: &Convoy,
-    fetched: &mut u64,
-    scratch: &mut DatasetProbeScratch,
-) -> StoreResult<Vec<Convoy>> {
-    hwmt_star_with(params, min_len, v, |t, objects| {
-        source.multi_get_into(t, objects.ids(), &mut scratch.positions)?;
-        *fetched += scratch.positions.len() as u64;
-        Ok(k2_cluster::recluster_with(
-            &scratch.positions,
-            params,
-            &mut scratch.cluster,
-        ))
-    })
-}
-
-/// The HWMT\* engine, generic over how `DB[t]|O` is clustered.
-fn hwmt_star_with(
-    params: DbscanParams,
-    min_len: u32,
-    v: &Convoy,
-    mut cluster_at: impl FnMut(Time, &ObjectSet) -> StoreResult<Vec<ObjectSet>>,
 ) -> StoreResult<Vec<Convoy>> {
     let span = v.lifespan;
     if span.len() < min_len {
@@ -215,7 +113,8 @@ fn hwmt_star_with(
     let mut clusters_at: HashMap<Time, Vec<ObjectSet>> = HashMap::new();
     let mut broken: Vec<Time> = Vec::new();
     for t in hwmt_star_order(span) {
-        let clusters = cluster_at(t, &v.objects)?;
+        let (clusters, n) = recluster_at(&mut probe, params, t, &v.objects, scratch)?;
+        *fetched += n;
         if clusters.is_empty() {
             broken.push(t);
             broken.sort_unstable();
@@ -289,6 +188,26 @@ mod tests {
     use k2_model::{Dataset, Point};
     use k2_storage::InMemoryStore;
 
+    fn star(
+        store: &InMemoryStore,
+        params: DbscanParams,
+        min_len: u32,
+        v: &Convoy,
+        fetched: &mut u64,
+    ) -> StoreResult<Vec<Convoy>> {
+        let scratch = &mut ProbeScratch::default();
+        hwmt_star(params, min_len, v, fetched, crate::probe_of(store), scratch)
+    }
+
+    fn validate(
+        store: &InMemoryStore,
+        params: DbscanParams,
+        min_len: u32,
+        candidates: Vec<Convoy>,
+    ) -> StoreResult<PassResult> {
+        validate_pass(&ProbeReader::Source(store), params, min_len, candidates)
+    }
+
     const PARAMS: DbscanParams = DbscanParams {
         min_pts: 2,
         eps: 1.0,
@@ -335,7 +254,7 @@ mod tests {
         let mut fetched = 0;
         // abcde over [1, 5] is fully connected (e present throughout).
         let v = Convoy::from_parts([0u32, 1, 2, 3, 4], 1, 5);
-        let out = hwmt_star(&store, PARAMS, 2, &v, &mut fetched).unwrap();
+        let out = star(&store, PARAMS, 2, &v, &mut fetched).unwrap();
         assert_eq!(out, vec![v]);
     }
 
@@ -347,7 +266,7 @@ mod tests {
         // (the bridge e is excluded). Maximal restricted convoys:
         // (abc, [1,6]) and (abcd,[1,2]), (abcd,[4,6])... plus d-side bits.
         let v = Convoy::from_parts([0u32, 1, 2, 3], 1, 6);
-        let out = hwmt_star(&store, PARAMS, 2, &v, &mut fetched).unwrap();
+        let out = star(&store, PARAMS, 2, &v, &mut fetched).unwrap();
         assert!(out.contains(&Convoy::from_parts([0u32, 1, 2], 1, 6)));
         assert!(out.contains(&Convoy::from_parts([0u32, 1, 2, 3], 1, 2)));
         assert!(out.contains(&Convoy::from_parts([0u32, 1, 2, 3], 4, 6)));
@@ -406,7 +325,7 @@ mod tests {
         let store = InMemoryStore::new(Dataset::from_points(&pts).unwrap());
         let mut fetched = 0;
         let v = Convoy::from_parts([0u32, 1], 0, 20);
-        let out = hwmt_star(&store, PARAMS, 10, &v, &mut fetched).unwrap();
+        let out = star(&store, PARAMS, 10, &v, &mut fetched).unwrap();
         assert!(out.is_empty());
         assert!(
             fetched < 2 * 21,
@@ -438,7 +357,7 @@ mod tests {
         let store = InMemoryStore::new(Dataset::from_points(&pts).unwrap());
         let mut fetched = 0;
         let v = Convoy::from_parts([0u32, 1, 2], 0, 10);
-        let out = hwmt_star(
+        let out = star(
             &store,
             DbscanParams {
                 min_pts: 3,

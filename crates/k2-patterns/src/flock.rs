@@ -23,7 +23,10 @@
 use crate::mec::min_enclosing_circle;
 use k2_core::benchpoints::{benchmark_points, hop_window, hwmt_order};
 use k2_core::merge::merge_spanning;
-use k2_model::{Convoy, ConvoySet, Dataset, ObjPos, ObjectSet, Time, TimeInterval};
+use k2_core::{MineError, MineOutcome, MineStats};
+use k2_model::{Convoy, ConvoySet, Dataset, ObjPos, ObjectSet, Snapshot, Time, TimeInterval};
+use k2_storage::{SnapshotSource, StoreResult};
+use std::time::Instant;
 
 /// Flock parameters.
 #[derive(Debug, Clone, Copy)]
@@ -75,6 +78,41 @@ impl FlockMiner {
     /// Creates a miner.
     pub fn new(config: FlockConfig) -> Self {
         Self { config }
+    }
+
+    /// [`mine_hop`](Self::mine_hop) over any [`SnapshotSource`], in the
+    /// unified outcome shape — what a flock session and a served flock
+    /// request both run. A source that is not resident is materialised
+    /// through the snapshot scan path first: flocks re-read whole
+    /// snapshots, so there is no restriction to hide behind.
+    pub fn mine_source(&self, source: &dyn SnapshotSource) -> Result<MineOutcome, MineError> {
+        let t0 = Instant::now();
+        let materialized;
+        let dataset = match source.as_dataset() {
+            Some(d) => d,
+            None => {
+                materialized = materialize(source)?;
+                &materialized
+            }
+        };
+        let convoys = self.mine_hop(dataset);
+        // Pruning counters stay zero: the flock miner does not track its
+        // reads, and setting only `total_points` would make
+        // `pruning_ratio()` report a false 100%.
+        let mut stats = MineStats {
+            engine: "flock-k2hop",
+            threads: 1,
+            timings: Default::default(),
+            pruning: Default::default(),
+            prefetch: Default::default(),
+            grid: Default::default(),
+        };
+        stats.timings.hwmt = t0.elapsed();
+        Ok(MineOutcome {
+            convoys,
+            stats,
+            io: source.io_stats(),
+        })
     }
 
     /// Exact baseline: disk-group every snapshot, sweep left to right
@@ -267,6 +305,18 @@ impl FlockMiner {
         }
         result.into_sorted_vec()
     }
+}
+
+/// Reads every snapshot of `source` into an owned [`Dataset`].
+fn materialize(source: &dyn SnapshotSource) -> StoreResult<Dataset> {
+    let span = source.span();
+    let mut snapshots = Vec::with_capacity(span.len() as usize);
+    let mut buf: Vec<ObjPos> = Vec::new();
+    for t in span.iter() {
+        let positions = source.scan_snapshot_ref(t, &mut buf)?.positions().to_vec();
+        snapshots.push(Snapshot::from_sorted(positions));
+    }
+    Ok(Dataset::from_snapshots(span.start, snapshots))
 }
 
 /// Maximal sets of ≥ `m` objects coverable by a radius-`r` disk at one

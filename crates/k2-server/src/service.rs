@@ -8,10 +8,10 @@
 //! reporting exactly its own I/O.
 
 use crate::protocol::{MineReply, Pattern, Request, Response, StatsReply, WireConvoy};
-use k2_core::{ConvoyMiner, K2Config, K2Hop, MineError, MineOutcome, MineStats};
-use k2_model::{Convoy, Dataset, ObjPos, Point, Snapshot};
+use k2_core::{ConvoyMiner, K2Config, K2Hop};
+use k2_model::{Convoy, Point};
 use k2_patterns::{FlockConfig, FlockMiner};
-use k2_storage::{SharedLsm, SnapshotSource, StorePin, TimeRange};
+use k2_storage::{SharedLsm, SnapshotSource, TimeRange};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -129,7 +129,8 @@ impl K2Service {
                 };
                 ConvoyMiner::mine(&miner, &ranged)
             }
-            Pattern::Flock => mine_flocks(config, &ranged),
+            Pattern::Flock => FlockMiner::new(FlockConfig::new(config.m, config.k, config.eps))
+                .mine_source(&ranged),
         };
         let outcome = match outcome {
             Ok(o) => o,
@@ -227,40 +228,4 @@ fn wire_convoy(c: &Convoy) -> WireConvoy {
         t_start: c.lifespan.start,
         t_end: c.lifespan.end,
     }
-}
-
-/// Flock mining over a pinned, range-clamped source — the same
-/// materialise-then-mine shape as the facade's `MiningSession` (which
-/// this crate cannot depend on without a cycle).
-fn mine_flocks(config: K2Config, source: &TimeRange<StorePin>) -> Result<MineOutcome, MineError> {
-    let t0 = Instant::now();
-    let flock = FlockMiner::new(FlockConfig::new(config.m, config.k, config.eps));
-    let dataset = materialize(source)?;
-    let convoys = flock.mine_hop(&dataset);
-    let mut stats = MineStats {
-        engine: "flock-k2hop",
-        threads: 1,
-        timings: Default::default(),
-        pruning: Default::default(),
-        prefetch: Default::default(),
-        grid: Default::default(),
-    };
-    stats.timings.hwmt = t0.elapsed();
-    Ok(MineOutcome {
-        convoys,
-        stats,
-        io: source.io_stats(),
-    })
-}
-
-/// Reads every snapshot of `source` into an owned [`Dataset`].
-fn materialize(source: &dyn SnapshotSource) -> Result<Dataset, MineError> {
-    let span = source.span();
-    let mut snapshots = Vec::with_capacity(span.len() as usize);
-    let mut buf: Vec<ObjPos> = Vec::new();
-    for t in span.iter() {
-        let positions = source.scan_snapshot_ref(t, &mut buf)?.positions().to_vec();
-        snapshots.push(Snapshot::from_sorted(positions));
-    }
-    Ok(Dataset::from_snapshots(span.start, snapshots))
 }

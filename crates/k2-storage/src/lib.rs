@@ -161,24 +161,6 @@ pub trait SnapshotSource {
     fn as_dataset(&self) -> Option<&Dataset> {
         None
     }
-
-    /// Blocks until the source's background maintenance (compactions,
-    /// for the LSM engine) is fully drained.
-    ///
-    /// The default is a no-op: most sources have no background work.
-    /// [`SharedLsm`] overrides it, which is how a server's `Stats`
-    /// request — or a test that needs a settled table layout — can
-    /// quiesce a store through the trait surface without downcasting to
-    /// [`LsmStore`].
-    fn quiesce_maintenance(&self) -> StoreResult<()> {
-        Ok(())
-    }
-
-    /// Number of background maintenance jobs currently queued or
-    /// running (`0` for sources with no background work).
-    fn maintenance_depth(&self) -> usize {
-        0
-    }
 }
 
 /// Clamps a [`SnapshotSource`] to a time sub-range `[t_lo, t_hi]`.
@@ -273,14 +255,6 @@ impl<S: SnapshotSource> SnapshotSource for TimeRange<S> {
 
     // as_dataset deliberately stays `None`: exposing the inner dataset
     // would let parallel miners read around the time clamp.
-
-    fn quiesce_maintenance(&self) -> StoreResult<()> {
-        self.inner.quiesce_maintenance()
-    }
-
-    fn maintenance_depth(&self) -> usize {
-        self.inner.maintenance_depth()
-    }
 }
 
 /// Read-side interface shared by every storage engine.

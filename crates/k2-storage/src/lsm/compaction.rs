@@ -20,8 +20,9 @@
 //! [`LsmStore`]: super::LsmStore
 
 use super::manifest::{sync_dir, Manifest, ManifestRecord};
+use super::read::MergeIter;
 use super::sstable::{BlockCache, SsTableReader, SsTableWriter, ENTRY_SIZE};
-use super::store::{sst_name, MergeIter};
+use super::store::sst_name;
 use crate::iostats::IoCounters;
 use crate::StoreResult;
 use std::fs;

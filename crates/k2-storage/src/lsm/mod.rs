@@ -23,8 +23,11 @@
 //! * every flush, compaction and WAL rotation is committed by an
 //!   `fsync`ed record in the append-only **manifest** ([`manifest`]),
 //!   written strictly *after* the files it references are durable,
-//! * reads consult the memtables (active, then frozen generations),
-//!   then tables newest-first; range scans k-way-merge all sources.
+//! * reads go through one private read view (`read.rs`) — built by the
+//!   store over its own fields and by a [`StorePin`] over its pinned
+//!   state — that consults the memtables (active, then frozen
+//!   generations), then tables newest-first; range scans k-way-merge
+//!   all sources.
 //!
 //! # MVCC state swap
 //!
@@ -45,7 +48,8 @@
 //! threads — the serving substrate `k2-server` builds on: its `pin()`
 //! clones the published pointer without touching the writer, falling
 //! back to [`LsmStore::pin_snapshot`] under the writer lock only while
-//! single inserts are acknowledged but not yet published.
+//! single inserts are acknowledged but not yet published. It is read
+//! only through those pins.
 //!
 //! Opening a store runs recovery: fold the manifest (dropping a torn
 //! tail), delete orphaned files from crashed flushes/compactions, replay
@@ -65,6 +69,7 @@ mod bloom;
 mod compaction;
 pub mod manifest;
 mod pin;
+mod read;
 mod shared;
 mod sstable;
 mod store;

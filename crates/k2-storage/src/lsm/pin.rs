@@ -9,10 +9,10 @@
 //! hold a lock while reading, and a writer never waits for a reader —
 //! the only shared point is the pointer swap itself.
 
+use super::read::ReadView;
 use super::sstable::SsTableReader;
-use super::store::{key_of, key_parts, val_parts, Memtable, MergeIter};
+use super::store::Memtable;
 use crate::iostats::IoCounters;
-use crate::keys::VAL_SIZE;
 use crate::{IoStats, SnapshotRef, SnapshotSource, StoreResult, TrajectoryStore};
 use k2_model::{ObjPos, Oid, Time, TimeInterval};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,8 +76,10 @@ impl LsmState {
 /// readers of its state. Compaction may unlink a pinned table's file;
 /// the open descriptor keeps the data readable until the pin drops.
 ///
-/// Reads go through the store's shared block cache (cache ids are table
-/// seqs, unique for the directory's whole history, so a retired table's
+/// Reads take the same `ReadView` path as the store's own (lookup
+/// order, merge ranking and accounting are decided there, once) and go
+/// through the store's shared block cache (cache ids are table seqs,
+/// unique for the directory's whole history, so a retired table's
 /// blocks can never alias a live one's) but are accounted into the
 /// pin's **own** counters — `io_stats()` reports exactly the work this
 /// pin caused, which is what per-request serving stats want.
@@ -123,40 +125,15 @@ impl StorePin {
         &self.state.table_seqs
     }
 
-    /// Newest version of one key within the pinned state: frozen
-    /// generations newest-first, then SSTables newest-first.
-    fn get_raw(&self, key: u64) -> StoreResult<Option<[u8; VAL_SIZE]>> {
-        for generation in self.state.frozen.iter().rev() {
-            if let Some(v) = generation.get(&key) {
-                return Ok(Some(*v));
-            }
+    /// The pinned state as a read view: no active memtable (a pin sees
+    /// only what was published), reads charged to the pin's counters.
+    fn view(&self) -> ReadView<'_> {
+        ReadView {
+            active: None,
+            frozen: &self.state.frozen,
+            tables: &self.state.tables,
+            io: &self.io,
         }
-        for table in self.state.tables.iter().rev() {
-            if let Some(v) = table.get_with(key, &self.io)? {
-                return Ok(Some(v));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Merged range scan over `[lo, hi]` within the pinned state.
-    fn scan_merged_with(
-        &self,
-        lo: u64,
-        hi: u64,
-        mut visit: impl FnMut(u64, [u8; VAL_SIZE]),
-    ) -> StoreResult<()> {
-        let mut merge = MergeIter::over_tables(&self.state.tables, lo, &self.io)?;
-        for generation in &self.state.frozen {
-            merge.add_mem(generation.range(lo..=hi));
-        }
-        while let Some((k, v)) = merge.next()? {
-            if k > hi {
-                break;
-            }
-            visit(k, v);
-        }
-        Ok(())
     }
 }
 
@@ -175,17 +152,7 @@ impl SnapshotSource for StorePin {
     }
 
     fn num_points(&self) -> u64 {
-        self.state
-            .tables
-            .iter()
-            .map(|t| t.num_entries())
-            .sum::<u64>()
-            + self
-                .state
-                .frozen
-                .iter()
-                .map(|m| m.len() as u64)
-                .sum::<u64>()
+        self.view().num_points()
     }
 
     fn scan_snapshot_ref<'a>(
@@ -193,24 +160,12 @@ impl SnapshotSource for StorePin {
         t: Time,
         buf: &'a mut Vec<ObjPos>,
     ) -> StoreResult<SnapshotRef<'a>> {
-        self.scan_snapshot_into(t, buf)?;
+        self.view().scan_snapshot_into(t, buf)?;
         Ok(SnapshotRef::Buffered(buf))
     }
 
     fn multi_get_into(&self, t: Time, oids: &[Oid], out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        debug_assert!(oids.windows(2).all(|w| w[0] < w[1]));
-        out.clear();
-        if oids.is_empty() {
-            return Ok(());
-        }
-        self.io.add_point_queries(oids.len() as u64);
-        for &oid in oids {
-            if let Some(v) = self.get_raw(key_of(t, oid))? {
-                let (x, y) = val_parts(&v);
-                out.push(ObjPos::new(oid, x, y));
-            }
-        }
-        Ok(())
+        self.view().multi_get_into(t, oids, out)
     }
 
     fn io_stats(&self) -> IoStats {
@@ -224,35 +179,19 @@ impl SnapshotSource for StorePin {
 
 impl TrajectoryStore for StorePin {
     fn scan_snapshot(&self, t: Time) -> StoreResult<Vec<ObjPos>> {
-        let mut out = Vec::new();
-        self.scan_snapshot_into(t, &mut out)?;
-        Ok(out)
+        self.view().scan_snapshot(t)
     }
 
     fn scan_snapshot_into(&self, t: Time, out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        self.io.add_range_query();
-        self.io.add_snapshot_copied();
-        out.clear();
-        self.scan_merged_with(key_of(t, 0), key_of(t, Oid::MAX), |k, v| {
-            let (_, oid) = key_parts(k);
-            let (x, y) = val_parts(&v);
-            out.push(ObjPos::new(oid, x, y));
-        })?;
-        Ok(())
+        self.view().scan_snapshot_into(t, out)
     }
 
     fn multi_get(&self, t: Time, oids: &[Oid]) -> StoreResult<Vec<ObjPos>> {
-        let mut out = Vec::with_capacity(oids.len());
-        self.multi_get_into(t, oids, &mut out)?;
-        Ok(out)
+        self.view().multi_get(t, oids)
     }
 
     fn point_get(&self, t: Time, oid: Oid) -> StoreResult<Option<ObjPos>> {
-        self.io.add_point_query();
-        Ok(self.get_raw(key_of(t, oid))?.map(|v| {
-            let (x, y) = val_parts(&v);
-            ObjPos::new(oid, x, y)
-        }))
+        self.view().point_get(t, oid)
     }
 
     fn reset_io_stats(&self) {

@@ -1,0 +1,278 @@
+//! The LSM read path: [`ReadView`], the one place where lookup order,
+//! merge ranking and read I/O accounting are decided, and [`MergeIter`],
+//! the k-way merge its scans (and the flush and compaction writers) run
+//! on.
+//!
+//! A view borrows what a reader can see — optionally the writer-private
+//! active memtable, then the frozen generations and SSTables of a
+//! published state — plus the counters its reads are charged to.
+//! [`LsmStore`](super::LsmStore) builds one over its own fields,
+//! [`StorePin`](super::StorePin) over the `Arc<LsmState>` it holds (no
+//! active memtable, its own counters); nothing else reads the tree.
+
+use super::sstable::{SsTableIter, SsTableReader};
+use super::store::{key_of, key_parts, val_parts, Memtable};
+use crate::iostats::IoCounters;
+use crate::keys::VAL_SIZE;
+use crate::StoreResult;
+use k2_model::{ObjPos, Oid, Time};
+use std::sync::Arc;
+
+/// Everything one reader sees, newest source first: `active`, then
+/// `frozen` from its last generation back, then `tables` from the last
+/// back.
+pub(crate) struct ReadView<'a> {
+    /// The writer-private active memtable; `None` for a pinned state,
+    /// which holds only what was published.
+    pub(crate) active: Option<&'a Memtable>,
+    /// Frozen memtable generations, oldest first.
+    pub(crate) frozen: &'a [Arc<Memtable>],
+    /// Open SSTable readers, oldest first (index = recency rank).
+    pub(crate) tables: &'a [Arc<SsTableReader>],
+    /// Where this view's reads are accounted.
+    pub(crate) io: &'a IoCounters,
+}
+
+impl ReadView<'_> {
+    /// Newest version of one key.
+    fn get_raw(&self, key: u64) -> StoreResult<Option<[u8; VAL_SIZE]>> {
+        if let Some(v) = self.active.and_then(|m| m.get(&key)) {
+            return Ok(Some(*v));
+        }
+        self.get_published(key)
+    }
+
+    /// Newest version of one key below the active memtable: frozen
+    /// generations newest to oldest, then SSTables newest to oldest
+    /// (bloom filter first, then one block through the shared cache).
+    fn get_published(&self, key: u64) -> StoreResult<Option<[u8; VAL_SIZE]>> {
+        for generation in self.frozen.iter().rev() {
+            if let Some(v) = generation.get(&key) {
+                return Ok(Some(*v));
+            }
+        }
+        for table in self.tables.iter().rev() {
+            if let Some(v) = table.get_with(key, self.io)? {
+                return Ok(Some(v));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Merged range scan over `[lo, hi]`, newest version winning; each
+    /// entry is fed to `visit` straight off the merge (no intermediate
+    /// entry buffer, so callers can decode into their own storage).
+    fn scan_merged_with(
+        &self,
+        lo: u64,
+        hi: u64,
+        mut visit: impl FnMut(u64, [u8; VAL_SIZE]),
+    ) -> StoreResult<()> {
+        let mut merge = MergeIter::over_tables(self.tables, lo, self.io)?;
+        for generation in self.frozen {
+            merge.add_mem(generation.range(lo..=hi));
+        }
+        if let Some(active) = self.active {
+            merge.add_mem(active.range(lo..=hi));
+        }
+        while let Some((k, v)) = merge.next()? {
+            if k > hi {
+                break;
+            }
+            visit(k, v);
+        }
+        Ok(())
+    }
+
+    /// `SnapshotSource::multi_get_into`: §5.2's "for fetching the data
+    /// for HWMT, a point query is issued for each (timestamp, oid) pair."
+    /// Each probe goes straight from the memtable / SSTable blocks into
+    /// the caller's buffer — the k/2-hop probe loops call this thousands
+    /// of times on tiny candidate sets, so nothing here allocates.
+    ///
+    /// The batch's keys ascend (fixed `t`, sorted oids), so the
+    /// active-memtable side is one ordered range cursor walked in step
+    /// with the oids instead of a `log n` tree descent per oid; only
+    /// keys it does not hold fall through to the frozen generations and
+    /// SSTables.
+    pub(crate) fn multi_get_into(
+        &self,
+        t: Time,
+        oids: &[Oid],
+        out: &mut Vec<ObjPos>,
+    ) -> StoreResult<()> {
+        debug_assert!(oids.windows(2).all(|w| w[0] < w[1]));
+        out.clear();
+        let (Some(&first), Some(&last)) = (oids.first(), oids.last()) else {
+            return Ok(());
+        };
+        self.io.add_point_queries(oids.len() as u64);
+        let mut cursor = self
+            .active
+            .map(|m| m.range(key_of(t, first)..=key_of(t, last)).peekable());
+        for &oid in oids {
+            let key = key_of(t, oid);
+            let in_active = cursor.as_mut().and_then(|mem| {
+                while mem.next_if(|&(&k, _)| k < key).is_some() {}
+                mem.next_if(|&(&k, _)| k == key).map(|(_, v)| *v)
+            });
+            let found = match in_active {
+                Some(v) => Some(v),
+                None => self.get_published(key)?,
+            };
+            if let Some(v) = found {
+                let (x, y) = val_parts(&v);
+                out.push(ObjPos::new(oid, x, y));
+            }
+        }
+        Ok(())
+    }
+
+    /// `TrajectoryStore::multi_get`.
+    pub(crate) fn multi_get(&self, t: Time, oids: &[Oid]) -> StoreResult<Vec<ObjPos>> {
+        let mut out = Vec::with_capacity(oids.len());
+        self.multi_get_into(t, oids, &mut out)?;
+        Ok(out)
+    }
+
+    /// `TrajectoryStore::scan_snapshot_into`: merged entries decode
+    /// straight into the caller's reused buffer (one copy, no
+    /// intermediate entry vector, no per-scan allocation).
+    pub(crate) fn scan_snapshot_into(&self, t: Time, out: &mut Vec<ObjPos>) -> StoreResult<()> {
+        self.io.add_range_query();
+        self.io.add_snapshot_copied();
+        out.clear();
+        self.scan_merged_with(key_of(t, 0), key_of(t, Oid::MAX), |k, v| {
+            let (_, oid) = key_parts(k);
+            let (x, y) = val_parts(&v);
+            out.push(ObjPos::new(oid, x, y));
+        })
+    }
+
+    /// `TrajectoryStore::scan_snapshot`.
+    pub(crate) fn scan_snapshot(&self, t: Time) -> StoreResult<Vec<ObjPos>> {
+        let mut out = Vec::new();
+        self.scan_snapshot_into(t, &mut out)?;
+        Ok(out)
+    }
+
+    /// `TrajectoryStore::point_get`.
+    pub(crate) fn point_get(&self, t: Time, oid: Oid) -> StoreResult<Option<ObjPos>> {
+        self.io.add_point_query();
+        Ok(self.get_raw(key_of(t, oid))?.map(|v| {
+            let (x, y) = val_parts(&v);
+            ObjPos::new(oid, x, y)
+        }))
+    }
+
+    /// `SnapshotSource::num_points`. Counts versions, not unique keys;
+    /// exact for the append-only workloads of the experiments.
+    pub(crate) fn num_points(&self) -> u64 {
+        let buffered =
+            self.frozen.iter().map(|m| m.len()).sum::<usize>() + self.active.map_or(0, |m| m.len());
+        self.tables.iter().map(|t| t.num_entries()).sum::<u64>() + buffered as u64
+    }
+}
+
+type Entry = (u64, [u8; VAL_SIZE]);
+type MemRange<'a> = std::collections::btree_map::Range<'a, u64, [u8; VAL_SIZE]>;
+
+/// K-way merging cursor over SSTable iterators plus any number of
+/// memtable ranges. Sources are ranked by recency (higher = newer); for
+/// duplicate keys only the newest version is emitted. Tables rank below
+/// every memtable range; memtable ranges rank in the order they are
+/// added (add frozen generations oldest first, the active memtable
+/// last). Shared with the flush and compaction writers, whose merges
+/// rank inputs the same way.
+pub(crate) struct MergeIter<'a> {
+    /// `(rank, head, cursor)` per table, ranks `0..tables.len()`.
+    tables: Vec<(usize, Option<Entry>, SsTableIter<'a>)>,
+    /// `(rank, cursor, head)` per memtable range, ranks continuing
+    /// upward in add order.
+    mems: Vec<(usize, MemRange<'a>, Option<Entry>)>,
+    next_rank: usize,
+}
+
+impl<'a> MergeIter<'a> {
+    /// Cursor over `tables` (oldest first) starting at `from`, with
+    /// block fetches accounted into `io`.
+    pub(crate) fn over_tables(
+        tables: &'a [Arc<SsTableReader>],
+        from: u64,
+        io: &'a IoCounters,
+    ) -> StoreResult<Self> {
+        let mut v = Vec::with_capacity(tables.len());
+        for (rank, t) in tables.iter().enumerate() {
+            let mut it = t.iter_from_with(from, io);
+            let head = it.next()?;
+            v.push((rank, head, it));
+        }
+        Ok(Self {
+            next_rank: tables.len(),
+            tables: v,
+            mems: Vec::new(),
+        })
+    }
+
+    /// Cursor over whole memtables alone, oldest first.
+    pub(crate) fn over_memtables(generations: impl Iterator<Item = &'a Memtable>) -> Self {
+        let mut merge = Self {
+            tables: Vec::new(),
+            mems: Vec::new(),
+            next_rank: 0,
+        };
+        for generation in generations {
+            merge.add_mem(generation.range(..));
+        }
+        merge
+    }
+
+    /// Adds a memtable range outranking the tables and every range
+    /// added before it.
+    pub(crate) fn add_mem(&mut self, mut range: MemRange<'a>) {
+        let head = range.next().map(|(&k, v)| (k, *v));
+        let rank = self.next_rank;
+        self.next_rank += 1;
+        self.mems.push((rank, range, head));
+    }
+
+    pub(crate) fn next(&mut self) -> StoreResult<Option<Entry>> {
+        // Minimum key across all heads.
+        let mut min_key: Option<u64> = None;
+        for (_, head, _) in &self.tables {
+            if let Some((k, _)) = head {
+                min_key = Some(min_key.map_or(*k, |m: u64| m.min(*k)));
+            }
+        }
+        for (_, _, head) in &self.mems {
+            if let Some((k, _)) = head {
+                min_key = Some(min_key.map_or(*k, |m: u64| m.min(*k)));
+            }
+        }
+        let Some(key) = min_key else {
+            return Ok(None);
+        };
+        // Newest version wins: every source holding the key advances,
+        // the highest rank keeps the value.
+        let mut best: Option<(usize, [u8; VAL_SIZE])> = None;
+        for (rank, head, it) in &mut self.tables {
+            if head.map(|(k, _)| k) == Some(key) {
+                let (_, v) = head.expect("checked above");
+                if best.is_none_or(|(r, _)| *rank > r) {
+                    best = Some((*rank, v));
+                }
+                *head = it.next()?;
+            }
+        }
+        for (rank, range, head) in &mut self.mems {
+            if head.map(|(k, _)| k) == Some(key) {
+                let (_, v) = head.expect("checked above");
+                if best.is_none_or(|(r, _)| *rank > r) {
+                    best = Some((*rank, v));
+                }
+                *head = range.next().map(|(&k, v)| (k, *v));
+            }
+        }
+        Ok(best.map(|(_, v)| (key, v)))
+    }
+}

@@ -20,13 +20,16 @@
 //!   writer mutex, freezes them in and publishes — queueing behind
 //!   whatever the writer is doing, as every pin once did.
 //!
-//! After pinning, a miner reads lock-free for its whole run, and
-//! `version()` peeks at the published state without the writer mutex.
+//! The handle is read **only through pins**: it implements no read
+//! trait of its own (a read under the writer mutex would queue behind
+//! every batch). After pinning, a miner reads lock-free for its whole
+//! run through the pin's read view, and `version()` peeks at the
+//! published state without the writer mutex.
 
 use super::pin::{LsmState, StorePin};
 use super::store::{LsmConfig, LsmStore};
-use crate::{SnapshotRef, SnapshotSource, StoreResult, TrajectoryStore};
-use k2_model::{Dataset, ObjPos, Oid, Point, Time, TimeInterval};
+use crate::StoreResult;
+use k2_model::{Dataset, Point};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -113,72 +116,21 @@ impl SharedLsm {
     pub fn live_pins(&self) -> u64 {
         self.pins.load(Ordering::Relaxed)
     }
-}
 
-impl SnapshotSource for SharedLsm {
-    fn span(&self) -> TimeInterval {
-        self.lock().span()
-    }
-
-    fn num_points(&self) -> u64 {
-        self.lock().num_points()
-    }
-
-    fn scan_snapshot_ref<'a>(
-        &self,
-        t: Time,
-        buf: &'a mut Vec<ObjPos>,
-    ) -> StoreResult<SnapshotRef<'a>> {
-        self.lock().scan_snapshot_into(t, buf)?;
-        Ok(SnapshotRef::Buffered(buf))
-    }
-
-    fn multi_get_into(&self, t: Time, oids: &[Oid], out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        self.lock().multi_get_into(t, oids, out)
-    }
-
-    fn io_stats(&self) -> crate::IoStats {
-        self.lock().io_stats()
-    }
-
-    fn name(&self) -> &'static str {
-        "k2-lsmt-shared"
-    }
-
-    fn quiesce_maintenance(&self) -> StoreResult<()> {
+    /// Blocks until the store's background compactions are fully
+    /// drained — how a server's `Stats` request, or a test that needs a
+    /// settled table layout, quiesces the store. Holds the writer lock
+    /// while it waits.
+    pub fn quiesce_maintenance(&self) -> StoreResult<()> {
         self.lock().wait_for_compactions()
-    }
-
-    fn maintenance_depth(&self) -> usize {
-        self.lock().compaction_queue_depth()
-    }
-}
-
-impl TrajectoryStore for SharedLsm {
-    fn scan_snapshot(&self, t: Time) -> StoreResult<Vec<ObjPos>> {
-        self.lock().scan_snapshot(t)
-    }
-
-    fn scan_snapshot_into(&self, t: Time, out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        self.lock().scan_snapshot_into(t, out)
-    }
-
-    fn multi_get(&self, t: Time, oids: &[Oid]) -> StoreResult<Vec<ObjPos>> {
-        self.lock().multi_get(t, oids)
-    }
-
-    fn point_get(&self, t: Time, oid: Oid) -> StoreResult<Option<ObjPos>> {
-        self.lock().point_get(t, oid)
-    }
-
-    fn reset_io_stats(&self) {
-        self.lock().reset_io_stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SnapshotSource, TrajectoryStore};
+    use k2_model::Time;
 
     #[test]
     fn shared_handle_is_send_sync_clone() {
@@ -227,7 +179,7 @@ mod tests {
         assert_eq!(pin.scan_snapshot(0).unwrap().len(), 64);
         assert!(pin.scan_snapshot(1).unwrap().is_empty());
         // The store sees everything.
-        assert_eq!(shared.num_points(), 64 + 4 * 256);
+        assert_eq!(shared.lock().num_points(), 64 + 4 * 256);
         drop(pin);
         assert_eq!(shared.live_pins(), 0);
         let _ = std::fs::remove_dir_all(&dir);

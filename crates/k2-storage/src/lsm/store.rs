@@ -7,7 +7,8 @@ use super::compaction::{
 };
 use super::manifest::{sync_dir, Manifest, ManifestRecord};
 use super::pin::{LsmState, StorePin};
-use super::sstable::{BlockCache, SsTableIter, SsTableReader, SsTableWriter};
+use super::read::{MergeIter, ReadView};
+use super::sstable::{BlockCache, SsTableReader, SsTableWriter};
 use super::wal::{replay_wal, WalSyncPolicy, WalWriter};
 use crate::iostats::IoCounters;
 use crate::keys::VAL_SIZE;
@@ -681,11 +682,6 @@ impl LsmStore {
         self.run_inline(range)
     }
 
-    /// Alias of [`Self::compact_blocking`], kept for the original API.
-    pub fn compact(&mut self) -> StoreResult<()> {
-        self.compact_blocking()
-    }
-
     /// Drives compaction to its policy steady state and blocks until no
     /// work remains: any in-flight background job is waited out and
     /// applied, and the controller is re-consulted until it picks
@@ -919,62 +915,15 @@ impl LsmStore {
         &self.dir
     }
 
-    /// Newest version of one key: active memtable first, then frozen
-    /// generations (newest first), then the SSTables. `multi_get_into`
-    /// takes the same steps but replaces the active-memtable point-get
-    /// with a batch range cursor — keep any change to lookup semantics
-    /// in these helpers.
-    fn get_raw(&self, key: u64) -> StoreResult<Option<[u8; VAL_SIZE]>> {
-        if let Some(v) = self.active.get(&key) {
-            return Ok(Some(*v));
+    /// The store's own read view: the writer-private active memtable on
+    /// top of what the published state holds.
+    fn view(&self) -> ReadView<'_> {
+        ReadView {
+            active: Some(&self.active),
+            frozen: &self.frozen,
+            tables: &self.tables,
+            io: &self.io,
         }
-        if let Some(v) = self.get_frozen(key) {
-            return Ok(Some(v));
-        }
-        self.get_from_tables(key)
-    }
-
-    /// Newest version of one key among the frozen generations (newest
-    /// to oldest), ignoring the active memtable and the SSTables.
-    fn get_frozen(&self, key: u64) -> Option<[u8; VAL_SIZE]> {
-        self.frozen
-            .iter()
-            .rev()
-            .find_map(|generation| generation.get(&key).copied())
-    }
-
-    /// Newest version of one key among the SSTables (newest to oldest),
-    /// ignoring the memtables.
-    fn get_from_tables(&self, key: u64) -> StoreResult<Option<[u8; VAL_SIZE]>> {
-        for table in self.tables.iter().rev() {
-            if let Some(v) = table.get(key)? {
-                return Ok(Some(v));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Merged range scan over `[lo, hi]`, newest version winning; each
-    /// entry is fed to `visit` straight off the merge (no intermediate
-    /// entry buffer, so callers can decode into their own storage).
-    fn scan_merged_with(
-        &self,
-        lo: u64,
-        hi: u64,
-        mut visit: impl FnMut(u64, [u8; VAL_SIZE]),
-    ) -> StoreResult<()> {
-        let mut merge = MergeIter::over_tables(&self.tables, lo, &self.io)?;
-        for generation in &self.frozen {
-            merge.add_mem(generation.range(lo..=hi));
-        }
-        merge.add_mem(self.active.range(lo..=hi));
-        while let Some((k, v)) = merge.next()? {
-            if k > hi {
-                break;
-            }
-            visit(k, v);
-        }
-        Ok(())
     }
 }
 
@@ -991,16 +940,6 @@ impl Drop for LsmStore {
     }
 }
 
-/// K-way merging cursor over SSTable iterators plus any number of
-/// memtable ranges. Sources are ranked by recency (higher = newer); for
-/// duplicate keys only the newest version is emitted. Tables rank below
-/// every memtable range; memtable ranges rank in the order they are
-/// added (add frozen generations oldest first, the active memtable
-/// last). Shared with the compaction module, whose merges rank inputs
-/// the same way, and with [`StorePin`]'s snapshot scans.
-type Entry = (u64, [u8; VAL_SIZE]);
-type MemRange<'a> = std::collections::btree_map::Range<'a, u64, [u8; VAL_SIZE]>;
-
 fn controller_of(config: &LsmConfig) -> CompactionController {
     CompactionController::new(
         config.compaction,
@@ -1008,99 +947,6 @@ fn controller_of(config: &LsmConfig) -> CompactionController {
         config.tier_size_ratio,
         config.tier_min_merge,
     )
-}
-
-pub(crate) struct MergeIter<'a> {
-    /// `(rank, head, cursor)` per table, ranks `0..tables.len()`.
-    tables: Vec<(usize, Option<Entry>, SsTableIter<'a>)>,
-    /// `(rank, cursor, head)` per memtable range, ranks continuing
-    /// upward in add order.
-    mems: Vec<(usize, MemRange<'a>, Option<Entry>)>,
-    next_rank: usize,
-}
-
-impl<'a> MergeIter<'a> {
-    /// Cursor over `tables` (oldest first) starting at `from`, with
-    /// block fetches accounted into `io`.
-    pub(crate) fn over_tables(
-        tables: &'a [Arc<SsTableReader>],
-        from: u64,
-        io: &'a IoCounters,
-    ) -> StoreResult<Self> {
-        let mut v = Vec::with_capacity(tables.len());
-        for (rank, t) in tables.iter().enumerate() {
-            let mut it = t.iter_from_with(from, io);
-            let head = it.next()?;
-            v.push((rank, head, it));
-        }
-        Ok(Self {
-            next_rank: tables.len(),
-            tables: v,
-            mems: Vec::new(),
-        })
-    }
-
-    /// Cursor over whole memtables alone, oldest first.
-    pub(crate) fn over_memtables(generations: impl Iterator<Item = &'a Memtable>) -> Self {
-        let mut merge = Self {
-            tables: Vec::new(),
-            mems: Vec::new(),
-            next_rank: 0,
-        };
-        for generation in generations {
-            merge.add_mem(generation.range(..));
-        }
-        merge
-    }
-
-    /// Adds a memtable range outranking the tables and every range
-    /// added before it.
-    pub(crate) fn add_mem(&mut self, mut range: MemRange<'a>) {
-        let head = range.next().map(|(&k, v)| (k, *v));
-        let rank = self.next_rank;
-        self.next_rank += 1;
-        self.mems.push((rank, range, head));
-    }
-
-    pub(crate) fn next(&mut self) -> StoreResult<Option<Entry>> {
-        // Minimum key across all heads.
-        let mut min_key: Option<u64> = None;
-        for (_, head, _) in &self.tables {
-            if let Some((k, _)) = head {
-                min_key = Some(min_key.map_or(*k, |m: u64| m.min(*k)));
-            }
-        }
-        for (_, _, head) in &self.mems {
-            if let Some((k, _)) = head {
-                min_key = Some(min_key.map_or(*k, |m: u64| m.min(*k)));
-            }
-        }
-        let Some(key) = min_key else {
-            return Ok(None);
-        };
-        // Newest version wins: every source holding the key advances,
-        // the highest rank keeps the value.
-        let mut best: Option<(usize, [u8; VAL_SIZE])> = None;
-        for (rank, head, it) in &mut self.tables {
-            if head.map(|(k, _)| k) == Some(key) {
-                let (_, v) = head.expect("checked above");
-                if best.is_none_or(|(r, _)| *rank > r) {
-                    best = Some((*rank, v));
-                }
-                *head = it.next()?;
-            }
-        }
-        for (rank, range, head) in &mut self.mems {
-            if head.map(|(k, _)| k) == Some(key) {
-                let (_, v) = head.expect("checked above");
-                if best.is_none_or(|(r, _)| *rank > r) {
-                    best = Some((*rank, v));
-                }
-                *head = range.next().map(|(&k, v)| (k, *v));
-            }
-        }
-        Ok(best.map(|(_, v)| (key, v)))
-    }
 }
 
 impl SnapshotSource for LsmStore {
@@ -1112,11 +958,7 @@ impl SnapshotSource for LsmStore {
     }
 
     fn num_points(&self) -> u64 {
-        // Counts versions, not unique keys; exact for the append-only
-        // workloads of the experiments.
-        self.tables.iter().map(|t| t.num_entries()).sum::<u64>()
-            + self.frozen_entries as u64
-            + self.active.len() as u64
+        self.view().num_points()
     }
 
     fn scan_snapshot_ref<'a>(
@@ -1124,49 +966,12 @@ impl SnapshotSource for LsmStore {
         t: Time,
         buf: &'a mut Vec<ObjPos>,
     ) -> StoreResult<SnapshotRef<'a>> {
-        // Disk engine: records are decoded into the caller's reused
-        // buffer (one copy, no fresh allocation per scan).
-        self.scan_snapshot_into(t, buf)?;
+        self.view().scan_snapshot_into(t, buf)?;
         Ok(SnapshotRef::Buffered(buf))
     }
 
     fn multi_get_into(&self, t: Time, oids: &[Oid], out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        debug_assert!(oids.windows(2).all(|w| w[0] < w[1]));
-        // §5.2: "for fetching the data for HWMT, a point query is issued
-        // for each (timestamp, oid) pair." Each probe goes straight from
-        // the memtable / SSTable blocks into the caller's buffer — the
-        // k/2-hop probe loops call this thousands of times on tiny
-        // candidate sets, and the default `multi_get` delegation was the
-        // last per-probe allocation on this engine.
-        //
-        // The batch's keys ascend (fixed `t`, sorted oids), so the
-        // active-memtable side is one ordered range cursor walked in
-        // step with the oids instead of a `log n` tree descent per oid;
-        // only keys it does not hold fall through to the frozen
-        // generations and SSTables.
-        out.clear();
-        if oids.is_empty() {
-            return Ok(());
-        }
-        self.io.add_point_queries(oids.len() as u64);
-        let lo = key_of(t, oids[0]);
-        let hi = key_of(t, *oids.last().expect("non-empty"));
-        let mut mem = self.active.range(lo..=hi).peekable();
-        for &oid in oids {
-            let key = key_of(t, oid);
-            while mem.next_if(|&(&k, _)| k < key).is_some() {}
-            if let Some((_, v)) = mem.next_if(|&(&k, _)| k == key) {
-                let (x, y) = val_parts(v);
-                out.push(ObjPos::new(oid, x, y));
-            } else if let Some(v) = self.get_frozen(key) {
-                let (x, y) = val_parts(&v);
-                out.push(ObjPos::new(oid, x, y));
-            } else if let Some(v) = self.get_from_tables(key)? {
-                let (x, y) = val_parts(&v);
-                out.push(ObjPos::new(oid, x, y));
-            }
-        }
-        Ok(())
+        self.view().multi_get_into(t, oids, out)
     }
 
     fn io_stats(&self) -> IoStats {
@@ -1176,45 +981,23 @@ impl SnapshotSource for LsmStore {
     fn name(&self) -> &'static str {
         "k2-lsmt"
     }
-
-    fn maintenance_depth(&self) -> usize {
-        self.compaction_queue_depth()
-    }
 }
 
 impl TrajectoryStore for LsmStore {
     fn scan_snapshot(&self, t: Time) -> StoreResult<Vec<ObjPos>> {
-        let mut out = Vec::new();
-        self.scan_snapshot_into(t, &mut out)?;
-        Ok(out)
+        self.view().scan_snapshot(t)
     }
 
     fn scan_snapshot_into(&self, t: Time, out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        self.io.add_range_query();
-        self.io.add_snapshot_copied();
-        // Merged entries decode straight into the caller's buffer — no
-        // intermediate entry vector, no per-scan allocation.
-        out.clear();
-        self.scan_merged_with(key_of(t, 0), key_of(t, Oid::MAX), |k, v| {
-            let (_, oid) = key_parts(k);
-            let (x, y) = val_parts(&v);
-            out.push(ObjPos::new(oid, x, y));
-        })?;
-        Ok(())
+        self.view().scan_snapshot_into(t, out)
     }
 
     fn multi_get(&self, t: Time, oids: &[Oid]) -> StoreResult<Vec<ObjPos>> {
-        let mut out = Vec::with_capacity(oids.len());
-        self.multi_get_into(t, oids, &mut out)?;
-        Ok(out)
+        self.view().multi_get(t, oids)
     }
 
     fn point_get(&self, t: Time, oid: Oid) -> StoreResult<Option<ObjPos>> {
-        self.io.add_point_query();
-        Ok(self.get_raw(key_of(t, oid))?.map(|v| {
-            let (x, y) = val_parts(&v);
-            ObjPos::new(oid, x, y)
-        }))
+        self.view().point_get(t, oid)
     }
 
     fn reset_io_stats(&self) {
@@ -1302,7 +1085,7 @@ mod tests {
         };
         let mut store = LsmStore::bulk_load_with(tmpdir("explicit"), &d, config).unwrap();
         assert!(store.num_tables() > 1);
-        store.compact().unwrap();
+        store.compact_blocking().unwrap();
         assert_eq!(store.num_tables(), 1);
         conformance(&store, &d);
     }
@@ -1475,7 +1258,7 @@ mod tests {
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].x, 9.0);
         // And compaction collapses to the newest version.
-        store.compact().unwrap();
+        store.compact_blocking().unwrap();
         assert_eq!(store.point_get(5, 1).unwrap().unwrap().x, 9.0);
     }
 
@@ -1520,7 +1303,7 @@ mod tests {
         }
         store.flush().unwrap();
         store.insert(Point::new(99, 9.0, 9.0, 1)).unwrap();
-        store.compact().unwrap();
+        store.compact_blocking().unwrap();
         assert_eq!(pin.scan_snapshot(0).unwrap().len(), 10);
         assert!(pin.scan_snapshot(1).unwrap().is_empty());
         assert_eq!(store.scan_snapshot(0).unwrap().len(), 30);
@@ -1564,7 +1347,7 @@ mod tests {
                 store.flush().unwrap();
             }
         }
-        store.compact().unwrap();
+        store.compact_blocking().unwrap();
         assert_eq!(store.num_tables(), 1);
         // The pinned inputs were unlinked by the compaction…
         for seq in &pinned_tables {

@@ -92,9 +92,7 @@ pub use session::{MiningSession, PatternKind};
 pub mod prelude {
     pub use crate::session::{MiningSession, PatternKind};
     pub use k2_cluster::{dbscan, DbscanParams};
-    pub use k2_core::{
-        ConvoyMiner, K2Config, K2Hop, MineError, MineOutcome, MineStats, MiningResult,
-    };
+    pub use k2_core::{ConvoyMiner, K2Config, K2Hop, MineError, MineOutcome, MineStats};
     pub use k2_model::{
         Convoy, ConvoySet, Dataset, DatasetBuilder, ObjPos, ObjectSet, Oid, Point, SetId, SetPool,
         Snapshot, Time, TimeInterval,

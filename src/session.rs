@@ -3,16 +3,14 @@
 //!
 //! One session type fronts every engine ([`K2Hop`], [`K2HopParallel`],
 //! the baselines — anything implementing [`ConvoyMiner`]), every storage
-//! backend (all four engines plus bare [`Dataset`]s, via
-//! [`SnapshotSource`]), and every supported pattern kind
-//! ([`PatternKind`]). This is the API the examples, the CLI, and the
-//! bench harness are built on.
+//! backend (all four engines plus bare
+//! [`Dataset`](crate::model::Dataset)s, via [`SnapshotSource`]), and
+//! every supported pattern kind ([`PatternKind`]). This is the API the
+//! examples, the CLI, and the bench harness are built on.
 
-use crate::core::{ConvoyMiner, K2Config, K2Hop, MineError, MineOutcome, MineStats};
-use crate::model::{Dataset, ObjPos, Snapshot};
+use crate::core::{ConvoyMiner, K2Config, K2Hop, MineError, MineOutcome};
 use crate::patterns::{FlockConfig, FlockMiner};
 use crate::storage::SnapshotSource;
-use std::time::Instant;
 
 /// Which movement pattern a [`MiningSession`] mines.
 ///
@@ -29,7 +27,7 @@ pub enum PatternKind {
     Convoy,
     /// Disk-confined groups (radius `eps`) of ≥ `m` objects for ≥ `k`
     /// consecutive timestamps — mined with the k/2-hop-accelerated flock
-    /// miner from [`crate::patterns::flock`]; the session's `eps` is the
+    /// miner ([`FlockMiner::mine_source`]); the session's `eps` is the
     /// disk radius.
     Flock,
 }
@@ -62,7 +60,8 @@ pub enum PatternKind {
 /// * [`pattern`](Self::pattern) switches the pattern kind.
 ///
 /// [`mine`](Self::mine) accepts `&dyn SnapshotSource`: a bare
-/// [`Dataset`], [`InMemoryStore`](crate::storage::InMemoryStore), or
+/// [`Dataset`](crate::model::Dataset),
+/// [`InMemoryStore`](crate::storage::InMemoryStore), or
 /// any of the three disk engines.
 pub struct MiningSession {
     config: K2Config,
@@ -133,9 +132,8 @@ impl MiningSession {
     /// Runs the session against `source`.
     ///
     /// Deterministic for a fixed source and configuration; the
-    /// golden-output and API-parity suites pin that the default session
-    /// reproduces the legacy `K2Hop::mine` / `K2HopParallel::mine`
-    /// results byte for byte.
+    /// golden-output and API-parity suites pin the output byte for byte
+    /// across engines, storage backends and thread counts.
     pub fn mine(&self, source: &dyn SnapshotSource) -> Result<MineOutcome, MineError> {
         match self.pattern {
             PatternKind::Convoy => match &self.engine {
@@ -157,58 +155,11 @@ impl MiningSession {
                         pattern: "flock",
                     });
                 }
-                self.mine_flocks(source)
+                let cfg = FlockConfig::new(self.config.m, self.config.k, self.config.eps);
+                FlockMiner::new(cfg).mine_source(source)
             }
         }
     }
-
-    /// Flock mining: k/2-hop-accelerated, dataset-direct. Non-resident
-    /// sources are materialised through the snapshot scan path first
-    /// (flocks re-read whole snapshots, so there is no restriction to
-    /// hide behind).
-    fn mine_flocks(&self, source: &dyn SnapshotSource) -> Result<MineOutcome, MineError> {
-        let t0 = Instant::now();
-        let cfg = FlockConfig::new(self.config.m, self.config.k, self.config.eps);
-        let miner = FlockMiner::new(cfg);
-        let materialized;
-        let dataset = match source.as_dataset() {
-            Some(d) => d,
-            None => {
-                materialized = materialize(source)?;
-                &materialized
-            }
-        };
-        let convoys = miner.mine_hop(dataset);
-        // Pruning counters stay zero: the flock miner does not track its
-        // reads, and setting only `total_points` would make
-        // `pruning_ratio()` report a false 100%.
-        let mut stats = MineStats {
-            engine: "flock-k2hop",
-            threads: 1,
-            timings: Default::default(),
-            pruning: Default::default(),
-            prefetch: Default::default(),
-            grid: Default::default(),
-        };
-        stats.timings.hwmt = t0.elapsed();
-        Ok(MineOutcome {
-            convoys,
-            stats,
-            io: source.io_stats(),
-        })
-    }
-}
-
-/// Reads every snapshot of `source` into an owned [`Dataset`].
-fn materialize(source: &dyn SnapshotSource) -> Result<Dataset, MineError> {
-    let span = source.span();
-    let mut snapshots = Vec::with_capacity(span.len() as usize);
-    let mut buf: Vec<ObjPos> = Vec::new();
-    for t in span.iter() {
-        let positions = source.scan_snapshot_ref(t, &mut buf)?.positions().to_vec();
-        snapshots.push(Snapshot::from_sorted(positions));
-    }
-    Ok(Dataset::from_snapshots(span.start, snapshots))
 }
 
 #[cfg(test)]

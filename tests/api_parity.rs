@@ -1,14 +1,13 @@
-//! API parity: the unified `MiningSession`/`ConvoyMiner` surface must
-//! reproduce the legacy `K2Hop::mine` / `K2HopParallel::mine` results
-//! *byte for byte* — on the golden Brinkhoff/Trucks/T-Drive fixtures,
-//! across all four storage engines, at several thread counts.
+//! API parity: a `MiningSession` must reproduce the committed
+//! `tests/golden/*.golden` files *byte for byte* — on the golden
+//! Brinkhoff/Trucks/T-Drive fixtures, over a bare dataset and all four
+//! storage engines, with either engine, at several thread counts.
 //!
-//! Together with `tests/golden_convoys.rs` (which pins the legacy entry
-//! points against the committed `tests/golden/*.golden` files) this
-//! proves the deprecation shims are pure renames: old API == new API ==
-//! committed goldens.
-#![allow(deprecated)] // the point of this suite is old-vs-new equivalence
+//! `tests/golden_convoys.rs` pins the engines themselves against the
+//! same files; this suite pins the session front door and every
+//! storage backend behind it.
 
+use k2hop::core::benchpoints::benchmark_points;
 use k2hop::core::{ConvoyMiner, K2Config, K2Hop, K2HopParallel};
 use k2hop::datagen::brinkhoff::BrinkhoffConfig;
 use k2hop::datagen::tdrive::TDriveConfig;
@@ -84,24 +83,11 @@ fn golden(name: &str) -> String {
     })
 }
 
-/// For one fixture: legacy sequential == session(sequential) ==
-/// session(parallel) on every storage engine at ≥ 2 thread counts, and
-/// all of it byte-identical to the committed golden file.
+/// For one fixture: session(sequential) and session(parallel) on every
+/// storage engine at several thread counts, all of it byte-identical to
+/// the committed golden file.
 fn check_fixture(name: &str, dataset: Dataset, cfg: K2Config) {
-    // Legacy baselines (deprecated entry points).
     let store = InMemoryStore::new(dataset.clone());
-    let legacy_seq = K2Hop::with_threads(cfg, 1).mine(&store).unwrap().convoys;
-    let legacy_par = K2HopParallel::new(cfg, 4).mine(&dataset);
-    assert_eq!(
-        legacy_par, legacy_seq,
-        "{name}: legacy parallel vs sequential"
-    );
-    assert_eq!(
-        render(&legacy_seq),
-        golden(name),
-        "{name}: legacy output diverged from the committed golden file"
-    );
-
     let dir = std::env::temp_dir().join(format!("k2-api-parity-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -116,21 +102,33 @@ fn check_fixture(name: &str, dataset: Dataset, cfg: K2Config) {
         ("lsmt", &lsm),
     ];
 
-    // Temporal sharding is output-invariant: every shard count must
-    // reproduce the same golden bytes on every engine, and every
-    // non-resident engine must go through the bounded hop-window
-    // prefetch (observable in the counters).
-    for shards in [1usize, 2, 4] {
+    let windows = benchmark_points(dataset.span(), cfg.hop()).len() - 1;
+    for threads in [1usize, 2, 4] {
         for (engine_name, source) in engines {
+            // Sequential engine: every probe goes to the source.
             let outcome = MiningSession::new(cfg)
-                .engine(K2HopParallel::new(cfg, 4).with_shards(shards))
+                .threads(threads)
                 .mine(source)
                 .unwrap();
             assert_eq!(
                 render(&outcome.convoys),
                 golden(name),
-                "{name}: sharded output diverged from the golden file \
-                 ({engine_name}, {shards} shards)"
+                "{name}: session/k2hop diverged from the golden file \
+                 ({engine_name}, {threads} threads)"
+            );
+            // Parallel engine over the same source. Every non-resident
+            // engine must go through the bounded hop-window prefetch, in
+            // temporal shards of `threads` windows — so the thread count
+            // moves the shard boundaries, and the output may not notice.
+            let outcome = MiningSession::new(cfg)
+                .engine(K2HopParallel::new(cfg, threads))
+                .mine(source)
+                .unwrap();
+            assert_eq!(
+                render(&outcome.convoys),
+                golden(name),
+                "{name}: session/k2hop-parallel diverged from the golden file \
+                 ({engine_name}, {threads} threads)"
             );
             let p = outcome.stats.prefetch;
             if matches!(engine_name, "flat" | "rdbms" | "lsmt") {
@@ -138,7 +136,11 @@ fn check_fixture(name: &str, dataset: Dataset, cfg: K2Config) {
                     p.prefetch_bytes_peak > 0 && p.windows_fetched > 0,
                     "{name}: {engine_name} must prefetch through the slab path"
                 );
-                assert_eq!(p.shards, shards as u32, "{name}: {engine_name}");
+                assert_eq!(
+                    p.shards as usize,
+                    windows.div_ceil(threads),
+                    "{name}: {engine_name}"
+                );
             } else {
                 assert_eq!(
                     p,
@@ -146,35 +148,6 @@ fn check_fixture(name: &str, dataset: Dataset, cfg: K2Config) {
                     "{name}: resident {engine_name} must not prefetch"
                 );
             }
-        }
-    }
-
-    for threads in [1usize, 4] {
-        for (engine_name, source) in engines {
-            // New API, sequential engine.
-            let outcome = MiningSession::new(cfg)
-                .threads(threads)
-                .mine(source)
-                .unwrap();
-            assert_eq!(
-                outcome.convoys, legacy_seq,
-                "{name}: session/k2hop on {engine_name} at {threads} threads"
-            );
-            // New API, parallel engine over the same source.
-            let outcome = MiningSession::new(cfg)
-                .engine(K2HopParallel::new(cfg, threads))
-                .mine(source)
-                .unwrap();
-            assert_eq!(
-                outcome.convoys, legacy_seq,
-                "{name}: session/k2hop-parallel on {engine_name} at {threads} threads"
-            );
-            assert_eq!(
-                render(&outcome.convoys),
-                golden(name),
-                "{name}: new-API output diverged from the golden file \
-                 ({engine_name}, {threads} threads)"
-            );
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -209,7 +182,9 @@ fn dyn_miners_over_dyn_sources() {
         Box::new(K2HopParallel::new(cfg, 2)),
     ];
     let sources: [&dyn SnapshotSource; 2] = [&dataset, &store];
-    let expect = K2Hop::with_threads(cfg, 1).mine(&store).unwrap().convoys;
+    let expect = ConvoyMiner::mine(&K2Hop::with_threads(cfg, 1), &store)
+        .unwrap()
+        .convoys;
     for miner in &miners {
         for source in sources {
             let outcome = miner.mine(source).unwrap();

@@ -5,9 +5,13 @@
 //! lat/lon degree coordinates, which also pin the geo-scale CSR grid
 //! path) — are mined end to end and the *full* sorted convoy output is
 //! asserted against committed expectations under `tests/golden/`. Both
-//! the sequential miner (at several worker counts) and the parallel miner
-//! must reproduce the files bit for bit, so a future refactor cannot
-//! silently change mining results and still pass CI.
+//! engines — `K2Hop` probing the source point by point, `K2HopParallel`
+//! over the resident dataset and over prefetched hop-window slabs — must
+//! reproduce the files bit for bit at several worker counts, so a future
+//! refactor cannot silently change mining results and still pass CI.
+//! The fetch work behind the output is pinned too: the points each phase
+//! reads and the queries the store sees are fixed per fixture, and every
+//! engine accounts them through the same counters.
 //!
 //! To regenerate after an *intentional* semantic change:
 //!
@@ -18,50 +22,15 @@
 //! and commit the diff under `tests/golden/` together with the change
 //! that explains it.
 
-// The deprecated `K2Hop::mine` / `K2HopParallel::mine` shims are called
-// deliberately: this suite pins the legacy entry points against the
-// committed golden files, while `tests/api_parity.rs` pins the new
-// `MiningSession`/`ConvoyMiner` API against the same files — together
-// they prove old-vs-new equivalence.
-#![allow(deprecated)]
-
-use k2hop::core::{ConvoyMiner, K2Config, K2Hop, K2HopParallel};
+use k2hop::core::benchpoints::benchmark_points;
+use k2hop::core::{ConvoyMiner, K2Config, K2Hop, K2HopParallel, PrefetchStats, PruningStats};
 use k2hop::datagen::brinkhoff::BrinkhoffConfig;
 use k2hop::datagen::tdrive::TDriveConfig;
 use k2hop::datagen::trucks::TrucksConfig;
-use k2hop::model::{Convoy, Dataset, ObjPos, Oid, Time, TimeInterval};
-use k2hop::storage::{InMemoryStore, IoStats, SnapshotRef, SnapshotSource, StoreResult};
+use k2hop::model::{Convoy, Dataset, ObjPos, Time};
+use k2hop::storage::{InMemoryStore, TimeRange};
 use std::fmt::Write as _;
 use std::path::PathBuf;
-
-/// Hides the resident dataset so the miner takes the store path — the
-/// bounded hop-window slab prefetch — without any disk I/O in the loop.
-struct OpaqueSource(InMemoryStore);
-
-impl SnapshotSource for OpaqueSource {
-    fn span(&self) -> TimeInterval {
-        self.0.span()
-    }
-    fn num_points(&self) -> u64 {
-        self.0.num_points()
-    }
-    fn scan_snapshot_ref<'a>(
-        &self,
-        t: Time,
-        buf: &'a mut Vec<ObjPos>,
-    ) -> StoreResult<SnapshotRef<'a>> {
-        self.0.scan_snapshot_ref(t, buf)
-    }
-    fn multi_get_into(&self, t: Time, oids: &[Oid], out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        self.0.multi_get_into(t, oids, out)
-    }
-    fn io_stats(&self) -> IoStats {
-        self.0.io_stats()
-    }
-    fn name(&self) -> &'static str {
-        "opaque"
-    }
-}
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -83,15 +52,44 @@ fn render(convoys: &[Convoy]) -> String {
     s
 }
 
+/// The fetch work of one fixture under `K2Hop::with_threads(cfg, 1)` over
+/// a fresh `InMemoryStore` — the path every benchmark workload runs.
+struct FetchWork {
+    /// `(benchmark_points, hwmt_points, extend_points, validation_points)`.
+    points: (u64, u64, u64, u64),
+    /// `(point_queries, range_queries)` the store counted.
+    queries: (u64, u64),
+    /// `hwmt_points` when the hop-windows are prefetched as slabs (each
+    /// fetches its whole candidate union) instead of probed one by one.
+    slab_hwmt_points: u64,
+}
+
 /// Mines `dataset` with the sequential miner at several worker counts and
-/// the parallel miner at several worker counts, asserts they all agree,
-/// and diffs the canonical output against `tests/golden/<name>.golden`.
-fn golden_check(name: &str, dataset: Dataset, cfg: K2Config) {
+/// the parallel miner at several worker counts, asserts they all agree —
+/// on the convoys and on the work they account — and diffs the canonical
+/// output against `tests/golden/<name>.golden`.
+fn golden_check(name: &str, dataset: Dataset, cfg: K2Config, work: FetchWork) {
     let store = InMemoryStore::new(dataset.clone());
-    let sequential = K2Hop::with_threads(cfg, 1)
+    let outcome = K2Hop::with_threads(cfg, 1)
         .mine(&store)
-        .expect("in-memory mining cannot fail")
-        .convoys;
+        .expect("in-memory mining cannot fail");
+    let pruning = outcome.stats.pruning;
+    assert_eq!(
+        (
+            pruning.benchmark_points,
+            pruning.hwmt_points,
+            pruning.extend_points,
+            pruning.validation_points
+        ),
+        work.points,
+        "{name}: points fetched per phase"
+    );
+    assert_eq!(
+        (outcome.io.point_queries, outcome.io.range_queries),
+        work.queries,
+        "{name}: queries the store saw"
+    );
+    let sequential = outcome.convoys;
     assert!(
         !sequential.is_empty(),
         "{name}: golden workload must contain convoys"
@@ -99,27 +97,66 @@ fn golden_check(name: &str, dataset: Dataset, cfg: K2Config) {
     for threads in [2usize, 5] {
         let got = K2Hop::with_threads(cfg, threads)
             .mine(&store)
-            .expect("in-memory mining cannot fail")
-            .convoys;
-        assert_eq!(got, sequential, "{name}: K2Hop with {threads} threads");
-    }
-    for threads in [1usize, 4] {
-        let got = K2HopParallel::new(cfg, threads).mine(&dataset);
+            .expect("in-memory mining cannot fail");
         assert_eq!(
-            got, sequential,
-            "{name}: K2HopParallel with {threads} threads"
+            got.convoys, sequential,
+            "{name}: K2Hop with {threads} threads"
+        );
+        assert_eq!(
+            got.stats.pruning, pruning,
+            "{name}: K2Hop {threads} threads"
         );
     }
-    // The bounded hop-window prefetch with temporal sharding must
-    // reproduce the same bytes at every shard count.
-    let opaque = OpaqueSource(InMemoryStore::new(dataset.clone()));
-    for shards in [1usize, 2, 4] {
-        let got = ConvoyMiner::mine(&K2HopParallel::new(cfg, 4).with_shards(shards), &opaque)
-            .expect("opaque in-memory mining cannot fail")
-            .convoys;
+    // Over the resident dataset the parallel engine issues the same
+    // probes and must account them the same way.
+    for threads in [1usize, 4] {
+        let got = K2HopParallel::new(cfg, threads)
+            .mine(&dataset)
+            .expect("dataset mining cannot fail");
         assert_eq!(
-            got, sequential,
-            "{name}: K2HopParallel store path with {shards} shards"
+            got.convoys, sequential,
+            "{name}: K2HopParallel with {threads} threads"
+        );
+        assert_eq!(
+            got.stats.pruning, pruning,
+            "{name}: K2HopParallel {threads} threads"
+        );
+        assert_eq!(got.stats.prefetch, PrefetchStats::default(), "{name}");
+    }
+    // The bounded hop-window prefetch must reproduce the same bytes
+    // wherever the shard boundaries fall: a temporal shard is `threads`
+    // windows, so the thread count moves them. Only HWMT's fetch differs
+    // from the per-probe run.
+    // (A full-range clamp hides the resident dataset, so the miner takes
+    // the slab path without any disk I/O in the loop.)
+    let opaque = TimeRange::new(InMemoryStore::new(dataset.clone()), 0, Time::MAX);
+    let windows = benchmark_points(dataset.span(), cfg.hop()).len() - 1;
+    let max_objects = dataset.iter().map(|(_, s)| s.len()).max().unwrap_or(0);
+    for threads in [1usize, 2, 4] {
+        let got = K2HopParallel::new(cfg, threads)
+            .mine(&opaque)
+            .expect("opaque in-memory mining cannot fail");
+        assert_eq!(
+            got.convoys, sequential,
+            "{name}: K2HopParallel slab path with {threads} threads"
+        );
+        assert_eq!(
+            got.stats.pruning,
+            PruningStats {
+                hwmt_points: work.slab_hwmt_points,
+                ..pruning
+            },
+            "{name}: slab path with {threads} threads"
+        );
+        let p = got.stats.prefetch;
+        assert_eq!(p.shards as usize, windows.div_ceil(threads), "{name}");
+        // O(window x threads): a shard holds at most `threads` windows
+        // of fewer than `hop` open timestamps each.
+        let bound = threads * cfg.hop() as usize * max_objects * std::mem::size_of::<ObjPos>();
+        assert!(
+            p.prefetch_bytes_peak > 0 && p.prefetch_bytes_peak <= bound as u64,
+            "{name}: peak {} outside (0, {bound}] at {threads} threads",
+            p.prefetch_bytes_peak
         );
     }
 
@@ -157,7 +194,16 @@ fn brinkhoff_golden() {
     }
     .seed(42)
     .generate();
-    golden_check("brinkhoff", dataset, K2Config::new(2, 20, 600.0).unwrap());
+    golden_check(
+        "brinkhoff",
+        dataset,
+        K2Config::new(2, 20, 600.0).unwrap(),
+        FetchWork {
+            points: (935, 452, 350, 678),
+            queries: (1486, 12),
+            slab_hwmt_points: 468,
+        },
+    );
 }
 
 #[test]
@@ -173,7 +219,16 @@ fn trucks_golden() {
     }
     .seed(5)
     .generate();
-    golden_check("trucks", dataset, K2Config::new(2, 30, 6.0e-4).unwrap());
+    golden_check(
+        "trucks",
+        dataset,
+        K2Config::new(2, 30, 6.0e-4).unwrap(),
+        FetchWork {
+            points: (554, 2096, 80, 2292),
+            queries: (4479, 53),
+            slab_hwmt_points: 2282,
+        },
+    );
 }
 
 #[test]
@@ -187,5 +242,14 @@ fn tdrive_golden() {
     }
     .seed(3)
     .generate();
-    golden_check("tdrive", dataset, K2Config::new(2, 30, 2.0e-4).unwrap());
+    golden_check(
+        "tdrive",
+        dataset,
+        K2Config::new(2, 30, 2.0e-4).unwrap(),
+        FetchWork {
+            points: (360, 392, 262, 668),
+            queries: (1322, 6),
+            slab_hwmt_points: 392,
+        },
+    );
 }

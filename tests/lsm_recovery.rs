@@ -325,7 +325,7 @@ fn kill_after_compaction_commit_sweeps_stale_inputs() {
                 (p, bytes)
             })
             .collect();
-        store.compact().unwrap();
+        store.compact_blocking().unwrap();
         assert_eq!(store.num_tables(), 1);
     }
     for (path, bytes) in &stale {

@@ -137,6 +137,101 @@ proptest! {
 /// before a batch of inserts + flush + compaction returns byte-identical
 /// output to the pre-ingest golden, while the same request re-issued
 /// after the swap sees the new data.
+/// `LsmStore` and `StorePin` read through one view: the same contents —
+/// two SSTables, two frozen generations, overwrites at every level —
+/// must read the same through either *and* cost the same, with the
+/// block cache on or off (block accesses are compared as hits + misses:
+/// whoever reads second finds the shared cache warm).
+#[test]
+fn store_and_pin_read_alike_and_cost_alike() {
+    for cache_blocks in [0usize, 256] {
+        let dir = tmp("readview", cache_blocks as u64);
+        let config = LsmConfig {
+            cache_blocks,
+            wal: false,
+            background_compaction: false,
+            ..LsmConfig::default()
+        };
+        let mut store = LsmStore::create_with(dir.join("lsm"), config).unwrap();
+        // Version `v` writes x = v, so a read shows which layer won.
+        let put = |store: &mut LsmStore, v: u32, ts: std::ops::Range<u32>, oids: &[u32]| {
+            for t in ts {
+                for &oid in oids {
+                    store
+                        .insert(Point::new(oid, f64::from(v), f64::from(t), t))
+                        .unwrap();
+                }
+            }
+        };
+        let every = |step: usize| (0..300u32).step_by(step).collect::<Vec<_>>();
+        put(&mut store, 1, 0..6, &every(1));
+        store.flush().unwrap();
+        put(&mut store, 2, 0..6, &every(3));
+        store.flush().unwrap();
+        put(
+            &mut store,
+            3,
+            2..5,
+            &[every(5), (300..320).collect()].concat(),
+        );
+        let first = store.pin_snapshot().unwrap();
+        put(&mut store, 4, 3..7, &every(7));
+        let pin = store.pin_snapshot().unwrap();
+        assert_eq!(store.num_tables(), 2);
+        assert_eq!(pin.version(), first.version() + 1, "a second generation");
+        assert_eq!(store.num_points(), pin.num_points());
+
+        let probe: Vec<u32> = (0..330u32).step_by(2).chain([1000]).collect();
+        type Read<'a> = Box<dyn Fn(&dyn TrajectoryStore) -> Vec<k2hop::model::ObjPos> + 'a>;
+        let mut reads: Vec<(String, Read<'_>)> = Vec::new();
+        for t in 0..8u32 {
+            reads.push((
+                format!("scan_snapshot({t})"),
+                Box::new(move |s| s.scan_snapshot(t).unwrap()),
+            ));
+            let probe = &probe;
+            reads.push((
+                format!("multi_get({t})"),
+                Box::new(move |s| s.multi_get(t, probe).unwrap()),
+            ));
+            for oid in [0u32, 3, 5, 7, 105, 299, 310, 1000] {
+                reads.push((
+                    format!("point_get({t}, {oid})"),
+                    Box::new(move |s| s.point_get(t, oid).unwrap().into_iter().collect()),
+                ));
+            }
+        }
+        let mut winners = std::collections::BTreeSet::new();
+        for (what, read) in &reads {
+            let cost = |s: &dyn TrajectoryStore| {
+                s.reset_io_stats();
+                let got = read(s);
+                let io = s.io_stats();
+                let blocks = io.cache_hits + io.cache_misses;
+                (
+                    got,
+                    (
+                        io.point_queries,
+                        io.range_queries,
+                        blocks,
+                        io.bloom_negatives,
+                    ),
+                )
+            };
+            let (from_store, store_cost) = cost(&store);
+            let (from_pin, pin_cost) = cost(&pin);
+            assert_eq!(from_store, from_pin, "{what}, cache {cache_blocks}");
+            assert_eq!(store_cost, pin_cost, "{what}, cache {cache_blocks}");
+            winners.extend(from_pin.iter().map(|p| p.x as u32));
+        }
+        assert_eq!(
+            winners.into_iter().collect::<Vec<_>>(),
+            [1, 2, 3, 4],
+            "every layer must win somewhere"
+        );
+    }
+}
+
 #[test]
 fn pin_before_ingest_serves_the_past_reissue_serves_the_present() {
     let dir = tmp("acceptance", 0);

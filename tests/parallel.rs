@@ -84,22 +84,22 @@ fn parallel_mines_from_all_four_storage_engines() {
     for threads in [1usize, 4] {
         let miner = K2HopParallel::new(cfg, threads);
         assert_eq!(
-            miner.mine_store(&mem).unwrap().convoys,
+            ConvoyMiner::mine(&miner, &mem).unwrap().convoys,
             expect,
             "in-memory, {threads} threads"
         );
         assert_eq!(
-            miner.mine_store(&flat).unwrap().convoys,
+            ConvoyMiner::mine(&miner, &flat).unwrap().convoys,
             expect,
             "flat file, {threads} threads"
         );
         assert_eq!(
-            miner.mine_store(&btree).unwrap().convoys,
+            ConvoyMiner::mine(&miner, &btree).unwrap().convoys,
             expect,
             "b+tree, {threads} threads"
         );
         assert_eq!(
-            miner.mine_store(&lsm).unwrap().convoys,
+            ConvoyMiner::mine(&miner, &lsm).unwrap().convoys,
             expect,
             "lsm, {threads} threads"
         );

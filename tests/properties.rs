@@ -5,9 +5,9 @@ use k2hop::cluster::{
     dbscan, dbscan_reference_with, dbscan_with, dist2_filter_chunked, DbscanParams, GridIndex,
     GridScratch, GridState,
 };
-use k2hop::core::{ConvoyMiner, K2Config, K2Hop};
-use k2hop::model::{Dataset, ObjPos, ObjectSet, Point, TimeInterval};
-use k2hop::storage::InMemoryStore;
+use k2hop::core::{ConvoyMiner, K2Config, K2Hop, K2HopParallel};
+use k2hop::model::{Dataset, ObjPos, ObjectSet, Point, Time, TimeInterval};
+use k2hop::storage::{InMemoryStore, TimeRange};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -104,16 +104,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// k/2-hop equals the brute-force reference on arbitrary data — the
-    /// headline correctness claim of the reproduction.
+    /// headline correctness claim of the reproduction — whichever way the
+    /// hop-window probes are fetched: one by one from the source, from
+    /// the resident dataset on several workers, or from prefetched slabs.
     #[test]
     fn k2hop_equals_reference(d in dataset_strategy(), m in 2usize..4, k in 2u32..7) {
-        let store = InMemoryStore::new(d);
+        let store = InMemoryStore::new(d.clone());
         let eps = 1.0;
-        let k2 = ConvoyMiner::mine(&K2Hop::new(K2Config::new(m, k, eps).unwrap()), &store)
-            .unwrap()
-            .convoys;
+        let cfg = K2Config::new(m, k, eps).unwrap();
         let brute = reference::mine(&store, m, k, eps).unwrap().convoys;
-        prop_assert_eq!(k2, brute);
+        let k2 = ConvoyMiner::mine(&K2Hop::new(cfg), &store).unwrap().convoys;
+        prop_assert_eq!(&k2, &brute);
+        // A full-range clamp changes nothing but hides `as_dataset`, which
+        // sends the parallel engine down the slab path.
+        let opaque = TimeRange::new(InMemoryStore::new(d.clone()), 0, Time::MAX);
+        for threads in [1usize, 3] {
+            let parallel = K2HopParallel::new(cfg, threads);
+            let resident = ConvoyMiner::mine(&parallel, &d).unwrap().convoys;
+            prop_assert_eq!(&resident, &brute, "resident, {} threads", threads);
+            let slabs = ConvoyMiner::mine(&parallel, &opaque).unwrap();
+            prop_assert!(d.span().len() < k || slabs.stats.prefetch.shards > 0);
+            prop_assert_eq!(&slabs.convoys, &brute, "slabs, {} threads", threads);
+        }
     }
 
     /// DBSCAN output is a partition of a subset of the input: clusters are

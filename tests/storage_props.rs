@@ -134,7 +134,7 @@ proptest! {
         }
         let model = model_of(&points);
         check_against_model(&lsm, &model);
-        lsm.compact().unwrap();
+        lsm.compact_blocking().unwrap();
         check_against_model(&lsm, &model);
         // Reopen sees everything that was flushed; flush first so all is.
         lsm.flush().unwrap();
