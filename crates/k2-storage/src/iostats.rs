@@ -14,12 +14,18 @@ pub struct IoStats {
     pub seeks: u64,
     /// Fixed-size blocks/pages fetched from disk (cache misses).
     pub blocks_read: u64,
-    /// Block/page requests satisfied by a cache (buffer pool / block cache).
+    /// Block/page requests satisfied by a cache (buffer pool / block
+    /// cache). `cache_hits + cache_misses` is the number of block
+    /// requests. An LSM `multi_get` batch makes one per distinct block
+    /// it needs, not one per key: keys answered from the block already
+    /// in hand request nothing, so they are neither hits nor misses.
     pub cache_hits: u64,
     /// Block/page requests that had to go to disk because the cache did
-    /// not hold them (or caching is disabled). `cache_hits /
-    /// (cache_hits + cache_misses)` is the hit rate the ingest bench
-    /// reports.
+    /// not hold them (or caching is disabled); always equal to
+    /// `blocks_read`. `cache_hits / (cache_hits + cache_misses)` is the
+    /// hit rate the ingest bench reports — of block requests, so
+    /// batching away repeat requests of one block lowers it without a
+    /// single extra read.
     pub cache_misses: u64,
     /// Total bytes read from disk.
     pub bytes_read: u64,
@@ -27,7 +33,10 @@ pub struct IoStats {
     pub point_queries: u64,
     /// Range/snapshot scans served.
     pub range_queries: u64,
-    /// Point queries skipped by a bloom filter (LSM only).
+    /// Bloom filters that were consulted and answered "absent" (LSM
+    /// only). A table whose key fence excludes the key, and a batch key
+    /// answered from the block in hand, consult no filter and count
+    /// nothing here.
     pub bloom_negatives: u64,
     /// Snapshot scans served zero-copy, as shared views of resident
     /// storage (`scan_snapshot_ref` on an in-memory engine).

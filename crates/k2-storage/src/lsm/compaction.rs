@@ -167,7 +167,7 @@ pub(crate) fn run_job(
     let mut w = SsTableWriter::create(&path, total as usize, bloom_bits_per_key)?;
     let mut written: u64 = 0;
     {
-        let mut merge = MergeIter::over_tables(&readers, 0, &scratch_io)?;
+        let mut merge = MergeIter::over_tables(&readers, 0, u64::MAX, &scratch_io)?;
         while let Some((k, v)) = merge.next()? {
             w.put(k, &v)?;
             written += 1;

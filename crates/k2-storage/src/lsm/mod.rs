@@ -27,7 +27,15 @@
 //!   store over its own fields and by a [`StorePin`] over its pinned
 //!   state — that consults the memtables (active, then frozen
 //!   generations), then tables newest-first; range scans k-way-merge
-//!   all sources.
+//!   the sources,
+//! * a request only reaches the sources whose key range admits it:
+//!   every frozen generation and every SSTable carries a resident key
+//!   fence (first and last key), and a key, a sorted batch or a scan
+//!   range outside it skips the source for two integer compares. Within
+//!   an admitted table the lookup order is **fence → block in hand →
+//!   bloom filter → sparse index → block cache → disk**: the keys of a
+//!   sorted batch (`multi_get`) that fall in the block the previous key
+//!   used are answered from it, so a batch requests each block once.
 //!
 //! # MVCC state swap
 //!
@@ -52,9 +60,13 @@
 //! only through those pins.
 //!
 //! Opening a store runs recovery: fold the manifest (dropping a torn
-//! tail), delete orphaned files from crashed flushes/compactions, replay
-//! the live WAL tail into the memtable (truncating at the first torn or
-//! corrupt frame), and rebuild the time span from the surviving state.
+//! tail), delete orphaned files from crashed flushes/compactions, open
+//! the live tables (footer, every index row and the filter header are
+//! validated; a table that fails is [`StoreError::Corrupt`](crate::StoreError),
+//! never a panic or an allocation sized by its bytes), replay the live
+//! WAL tail into the memtable (truncating at the first torn or corrupt
+//! frame), and rebuild the time span from the tables' key fences and the
+//! memtable — no data block is read.
 //! The fault-injection suite (`tests/lsm_recovery.rs`) drives crashes at
 //! every one of those points and asserts recovered stores re-mine to
 //! byte-identical convoy output.
@@ -62,8 +74,8 @@
 //! Because the composite key is big-endian `(t, oid)`, "all data
 //! corresponding to a timestamp `t` is co-located \[and\] fetched with a
 //! single seek" — the property §5.2 credits for k2-LSMT's benchmark-point
-//! scan performance. Hop-window accesses are point queries accelerated by
-//! bloom filters.
+//! scan performance. Hop-window accesses are point queries, pruned by
+//! the key fences and bloom filters and batched per block.
 
 mod bloom;
 mod compaction;

@@ -9,9 +9,8 @@
 //! hold a lock while reading, and a writer never waits for a reader —
 //! the only shared point is the pointer swap itself.
 
-use super::read::ReadView;
+use super::read::{Frozen, ReadView};
 use super::sstable::SsTableReader;
-use super::store::Memtable;
 use crate::iostats::IoCounters;
 use crate::{IoStats, SnapshotRef, SnapshotSource, StoreResult, TrajectoryStore};
 use k2_model::{ObjPos, Oid, Time, TimeInterval};
@@ -27,7 +26,7 @@ pub(crate) struct LsmState {
     /// Frozen memtable generations, oldest first. The writer's active
     /// memtable is *not* here — it is frozen in when a batch ends, or
     /// at pin time after single inserts.
-    pub(crate) frozen: Vec<Arc<Memtable>>,
+    pub(crate) frozen: Vec<Arc<Frozen>>,
     /// Open SSTable readers, oldest first (index = recency rank).
     pub(crate) tables: Vec<Arc<SsTableReader>>,
     /// Sequence numbers of `tables`, same order.
@@ -50,7 +49,7 @@ impl LsmState {
     }
 
     pub(crate) fn new(
-        frozen: Vec<Arc<Memtable>>,
+        frozen: Vec<Arc<Frozen>>,
         tables: Vec<Arc<SsTableReader>>,
         table_seqs: Vec<u64>,
         span: Option<(Time, Time)>,

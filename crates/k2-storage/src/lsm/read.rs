@@ -9,14 +9,50 @@
 //! [`LsmStore`](super::LsmStore) builds one over its own fields,
 //! [`StorePin`](super::StorePin) over the `Arc<LsmState>` it holds (no
 //! active memtable, its own counters); nothing else reads the tree.
+//!
+//! A request only reaches the sources whose key range admits it. Every
+//! immutable source carries a key fence — a frozen generation's is
+//! recorded when it is frozen, an SSTable's is read at `open` — and a
+//! key, a batch or a scan range outside it skips the source at the cost
+//! of two integer compares. Inside an admitted SSTable the order is:
+//! block in hand (the block the batch's previous key used) → bloom
+//! filter → sparse index → block cache → disk, so a sorted batch
+//! requests each block it needs once.
 
-use super::sstable::{SsTableIter, SsTableReader};
+use super::sstable::{overlaps, BlockInHand, Fence, SsTableIter, SsTableReader};
 use super::store::{key_of, key_parts, val_parts, Memtable};
 use crate::iostats::IoCounters;
 use crate::keys::VAL_SIZE;
 use crate::StoreResult;
 use k2_model::{ObjPos, Oid, Time};
 use std::sync::Arc;
+
+/// One frozen memtable generation: the entries and their key fence,
+/// recorded once, when the generation becomes immutable.
+#[derive(Debug)]
+pub(crate) struct Frozen {
+    pub(crate) entries: Memtable,
+    fence: Fence,
+}
+
+impl Frozen {
+    /// Freezes a non-empty memtable.
+    pub(crate) fn new(entries: Memtable) -> Self {
+        let first = entries.first_key_value().map(|(&k, _)| k);
+        let last = entries.last_key_value().map(|(&k, _)| k);
+        Self {
+            fence: first
+                .zip(last)
+                .expect("only a non-empty memtable is frozen"),
+            entries,
+        }
+    }
+
+    /// Can the generation hold a key of `[lo, hi]`?
+    fn admits(&self, lo: u64, hi: u64) -> bool {
+        overlaps(self.fence, lo, hi)
+    }
+}
 
 /// Everything one reader sees, newest source first: `active`, then
 /// `frozen` from its last generation back, then `tables` from the last
@@ -26,7 +62,7 @@ pub(crate) struct ReadView<'a> {
     /// which holds only what was published.
     pub(crate) active: Option<&'a Memtable>,
     /// Frozen memtable generations, oldest first.
-    pub(crate) frozen: &'a [Arc<Memtable>],
+    pub(crate) frozen: &'a [Arc<Frozen>],
     /// Open SSTable readers, oldest first (index = recency rank).
     pub(crate) tables: &'a [Arc<SsTableReader>],
     /// Where this view's reads are accounted.
@@ -39,20 +75,25 @@ impl ReadView<'_> {
         if let Some(v) = self.active.and_then(|m| m.get(&key)) {
             return Ok(Some(*v));
         }
-        self.get_published(key)
+        self.get_published(key, &mut None)
     }
 
     /// Newest version of one key below the active memtable: frozen
-    /// generations newest to oldest, then SSTables newest to oldest
-    /// (bloom filter first, then one block through the shared cache).
-    fn get_published(&self, key: u64) -> StoreResult<Option<[u8; VAL_SIZE]>> {
-        for generation in self.frozen.iter().rev() {
-            if let Some(v) = generation.get(&key) {
+    /// generations newest to oldest, then SSTables newest to oldest,
+    /// asking only those whose fence admits the key. `hand` carries the
+    /// SSTable block in hand from one key of a sorted batch to the next.
+    fn get_published(
+        &self,
+        key: u64,
+        hand: &mut Option<BlockInHand>,
+    ) -> StoreResult<Option<[u8; VAL_SIZE]>> {
+        for generation in self.frozen.iter().rev().filter(|g| g.admits(key, key)) {
+            if let Some(v) = generation.entries.get(&key) {
                 return Ok(Some(*v));
             }
         }
-        for table in self.tables.iter().rev() {
-            if let Some(v) = table.get_with(key, self.io)? {
+        for table in self.tables.iter().rev().filter(|t| t.admits(key, key)) {
+            if let Some(v) = table.probe(key, hand, self.io)? {
                 return Ok(Some(v));
             }
         }
@@ -61,16 +102,17 @@ impl ReadView<'_> {
 
     /// Merged range scan over `[lo, hi]`, newest version winning; each
     /// entry is fed to `visit` straight off the merge (no intermediate
-    /// entry buffer, so callers can decode into their own storage).
+    /// entry buffer, so callers can decode into their own storage). Only
+    /// sources that can hold a key of the range join the merge.
     fn scan_merged_with(
         &self,
         lo: u64,
         hi: u64,
         mut visit: impl FnMut(u64, [u8; VAL_SIZE]),
     ) -> StoreResult<()> {
-        let mut merge = MergeIter::over_tables(self.tables, lo, self.io)?;
-        for generation in self.frozen {
-            merge.add_mem(generation.range(lo..=hi));
+        let mut merge = MergeIter::over_tables(self.tables, lo, hi, self.io)?;
+        for generation in self.frozen.iter().filter(|g| g.admits(lo, hi)) {
+            merge.add_mem(generation.entries.range(lo..=hi));
         }
         if let Some(active) = self.active {
             merge.add_mem(active.range(lo..=hi));
@@ -94,7 +136,8 @@ impl ReadView<'_> {
     /// active-memtable side is one ordered range cursor walked in step
     /// with the oids instead of a `log n` tree descent per oid; only
     /// keys it does not hold fall through to the frozen generations and
-    /// SSTables.
+    /// SSTables, where consecutive keys are answered from the one block
+    /// in hand for as long as they fall inside it.
     pub(crate) fn multi_get_into(
         &self,
         t: Time,
@@ -110,6 +153,7 @@ impl ReadView<'_> {
         let mut cursor = self
             .active
             .map(|m| m.range(key_of(t, first)..=key_of(t, last)).peekable());
+        let mut hand = None;
         for &oid in oids {
             let key = key_of(t, oid);
             let in_active = cursor.as_mut().and_then(|mem| {
@@ -118,7 +162,7 @@ impl ReadView<'_> {
             });
             let found = match in_active {
                 Some(v) => Some(v),
-                None => self.get_published(key)?,
+                None => self.get_published(key, &mut hand)?,
             };
             if let Some(v) = found {
                 let (x, y) = val_parts(&v);
@@ -168,8 +212,8 @@ impl ReadView<'_> {
     /// `SnapshotSource::num_points`. Counts versions, not unique keys;
     /// exact for the append-only workloads of the experiments.
     pub(crate) fn num_points(&self) -> u64 {
-        let buffered =
-            self.frozen.iter().map(|m| m.len()).sum::<usize>() + self.active.map_or(0, |m| m.len());
+        let buffered = self.frozen.iter().map(|m| m.entries.len()).sum::<usize>()
+            + self.active.map_or(0, |m| m.len());
         self.tables.iter().map(|t| t.num_entries()).sum::<u64>() + buffered as u64
     }
 }
@@ -194,15 +238,22 @@ pub(crate) struct MergeIter<'a> {
 }
 
 impl<'a> MergeIter<'a> {
-    /// Cursor over `tables` (oldest first) starting at `from`, with
-    /// block fetches accounted into `io`.
+    /// Cursor starting at `from` over those of `tables` (oldest first)
+    /// that can hold a key of `[from, to]`, with block fetches accounted
+    /// into `io`. A table's rank is its index in `tables` whether or not
+    /// its neighbours take part.
     pub(crate) fn over_tables(
         tables: &'a [Arc<SsTableReader>],
         from: u64,
+        to: u64,
         io: &'a IoCounters,
     ) -> StoreResult<Self> {
-        let mut v = Vec::with_capacity(tables.len());
-        for (rank, t) in tables.iter().enumerate() {
+        let mut v = Vec::new();
+        let admitted = tables
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.admits(from, to));
+        for (rank, t) in admitted {
             let mut it = t.iter_from_with(from, io);
             let head = it.next()?;
             v.push((rank, head, it));
@@ -228,12 +279,13 @@ impl<'a> MergeIter<'a> {
     }
 
     /// Adds a memtable range outranking the tables and every range
-    /// added before it.
+    /// added before it; an empty range adds nothing.
     pub(crate) fn add_mem(&mut self, mut range: MemRange<'a>) {
-        let head = range.next().map(|(&k, v)| (k, *v));
-        let rank = self.next_rank;
+        let Some((&k, v)) = range.next() else {
+            return;
+        };
+        self.mems.push((self.next_rank, range, Some((k, *v))));
         self.next_rank += 1;
-        self.mems.push((rank, range, head));
     }
 
     pub(crate) fn next(&mut self) -> StoreResult<Option<Entry>> {

@@ -14,6 +14,12 @@
 //!
 //! The sparse index and bloom filter are small and held in memory; data
 //! blocks are fetched through a shared [`BlockCache`].
+//!
+//! A lookup is decided as early as it can be: the table's key fence
+//! (its first and last key, resident) → the block a batch already has in
+//! hand → the bloom filter → the sparse index → the block cache → disk.
+//! The fence is the caller's check ([`SsTableReader::admits`]); the rest
+//! is [`SsTableReader::probe`], the one in-table lookup.
 
 use super::bloom::BloomFilter;
 use crate::iostats::IoCounters;
@@ -407,12 +413,63 @@ impl SsTableWriter {
     }
 }
 
+/// Inclusive `(first, last)` key range of a non-empty sorted source — an
+/// SSTable or a frozen memtable generation.
+pub(crate) type Fence = (u64, u64);
+
+/// Can a source fenced by `(first, last)` hold a key of `[lo, hi]`?
+#[inline]
+pub(crate) fn overlaps((first, last): Fence, lo: u64, hi: u64) -> bool {
+    first <= hi && lo <= last
+}
+
+/// The data block a batch's previous key was looked up in, kept across
+/// the batch's [`SsTableReader::probe`] calls.
+pub(crate) struct BlockInHand {
+    /// Id of the table the block belongs to.
+    table: u64,
+    /// Its block number there.
+    idx: usize,
+    block: Arc<[u8]>,
+    /// Where the previous key's search ended: no later (larger) key of
+    /// the batch lies before it.
+    pos: usize,
+}
+
+/// Entry `i` of a data block, `None` past its end.
+#[inline]
+fn entry_at(block: &[u8], i: usize) -> Option<(u64, [u8; VAL_SIZE])> {
+    let entry = block.get(i * ENTRY_SIZE..(i + 1) * ENTRY_SIZE)?;
+    let key = u64::from_be_bytes(entry[..8].try_into().expect("8"));
+    Some((key, entry[8..].try_into().expect("val")))
+}
+
+/// Index of the first entry of `block`, at or after entry `from`, whose
+/// key is `>= key` (the entry count if there is none): the one in-block
+/// search, shared by lookups and cursor positioning.
+fn lower_bound(block: &[u8], from: usize, key: u64) -> usize {
+    let (mut lo, mut hi) = (from, block.len() / ENTRY_SIZE);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        let at = mid * ENTRY_SIZE;
+        if u64::from_be_bytes(block[at..at + 8].try_into().expect("8")) < key {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 /// Reader over one immutable SSTable.
 #[derive(Debug)]
 pub struct SsTableReader {
     id: u64,
     file: File,
     index: Vec<(u64, u64, u32)>,
+    /// Key of the last entry (meaningless while `index` is empty); with
+    /// `index[0]`'s first key, the table's key fence.
+    last_key: u64,
     /// `None` on a scan-only reader, which answers every membership
     /// question with "maybe".
     bloom: Option<BloomFilter>,
@@ -487,17 +544,50 @@ impl SsTableReader {
         let mut region = &file;
         region.seek(SeekFrom::Start(index_off))?;
         let rows = (index_len / INDEX_ROW as u64) as usize;
-        let mut index = Vec::with_capacity(rows);
+        let mut index: Vec<(u64, u64, u32)> = Vec::with_capacity(rows);
         let mut chunk = [0u8; 256 * INDEX_ROW];
+        // The rows are input too, and every later read trusts them: the
+        // blocks must tile `[0, index_off)` in whole entries, none larger
+        // than a block, under strictly ascending first keys.
+        let (mut next_off, mut entries) = (0u64, 0u64);
         while index.len() < rows {
             let bytes = &mut chunk[..(rows - index.len()).min(256) * INDEX_ROW];
             region.read_exact(bytes)?;
-            index.extend(bytes.chunks_exact(INDEX_ROW).map(|row| {
+            for row in bytes.chunks_exact(INDEX_ROW) {
                 let first = u64::from_be_bytes(row[0..8].try_into().expect("8"));
                 let off = u64::from_le_bytes(row[8..16].try_into().expect("8"));
                 let blen = u32::from_le_bytes(row[16..20].try_into().expect("4"));
-                (first, off, blen)
-            }));
+                let whole = blen != 0 && (blen as usize).is_multiple_of(ENTRY_SIZE);
+                let ascending = index.last().is_none_or(|&(prev, _, _)| prev < first);
+                if !whole || blen as usize > BLOCK_SIZE || off != next_off || !ascending {
+                    return Err(StoreError::Corrupt(format!(
+                        "bad SSTable index row {}",
+                        index.len()
+                    )));
+                }
+                next_off += u64::from(blen);
+                entries += u64::from(blen) / ENTRY_SIZE as u64;
+                index.push((first, off, blen));
+            }
+        }
+        if next_off != index_off || entries != num_entries {
+            return Err(StoreError::Corrupt(
+                "SSTable index does not cover the data blocks".into(),
+            ));
+        }
+        // The upper key fence: the last entry's key, read once. Like the
+        // index and the filter it is metadata — not a block request, not
+        // cached, not counted.
+        let mut last_key = 0u64;
+        if let Some(&(first, off, blen)) = index.last() {
+            let mut key = [0u8; 8];
+            file.read_exact_at(&mut key, off + u64::from(blen) - ENTRY_SIZE as u64)?;
+            last_key = u64::from_be_bytes(key);
+            if last_key < first {
+                return Err(StoreError::Corrupt(
+                    "SSTable last key precedes its block".into(),
+                ));
+            }
         }
 
         let bloom = if load_bloom {
@@ -514,6 +604,7 @@ impl SsTableReader {
             id,
             file,
             index,
+            last_key,
             bloom,
             num_entries,
             cache,
@@ -536,19 +627,21 @@ impl SsTableReader {
         self.index.first().map(|&(first, _, _)| first)
     }
 
-    /// Largest key in the table (`None` for an empty table). Reads the
-    /// last data block; used by recovery to rebuild the store's time
-    /// span without a record-by-record scan.
-    pub fn max_key(&self) -> StoreResult<Option<u64>> {
-        let Some(last) = self.index.len().checked_sub(1) else {
-            return Ok(None);
-        };
-        let block = self.read_block(last)?;
-        let n = block.len() / ENTRY_SIZE;
-        let off = (n - 1) * ENTRY_SIZE;
-        Ok(Some(u64::from_be_bytes(
-            block[off..off + 8].try_into().expect("8"),
-        )))
+    /// Largest key in the table (`None` for an empty table). Resident
+    /// since `open`: no I/O.
+    pub fn max_key(&self) -> Option<u64> {
+        self.min_key().map(|_| self.last_key)
+    }
+
+    /// The table's key fence (`None` for an empty table).
+    pub(crate) fn fence(&self) -> Option<Fence> {
+        self.min_key().zip(self.max_key())
+    }
+
+    /// Can the table hold a key of `[lo, hi]`? Two integer compares; a
+    /// table that cannot is not asked anything else.
+    pub(crate) fn admits(&self, lo: u64, hi: u64) -> bool {
+        self.fence().is_some_and(|fence| overlaps(fence, lo, hi))
     }
 
     /// May `key` be present according to the bloom filter?
@@ -563,8 +656,14 @@ impl SsTableReader {
         pos.checked_sub(1)
     }
 
-    fn read_block(&self, block_idx: usize) -> StoreResult<Arc<[u8]>> {
-        self.read_block_with(block_idx, &self.io)
+    /// Is block `idx` the one [`block_for`](Self::block_for) names for
+    /// `key`, i.e. does `key` lie in `[first_key(idx), first_key(idx + 1))`?
+    fn block_spans(&self, idx: usize, key: u64) -> bool {
+        self.index[idx].0 <= key
+            && self
+                .index
+                .get(idx + 1)
+                .is_none_or(|&(next, _, _)| key < next)
     }
 
     /// Fetches one data block, accounting the access (cache hit/miss,
@@ -580,11 +679,13 @@ impl SsTableReader {
         }
         io.add_cache_miss();
         let (_, off, len) = self.index[block_idx];
-        let mut buf = vec![0u8; len as usize];
-        self.file.read_exact_at(&mut buf, off)?;
+        // Read straight into the block's final, exact-size home: one
+        // allocation per miss and no copy out of a staging buffer.
+        let mut block: Arc<[u8]> = std::iter::repeat_n(0u8, len as usize).collect();
+        let buf = Arc::get_mut(&mut block).expect("a fresh Arc is unshared");
+        self.file.read_exact_at(buf, off)?;
         io.add_seek();
         io.add_block_read(len as u64);
-        let block: Arc<[u8]> = buf.into();
         self.cache.insert(cache_key, block.clone());
         Ok(block)
     }
@@ -597,32 +698,50 @@ impl SsTableReader {
     /// [`get`](Self::get) with the access accounted into `io` — the
     /// per-pin read path (see `read_block_with`).
     pub fn get_with(&self, key: u64, io: &IoCounters) -> StoreResult<Option<[u8; VAL_SIZE]>> {
-        if !self.may_contain(key) {
-            io.add_bloom_negative();
-            return Ok(None);
-        }
-        let Some(bi) = self.block_for(key) else {
-            return Ok(None);
-        };
-        let block = self.read_block_with(bi, io)?;
-        let n = block.len() / ENTRY_SIZE;
-        let mut lo = 0usize;
-        let mut hi = n;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let off = mid * ENTRY_SIZE;
-            let k = u64::from_be_bytes(block[off..off + 8].try_into().expect("8"));
-            match k.cmp(&key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => {
-                    let val: [u8; VAL_SIZE] =
-                        block[off + 8..off + ENTRY_SIZE].try_into().expect("val");
-                    return Ok(Some(val));
+        self.probe(key, &mut None, io)
+    }
+
+    /// The in-table lookup, for one key or a batch of ascending keys
+    /// sharing `hand`. While a key still falls in the key range of the
+    /// block in hand it is answered there — present, or absent from this
+    /// table for good — by a binary search that starts where the
+    /// previous key's ended: no filter, index or cache lookup. Any other
+    /// key goes filter → index → cache, and the block it fetches becomes
+    /// the one in hand. One hand serves every table of a view: where
+    /// tables overlap it changes owner back and forth, which costs
+    /// block requests, never answers.
+    pub(crate) fn probe(
+        &self,
+        key: u64,
+        hand: &mut Option<BlockInHand>,
+        io: &IoCounters,
+    ) -> StoreResult<Option<[u8; VAL_SIZE]>> {
+        let held = hand
+            .as_mut()
+            .filter(|h| h.table == self.id && self.block_spans(h.idx, key));
+        let h = match held {
+            Some(h) => h,
+            None => {
+                if !self.may_contain(key) {
+                    io.add_bloom_negative();
+                    return Ok(None);
                 }
+                let Some(idx) = self.block_for(key) else {
+                    return Ok(None);
+                };
+                let block = self.read_block_with(idx, io)?;
+                hand.insert(BlockInHand {
+                    table: self.id,
+                    idx,
+                    block,
+                    pos: 0,
+                })
             }
-        }
-        Ok(None)
+        };
+        h.pos = lower_bound(&h.block, h.pos, key);
+        Ok(entry_at(&h.block, h.pos)
+            .filter(|&(k, _)| k == key)
+            .map(|(_, val)| val))
     }
 
     /// Cursor positioned at the first entry with key `>= key`.
@@ -671,37 +790,21 @@ impl SsTableIter<'_> {
             if self.current.is_none() {
                 let block = self.table.read_block_with(self.block_idx, self.io)?;
                 if self.entry_idx == usize::MAX {
-                    // First positioning: binary search for seek_key.
-                    let n = block.len() / ENTRY_SIZE;
-                    let mut lo = 0usize;
-                    let mut hi = n;
-                    while lo < hi {
-                        let mid = (lo + hi) / 2;
-                        let off = mid * ENTRY_SIZE;
-                        let k = u64::from_be_bytes(block[off..off + 8].try_into().expect("8"));
-                        if k < self.seek_key {
-                            lo = mid + 1;
-                        } else {
-                            hi = mid;
-                        }
-                    }
-                    self.entry_idx = lo;
+                    // First positioning: the first entry at or after
+                    // seek_key.
+                    self.entry_idx = lower_bound(&block, 0, self.seek_key);
                 }
                 self.current = Some(block);
             }
             let block = self.current.as_ref().expect("set above");
-            let n = block.len() / ENTRY_SIZE;
-            if self.entry_idx >= n {
+            let Some(entry) = entry_at(block, self.entry_idx) else {
                 self.block_idx += 1;
                 self.entry_idx = 0;
                 self.current = None;
                 continue;
-            }
-            let off = self.entry_idx * ENTRY_SIZE;
-            let k = u64::from_be_bytes(block[off..off + 8].try_into().expect("8"));
-            let val: [u8; VAL_SIZE] = block[off + 8..off + ENTRY_SIZE].try_into().expect("val");
+            };
             self.entry_idx += 1;
-            return Ok(Some((k, val)));
+            return Ok(Some(entry));
         }
     }
 }
@@ -951,17 +1054,25 @@ mod tests {
         u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
     }
 
+    /// Writes `bytes` as table file `name` and opens it, whole or
+    /// scan-only.
+    fn open_bytes(name: &str, bytes: &[u8], scan_only: bool) -> StoreResult<SsTableReader> {
+        let p = tmp(name);
+        std::fs::write(&p, bytes).unwrap();
+        let (cache, io) = fixtures();
+        if scan_only {
+            SsTableReader::open_scan_only(&p, 11, cache, io)
+        } else {
+            SsTableReader::open(&p, 10, cache, io)
+        }
+    }
+
     #[test]
     fn malformed_and_truncated_blooms_are_corrupt() {
         let path = build("badbloom.k2ss", 0..2000u64);
         let good = std::fs::read(&path).unwrap();
         let (bloom_off, bloom_len) = (footer_field(&good, 2), footer_field(&good, 3));
-        let open = |bytes: &[u8]| {
-            let p = tmp("badbloom-case.k2ss");
-            std::fs::write(&p, bytes).unwrap();
-            let (cache, io) = fixtures();
-            SsTableReader::open(&p, 10, cache, io)
-        };
+        let open = |bytes: &[u8]| open_bytes("badbloom-case.k2ss", bytes, false);
         assert!(open(&good).is_ok());
         let footer_at = good.len() - FOOTER_SIZE;
 
@@ -990,10 +1101,213 @@ mod tests {
         far[footer_at + 16..footer_at + 24].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(open(&far), Err(StoreError::Corrupt(_))));
         // A scan-only open does not read the filter at all.
-        let p = tmp("badbloom-case.k2ss");
-        std::fs::write(&p, &bits_off).unwrap();
+        assert!(open_bytes("badbloom-case.k2ss", &bits_off, true).is_ok());
+    }
+
+    #[test]
+    fn corrupt_index_rows_are_rejected_before_anything_is_sized_by_them() {
+        let path = build("badindex.k2ss", 0..2000u64);
+        let good = std::fs::read(&path).unwrap();
+        let index_off = footer_field(&good, 0) as usize;
+        let rows = footer_field(&good, 1) as usize / INDEX_ROW;
+        assert!(rows >= 6, "the cases below need several blocks");
+        let footer_at = good.len() - FOOTER_SIZE;
+        // Byte offsets of row `i`'s three fields.
+        let first_key = |i: usize| index_off + i * INDEX_ROW;
+        let offset = |i: usize| first_key(i) + 8;
+        let len = |i: usize| first_key(i) + 16;
+        let full = (BLOCK_SIZE / ENTRY_SIZE * ENTRY_SIZE) as u32;
+        let entry = ENTRY_SIZE as u64;
+        let last_entry_key = index_off - ENTRY_SIZE;
+
+        let cases: Vec<(&str, usize, Vec<u8>)> = vec![
+            ("empty block", len(1), 0u32.to_le_bytes().into()),
+            (
+                "block shorter than an entry",
+                len(rows - 1),
+                8u32.to_le_bytes().into(),
+            ),
+            (
+                "block of a broken entry",
+                len(1),
+                (full + 1).to_le_bytes().into(),
+            ),
+            (
+                "block past BLOCK_SIZE",
+                len(1),
+                (full + 24).to_le_bytes().into(),
+            ),
+            ("4 GiB block", len(2), 0xFFFF_FFF0u32.to_le_bytes().into()),
+            ("one flipped length bit", len(3) + 3, vec![0x80]),
+            (
+                "first block not at 0",
+                offset(0),
+                entry.to_le_bytes().into(),
+            ),
+            (
+                "gap between blocks",
+                offset(2),
+                (2 * u64::from(full) + entry).to_le_bytes().into(),
+            ),
+            (
+                "blocks overlap",
+                offset(2),
+                u64::from(full).to_le_bytes().into(),
+            ),
+            (
+                "last block ends early",
+                len(rows - 1),
+                24u32.to_le_bytes().into(),
+            ),
+            (
+                "first keys repeat",
+                first_key(2),
+                good[first_key(1)..first_key(1) + 8].to_vec(),
+            ),
+            (
+                "first keys descend",
+                first_key(3),
+                0u64.to_be_bytes().into(),
+            ),
+            (
+                "entry count disagrees",
+                footer_at + 32,
+                2001u64.to_le_bytes().into(),
+            ),
+            (
+                "last key precedes its block",
+                last_entry_key,
+                0u64.to_be_bytes().into(),
+            ),
+        ];
+        let open = |bytes: &[u8], scan_only| open_bytes("badindex-case.k2ss", bytes, scan_only);
+        assert!(open(&good, false).is_ok() && open(&good, true).is_ok());
+        for (what, at, bytes) in cases {
+            let mut bad = good.clone();
+            bad[at..at + bytes.len()].copy_from_slice(&bytes);
+            assert_ne!(bad, good, "{what}: the case must change the file");
+            for scan_only in [false, true] {
+                assert!(
+                    matches!(open(&bad, scan_only), Err(StoreError::Corrupt(_))),
+                    "{what} (scan_only {scan_only}) must be Corrupt"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fences_admit_exactly_the_overlapping_ranges() {
+        // `overlaps` is inclusive at both ends of both ranges.
+        for (lo, hi, want) in [
+            (0, 9, false),
+            (0, 10, true), // hi == first
+            (10, 10, true),
+            (12, 13, true),
+            (0, 100, true),
+            (20, 20, true),
+            (20, 30, true), // lo == last
+            (21, 30, false),
+        ] {
+            assert_eq!(overlaps((10, 20), lo, hi), want, "[{lo}, {hi}]");
+        }
+        assert!(overlaps((7, 7), 7, 7));
+        assert!(overlaps((0, u64::MAX), u64::MAX, u64::MAX));
+
+        let open = |name: &str, keys: std::ops::Range<u64>| {
+            let (cache, io) = fixtures();
+            let r = SsTableReader::open(build(name, keys), 14, cache.clone(), io.clone()).unwrap();
+            (r, cache, io)
+        };
+        // An empty table admits nothing and answers nothing.
+        let (empty, ..) = open("fence-empty.k2ss", 0..0);
+        assert_eq!(
+            (empty.min_key(), empty.max_key(), empty.fence()),
+            (None, None, None)
+        );
+        assert!(!empty.admits(0, u64::MAX));
+        assert_eq!(empty.get(5).unwrap(), None);
+        assert!(empty.iter_from(0).next().unwrap().is_none());
+        // A single entry: first == last.
+        let (one, ..) = open("fence-one.k2ss", 42..43);
+        assert_eq!(one.fence(), Some((42, 42)));
+        assert!(one.admits(42, 42) && one.admits(0, 42) && one.admits(42, u64::MAX));
+        assert!(!one.admits(0, 41) && !one.admits(43, u64::MAX));
+        // Several blocks: the upper fence is the last block's last key,
+        // known without fetching a block.
+        let (many, cache, io) = open("fence-many.k2ss", 100..1100);
+        assert!(many.index.len() >= 6);
+        assert_eq!(many.fence(), Some((100, 1099)));
+        assert_eq!(many.max_key(), Some(1099));
+        assert!(many.admits(1099, 5000) && !many.admits(1100, 5000));
+        assert!(many.admits(0, 100) && !many.admits(0, 99));
+        assert_eq!(
+            io.snapshot(),
+            crate::IoStats::default(),
+            "a fence costs no I/O"
+        );
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn a_block_in_hand_answers_ascending_keys_like_single_gets() {
+        // Keys 1000, 1003, …: gaps between any two, 8 blocks.
+        let path = build("hand.k2ss", (0..1200u64).map(|i| 1000 + i * 3));
         let (cache, io) = fixtures();
-        assert!(SsTableReader::open_scan_only(&p, 11, cache, io).is_ok());
+        let r = SsTableReader::open(&path, 15, cache, io.clone()).unwrap();
+        let blocks = r.index.len() as u64;
+        assert!(blocks >= 6);
+        let per_block = (BLOCK_SIZE / ENTRY_SIZE) as u64;
+        let boundary = |b: u64| 1000 + b * per_block * 3; // first key of block b
+
+        // Every key and every gap, from before the first key to past the last.
+        let all: Vec<u64> = (990..4620).collect();
+        // Sparse: a key or gap every few entries, so most steps change block.
+        let sparse: Vec<u64> = (900..4700).step_by(407).collect();
+        // The keys either side of each block boundary.
+        let straddle: Vec<u64> = (1..blocks)
+            .flat_map(|b| (boundary(b) - 4)..=(boundary(b) + 4))
+            .collect();
+        // Wholly before, wholly after.
+        let outside: Vec<u64> = (0..20).chain(5000..5020).collect();
+
+        for (what, batch) in [
+            ("all", &all),
+            ("sparse", &sparse),
+            ("straddle", &straddle),
+            ("outside", &outside),
+        ] {
+            assert!(batch.windows(2).all(|w| w[0] < w[1]));
+            let mut hand = None;
+            let mut found = 0;
+            for &key in batch {
+                let got = r.probe(key, &mut hand, &io).unwrap();
+                assert_eq!(got, r.get(key).unwrap(), "{what}: key {key}");
+                found += usize::from(got.is_some());
+            }
+            let want = batch
+                .iter()
+                .filter(|&&k| (1000..4600).contains(&k) && (k - 1000) % 3 == 0)
+                .count();
+            assert_eq!(found, want, "{what}");
+        }
+
+        // A batch over the whole table requests each block exactly once
+        // and consults the filter only where it enters a block.
+        let before = io.snapshot();
+        let mut hand = None;
+        for &key in &all {
+            r.probe(key, &mut hand, &io).unwrap();
+        }
+        let cost = io.snapshot().since(&before);
+        assert_eq!(cost.cache_hits + cost.cache_misses, blocks);
+        assert!(cost.bloom_negatives <= 10 + 2 * blocks, "{cost:?}");
+        // Single gets pay one request per filter-positive key.
+        let before = io.snapshot();
+        for &key in &all {
+            r.get(key).unwrap();
+        }
+        let cost = io.snapshot().since(&before);
+        assert!(cost.cache_hits + cost.cache_misses >= 1200);
     }
 
     #[test]

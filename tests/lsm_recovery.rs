@@ -23,14 +23,16 @@
 //! 7. kill between two committed *partial* (tiered) compactions, with
 //!    the earlier one's stale inputs and the next one's torn output both
 //!    on disk,
-//! 8. kill of a store running compactions on the background worker.
+//! 8. kill of a store running compactions on the background worker,
+//! 9. bit rot inside a live SSTable's index (open reports `Corrupt`; it
+//!    neither panics nor sizes a buffer by the rotten row).
 
 use k2hop::datagen::trucks::TrucksConfig;
 use k2hop::model::{Convoy, Dataset};
 use k2hop::prelude::*;
 use k2hop::storage::{
-    CompactionPolicy, LsmConfig, LsmStore, SnapshotSource, TrajectoryStore, WalSyncPolicy,
-    WAL_FRAME_SIZE,
+    CompactionPolicy, LsmConfig, LsmStore, SnapshotSource, StoreError, TrajectoryStore,
+    WalSyncPolicy, WAL_FRAME_SIZE,
 };
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -478,6 +480,46 @@ fn kill_with_background_compactions_recovers_to_golden() {
     }
     let store = LsmStore::open_with(&dir, config).unwrap();
     assert_mines_golden(&store, cfg, &expected, "kill-background-compaction");
+}
+
+/// Crash point 9 — bit rot in a live SSTable's sparse index. The rows
+/// size every later block read, so recovery must refuse the table with
+/// `Corrupt` while it opens it: a 2 GiB "block" is never allocated, and a
+/// block shorter than one entry does not panic the span rebuild. Nothing
+/// is swept or rewritten on the way out — with the bytes restored the
+/// same directory opens and re-mines to golden output.
+#[test]
+fn corrupt_sstable_index_row_is_reported_not_panicked_on() {
+    let (dataset, cfg, expected) = golden_workload();
+    let dir = tmpdir("badindexrow");
+    {
+        let mut store = LsmStore::create_with(&dir, flushing_config()).unwrap();
+        stream_insert(&mut store, &dataset);
+        store.flush().unwrap();
+        assert!(store.num_tables() > 1);
+    }
+    let victim = sst_files(&dir).pop().unwrap();
+    let good = fs::read(&victim).unwrap();
+    // Footer: index_off u64 | index_len u64 | … (44 bytes, at the end);
+    // index row: first_key u64 | offset u64 | len u32.
+    let word = |at: usize| u64::from_le_bytes(good[at..at + 8].try_into().unwrap()) as usize;
+    let (index_off, index_len) = (word(good.len() - 44), word(good.len() - 36));
+    let last_row_len = index_off + index_len - 4;
+
+    // One flipped bit: the last block claims 2 GiB.
+    TornWriter::new(&victim).bit_flip(last_row_len as u64 + 3, 0x80);
+    assert!(matches!(LsmStore::open(&dir), Err(StoreError::Corrupt(_))));
+    // A block shorter than one entry (the last block is the one the
+    // span rebuild used to fetch and index into).
+    let mut short = good.clone();
+    short[last_row_len..last_row_len + 4].copy_from_slice(&8u32.to_le_bytes());
+    fs::write(&victim, &short).unwrap();
+    assert!(matches!(LsmStore::open(&dir), Err(StoreError::Corrupt(_))));
+
+    fs::write(&victim, &good).unwrap();
+    let store = LsmStore::open(&dir).unwrap();
+    assert_eq!(store.span(), dataset.span());
+    assert_mines_golden(&store, cfg, &expected, "corrupt-index-row (restored)");
 }
 
 /// Golden parity across compaction modes and mining thread counts: the

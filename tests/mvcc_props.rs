@@ -141,7 +141,9 @@ proptest! {
 /// two SSTables, two frozen generations, overwrites at every level —
 /// must read the same through either *and* cost the same, with the
 /// block cache on or off (block accesses are compared as hits + misses:
-/// whoever reads second finds the shared cache warm).
+/// whoever reads second finds the shared cache warm). The costs are also
+/// held to what the view must *not* do: ask a source whose key fence
+/// excludes the request, or request a block twice within a batch.
 #[test]
 fn store_and_pin_read_alike_and_cost_alike() {
     for cache_blocks in [0usize, 256] {
@@ -168,6 +170,7 @@ fn store_and_pin_read_alike_and_cost_alike() {
         store.flush().unwrap();
         put(&mut store, 2, 0..6, &every(3));
         store.flush().unwrap();
+        let tables_only = store.pin_snapshot().unwrap();
         put(
             &mut store,
             3,
@@ -201,28 +204,54 @@ fn store_and_pin_read_alike_and_cost_alike() {
                 ));
             }
         }
+        // What a read returns and what it costs: (point queries, range
+        // queries, block requests, bloom negatives).
+        type Cost = (u64, u64, u64, u64);
+        let cost = |s: &dyn TrajectoryStore, read: &Read<'_>| -> (Vec<_>, Cost) {
+            s.reset_io_stats();
+            let got = read(s);
+            let io = s.io_stats();
+            assert_eq!(io.cache_misses, io.blocks_read, "every miss is one read");
+            let blocks = io.cache_hits + io.cache_misses;
+            (
+                got,
+                (
+                    io.point_queries,
+                    io.range_queries,
+                    blocks,
+                    io.bloom_negatives,
+                ),
+            )
+        };
         let mut winners = std::collections::BTreeSet::new();
         for (what, read) in &reads {
-            let cost = |s: &dyn TrajectoryStore| {
-                s.reset_io_stats();
-                let got = read(s);
-                let io = s.io_stats();
-                let blocks = io.cache_hits + io.cache_misses;
-                (
-                    got,
-                    (
-                        io.point_queries,
-                        io.range_queries,
-                        blocks,
-                        io.bloom_negatives,
-                    ),
-                )
-            };
-            let (from_store, store_cost) = cost(&store);
-            let (from_pin, pin_cost) = cost(&pin);
+            let (from_store, store_cost) = cost(&store, read);
+            let (from_pin, pin_cost) = cost(&pin, read);
             assert_eq!(from_store, from_pin, "{what}, cache {cache_blocks}");
             assert_eq!(store_cost, pin_cost, "{what}, cache {cache_blocks}");
             winners.extend(from_pin.iter().map(|p| p.x as u32));
+        }
+
+        // (5, 298) and (5, 299) end the first table, in one block. The
+        // second table's last key is (5, 297) and the older generation
+        // ends at t = 4, so their fences exclude the batch; the younger
+        // generation admits it and does not hold it. Exactly one block
+        // request, and no filter consulted.
+        let tail: Read<'_> = Box::new(|s| s.multi_get(5, &[298, 299]).unwrap());
+        for s in [&store as &dyn TrajectoryStore, &pin] {
+            let (got, tail_cost) = cost(s, &tail);
+            assert_eq!(got.len(), 2, "cache {cache_blocks}");
+            assert_eq!(tail_cost, (2, 0, 1, 0), "cache {cache_blocks}");
+        }
+        // Both generations start at t >= 2: below that they change
+        // neither the answer nor the cost of a batch.
+        for t in 0..2u32 {
+            let below: Read<'_> = Box::new(|s| s.multi_get(t, &probe).unwrap());
+            let (without, cost_without) = cost(&tables_only, &below);
+            let (with, cost_with) = cost(&pin, &below);
+            assert_eq!(with, without, "t {t}, cache {cache_blocks}");
+            assert_eq!(cost_with, cost_without, "t {t}, cache {cache_blocks}");
+            assert_eq!(with.len(), 150, "t {t}: every even oid below 300");
         }
         assert_eq!(
             winners.into_iter().collect::<Vec<_>>(),

@@ -89,6 +89,21 @@ fn check_against_model(store: &dyn TrajectoryStore, model: &BTreeMap<(u32, u32),
     }
     assert_eq!(store.point_get(t_hi + 10, 0).unwrap(), None);
     assert_eq!(store.point_get(t_lo, 9999).unwrap(), None);
+    // Sorted batches: every oid the strategy can draw plus absent ones,
+    // and every third oid.
+    let everyone: Vec<u32> = (0..20).chain([21, 500, 9999]).collect();
+    let thirds: Vec<u32> = (0..20).step_by(3).collect();
+    for t in t_lo..=t_hi + 1 {
+        for oids in [&everyone, &thirds] {
+            let want: Vec<(u32, f64, f64)> = oids
+                .iter()
+                .filter_map(|&oid| model.get(&(t, oid)).map(|&(x, y)| (oid, x, y)))
+                .collect();
+            let got = store.multi_get(t, oids).unwrap();
+            let got: Vec<(u32, f64, f64)> = got.iter().map(|p| (p.oid, p.x, p.y)).collect();
+            assert_eq!(got, want, "{} multi_get {t} of {oids:?}", store.name());
+        }
+    }
 }
 
 proptest! {
