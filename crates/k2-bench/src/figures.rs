@@ -3,7 +3,8 @@
 //! Every function prints a small CSV (comment lines start with `#`) whose
 //! rows correspond to the series the paper plots. Absolute numbers differ
 //! from the paper (different hardware/language/synthetic data — see
-//! EXPERIMENTS.md); the *shapes* are the reproduction target.
+//! "Paper experiments" in the README); the *shapes* are the reproduction
+//! target.
 
 use crate::workbench::{mean, median, Algo, Engine, Workbench};
 use crate::{env_scale, env_seed};
@@ -174,15 +175,37 @@ fn table4() {
     println!("points,{},122014762", stats.num_points);
 }
 
-/// Table 5: data-pruning performance across the (m, k, eps) grid.
-fn table5() {
-    println!("# table5: k/2-hop pruning performance");
-    println!("dataset,total_points,min_processed,max_processed,min_pruning_pct,max_pruning_pct");
-    for (wb, preset) in [
+/// One data set's row of Table 5: the fewest and the most points k/2-hop
+/// processed over the (m, k, eps) grid.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Table5Row {
+    /// Data set name.
+    pub dataset: String,
+    /// Points in the data set.
+    pub total_points: u64,
+    /// Points processed by the grid's best-pruned run.
+    pub min_processed: u64,
+    /// Points processed by the grid's worst-pruned run.
+    pub max_processed: u64,
+}
+
+impl Table5Row {
+    /// Share of the data set, in percent, that a run processing
+    /// `processed` points never touched.
+    pub fn pruning_pct(&self, processed: u64) -> f64 {
+        100.0 * (1.0 - processed.min(self.total_points) as f64 / self.total_points as f64)
+    }
+}
+
+/// Table 5's rows: data-pruning performance across the (m, k, eps) grid.
+pub fn table5_rows() -> Vec<Table5Row> {
+    [
         (trucks_wb(), &TRUCKS_PRESET),
         (tdrive_wb(), &TDRIVE_PRESET),
         (brinkhoff_wb(), &BRINKHOFF_PRESET),
-    ] {
+    ]
+    .into_iter()
+    .map(|(wb, preset)| {
         let mut processed: Vec<u64> = Vec::new();
         for &m in &preset.ms {
             for &k in preset.ks.iter().step_by(2) {
@@ -193,18 +216,29 @@ fn table5() {
                 }
             }
         }
-        let total = wb.dataset.num_points();
-        let min = processed.iter().min().copied().unwrap_or(0);
-        let max = processed.iter().max().copied().unwrap_or(0);
-        let prune = |p: u64| 100.0 * (1.0 - (p.min(total)) as f64 / total as f64);
+        Table5Row {
+            dataset: wb.name.clone(),
+            total_points: wb.dataset.num_points(),
+            min_processed: processed.iter().min().copied().unwrap_or(0),
+            max_processed: processed.iter().max().copied().unwrap_or(0),
+        }
+    })
+    .collect()
+}
+
+/// Table 5, printed.
+fn table5() {
+    println!("# table5: k/2-hop pruning performance");
+    println!("dataset,total_points,min_processed,max_processed,min_pruning_pct,max_pruning_pct");
+    for row in table5_rows() {
         println!(
             "{},{},{},{},{:.2},{:.2}",
-            wb.name,
-            total,
-            min,
-            max,
-            prune(max),
-            prune(min)
+            row.dataset,
+            row.total_points,
+            row.min_processed,
+            row.max_processed,
+            row.pruning_pct(row.max_processed),
+            row.pruning_pct(row.min_processed)
         );
     }
 }

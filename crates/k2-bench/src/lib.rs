@@ -14,7 +14,7 @@
 //! ```
 //!
 //! Environment knobs: `K2_SCALE` multiplies dataset sizes (default 1 —
-//! laptop-scale; see EXPERIMENTS.md), `K2_SEED` reseeds the generators.
+//! laptop-scale; see "Paper experiments" in the README), `K2_SEED` reseeds the generators.
 
 pub mod figures;
 pub mod workbench;

@@ -91,9 +91,9 @@ const OUTSIDE_REBUILD_DIV: usize = 8;
 /// updates served with retained geometry — either flavour: `O(moved)`
 /// slot moves or the high-churn re-scatter — and `cells_moved` the cell
 /// changes those patches absorbed (points whose cell changed, plus
-/// appended and dropped points). Mining stats surface these so CI can
-/// assert the fast path stays engaged (`grid_patches > 0` on workloads
-/// whose benchmark snapshots share their geometry).
+/// appended and dropped points). Mining stats surface these, and
+/// `tests/golden_convoys.rs` pins the build and patch counts per
+/// workload, so the fast path cannot silently disengage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GridCounters {
     /// Full rebuilds (extent retune + counting sort).
@@ -223,16 +223,6 @@ impl GridState {
     /// [`eps_pairs`](Self::eps_pairs) requires.
     pub fn is_clean_csr(&self) -> bool {
         self.repr == StateRepr::Csr && !self.dirty
-    }
-
-    /// Forgets the retained geometry so the next [`update`](Self::update)
-    /// takes the full-rebuild path (buffers are kept, so it still
-    /// allocates nothing). For benchmarking: a repeated measurement that
-    /// should time the *cold* build-and-cluster cost — e.g. the
-    /// machine-speed probe a perf report normalizes by — must not
-    /// silently collapse onto the zero-churn patch path.
-    pub fn invalidate(&mut self) {
-        self.repr = StateRepr::Empty;
     }
 
     /// Invokes `f` on pairs of *distinct* points within `sqrt(eps2)` of

@@ -142,13 +142,6 @@ impl GridScratch {
     pub fn grid_counters(&self) -> GridCounters {
         self.grid.counters()
     }
-
-    /// Drops the grid's retained geometry (buffers survive) so the next
-    /// clustering call rebuilds instead of patching — see
-    /// [`GridState::invalidate`].
-    pub fn invalidate_grid(&mut self) {
-        self.grid.invalidate();
-    }
 }
 
 /// [`dbscan`] with caller-provided scratch buffers — the allocation-free
@@ -168,10 +161,9 @@ pub fn dbscan_with(
 /// the parameters. The output is identical; only the cost profile
 /// differs.
 ///
-/// This exists for perf *probes*: a report that normalizes mining time by
-/// "one snapshot clustering" needs that denominator to keep measuring
-/// the same reference work across releases, or the normalized trajectory
-/// silently re-bases every time the clustering itself gets faster.
+/// This is the reference the shortcut is tested against:
+/// `tests/properties.rs::cc_fast_path_equals_seed_expand` asserts both
+/// paths return the same clusters on arbitrary snapshots.
 pub fn dbscan_reference_with(
     points: &[ObjPos],
     params: DbscanParams,

@@ -105,8 +105,9 @@ impl PruningStats {
 ///
 /// The counters are deterministic for a fixed source, configuration and
 /// thread count (they measure logical slab contents, not allocator
-/// behaviour), so CI can gate `prefetch_bytes_peak` against a committed
-/// ceiling. Runs that fetch per probe ([`K2Hop`](crate::K2Hop), and
+/// behaviour), so `tests/scale_invariants.rs` pins
+/// `prefetch_bytes_peak` to one value while the store grows sevenfold.
+/// Runs that fetch per probe ([`K2Hop`](crate::K2Hop), and
 /// `K2HopParallel` over a resident dataset) report all-zero stats.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefetchStats {
@@ -132,8 +133,9 @@ pub struct PrefetchStats {
 /// and scoping them there keeps the numbers comparable across engines.
 /// Like [`PrefetchStats`], they are deterministic for a fixed workload,
 /// configuration and thread count — the patch-or-rebuild decision depends
-/// only on the data — so CI can gate `grid_patches > 0` to keep the fast
-/// path from silently regressing to always-rebuild.
+/// only on the data — so `tests/golden_convoys.rs` pins
+/// `(grid_builds, grid_patches)` of the 1-thread run per workload, which
+/// keeps the fast path from silently regressing to always-rebuild.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GridStats {
     /// Full grid rebuilds (extent retune + counting sort), including the

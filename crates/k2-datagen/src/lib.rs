@@ -35,7 +35,7 @@ use k2_model::Dataset;
 
 /// Convenience: all three paper-dataset stand-ins at a given scale
 /// (1.0 = the sizes used in our experiments; the paper's full sizes are
-/// reachable with larger scales, see EXPERIMENTS.md).
+/// reachable with larger scales, see "Paper experiments" in the README).
 pub fn paper_datasets(scale: f64, seed: u64) -> [(&'static str, Dataset); 3] {
     [
         (

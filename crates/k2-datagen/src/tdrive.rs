@@ -28,7 +28,8 @@ pub struct TDriveConfig {
 impl Default for TDriveConfig {
     fn default() -> Self {
         // Full scale would be 10 357 × 2800 ≈ 29 M points; the default is
-        // a laptop-friendly 1/20 scale in both axes (see EXPERIMENTS.md).
+        // a laptop-friendly 1/20 scale in both axes (see "Paper
+        // experiments" in the README).
         Self {
             num_taxis: 520,
             num_timestamps: 560,

@@ -23,9 +23,8 @@ pub struct IoStats {
     /// Block/page requests that had to go to disk because the cache did
     /// not hold them (or caching is disabled); always equal to
     /// `blocks_read`. `cache_hits / (cache_hits + cache_misses)` is the
-    /// hit rate the ingest bench reports — of block requests, so
-    /// batching away repeat requests of one block lowers it without a
-    /// single extra read.
+    /// hit rate — of block requests, so batching away repeat requests
+    /// of one block lowers it without a single extra read.
     pub cache_misses: u64,
     /// Total bytes read from disk.
     pub bytes_read: u64,
@@ -53,8 +52,7 @@ pub struct IoStats {
     pub compactions: u64,
     /// Logical bytes rewritten by compaction (entries merged into output
     /// tables × entry width). `bytes_compacted / bytes ingested` is the
-    /// compaction component of write amplification — the number the
-    /// bench gate holds below the full-merge baseline.
+    /// compaction component of write amplification.
     pub bytes_compacted: u64,
 }
 

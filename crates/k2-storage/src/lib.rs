@@ -40,9 +40,9 @@ pub use flat::FlatFileStore;
 pub use iostats::{IoCounters, IoStats, MemoryBudget};
 pub use keys::{decode_key, decode_val, encode_key, encode_val, KEY_SIZE, VAL_SIZE};
 pub use lsm::{
-    replay_wal, BlockCache, BloomFilter, CompactionController, CompactionPolicy, LsmConfig,
-    LsmStore, Manifest, ManifestRecord, SharedLsm, SsTableReader, SsTableWriter, StorePin,
-    WalReplay, WalSyncPolicy, WalWriter, WAL_FRAME_SIZE,
+    replay_wal, BlockCache, BloomFilter, CompactionController, LsmConfig, LsmStore, Manifest,
+    ManifestRecord, SharedLsm, SsTableReader, SsTableWriter, StorePin, WalReplay, WalSyncPolicy,
+    WalWriter, WAL_FRAME_SIZE,
 };
 pub use memory::InMemoryStore;
 

@@ -31,50 +31,35 @@ use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 
-/// Which compaction policy an [`LsmStore`] runs.
-///
-/// [`LsmStore`]: super::LsmStore
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CompactionPolicy {
-    /// Size-tiered: merge the longest newest-first run of similarly sized
-    /// tables (each table at most `tier_size_ratio` times the combined
-    /// size of the younger tables already in the run). Large settled
-    /// tables are left alone, so sustained ingest never re-pays a merge
-    /// of the whole store.
-    #[default]
-    Tiered,
-    /// Merge every table into one run whenever the trigger fires — the
-    /// pre-tiered behaviour, kept as the write-amplification baseline
-    /// the bench gate compares against.
-    FullMerge,
-}
+/// A table joins the merge run while it is at most this many times the
+/// combined size of the younger tables already in the run.
+const TIER_SIZE_RATIO: f64 = 2.0;
+
+/// Fewest tables a tiered run must hold before it is merged; a shorter
+/// run falls back to the cheapest adjacent pair.
+const TIER_MIN_MERGE: usize = 2;
 
 /// Decides which contiguous run of tables to merge, from sizes alone.
+///
+/// Size-tiered: merge the longest newest-first run of similarly sized
+/// tables (each table at most `TIER_SIZE_RATIO` times the combined size
+/// of the younger tables already in the run). Large settled tables are
+/// left alone, so sustained ingest never re-pays a merge of the whole
+/// store.
 ///
 /// Sizes are listed oldest first (the store's recency order); the
 /// returned range indexes into that slice. Deterministic: same sizes,
 /// same pick — the property the crash/replay proptests lean on.
 #[derive(Debug, Clone, Copy)]
 pub struct CompactionController {
-    policy: CompactionPolicy,
     max_tables: usize,
-    size_ratio: f64,
-    min_merge: usize,
 }
 
 impl CompactionController {
     /// Controller triggering when the table count exceeds `max_tables`.
-    pub fn new(
-        policy: CompactionPolicy,
-        max_tables: usize,
-        size_ratio: f64,
-        min_merge: usize,
-    ) -> Self {
+    pub fn new(max_tables: usize) -> Self {
         Self {
-            policy,
             max_tables: max_tables.max(1),
-            size_ratio: if size_ratio >= 1.0 { size_ratio } else { 1.0 },
-            min_merge: min_merge.max(2),
         }
     }
 
@@ -85,35 +70,29 @@ impl CompactionController {
         if sizes.len() <= self.max_tables || sizes.len() < 2 {
             return None;
         }
-        match self.policy {
-            CompactionPolicy::FullMerge => Some(0..sizes.len()),
-            CompactionPolicy::Tiered => {
-                // Grow the run from the newest table backwards while the
-                // next-older table is within size_ratio of the run so far.
-                let mut start = sizes.len() - 1;
-                let mut run: u64 = sizes[start];
-                while start > 0 && sizes[start - 1] as f64 <= self.size_ratio * run as f64 {
-                    start -= 1;
-                    run += sizes[start];
-                }
-                if sizes.len() - start >= self.min_merge {
-                    Some(start..sizes.len())
-                } else {
-                    // The newest table sits alone under a much larger
-                    // neighbour; merge the cheapest adjacent pair so the
-                    // trigger still makes progress.
-                    let (mut best_i, mut best) = (0usize, u64::MAX);
-                    for i in 0..sizes.len() - 1 {
-                        let s = sizes[i].saturating_add(sizes[i + 1]);
-                        if s < best {
-                            best = s;
-                            best_i = i;
-                        }
-                    }
-                    Some(best_i..best_i + 2)
-                }
+        // Grow the run from the newest table backwards while the
+        // next-older table is within TIER_SIZE_RATIO of the run so far.
+        let mut start = sizes.len() - 1;
+        let mut run: u64 = sizes[start];
+        while start > 0 && sizes[start - 1] as f64 <= TIER_SIZE_RATIO * run as f64 {
+            start -= 1;
+            run += sizes[start];
+        }
+        if sizes.len() - start >= TIER_MIN_MERGE {
+            return Some(start..sizes.len());
+        }
+        // The newest table sits alone under a much larger neighbour;
+        // merge the cheapest adjacent pair so the trigger still makes
+        // progress.
+        let (mut best_i, mut best) = (0usize, u64::MAX);
+        for i in 0..sizes.len() - 1 {
+            let s = sizes[i].saturating_add(sizes[i + 1]);
+            if s < best {
+                best = s;
+                best_i = i;
             }
         }
+        Some(best_i..best_i + 2)
     }
 }
 
@@ -146,7 +125,6 @@ pub(crate) struct CompactionDone {
 /// `bytes_compacted`) lands in the shared counters.
 pub(crate) fn run_job(
     dir: &Path,
-    bloom_bits_per_key: usize,
     manifest: &Mutex<Manifest>,
     io: &IoCounters,
     job: &CompactionJob,
@@ -164,7 +142,7 @@ pub(crate) fn run_job(
     }
     let total: u64 = readers.iter().map(|t| t.num_entries()).sum();
     let path = dir.join(sst_name(job.output));
-    let mut w = SsTableWriter::create(&path, total as usize, bloom_bits_per_key)?;
+    let mut w = SsTableWriter::create(&path, total as usize)?;
     let mut written: u64 = 0;
     {
         let mut merge = MergeIter::over_tables(&readers, 0, u64::MAX, &scratch_io)?;
@@ -210,19 +188,14 @@ pub(crate) struct CompactionHandle {
 
 impl CompactionHandle {
     /// Spawns the worker thread for a store rooted at `dir`.
-    pub fn spawn(
-        dir: PathBuf,
-        bloom_bits_per_key: usize,
-        manifest: Arc<Mutex<Manifest>>,
-        io: Arc<IoCounters>,
-    ) -> Self {
+    pub fn spawn(dir: PathBuf, manifest: Arc<Mutex<Manifest>>, io: Arc<IoCounters>) -> Self {
         let (jobs_tx, jobs_rx) = mpsc::channel::<CompactionJob>();
         let (results_tx, results_rx) = mpsc::channel();
         let worker = thread::Builder::new()
             .name("k2-lsm-compact".into())
             .spawn(move || {
                 while let Ok(job) = jobs_rx.recv() {
-                    let res = run_job(&dir, bloom_bits_per_key, &manifest, &io, &job);
+                    let res = run_job(&dir, &manifest, &io, &job);
                     if results_tx.send(res).is_err() {
                         break;
                     }
@@ -272,13 +245,9 @@ impl Drop for CompactionHandle {
 mod tests {
     use super::*;
 
-    fn tiered(max_tables: usize) -> CompactionController {
-        CompactionController::new(CompactionPolicy::Tiered, max_tables, 2.0, 2)
-    }
-
     #[test]
     fn no_pick_within_policy() {
-        let c = tiered(4);
+        let c = CompactionController::new(4);
         assert_eq!(c.pick(&[]), None);
         assert_eq!(c.pick(&[10]), None);
         assert_eq!(c.pick(&[10, 10, 10, 10]), None);
@@ -286,13 +255,13 @@ mod tests {
 
     #[test]
     fn similar_sizes_merge_fully() {
-        let c = tiered(3);
+        let c = CompactionController::new(3);
         assert_eq!(c.pick(&[64, 64, 64, 64]), Some(0..4));
     }
 
     #[test]
     fn large_settled_table_is_left_alone() {
-        let c = tiered(3);
+        let c = CompactionController::new(3);
         // 1000 dwarfs the young run (64+64+64 = 192; 1000 > 2*192).
         assert_eq!(c.pick(&[1000, 64, 64, 64]), Some(1..4));
         // Two settled giants, both untouched.
@@ -301,7 +270,7 @@ mod tests {
 
     #[test]
     fn lone_small_table_falls_back_to_cheapest_pair() {
-        let c = tiered(1);
+        let c = CompactionController::new(1);
         // The newest table can't absorb its 100x neighbour; progress is
         // still made by merging the cheapest adjacent pair.
         assert_eq!(c.pick(&[100, 900, 3]), Some(1..3));
@@ -310,7 +279,7 @@ mod tests {
 
     #[test]
     fn picks_always_merge_at_least_two() {
-        let c = tiered(1);
+        let c = CompactionController::new(1);
         for sizes in [
             vec![1u64, 1000],
             vec![1000, 1],
@@ -325,15 +294,8 @@ mod tests {
     }
 
     #[test]
-    fn full_merge_policy_takes_everything() {
-        let c = CompactionController::new(CompactionPolicy::FullMerge, 2, 2.0, 2);
-        assert_eq!(c.pick(&[1000, 64, 64]), Some(0..3));
-        assert_eq!(c.pick(&[1000, 64]), None);
-    }
-
-    #[test]
     fn pick_is_deterministic() {
-        let c = tiered(2);
+        let c = CompactionController::new(2);
         let sizes = [512, 128, 96, 64];
         let first = c.pick(&sizes);
         for _ in 0..10 {

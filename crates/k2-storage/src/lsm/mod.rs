@@ -88,7 +88,7 @@ mod store;
 pub mod wal;
 
 pub use bloom::BloomFilter;
-pub use compaction::{CompactionController, CompactionPolicy};
+pub use compaction::CompactionController;
 pub use manifest::{Manifest, ManifestRecord};
 pub use pin::StorePin;
 pub use shared::SharedLsm;

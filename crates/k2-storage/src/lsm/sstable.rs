@@ -36,6 +36,9 @@ use std::sync::{Arc, Mutex};
 pub const BLOCK_SIZE: usize = 4096;
 /// Entry width: 8-byte key + 16-byte value.
 pub const ENTRY_SIZE: usize = 8 + VAL_SIZE;
+/// Bloom-filter budget of every table written, in bits per key (the
+/// filter header records it, so readers need no constant).
+const BLOOM_BITS_PER_KEY: usize = 10;
 
 const MAGIC: &[u8; 4] = b"K2SS";
 const FOOTER_SIZE: usize = 8 * 5 + 4;
@@ -312,11 +315,7 @@ pub struct SsTableWriter {
 impl SsTableWriter {
     /// Creates a writer; `expected_entries` sizes the bloom filter and
     /// the index.
-    pub fn create(
-        path: impl AsRef<Path>,
-        expected_entries: usize,
-        bloom_bits_per_key: usize,
-    ) -> StoreResult<Self> {
+    pub fn create(path: impl AsRef<Path>, expected_entries: usize) -> StoreResult<Self> {
         let path = path.as_ref().to_path_buf();
         let out = BufWriter::new(File::create(&path)?);
         Ok(Self {
@@ -327,7 +326,7 @@ impl SsTableWriter {
             // Sized up front like the filter: growing by doubling would
             // shed a trail of dead buffers half the final size.
             index: Vec::with_capacity(expected_entries.div_ceil(BLOCK_SIZE / ENTRY_SIZE)),
-            bloom: BloomFilter::with_capacity(expected_entries, bloom_bits_per_key),
+            bloom: BloomFilter::with_capacity(expected_entries, BLOOM_BITS_PER_KEY),
             offset: 0,
             num_entries: 0,
             last_key: None,
@@ -825,7 +824,7 @@ mod tests {
 
     fn build(name: &str, keys: impl Iterator<Item = u64>) -> PathBuf {
         let path = tmp(name);
-        let mut w = SsTableWriter::create(&path, 1024, 10).unwrap();
+        let mut w = SsTableWriter::create(&path, 1024).unwrap();
         for k in keys {
             let val = [(k % 251) as u8; VAL_SIZE];
             w.put(k, &val).unwrap();
@@ -948,7 +947,7 @@ mod tests {
 
     #[test]
     fn out_of_order_keys_rejected() {
-        let mut w = SsTableWriter::create(tmp("order.k2ss"), 16, 10).unwrap();
+        let mut w = SsTableWriter::create(tmp("order.k2ss"), 16).unwrap();
         w.put(10, &[0; VAL_SIZE]).unwrap();
         assert!(w.put(10, &[0; VAL_SIZE]).is_err());
         assert!(w.put(5, &[0; VAL_SIZE]).is_err());

@@ -3,7 +3,6 @@
 
 use super::compaction::{
     run_job, CompactionController, CompactionDone, CompactionHandle, CompactionJob,
-    CompactionPolicy,
 };
 use super::manifest::{sync_dir, Manifest, ManifestRecord};
 use super::pin::{LsmState, StorePin};
@@ -28,8 +27,6 @@ pub struct LsmConfig {
     /// everything buffered in memory: the active memtable plus any
     /// generations frozen by [`LsmStore::pin_snapshot`].
     pub memtable_entries: usize,
-    /// Bloom-filter budget in bits per key.
-    pub bloom_bits_per_key: usize,
     /// Compaction trigger: compact when the number of SSTables exceeds
     /// this.
     pub max_tables: usize,
@@ -38,16 +35,6 @@ pub struct LsmConfig {
     /// so cache A/B benchmarks measure the real uncached cost (there is
     /// no hidden minimum capacity).
     pub cache_blocks: usize,
-    /// Which [`CompactionPolicy`] the store runs when the trigger fires.
-    pub compaction: CompactionPolicy,
-    /// Tiered policy: a table joins the merge run while it is at most
-    /// this multiple of the combined size of the younger tables already
-    /// in the run. Ignored by [`CompactionPolicy::FullMerge`].
-    pub tier_size_ratio: f64,
-    /// Tiered policy: minimum number of tables worth merging as a run;
-    /// below it the cheapest adjacent pair is merged instead. Ignored by
-    /// [`CompactionPolicy::FullMerge`].
-    pub tier_min_merge: usize,
     /// Run compactions on a background worker thread: `flush()` only
     /// enqueues, and the write path never pays the merge. With `false`
     /// the merge runs inline at the trigger point — fully deterministic,
@@ -67,12 +54,8 @@ impl Default for LsmConfig {
     fn default() -> Self {
         Self {
             memtable_entries: 1 << 16,
-            bloom_bits_per_key: 10,
             max_tables: 8,
             cache_blocks: 256,
-            compaction: CompactionPolicy::Tiered,
-            tier_size_ratio: 2.0,
-            tier_min_merge: 2,
             background_compaction: true,
             wal: true,
             wal_sync: WalSyncPolicy::default(),
@@ -268,7 +251,7 @@ impl LsmStore {
             next_seq: 1,
             cache: Arc::new(BlockCache::new(config.cache_blocks)),
             io: Arc::new(IoCounters::new()),
-            controller: controller_of(&config),
+            controller: CompactionController::new(config.max_tables),
             compactor: None,
             inflight: None,
             span: None,
@@ -418,7 +401,7 @@ impl LsmStore {
             next_seq,
             cache,
             io,
-            controller: controller_of(&config),
+            controller: CompactionController::new(config.max_tables),
             compactor: None,
             inflight: None,
             span,
@@ -637,7 +620,7 @@ impl LsmStore {
             }
             n
         };
-        let mut w = SsTableWriter::create(&path, distinct, self.config.bloom_bits_per_key)?;
+        let mut w = SsTableWriter::create(&path, distinct)?;
         let mut merge = buffered();
         while let Some((k, v)) = merge.next()? {
             w.put(k, &v)?;
@@ -742,12 +725,7 @@ impl LsmStore {
                 output,
             };
             let compactor = self.compactor.get_or_insert_with(|| {
-                CompactionHandle::spawn(
-                    self.dir.clone(),
-                    self.config.bloom_bits_per_key,
-                    self.manifest.clone(),
-                    self.io.clone(),
-                )
+                CompactionHandle::spawn(self.dir.clone(), self.manifest.clone(), self.io.clone())
             });
             compactor.enqueue(job);
             self.inflight = Some(inputs);
@@ -763,13 +741,7 @@ impl LsmStore {
         let output = self.next_seq;
         self.next_seq += 1;
         let job = CompactionJob { inputs, output };
-        let done = run_job(
-            &self.dir,
-            self.config.bloom_bits_per_key,
-            &self.manifest,
-            &self.io,
-            &job,
-        )?;
+        let done = run_job(&self.dir, &self.manifest, &self.io, &job)?;
         self.apply_compaction(done)
     }
 
@@ -940,15 +912,6 @@ impl Drop for LsmStore {
     }
 }
 
-fn controller_of(config: &LsmConfig) -> CompactionController {
-    CompactionController::new(
-        config.compaction,
-        config.max_tables,
-        config.tier_size_ratio,
-        config.tier_min_merge,
-    )
-}
-
 impl SnapshotSource for LsmStore {
     fn span(&self) -> TimeInterval {
         match self.span {
@@ -1010,12 +973,9 @@ impl LsmStore {
     /// Test-only flush variant that skips the compaction consult, so a
     /// test can pin a deliberately un-compacted table layout.
     fn flush_without_compaction_for_tests(&mut self) -> StoreResult<()> {
-        let policy = self.config.max_tables;
-        self.config.max_tables = usize::MAX;
-        let controller = self.controller;
-        self.controller = controller_of(&self.config);
+        let controller =
+            std::mem::replace(&mut self.controller, CompactionController::new(usize::MAX));
         let res = self.flush();
-        self.config.max_tables = policy;
         self.controller = controller;
         res
     }
@@ -1142,6 +1102,68 @@ mod tests {
         // Everything still readable.
         assert_eq!(store.scan_snapshot(100).unwrap().len(), 40);
         conformance_scan(&store, &d);
+    }
+
+    #[test]
+    fn sustained_ingest_rewrites_less_than_rewrite_everything() {
+        const POINTS: u64 = 75_000;
+        let entry = super::super::sstable::ENTRY_SIZE as u64;
+        let blocking = LsmConfig {
+            memtable_entries: 2048,
+            max_tables: 4,
+            background_compaction: false,
+            wal: false,
+            ..LsmConfig::default()
+        };
+        // Unique `(t, oid)` keys, 300 objects per timestamp.
+        let ingest = |name: &str, config: LsmConfig| {
+            let dir = tmpdir(name);
+            let mut store = LsmStore::create_with(&dir, config).unwrap();
+            for i in 0..POINTS {
+                let (oid, t) = ((i % 300) as u32, (i / 300) as u32);
+                store
+                    .insert(Point::new(oid, (i % 977) as f64, (i % 131) as f64 * 0.5, t))
+                    .unwrap();
+            }
+            store.flush().unwrap();
+            store.wait_for_compactions().unwrap();
+            let compacted = store.io_stats().bytes_compacted;
+            drop(store);
+            let _ = fs::remove_dir_all(&dir);
+            compacted
+        };
+        // The cost tiering must beat: every time the table count exceeds
+        // `max_tables`, rewrite all entries ingested so far into one table.
+        let (mut tables, mut ingested, mut rewritten) = (0usize, 0u64, 0u64);
+        while ingested < POINTS {
+            ingested += (POINTS - ingested).min(blocking.memtable_entries as u64);
+            tables += 1;
+            if tables > blocking.max_tables {
+                rewritten += ingested;
+                tables = 1;
+            }
+        }
+        let rewrite_everything = rewritten * entry;
+        assert_eq!(rewrite_everything, 9_271_104);
+
+        // Inline compaction is deterministic: 2.4x write amplification
+        // where rewriting everything costs 5.2x.
+        let tiered = ingest("amp-blocking", blocking);
+        assert_eq!(tiered, 4_276_224);
+        assert!(tiered < rewrite_everything);
+        // Which runs the worker sees depends on when its jobs finish, so
+        // the background leg is held to the ordering only.
+        let background = ingest(
+            "amp-background",
+            LsmConfig {
+                background_compaction: true,
+                ..blocking
+            },
+        );
+        assert!(
+            background < rewrite_everything,
+            "background compaction rewrote {background} bytes"
+        );
     }
 
     /// Scan-side subset of `conformance` usable after extra inserts.
@@ -1474,8 +1496,7 @@ mod tests {
     /// and returns the file's bytes.
     fn reference_table(dir: &Path, entries: &Memtable, expected: usize) -> Vec<u8> {
         let path = dir.join("reference.k2ss");
-        let mut w = SsTableWriter::create(&path, expected, LsmConfig::default().bloom_bits_per_key)
-            .unwrap();
+        let mut w = SsTableWriter::create(&path, expected).unwrap();
         for (&k, v) in entries {
             w.put(k, v).unwrap();
         }

@@ -11,7 +11,9 @@
 //! refactor cannot silently change mining results and still pass CI.
 //! The fetch work behind the output is pinned too: the points each phase
 //! reads and the queries the store sees are fixed per fixture, and every
-//! engine accounts them through the same counters.
+//! engine accounts them through the same counters; so is how often
+//! benchmark clustering patched the previous snapshot's grid instead of
+//! rebuilding it.
 //!
 //! To regenerate after an *intentional* semantic change:
 //!
@@ -59,6 +61,10 @@ struct FetchWork {
     points: (u64, u64, u64, u64),
     /// `(point_queries, range_queries)` the store counted.
     queries: (u64, u64),
+    /// `(grid_builds, grid_patches)` of benchmark clustering. Pinned for
+    /// this one-worker run only: each worker patches its own grid, so
+    /// the split moves with the thread count.
+    grid: (u64, u64),
     /// `hwmt_points` when the hop-windows are prefetched as slabs (each
     /// fetches its whole candidate union) instead of probed one by one.
     slab_hwmt_points: u64,
@@ -88,6 +94,14 @@ fn golden_check(name: &str, dataset: Dataset, cfg: K2Config, work: FetchWork) {
         (outcome.io.point_queries, outcome.io.range_queries),
         work.queries,
         "{name}: queries the store saw"
+    );
+    assert_eq!(
+        (
+            outcome.stats.grid.grid_builds,
+            outcome.stats.grid.grid_patches
+        ),
+        work.grid,
+        "{name}: benchmark grids built and patched"
     );
     let sequential = outcome.convoys;
     assert!(
@@ -201,6 +215,7 @@ fn brinkhoff_golden() {
         FetchWork {
             points: (935, 452, 350, 678),
             queries: (1486, 12),
+            grid: (1, 11),
             slab_hwmt_points: 468,
         },
     );
@@ -226,6 +241,9 @@ fn trucks_golden() {
         FetchWork {
             points: (554, 2096, 80, 2292),
             queries: (4479, 53),
+            // No snapshot exceeds the 24 points up to which clustering
+            // scans pairwise and builds no grid.
+            grid: (0, 0),
             slab_hwmt_points: 2282,
         },
     );
@@ -249,6 +267,7 @@ fn tdrive_golden() {
         FetchWork {
             points: (360, 392, 262, 668),
             queries: (1322, 6),
+            grid: (2, 4),
             slab_hwmt_points: 392,
         },
     );

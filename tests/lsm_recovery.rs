@@ -31,8 +31,7 @@ use k2hop::datagen::trucks::TrucksConfig;
 use k2hop::model::{Convoy, Dataset};
 use k2hop::prelude::*;
 use k2hop::storage::{
-    CompactionPolicy, LsmConfig, LsmStore, SnapshotSource, StoreError, TrajectoryStore,
-    WalSyncPolicy, WAL_FRAME_SIZE,
+    LsmConfig, LsmStore, SnapshotSource, StoreError, TrajectoryStore, WalSyncPolicy, WAL_FRAME_SIZE,
 };
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -392,7 +391,6 @@ fn tiered_config() -> LsmConfig {
     LsmConfig {
         memtable_entries: 1000,
         max_tables: 3,
-        compaction: CompactionPolicy::Tiered,
         background_compaction: false,
         wal_sync: WalSyncPolicy::Batched(256),
         ..LsmConfig::default()

@@ -4,9 +4,8 @@
 
 use k2hop::model::{Dataset, Point};
 use k2hop::storage::{
-    replay_wal, CompactionPolicy, FlatFileStore, InMemoryStore, IoCounters, LsmConfig, LsmStore,
-    RelationalStore, SnapshotSource, TrajectoryStore, WalSyncPolicy, WalWriter, VAL_SIZE,
-    WAL_FRAME_SIZE,
+    replay_wal, FlatFileStore, InMemoryStore, IoCounters, LsmConfig, LsmStore, RelationalStore,
+    SnapshotSource, TrajectoryStore, WalSyncPolicy, WalWriter, VAL_SIZE, WAL_FRAME_SIZE,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -228,7 +227,6 @@ proptest! {
         let config = LsmConfig {
             memtable_entries: 16,
             max_tables,
-            compaction: CompactionPolicy::Tiered,
             background_compaction: background == 1,
             wal_sync: WalSyncPolicy::EveryAppend,
             ..LsmConfig::default()
