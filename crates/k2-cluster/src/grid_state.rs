@@ -225,20 +225,20 @@ impl GridState {
         self.repr == StateRepr::Csr && !self.dirty
     }
 
-    /// Invokes `f` on pairs of *distinct* points within `sqrt(eps2)` of
-    /// each other: every such pair at least once (same-cell pairs twice,
-    /// once per orientation), never a pair further apart. Requires
+    /// Invokes `f` on every pair of *distinct* points within
+    /// `sqrt(eps2)` of each other exactly once, in either orientation,
+    /// and never on a pair further apart. Requires
     /// [`is_clean_csr`](Self::is_clean_csr); `out` is caller-lent probe
     /// scratch.
     ///
-    /// This is the half-stencil sweep behind the `min_pts <= 2`
-    /// connected-component clustering path: walking cells in row-major
-    /// order, each cell's points probe only the own+east range of their
-    /// row and the SW–SE range of the row below — two contiguous slot
-    /// ranges. An eps-pair's cells differ by at most one in each axis,
-    /// so the pair lands in the forward stencil of exactly one endpoint
-    /// (of both when they share a cell), halving the candidate filtering
-    /// of a full 3×3 probe per point and skipping the coordinate→cell
+    /// This is the half-stencil sweep behind DBSCAN's union-find
+    /// labelling: walking cells in row-major order, each point probes
+    /// the rest of its own cell's slots after its own, the east cell and
+    /// the SW–SE range of the row below — two contiguous slot ranges. An
+    /// eps-pair's cells differ by at most one in each axis, so the pair
+    /// lands in the forward stencil of exactly one endpoint (the earlier
+    /// slot when they share a cell), halving the candidate filtering of a
+    /// full 3×3 probe per point and skipping the coordinate→cell
     /// recompute entirely.
     pub fn eps_pairs<F: FnMut(u32, u32)>(
         &self,
@@ -264,7 +264,8 @@ impl GridState {
             }
             let row_base = row_next - cols;
             let c = cell - row_base;
-            // Own cell + east neighbour: one contiguous range.
+            // Own cell after the probing slot + east neighbour: one
+            // contiguous range.
             let e_east = self.start[(cell + 1).min(row_base + cols - 1) + 1] as usize;
             // SW..SE in the row below: one contiguous range.
             let (s_south, e_south) = if row_next < cols * rows {
@@ -279,14 +280,12 @@ impl GridState {
                 let i = self.slots[s];
                 let p = &points[i as usize];
                 out.clear();
-                dist2_filter_chunked(points, &self.slots[s0..e_east], p, eps2, out);
+                dist2_filter_chunked(points, &self.slots[s + 1..e_east], p, eps2, out);
                 if s_south < e_south {
                     dist2_filter_chunked(points, &self.slots[s_south..e_south], p, eps2, out);
                 }
                 for &j in out.iter() {
-                    if j != i {
-                        f(i, j);
-                    }
+                    f(i, j);
                 }
             }
             slot = e0;
@@ -744,6 +743,46 @@ mod tests {
         assert_eq!((c.builds, c.patches), (1, 1), "{c:?}");
         assert!(c.cells_moved > 400, "{c:?}");
         assert_matches_fresh(&state, &b, eps);
+    }
+
+    #[test]
+    fn eps_pairs_yields_each_pair_once() {
+        let eps = 3.0;
+        let brute = |points: &[ObjPos]| {
+            let mut want = Vec::new();
+            for i in 0..points.len() {
+                for j in i + 1..points.len() {
+                    if points[i].dist2(&points[j]) <= eps * eps {
+                        want.push((i as u32, j as u32));
+                    }
+                }
+            }
+            want
+        };
+        let emitted = |state: &GridState, points: &[ObjPos]| {
+            assert!(state.is_clean_csr());
+            let mut got = Vec::new();
+            state.eps_pairs(points, eps * eps, &mut Vec::new(), |a, b| {
+                got.push((a.min(b), a.max(b)));
+            });
+            got.sort_unstable();
+            got
+        };
+        // Coincident points put several pairs into one cell.
+        let mut a = cloud(500, 0x5a5a);
+        for i in 0..20 {
+            a[i + 20] = ObjPos::new(a[i + 20].oid, a[i].x, a[i].y);
+        }
+        let mut state = GridState::new();
+        state.update(&a, eps);
+        let want = brute(&a);
+        assert!(want.len() > 500, "{} pairs", want.len());
+        assert_eq!(emitted(&state, &a), want, "after a rebuild");
+        // Same box, every point teleported: the high-churn re-scatter.
+        let b = cloud(500, 0xdead);
+        state.update(&b, eps);
+        assert_eq!((state.counters().builds, state.counters().patches), (1, 1));
+        assert_eq!(emitted(&state, &b), brute(&b), "after a re-scatter");
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //!
 //! * [`dbscan`] clusters one snapshot of object positions with parameters
 //!   `(m, eps)` — the paper's *(m, eps)-clusters* (Def. 2). Neighbourhood
-//!   queries run against a [`GridIndex`] (uniform grid with cell size
-//!   `eps`), giving expected `O(n)` total work instead of the naive
-//!   `O(n²)`.
+//!   queries run against a uniform grid with cells of side ≥ `eps`
+//!   ([`GridState`]), giving expected `O(n)` total work instead of the
+//!   naive `O(n²)`.
 //! * [`recluster`] is the restricted variant `DBSCAN(DB[t]|O)` that the
 //!   HWMT, extension and validation phases of k/2-hop call thousands of
 //!   times on tiny candidate sets.
@@ -20,12 +20,21 @@
 //! core point iff `|NH(p, eps)| ≥ m`, and a cluster is the maximal set of
 //! density-connected points reachable from a core point (border points
 //! included).
+//!
+//! Gridded point sets are labelled by the core-point graph formulation of
+//! DBSCAN (Gan & Tao, SIGMOD 2015), for every `m`: one sweep over the
+//! grid's eps-pairs ([`GridState::eps_pairs`], each pair exactly once)
+//! counts neighbourhoods, core–core pairs are unioned, and each border
+//! point joins one adjacent core's cluster. The classic seed-and-expand
+//! loop labels the rest — probes of at most 24 points, which skip the
+//! grid, and a grid whose layout a small patch left dirty — and is the
+//! reference the labelling is tested against ([`dbscan_reference_with`]).
+//! Both assign every point alike, so the output never depends on which
+//! one ran.
 
-mod dsu;
 mod grid;
 mod grid_state;
 
-pub use dsu::DisjointSet;
 pub use grid::{dist2_filter_chunked, GridIndex};
 pub use grid_state::{GridCounters, GridState};
 
@@ -117,11 +126,14 @@ pub struct GridScratch {
     /// path, so it shares the chunked distance kernel (grown on demand,
     /// never shrunk).
     identity: Vec<u32>,
-    /// Union-find forest of the `min_pts <= 2` connected-component path.
+    /// The grid's eps-pairs, kept from the sweep that counts degrees for
+    /// the union and attach passes of the labelling.
+    pairs: Vec<(u32, u32)>,
+    /// Neighbourhood size (self included) per point, same labelling.
+    degree: Vec<u32>,
+    /// Union-find forest over the core points; a border point's entry
+    /// holds the smallest root among its adjacent cores instead.
     parent: Vec<u32>,
-    /// Has-any-eps-neighbour flags of the same path (a component has
-    /// `>= 2` members iff its root was ever flagged).
-    linked: Vec<bool>,
 }
 
 impl GridScratch {
@@ -157,13 +169,14 @@ pub fn dbscan_with(
 }
 
 /// [`dbscan_with`] pinned to the seed-and-expand labeling loop — the
-/// `min_pts <= 2` connected-component shortcut is never taken, whatever
-/// the parameters. The output is identical; only the cost profile
+/// union-find labelling over the grid's eps-pairs is never taken,
+/// whatever the input. The output is identical; only the cost profile
 /// differs.
 ///
-/// This is the reference the shortcut is tested against:
-/// `tests/properties.rs::cc_fast_path_equals_seed_expand` asserts both
-/// paths return the same clusters on arbitrary snapshots.
+/// This is the reference the labelling is tested against:
+/// `tests/properties.rs::union_find_labelling_equals_seed_expand`
+/// asserts both return the same clusters on arbitrary snapshots and
+/// every `min_pts` from 1 to 7.
 pub fn dbscan_reference_with(
     points: &[ObjPos],
     params: DbscanParams,
@@ -172,11 +185,25 @@ pub fn dbscan_reference_with(
     dbscan_impl(points, params, scratch, false)
 }
 
+/// Path-halving find over a forest whose roots only ever point at
+/// smaller indices, so every root is the minimum of its tree.
+fn find(parent: &mut [u32], mut i: u32) -> u32 {
+    loop {
+        let p = parent[i as usize];
+        if p == i {
+            return i;
+        }
+        let g = parent[p as usize];
+        parent[i as usize] = g;
+        i = g;
+    }
+}
+
 fn dbscan_impl(
     points: &[ObjPos],
     params: DbscanParams,
     scratch: &mut GridScratch,
-    allow_cc: bool,
+    union_find: bool,
 ) -> Vec<ObjectSet> {
     if points.len() < params.min_pts {
         return Vec::new();
@@ -197,70 +224,79 @@ fn dbscan_impl(
     const NOISE: u32 = u32::MAX - 1;
     let mut cluster_count: u32 = 0;
 
-    if allow_cc && use_grid && params.min_pts <= 2 && scratch.grid.is_clean_csr() {
-        // With `min_pts <= 2` a point is core iff it has any other point
-        // within eps (self counts), so border points do not exist and the
-        // clusters are exactly the connected components of the eps-graph
-        // with `>= min_pts` members. A union-find over the grid's
-        // half-stencil pair sweep labels them with half the candidate
-        // filtering of the seed-and-expand loop below — and identically:
-        // a component's first seed in the 0..n scan *is* its min-index
-        // member, so discovery order equals min-member order, which is
-        // what unioning roots toward the smaller index reproduces.
+    if union_find && use_grid && scratch.grid.is_clean_csr() {
+        // One sweep over the eps-pairs counts every neighbourhood and
+        // keeps the pairs; core–core pairs then union toward the smaller
+        // root, and each border point joins the adjacent core cluster
+        // with the smallest root. This is seed-and-expand's labelling:
+        // that loop discovers a cluster from its smallest core index —
+        // the root here — and a border point is claimed by the first
+        // cluster expanded beside it, i.e. the one with the smallest
+        // root. It filters each candidate pair once, where the loop
+        // below filters every 3×3 neighbourhood from both ends.
         let GridScratch {
             grid,
             label,
             neighbours,
+            pairs,
+            degree,
             parent,
-            linked,
             ..
         } = scratch;
         let n = points.len();
-        label.clear();
-        label.resize(n, UNVISITED);
+        pairs.clear();
+        degree.clear();
+        degree.resize(n, 1);
+        grid.eps_pairs(points, eps2, neighbours, |a, b| {
+            pairs.push((a, b));
+            degree[a as usize] += 1;
+            degree[b as usize] += 1;
+        });
+        let min_pts = params.min_pts as u32;
+        let is_core = |i: u32| degree[i as usize] >= min_pts;
+        // Cores start as their own roots, the rest unattached.
         parent.clear();
-        parent.extend(0..n as u32);
-        linked.clear();
-        linked.resize(n, false);
-        // Path-halving find; roots only ever point at smaller indices,
-        // so every root is its component's minimum member.
-        fn find(parent: &mut [u32], mut i: u32) -> u32 {
-            loop {
-                let p = parent[i as usize];
-                if p == i {
-                    return i;
+        parent.extend((0..n as u32).map(|i| if is_core(i) { i } else { UNVISITED }));
+        for &(a, b) in pairs.iter() {
+            if is_core(a) && is_core(b) {
+                let (ra, rb) = (find(parent, a), find(parent, b));
+                if ra != rb {
+                    parent[ra.max(rb) as usize] = ra.min(rb);
                 }
-                let g = parent[p as usize];
-                parent[i as usize] = g;
-                i = g;
             }
         }
-        grid.eps_pairs(points, eps2, neighbours, |a, b| {
-            linked[a as usize] = true;
-            linked[b as usize] = true;
-            let ra = find(parent, a);
-            let rb = find(parent, b);
-            if ra != rb {
-                let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-                parent[hi as usize] = lo;
-            }
-        });
-        for i in 0..n {
-            let r = find(parent, i as u32) as usize;
-            label[i] = if r == i {
-                // First member of its component in index order: decide
-                // the whole component here (later members copy from the
-                // root's label, including a NOISE verdict).
-                if linked[i] || params.min_pts <= 1 {
-                    let c = cluster_count;
-                    cluster_count += 1;
-                    c
-                } else {
-                    NOISE
-                }
-            } else {
-                label[r]
+        // Roots are final now: attach each border point to its smallest
+        // adjacent root (`find` never walks a border point's entry).
+        for &(a, b) in pairs.iter() {
+            let (core, border) = match (is_core(a), is_core(b)) {
+                (true, false) => (a, b),
+                (false, true) => (b, a),
+                _ => continue,
             };
+            let r = find(parent, core);
+            let slot = &mut parent[border as usize];
+            *slot = (*slot).min(r);
+        }
+        label.clear();
+        label.resize(n, NOISE);
+        for i in 0..n as u32 {
+            if is_core(i) {
+                // A root precedes the rest of its cluster, so its label
+                // is set by the time a member reads it.
+                let r = find(parent, i);
+                label[i as usize] = if r == i {
+                    cluster_count += 1;
+                    cluster_count - 1
+                } else {
+                    label[r as usize]
+                };
+            }
+        }
+        for i in 0..n {
+            let r = parent[i];
+            if !is_core(i as u32) && r != UNVISITED {
+                label[i] = label[r as usize];
+            }
         }
     } else {
         let grid = &scratch.grid;
@@ -489,6 +525,46 @@ mod tests {
         let appears: usize = clusters.iter().filter(|c| c.contains(50)).count();
         assert_eq!(appears, 1, "border point must be in exactly one cluster");
         assert_eq!(total, 7);
+    }
+
+    #[test]
+    fn border_point_between_two_clusters_joins_the_first_discovered() {
+        // Object 50 reaches one core of each square (0.95 away) but has
+        // only three points in its neighbourhood, so at m = 4 it is a
+        // border point both clusters can claim: seed-and-expand gives it
+        // to the cluster whose smallest core index comes first, and so
+        // must the gridded labelling (20 far-apart noise points push the
+        // snapshot past the gridless cutoff).
+        let a = [
+            (1, -0.3, 0.0),
+            (2, 0.0, 0.1),
+            (3, 0.0, -0.1),
+            (4, 0.05, 0.0),
+        ];
+        let b = [
+            (60, 1.95, 0.0),
+            (61, 2.0, 0.1),
+            (62, 2.0, -0.1),
+            (63, 2.3, 0.0),
+        ];
+        let noise: Vec<(u32, f64, f64)> = (0..20)
+            .map(|i| (100 + i, 100.0 + 10.0 * i as f64, 100.0))
+            .collect();
+        let params = DbscanParams::new(4, 1.0);
+        for (first, second, want) in [
+            (&a, &b, [vec![1, 2, 3, 4, 50], vec![60, 61, 62, 63]]),
+            (&b, &a, [vec![1, 2, 3, 4], vec![50, 60, 61, 62, 63]]),
+        ] {
+            let mut coords = first.to_vec();
+            coords.push((50, 1.0, 0.0));
+            coords.extend_from_slice(second);
+            coords.extend_from_slice(&noise);
+            let points = pts(&coords);
+            let want: Vec<ObjectSet> = want.into_iter().map(ObjectSet::new).collect();
+            assert_eq!(dbscan(&points, params), want);
+            let reference = dbscan_reference_with(&points, params, &mut GridScratch::new());
+            assert_eq!(reference, want);
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Extending maximal spanning convoys to their true endpoints
 //! (§4.5, Algorithm 3 `extendRight` and its left mirror).
 
-use crate::par::{PassResult, ProbeReader};
+use crate::par::{Chain, PassResult, ProbeReader};
+use crate::record::{confirm, IntactRuns};
 use crate::{recluster_at, Probe, ProbeScratch};
 use k2_cluster::DbscanParams;
 use k2_model::{Convoy, ConvoySet, Time};
@@ -49,16 +50,18 @@ pub(crate) fn extend_pass(
 /// When re-clustering splits or shrinks a convoy, the original is emitted
 /// (it is maximal in this direction in its current shape) *and* the
 /// shrunken clusters continue extending. Returns the emitted convoys in
-/// emission order and the number of points fetched.
+/// emission order, the number of points fetched and where a convoy came
+/// back intact.
 fn extend(
     params: DbscanParams,
     seed: Convoy,
     dir: Direction,
     mut probe: impl Probe,
     scratch: &mut ProbeScratch,
-) -> StoreResult<(Vec<Convoy>, u64)> {
+) -> StoreResult<Chain> {
     let mut emitted = Vec::new();
     let mut points_fetched = 0u64;
+    let mut intact = IntactRuns::new();
     let mut emit = |v: Convoy| match dir {
         Direction::Left { min_len, .. } if v.len() < min_len => {}
         _ => emitted.push(v),
@@ -111,7 +114,9 @@ fn extend(
                 };
                 next.update(Convoy::from_parts(c, s, e));
             }
-            if !survived_intact {
+            if survived_intact {
+                confirm(&mut intact, &v.objects, frontier);
+            } else {
                 // Line 12–13: v split or shrank; emit it in its
                 // current shape.
                 emit(v.clone());
@@ -127,7 +132,11 @@ fn extend(
     for v in prev {
         emit(v);
     }
-    Ok((emitted, points_fetched))
+    Ok(Chain {
+        emitted,
+        points: points_fetched,
+        intact,
+    })
 }
 
 #[cfg(test)]
@@ -200,6 +209,14 @@ mod tests {
             .contains(&Convoy::from_parts([0u32, 1, 2], 2, 8)));
         assert!(res.convoys.contains(&Convoy::from_parts([0u32, 1], 2, 11)));
         assert_eq!(res.convoys.len(), 2);
+        // {0,1} is first probed at 10, after it split off at 9.
+        assert_eq!(
+            res.intact,
+            vec![
+                (ObjectSet::from([0, 1, 2]), TimeInterval::new(7, 8)),
+                (ObjectSet::from([0, 1]), TimeInterval::new(10, 11)),
+            ]
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Hop-Window Mining Tree (§4.3, Algorithm 2).
 
 use crate::benchpoints::{hop_window, hwmt_order};
+use crate::record::{push_runs, IntactRuns};
 use crate::{probe_of, recluster_at, Probe, ProbeScratch};
 use k2_cluster::DbscanParams;
 use k2_model::{Convoy, ObjPos, ObjectSet, Oid, Time, TimeInterval};
@@ -15,6 +16,9 @@ pub struct WindowResult {
     pub points_fetched: u64,
     /// Timestamps actually probed (≤ window length thanks to early exit).
     pub timestamps_probed: u32,
+    /// Where a probe of exactly a set returned that set intact — for the
+    /// run's record of intact reclusters.
+    pub(crate) intact: IntactRuns,
 }
 
 /// Mines the 1st-order spanning convoys of the hop-window between
@@ -75,34 +79,50 @@ pub(crate) fn mine_window_with(
         spanning: Vec::new(),
         points_fetched: 0,
         timestamps_probed: 0,
+        intact: IntactRuns::new(),
     };
     if cc.is_empty() {
         return Ok(result);
     }
-    let mut survivors: Vec<ObjectSet> = cc.to_vec();
-    if let Some(window) = hop_window(b_left, b_right) {
-        for t in order(window) {
-            result.timestamps_probed += 1;
-            let mut next = Vec::with_capacity(survivors.len());
-            for candidate in &survivors {
-                let (clusters, fetched) = recluster_at(&mut probe, params, t, candidate, scratch)?;
-                result.points_fetched += fetched;
-                next.extend(clusters);
-            }
-            if next.is_empty() {
-                // Line 7–8: no clusters at this timestamp — no convoy can
-                // span the window; stop descending the tree.
-                return Ok(result);
-            }
-            survivors = next;
+    // Degenerate window (h = 1, adjacent benchmarks): nothing to probe,
+    // the candidate clusters themselves already span.
+    let order = hop_window(b_left, b_right).map(order).unwrap_or_default();
+    // Each survivor carries the position in `order` of its first probe:
+    // it stays one survivor exactly while its probes return it intact, so
+    // it was confirmed at `order[first..now]` when it breaks up.
+    let mut survivors: Vec<(ObjectSet, usize)> = cc.iter().map(|c| (c.clone(), 0)).collect();
+    let mut sort_buf = Vec::new();
+    for (pos, &t) in order.iter().enumerate() {
+        result.timestamps_probed += 1;
+        let mut next = Vec::with_capacity(survivors.len());
+        for (candidate, first) in survivors {
+            let (clusters, fetched) = recluster_at(&mut probe, params, t, &candidate, scratch)?;
+            result.points_fetched += fetched;
+            let intact = clusters.len() == 1 && clusters[0] == candidate;
+            let first = if intact {
+                first
+            } else {
+                push_runs(
+                    &mut result.intact,
+                    &candidate,
+                    &order[first..pos],
+                    &mut sort_buf,
+                );
+                pos + 1
+            };
+            next.extend(clusters.into_iter().map(|c| (c, first)));
         }
+        if next.is_empty() {
+            // Line 7–8: no clusters at this timestamp — no convoy can
+            // span the window; stop descending the tree.
+            return Ok(result);
+        }
+        survivors = next;
     }
-    // Degenerate window (h = 1, adjacent benchmarks): the candidate
-    // clusters themselves already span.
-    result.spanning = survivors
-        .into_iter()
-        .map(|objects| Convoy::new(objects, lifespan))
-        .collect();
+    for (objects, first) in survivors {
+        push_runs(&mut result.intact, &objects, &order[first..], &mut sort_buf);
+        result.spanning.push(Convoy::new(objects, lifespan));
+    }
     Ok(result)
 }
 
@@ -220,6 +240,11 @@ mod tests {
         assert_eq!(res.spanning[0].objects, ObjectSet::from([0, 1, 2, 3]));
         assert_eq!(res.spanning[0].lifespan, TimeInterval::new(0, 8));
         assert_eq!(res.timestamps_probed, 7);
+        // abcd came back intact at every window timestamp; xyz at none.
+        assert_eq!(
+            res.intact,
+            vec![(ObjectSet::from([0, 1, 2, 3]), TimeInterval::new(1, 7))]
+        );
     }
 
     #[test]
@@ -279,6 +304,12 @@ mod tests {
         objs.sort_by(|a, b| a.ids().cmp(b.ids()));
         assert_eq!(objs[0], ObjectSet::from([0, 1, 2]));
         assert_eq!(objs[1], ObjectSet::from([3, 4, 5]));
+        // The split at the root (t = 2) confirms only the halves, each at
+        // the two timestamps probed after it.
+        let mut intact = res.intact.clone();
+        intact.sort();
+        let runs = |set: [u32; 3]| [1, 3].map(|t| (ObjectSet::from(set), TimeInterval::instant(t)));
+        assert_eq!(intact, [runs([0, 1, 2]), runs([3, 4, 5])].concat());
     }
 
     #[test]

@@ -70,6 +70,7 @@ mod miner;
 mod par;
 mod parallel;
 mod pipeline;
+mod record;
 mod validate;
 
 pub use config::{ConfigError, K2Config};

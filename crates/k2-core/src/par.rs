@@ -3,6 +3,7 @@
 //! read from and on how many workers, and the batched, zero-copy
 //! benchmark-snapshot fetcher.
 
+use crate::record::IntactRuns;
 use crate::{probe_of, Probe, ProbeScratch};
 use k2_cluster::{dbscan_with, DbscanParams, GridCounters, GridScratch};
 use k2_model::{Convoy, ConvoySet, Dataset, ObjPos, ObjectSet, Time};
@@ -102,13 +103,28 @@ pub(crate) enum ProbeReader<'a> {
     },
 }
 
+/// What one chain of probes — an extension seed, a validation
+/// candidate — hands back to the calling thread.
+#[derive(Debug, Default)]
+pub(crate) struct Chain {
+    /// The convoys it emitted, in emission order.
+    pub emitted: Vec<Convoy>,
+    /// Points its probes examined.
+    pub points: u64,
+    /// Where a probe of exactly a set returned that set intact
+    /// (extension; validation only reads the record).
+    pub intact: IntactRuns,
+}
+
 /// Outcome of a pass of probe chains (extension, validation).
 #[derive(Debug)]
 pub(crate) struct PassResult {
     /// What the chains emitted, maximal under `update()` subsumption.
     pub convoys: ConvoySet,
-    /// Points the probes read.
+    /// Points the probes examined.
     pub points_fetched: u64,
+    /// Every chain's intact reclusters, in item order.
+    pub intact: IntactRuns,
 }
 
 impl ProbeReader<'_> {
@@ -139,22 +155,23 @@ impl ProbeReader<'_> {
         }
     }
 
-    /// [`map`](Self::map) for chains of probes that each return the
-    /// convoys they emit and the points they fetched: folds the convoys,
-    /// in item and emission order, into one maximal set and totals the
-    /// points.
+    /// [`map`](Self::map) for chains of probes: folds the convoys they
+    /// emit, in item and emission order, into one maximal set, totals the
+    /// points and gathers the intact reclusters.
     pub(crate) fn map_maximal<T: Sync>(
         &self,
         items: &[T],
-        f: impl Fn(&T, &mut dyn Probe, &mut ProbeScratch) -> StoreResult<(Vec<Convoy>, u64)> + Sync,
+        f: impl Fn(&T, &mut dyn Probe, &mut ProbeScratch) -> StoreResult<Chain> + Sync,
     ) -> StoreResult<PassResult> {
         let mut result = PassResult {
             convoys: ConvoySet::new(),
             points_fetched: 0,
+            intact: IntactRuns::new(),
         };
-        for (emitted, fetched) in self.map(items, f)? {
-            result.points_fetched += fetched;
-            for v in emitted {
+        for chain in self.map(items, f)? {
+            result.points_fetched += chain.points;
+            result.intact.extend(chain.intact);
+            for v in chain.emitted {
                 result.convoys.update(v);
             }
         }

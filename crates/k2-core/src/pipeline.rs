@@ -8,6 +8,7 @@ use crate::extend::{extend_pass, Direction};
 use crate::hwmt::{mine_window_with, WindowSlab};
 use crate::merge::merge_spanning;
 use crate::par::{cluster_benchmark_snapshots, self_scheduled_map, shard_ranges, ProbeReader};
+use crate::record::{IntactRecord, IntactRuns};
 use crate::stats::{GridStats, PhaseTimings, PrefetchStats, PruningStats};
 use crate::validate::validate_pass;
 use crate::{MineError, MineOutcome, MineStats, ProbeScratch};
@@ -177,8 +178,11 @@ impl Pipeline {
         pruning.candidate_clusters = ccs.iter().map(|cc| cc.len() as u32).sum();
         timings.intersect = t0.elapsed();
 
-        // Step 3: HWMT per window.
+        // Step 3: HWMT per window. Every hop-window and extension chain
+        // hands back where a probe of exactly a set returned it intact;
+        // validation reads that record instead of probing again.
         let t0 = Instant::now();
+        let mut intact = IntactRuns::new();
         let windows: Vec<Window<'_>> = bench
             .windows(2)
             .zip(&ccs)
@@ -189,13 +193,22 @@ impl Pipeline {
             })
             .collect();
         let spanning: Vec<Vec<Convoy>> = if prefetched {
-            hwmt_over_slabs(source, params, &windows, workers, pruning, prefetch)?
+            hwmt_over_slabs(
+                source,
+                params,
+                &windows,
+                workers,
+                pruning,
+                prefetch,
+                &mut intact,
+            )?
         } else {
             let mined = reader.map(&windows, |w, probe, scratch| w.mine(params, probe, scratch))?;
             mined
                 .into_iter()
                 .map(|res| {
                     pruning.hwmt_points += res.points_fetched;
+                    intact.extend(res.intact);
                     res.spanning
                 })
                 .collect()
@@ -211,17 +224,18 @@ impl Pipeline {
 
         // Step 5: extension (right, then left with the k filter).
         let t0 = Instant::now();
-        let right = extend_pass(
+        let mut right = extend_pass(
             &reader,
             params,
             merged.into_iter().collect(),
             Direction::Right { end: span.end },
         )?;
         pruning.extend_points += right.points_fetched;
+        intact.append(&mut right.intact);
         timings.extend_right = t0.elapsed();
 
         let t0 = Instant::now();
-        let left = extend_pass(
+        let mut left = extend_pass(
             &reader,
             params,
             right.convoys.into_iter().collect(),
@@ -232,11 +246,13 @@ impl Pipeline {
         )?;
         pruning.extend_points += left.points_fetched;
         pruning.pre_validation_convoys = left.convoys.len() as u32;
+        intact.append(&mut left.intact);
         timings.extend_left = t0.elapsed();
 
         // Step 6: validation to fully-connected convoys.
         let t0 = Instant::now();
-        let validated = validate_pass(&reader, params, cfg.k, left.convoys)?;
+        let record = IntactRecord::new(intact);
+        let validated = validate_pass(&reader, params, cfg.k, left.convoys, &record)?;
         pruning.validation_points = validated.points_fetched;
         timings.validation = t0.elapsed();
 
@@ -286,8 +302,9 @@ impl Window<'_> {
 /// shard to shard — then the shard's windows fan out to the workers,
 /// each probing its own slab. Peak resident slab bytes are
 /// `O(window span × workers)`, not `O(full span × union)`;
-/// [`PrefetchStats`] reports the measured peak, and `hwmt_points`
-/// counts what the slabs fetched.
+/// [`PrefetchStats`] reports the measured peak, `hwmt_points` counts
+/// what the slabs fetched, and the windows' intact reclusters go to
+/// `intact`.
 fn hwmt_over_slabs(
     source: &dyn SnapshotSource,
     params: DbscanParams,
@@ -295,6 +312,7 @@ fn hwmt_over_slabs(
     workers: usize,
     pruning: &mut PruningStats,
     prefetch: &mut PrefetchStats,
+    intact: &mut IntactRuns,
 ) -> StoreResult<Vec<Vec<Convoy>>> {
     let mut slabs: Vec<WindowSlab> = Vec::new();
     let mut spanning = Vec::with_capacity(windows.len());
@@ -324,7 +342,9 @@ fn hwmt_over_slabs(
             },
         );
         for res in mined {
-            spanning.push(res?.spanning);
+            let res = res?;
+            intact.extend(res.intact);
+            spanning.push(res.spanning);
         }
     }
     Ok(spanning)

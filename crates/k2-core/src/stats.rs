@@ -66,7 +66,12 @@ pub struct PruningStats {
     pub hwmt_points: u64,
     /// Points fetched during extension.
     pub extend_points: u64,
-    /// Points fetched during validation.
+    /// Points validation examined at every timestamp HWMT\* checked a
+    /// set `O` at: the points read there, or `|O|` where the run's record
+    /// of intact reclusters already answered `[O]` (which a read would
+    /// have returned) — the paper's Table 5 accounting of work done. What
+    /// validation actually read shows in the source's
+    /// `IoStats::point_queries`.
     pub validation_points: u64,
     /// Number of benchmark timestamps clustered.
     pub benchmark_timestamps: u32,

@@ -19,9 +19,14 @@
 //!   re-validation, because *their* connectivity inside the old lifespan
 //!   is again unverified. The recursion terminates: every requeued convoy
 //!   has strictly fewer objects or a strictly shorter lifespan.
+//!
+//! Most of HWMT\*'s probes repeat a `(t, O)` that HWMT or extension
+//! already clustered intact; those are answered from the run's
+//! [`IntactRecord`] instead of read and re-clustered.
 
 use crate::benchpoints::hwmt_star_order;
-use crate::par::{PassResult, ProbeReader};
+use crate::par::{Chain, PassResult, ProbeReader};
+use crate::record::IntactRecord;
 use crate::{recluster_at, Probe, ProbeScratch};
 use k2_cluster::DbscanParams;
 use k2_model::{Convoy, ConvoySet, ObjectSet, SetPool, Time, TimeInterval};
@@ -31,13 +36,15 @@ use std::collections::HashMap;
 /// Algorithm 4: reduces extended candidates to maximal FC convoys.
 ///
 /// Candidates fan out over the reader's workers — each is validated by
-/// its own chain of HWMT\* runs — and the fully-connected convoys they
-/// yield are folded, in candidate order, into one maximal set.
+/// its own chain of HWMT\* runs, all reading the one `record` — and the
+/// fully-connected convoys they yield are folded, in candidate order,
+/// into one maximal set.
 pub(crate) fn validate_pass(
     reader: &ProbeReader<'_>,
     params: DbscanParams,
     min_len: u32,
     candidates: impl IntoIterator<Item = Convoy>,
+    record: &IntactRecord,
 ) -> StoreResult<PassResult> {
     let mut candidates: Vec<Convoy> = candidates
         .into_iter()
@@ -48,28 +55,37 @@ pub(crate) fn validate_pass(
     // block cache) sees is pinned to that order.
     candidates.reverse();
     reader.map_maximal(&candidates, |v, probe, scratch| {
-        validate_one(params, min_len, v, probe, scratch)
+        validate_one(params, min_len, v, record, probe, scratch)
     })
 }
 
 /// Validates one candidate: HWMT\* either confirms it unchanged or
 /// yields smaller convoys, which are validated in turn. Returns the
-/// fully-connected convoys found and the number of points fetched.
+/// fully-connected convoys found and the number of points examined.
 fn validate_one(
     params: DbscanParams,
     min_len: u32,
     candidate: &Convoy,
+    record: &IntactRecord,
     mut probe: impl Probe,
     scratch: &mut ProbeScratch,
-) -> StoreResult<(Vec<Convoy>, u64)> {
-    let mut fetched = 0u64;
+) -> StoreResult<Chain> {
+    let mut examined = 0u64;
     let mut fc = Vec::new();
     let mut queue = vec![candidate.clone()];
     while let Some(vin) = queue.pop() {
         // Per-run pool rotation: HWMT*'s probe repeats are within one
         // convoy's lifespan sweep; clearing bounds retention.
         scratch.cluster.pool_mut().clear();
-        let out = hwmt_star(params, min_len, &vin, &mut fetched, &mut probe, scratch)?;
+        let out = hwmt_star(
+            params,
+            min_len,
+            &vin,
+            record,
+            &mut examined,
+            &mut probe,
+            scratch,
+        )?;
         if out.len() == 1 && out.contains(&vin) {
             fc.push(vin);
         } else {
@@ -78,12 +94,17 @@ fn validate_one(
             queue.extend(out);
         }
     }
-    Ok((fc, fetched))
+    Ok(Chain {
+        emitted: fc,
+        points: examined,
+        ..Chain::default()
+    })
 }
 
 /// HWMT\*: mines the maximal convoys (length ≥ `min_len`) of the dataset
 /// restricted to `v`'s objects over `v`'s lifespan, reading `DB[t]|O`
-/// through `probe` and adding what it reads to `fetched`.
+/// through `probe` wherever `record` does not already answer `[O]`, and
+/// adding the points it examines — read or recorded — to `examined`.
 ///
 /// Two phases:
 ///
@@ -96,11 +117,14 @@ fn validate_one(
 /// 2. **Restricted sweep**: using the clusters cached by phase 1, a
 ///    CMC-style sweep assembles the maximal convoys inside the
 ///    restriction. (Lemma 2 applies within `DB|O`, so the sweep is exact.)
+///    When every timestamp answered `[O]` the sweep could only yield `v`
+///    itself, so it is skipped.
 fn hwmt_star(
     params: DbscanParams,
     min_len: u32,
     v: &Convoy,
-    fetched: &mut u64,
+    record: &IntactRecord,
+    examined: &mut u64,
     mut probe: impl Probe,
     scratch: &mut ProbeScratch,
 ) -> StoreResult<Vec<Convoy>> {
@@ -109,12 +133,22 @@ fn hwmt_star(
         return Ok(Vec::new());
     }
 
-    // Phase 1: probe in farthest-first order with early termination.
+    // Phase 1: probe in farthest-first order with early termination,
+    // caching only the timestamps that did not answer `[O]`.
+    let recorded = record.intact_at(&v.objects);
     let mut clusters_at: HashMap<Time, Vec<ObjectSet>> = HashMap::new();
     let mut broken: Vec<Time> = Vec::new();
     for t in hwmt_star_order(span) {
+        if recorded(t) {
+            // Table 5 counts the points validation examines, read or not.
+            *examined += v.objects.len() as u64;
+            continue;
+        }
         let (clusters, n) = recluster_at(&mut probe, params, t, &v.objects, scratch)?;
-        *fetched += n;
+        *examined += n;
+        if clusters.len() == 1 && clusters[0] == v.objects {
+            continue;
+        }
         if clusters.is_empty() {
             broken.push(t);
             broken.sort_unstable();
@@ -124,16 +158,23 @@ fn hwmt_star(
         }
         clusters_at.insert(t, clusters);
     }
+    if clusters_at.is_empty() {
+        // `[O]` at every timestamp: the sweep would yield exactly `v`.
+        return Ok(vec![v.clone()]);
+    }
 
-    // Phase 2: sweep the cached clusters left to right. Intersections go
-    // through an interning pool — a stable active convoy re-derives the
-    // same set at every timestamp, so the repeats share storage and the
-    // `update()` maximality checks compare by pointer.
+    // Phase 2: sweep the cached clusters left to right (an uncached
+    // timestamp answered `[O]`). Intersections go through an interning
+    // pool — a stable active convoy re-derives the same set at every
+    // timestamp, so the repeats share storage and the `update()`
+    // maximality checks compare by pointer.
     let mut pool = SetPool::new();
     let mut active: Vec<Convoy> = Vec::new();
     let mut results = ConvoySet::new();
     for t in span.iter() {
-        let clusters = &clusters_at[&t];
+        let clusters = clusters_at
+            .get(&t)
+            .map_or(std::slice::from_ref(&v.objects), Vec::as_slice);
         let mut next = ConvoySet::new();
         for av in &active {
             let mut extended_fully = false;
@@ -186,7 +227,7 @@ fn longest_fragment(span: TimeInterval, broken: &[Time]) -> u32 {
 mod tests {
     use super::*;
     use k2_model::{Dataset, Point};
-    use k2_storage::InMemoryStore;
+    use k2_storage::{InMemoryStore, SnapshotSource};
 
     fn star(
         store: &InMemoryStore,
@@ -196,7 +237,16 @@ mod tests {
         fetched: &mut u64,
     ) -> StoreResult<Vec<Convoy>> {
         let scratch = &mut ProbeScratch::default();
-        hwmt_star(params, min_len, v, fetched, crate::probe_of(store), scratch)
+        let record = &IntactRecord::default();
+        hwmt_star(
+            params,
+            min_len,
+            v,
+            record,
+            fetched,
+            crate::probe_of(store),
+            scratch,
+        )
     }
 
     fn validate(
@@ -205,7 +255,33 @@ mod tests {
         min_len: u32,
         candidates: Vec<Convoy>,
     ) -> StoreResult<PassResult> {
-        validate_pass(&ProbeReader::Source(store), params, min_len, candidates)
+        validate_recorded(store, params, min_len, candidates, &IntactRecord::default())
+    }
+
+    fn validate_recorded(
+        store: &InMemoryStore,
+        params: DbscanParams,
+        min_len: u32,
+        candidates: Vec<Convoy>,
+        record: &IntactRecord,
+    ) -> StoreResult<PassResult> {
+        validate_pass(
+            &ProbeReader::Source(store),
+            params,
+            min_len,
+            candidates,
+            record,
+        )
+    }
+
+    /// A record of `set` intact over each of `runs`.
+    fn record_of(set: &[u32], runs: &[(Time, Time)]) -> IntactRecord {
+        let set = ObjectSet::from(set);
+        IntactRecord::new(
+            runs.iter()
+                .map(|&(s, e)| (set.clone(), TimeInterval::new(s, e)))
+                .collect(),
+        )
     }
 
     const PARAMS: DbscanParams = DbscanParams {
@@ -300,6 +376,65 @@ mod tests {
         let res = validate(&store, PARAMS, 5, vec![v.clone()]).unwrap();
         assert_eq!(res.convoys.len(), 1);
         assert!(res.convoys.contains(&v));
+    }
+
+    #[test]
+    fn a_superset_recorded_intact_does_not_let_its_subset_through() {
+        // abcde intact at every timestamp says nothing about abcd, which
+        // the bridge e alone connects at t = 3.
+        let store = bridge_store();
+        let record = record_of(&[0, 1, 2, 3, 4], &[(1, 6)]);
+        let candidates = vec![Convoy::from_parts([0u32, 1, 2, 3], 1, 6)];
+        let plain = validate(&store, PARAMS, 3, candidates.clone()).unwrap();
+        let recorded = validate_recorded(&store, PARAMS, 3, candidates, &record).unwrap();
+        assert!(!recorded
+            .convoys
+            .contains(&Convoy::from_parts([0u32, 1, 2, 3], 1, 6)));
+        assert_eq!(
+            recorded.convoys.into_sorted_vec(),
+            plain.convoys.into_sorted_vec()
+        );
+        assert_eq!(recorded.points_fetched, plain.points_fetched);
+    }
+
+    #[test]
+    fn a_candidate_recorded_everywhere_is_accepted_without_a_read() {
+        let store = bridge_store();
+        let v = Convoy::from_parts([0u32, 1, 2, 3, 4], 1, 5);
+        let plain = validate(&store, PARAMS, 5, vec![v.clone()]).unwrap();
+        let record = record_of(&[0, 1, 2, 3, 4], &[(1, 3), (4, 5)]);
+        let before = store.io_stats();
+        let recorded = validate_recorded(&store, PARAMS, 5, vec![v.clone()], &record).unwrap();
+        assert_eq!(store.io_stats().since(&before), Default::default());
+        assert_eq!(recorded.convoys.into_sorted_vec(), vec![v.clone()]);
+        assert_eq!(plain.convoys.into_sorted_vec(), vec![v]);
+        // Table 5 still counts the points validation examined.
+        assert_eq!(recorded.points_fetched, plain.points_fetched);
+        assert_eq!(recorded.points_fetched, 5 * 5);
+    }
+
+    #[test]
+    fn a_set_recorded_at_some_timestamps_is_answered_only_there() {
+        let store = bridge_store();
+        // abcd is truly intact everywhere but t = 3; recorded at 1, 2, 5.
+        let v = Convoy::from_parts([0u32, 1, 2, 3], 1, 6);
+        let record = record_of(&[0, 1, 2, 3], &[(1, 2), (5, 5)]);
+        let mut asked = Vec::new();
+        let probe = |t, oids: &[u32], out: &mut Vec<_>| {
+            asked.push(t);
+            store.multi_get_into(t, oids, out)
+        };
+        let mut examined = 0;
+        let scratch = &mut ProbeScratch::default();
+        let out = hwmt_star(PARAMS, 2, &v, &record, &mut examined, probe, scratch).unwrap();
+        // Probe order 1, 6, 3, 2, 4, 5 less the recorded timestamps.
+        assert_eq!(asked, vec![6, 3, 4]);
+        let mut plain_examined = 0;
+        assert_eq!(
+            out,
+            star(&store, PARAMS, 2, &v, &mut plain_examined).unwrap()
+        );
+        assert_eq!(examined, plain_examined);
     }
 
     #[test]

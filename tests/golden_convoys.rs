@@ -1,19 +1,26 @@
 //! End-to-end golden-output regression tests.
 //!
-//! Three fixed-seed workloads — Brinkhoff network traffic (metric
+//! Four fixed-seed workloads — Brinkhoff network traffic (metric
 //! coordinates), Trucks depot runs and T-Drive taxi platoons (both
 //! lat/lon degree coordinates, which also pin the geo-scale CSR grid
-//! path) — are mined end to end and the *full* sorted convoy output is
-//! asserted against committed expectations under `tests/golden/`. Both
-//! engines — `K2Hop` probing the source point by point, `K2HopParallel`
-//! over the resident dataset and over prefetched hop-window slabs — must
-//! reproduce the files bit for bit at several worker counts, so a future
-//! refactor cannot silently change mining results and still pass CI.
-//! The fetch work behind the output is pinned too: the points each phase
-//! reads and the queries the store sees are fixed per fixture, and every
-//! engine accounts them through the same counters; so is how often
-//! benchmark clustering patched the previous snapshot's grid instead of
-//! rebuilding it.
+//! path), at `m = 2`, plus a denser T-Drive at `m = 3` (border points on
+//! the grid path) — are mined end to end and the *full* sorted convoy
+//! output is asserted against committed expectations under
+//! `tests/golden/`. Both engines — `K2Hop` probing the source point by
+//! point, `K2HopParallel` over the resident dataset and over prefetched
+//! hop-window slabs — must reproduce the files bit for bit at several
+//! worker counts, so a future refactor cannot silently change mining
+//! results and still pass CI. The fetch work behind the output is pinned
+//! too: the points each phase examines and the queries the store sees
+//! are fixed per fixture, and every engine accounts them through the
+//! same counters; so is how often benchmark clustering patched the
+//! previous snapshot's grid instead of rebuilding it.
+//!
+//! `points` and `queries` differ by what validation answers from the
+//! run's record of intact reclusters: `validation_points` counts every
+//! point validation examined — the paper's Table 5 accounting, whether
+//! read or recorded — while `point_queries` counts only what the store
+//! was actually asked for.
 //!
 //! To regenerate after an *intentional* semantic change:
 //!
@@ -59,7 +66,9 @@ fn render(convoys: &[Convoy]) -> String {
 struct FetchWork {
     /// `(benchmark_points, hwmt_points, extend_points, validation_points)`.
     points: (u64, u64, u64, u64),
-    /// `(point_queries, range_queries)` the store counted.
+    /// `(point_queries, range_queries)` the store counted: one point
+    /// query per object of every probe HWMT and extension read, and of
+    /// every validation probe the record did not answer.
     queries: (u64, u64),
     /// `(grid_builds, grid_patches)` of benchmark clustering. Pinned for
     /// this one-worker run only: each worker patches its own grid, so
@@ -214,7 +223,7 @@ fn brinkhoff_golden() {
         K2Config::new(2, 20, 600.0).unwrap(),
         FetchWork {
             points: (935, 452, 350, 678),
-            queries: (1486, 12),
+            queries: (872, 12),
             grid: (1, 11),
             slab_hwmt_points: 468,
         },
@@ -240,7 +249,7 @@ fn trucks_golden() {
         K2Config::new(2, 30, 6.0e-4).unwrap(),
         FetchWork {
             points: (554, 2096, 80, 2292),
-            queries: (4479, 53),
+            queries: (2341, 53),
             // No snapshot exceeds the 24 points up to which clustering
             // scans pairwise and builds no grid.
             grid: (0, 0),
@@ -266,9 +275,35 @@ fn tdrive_golden() {
         K2Config::new(2, 30, 2.0e-4).unwrap(),
         FetchWork {
             points: (360, 392, 262, 668),
-            queries: (1322, 6),
+            queries: (696, 6),
             grid: (2, 4),
             slab_hwmt_points: 392,
+        },
+    );
+}
+
+#[test]
+fn tdrive_m3_golden() {
+    // Denser T-Drive at m = 3: benchmark snapshots of 400 taxis go
+    // through the grid, where border points exist — the one fixture whose
+    // grid path labels them (every other one mines m = 2).
+    let dataset = TDriveConfig {
+        num_taxis: 400,
+        num_timestamps: 120,
+        platoon_fraction: 0.25,
+        seed: 0,
+    }
+    .seed(3)
+    .generate();
+    golden_check(
+        "tdrive_m3",
+        dataset,
+        K2Config::new(3, 20, 6.0e-4).unwrap(),
+        FetchWork {
+            points: (4800, 5796, 981, 7324),
+            queries: (7521, 12),
+            grid: (1, 11),
+            slab_hwmt_points: 5796,
         },
     );
 }
