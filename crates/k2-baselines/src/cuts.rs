@@ -21,7 +21,7 @@
 
 use crate::sweep::{snapshot_sweep, SeedRule};
 use crate::BaselineResult;
-use k2_cluster::{DbscanParams, GridIndex};
+use k2_cluster::{DbscanParams, GridState};
 use k2_model::{Dataset, ObjPos, Oid, Snapshot};
 use k2_storage::{InMemoryStore, SnapshotSource, StoreResult};
 use std::collections::{HashMap, HashSet};
@@ -163,19 +163,16 @@ fn cluster_trajectories(polylines: &[Vec<(f64, f64)>], m: usize, eps: f64) -> Ve
             vertex_points.push(ObjPos::new(i as Oid, x, y));
         }
     }
-    let grid = GridIndex::build(&vertex_points, eps.max(f64::MIN_POSITIVE));
+    let mut grid = GridState::new();
+    grid.update(&vertex_points, eps.max(f64::MIN_POSITIVE));
     let mut vertex_near: Vec<HashSet<u32>> = vec![HashSet::new(); n];
-    let mut scratch = Vec::new();
-    for (vi, vp) in vertex_points.iter().enumerate() {
-        scratch.clear();
-        grid.neighbours(&vertex_points, vi, eps * eps, &mut scratch);
-        for &other in &scratch {
-            let oi = vertex_points[other as usize].oid;
-            if oi != vp.oid {
-                vertex_near[vp.oid as usize].insert(oi);
-            }
+    grid.eps_pairs(&vertex_points, eps * eps, &mut Vec::new(), |a, b| {
+        let (oa, ob) = (vertex_points[a as usize].oid, vertex_points[b as usize].oid);
+        if oa != ob {
+            vertex_near[oa as usize].insert(ob);
+            vertex_near[ob as usize].insert(oa);
         }
-    }
+    });
     let boxes: Vec<(f64, f64, f64, f64)> = polylines.iter().map(|p| bbox(p)).collect();
     let eps2 = eps * eps;
     let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); n];

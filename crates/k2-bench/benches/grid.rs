@@ -1,11 +1,10 @@
-//! Grid-layout microbenchmarks: CSR (counting-sort, this PR) vs the
-//! pre-existing `HashMap` layout, A/B'd on build cost, neighbour-query
-//! cost, and a full DBSCAN over the 10k-point uniform snapshot — the
-//! workload the perf acceptance criterion is stated against.
+//! Grid microbenchmarks: [`GridState`] build cost, re-scatter against a
+//! fresh build per update across churn levels, the eps-pair sweep, and a
+//! full DBSCAN over a 10k-point uniform snapshot.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use k2_cluster::{dbscan, dbscan_with, DbscanParams, GridIndex, GridScratch, GridState};
-use k2_model::{ObjPos, ObjectSet};
+use k2_cluster::{dbscan, dbscan_with, DbscanParams, GridScratch, GridState};
+use k2_model::ObjPos;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -28,17 +27,11 @@ fn bench_build(c: &mut Criterion) {
         let points = uniform(n, 13);
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("csr", n), &points, |b, pts| {
-            b.iter(|| black_box(GridIndex::build(pts, EPS).is_csr()))
-        });
-        group.bench_with_input(BenchmarkId::new("csr_reused", n), &points, |b, pts| {
-            let mut grid = GridIndex::new();
             b.iter(|| {
-                grid.rebuild(pts, EPS);
-                black_box(grid.is_csr())
+                let mut grid = GridState::new();
+                grid.update(pts, EPS);
+                black_box(grid.cell_side())
             })
-        });
-        group.bench_with_input(BenchmarkId::new("hashmap", n), &points, |b, pts| {
-            b.iter(|| black_box(GridIndex::build_sparse(pts, EPS).is_csr()))
         });
     }
     group.finish();
@@ -64,12 +57,9 @@ fn churned(points: &[ObjPos], churn_pct: usize, seed: u64) -> Vec<ObjPos> {
         .collect()
 }
 
-/// The tentpole A/B: patching a [`GridState`] between two adjacent
-/// snapshots vs rebuilding a [`GridIndex`] from scratch each time. Each
-/// iteration performs two updates (A→B→A) so the state round-trips.
-/// Low churn is served by slot moves, high churn by the retained-geometry
-/// re-scatter — the bars quantify what each flavour saves over the full
-/// extent retune.
+/// Re-scattering a [`GridState`] between two adjacent snapshots under
+/// the retained geometry vs building a fresh one for each. Each iteration
+/// performs two updates (A→B→A) so the state round-trips.
 fn bench_build_vs_patch(c: &mut Criterion) {
     let n = 10_000usize;
     let a = uniform(n, 29);
@@ -83,10 +73,9 @@ fn bench_build_vs_patch(c: &mut Criterion) {
             |bch, b_pts| {
                 let mut state = GridState::new();
                 state.update(&a, EPS);
-                // Warm round-trip, then check the patch path actually
+                // Warm round-trip, then check the re-scatter actually
                 // serves the updates: the teleports stay inside the
-                // retained box, so every churn level patches (the
-                // high-churn levels via the re-scatter flavour).
+                // retained box, so every churn level patches.
                 let before = state.counters();
                 state.update(b_pts, EPS);
                 state.update(&a, EPS);
@@ -103,12 +92,12 @@ fn bench_build_vs_patch(c: &mut Criterion) {
             BenchmarkId::new("rebuild", format!("churn_{churn}pct")),
             &b_pts,
             |bch, b_pts| {
-                let mut grid = GridIndex::new();
-                grid.rebuild(&a, EPS);
                 bch.iter(|| {
-                    grid.rebuild(b_pts, EPS);
-                    grid.rebuild(&a, EPS);
-                    black_box(grid.is_csr())
+                    for pts in [b_pts, &a] {
+                        let mut grid = GridState::new();
+                        grid.update(pts, EPS);
+                        black_box(grid.cell_side());
+                    }
                 })
             },
         );
@@ -116,110 +105,27 @@ fn bench_build_vs_patch(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_neighbours(c: &mut Criterion) {
+fn bench_eps_pairs(c: &mut Criterion) {
     let n = 10_000usize;
     let points = uniform(n, 17);
-    let csr = GridIndex::build(&points, EPS);
-    let sparse = GridIndex::build_sparse(&points, EPS);
-    assert!(csr.is_csr() && !sparse.is_csr());
-    let mut group = c.benchmark_group("grid/neighbours_10k");
+    let mut grid = GridState::new();
+    grid.update(&points, EPS);
+    let mut group = c.benchmark_group("grid/eps_pairs_10k");
     group.throughput(Throughput::Elements(n as u64));
-    for (label, grid) in [("csr", &csr), ("hashmap", &sparse)] {
-        group.bench_function(label, |b| {
-            let mut out = Vec::new();
-            b.iter(|| {
-                let mut total = 0usize;
-                for idx in 0..points.len() {
-                    out.clear();
-                    grid.neighbours(&points, idx, EPS * EPS, &mut out);
-                    total += out.len();
-                }
-                black_box(total)
-            })
-        });
-    }
+    group.bench_function("csr", |b| {
+        let mut out = Vec::new();
+        b.iter(|| {
+            let mut total = 0usize;
+            grid.eps_pairs(&points, EPS * EPS, &mut out, |_, _| total += 1);
+            black_box(total)
+        })
+    });
     group.finish();
-}
-
-/// The pre-PR DBSCAN, reproduced verbatim at the bench level on top of
-/// the `HashMap` grid layout: fresh allocations per call, `Vec<Vec<u32>>`
-/// cluster gather. This is the baseline the ≥2× acceptance criterion is
-/// measured against.
-fn dbscan_hashmap_baseline(points: &[ObjPos], params: DbscanParams) -> Vec<ObjectSet> {
-    if points.len() < params.min_pts {
-        return Vec::new();
-    }
-    let eps2 = params.eps * params.eps;
-    let grid = GridIndex::build_sparse(points, params.eps);
-    const UNVISITED: u32 = u32::MAX;
-    const NOISE: u32 = u32::MAX - 1;
-    let mut label = vec![UNVISITED; points.len()];
-    let mut cluster_count: u32 = 0;
-    let mut neighbours: Vec<u32> = Vec::new();
-    let mut frontier: Vec<u32> = Vec::new();
-    for start in 0..points.len() {
-        if label[start] != UNVISITED {
-            continue;
-        }
-        neighbours.clear();
-        grid.neighbours(points, start, eps2, &mut neighbours);
-        if neighbours.len() < params.min_pts {
-            label[start] = NOISE;
-            continue;
-        }
-        let cid = cluster_count;
-        cluster_count += 1;
-        label[start] = cid;
-        frontier.clear();
-        for &n in &neighbours {
-            let l = label[n as usize];
-            if l == UNVISITED || l == NOISE {
-                if l == UNVISITED {
-                    frontier.push(n);
-                }
-                label[n as usize] = cid;
-            }
-        }
-        while let Some(q) = frontier.pop() {
-            neighbours.clear();
-            grid.neighbours(points, q as usize, eps2, &mut neighbours);
-            if neighbours.len() < params.min_pts {
-                continue;
-            }
-            for &n in &neighbours {
-                let l = label[n as usize];
-                if l == UNVISITED || l == NOISE {
-                    if l == UNVISITED {
-                        frontier.push(n);
-                    }
-                    label[n as usize] = cid;
-                }
-            }
-        }
-    }
-    let mut clusters: Vec<Vec<u32>> = vec![Vec::new(); cluster_count as usize];
-    for (i, &l) in label.iter().enumerate() {
-        if l < NOISE {
-            clusters[l as usize].push(points[i].oid);
-        }
-    }
-    let mut out: Vec<ObjectSet> = clusters
-        .into_iter()
-        .filter(|c| c.len() >= params.min_pts)
-        .map(ObjectSet::new)
-        .collect();
-    out.sort_by(|a, b| a.ids().cmp(b.ids()));
-    out
 }
 
 fn bench_dbscan_uniform_10k(c: &mut Criterion) {
     let points = uniform(10_000, 7);
     let params = DbscanParams::new(3, EPS);
-    // Both paths must agree before we compare their speed.
-    assert_eq!(
-        dbscan(&points, params),
-        dbscan_hashmap_baseline(&points, params)
-    );
     let mut group = c.benchmark_group("grid/dbscan_uniform_10k");
     group.throughput(Throughput::Elements(10_000));
     group.bench_function("csr", |b| {
@@ -229,9 +135,6 @@ fn bench_dbscan_uniform_10k(c: &mut Criterion) {
         let mut scratch = GridScratch::new();
         b.iter(|| black_box(dbscan_with(&points, params, &mut scratch).len()))
     });
-    group.bench_function("hashmap_pre_pr", |b| {
-        b.iter(|| black_box(dbscan_hashmap_baseline(&points, params).len()))
-    });
     group.finish();
 }
 
@@ -239,7 +142,7 @@ criterion_group!(
     benches,
     bench_build,
     bench_build_vs_patch,
-    bench_neighbours,
+    bench_eps_pairs,
     bench_dbscan_uniform_10k
 );
 criterion_main!(benches);

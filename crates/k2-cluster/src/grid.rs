@@ -1,35 +1,27 @@
-//! Uniform-grid spatial index for eps-neighbourhood queries.
+//! Grid geometry and the distance kernel behind [`GridState`].
 //!
-//! Two physical layouts share one logical index:
+//! [`csr_extent`] picks the bounding box and cell side of the one grid
+//! layout, a counting-sort CSR over row-major cells. The cell side
+//! self-tunes in two regimes: metric-scale extents use the extent-to-eps
+//! ratio directly (cell = eps, mildly coarsened), and geo-scale extents —
+//! lat/lon degrees mined with paper-range eps values around `1e-5`, where
+//! that ratio reaches the millions — derive the cell side from snapshot
+//! point *density* over a percentile-clipped bounding box. Points outside
+//! the box, non-finite ones included, clamp into the border cells, and
+//! when no budgeted geometry fits at all the grid is one cell of infinite
+//! side. Every geometry is exact: any cell side `>= eps` keeps an
+//! eps-pair's cells at most one apart per axis, and clamping cannot pull
+//! them further apart.
 //!
-//! * **CSR** (the default): a counting-sort compressed-sparse-row layout
-//!   over the snapshot's bounding box — one `offsets` array of
-//!   `cols * rows + 1` cell boundaries and one `slots` array holding every
-//!   point index, grouped by row-major cell id. Building it is three
-//!   linear passes with zero hashing, and a 3×3 neighbourhood probe reads
-//!   exactly three contiguous `slots` ranges (one per grid row), which the
-//!   prefetcher loves.
-//! * **Sparse** (the fallback): the original `HashMap<(i64, i64), Vec<u32>>`
-//!   keyed by absolute cell coordinates, used when no dense geometry
-//!   exists at all — non-finite coordinates, or an aspect ratio so
-//!   extreme that even density-derived cells blow the cell budget.
+//! [`dist2_filter_chunked`] is the distance filter every neighbour test
+//! goes through, gridded or pairwise.
 //!
-//! The CSR cell side self-tunes in two regimes: metric-scale extents use
-//! the extent-to-eps ratio directly (cell = eps, mildly coarsened), and
-//! geo-scale extents — lat/lon degrees mined with paper-range eps values
-//! around `1e-5`, where that ratio reaches the millions — derive the cell
-//! side from snapshot point *density* over a percentile-clipped bounding
-//! box, with outliers clamped into the border cells.
-//!
-//! All buffers live inside the [`GridIndex`] value and are reused by
-//! [`GridIndex::rebuild`], so the thousands of tiny `recluster` probes in
-//! the HWMT / extension / validation phases amortise every allocation.
+//! [`GridState`]: crate::GridState
 
 use k2_model::ObjPos;
-use std::collections::HashMap;
 
 /// Appends every candidate within distance `sqrt(eps2)` of `q` to `out` —
-/// the distance filter of the 3×3 probe, manually vectorized.
+/// the distance filter of every neighbour test, manually vectorized.
 ///
 /// `candidates` are indices into `points`. The loop is a chunked,
 /// dependency-free f64x4-style kernel: four squared distances are computed
@@ -41,8 +33,9 @@ use std::collections::HashMap;
 ///
 /// Per-lane arithmetic is exactly [`ObjPos::dist2`]`(q) <= eps2`, so the
 /// appended *set* is bit-identical to the scalar loop it replaces; only
-/// the instruction schedule changes. NaN coordinates compare false and
-/// are skipped, matching the scalar behaviour.
+/// the instruction schedule changes. Non-finite coordinates give a NaN or
+/// infinite distance, which compares false, so such a point is never
+/// appended — not even as its own neighbour.
 #[inline]
 pub fn dist2_filter_chunked(
     points: &[ObjPos],
@@ -76,280 +69,69 @@ pub fn dist2_filter_chunked(
 }
 
 /// Target CSR occupancy: aim for about this many cells per point. Any
-/// cell side `>= eps` preserves the 3×3 neighbourhood guarantee, so when
+/// cell side `>= eps` preserves the neighbouring-cell guarantee, so when
 /// the eps-sized grid would be much sparser than this the cell side is
 /// scaled up — zero-filling a hundred empty cells per point costs more
 /// than filtering a couple of extra distance candidates.
 const CSR_TARGET_CELLS_PER_POINT: usize = 4;
 /// Floor on the occupancy target for small snapshots. Every build and
-/// every incremental re-scatter pays `O(cells)` passes, so a floor much
-/// larger than the snapshot (the old value was a flat 1024 cells even
-/// for a 60-point snapshot) makes the cell-array passes dominate the
-/// point work; 256 keeps tiny grids fine-grained enough to probe well
-/// while letting their build cost stay proportional to `n`.
+/// every re-scatter pays `O(cells)` passes, so a floor much larger than
+/// the snapshot makes the cell-array passes dominate the point work; 256
+/// keeps tiny grids fine-grained enough to probe well while letting
+/// their build cost stay proportional to `n`.
 const CSR_MIN_TARGET_CELLS: usize = 256;
 /// Up to this scale factor over `eps` the cell side comes straight from
 /// the extent-to-eps ratio (the cheap path: no percentile pass). Beyond
 /// it the extent dwarfs eps — lat/lon data mined with degree-scale eps,
 /// or an outlier-stretched bounding box — and the cell side is instead
 /// derived from snapshot point *density* over a percentile-clipped
-/// bounding box (see [`density_extent`]), so geo-scale snapshots stay on
-/// the CSR layout instead of falling back to the `HashMap`.
+/// bounding box (see [`density_extent`]).
 const CSR_MAX_CELL_SCALE: f64 = 8.0;
 /// Percentile clipped off each side of the coordinate distribution when
 /// the density path sizes its bounding box (2% per tail): a handful of
 /// GPS glitches must not inflate the box that every regular point is
-/// gridded into. Points outside the clipped box clamp to the border
-/// cells, which keeps the 3×3 guarantee (clamping is 1-Lipschitz, so two
-/// points within eps land within one cell index of each other).
+/// gridded into.
 const CSR_CLIP_PER_MILLE: usize = 20;
 /// Densest CSR grid we allow after scaling, as a multiple of the point
-/// count. Beyond this the zero-fill of `offsets` would dominate the
-/// build, so the sparse fallback wins.
+/// count; beyond it the zero-fill of the cell array would dominate.
 const CSR_MAX_CELLS_PER_POINT: usize = 192;
 /// Grids up to this many cells are always allowed (the multipliers above
 /// only bite for large point sets).
 const CSR_MIN_CELL_BUDGET: usize = 1 << 16;
-/// Absolute ceiling on dense cells (bounds `offsets` to ~64 MiB).
+/// Absolute ceiling on cells (bounds the cell array to ~64 MiB).
 const CSR_ABS_MAX_CELLS: usize = 1 << 24;
 
-/// A uniform grid over a point set with cell side `eps`.
-///
-/// An eps-neighbourhood is fully contained in the 3×3 block of cells
-/// around a point's cell, so a neighbourhood query inspects at most nine
-/// cells and filters by exact distance. For the quasi-uniform snapshots of
-/// movement data this gives expected `O(1)` work per query and `O(n)` per
-/// DBSCAN run, replacing the `O(n²)` pairwise scan the paper identifies as
-/// the bottleneck of naive implementations.
-#[derive(Debug, Default)]
-pub struct GridIndex {
-    cell: f64,
-    /// Which layout the last `rebuild` chose.
-    repr: Repr,
-    // --- CSR layout (valid when `repr == Repr::Csr`) ---
-    min_x: f64,
-    min_y: f64,
-    cols: usize,
-    rows: usize,
-    /// `offsets[c]..offsets[c + 1]` is the `slots` range of cell `c`.
-    offsets: Vec<u32>,
-    /// Point indices grouped by row-major cell id.
-    slots: Vec<u32>,
-    /// Build scratch: cell id of each point (reused across rebuilds).
-    cell_of: Vec<u32>,
-    /// Build scratch: coordinate buffer for the density path's
-    /// percentile selection (reused across rebuilds).
-    percentiles: Vec<f64>,
-    // --- sparse fallback (valid when `repr == Repr::Sparse`) ---
-    sparse: HashMap<(i64, i64), Vec<u32>>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum Repr {
-    #[default]
-    Csr,
-    Sparse,
-}
-
-impl GridIndex {
-    /// Creates an empty index (no points, no allocation). Populate it with
-    /// [`rebuild`](Self::rebuild).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builds the index over `points` with cell side `eps`.
-    pub fn build(points: &[ObjPos], eps: f64) -> Self {
-        let mut g = Self::new();
-        g.rebuild(points, eps);
-        g
-    }
-
-    /// Builds the index using the sparse `HashMap` layout unconditionally.
-    ///
-    /// This is the pre-CSR representation, kept as the degenerate-extent
-    /// fallback; the constructor is public so property tests and benches
-    /// can compare the two layouts directly.
-    pub fn build_sparse(points: &[ObjPos], eps: f64) -> Self {
-        let mut g = Self::new();
-        g.rebuild_sparse(points, eps);
-        g
-    }
-
-    /// Re-populates the index over `points`, reusing every internal
-    /// buffer from previous builds (the `recluster` hot path).
-    pub fn rebuild(&mut self, points: &[ObjPos], eps: f64) {
-        debug_assert!(eps > 0.0 && eps.is_finite());
-        match csr_extent(points, eps, &mut self.percentiles) {
-            Some(extent) => self.rebuild_csr(points, extent),
-            None => self.rebuild_sparse(points, eps),
-        }
-    }
-
-    /// The cell side of the last build (diagnostics / tests).
-    pub fn cell_side(&self) -> f64 {
-        self.cell
-    }
-
-    /// Is the dense CSR layout active (diagnostics / tests)?
-    pub fn is_csr(&self) -> bool {
-        self.repr == Repr::Csr
-    }
-
-    fn rebuild_csr(&mut self, points: &[ObjPos], extent: CsrExtent) {
-        self.cell = extent.cell;
-        self.repr = Repr::Csr;
-        self.min_x = extent.min_x;
-        self.min_y = extent.min_y;
-        self.cols = extent.cols;
-        self.rows = extent.rows;
-        self.sparse.clear();
-
-        let cells = extent.cols * extent.rows;
-        // Pass 1: cell id per point + per-cell counts (in `offsets`).
-        self.offsets.clear();
-        self.offsets.resize(cells + 1, 0);
-        self.cell_of.clear();
-        self.cell_of.reserve(points.len());
-        for p in points {
-            // Clamped into the grid: the density path's percentile-clipped
-            // box can exclude outlier points, which land in the border
-            // cells (and a full-extent box makes the clamp a no-op — the
-            // float-to-usize cast already saturates negatives to 0).
-            let col = (((p.x - extent.min_x) / extent.cell) as usize).min(extent.cols - 1);
-            let row = (((p.y - extent.min_y) / extent.cell) as usize).min(extent.rows - 1);
-            let cell = (row * extent.cols + col) as u32;
-            self.cell_of.push(cell);
-            self.offsets[cell as usize + 1] += 1;
-        }
-        // Pass 2: exclusive prefix sum -> cell start offsets.
-        let mut acc = 0u32;
-        for o in self.offsets.iter_mut() {
-            acc += *o;
-            *o = acc;
-        }
-        // Pass 3: scatter point indices into their cell's slot range.
-        // After this loop `offsets[c]` has advanced to the *end* of cell
-        // c's range, i.e. exactly the value `offsets[c + 1]` had before —
-        // so reading ranges as `offsets[c]..offsets[c + 1]` works with
-        // `offsets[0]` implicitly 0 via the shifted indexing below.
-        self.slots.clear();
-        self.slots.resize(points.len(), 0);
-        for (i, &cell) in self.cell_of.iter().enumerate() {
-            let slot = self.offsets[cell as usize];
-            self.slots[slot as usize] = i as u32;
-            self.offsets[cell as usize] += 1;
-        }
-        // `offsets[c]` now holds end-of-cell-c == start-of-cell-(c+1), and
-        // `offsets[cells]` == points.len(); ranges are read shifted:
-        // cell c spans `start(c)..offsets[c]` with start(0) == 0 and
-        // start(c) == offsets[c - 1]`.
-    }
-
-    fn rebuild_sparse(&mut self, points: &[ObjPos], eps: f64) {
-        self.cell = eps;
-        self.repr = Repr::Sparse;
-        self.offsets.clear();
-        self.slots.clear();
-        self.cell_of.clear();
-        for bucket in self.sparse.values_mut() {
-            bucket.clear();
-        }
-        for (i, p) in points.iter().enumerate() {
-            self.sparse
-                .entry(Self::sparse_key(p, eps))
-                .or_default()
-                .push(i as u32);
-        }
-        // Cells occupied in a previous build but empty now would otherwise
-        // linger as empty buckets and skew `occupied_cells`.
-        self.sparse.retain(|_, bucket| !bucket.is_empty());
-    }
-
-    #[inline]
-    fn sparse_key(p: &ObjPos, cell: f64) -> (i64, i64) {
-        ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
-    }
-
-    /// `slots` range of CSR cell `c` (see `rebuild_csr` for why the
-    /// offsets are read shifted by one).
-    #[inline]
-    fn cell_range(&self, c: usize) -> std::ops::Range<usize> {
-        let start = if c == 0 {
-            0
-        } else {
-            self.offsets[c - 1] as usize
-        };
-        start..self.offsets[c] as usize
-    }
-
-    /// Appends the indices of all points within distance `sqrt(eps2)` of
-    /// `points[idx]` (including `idx` itself) to `out`.
-    pub fn neighbours(&self, points: &[ObjPos], idx: usize, eps2: f64, out: &mut Vec<u32>) {
-        let p = &points[idx];
-        match self.repr {
-            Repr::Csr => {
-                if self.slots.is_empty() {
-                    return;
-                }
-                // Same clamp as the build pass, so a probe point outside
-                // the (possibly clipped) box looks in the border cells its
-                // neighbours were clamped into.
-                let col = (((p.x - self.min_x) / self.cell) as usize).min(self.cols - 1);
-                let row = (((p.y - self.min_y) / self.cell) as usize).min(self.rows - 1);
-                let lo_c = col.saturating_sub(1);
-                let hi_c = (col + 1).min(self.cols - 1);
-                let lo_r = row.saturating_sub(1);
-                let hi_r = (row + 1).min(self.rows - 1);
-                for r in lo_r..=hi_r {
-                    // Cells of one grid row are adjacent in `offsets`, so
-                    // the 3-cell block is a single contiguous slot range.
-                    let start = self.cell_range(r * self.cols + lo_c).start;
-                    let end = self.cell_range(r * self.cols + hi_c).end;
-                    dist2_filter_chunked(points, &self.slots[start..end], p, eps2, out);
-                }
-            }
-            Repr::Sparse => {
-                let (cx, cy) = Self::sparse_key(p, self.cell);
-                for dx in -1..=1 {
-                    for dy in -1..=1 {
-                        if let Some(bucket) = self.sparse.get(&(cx + dx, cy + dy)) {
-                            dist2_filter_chunked(points, bucket, p, eps2, out);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Number of occupied cells (diagnostics).
-    pub fn occupied_cells(&self) -> usize {
-        match self.repr {
-            Repr::Csr => (0..self.cols * self.rows)
-                .filter(|&c| !self.cell_range(c).is_empty())
-                .count(),
-            Repr::Sparse => self.sparse.len(),
-        }
-    }
-}
-
-/// Bounding-box geometry of a CSR build, or `None` when the sparse
-/// fallback must be used. `cell` is the chosen cell side — `eps`, a
-/// bounded multiple of it (extent path), or a density-derived side (geo
-/// path); always `>= eps`, which is all the 3×3 probe needs.
-///
-/// Shared between [`GridIndex`] and the patchable
-/// [`GridState`](crate::GridState) so both layouts self-tune identically.
+/// Geometry of one grid build: the box origin, `cols × rows` cells of
+/// side `cell` — `eps`, a bounded multiple of it (extent path), a
+/// density-derived side (geo path) or `+∞` (one cell, the last resort);
+/// always `>= eps`. `all_finite` records whether every input coordinate
+/// was finite.
 pub(crate) struct CsrExtent {
     pub(crate) min_x: f64,
     pub(crate) min_y: f64,
     pub(crate) cols: usize,
     pub(crate) rows: usize,
     pub(crate) cell: f64,
+    pub(crate) all_finite: bool,
+}
+
+impl CsrExtent {
+    /// One cell of infinite side: every point shares it, so the grid
+    /// degenerates to the exact pairwise scan.
+    fn one_cell(min_x: f64, min_y: f64, all_finite: bool) -> Self {
+        CsrExtent {
+            min_x,
+            min_y,
+            cols: 1,
+            rows: 1,
+            cell: f64::INFINITY,
+            all_finite,
+        }
+    }
 }
 
 /// Grid geometry for a box of `span_x × span_y` at cell side `cell`, or
-/// `None` when the dense `offsets` array would overflow the absolute cap.
+/// `None` when the cell array would overflow the absolute cap.
 fn grid_dims(span_x: f64, span_y: f64, cell: f64) -> Option<(usize, usize, usize)> {
     let span_cols = span_x / cell;
     let span_rows = span_y / cell;
@@ -366,24 +148,29 @@ fn grid_dims(span_x: f64, span_y: f64, cell: f64) -> Option<(usize, usize, usize
     Some((cols, rows, cells))
 }
 
-pub(crate) fn csr_extent(
-    points: &[ObjPos],
-    eps: f64,
-    percentiles: &mut Vec<f64>,
-) -> Option<CsrExtent> {
-    let first = points.first()?;
-    let (mut min_x, mut max_x) = (first.x, first.x);
-    let (mut min_y, mut max_y) = (first.y, first.y);
+fn is_finite(p: &ObjPos) -> bool {
+    p.x.is_finite() && p.y.is_finite()
+}
+
+/// The grid geometry for `points` at `eps`. The box is taken over the
+/// finite points only; the rest clamp into border cells.
+pub(crate) fn csr_extent(points: &[ObjPos], eps: f64, percentiles: &mut Vec<f64>) -> CsrExtent {
+    let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
+    let (mut min_y, mut max_y) = (f64::INFINITY, f64::NEG_INFINITY);
+    let mut all_finite = true;
     for p in points {
-        // f64::min/max ignore NaN operands, so non-finite coordinates must
-        // be rejected explicitly (they have no cell).
-        if !(p.x.is_finite() && p.y.is_finite()) {
-            return None;
+        if is_finite(p) {
+            min_x = min_x.min(p.x);
+            max_x = max_x.max(p.x);
+            min_y = min_y.min(p.y);
+            max_y = max_y.max(p.y);
+        } else {
+            all_finite = false;
         }
-        min_x = min_x.min(p.x);
-        max_x = max_x.max(p.x);
-        min_y = min_y.min(p.y);
-        max_y = max_y.max(p.y);
+    }
+    if min_x > max_x {
+        // No finite point: nothing to size a box from.
+        return CsrExtent::one_cell(0.0, 0.0, all_finite);
     }
     let target = CSR_MIN_TARGET_CELLS.max(points.len().saturating_mul(CSR_TARGET_CELLS_PER_POINT));
     let budget = CSR_MIN_CELL_BUDGET
@@ -395,72 +182,67 @@ pub(crate) fn csr_extent(
     // Every acceptance checks the budget too: for huge point sets the
     // occupancy target (4n) exceeds the absolute cell cap, and an
     // unchecked `cells <= target` grid could overflow the u32 cell ids.
-    let full = |cell: f64| grid_dims(max_x - min_x, max_y - min_y, cell);
-    if let Some((cols, rows, cells)) = full(eps) {
+    let full = |cell: f64| {
+        let (cols, rows, cells) = grid_dims(max_x - min_x, max_y - min_y, cell)?;
+        let extent = CsrExtent {
+            min_x,
+            min_y,
+            cols,
+            rows,
+            cell,
+            all_finite,
+        };
+        Some((extent, cells))
+    };
+    if let Some((extent, cells)) = full(eps) {
         if cells <= target && cells <= budget {
-            return Some(CsrExtent {
-                min_x,
-                min_y,
-                cols,
-                rows,
-                cell: eps,
-            });
+            return extent;
         }
-        // Sparser than the target: coarsen the cell side (correctness is
-        // unaffected — any side >= eps keeps eps-neighbours within the
-        // 3×3 block) so `offsets` stays proportional to n. Clamped to
-        // >= 1: the budget-exceeded fall-through can arrive here with
-        // cells <= target, and a sub-eps cell would break the 3×3 probe.
+        // Sparser than the target: coarsen the cell side so the cell
+        // array stays proportional to n. Clamped to >= 1: the
+        // budget-exceeded fall-through can arrive here with cells <=
+        // target, and a sub-eps cell would break the neighbouring-cell
+        // guarantee.
         let scale = (cells as f64 / target as f64).sqrt().max(1.0);
         if scale <= CSR_MAX_CELL_SCALE {
-            if let Some((cols, rows, cells)) = full(eps * scale) {
+            if let Some((extent, cells)) = full(eps * scale) {
                 if cells <= budget {
-                    return Some(CsrExtent {
-                        min_x,
-                        min_y,
-                        cols,
-                        rows,
-                        cell: eps * scale,
-                    });
+                    return extent;
                 }
             }
         }
     }
     // The extent dwarfs eps (lat/lon-scale coordinates, or a box
     // stretched by outliers): size the grid from point density instead.
-    density_extent(points, eps, target, budget, percentiles)
+    density_extent(points, eps, target, budget, all_finite, percentiles)
 }
 
 /// The geo-scale sizing path: derive the cell side from snapshot point
-/// *density* — pick the side so the percentile-clipped bounding box holds
-/// about `target` cells regardless of how extreme the extent-to-eps ratio
-/// is. This is what keeps Trucks/T-Drive-shaped data (degree coordinates,
-/// eps of `1e-5`-ish degrees) on the CSR layout; before it, any snapshot
-/// whose extent exceeded `8 × eps × budget` silently fell back to the
-/// `HashMap`. Points outside the clipped box clamp into the border cells
-/// (see `rebuild_csr`), which preserves the 3×3 probe guarantee.
+/// *density* — pick the side so the percentile-clipped bounding box of
+/// the finite points holds about `target` cells regardless of how extreme
+/// the extent-to-eps ratio is. This is what keeps Trucks/T-Drive-shaped
+/// data (degree coordinates, eps of `1e-5`-ish degrees) on a fine grid.
 fn density_extent(
     points: &[ObjPos],
     eps: f64,
     target: usize,
     budget: usize,
+    all_finite: bool,
     percentiles: &mut Vec<f64>,
-) -> Option<CsrExtent> {
-    let clipped_span = |coords: &mut Vec<f64>| -> (f64, f64) {
-        let n = coords.len();
+) -> CsrExtent {
+    let mut clipped_span = |coord: fn(&ObjPos) -> f64| -> (f64, f64) {
+        percentiles.clear();
+        percentiles.extend(points.iter().filter(|p| is_finite(p)).map(coord));
+        let n = percentiles.len();
         let lo_i = n * CSR_CLIP_PER_MILLE / 1000;
         let hi_i = n - 1 - lo_i;
-        coords.select_nth_unstable_by(lo_i, f64::total_cmp);
-        let lo = coords[lo_i];
-        coords.select_nth_unstable_by(hi_i, f64::total_cmp);
-        (lo, coords[hi_i])
+        percentiles.select_nth_unstable_by(lo_i, f64::total_cmp);
+        let lo = percentiles[lo_i];
+        percentiles.select_nth_unstable_by(hi_i, f64::total_cmp);
+        (lo, percentiles[hi_i])
     };
-    percentiles.clear();
-    percentiles.extend(points.iter().map(|p| p.x));
-    let (x_lo, x_hi) = clipped_span(percentiles);
-    percentiles.clear();
-    percentiles.extend(points.iter().map(|p| p.y));
-    let (y_lo, y_hi) = clipped_span(percentiles);
+    let (x_lo, x_hi) = clipped_span(|p| p.x);
+    let (y_lo, y_hi) = clipped_span(|p| p.y);
 
     let (span_x, span_y) = (x_hi - x_lo, y_hi - y_lo);
     let mut cell = if span_x > 0.0 && span_y > 0.0 {
@@ -473,297 +255,22 @@ fn density_extent(
     cell = cell.max(eps);
     // Area-based sizing assumes a square-ish box; extreme aspect ratios
     // (or a zero-area axis) can still overshoot, so coarsen until the
-    // geometry fits the budget — a couple of rounds or the sparse layout
-    // takes over.
+    // geometry fits the budget — a couple of rounds, or one cell.
     for _ in 0..3 {
         match grid_dims(span_x, span_y, cell) {
             Some((cols, rows, cells)) if cells <= budget => {
-                return Some(CsrExtent {
+                return CsrExtent {
                     min_x: x_lo,
                     min_y: y_lo,
                     cols,
                     rows,
                     cell,
-                });
+                    all_finite,
+                };
             }
             Some((_, _, cells)) => cell *= (cells as f64 / target as f64).sqrt().max(2.0),
             None => cell *= CSR_ABS_MAX_CELLS as f64,
         }
     }
-    None
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn brute(points: &[ObjPos], idx: usize, eps2: f64) -> Vec<u32> {
-        let p = &points[idx];
-        let mut v: Vec<u32> = points
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| q.dist2(p) <= eps2)
-            .map(|(i, _)| i as u32)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    fn assert_matches_brute(points: &[ObjPos], eps: f64) {
-        let csr = GridIndex::build(points, eps);
-        let sparse = GridIndex::build_sparse(points, eps);
-        for idx in 0..points.len() {
-            let want = brute(points, idx, eps * eps);
-            for (label, grid) in [("csr", &csr), ("sparse", &sparse)] {
-                let mut got = Vec::new();
-                grid.neighbours(points, idx, eps * eps, &mut got);
-                got.sort_unstable();
-                assert_eq!(got, want, "{label} idx {idx}");
-            }
-        }
-    }
-
-    #[test]
-    fn matches_brute_force_on_a_lattice() {
-        let mut points = Vec::new();
-        let mut oid = 0;
-        for i in 0..10 {
-            for j in 0..10 {
-                points.push(ObjPos::new(oid, i as f64 * 0.7, j as f64 * 0.7));
-                oid += 1;
-            }
-        }
-        assert_matches_brute(&points, 1.0);
-    }
-
-    #[test]
-    fn includes_self_and_exact_boundary() {
-        let points = vec![ObjPos::new(0, 0.0, 0.0), ObjPos::new(1, 1.0, 0.0)];
-        let grid = GridIndex::build(&points, 1.0);
-        let mut out = Vec::new();
-        grid.neighbours(&points, 0, 1.0, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![0, 1]);
-    }
-
-    #[test]
-    fn negative_coordinates() {
-        let points = vec![
-            ObjPos::new(0, -0.5, -0.5),
-            ObjPos::new(1, 0.4, 0.4),
-            ObjPos::new(2, -5.0, -5.0),
-        ];
-        let grid = GridIndex::build(&points, 2.0);
-        let mut out = Vec::new();
-        grid.neighbours(&points, 0, 4.0, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![0, 1]);
-        assert_matches_brute(&points, 2.0);
-    }
-
-    #[test]
-    fn occupied_cells_counts_buckets() {
-        let points = vec![
-            ObjPos::new(0, 0.1, 0.1),
-            ObjPos::new(1, 0.2, 0.2),
-            ObjPos::new(2, 10.0, 10.0),
-        ];
-        let grid = GridIndex::build(&points, 1.0);
-        assert_eq!(grid.occupied_cells(), 2);
-        let sparse = GridIndex::build_sparse(&points, 1.0);
-        assert_eq!(sparse.occupied_cells(), 2);
-    }
-
-    #[test]
-    fn rebuild_reuses_buffers_across_extents() {
-        let mut grid = GridIndex::new();
-        let a = vec![ObjPos::new(0, 0.0, 0.0), ObjPos::new(1, 0.5, 0.5)];
-        grid.rebuild(&a, 1.0);
-        assert!(grid.is_csr());
-        let mut out = Vec::new();
-        grid.neighbours(&a, 0, 1.0, &mut out);
-        assert_eq!(out.len(), 2);
-
-        // Rebuild over a different, bigger cloud: results must match a
-        // fresh build.
-        let b: Vec<ObjPos> = (0..50)
-            .map(|i| ObjPos::new(i, (i % 7) as f64 * 0.9, (i / 7) as f64 * 0.9 - 3.0))
-            .collect();
-        grid.rebuild(&b, 1.0);
-        let fresh = GridIndex::build(&b, 1.0);
-        for idx in 0..b.len() {
-            let (mut got, mut want) = (Vec::new(), Vec::new());
-            grid.neighbours(&b, idx, 1.0, &mut got);
-            fresh.neighbours(&b, idx, 1.0, &mut want);
-            got.sort_unstable();
-            want.sort_unstable();
-            assert_eq!(got, want, "idx {idx}");
-        }
-    }
-
-    #[test]
-    fn huge_extent_uses_density_cells_and_stays_csr() {
-        // Two points astronomically far apart: an eps-sized grid would
-        // need ~1e24 cells. The density path sizes cells from the point
-        // distribution instead, so the CSR layout survives — and still
-        // answers correctly.
-        let points = vec![
-            ObjPos::new(0, 0.0, 0.0),
-            ObjPos::new(1, 0.5, 0.0),
-            ObjPos::new(2, 1.0e12, 1.0e12),
-        ];
-        let grid = GridIndex::build(&points, 1.0);
-        assert!(grid.is_csr());
-        assert!(grid.cell_side() >= 1.0);
-        let mut out = Vec::new();
-        grid.neighbours(&points, 0, 1.0, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![0, 1]);
-        assert_matches_brute(&points, 1.0);
-    }
-
-    /// Deterministic pseudo-random f64 in [0, 1) (no rand dependency).
-    fn unit(state: &mut u64) -> f64 {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        (*state >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    #[test]
-    fn trucks_extent_with_latlon_eps_selects_csr() {
-        // Athens-shaped Trucks extents (degrees: ~0.5° × 0.35°) mined at a
-        // paper-range eps of 2e-5 degrees: the extent-to-eps ratio is
-        // ~25 000 per axis, far past the old 8× coarsening cap, which
-        // silently fell back to the HashMap layout. The density path must
-        // keep this on CSR and stay exact.
-        let mut state = 0x5eed;
-        let points: Vec<ObjPos> = (0..300)
-            .map(|i| {
-                ObjPos::new(
-                    i,
-                    23.5 + unit(&mut state) * 0.5,
-                    37.85 + unit(&mut state) * 0.35,
-                )
-            })
-            .collect();
-        let eps = 2.0e-5;
-        let grid = GridIndex::build(&points, eps);
-        assert!(grid.is_csr(), "lat/lon-scale eps must stay on CSR");
-        assert!(grid.cell_side() >= eps);
-        assert_matches_brute(&points, eps);
-        // A genuinely co-located platoon must still resolve: pin three
-        // points within eps and check their mutual neighbourhood.
-        let mut platoon = points.clone();
-        platoon.extend([
-            ObjPos::new(900, 23.7, 38.0),
-            ObjPos::new(901, 23.7 + 1.0e-5, 38.0),
-            ObjPos::new(902, 23.7, 38.0 + 1.0e-5),
-        ]);
-        let grid = GridIndex::build(&platoon, eps);
-        assert!(grid.is_csr());
-        let mut out = Vec::new();
-        grid.neighbours(&platoon, 300, eps * eps, &mut out);
-        assert!(out.contains(&301) && out.contains(&302));
-    }
-
-    #[test]
-    fn outlier_stretched_tdrive_extent_clips_and_stays_csr() {
-        // Beijing-shaped taxi cloud plus a few GPS glitches hundreds of
-        // degrees away: the percentile clip must keep the grid sized to
-        // the city, the glitches clamp into border cells, and *all*
-        // neighbourhoods — including between two co-located glitches —
-        // stay exact.
-        let mut state = 0xbe111u64 ^ 0xffff;
-        let mut points: Vec<ObjPos> = (0..400)
-            .map(|i| {
-                ObjPos::new(
-                    i,
-                    116.20 + unit(&mut state) * 0.40,
-                    39.80 + unit(&mut state) * 0.30,
-                )
-            })
-            .collect();
-        points.push(ObjPos::new(900, 480.0, 220.0));
-        points.push(ObjPos::new(901, 480.0 + 5.0e-5, 220.0)); // within eps of 900
-        points.push(ObjPos::new(902, -310.0, -85.0));
-        let eps = 1.0e-4;
-        let grid = GridIndex::build(&points, eps);
-        assert!(grid.is_csr(), "outlier-stretched extent must stay on CSR");
-        assert_matches_brute(&points, eps);
-    }
-
-    #[test]
-    fn collinear_points_on_a_vast_line_stay_exact() {
-        // Degenerate extent: every point on one horizontal line spanning
-        // 1e6 units with eps = 0.5 (zero-area bounding box). The density
-        // path must produce a single-row grid (or an otherwise valid
-        // layout) without panicking, and answer exactly.
-        let points: Vec<ObjPos> = (0..200)
-            .map(|i| ObjPos::new(i, (i as f64) * 5050.0, 42.0))
-            .collect();
-        let grid = GridIndex::build(&points, 0.5);
-        assert!(grid.is_csr());
-        assert_matches_brute(&points, 0.5);
-        // And with a dense cluster on the same line, neighbours resolve.
-        let mut with_cluster = points.clone();
-        with_cluster.extend((0..5).map(|i| ObjPos::new(500 + i, 1000.25 + i as f64 * 0.1, 42.0)));
-        assert_matches_brute(&with_cluster, 0.5);
-    }
-
-    #[test]
-    fn all_points_coincident_degenerate_box() {
-        // Zero-span box in both axes exercises the density path's
-        // degenerate branch (cell = eps, 1×1 grid).
-        let points: Vec<ObjPos> = (0..40).map(|i| ObjPos::new(i, 7.25, -3.5)).collect();
-        let grid = GridIndex::build(&points, 1.0e-9);
-        assert!(grid.is_csr());
-        assert_eq!(grid.occupied_cells(), 1);
-        let mut out = Vec::new();
-        grid.neighbours(&points, 0, 0.0, &mut out);
-        assert_eq!(out.len(), 40);
-    }
-
-    #[test]
-    fn non_finite_coordinates_fall_back_to_sparse() {
-        let points = vec![
-            ObjPos::new(0, 0.0, 0.0),
-            ObjPos::new(1, 0.5, 0.0),
-            ObjPos::new(2, f64::NAN, 3.0),
-        ];
-        let grid = GridIndex::build(&points, 1.0);
-        assert!(!grid.is_csr());
-        let mut out = Vec::new();
-        grid.neighbours(&points, 0, 1.0, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![0, 1]);
-    }
-
-    #[test]
-    fn coincident_points_share_a_cell() {
-        let points = vec![
-            ObjPos::new(0, 2.5, 2.5),
-            ObjPos::new(1, 2.5, 2.5),
-            ObjPos::new(2, 2.5, 2.5),
-        ];
-        assert_matches_brute(&points, 0.1);
-    }
-
-    #[test]
-    fn single_point_grid() {
-        let points = vec![ObjPos::new(7, -3.25, 9.75)];
-        let grid = GridIndex::build(&points, 2.0);
-        assert!(grid.is_csr());
-        let mut out = Vec::new();
-        grid.neighbours(&points, 0, 4.0, &mut out);
-        assert_eq!(out, vec![0]);
-        assert_eq!(grid.occupied_cells(), 1);
-    }
-
-    #[test]
-    fn empty_point_set_is_fine() {
-        let grid = GridIndex::build(&[], 1.0);
-        assert!(!grid.is_csr(), "no extent: sparse (and empty) repr");
-        assert_eq!(grid.occupied_cells(), 0);
-    }
+    CsrExtent::one_cell(x_lo, y_lo, all_finite)
 }

@@ -1,86 +1,50 @@
-//! Incrementally patchable grid index for benchmark clustering.
-//!
-//! Consecutive benchmark snapshots share most of their geometry — objects
-//! move a bounded distance per timestamp — so rebuilding the counting-sort
-//! CSR grid from scratch at every benchmark point throws away work that is
-//! still valid. [`GridState`] keeps the previous build alive and *patches*
-//! it: the two position arrays are diffed by index, and only the objects
-//! whose cell changed are deleted from their old cell and inserted into
-//! their new one.
+//! The one spatial index: a reusable uniform grid whose single query is
+//! the eps-pair sweep.
 //!
 //! # Layout
 //!
-//! The layout is packed CSR with an explicit live count: `start` holds
-//! the per-cell region bounds exactly like [`GridIndex`]'s `offsets`
-//! (regions abut, no gaps), and `len` the live occupancy of each region.
-//! While the grid is *clean* — every region full, no patch holes — the
-//! 3×3 probe scans each row of the block as **one contiguous slot
-//! range**, the same memory walk as the one-shot index. A slot-move
-//! patch dirties the layout: a move swap-removes the point out of its
-//! old cell's region (leaving a hole at the region's tail) and appends
-//! it into a hole of its new cell if one exists, overflowing into a tiny
-//! `spill` list otherwise. Dirty probes fall back to per-cell ranges
-//! plus a linear spill scan — cheap while the spill stays tiny; past
-//! [`SPILL_COMPACT_AT`] entries the slots are re-scattered (*compacted*)
-//! back to the clean layout.
+//! One layout, a counting-sort CSR over row-major cells:
+//! `start[c]..start[c + 1]` is cell `c`'s range of `slots`, which holds
+//! every point index grouped by cell (ascending within a cell). The
+//! geometry — box origin, cell side, dimensions — comes from
+//! `csr_extent`: it self-tunes between an extent-based and a
+//! density-based cell side, clamps outliers and non-finite points into
+//! the border cells, and falls back to one cell of infinite side when no
+//! budgeted geometry fits, so every point set gets a grid.
 //!
-//! # Patch-or-rebuild heuristic
+//! # One query
 //!
-//! [`GridState::update`] runs one `O(n)` diff pass (new cell per point,
-//! out-of-box count, churn count) and then picks the cheapest sound
-//! path. A **full rebuild** (fresh extent, fresh cell-side tuning via
-//! the same [`csr_extent`] the one-shot [`GridIndex`] uses — the
-//! self-tuning extent/density split stays exact) happens only when the
-//! *retained geometry* is stale:
+//! [`GridState::eps_pairs`] emits every pair of points within eps exactly
+//! once, from a half-stencil sweep over the occupied cells. A non-finite
+//! point sits in some border cell but never passes the distance filter,
+//! so it pairs with nothing.
 //!
-//! * no previous CSR build, or `eps` changed (the cell side and the 3×3
-//!   guarantee are derived from it);
-//! * any non-finite coordinate (no cell exists; the sparse fallback
-//!   handles it, exactly as in [`GridIndex`]);
+//! # Rebuild or re-scatter
+//!
+//! Consecutive benchmark snapshots share most of their geometry — objects
+//! move a bounded distance per timestamp — so [`GridState::update`]
+//! keeps the previous box and cell side while they still fit: one `O(n)`
+//! diff pass assigns every point its cell under the retained geometry,
+//! and one histogram + scatter lays the slots out again. That skips both
+//! the extent/percentile retune and a second per-point cell computation.
+//! A **full rebuild** happens only when the retained geometry is stale:
+//!
+//! * first update, or `eps` changed (the cell side is derived from it);
+//! * any non-finite coordinate (the box is retuned over the finite
+//!   points), or the last build was the one-cell fallback (no box);
 //! * the population halved or doubled since the geometry was last tuned
-//!   — the cell side was picked for that count, and the occupancy
-//!   target has drifted too far;
-//! * more than ~12% of the points fall outside the retained bounding box
-//!   (they would all clamp into the border cells: still *correct* —
-//!   clamping is 1-Lipschitz, so the 3×3 probe stays exact — but the
-//!   border cells would bloat and probe cost with them; the density
-//!   path's percentile clip leaves at most ~8% outside by design).
+//!   — the cell side was picked for that count;
+//! * more than 1/8 of the points fall outside the retained box (they
+//!   would all clamp into the border cells: still exact, but the border
+//!   cells would bloat and the sweep with them; the density path's
+//!   percentile clip leaves at most ~8% outside by design).
 //!
-//! Otherwise the update is a **patch**, in one of two flavours picked by
-//! the measured churn:
-//!
-//! * at most [`PATCH_MOVE_MAX`] points changed cell → `O(moved)` slot
-//!   moves, no scatter at all (the steady state of near-static or
-//!   slowly drifting snapshots);
-//! * more churn than that → a *re-scatter* with the retained geometry:
-//!   the diff pass already assigned every point its cell, so the update
-//!   is one histogram + scatter — the deferred compaction of the layout
-//!   above, applied up front. This skips both the extent/percentile
-//!   retune and the per-point cell recomputation of a full rebuild,
-//!   which is what makes high-churn updates (benchmark snapshots are
-//!   `⌊k/2⌋` timestamps apart) cheaper than rebuilding.
-//!
-//! Correctness never depends on which path ran: a probe answers the exact
-//! eps-neighbourhood *set* either way (the patched layout only changes
-//! enumeration order within a cell), and DBSCAN's output is a function of
-//! those sets alone — which is what keeps the golden convoy outputs
-//! byte-identical with grid reuse enabled.
+//! Correctness never depends on which path ran: both emit the exact
+//! eps-pair set, and DBSCAN's output is a function of those pairs alone.
 
-use crate::grid::{csr_extent, dist2_filter_chunked, CsrExtent};
+use crate::grid::{csr_extent, dist2_filter_chunked};
 use k2_model::ObjPos;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
-/// Spill entries tolerated before the slots are re-scattered (compacted)
-/// back to the clean layout. Every dirty probe scans the spill linearly,
-/// so it must stay small.
-const SPILL_COMPACT_AT: usize = 8;
-/// Slot-move ceiling: updates with at most this many cell changes are
-/// served move-by-move (no scatter); anything beyond re-scatters with the
-/// retained geometry. Kept at the spill bound — a bigger move budget
-/// would mostly overflow into the spill and trigger the compaction it
-/// was trying to avoid (regions carry no slack).
-const PATCH_MOVE_MAX: u64 = SPILL_COMPACT_AT as u64;
 /// Rebuild when more than `1 / OUTSIDE_REBUILD_DIV` of the points clamp
 /// in from outside the retained bounding box (≈12%).
 const OUTSIDE_REBUILD_DIV: usize = 8;
@@ -88,17 +52,16 @@ const OUTSIDE_REBUILD_DIV: usize = 8;
 /// Grid-reuse counters, cumulative since the state was created.
 ///
 /// `builds` counts full rebuilds (including the first), `patches` the
-/// updates served with retained geometry — either flavour: `O(moved)`
-/// slot moves or the high-churn re-scatter — and `cells_moved` the cell
-/// changes those patches absorbed (points whose cell changed, plus
-/// appended and dropped points). Mining stats surface these, and
+/// updates re-scattered under the retained geometry, and `cells_moved`
+/// the cell changes those patches absorbed (points whose cell changed,
+/// plus appended and dropped points). Mining stats surface these, and
 /// `tests/golden_convoys.rs` pins the build and patch counts per
-/// workload, so the fast path cannot silently disengage.
+/// workload, so the reuse cannot silently disengage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GridCounters {
     /// Full rebuilds (extent retune + counting sort).
     pub builds: u64,
-    /// Updates served by patching (retained geometry, either flavour).
+    /// Updates re-scattered under the retained geometry.
     pub patches: u64,
     /// Total cell changes absorbed by patches.
     pub cells_moved: u64,
@@ -123,76 +86,41 @@ impl GridCounters {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum StateRepr {
-    /// Never built (or last build saw an empty point set).
-    #[default]
-    Empty,
-    /// CSR-with-slack layout — the patchable fast path.
-    Csr,
-    /// `HashMap` fallback for point sets with no dense geometry.
-    Sparse,
-}
-
-/// A reusable, incrementally patchable uniform grid (see the module docs
-/// for the layout and the patch-or-rebuild heuristic).
-///
-/// The probe contract is identical to [`GridIndex`]: after
-/// [`update`](Self::update) over `points`,
-/// [`neighbours`](Self::neighbours) appends the exact eps-neighbourhood
-/// of `points[idx]` (self included, boundary inclusive) in unspecified
-/// order.
-///
-/// [`GridIndex`]: crate::GridIndex
+/// A reusable uniform grid (see the module docs for the layout and the
+/// rebuild-or-re-scatter rule). After [`update`](Self::update) over
+/// `points`, [`eps_pairs`](Self::eps_pairs) enumerates their eps-pairs.
 #[derive(Debug, Default)]
 pub struct GridState {
     eps: f64,
-    repr: StateRepr,
-    /// Points covered by the current build/patch state.
-    n: usize,
     /// Population when the geometry was last tuned (full rebuild) — the
     /// reference for the size-drift rebuild trigger, so slow growth
     /// across many patches cannot creep past the occupancy target.
     tuned_n: usize,
-    // --- retained CSR geometry ---
+    /// Every coordinate of the current point set is finite. Measured by
+    /// a rebuild's extent pass; a patch implies it, since non-finite
+    /// input always rebuilds.
+    all_finite: bool,
+    // --- retained geometry ---
     min_x: f64,
     min_y: f64,
     cell: f64,
-    /// `1.0 / cell`, precomputed: the cell-index maps in the probe and
-    /// the diff pass multiply instead of divide (the probe's two index
-    /// divisions are latency-bound right before a dependent load). Both
-    /// maps use the *same* product, so assignment and probe centre agree
-    /// exactly; the 3×3 window absorbs any boundary-ulp drift versus the
-    /// division-based `GridIndex`.
+    /// `1.0 / cell`, precomputed: the cell-index maps multiply instead of
+    /// divide, and the rebuild and the diff pass use the *same* product,
+    /// so they agree on every point's cell.
     inv_cell: f64,
     cols: usize,
     rows: usize,
-    // --- packed CSR layout ---
-    /// `start[c]..start[c + 1]` is cell `c`'s slot *region* (capacity);
-    /// only the first `len[c]` entries are live. Clean ⇒ all full.
+    // --- CSR layout ---
+    /// `start[c]..start[c + 1]` is cell `c`'s range of `slots`.
     start: Vec<u32>,
-    /// Live slot count per cell.
-    len: Vec<u32>,
-    /// Point indices, grouped by cell region (holes are patch debris).
+    /// Point indices grouped by cell.
     slots: Vec<u32>,
-    /// `false` ⇒ every region is full and the spill is empty, so a probe
-    /// row is one contiguous slot range. Slot-move patches set it; any
-    /// (re)scatter clears it.
-    dirty: bool,
     /// Current cell of every point index.
     cell_of: Vec<u32>,
-    /// Overflow inserts that found their cell's region full: `(cell, i)`.
-    spill: Vec<(u32, u32)>,
     /// Diff scratch: the incoming snapshot's cell per point.
     new_cell: Vec<u32>,
     /// Percentile scratch for the density extent path.
     percentiles: Vec<f64>,
-    // --- sparse fallback ---
-    sparse: HashMap<(i64, i64), Vec<u32>>,
-    /// Emptied sparse buckets, kept to re-serve their capacity — the
-    /// sparse path's rebuilds allocate nothing in steady state, matching
-    /// the CSR path's contract.
-    bucket_pool: Vec<Vec<u32>>,
     counters: GridCounters,
 }
 
@@ -202,34 +130,26 @@ impl GridState {
         Self::default()
     }
 
-    /// Points the grid back to `points`, patching the previous build when
-    /// the heuristic allows it and rebuilding otherwise.
+    /// Points the grid at `points`, re-scattering under the retained
+    /// geometry when it still fits and rebuilding otherwise.
     pub fn update(&mut self, points: &[ObjPos], eps: f64) {
         debug_assert!(eps > 0.0 && eps.is_finite());
-        if self.repr == StateRepr::Csr && self.eps == eps && self.try_patch(points) {
+        // The default `eps` of 0 fails the first comparison, and the
+        // one-cell fallback has no box to retain.
+        if self.eps == eps && self.cell.is_finite() && self.try_patch(points) {
             self.counters.patches += 1;
             return;
         }
         self.counters.builds += 1;
         self.eps = eps;
-        match csr_extent(points, eps, &mut self.percentiles) {
-            Some(extent) => self.rebuild_csr(points, extent),
-            None => self.rebuild_sparse(points, eps),
-        }
-    }
-
-    /// `true` when the index is the packed CSR layout with no patch
-    /// debris — every cell region contiguous and full, the layout
-    /// [`eps_pairs`](Self::eps_pairs) requires.
-    pub fn is_clean_csr(&self) -> bool {
-        self.repr == StateRepr::Csr && !self.dirty
+        self.rebuild(points);
     }
 
     /// Invokes `f` on every pair of *distinct* points within
     /// `sqrt(eps2)` of each other exactly once, in either orientation,
-    /// and never on a pair further apart. Requires
-    /// [`is_clean_csr`](Self::is_clean_csr); `out` is caller-lent probe
-    /// scratch.
+    /// and never on a pair further apart (nor on a non-finite point).
+    /// `points` must be the array of the last [`update`](Self::update);
+    /// `out` is caller-lent probe scratch.
     ///
     /// This is the half-stencil sweep behind DBSCAN's union-find
     /// labelling: walking cells in row-major order, each point probes
@@ -247,7 +167,6 @@ impl GridState {
         out: &mut Vec<u32>,
         mut f: F,
     ) {
-        debug_assert!(self.is_clean_csr());
         let (cols, rows) = (self.cols, self.rows);
         // Slot-driven: walk points in slot order and derive each occupied
         // cell's ranges once — empty cells are never visited (they are
@@ -292,76 +211,9 @@ impl GridState {
         }
     }
 
-    /// Appends the indices of all points within distance `sqrt(eps2)` of
-    /// `points[idx]` (including `idx` itself) to `out`, in unspecified
-    /// order. `points` must be the array of the last [`update`].
-    ///
-    /// [`update`]: Self::update
-    pub fn neighbours(&self, points: &[ObjPos], idx: usize, eps2: f64, out: &mut Vec<u32>) {
-        let p = &points[idx];
-        match self.repr {
-            StateRepr::Empty => {}
-            StateRepr::Csr => {
-                let col = (((p.x - self.min_x) * self.inv_cell) as usize).min(self.cols - 1);
-                let row = (((p.y - self.min_y) * self.inv_cell) as usize).min(self.rows - 1);
-                let lo_c = col.saturating_sub(1);
-                let hi_c = (col + 1).min(self.cols - 1);
-                let lo_r = row.saturating_sub(1);
-                let hi_r = (row + 1).min(self.rows - 1);
-                if !self.dirty {
-                    // Clean layout: regions abut and are full, so each
-                    // probe row is one contiguous slot range — the same
-                    // memory walk as the one-shot `GridIndex`.
-                    debug_assert!(self.spill.is_empty());
-                    for r in lo_r..=hi_r {
-                        let s = self.start[r * self.cols + lo_c] as usize;
-                        let e = self.start[r * self.cols + hi_c + 1] as usize;
-                        dist2_filter_chunked(points, &self.slots[s..e], p, eps2, out);
-                    }
-                    return;
-                }
-                for r in lo_r..=hi_r {
-                    for c in lo_c..=hi_c {
-                        let cell = r * self.cols + c;
-                        let s = self.start[cell] as usize;
-                        let cand = &self.slots[s..s + self.len[cell] as usize];
-                        dist2_filter_chunked(points, cand, p, eps2, out);
-                    }
-                }
-                // Overflowed points live outside their cell's region; the
-                // spill is bounded by `SPILL_COMPACT_AT`, so the scan is a
-                // handful of comparisons.
-                for &(cell, j) in &self.spill {
-                    let (sr, sc) = (cell as usize / self.cols, cell as usize % self.cols);
-                    if (lo_r..=hi_r).contains(&sr)
-                        && (lo_c..=hi_c).contains(&sc)
-                        && points[j as usize].dist2(p) <= eps2
-                    {
-                        out.push(j);
-                    }
-                }
-            }
-            StateRepr::Sparse => {
-                let (cx, cy) = sparse_key(p, self.cell);
-                for dx in -1..=1 {
-                    for dy in -1..=1 {
-                        if let Some(bucket) = self.sparse.get(&(cx + dx, cy + dy)) {
-                            dist2_filter_chunked(points, bucket, p, eps2, out);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// The grid-reuse counters, cumulative since creation.
     pub fn counters(&self) -> GridCounters {
         self.counters
-    }
-
-    /// Is the dense CSR layout active (diagnostics / tests)?
-    pub fn is_csr(&self) -> bool {
-        self.repr == StateRepr::Csr
     }
 
     /// The cell side of the last build (diagnostics / tests).
@@ -369,12 +221,15 @@ impl GridState {
         self.cell
     }
 
-    /// Attempts a patch against the retained geometry; `false` means the
-    /// caller must rebuild (state untouched). On success the update was
-    /// served either by `O(moved)` slot moves or by the high-churn
-    /// re-scatter (see the module docs).
+    /// Is every coordinate of the last update's points finite?
+    pub(crate) fn all_finite(&self) -> bool {
+        self.all_finite
+    }
+
+    /// Attempts a re-scatter under the retained geometry; `false` means
+    /// the caller must rebuild.
     fn try_patch(&mut self, points: &[ObjPos]) -> bool {
-        let old_n = self.n;
+        let old_n = self.cell_of.len();
         let n = points.len();
         // The cell side was tuned for ~tuned_n points: a halved or
         // doubled population deserves a fresh extent.
@@ -395,7 +250,7 @@ impl GridState {
             let fx = (p.x - min_x) * inv_cell;
             let fy = (p.y - min_y) * inv_cell;
             // Points beyond the retained box clamp into the border cells
-            // (exact, but a probe-cost smell when there are many — the
+            // (exact, but a sweep-cost smell when there are many — the
             // box has drifted off the data).
             if !(fx >= 0.0 && fx < cols as f64 && fy >= 0.0 && fy < rows as f64) {
                 outside += 1;
@@ -412,225 +267,67 @@ impl GridState {
             return false;
         }
         self.counters.cells_moved += moved;
-
-        if moved > PATCH_MOVE_MAX {
-            // High churn: the diff pass above already assigned every
-            // point its cell, so a histogram + scatter with the retained
-            // geometry finishes the update — no extent retune, no second
-            // per-point cell computation.
-            std::mem::swap(&mut self.cell_of, &mut self.new_cell);
-            let cells = cols * rows;
-            self.len.clear();
-            self.len.resize(cells, 0);
-            for &c in &self.cell_of {
-                self.len[c as usize] += 1;
-            }
-            self.scatter(cells);
-            self.n = n;
-            return true;
-        }
-
-        // Low churn: drop the truncated tail, move the changed, append
-        // the new. (Removals before the truncate — they read
-        // `cell_of[i]`.)
-        for i in n..old_n {
-            self.remove_slot(i as u32);
-        }
-        self.cell_of.truncate(n);
-        for i in 0..common {
-            let newc = self.new_cell[i];
-            if newc != self.cell_of[i] {
-                self.remove_slot(i as u32);
-                self.insert_slot(i as u32, newc);
-                self.cell_of[i] = newc;
-            }
-        }
-        for i in old_n..n {
-            let c = self.new_cell[i];
-            self.insert_slot(i as u32, c);
-            self.cell_of.push(c);
-        }
-        self.n = n;
-        if moved > 0 {
-            self.dirty = true;
-        }
-        if self.spill.len() > SPILL_COMPACT_AT {
-            self.compact();
-        }
+        self.all_finite = true;
+        std::mem::swap(&mut self.cell_of, &mut self.new_cell);
+        self.scatter();
         true
     }
 
-    /// Swap-removes point `i` out of its current cell's region (or the
-    /// spill, if its insert overflowed).
-    fn remove_slot(&mut self, i: u32) {
-        let c = self.cell_of[i as usize] as usize;
-        let s = self.start[c] as usize;
-        let l = self.len[c] as usize;
-        let region = &mut self.slots[s..s + l];
-        if let Some(pos) = region.iter().position(|&x| x == i) {
-            region[pos] = region[l - 1];
-            self.len[c] -= 1;
-        } else {
-            let pos = self
-                .spill
-                .iter()
-                .position(|&(_, x)| x == i)
-                .expect("a tracked point is in its cell's region or the spill");
-            self.spill.swap_remove(pos);
-        }
-    }
-
-    /// Appends point `i` to cell `c`'s region, reusing a hole left by an
-    /// earlier remove; overflows into the spill when the region is full.
-    fn insert_slot(&mut self, i: u32, c: u32) {
-        let c = c as usize;
-        let s = self.start[c];
-        let cap = self.start[c + 1] - s;
-        let l = self.len[c];
-        if l < cap {
-            self.slots[(s + l) as usize] = i;
-            self.len[c] = l + 1;
-        } else {
-            self.spill.push((c as u32, i));
-        }
-    }
-
-    fn rebuild_csr(&mut self, points: &[ObjPos], extent: CsrExtent) {
-        self.repr = StateRepr::Csr;
+    /// Retunes the geometry for `points` and lays them out.
+    fn rebuild(&mut self, points: &[ObjPos]) {
+        let extent = csr_extent(points, self.eps, &mut self.percentiles);
+        self.all_finite = extent.all_finite;
         self.cell = extent.cell;
         self.inv_cell = extent.cell.recip();
         self.min_x = extent.min_x;
         self.min_y = extent.min_y;
         self.cols = extent.cols;
         self.rows = extent.rows;
-        self.n = points.len();
         self.tuned_n = points.len();
-        self.release_sparse();
-        let cells = extent.cols * extent.rows;
-        self.cell_of.clear();
-        self.cell_of.reserve(points.len());
-        self.len.clear();
-        self.len.resize(cells, 0);
         let inv_cell = self.inv_cell;
-        for p in points {
-            // Same clamp as `GridIndex::rebuild_csr`: outliers beyond a
-            // percentile-clipped box land in the border cells.
+        self.cell_of.clear();
+        self.cell_of.extend(points.iter().map(|p| {
+            // Outliers beyond a percentile-clipped box land in the
+            // border cells; so do non-finite points (a NaN index casts
+            // to 0, an infinite one saturates).
             let col = (((p.x - extent.min_x) * inv_cell) as usize).min(extent.cols - 1);
             let row = (((p.y - extent.min_y) * inv_cell) as usize).min(extent.rows - 1);
-            let cell = (row * extent.cols + col) as u32;
-            self.cell_of.push(cell);
-            self.len[cell as usize] += 1;
-        }
-        self.scatter(cells);
+            (row * extent.cols + col) as u32
+        }));
+        self.scatter();
     }
 
-    /// (Re)lays out `slots` packed from the counts in `len`, then
-    /// scatters `cell_of` into the regions, leaving the layout clean.
-    /// Shared by full rebuilds, the high-churn patch and spill
-    /// compaction; on entry `len` holds per-cell point counts, on exit it
-    /// holds the (equal) live counts — `len` is *not* consumed as the
-    /// scatter cursor, so it needs no re-zero pass. The cursors live in
-    /// `start[c + 1]` and fall backwards from `end(c)` to `begin(c)`,
-    /// after which one shift-left restores the exclusive-prefix reading.
-    fn scatter(&mut self, cells: usize) {
+    /// Counting sort of the point indices by `cell_of`: a histogram into
+    /// `start`, an inclusive prefix sum (so `start[c]` is the end of cell
+    /// `c`), then a backward scatter that decrements each cell's cursor
+    /// down to its begin — leaving `start[c]..start[c + 1]` as cell `c`'s
+    /// range, indices ascending within it.
+    fn scatter(&mut self) {
+        let cells = self.cols * self.rows;
+        self.start.clear();
         self.start.resize(cells + 1, 0);
-        let mut acc = 0u32;
-        for c in 0..cells {
-            self.start[c] = acc;
-            acc += self.len[c];
+        for &c in &self.cell_of {
+            self.start[c as usize] += 1;
         }
-        self.start[cells] = acc;
-        // The backward pass writes every slot exactly once (`acc` is the
-        // sum of the counts), so only a size *change* touches memory here
-        // — no clear-then-zero-fill of the whole array.
+        let mut acc = 0u32;
+        for s in self.start.iter_mut() {
+            acc += *s;
+            *s = acc;
+        }
+        // The backward pass writes every slot exactly once, so only a
+        // size *change* touches memory here.
         self.slots.resize(acc as usize, 0);
         for i in (0..self.cell_of.len()).rev() {
             let c = self.cell_of[i] as usize;
-            self.start[c + 1] -= 1;
-            self.slots[self.start[c + 1] as usize] = i as u32;
+            self.start[c] -= 1;
+            self.slots[self.start[c] as usize] = i as u32;
         }
-        // `start[c + 1]` fell to `begin(c)`: shift left one slot and
-        // re-pin the total to restore `start[c] == begin(c)`.
-        self.start.copy_within(1.., 0);
-        self.start[cells] = acc;
-        self.spill.clear();
-        self.dirty = false;
     }
-
-    /// Re-scatters the current assignment with fresh slack (retained
-    /// geometry, no extent retune) — the deferred compaction that drains
-    /// an overgrown spill.
-    fn compact(&mut self) {
-        let cells = self.cols * self.rows;
-        self.len.clear();
-        self.len.resize(cells, 0);
-        for &c in &self.cell_of {
-            self.len[c as usize] += 1;
-        }
-        self.scatter(cells);
-    }
-
-    fn rebuild_sparse(&mut self, points: &[ObjPos], eps: f64) {
-        self.repr = if points.is_empty() {
-            StateRepr::Empty
-        } else {
-            StateRepr::Sparse
-        };
-        self.cell = eps;
-        self.n = points.len();
-        self.start.clear();
-        self.len.clear();
-        self.slots.clear();
-        self.cell_of.clear();
-        self.spill.clear();
-        for bucket in self.sparse.values_mut() {
-            bucket.clear();
-        }
-        for (i, p) in points.iter().enumerate() {
-            match self.sparse.entry(sparse_key(p, eps)) {
-                Entry::Occupied(e) => e.into_mut().push(i as u32),
-                // Re-serve an emptied bucket's capacity instead of
-                // allocating a fresh Vec per newly occupied cell.
-                Entry::Vacant(e) => {
-                    let mut bucket = self.bucket_pool.pop().unwrap_or_default();
-                    bucket.push(i as u32);
-                    e.insert(bucket);
-                }
-            }
-        }
-        // Cells occupied in a previous build but empty now: park their
-        // buffers in the pool rather than dropping the capacity.
-        let pool = &mut self.bucket_pool;
-        self.sparse.retain(|_, bucket| {
-            if bucket.is_empty() {
-                pool.push(std::mem::take(bucket));
-                false
-            } else {
-                true
-            }
-        });
-    }
-
-    /// Parks every sparse bucket in the pool (CSR build taking over).
-    fn release_sparse(&mut self) {
-        let pool = &mut self.bucket_pool;
-        self.sparse.retain(|_, bucket| {
-            bucket.clear();
-            pool.push(std::mem::take(bucket));
-            false
-        });
-    }
-}
-
-#[inline]
-fn sparse_key(p: &ObjPos, cell: f64) -> (i64, i64) {
-    ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GridIndex;
 
     /// Deterministic pseudo-random f64 in [0, 1) (no rand dependency).
     fn unit(state: &mut u64) -> f64 {
@@ -647,42 +344,187 @@ mod tests {
             .collect()
     }
 
-    /// Every point's neighbour set must match a fresh one-shot build.
-    fn assert_matches_fresh(state: &GridState, points: &[ObjPos], eps: f64) {
-        let fresh = GridIndex::build(points, eps);
-        for idx in 0..points.len() {
-            let (mut got, mut want) = (Vec::new(), Vec::new());
-            state.neighbours(points, idx, eps * eps, &mut got);
-            fresh.neighbours(points, idx, eps * eps, &mut want);
-            got.sort_unstable();
-            want.sort_unstable();
-            assert_eq!(got, want, "idx {idx}");
+    /// Every pair `i < j` within eps, by the `O(n²)` definition.
+    fn brute_pairs(points: &[ObjPos], eps: f64) -> Vec<(u32, u32)> {
+        let mut want = Vec::new();
+        for i in 0..points.len() {
+            for j in i + 1..points.len() {
+                if points[i].dist2(&points[j]) <= eps * eps {
+                    want.push((i as u32, j as u32));
+                }
+            }
+        }
+        want
+    }
+
+    /// The grid's eps-pairs, normalised to `i < j` and sorted (so a
+    /// duplicate shows up as an extra entry).
+    fn emitted(state: &GridState, points: &[ObjPos], eps: f64) -> Vec<(u32, u32)> {
+        let mut got = Vec::new();
+        state.eps_pairs(points, eps * eps, &mut Vec::new(), |a, b| {
+            got.push((a.min(b), a.max(b)));
+        });
+        got.sort_unstable();
+        got
+    }
+
+    fn assert_exact(state: &GridState, points: &[ObjPos], eps: f64) {
+        assert_eq!(emitted(state, points, eps), brute_pairs(points, eps));
+    }
+
+    #[test]
+    fn eps_pairs_equal_brute_force_on_every_geometry() {
+        let lattice: Vec<ObjPos> = (0..100)
+            .map(|i| ObjPos::new(i, (i / 10) as f64 * 0.7, (i % 10) as f64 * 0.7))
+            .collect();
+        // Athens-shaped Trucks extents (degrees: ~0.5° × 0.35°) at a
+        // paper-range eps of 2e-5 degrees — an extent-to-eps ratio of
+        // ~25 000 per axis, sized by density — plus a co-located platoon.
+        let mut state = 0x5eed;
+        let mut trucks: Vec<ObjPos> = (0..300)
+            .map(|i| {
+                let x = 23.5 + unit(&mut state) * 0.5;
+                ObjPos::new(i, x, 37.85 + unit(&mut state) * 0.35)
+            })
+            .collect();
+        trucks.extend([
+            ObjPos::new(900, 23.7, 38.0),
+            ObjPos::new(901, 23.7 + 1.0e-5, 38.0),
+            ObjPos::new(902, 23.7, 38.0 + 1.0e-5),
+        ]);
+        // A Beijing-shaped taxi cloud plus GPS glitches hundreds of
+        // degrees away: the percentile clip keeps the grid sized to the
+        // city, and the two co-located glitches pair in a border cell.
+        let mut state = 0xbe111u64 ^ 0xffff;
+        let mut tdrive: Vec<ObjPos> = (0..400)
+            .map(|i| {
+                let x = 116.20 + unit(&mut state) * 0.40;
+                ObjPos::new(i, x, 39.80 + unit(&mut state) * 0.30)
+            })
+            .collect();
+        tdrive.extend([
+            ObjPos::new(900, 480.0, 220.0),
+            ObjPos::new(901, 480.0 + 5.0e-5, 220.0),
+            ObjPos::new(902, -310.0, -85.0),
+        ]);
+        // Every point on one line spanning 1e6 units (zero-area box),
+        // with a dense run on it.
+        let mut line: Vec<ObjPos> = (0..200)
+            .map(|i| ObjPos::new(i, i as f64 * 5050.0, 42.0))
+            .collect();
+        line.extend((0..5).map(|i| ObjPos::new(500 + i, 1000.25 + i as f64 * 0.1, 42.0)));
+        // NaN and ±∞ points amid finite pairs: they pair with nothing,
+        // not even each other.
+        let mut non_finite: Vec<ObjPos> = (0..60)
+            .map(|i| ObjPos::new(i, (i % 8) as f64 * 0.5, (i / 8) as f64 * 0.5))
+            .collect();
+        non_finite[5].x = f64::NAN;
+        non_finite[17].y = f64::INFINITY;
+        non_finite[33] = ObjPos::new(33, f64::NEG_INFINITY, f64::NEG_INFINITY);
+        non_finite[34] = ObjPos::new(34, f64::INFINITY, f64::INFINITY);
+        non_finite[35] = ObjPos::new(35, f64::INFINITY, f64::INFINITY);
+        let cases: Vec<(&str, Vec<ObjPos>, f64)> = vec![
+            ("lattice", lattice, 1.0),
+            (
+                "self and the exact boundary",
+                vec![ObjPos::new(0, 0.0, 0.0), ObjPos::new(1, 1.0, 0.0)],
+                1.0,
+            ),
+            (
+                "negative coordinates",
+                vec![
+                    ObjPos::new(0, -0.5, -0.5),
+                    ObjPos::new(1, 0.4, 0.4),
+                    ObjPos::new(2, -5.0, -5.0),
+                ],
+                2.0,
+            ),
+            ("Trucks lat/lon", trucks, 2.0e-5),
+            ("outlier-stretched T-Drive box", tdrive, 1.0e-4),
+            (
+                "1e12 extent",
+                vec![
+                    ObjPos::new(0, 0.0, 0.0),
+                    ObjPos::new(1, 0.5, 0.0),
+                    ObjPos::new(2, 1.0e12, 1.0e12),
+                ],
+                1.0,
+            ),
+            ("collinear 1e6 line", line, 0.5),
+            (
+                "all points coincident",
+                (0..40).map(|i| ObjPos::new(i, 7.25, -3.5)).collect(),
+                1.0e-9,
+            ),
+            // No budgeted cell side fits a 2e300 × 1e-300 box: one cell.
+            (
+                "vast aspect ratio",
+                vec![
+                    ObjPos::new(0, -1.0e300, 0.0),
+                    ObjPos::new(1, -1.0e300, 0.5),
+                    ObjPos::new(2, 1.0e300, 1.0e-300),
+                    ObjPos::new(3, 1.0e300, 0.0),
+                ],
+                1.0,
+            ),
+            ("single point", vec![ObjPos::new(7, -3.25, 9.75)], 2.0),
+            ("empty set", Vec::new(), 1.0),
+            ("NaN and ±∞", non_finite, 1.0),
+            (
+                "only non-finite points",
+                vec![ObjPos::new(0, f64::NAN, 1.0), ObjPos::new(1, f64::NAN, 1.0)],
+                1.0,
+            ),
+        ];
+        // Each case on a fresh state and on one state reused across all
+        // of them (every extent change is a rebuild into old buffers).
+        let mut reused = GridState::new();
+        for (name, points, eps) in &cases {
+            let want = brute_pairs(points, *eps);
+            let mut fresh = GridState::new();
+            for state in [&mut fresh, &mut reused] {
+                state.update(points, *eps);
+                assert!(state.cell_side() >= *eps, "{name}");
+                assert_eq!(emitted(state, points, *eps), want, "{name}");
+            }
+            match *name {
+                "self and the exact boundary" => assert_eq!(want, [(0, 1)]),
+                "all points coincident" => assert_eq!(want.len(), 40 * 39 / 2),
+                "vast aspect ratio" => {
+                    assert_eq!(want, [(0, 1), (2, 3)]);
+                    assert_eq!(fresh.cell_side(), f64::INFINITY);
+                    // One cell has no box to retain: the next update rebuilds.
+                    fresh.update(points, *eps);
+                    assert_eq!(fresh.counters().builds, 2);
+                }
+                "NaN and ±∞" => {
+                    assert!(want.len() > 100, "{} finite pairs", want.len());
+                    assert!(!fresh.all_finite());
+                }
+                "Trucks lat/lon" => assert!(want.ends_with(&[(300, 301), (300, 302), (301, 302)])),
+                "outlier-stretched T-Drive box" => assert!(want.contains(&(400, 401))),
+                _ => {}
+            }
         }
     }
 
     #[test]
-    fn patch_matches_fresh_build_under_drift() {
+    fn patch_matches_brute_force_under_drift() {
         let eps = 1.0;
         let mut points = cloud(400, 0xabcd);
         let mut state = GridState::new();
         state.update(&points, eps);
-        assert!(state.is_csr());
         assert_eq!(state.counters().builds, 1);
-        // Drift every point a little for several steps: low churn, so the
-        // patch path must engage — and stay exact at every step.
+        // Drift every point a little for several steps: the retained
+        // geometry still fits, so every step patches — and stays exact.
         let mut s = 7u64;
-        for step in 0..6 {
+        for _ in 0..6 {
             for p in points.iter_mut() {
                 p.x += (unit(&mut s) - 0.5) * 0.6;
                 p.y += (unit(&mut s) - 0.5) * 0.6;
             }
             state.update(&points, eps);
-            assert_matches_fresh(&state, &points, eps);
-            assert!(
-                state.counters().patches >= 1 || step == 0,
-                "low-churn drift must patch, counters {:?}",
-                state.counters()
-            );
+            assert_exact(&state, &points, eps);
         }
         assert!(state.counters().patches >= 4, "{:?}", state.counters());
         assert!(state.counters().cells_moved > 0);
@@ -694,17 +536,17 @@ mod tests {
         let mut state = GridState::new();
         let base = cloud(300, 0x1122);
         state.update(&base, eps);
-        // Grow by a handful (append), then shrink back (truncate); both
-        // are patches (within the size-drift bound) and must stay exact.
+        // Grow by a handful, then shrink back; both are patches (within
+        // the size-drift bound) and must stay exact.
         let mut grown = base.clone();
         grown.extend(cloud(40, 0x99).into_iter().map(|mut p| {
             p.oid += 1000;
             p
         }));
         state.update(&grown, eps);
-        assert_matches_fresh(&state, &grown, eps);
+        assert_exact(&state, &grown, eps);
         state.update(&base, eps);
-        assert_matches_fresh(&state, &base, eps);
+        assert_exact(&state, &base, eps);
         assert!(state.counters().patches >= 2, "{:?}", state.counters());
     }
 
@@ -726,48 +568,12 @@ mod tests {
             .collect();
         state.update(&b, eps);
         assert_eq!(state.counters().builds, 2, "{:?}", state.counters());
-        assert_matches_fresh(&state, &b, eps);
-    }
-
-    #[test]
-    fn full_churn_in_box_rescatters_as_patch() {
-        let eps = 1.0;
-        let mut state = GridState::new();
-        let a = cloud(500, 0x5a5a);
-        state.update(&a, eps);
-        // Same box, every point teleported: geometry still fits, so the
-        // update is the high-churn re-scatter patch, not a rebuild.
-        let b = cloud(500, 0xdead);
-        state.update(&b, eps);
-        let c = state.counters();
-        assert_eq!((c.builds, c.patches), (1, 1), "{c:?}");
-        assert!(c.cells_moved > 400, "{c:?}");
-        assert_matches_fresh(&state, &b, eps);
+        assert_exact(&state, &b, eps);
     }
 
     #[test]
     fn eps_pairs_yields_each_pair_once() {
         let eps = 3.0;
-        let brute = |points: &[ObjPos]| {
-            let mut want = Vec::new();
-            for i in 0..points.len() {
-                for j in i + 1..points.len() {
-                    if points[i].dist2(&points[j]) <= eps * eps {
-                        want.push((i as u32, j as u32));
-                    }
-                }
-            }
-            want
-        };
-        let emitted = |state: &GridState, points: &[ObjPos]| {
-            assert!(state.is_clean_csr());
-            let mut got = Vec::new();
-            state.eps_pairs(points, eps * eps, &mut Vec::new(), |a, b| {
-                got.push((a.min(b), a.max(b)));
-            });
-            got.sort_unstable();
-            got
-        };
         // Coincident points put several pairs into one cell.
         let mut a = cloud(500, 0x5a5a);
         for i in 0..20 {
@@ -775,14 +581,16 @@ mod tests {
         }
         let mut state = GridState::new();
         state.update(&a, eps);
-        let want = brute(&a);
+        let want = brute_pairs(&a, eps);
         assert!(want.len() > 500, "{} pairs", want.len());
-        assert_eq!(emitted(&state, &a), want, "after a rebuild");
-        // Same box, every point teleported: the high-churn re-scatter.
+        assert_eq!(emitted(&state, &a, eps), want, "after a rebuild");
+        // Same box, every point teleported: still a re-scatter.
         let b = cloud(500, 0xdead);
         state.update(&b, eps);
-        assert_eq!((state.counters().builds, state.counters().patches), (1, 1));
-        assert_eq!(emitted(&state, &b), brute(&b), "after a re-scatter");
+        let c = state.counters();
+        assert_eq!((c.builds, c.patches), (1, 1), "{c:?}");
+        assert!(c.cells_moved > 400, "{c:?}");
+        assert_exact(&state, &b, eps);
     }
 
     #[test]
@@ -792,83 +600,51 @@ mod tests {
         state.update(&a, 1.0);
         state.update(&a, 2.0);
         assert_eq!(state.counters().builds, 2);
-        assert_matches_fresh(&state, &a, 2.0);
+        assert_exact(&state, &a, 2.0);
+        assert!(state.all_finite());
         let mut with_nan = a.clone();
         with_nan[3].x = f64::NAN;
         state.update(&with_nan, 2.0);
-        assert!(!state.is_csr(), "NaN has no cell: sparse fallback");
         assert_eq!(state.counters().builds, 3);
-        // And back: the sparse detour must not poison the CSR restart.
+        assert!(!state.all_finite());
+        assert_exact(&state, &with_nan, 2.0);
+        // And back: the NaN build's box (over the finite points) serves
+        // the all-finite snapshot again.
         state.update(&a, 2.0);
-        assert!(state.is_csr());
-        assert_matches_fresh(&state, &a, 2.0);
+        assert!(state.all_finite());
+        assert_exact(&state, &a, 2.0);
     }
 
     #[test]
-    fn spill_overflow_compacts_and_stays_exact() {
+    fn march_into_one_cell_patches_every_step() {
         let eps = 1.0;
-        // Everyone marches into one corner cell a few points at a time:
-        // each step stays under the slot-move ceiling, so the inserts
-        // overflow into the spill until the compaction drains it. (The
-        // destination cell just keeps filling up.)
+        // Everyone marches into one corner cell five points at a time:
+        // the destination cell keeps filling up, and every step is a
+        // re-scatter under the first build's geometry.
         let mut points = cloud(200, 0x31337);
         let mut state = GridState::new();
         state.update(&points, eps);
-        let csr_from_start = state.is_csr();
         for step in 0..36 {
             for p in points.iter_mut().skip(step * 5).take(5) {
                 p.x = 0.2;
                 p.y = 0.2;
             }
             state.update(&points, eps);
-            assert_matches_fresh(&state, &points, eps);
+            assert_exact(&state, &points, eps);
         }
-        assert!(csr_from_start);
         let c = state.counters();
-        assert_eq!(c.builds, 1, "slot moves + compaction only: {c:?}");
-        assert!(c.patches >= 36, "{c:?}");
+        assert_eq!((c.builds, c.patches), (1, 36), "{c:?}");
     }
 
     #[test]
     fn empty_then_populated() {
         let mut state = GridState::new();
         state.update(&[], 1.0);
-        let mut out = Vec::new();
-        // Nothing to probe; must not panic on the Empty repr.
-        assert!(!state.is_csr());
+        assert_exact(&state, &[], 1.0);
         let a = cloud(100, 0xf00);
         state.update(&a, 1.0);
-        state.neighbours(&a, 0, 1.0, &mut out);
-        assert!(out.contains(&0));
-        assert_matches_fresh(&state, &a, 1.0);
-    }
-
-    #[test]
-    fn sparse_fallback_reuses_buckets() {
-        let mut with_nan = cloud(50, 0xabc);
-        with_nan[0].x = f64::NAN;
-        let mut state = GridState::new();
-        state.update(&with_nan, 1.0);
-        assert!(!state.is_csr());
-        // Re-updating over shifted sparse data must serve buckets from
-        // the pool (no way to observe allocation directly here; the
-        // behavioural contract — exactness — is what we can pin).
-        for shift in 1..4 {
-            let moved: Vec<ObjPos> = with_nan
-                .iter()
-                .map(|p| ObjPos::new(p.oid, p.x + shift as f64 * 10.0, p.y))
-                .collect();
-            state.update(&moved, 1.0);
-            let fresh = GridIndex::build_sparse(&moved, 1.0);
-            for idx in 1..moved.len() {
-                let (mut got, mut want) = (Vec::new(), Vec::new());
-                state.neighbours(&moved, idx, 1.0, &mut got);
-                fresh.neighbours(&moved, idx, 1.0, &mut want);
-                got.sort_unstable();
-                want.sort_unstable();
-                assert_eq!(got, want, "idx {idx}");
-            }
-        }
+        assert_eq!(state.counters().builds, 2);
+        assert_exact(&state, &a, 1.0);
     }
 
     #[test]

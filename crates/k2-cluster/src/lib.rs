@@ -4,10 +4,9 @@
 //! the access pattern of convoy mining:
 //!
 //! * [`dbscan`] clusters one snapshot of object positions with parameters
-//!   `(m, eps)` — the paper's *(m, eps)-clusters* (Def. 2). Neighbourhood
-//!   queries run against a uniform grid with cells of side ≥ `eps`
-//!   ([`GridState`]), giving expected `O(n)` total work instead of the
-//!   naive `O(n²)`.
+//!   `(m, eps)` — the paper's *(m, eps)-clusters* (Def. 2). Neighbours
+//!   come from a uniform grid with cells of side ≥ `eps` ([`GridState`]),
+//!   giving expected `O(n)` total work instead of the naive `O(n²)`.
 //! * [`recluster`] is the restricted variant `DBSCAN(DB[t]|O)` that the
 //!   HWMT, extension and validation phases of k/2-hop call thousands of
 //!   times on tiny candidate sets.
@@ -19,23 +18,29 @@
 //! the eps-neighbourhood `NH(p, eps)` *includes `p` itself*, a point is a
 //! core point iff `|NH(p, eps)| ≥ m`, and a cluster is the maximal set of
 //! density-connected points reachable from a core point (border points
-//! included).
+//! included). A point with a non-finite coordinate is within eps of
+//! nothing, itself included, so it is noise at every `m`.
 //!
-//! Gridded point sets are labelled by the core-point graph formulation of
-//! DBSCAN (Gan & Tao, SIGMOD 2015), for every `m`: one sweep over the
-//! grid's eps-pairs ([`GridState::eps_pairs`], each pair exactly once)
-//! counts neighbourhoods, core–core pairs are unioned, and each border
-//! point joins one adjacent core's cluster. The classic seed-and-expand
-//! loop labels the rest — probes of at most 24 points, which skip the
-//! grid, and a grid whose layout a small patch left dirty — and is the
-//! reference the labelling is tested against ([`dbscan_reference_with`]).
+//! Two labellings, each with one neighbour source:
+//!
+//! * Sets of more than 24 points are labelled by the core-point graph
+//!   formulation of DBSCAN (Gan & Tao, SIGMOD 2015): one sweep over the
+//!   grid's eps-pairs ([`GridState::eps_pairs`], each pair exactly once)
+//!   counts neighbourhoods, core–core pairs are unioned, and each border
+//!   point joins one adjacent core's cluster.
+//! * Sets of at most 24 points — the typical `reCluster` probe — skip the
+//!   grid: the classic seed-and-expand loop runs over a pairwise scan
+//!   ([`dist2_filter_chunked`] over every point). That loop is also the
+//!   reference the labelling is tested against
+//!   ([`dbscan_reference_with`]).
+//!
 //! Both assign every point alike, so the output never depends on which
 //! one ran.
 
 mod grid;
 mod grid_state;
 
-pub use grid::{dist2_filter_chunked, GridIndex};
+pub use grid::dist2_filter_chunked;
 pub use grid_state::{GridCounters, GridState};
 
 use k2_model::{ObjPos, ObjectSet, SetPool};
@@ -98,14 +103,14 @@ pub fn dbscan(points: &[ObjPos], params: DbscanParams) -> Vec<ObjectSet> {
 /// worker (it is cheap and empty until first use) and pass it to every
 /// call.
 ///
-/// The grid inside is an incrementally patchable [`GridState`]: when
-/// consecutive calls cluster *adjacent* snapshots of the same moving
-/// population (benchmark clustering, streaming hop boundaries), the grid
-/// is diffed and patched in `O(moved)` instead of rebuilt — see the
-/// [`grid_state`](GridState) docs for the patch-or-rebuild heuristic.
-/// Unrelated point sets (successive HWMT candidates, say) simply fail the
-/// churn test and rebuild, so reuse is always safe.
-/// [`grid_counters`](Self::grid_counters) reports how often each path ran.
+/// The grid inside is a reusable [`GridState`]: when consecutive calls
+/// cluster *adjacent* snapshots of the same moving population (benchmark
+/// clustering, streaming hop boundaries), it re-scatters the points under
+/// the previous box and cell side instead of retuning them — see the
+/// [`GridState`] docs for the rebuild-or-re-scatter rule. Unrelated point
+/// sets simply fail the geometry test and rebuild, so reuse is always
+/// safe. [`grid_counters`](Self::grid_counters) reports how often each
+/// path ran.
 #[derive(Debug, Default)]
 pub struct GridScratch {
     grid: GridState,
@@ -168,15 +173,15 @@ pub fn dbscan_with(
     dbscan_impl(points, params, scratch, true)
 }
 
-/// [`dbscan_with`] pinned to the seed-and-expand labeling loop — the
-/// union-find labelling over the grid's eps-pairs is never taken,
-/// whatever the input. The output is identical; only the cost profile
-/// differs.
+/// [`dbscan_with`] pinned to the seed-and-expand labeling loop over the
+/// pairwise scan — no grid and no union-find labelling, whatever the
+/// input size. The output is identical; only the cost profile differs
+/// (`O(n²)` distance tests).
 ///
 /// This is the reference the labelling is tested against:
 /// `tests/properties.rs::union_find_labelling_equals_seed_expand`
-/// asserts both return the same clusters on arbitrary snapshots and
-/// every `min_pts` from 1 to 7.
+/// asserts both return the same clusters on arbitrary snapshots, NaN and
+/// ±∞ points included, at every `min_pts` from 1 to 7.
 pub fn dbscan_reference_with(
     points: &[ObjPos],
     params: DbscanParams,
@@ -209,22 +214,12 @@ fn dbscan_impl(
         return Vec::new();
     }
     let eps2 = params.eps * params.eps;
-    // Tiny probes skip the index entirely (see `SMALL_SNAPSHOT_CUTOFF`).
-    let use_grid = points.len() > SMALL_SNAPSHOT_CUTOFF;
-    if use_grid {
-        // Patch-or-rebuild: adjacent snapshots of the same population
-        // reuse the previous grid in O(moved) (see `GridState`).
-        scratch.grid.update(points, params.eps);
-    } else {
-        while scratch.identity.len() < points.len() {
-            scratch.identity.push(scratch.identity.len() as u32);
-        }
-    }
     const UNVISITED: u32 = u32::MAX;
     const NOISE: u32 = u32::MAX - 1;
     let mut cluster_count: u32 = 0;
 
-    if union_find && use_grid && scratch.grid.is_clean_csr() {
+    // Tiny probes skip the index entirely (see `SMALL_SNAPSHOT_CUTOFF`).
+    if union_find && points.len() > SMALL_SNAPSHOT_CUTOFF {
         // One sweep over the eps-pairs counts every neighbourhood and
         // keeps the pairs; core–core pairs then union toward the smaller
         // root, and each border point joins the adjacent core cluster
@@ -233,7 +228,7 @@ fn dbscan_impl(
         // the root here — and a border point is claimed by the first
         // cluster expanded beside it, i.e. the one with the smallest
         // root. It filters each candidate pair once, where the loop
-        // below filters every 3×3 neighbourhood from both ends.
+        // below filters every candidate from both ends.
         let GridScratch {
             grid,
             label,
@@ -243,10 +238,18 @@ fn dbscan_impl(
             parent,
             ..
         } = scratch;
+        // Adjacent snapshots of the same population re-scatter under the
+        // previous grid's geometry (see `GridState`).
+        grid.update(points, params.eps);
         let n = points.len();
         pairs.clear();
         degree.clear();
-        degree.resize(n, 1);
+        if grid.all_finite() {
+            degree.resize(n, 1);
+        } else {
+            // A non-finite point is not its own neighbour.
+            degree.extend(points.iter().map(|p| u32::from(p.dist2(p) <= eps2)));
+        }
         grid.eps_pairs(points, eps2, neighbours, |a, b| {
             pairs.push((a, b));
             degree[a as usize] += 1;
@@ -299,16 +302,14 @@ fn dbscan_impl(
             }
         }
     } else {
-        let grid = &scratch.grid;
-        let identity = &scratch.identity;
+        let identity = &mut scratch.identity;
+        while identity.len() < points.len() {
+            identity.push(identity.len() as u32);
+        }
+        let everyone = &identity[..points.len()];
         let neighbours_of = |idx: usize, out: &mut Vec<u32>| {
             out.clear();
-            if use_grid {
-                grid.neighbours(points, idx, eps2, out);
-            } else {
-                // Same chunked kernel as the grid probe, over all points.
-                dist2_filter_chunked(points, &identity[..points.len()], &points[idx], eps2, out);
-            }
+            dist2_filter_chunked(points, everyone, &points[idx], eps2, out);
         };
 
         let label = &mut scratch.label;
@@ -658,6 +659,32 @@ mod tests {
             let clusters = dbscan(&points, params);
             assert_eq!(clusters.len(), 1, "n = {n}");
             assert_eq!(clusters[0].len(), n, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn non_finite_points_are_noise_at_every_min_pts() {
+        // A row of points 0.5 apart with NaN and ±∞ members, below and
+        // above the gridless cutoff: the non-finite ones join no cluster,
+        // not even a singleton at min_pts = 1.
+        for n in [SMALL_SNAPSHOT_CUTOFF, 3 * SMALL_SNAPSHOT_CUTOFF] {
+            let mut points: Vec<ObjPos> = (0..n as u32)
+                .map(|i| ObjPos::new(i, i as f64 * 0.5, 0.0))
+                .collect();
+            points[3].x = f64::NAN;
+            points[8].y = f64::INFINITY;
+            points[9].x = f64::NEG_INFINITY;
+            for min_pts in 1..4 {
+                let params = DbscanParams::new(min_pts, 1.0);
+                let clusters = dbscan(&points, params);
+                for oid in [3, 8, 9] {
+                    assert!(clusters.iter().all(|c| !c.contains(oid)), "n {n}");
+                }
+                let members: usize = clusters.iter().map(|c| c.len()).sum();
+                assert_eq!(members, n - 3, "n {n}, min_pts {min_pts}");
+                let reference = dbscan_reference_with(&points, params, &mut GridScratch::new());
+                assert_eq!(clusters, reference, "n {n}, min_pts {min_pts}");
+            }
         }
     }
 

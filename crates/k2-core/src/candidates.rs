@@ -13,8 +13,8 @@ use std::collections::HashMap;
 ///
 /// This is the stateless one-shot entry: each call builds a fresh grid.
 /// The mining pipelines instead go through `dbscan_with` with a
-/// persistent `GridScratch`, so adjacent benchmark snapshots patch the
-/// previous grid in place instead of rebuilding it (see
+/// persistent `GridScratch`, so adjacent benchmark snapshots re-scatter
+/// into the previous grid's geometry instead of retuning it (see
 /// [`k2_cluster::GridState`]).
 pub fn cluster_benchmark<S: SnapshotSource + ?Sized>(
     store: &S,

@@ -212,12 +212,12 @@ pub(crate) fn shard_ranges(len: usize, shards: usize) -> Vec<std::ops::Range<usi
 /// The parallel work unit is a contiguous **run** of benchmark snapshots,
 /// not a single snapshot: consecutive benchmark points are adjacent in
 /// time, so a worker that clusters its run in order lets its scratch's
-/// [`GridState`](k2_cluster::GridState) *patch* the grid from one
-/// snapshot to the next instead of rebuilding it (the same contiguous
+/// [`GridState`](k2_cluster::GridState) keep one snapshot's grid geometry
+/// for the next and only re-scatter the points (the same contiguous
 /// split as the store path's temporal shards). Output is identical either
-/// way — DBSCAN depends only on the exact neighbour sets, which both the
-/// patched and the rebuilt grid answer — so the thread-count invariance
-/// the goldens pin is untouched.
+/// way — DBSCAN depends only on the exact eps-pairs, which the
+/// re-scattered and the rebuilt grid both emit — so the thread-count
+/// invariance the goldens pin is untouched.
 ///
 /// Two regimes, switched on what the engine actually returns:
 ///

@@ -131,7 +131,8 @@ pub struct PrefetchStats {
 
 /// Grid-reuse discipline of the benchmark-clustering phase — how often
 /// the per-worker [`GridState`](k2_cluster::GridState) served an update by
-/// patching the previous snapshot's grid instead of rebuilding it.
+/// re-scattering under the previous snapshot's grid geometry instead of
+/// rebuilding it.
 ///
 /// The counters cover step 1 (benchmark clustering) only: that is the
 /// phase whose adjacent-snapshot structure the incremental grid exploits,
@@ -146,13 +147,11 @@ pub struct GridStats {
     /// Full grid rebuilds (extent retune + counting sort), including the
     /// first build of every run.
     pub grid_builds: u64,
-    /// Updates served by the incremental patch path. Both patch flavours
-    /// count: sparse `O(moved)` slot moves when few points changed cell,
-    /// and the retained-geometry re-scatter that keeps the extent and
-    /// cell side but redistributes all slots when churn is higher.
+    /// Updates served by a patch: the re-scatter that keeps the box and
+    /// cell side but lays every point out again.
     pub grid_patches: u64,
-    /// Total slot moves the patches applied (points whose cell changed,
-    /// plus appended and dropped points).
+    /// Total cell changes the patches absorbed (points whose cell
+    /// changed, plus appended and dropped points).
     pub cells_moved: u64,
 }
 

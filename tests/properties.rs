@@ -2,8 +2,8 @@
 
 use k2hop::baselines::reference;
 use k2hop::cluster::{
-    dbscan, dbscan_reference_with, dbscan_with, dist2_filter_chunked, DbscanParams, GridIndex,
-    GridScratch, GridState,
+    dbscan, dbscan_reference_with, dbscan_with, dist2_filter_chunked, DbscanParams, GridScratch,
+    GridState,
 };
 use k2hop::core::{ConvoyMiner, K2Config, K2Hop, K2HopParallel};
 use k2hop::model::{Dataset, ObjPos, ObjectSet, Point, Time, TimeInterval};
@@ -29,6 +29,41 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
             Dataset::from_points(&pts).expect("non-empty")
         })
     })
+}
+
+/// `(x, y)`, or a non-finite stand-in for a few `tag`s in 32: NaN, ±∞
+/// in one axis, +∞ in both.
+fn maybe_non_finite(x: f64, y: f64, tag: u8) -> (f64, f64) {
+    match tag {
+        0 => (f64::NAN, y),
+        1 => (x, f64::INFINITY),
+        2 => (f64::NEG_INFINITY, y),
+        3 => (f64::INFINITY, f64::INFINITY),
+        _ => (x, y),
+    }
+}
+
+/// Every pair `i < j` within `sqrt(eps2)`, by the `O(n²)` definition.
+fn brute_pairs(points: &[ObjPos], eps2: f64) -> Vec<(u32, u32)> {
+    let mut want = Vec::new();
+    for i in 0..points.len() {
+        for j in i + 1..points.len() {
+            if points[i].dist2(&points[j]) <= eps2 {
+                want.push((i as u32, j as u32));
+            }
+        }
+    }
+    want
+}
+
+/// The grid's eps-pairs, normalised to `i < j` and sorted.
+fn grid_pairs(grid: &GridState, points: &[ObjPos], eps2: f64) -> Vec<(u32, u32)> {
+    let mut got = Vec::new();
+    grid.eps_pairs(points, eps2, &mut Vec::new(), |a, b| {
+        got.push((a.min(b), a.max(b)));
+    });
+    got.sort_unstable();
+    got
 }
 
 /// Textbook DBSCAN with `O(n²)` neighbourhood scans — no spatial index,
@@ -255,48 +290,57 @@ proptest! {
     }
 
     /// The CSR-grid DBSCAN equals a brute-force `O(n²)` reference on
-    /// random point clouds — negative coordinates, coincident points and
-    /// exact eps-boundary distances included (coordinates are multiples
-    /// of 0.5, so with eps = 1.0 boundary-distance pairs are common and
-    /// exactly representable).
+    /// random point clouds — negative coordinates, coincident points,
+    /// exact eps-boundary distances (coordinates are multiples of 0.5, so
+    /// with eps = 1.0 boundary-distance pairs are common and exactly
+    /// representable) and a few NaN / ±∞ points, which are noise, included.
     #[test]
     fn csr_dbscan_equals_brute_force(
-        coords in proptest::collection::vec((0u32..60, -30i32..30, -30i32..30), 0..80),
+        coords in proptest::collection::vec((0u32..60, -30i32..30, -30i32..30, 0u8..32), 0..80),
         min_pts in 1usize..8,
     ) {
         let mut seen = BTreeSet::new();
         let points: Vec<ObjPos> = coords
             .into_iter()
-            .filter(|(oid, _, _)| seen.insert(*oid))
-            .map(|(oid, x, y)| ObjPos::new(oid, x as f64 * 0.5, y as f64 * 0.5))
+            .filter(|(oid, _, _, _)| seen.insert(*oid))
+            .map(|(oid, x, y, tag)| {
+                let (x, y) = maybe_non_finite(x as f64 * 0.5, y as f64 * 0.5, tag);
+                ObjPos::new(oid, x, y)
+            })
             .collect();
         let params = DbscanParams::new(min_pts, 1.0);
         prop_assert_eq!(dbscan(&points, params), brute_force_dbscan(&points, params));
     }
 
-    /// The CSR and HashMap grid layouts answer every neighbourhood query
-    /// identically (the tentpole's layout-equivalence guarantee).
+    /// The grid's eps-pair sweep emits exactly the brute-force pair set,
+    /// each pair once, for random clouds, random eps and both sizing
+    /// regimes (a `spread` of 1 or 2 stretches the box 1e3× or 1e6×, past
+    /// the extent path into the density path); NaN and ±∞ points pair
+    /// with nothing.
     #[test]
-    fn csr_and_sparse_grids_agree(
-        coords in proptest::collection::vec((-40i32..40, -40i32..40), 1..60),
+    fn grid_eps_pairs_equal_brute_force(
+        coords in proptest::collection::vec((-40i32..40, -40i32..40, 0u8..32), 0..60),
         eps10 in 5u32..30,
+        spread in 0u32..3,
     ) {
         let eps = eps10 as f64 / 10.0;
+        let scale = 0.5 * 1000f64.powi(spread as i32);
         let points: Vec<ObjPos> = coords
             .iter()
             .enumerate()
-            .map(|(i, &(x, y))| ObjPos::new(i as u32, x as f64 * 0.5, y as f64 * 0.5))
+            .map(|(i, &(x, y, tag))| {
+                let (x, y) = maybe_non_finite(x as f64 * scale, y as f64 * scale, tag);
+                ObjPos::new(i as u32, x, y)
+            })
             .collect();
-        let csr = GridIndex::build(&points, eps);
-        let sparse = GridIndex::build_sparse(&points, eps);
-        for idx in 0..points.len() {
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            csr.neighbours(&points, idx, eps * eps, &mut a);
-            sparse.neighbours(&points, idx, eps * eps, &mut b);
-            a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(a, b, "idx {} eps {}", idx, eps);
-        }
+        let mut grid = GridState::new();
+        grid.update(&points, eps);
+        prop_assert!(grid.cell_side() >= eps);
+        prop_assert_eq!(
+            grid_pairs(&grid, &points, eps * eps),
+            brute_pairs(&points, eps * eps),
+            "eps {} scale {}", eps, scale
+        );
     }
 
     /// `restrict_at_into` is exactly `restrict_at` into a reused buffer,
@@ -324,9 +368,9 @@ proptest! {
     }
 
     /// A `GridState` driven through an arbitrary move-sequence (every
-    /// snapshot patches or rebuilds per the churn heuristic) answers
-    /// every neighbourhood query exactly like a grid built fresh from
-    /// the current snapshot — the patched index never drifts.
+    /// snapshot re-scatters or rebuilds per the geometry test) emits
+    /// exactly the brute-force eps-pairs of the current snapshot — the
+    /// patched index never drifts.
     #[test]
     fn grid_state_patched_equals_fresh(
         start in proptest::collection::vec((0i32..40, 0i32..40), 8..48),
@@ -350,17 +394,11 @@ proptest! {
                 points[i].y += dy as f64;
             }
             state.update(&points, eps);
-            let fresh = GridIndex::build(&points, eps);
-            let (mut got, mut want) = (Vec::new(), Vec::new());
-            for idx in 0..points.len() {
-                got.clear();
-                want.clear();
-                state.neighbours(&points, idx, eps * eps, &mut got);
-                fresh.neighbours(&points, idx, eps * eps, &mut want);
-                got.sort_unstable();
-                want.sort_unstable();
-                prop_assert_eq!(&got, &want, "idx {} diverged after patching", idx);
-            }
+            prop_assert_eq!(
+                grid_pairs(&state, &points, eps * eps),
+                brute_pairs(&points, eps * eps),
+                "diverged after patching"
+            );
         }
     }
 
@@ -401,11 +439,12 @@ proptest! {
     /// sequences (adjacent snapshots share one scratch, so later
     /// snapshots cluster through a patched index). Up to 60 points on a
     /// 14 × 14 lattice are dense enough that a border point often
-    /// touches two clusters, where only the claiming rule decides.
+    /// touches two clusters, where only the claiming rule decides; a few
+    /// NaN / ±∞ points must be noise on both sides, even at `min_pts` 1.
     #[test]
     fn union_find_labelling_equals_seed_expand(
         snaps in proptest::collection::vec(
-            proptest::collection::vec((0i32..14, 0i32..14), 26..60),
+            proptest::collection::vec((0i32..14, 0i32..14, 0u8..32), 26..60),
             1..4,
         ),
         min_pts in 1usize..8,
@@ -417,7 +456,10 @@ proptest! {
             let points: Vec<ObjPos> = snap
                 .iter()
                 .enumerate()
-                .map(|(i, &(x, y))| ObjPos::new(i as u32, x as f64, y as f64))
+                .map(|(i, &(x, y, tag))| {
+                    let (x, y) = maybe_non_finite(x as f64, y as f64, tag);
+                    ObjPos::new(i as u32, x, y)
+                })
                 .collect();
             let a = dbscan_with(&points, params, &mut fast);
             let b = dbscan_reference_with(&points, params, &mut reference);
