@@ -7,9 +7,10 @@
 //! boundaries with the DCM merge — the same merge k/2-hop reuses for
 //! spanning convoys (§4.4).
 //!
-//! "Nodes" are worker threads here (see DESIGN.md's substitution table):
-//! the figures study how the sequential k/2-hop compares as DCM's
-//! parallelism grows, which a thread pool reproduces.
+//! "Nodes" are worker threads here, where the paper ran DCM on a cluster
+//! of machines: the figures study how the sequential k/2-hop compares as
+//! DCM's parallelism grows, which a thread pool on one machine
+//! reproduces.
 //!
 //! Output semantics: maximal partially-connected convoys (DCM is
 //! CMC-based).

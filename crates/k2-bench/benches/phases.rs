@@ -1,11 +1,13 @@
-//! Phase-level microbenchmarks of the k/2-hop pipeline, plus the ablation
-//! benches DESIGN.md calls out:
+//! Phase-level microbenchmarks of the k/2-hop pipeline, plus three
+//! ablations:
 //!
 //! * HWMT *binary-tree order* vs a naive left-to-right window sweep — the
 //!   paper's coincidental-togetherness heuristic (§4.3),
-//! * candidate-cluster intersection via inverted assignment vs the naive
-//!   quadratic pairing (§4.2),
-//! * DCM merge cost on wide windows.
+//! * candidate clusters by merge-joining two labellings vs the naive
+//!   quadratic pairing (§4.2), on a straddling shape and on T-Drive's
+//!   dense benchmark shape,
+//! * DCM merge cost (§4.4) as windows grow, and with 30 partially
+//!   overlapping convoys per window.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use k2_cluster::DbscanParams;
@@ -36,33 +38,51 @@ fn bench_benchmark_points(c: &mut Criterion) {
     });
 }
 
+/// `clusters` clusters of `size` members per side, drawn from every
+/// third oid (a gappy population); right clusters start `shift` members
+/// later, so with `0 < shift < size` each left cluster straddles two.
+fn cluster_sides(clusters: u32, size: u32, shift: u32) -> (Vec<ObjectSet>, Vec<ObjectSet>) {
+    let side = |offset: u32| -> Vec<ObjectSet> {
+        (0..clusters)
+            .map(|i| {
+                ObjectSet::new(
+                    (i * size + offset..(i + 1) * size + offset)
+                        .map(|j| j * 3)
+                        .collect(),
+                )
+            })
+            .collect()
+    };
+    (side(0), side(shift))
+}
+
 fn bench_candidate_intersection(c: &mut Criterion) {
-    // Two benchmark cluster sets of 100 clusters x 10 members.
-    let left: Vec<ObjectSet> = (0..100u32)
-        .map(|i| ObjectSet::new((i * 10..i * 10 + 10).collect()))
-        .collect();
-    // Shifted by 5 so every left cluster straddles two right clusters.
-    let right: Vec<ObjectSet> = (0..100u32)
-        .map(|i| ObjectSet::new((i * 10 + 5..i * 10 + 15).collect()))
-        .collect();
     let mut group = c.benchmark_group("phases/candidate_clusters");
-    group.bench_function("inverted_index", |b| {
-        b.iter(|| black_box(candidate_clusters(&left, &right, 3).len()))
-    });
-    // Ablation: the naive O(|C1|·|C2|) pairwise intersection.
-    group.bench_function("naive_pairwise", |b| {
-        b.iter(|| {
-            let mut out = 0usize;
-            for l in &left {
-                for r in &right {
-                    if l.intersection_len(r) >= 3 {
-                        out += 1;
+    for (shape, (left, right)) in [
+        // 100 clusters x 10 members, shifted by 5.
+        ("straddle_100x10", cluster_sides(100, 10, 5)),
+        // T-Drive's dense benchmark snapshots at eps 0.004: ~480
+        // clusters of ~8 members a side, most surviving the hop.
+        ("tdrive_dense_480x8", cluster_sides(480, 8, 1)),
+    ] {
+        group.bench_function(BenchmarkId::new("merge_join", shape), |b| {
+            b.iter(|| black_box(candidate_clusters(&left, &right, 3).len()))
+        });
+        // Ablation: the naive O(|C1|·|C2|) pairwise intersection.
+        group.bench_function(BenchmarkId::new("naive_pairwise", shape), |b| {
+            b.iter(|| {
+                let mut out = 0usize;
+                for l in &left {
+                    for r in &right {
+                        if l.intersection_len(r) >= 3 {
+                            out += 1;
+                        }
                     }
                 }
-            }
-            black_box(out)
-        })
-    });
+                black_box(out)
+            })
+        });
+    }
     group.finish();
 }
 
@@ -103,6 +123,24 @@ fn bench_merge(c: &mut Criterion) {
             |b, spanning| b.iter(|| black_box(merge_spanning(spanning, 3).len())),
         );
     }
+    // 30 convoys of 4 objects per window over a 120-object population,
+    // rotated by one object each window: every active convoy meets one
+    // next-window convoy in 3 objects and another in 1.
+    let spanning: Vec<Vec<Convoy>> = (0..64u32)
+        .map(|w| {
+            (0..30u32)
+                .map(|i| {
+                    let ids: Vec<u32> = (0..4).map(|r| (i * 4 + r + w) % 120).collect();
+                    Convoy::from_parts(ObjectSet::new(ids), w, w + 1)
+                })
+                .collect()
+        })
+        .collect();
+    group.bench_with_input(
+        BenchmarkId::new("30_per_window", 64),
+        &spanning,
+        |b, spanning| b.iter(|| black_box(merge_spanning(spanning, 3).len())),
+    );
     group.finish();
 }
 

@@ -12,7 +12,9 @@
 //!   times on tiny candidate sets.
 //!
 //! Clusters are returned as sorted [`ObjectSet`]s of size ≥ `m`; noise
-//! points are omitted.
+//! points are omitted. [`dbscan_labelling_with`] hands back the same
+//! clusters as oid-sorted `(oid, cluster)` pairs instead, for callers
+//! that only intersect them (benchmark snapshots).
 //!
 //! DBSCAN semantics used throughout (matching §3.1 of the paper):
 //! the eps-neighbourhood `NH(p, eps)` *includes `p` itself*, a point is a
@@ -43,7 +45,7 @@ mod grid_state;
 pub use grid::dist2_filter_chunked;
 pub use grid_state::{GridCounters, GridState};
 
-use k2_model::{ObjPos, ObjectSet, SetPool};
+use k2_model::{ObjPos, ObjectSet, Oid, SetPool};
 
 /// Point sets up to this size skip the grid entirely: a direct `O(n²)`
 /// pairwise scan beats building any index for the tiny `reCluster`
@@ -117,7 +119,8 @@ pub struct GridScratch {
     label: Vec<u32>,
     neighbours: Vec<u32>,
     frontier: Vec<u32>,
-    /// Counting-sort buffers for the final cluster gather.
+    /// Counting-sort buffers for the final cluster gather; the offsets
+    /// double as cluster sizes for [`dbscan_labelling_with`].
     cluster_offsets: Vec<u32>,
     member_oids: Vec<u32>,
     /// Interning arena for the emitted cluster sets: a candidate that
@@ -147,9 +150,8 @@ impl GridScratch {
         Self::default()
     }
 
-    /// The scratch's set-interning pool — shared with callers (e.g. the
-    /// candidate-cluster intersection) so their sets dedup against the
-    /// cluster sets emitted here.
+    /// The scratch's set-interning pool, for callers that bound what it
+    /// retains (the mining pipeline clears it per hop-window).
     pub fn pool_mut(&mut self) -> &mut SetPool {
         &mut self.pool
     }
@@ -204,18 +206,138 @@ fn find(parent: &mut [u32], mut i: u32) -> u32 {
     }
 }
 
+/// [`dbscan_with`]'s labelling handed back as `(oid, cluster)` pairs
+/// instead of gathered sets: `out` is cleared, then receives one pair per
+/// clustered point, ascending by oid. Grouping the pairs by cluster gives
+/// exactly [`dbscan_with`]'s clusters — the same labelling runs, and the
+/// same size bound drops the same clusters — but no set is gathered,
+/// interned or sorted. Cluster numbers are below `points.len()` and
+/// otherwise opaque: a cluster the size bound drops leaves a gap.
+///
+/// This is the form two adjacent benchmark snapshots are intersected in
+/// (§4.2): both labellings are oid-sorted, so a merge-join pairs them in
+/// one linear pass. Snapshots are oid-ascending, and then the output
+/// needs no sort; any other input order is sorted once at the end.
+pub fn dbscan_labelling_with(
+    points: &[ObjPos],
+    params: DbscanParams,
+    scratch: &mut GridScratch,
+    out: &mut Vec<(Oid, u32)>,
+) {
+    out.clear();
+    let clusters = label_points(points, params, scratch, true);
+    if clusters == 0 {
+        return;
+    }
+    let sizes = &mut scratch.cluster_offsets;
+    sizes.clear();
+    sizes.resize(clusters as usize, 0);
+    for &l in &scratch.label {
+        if l < NOISE {
+            sizes[l as usize] += 1;
+        }
+    }
+    let min_pts = params.min_pts as u32;
+    out.reserve(sizes.iter().filter(|&&s| s >= min_pts).sum::<u32>() as usize);
+    out.extend(
+        points
+            .iter()
+            .zip(&scratch.label)
+            .filter(|&(_, &l)| l < NOISE && sizes[l as usize] >= min_pts)
+            .map(|(p, &l)| (p.oid, l)),
+    );
+    if !out.windows(2).all(|w| w[0].0 < w[1].0) {
+        out.sort_unstable_by_key(|&(oid, _)| oid);
+    }
+}
+
+/// `label` entry of a point not yet reached by seed-and-expand.
+const UNVISITED: u32 = u32::MAX;
+/// `label` entry of a noise point; cluster numbers are below it.
+const NOISE: u32 = u32::MAX - 1;
+
 fn dbscan_impl(
     points: &[ObjPos],
     params: DbscanParams,
     scratch: &mut GridScratch,
     union_find: bool,
 ) -> Vec<ObjectSet> {
-    if points.len() < params.min_pts {
+    let cluster_count = label_points(points, params, scratch, union_find);
+    if cluster_count == 0 {
         return Vec::new();
     }
+    let label = &scratch.label;
+
+    // Gather clusters by counting sort over the labels (no per-cluster
+    // Vec allocations); enforce the (m, eps)-cluster size bound. (Every
+    // cluster contains a core point whose neighbourhood has >= m members,
+    // but at m >= 4 border points an earlier cluster claimed can leave a
+    // later one short, and duplicate oids collapse in the dedup below.)
+    let offsets = &mut scratch.cluster_offsets;
+    offsets.clear();
+    offsets.resize(cluster_count as usize + 1, 0);
+    for &l in label.iter() {
+        if l < NOISE {
+            offsets[l as usize + 1] += 1;
+        }
+    }
+    let mut acc = 0u32;
+    for o in offsets.iter_mut() {
+        acc += *o;
+        *o = acc;
+    }
+    let members = &mut scratch.member_oids;
+    members.clear();
+    members.resize(acc as usize, 0);
+    // Scatter, advancing each cluster's cursor; afterwards `offsets[c]`
+    // holds the *end* of cluster c, read shifted as in the CSR grid.
+    for (i, &l) in label.iter().enumerate() {
+        if l < NOISE {
+            let slot = offsets[l as usize];
+            members[slot as usize] = points[i].oid;
+            offsets[l as usize] += 1;
+        }
+    }
+    let mut out: Vec<ObjectSet> = Vec::with_capacity(cluster_count as usize);
+    for c in 0..cluster_count as usize {
+        let start = if c == 0 { 0 } else { offsets[c - 1] as usize };
+        let slice = &members[start..offsets[c] as usize];
+        if slice.len() >= params.min_pts {
+            // Members follow the input point order; snapshots and probe
+            // restrictions are oid-sorted, so the slice is almost always
+            // already strictly ascending and interns directly. Arbitrary
+            // caller input falls back to a sort + dedup in scratch.
+            let id = if slice.windows(2).all(|w| w[0] < w[1]) {
+                scratch.pool.intern_sorted(slice)
+            } else {
+                scratch.sort_buf.clear();
+                scratch.sort_buf.extend_from_slice(slice);
+                scratch.sort_buf.sort_unstable();
+                scratch.sort_buf.dedup();
+                scratch.pool.intern_sorted(&scratch.sort_buf)
+            };
+            out.push(scratch.pool.handle(id));
+        }
+    }
+    out.sort_by(|a, b| a.ids().cmp(b.ids()));
+    out
+}
+
+/// The one labelling behind every entry point: fills `scratch.label`
+/// with a cluster number, or `NOISE`, per point and returns the number
+/// of clusters — by union-find over the grid's eps-pairs when
+/// `union_find` is set and the set is past the gridless cutoff,
+/// otherwise by seed-and-expand over the pairwise scan.
+fn label_points(
+    points: &[ObjPos],
+    params: DbscanParams,
+    scratch: &mut GridScratch,
+    union_find: bool,
+) -> u32 {
+    if points.len() < params.min_pts {
+        return 0;
+    }
     let eps2 = params.eps * params.eps;
-    const UNVISITED: u32 = u32::MAX;
-    const NOISE: u32 = u32::MAX - 1;
     let mut cluster_count: u32 = 0;
 
     // Tiny probes skip the index entirely (see `SMALL_SNAPSHOT_CUTOFF`).
@@ -360,64 +482,7 @@ fn dbscan_impl(
             }
         }
     }
-    if cluster_count == 0 {
-        return Vec::new();
-    }
-    let label = &scratch.label;
-
-    // Gather clusters by counting sort over the labels (no per-cluster
-    // Vec allocations); enforce the (m, eps)-cluster size bound. (Every
-    // cluster contains a core point whose neighbourhood has >= m members,
-    // all of which join the cluster, so the filter only matters when
-    // duplicate coordinates collapse — kept for safety.)
-    let offsets = &mut scratch.cluster_offsets;
-    offsets.clear();
-    offsets.resize(cluster_count as usize + 1, 0);
-    for &l in label.iter() {
-        if l < NOISE {
-            offsets[l as usize + 1] += 1;
-        }
-    }
-    let mut acc = 0u32;
-    for o in offsets.iter_mut() {
-        acc += *o;
-        *o = acc;
-    }
-    let members = &mut scratch.member_oids;
-    members.clear();
-    members.resize(acc as usize, 0);
-    // Scatter, advancing each cluster's cursor; afterwards `offsets[c]`
-    // holds the *end* of cluster c, read shifted as in the CSR grid.
-    for (i, &l) in label.iter().enumerate() {
-        if l < NOISE {
-            let slot = offsets[l as usize];
-            members[slot as usize] = points[i].oid;
-            offsets[l as usize] += 1;
-        }
-    }
-    let mut out: Vec<ObjectSet> = Vec::with_capacity(cluster_count as usize);
-    for c in 0..cluster_count as usize {
-        let start = if c == 0 { 0 } else { offsets[c - 1] as usize };
-        let slice = &members[start..offsets[c] as usize];
-        if slice.len() >= params.min_pts {
-            // Members follow the input point order; snapshots and probe
-            // restrictions are oid-sorted, so the slice is almost always
-            // already strictly ascending and interns directly. Arbitrary
-            // caller input falls back to a sort + dedup in scratch.
-            let id = if slice.windows(2).all(|w| w[0] < w[1]) {
-                scratch.pool.intern_sorted(slice)
-            } else {
-                scratch.sort_buf.clear();
-                scratch.sort_buf.extend_from_slice(slice);
-                scratch.sort_buf.sort_unstable();
-                scratch.sort_buf.dedup();
-                scratch.pool.intern_sorted(&scratch.sort_buf)
-            };
-            out.push(scratch.pool.handle(id));
-        }
-    }
-    out.sort_by(|a, b| a.ids().cmp(b.ids()));
-    out
+    cluster_count
 }
 
 /// The paper's `reCluster`: DBSCAN over a snapshot restricted to the
@@ -645,6 +710,66 @@ mod tests {
                 dbscan(points, params)
             );
         }
+    }
+
+    #[test]
+    fn labelling_is_oid_sorted_and_groups_into_the_clusters() {
+        // Two clusters and noise, past the gridless cutoff, fed in
+        // descending oid order so the labelling has to sort.
+        let mut points: Vec<ObjPos> = (0..30u32)
+            .map(|i| match i {
+                0..=9 => ObjPos::new(i, i as f64 * 0.5, 0.0),
+                10..=19 => ObjPos::new(i, i as f64 * 0.5, 100.0),
+                _ => ObjPos::new(i, i as f64 * 10.0, 500.0),
+            })
+            .collect();
+        points.reverse();
+        let params = DbscanParams::new(3, 0.6);
+        let mut out = vec![(99, 99)]; // stale content is cleared
+        dbscan_labelling_with(&points, params, &mut GridScratch::new(), &mut out);
+        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(out.len(), 20);
+        let (a, b) = (out[0].1, out[10].1);
+        assert_ne!(a, b);
+        assert!(out[..10].iter().all(|&(_, l)| l == a));
+        assert!(out[10..].iter().all(|&(_, l)| l == b));
+    }
+
+    #[test]
+    fn a_core_whose_borders_were_claimed_is_dropped_from_both_outputs() {
+        // At m = 4, core point 15 at the origin has three neighbours
+        // (12–14), each a border point that an earlier square already
+        // claimed, so its own cluster is {15} — below the size bound in
+        // the gathered sets and in the labelling alike. Twenty far-apart
+        // noise points push the set past the gridless cutoff.
+        let mut points = Vec::new();
+        for (i, (dx, dy)) in [(1.0f64, 0.0f64), (-1.0, 0.0), (0.0, 1.0)]
+            .into_iter()
+            .enumerate()
+        {
+            for (j, (ox, oy)) in [(1.8, 0.0), (2.3, 0.0), (2.2, 0.4), (2.2, -0.4)]
+                .into_iter()
+                .enumerate()
+            {
+                let oid = (4 * i + j) as u32;
+                points.push(ObjPos::new(oid, ox * dx - oy * dy, ox * dy + oy * dx));
+            }
+        }
+        for (oid, (x, y)) in [(12, (0.9, 0.0)), (13, (-0.9, 0.0)), (14, (0.0, 0.9))] {
+            points.push(ObjPos::new(oid, x, y));
+        }
+        points.push(ObjPos::new(15, 0.0, 0.0));
+        points.extend((0..20).map(|n| ObjPos::new(100 + n, 500.0 + 10.0 * n as f64, 500.0)));
+        let params = DbscanParams::new(4, 1.0);
+        let want: Vec<ObjectSet> = [[0, 1, 2, 3, 12], [4, 5, 6, 7, 13], [8, 9, 10, 11, 14]]
+            .into_iter()
+            .map(ObjectSet::from)
+            .collect();
+        assert_eq!(dbscan(&points, params), want);
+        let mut out = Vec::new();
+        dbscan_labelling_with(&points, params, &mut GridScratch::new(), &mut out);
+        let oids: Vec<u32> = out.iter().map(|&(oid, _)| oid).collect();
+        assert_eq!(oids, (0..15).collect::<Vec<u32>>());
     }
 
     #[test]

@@ -1,9 +1,28 @@
 //! Benchmark clustering and candidate clusters (§4.1–§4.2).
+//!
+//! The pipeline never intersects benchmark clusters as sets. Each
+//! benchmark snapshot comes back from clustering as a *labelling* — its
+//! clustered objects as `(oid, cluster)` pairs, ascending by oid
+//! ([`k2_cluster::dbscan_labelling_with`]) — and the candidate clusters
+//! of a hop-window are read off two adjacent labellings in linear time:
+//!
+//! 1. a merge-join of the two oid-sorted labellings yields one
+//!    `(left cluster, right cluster, oid)` hit per object clustered at
+//!    both benchmarks, in oid order;
+//! 2. two stable counting-sort passes over the hits, by right cluster and
+//!    then by left cluster, make every `(left, right)` group contiguous
+//!    and keep it oid-ascending — each group *is* one `cᵢ ∩ cᵢ₊₁`;
+//! 3. every group of at least `m` objects is emitted, interned through
+//!    the worker's [`SetPool`], and the output is sorted by members.
+//!
+//! Nothing is hashed and nothing is allocated per window beyond the
+//! emitted sets: the join and sort buffers live in per-worker scratch.
+//! [`candidate_clusters`] runs the same algorithm on clusters given as
+//! sets.
 
 use k2_cluster::{dbscan, DbscanParams};
 use k2_model::{ObjectSet, Oid, SetPool, Time};
 use k2_storage::{SnapshotSource, StoreResult};
-use std::collections::HashMap;
 
 /// Clusters the full snapshot at one benchmark point.
 ///
@@ -11,11 +30,11 @@ use std::collections::HashMap;
 /// scanned (every point of the snapshot — benchmark points are the only
 /// timestamps where k/2-hop touches the whole population).
 ///
-/// This is the stateless one-shot entry: each call builds a fresh grid.
-/// The mining pipelines instead go through `dbscan_with` with a
-/// persistent `GridScratch`, so adjacent benchmark snapshots re-scatter
-/// into the previous grid's geometry instead of retuning it (see
-/// [`k2_cluster::GridState`]).
+/// This is the stateless one-shot entry: each call builds a fresh grid
+/// and gathers sets. The mining pipelines instead keep one `GridScratch`
+/// per worker, so adjacent benchmark snapshots re-scatter into the
+/// previous grid's geometry (see [`k2_cluster::GridState`]), and take
+/// each snapshot's clustering as a labelling (see the module docs).
 pub fn cluster_benchmark<S: SnapshotSource + ?Sized>(
     store: &S,
     params: DbscanParams,
@@ -31,35 +50,24 @@ pub fn cluster_benchmark<S: SnapshotSource + ?Sized>(
 
 /// The candidate clusters of a hop-window (§4.2):
 ///
-/// `CCᵢ = { cᵢ ∩ cᵢ₊₁ | cᵢ ∈ Cᵢ, cᵢ₊₁ ∈ Cᵢ₊₁, |cᵢ ∩ cᵢ₊₁| ≥ m }`
+/// `CCᵢ = { cᵢ ∩ cᵢ₊₁ | cᵢ ∈ Cᵢ, cᵢ₊₁ ∈ Cᵢ₊₁, |cᵢ ∩ cᵢ₊₁| ≥ m }`,
+/// sorted by members.
 ///
-/// Every object belongs to at most one cluster per timestamp, so instead
-/// of the quadratic pairwise intersection we bucket each left cluster's
-/// members by their right-cluster id — `O(Σ|cᵢ|)` total.
+/// The clusters on each side must be disjoint, as DBSCAN's are. Each side
+/// is numbered by position into an oid-sorted labelling and the two are
+/// intersected by the module's merge-join — `O(Σ|cᵢ| log Σ|cᵢ|)` for the
+/// numbering, linear after it, never the quadratic pairing.
 pub fn candidate_clusters(left: &[ObjectSet], right: &[ObjectSet], m: usize) -> Vec<ObjectSet> {
-    candidate_clusters_with(left, right, m, &mut |ids| {
-        ObjectSet::from_sorted(ids.to_vec())
-    })
-}
-
-/// [`candidate_clusters`] interning the emitted sets through `pool`.
-///
-/// Candidate clusters are intersections of benchmark clusters; a cluster
-/// that survives a hop intact produces a candidate *equal* to it, and
-/// adjacent windows repeat candidates wholesale — interning makes those
-/// repeats share storage with the cluster sets already in the pool, so
-/// every downstream equality/subsumption check starts with a pointer
-/// compare.
-pub(crate) fn candidate_clusters_pooled(
-    left: &[ObjectSet],
-    right: &[ObjectSet],
-    m: usize,
-    pool: &mut SetPool,
-) -> Vec<ObjectSet> {
-    candidate_clusters_with(left, right, m, &mut |ids| {
-        let id = pool.intern_sorted(ids);
-        pool.handle(id)
-    })
+    let labelling = |sets: &[ObjectSet]| {
+        let mut pairs: Vec<(Oid, u32)> = sets
+            .iter()
+            .enumerate()
+            .flat_map(|(i, set)| set.iter().map(move |oid| (oid, i as u32)))
+            .collect();
+        pairs.sort_unstable();
+        pairs
+    };
+    CandidateScratch::default().candidates(&labelling(left), &labelling(right), m)
 }
 
 /// Sorted union of the object ids across `sets` — the id list one
@@ -72,42 +80,113 @@ pub(crate) fn object_id_union(sets: &[ObjectSet]) -> Vec<Oid> {
     ids
 }
 
-fn candidate_clusters_with(
-    left: &[ObjectSet],
-    right: &[ObjectSet],
-    m: usize,
-    make_set: &mut dyn FnMut(&[Oid]) -> ObjectSet,
-) -> Vec<ObjectSet> {
-    if left.is_empty() || right.is_empty() {
-        return Vec::new();
-    }
-    // oid -> index of its cluster in `right`.
-    let right_len: usize = right.iter().map(|c| c.len()).sum();
-    let mut assignment: HashMap<Oid, u32> = HashMap::with_capacity(right_len);
-    for (j, c) in right.iter().enumerate() {
-        for oid in c.iter() {
-            assignment.insert(oid, j as u32);
-        }
-    }
-    let mut out = Vec::new();
-    let mut buckets: HashMap<u32, Vec<Oid>> = HashMap::new();
-    for c in left {
-        buckets.clear();
-        for oid in c.iter() {
-            if let Some(&j) = assignment.get(&oid) {
-                buckets.entry(j).or_default().push(oid);
+/// One object clustered at both benchmarks of a hop-window.
+#[derive(Debug, Clone, Copy, Default)]
+struct Hit {
+    left: u32,
+    right: u32,
+    oid: Oid,
+}
+
+/// A worker's working memory for candidate clusters: the interning pool
+/// the emitted sets go through, and the join and counting-sort buffers,
+/// reused window after window.
+///
+/// Interning makes a candidate repeated from window to window — a
+/// cluster that survives a hop intact — share storage with its earlier
+/// copies, so every downstream equality/subsumption check starts with a
+/// pointer compare.
+#[derive(Debug, Default)]
+pub(crate) struct CandidateScratch {
+    pool: SetPool,
+    hits: Vec<Hit>,
+    sorted: Vec<Hit>,
+    counts: Vec<u32>,
+    ids: Vec<Oid>,
+}
+
+impl CandidateScratch {
+    /// The candidate clusters of two adjacent benchmark labellings, each
+    /// `(oid, cluster)` pairs strictly ascending by oid (see the module
+    /// docs for the algorithm).
+    pub(crate) fn candidates(
+        &mut self,
+        left: &[(Oid, u32)],
+        right: &[(Oid, u32)],
+        m: usize,
+    ) -> Vec<ObjectSet> {
+        let Self {
+            pool,
+            hits,
+            sorted,
+            counts,
+            ids,
+        } = self;
+        hits.clear();
+        let (mut left_keys, mut right_keys) = (0u32, 0u32);
+        let (mut i, mut j) = (0, 0);
+        while let (Some(&(a, l)), Some(&(b, r))) = (left.get(i), right.get(j)) {
+            match a.cmp(&b) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    hits.push(Hit {
+                        left: l,
+                        right: r,
+                        oid: a,
+                    });
+                    left_keys = left_keys.max(l + 1);
+                    right_keys = right_keys.max(r + 1);
+                    i += 1;
+                    j += 1;
+                }
             }
         }
-        for ids in buckets.values() {
-            if ids.len() >= m {
-                // Members iterated in ascending oid order per cluster, so
-                // each bucket is already sorted.
-                out.push(make_set(ids));
+        if hits.len() < m {
+            return Vec::new();
+        }
+        counting_sort(hits, sorted, counts, right_keys, |h| h.right);
+        counting_sort(sorted, hits, counts, left_keys, |h| h.left);
+        let mut out = Vec::new();
+        for group in hits.chunk_by(|a, b| (a.left, a.right) == (b.left, b.right)) {
+            if group.len() >= m {
+                ids.clear();
+                ids.extend(group.iter().map(|h| h.oid));
+                let id = pool.intern_sorted(ids);
+                out.push(pool.handle(id));
             }
         }
+        out.sort_by(|a, b| a.ids().cmp(b.ids()));
+        out
     }
-    out.sort_by(|a, b| a.ids().cmp(b.ids()));
-    out
+}
+
+/// Stable counting sort of `src` into `dst` by `key`, whose values are
+/// below `keys`.
+fn counting_sort(
+    src: &[Hit],
+    dst: &mut Vec<Hit>,
+    counts: &mut Vec<u32>,
+    keys: u32,
+    key: impl Fn(&Hit) -> u32,
+) {
+    counts.clear();
+    counts.resize(keys as usize + 1, 0);
+    for h in src {
+        counts[key(h) as usize + 1] += 1;
+    }
+    for k in 1..counts.len() {
+        counts[k] += counts[k - 1];
+    }
+    // `counts[k]` is now where key `k`'s run starts; scatter in input
+    // order, advancing each run's cursor.
+    dst.clear();
+    dst.resize(src.len(), Hit::default());
+    for h in src {
+        let slot = &mut counts[key(h) as usize];
+        dst[*slot as usize] = *h;
+        *slot += 1;
+    }
 }
 
 #[cfg(test)]
@@ -163,11 +242,37 @@ mod tests {
     }
 
     #[test]
+    fn interleaved_clusters_group_by_both_labels() {
+        // Members of two left and two right clusters alternate in oid
+        // order, so no group is contiguous before the counting sorts.
+        let c1 = sets(&[&[1, 3, 5, 7], &[2, 4, 6, 8]]);
+        let c2 = sets(&[&[1, 2, 5, 6], &[3, 4, 7, 8]]);
+        let cc = candidate_clusters(&c1, &c2, 2);
+        assert_eq!(cc, sets(&[&[1, 5], &[2, 6], &[3, 7], &[4, 8]]));
+    }
+
+    #[test]
     fn output_is_deterministically_sorted() {
         let c1 = sets(&[&[7, 8, 9], &[1, 2, 3]]);
         let c2 = sets(&[&[7, 8, 9], &[1, 2, 3]]);
         let cc = candidate_clusters(&c1, &c2, 3);
         assert_eq!(cc[0], ObjectSet::from([1, 2, 3]));
         assert_eq!(cc[1], ObjectSet::from([7, 8, 9]));
+    }
+
+    #[test]
+    fn scratch_reuse_across_windows_matches_fresh_runs() {
+        let mut scratch = CandidateScratch::default();
+        let a = [(1, 0), (2, 0), (3, 0), (9, 1), (10, 1), (11, 1)];
+        let b = [(2, 4), (3, 4), (9, 0), (10, 0), (11, 0)];
+        let c = [(1, 0), (2, 0), (3, 0)];
+        for (l, r) in [(&a[..], &b[..]), (&b[..], &c[..]), (&a[..], &b[..])] {
+            let fresh = CandidateScratch::default().candidates(l, r, 2);
+            assert_eq!(scratch.candidates(l, r, 2), fresh);
+        }
+        assert_eq!(
+            scratch.candidates(&a, &b, 2),
+            sets(&[&[2, 3], &[9, 10, 11]])
+        );
     }
 }

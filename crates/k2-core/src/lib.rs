@@ -4,14 +4,19 @@
 //! steps map to the modules of this crate:
 //!
 //! 1. **Benchmark clustering** ([`benchpoints`], [`candidates`]) — DBSCAN
-//!    the full snapshots only at every ⌊k/2⌋-th timestamp.
+//!    the full snapshots only at every ⌊k/2⌋-th timestamp, each handed
+//!    back as an oid-sorted `(oid, cluster)` labelling.
 //! 2. **Candidate clusters** ([`candidates`]) — set-wise intersection of
-//!    adjacent benchmark cluster sets, discarding sets smaller than `m`.
+//!    adjacent benchmark cluster sets, discarding sets smaller than `m`:
+//!    a merge-join of the two labellings and two counting-sort passes,
+//!    linear in the objects clustered.
 //! 3. **HWMT** ([`hwmt`]) — per hop-window re-clustering of the candidate
 //!    objects in binary-tree (farthest-first) timestamp order, yielding
 //!    1st-order spanning convoys.
 //! 4. **DCM merge** ([`merge`]) — left-to-right merging of adjacent
-//!    spanning convoys into maximal spanning convoys.
+//!    spanning convoys into maximal spanning convoys, each active convoy
+//!    intersected only with the next window's convoys that share an
+//!    object.
 //! 5. **Extension** (`extend`) — extendRight / extendLeft to recover the
 //!    true convoy endpoints inside the bordering hop-windows.
 //! 6. **Validation** (`validate`) — the corrected HWMT\*-based recursive

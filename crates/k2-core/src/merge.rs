@@ -1,11 +1,11 @@
 //! Merging 1st-order spanning convoys into maximal spanning convoys
 //! (§4.4, the DCM merge of \[16\]).
 
-use k2_model::{Convoy, ConvoySet, SetPool};
+use k2_model::{Convoy, ConvoySet, Oid, SetPool};
 
 /// Merges the per-window spanning convoy sets (windows ordered left to
 /// right; window `i` spans `[bᵢ, bᵢ₊₁]`) into the set of **maximal
-/// spanning convoys** `V_M`.
+/// spanning convoys** `V_M`. `m` is at least 1.
 ///
 /// Sweep semantics (Table 3):
 ///
@@ -16,7 +16,16 @@ use k2_model::{Convoy, ConvoySet, SetPool};
 /// * every next-window convoy also enters the active set (it may extend
 ///   further right), subject to subsumption,
 /// * after the last window, all remaining active convoys are maximal.
+///
+/// Each window's spanning convoys are indexed by object — one sorted
+/// `(oid, convoy)` vector, which may list an object under several
+/// convoys — and an active convoy is intersected only with the convoys
+/// that share one of its objects, in window order. Every pair skipped
+/// meets in the empty set, which is below `m` and cannot extend anything
+/// fully, so the merge makes exactly the `update` calls of intersecting
+/// every active convoy with every spanning convoy.
 pub fn merge_spanning(windows: &[Vec<Convoy>], m: usize) -> ConvoySet {
+    debug_assert!(m >= 1, "an empty intersection is not a convoy");
     let mut result = ConvoySet::new();
     let mut active = ConvoySet::new();
     // Interning arena for the intersections: a convoy that keeps merging
@@ -24,6 +33,8 @@ pub fn merge_spanning(windows: &[Vec<Convoy>], m: usize) -> ConvoySet {
     // repeat intersections cost a table hit, share storage, and make the
     // maximality checks inside `update()` pointer-fast.
     let mut pool = SetPool::new();
+    let mut index: Vec<(Oid, u32)> = Vec::new();
+    let mut sharing: Vec<u32> = Vec::new();
     for (i, spanning) in windows.iter().enumerate() {
         if i == 0 {
             for v in spanning {
@@ -31,6 +42,14 @@ pub fn merge_spanning(windows: &[Vec<Convoy>], m: usize) -> ConvoySet {
             }
             continue;
         }
+        index.clear();
+        index.extend(
+            spanning
+                .iter()
+                .enumerate()
+                .flat_map(|(j, w)| w.objects.iter().map(move |oid| (oid, j as u32))),
+        );
+        index.sort_unstable();
         let mut next_active = ConvoySet::new();
         let boundary = spanning.first().map(|w| w.start());
         for v in active.drain() {
@@ -41,8 +60,17 @@ pub fn merge_spanning(windows: &[Vec<Convoy>], m: usize) -> ConvoySet {
                 result.update(v);
                 continue;
             }
+            sharing.clear();
+            let mut rest = &index[..];
+            for oid in v.objects.iter() {
+                rest = &rest[rest.partition_point(|&(o, _)| o < oid)..];
+                sharing.extend(rest.iter().take_while(|&&(o, _)| o == oid).map(|&(_, j)| j));
+            }
+            sharing.sort_unstable();
+            sharing.dedup();
             let mut extended_fully = false;
-            for w in spanning {
+            for &j in &sharing {
+                let w = &spanning[j as usize];
                 let inter = pool.intersect_sets(&v.objects, &w.objects);
                 if inter.len() >= m {
                     if inter.len() == v.objects.len() {
@@ -181,6 +209,27 @@ mod tests {
         assert!(result.contains(&cv(&[1, 2, 3, 4], 0, 1)));
         assert!(result.contains(&cv(&[1, 2, 5, 6], 1, 2)));
         assert_eq!(result.len(), 3);
+    }
+
+    #[test]
+    fn overlapping_spanning_convoys_are_all_reached() {
+        // Every object {2,3} shares with {1,2,3,4} also sits in an
+        // earlier next-window convoy: the index lists objects 2 and 3
+        // under both of theirs, so the third merge is found too.
+        let windows = vec![
+            vec![cv(&[1, 2, 3, 4], 0, 1)],
+            vec![cv(&[1, 2], 1, 2), cv(&[3, 4], 1, 2), cv(&[2, 3], 1, 2)],
+        ];
+        let result = merge_spanning(&windows, 2);
+        for e in [
+            cv(&[1, 2, 3, 4], 0, 1),
+            cv(&[1, 2], 0, 2),
+            cv(&[3, 4], 0, 2),
+            cv(&[2, 3], 0, 2),
+        ] {
+            assert!(result.contains(&e), "missing {e:?}\ngot {result:#?}");
+        }
+        assert_eq!(result.len(), 4);
     }
 
     #[test]

@@ -5,19 +5,21 @@
 
 use crate::record::IntactRuns;
 use crate::{probe_of, Probe, ProbeScratch};
-use k2_cluster::{dbscan_with, DbscanParams, GridCounters, GridScratch};
-use k2_model::{Convoy, ConvoySet, Dataset, ObjPos, ObjectSet, Time};
+use k2_cluster::{dbscan_labelling_with, DbscanParams, GridCounters, GridScratch};
+use k2_model::{Convoy, ConvoySet, Dataset, ObjPos, Oid, Time};
 use k2_storage::{SnapshotRef, SnapshotSource, StoreResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// What the benchmark-clustering phase hands back to the pipeline: the
-/// per-benchmark cluster sets (in `bench` order), the number of points
+/// per-benchmark labellings (in `bench` order), the number of points
 /// scanned, and the grid-reuse counters harvested from every worker's
 /// [`GridScratch`].
 pub(crate) struct BenchClusters {
-    /// Cluster sets per benchmark timestamp, in `bench` order.
-    pub clusters: Vec<Vec<ObjectSet>>,
+    /// Each benchmark snapshot's clusters as `(oid, cluster)` pairs,
+    /// ascending by oid ([`dbscan_labelling_with`]), in `bench` order —
+    /// the form step 2 merge-joins (see [`crate::candidates`]).
+    pub labellings: Vec<Vec<(Oid, u32)>>,
     /// Total points scanned across the benchmark snapshots.
     pub points: u64,
     /// Summed grid build/patch counters of the phase.
@@ -232,7 +234,7 @@ pub(crate) fn shard_ranges(len: usize, shards: usize) -> Vec<std::ops::Range<usi
 ///   by batch, keeping peak memory at O(batch × population) instead of
 ///   holding every benchmark snapshot of a disk-backed dataset at once.
 ///
-/// Returns a [`BenchClusters`]: cluster sets in `bench` order (clustering
+/// Returns a [`BenchClusters`]: labellings in `bench` order (clustering
 /// is deterministic, so the result is identical at every thread count),
 /// points scanned, and the phase's grid-reuse counters.
 pub(crate) fn cluster_benchmark_snapshots<F>(
@@ -246,7 +248,7 @@ where
 {
     let mut points = 0u64;
     let mut grid = GridCounters::default();
-    let mut clusters = Vec::with_capacity(bench.len());
+    let mut labellings = Vec::with_capacity(bench.len());
     if threads <= 1 {
         // Sequential: cluster each snapshot while it is still hot in
         // cache, reusing one scratch and one scan buffer across all —
@@ -256,10 +258,10 @@ where
         for &b in bench {
             let snapshot = fetch(b, &mut buf)?;
             points += snapshot.len() as u64;
-            clusters.push(dbscan_with(&snapshot, params, &mut scratch));
+            labellings.push(labelling(&snapshot, params, &mut scratch));
         }
         return Ok(BenchClusters {
-            clusters,
+            labellings,
             points,
             grid: scratch.grid_counters(),
         });
@@ -298,7 +300,7 @@ where
     // Fan out contiguous runs (one per worker): each worker walks its
     // run in time order, patching its grid between adjacent snapshots.
     let runs = shard_ranges(shared.len(), threads);
-    for (run_clusters, delta) in self_scheduled_map(
+    for (run_labellings, delta) in self_scheduled_map(
         threads,
         &runs,
         GridScratch::new,
@@ -306,19 +308,19 @@ where
             // A worker can claim several runs; the per-run delta keeps the
             // harvest correct regardless of which worker ran what.
             let before = scratch.grid_counters();
-            let out: Vec<Vec<ObjectSet>> = shared[range.clone()]
+            let out: Vec<Vec<(Oid, u32)>> = shared[range.clone()]
                 .iter()
-                .map(|snapshot| dbscan_with(snapshot, params, scratch))
+                .map(|snapshot| labelling(snapshot, params, scratch))
                 .collect();
             (out, scratch.grid_counters().since(before))
         },
     ) {
-        clusters.extend(run_clusters);
+        labellings.extend(run_labellings);
         grid.add(delta);
     }
     if rest.is_empty() {
         return Ok(BenchClusters {
-            clusters,
+            labellings,
             points,
             grid,
         });
@@ -346,28 +348,39 @@ where
         // ring bounds resident memory to O(batch)), but still contiguous,
         // so adjacent snapshots within a run patch instead of rebuild.
         let runs = shard_ranges(snapshots.len(), threads);
-        for (run_clusters, delta) in self_scheduled_map(
+        for (run_labellings, delta) in self_scheduled_map(
             threads,
             &runs,
             GridScratch::new,
             |scratch, range: &std::ops::Range<usize>| {
                 let before = scratch.grid_counters();
-                let out: Vec<Vec<ObjectSet>> = snapshots[range.clone()]
+                let out: Vec<Vec<(Oid, u32)>> = snapshots[range.clone()]
                     .iter()
-                    .map(|snapshot| dbscan_with(snapshot, params, scratch))
+                    .map(|snapshot| labelling(snapshot, params, scratch))
                     .collect();
                 (out, scratch.grid_counters().since(before))
             },
         ) {
-            clusters.extend(run_clusters);
+            labellings.extend(run_labellings);
             grid.add(delta);
         }
     }
     Ok(BenchClusters {
-        clusters,
+        labellings,
         points,
         grid,
     })
+}
+
+/// One benchmark snapshot's labelling, in a vector of its own.
+fn labelling(
+    snapshot: &[ObjPos],
+    params: DbscanParams,
+    scratch: &mut GridScratch,
+) -> Vec<(Oid, u32)> {
+    let mut out = Vec::new();
+    dbscan_labelling_with(snapshot, params, scratch, &mut out);
+    out
 }
 
 #[cfg(test)]
@@ -425,7 +438,7 @@ mod tests {
             store.scan_snapshot_ref(t, buf)
         })
         .unwrap();
-        let (seq, seq_points) = (res.clusters, res.points);
+        let (seq, seq_points) = (res.labellings, res.points);
         assert_eq!(seq.len(), bench.len());
         assert!(seq.iter().any(|c| !c.is_empty()));
         for threads in [2usize, 4, 64] {
@@ -433,7 +446,7 @@ mod tests {
                 store.scan_snapshot_ref(t, buf)
             })
             .unwrap();
-            assert_eq!(par.clusters, seq, "{threads} threads");
+            assert_eq!(par.labellings, seq, "{threads} threads");
             assert_eq!(par.points, seq_points, "{threads} threads");
         }
         // Every fetch above was served from shared storage: the in-memory
@@ -452,14 +465,14 @@ mod tests {
             store.scan_snapshot_ref(t, buf)
         })
         .unwrap();
-        let (shared_clusters, shared_points) = (res.clusters, res.points);
+        let (shared_labellings, shared_points) = (res.labellings, res.points);
         let buffered = cluster_benchmark_snapshots(2, &long_bench, params, |t, buf| {
             buf.clear();
             buf.extend_from_slice(dataset.snapshot(t).map(|s| s.positions()).unwrap_or(&[]));
             Ok(k2_storage::SnapshotRef::Buffered(buf))
         })
         .unwrap();
-        assert_eq!(buffered.clusters, shared_clusters);
+        assert_eq!(buffered.labellings, shared_labellings);
         assert_eq!(buffered.points, shared_points);
         for switch_at in [0usize, 1, 40, 96] {
             let mut fetches = 0usize;
@@ -476,7 +489,7 @@ mod tests {
                 }
             })
             .unwrap();
-            assert_eq!(mixed.clusters, shared_clusters, "switch at {switch_at}");
+            assert_eq!(mixed.labellings, shared_labellings, "switch at {switch_at}");
             assert_eq!(mixed.points, shared_points, "switch at {switch_at}");
             assert_eq!(fetches, long_bench.len(), "no refetch at {switch_at}");
         }

@@ -2,7 +2,7 @@
 //! else — and the [`K2Hop`] engine that runs it per-probe.
 
 use crate::benchpoints::{benchmark_points, hwmt_order};
-use crate::candidates::{candidate_clusters_pooled, object_id_union};
+use crate::candidates::{object_id_union, CandidateScratch};
 use crate::config::K2Config;
 use crate::extend::{extend_pass, Direction};
 use crate::hwmt::{mine_window_with, WindowSlab};
@@ -13,7 +13,7 @@ use crate::stats::{GridStats, PhaseTimings, PrefetchStats, PruningStats};
 use crate::validate::validate_pass;
 use crate::{MineError, MineOutcome, MineStats, ProbeScratch};
 use k2_cluster::DbscanParams;
-use k2_model::{Convoy, ObjectSet, Oid, SetPool, Time};
+use k2_model::{Convoy, ObjectSet, Oid, Time};
 use k2_storage::{SnapshotSource, StoreResult};
 use std::time::Instant;
 
@@ -22,11 +22,12 @@ use std::time::Instant;
 /// [`ConvoyMiner::mine`](crate::ConvoyMiner).
 ///
 /// Benchmark clustering — the only full-snapshot work in the algorithm and
-/// the largest phase of a sequential run (BENCH_2: ~33% of mine time) — is
-/// sharded across worker threads: snapshots are fetched from the store
-/// sequentially (I/O and statistics stay on the calling thread; stores use
-/// interior mutability and need not be `Sync`), then DBSCANed off an
-/// atomic work counter with one `GridScratch` per worker. Every later
+/// the largest phase of a mine over dense traffic — is sharded across
+/// worker threads: snapshots are fetched from the store sequentially (I/O
+/// and statistics stay on the calling thread; stores use interior
+/// mutability and need not be `Sync`), then DBSCANed off an atomic work
+/// counter with one `GridScratch` per worker, each into an oid-sorted
+/// labelling that step 2 merge-joins with its neighbour. Every later
 /// phase probes the source point by point on the calling thread.
 /// [`K2Hop::new`] sizes the worker pool to the machine;
 /// [`K2Hop::with_threads`] pins it (1 = fully sequential). Clustering is
@@ -104,8 +105,8 @@ pub(crate) struct Pipeline {
 impl Pipeline {
     /// Algorithm 1 end to end:
     ///
-    /// 1. cluster benchmark snapshots,
-    /// 2. intersect adjacent benchmark cluster sets into candidates,
+    /// 1. cluster benchmark snapshots into labellings,
+    /// 2. merge-join adjacent labellings into candidates,
     /// 3. HWMT every hop-window (spanning convoys),
     /// 4. DCM-merge into maximal spanning convoys,
     /// 5. extend right then left (discarding convoys shorter than `k`),
@@ -166,15 +167,17 @@ impl Pipeline {
         *grid = GridStats::from(bench_res.grid);
         timings.benchmark = t0.elapsed();
 
-        // Step 2: candidate clusters per hop-window, interned through a
-        // worker-local pool so candidates repeated from window to window
-        // share storage.
+        // Step 2: candidate clusters per hop-window, merge-joined from
+        // adjacent labellings and interned through a worker-local pool
+        // so candidates repeated from window to window share storage.
         let t0 = Instant::now();
-        let pairs: Vec<&[Vec<ObjectSet>]> = bench_res.clusters.windows(2).collect();
-        let ccs: Vec<Vec<ObjectSet>> =
-            self_scheduled_map(workers, &pairs, SetPool::new, |pool, pair| {
-                candidate_clusters_pooled(&pair[0], &pair[1], cfg.m, pool)
-            });
+        let pairs: Vec<&[Vec<(Oid, u32)>]> = bench_res.labellings.windows(2).collect();
+        let ccs: Vec<Vec<ObjectSet>> = self_scheduled_map(
+            workers,
+            &pairs,
+            CandidateScratch::default,
+            |scratch, pair| scratch.candidates(&pair[0], &pair[1], cfg.m),
+        );
         pruning.candidate_clusters = ccs.iter().map(|cc| cc.len() as u32).sum();
         timings.intersect = t0.elapsed();
 

@@ -4,7 +4,8 @@
 //! Athens Trucks dataset, the Microsoft T-Drive taxi traces, and output
 //! of Brinkhoff's network-based generator (Table 4). This crate provides
 //! deterministic, seeded simulators calibrated to the published
-//! characteristics of each (see the substitution table in DESIGN.md):
+//! characteristics of each (the sizes used in place of the paper's are
+//! listed under "Paper experiments" in the README):
 //!
 //! * [`brinkhoff`] — our reimplementation of the network-based moving
 //!   objects model: a road network, Dijkstra-routed objects with

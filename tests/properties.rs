@@ -2,14 +2,18 @@
 
 use k2hop::baselines::reference;
 use k2hop::cluster::{
-    dbscan, dbscan_reference_with, dbscan_with, dist2_filter_chunked, DbscanParams, GridScratch,
-    GridState,
+    dbscan, dbscan_labelling_with, dbscan_reference_with, dbscan_with, dist2_filter_chunked,
+    DbscanParams, GridScratch, GridState,
 };
+use k2hop::core::candidates::candidate_clusters;
+use k2hop::core::merge::merge_spanning;
 use k2hop::core::{ConvoyMiner, K2Config, K2Hop, K2HopParallel};
-use k2hop::model::{Dataset, ObjPos, ObjectSet, Point, Time, TimeInterval};
+use k2hop::model::{
+    Convoy, ConvoySet, Dataset, ObjPos, ObjectSet, Oid, Point, SetPool, Time, TimeInterval,
+};
 use k2hop::storage::{InMemoryStore, TimeRange};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A small random movement dataset: `n` objects over `ts` timestamps on a
 /// coarse integer-ish grid (coarse coordinates make clusters and convoys
@@ -133,6 +137,57 @@ fn brute_force_dbscan(points: &[ObjPos], params: DbscanParams) -> Vec<k2hop::mod
         .collect();
     out.sort_by(|a, b| a.ids().cmp(b.ids()));
     out
+}
+
+/// A gappy, unordered oid for draw `i`: a multiplicative hash spreads
+/// consecutive draws over the whole `u32` range.
+fn gappy_oid(i: u32) -> Oid {
+    i.wrapping_mul(2_654_435_761)
+}
+
+/// The DCM merge as the paper states it: every active convoy intersected
+/// with every spanning convoy of the next window.
+fn pairwise_merge(windows: &[Vec<Convoy>], m: usize) -> ConvoySet {
+    let mut result = ConvoySet::new();
+    let mut active = ConvoySet::new();
+    let mut pool = SetPool::new();
+    for (i, spanning) in windows.iter().enumerate() {
+        if i == 0 {
+            for v in spanning {
+                active.update(v.clone());
+            }
+            continue;
+        }
+        let mut next_active = ConvoySet::new();
+        let boundary = spanning.first().map(|w| w.start());
+        for v in active.drain() {
+            if Some(v.end()) != boundary {
+                result.update(v);
+                continue;
+            }
+            let mut extended_fully = false;
+            for w in spanning {
+                let inter = pool.intersect_sets(&v.objects, &w.objects);
+                if inter.len() >= m {
+                    if inter.len() == v.objects.len() {
+                        extended_fully = true;
+                    }
+                    next_active.update(Convoy::from_parts(inter, v.start(), w.end()));
+                }
+            }
+            if !extended_fully {
+                result.update(v);
+            }
+        }
+        for w in spanning {
+            next_active.update(w.clone());
+        }
+        active = next_active;
+    }
+    for v in active.drain() {
+        result.update(v);
+    }
+    result
 }
 
 proptest! {
@@ -465,5 +520,116 @@ proptest! {
             let b = dbscan_reference_with(&points, params, &mut reference);
             prop_assert_eq!(a, b);
         }
+    }
+
+    /// Candidate clusters read off two labellings equal §4.2's definition
+    /// computed the quadratic way — intersect every pair, keep those of
+    /// at least `m` objects, sort — on random disjoint cluster sets over
+    /// gappy, unordered oids (each draw puts an object in one of five
+    /// clusters or in none, on each side).
+    #[test]
+    fn labelled_candidates_equal_pairwise_definition(
+        draws in proptest::collection::vec((0u32..400, 0u8..6, 0u8..6), 0..90),
+        m in 1usize..5,
+    ) {
+        let mut seen = BTreeSet::new();
+        let (mut left, mut right) = (BTreeMap::new(), BTreeMap::new());
+        for &(i, l, r) in &draws {
+            let oid = gappy_oid(i);
+            if !seen.insert(oid) {
+                continue;
+            }
+            for (side, label) in [(&mut left, l), (&mut right, r)] {
+                if label < 5 {
+                    side.entry(label).or_insert_with(Vec::new).push(oid);
+                }
+            }
+        }
+        let sets = |side: BTreeMap<u8, Vec<Oid>>| -> Vec<ObjectSet> {
+            side.into_values().map(ObjectSet::new).collect()
+        };
+        let (left, right) = (sets(left), sets(right));
+        let mut want: Vec<ObjectSet> = left
+            .iter()
+            .flat_map(|l| right.iter().map(move |r| l.intersect(r)))
+            .filter(|c| c.len() >= m)
+            .collect();
+        want.sort_by(|a, b| a.ids().cmp(b.ids()));
+        prop_assert_eq!(candidate_clusters(&left, &right, m), want);
+    }
+
+    /// `dbscan_labelling_with` is `dbscan_with` in another shape: its
+    /// pairs are strictly ascending by oid, and grouping them by cluster
+    /// gives exactly `dbscan_with`'s clusters — on random snapshots on
+    /// both sides of the gridless cutoff, NaN / ±∞ points included, fed
+    /// in oid order or shuffled, through one scratch per side across
+    /// snapshots.
+    #[test]
+    fn labelling_groups_equal_dbscan_clusters(
+        snaps in proptest::collection::vec(
+            (
+                proptest::collection::vec((0i32..14, 0i32..14, 0u8..32, 0u32..1000), 0..60),
+                0u8..2,
+            ),
+            1..4,
+        ),
+        min_pts in 1usize..8,
+    ) {
+        let params = DbscanParams::new(min_pts, 1.5);
+        let (mut labelled, mut gathered) = (GridScratch::new(), GridScratch::new());
+        let mut out = Vec::new();
+        for (snap, shuffle) in &snaps {
+            let mut keyed: Vec<(u32, ObjPos)> = snap
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, y, tag, key))| {
+                    let (x, y) = maybe_non_finite(x as f64, y as f64, tag);
+                    (key, ObjPos::new(i as u32 * 37 + 5, x, y))
+                })
+                .collect();
+            if *shuffle == 1 {
+                keyed.sort_by_key(|&(key, _)| key);
+            }
+            let points: Vec<ObjPos> = keyed.into_iter().map(|(_, p)| p).collect();
+            dbscan_labelling_with(&points, params, &mut labelled, &mut out);
+            prop_assert!(out.windows(2).all(|w| w[0].0 < w[1].0), "not oid-sorted");
+            let mut groups: BTreeMap<u32, Vec<Oid>> = BTreeMap::new();
+            for &(oid, label) in &out {
+                groups.entry(label).or_default().push(oid);
+            }
+            let mut got: Vec<Vec<Oid>> = groups.into_values().collect();
+            got.sort();
+            let want: Vec<Vec<Oid>> = dbscan_with(&points, params, &mut gathered)
+                .iter()
+                .map(|c| c.ids().to_vec())
+                .collect();
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    /// The object-indexed DCM merge equals the all-pairs merge on random
+    /// per-window spanning sets — overlapping sets, repeated sets, empty
+    /// windows (stragglers) and spanning convoys below `m` included.
+    #[test]
+    fn indexed_merge_equals_pairwise_merge(
+        windows in proptest::collection::vec(
+            proptest::collection::vec(proptest::collection::vec(0u32..10, 1..6), 0..7),
+            1..7,
+        ),
+        m in 1usize..4,
+    ) {
+        let windows: Vec<Vec<Convoy>> = windows
+            .iter()
+            .enumerate()
+            .map(|(w, sets)| {
+                sets.iter()
+                    .map(|ids| Convoy::from_parts(ObjectSet::new(ids.clone()), w as u32, w as u32 + 1))
+                    .collect()
+            })
+            .collect();
+        prop_assert_eq!(
+            merge_spanning(&windows, m).into_sorted_vec(),
+            pairwise_merge(&windows, m).into_sorted_vec()
+        );
     }
 }
