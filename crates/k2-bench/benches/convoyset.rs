@@ -83,38 +83,6 @@ fn bench_update(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sweep of [`ConvoySetTuning::index_threshold`]: at which live-convoy
-/// count should the posting-list index take over from the linear scan?
-/// Run at two stream sizes so the winner is not an artifact of one
-/// workload scale; the committed `ConvoySet::INDEX_THRESHOLD` default is
-/// the measured winner of this sweep.
-fn bench_index_threshold(c: &mut Criterion) {
-    use k2_model::ConvoySetTuning;
-    let mut group = c.benchmark_group("convoyset/index_threshold");
-    group.sample_size(10);
-    for n in [512usize, 2048] {
-        let stream = overlapping_candidates(n);
-        for threshold in [1usize, 8, 16, 32, 64, 128, 256] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("threshold_{threshold}"), n),
-                &stream,
-                |b, stream| {
-                    let tuning =
-                        ConvoySetTuning::new(threshold, ConvoySet::REBUILD_TOMBSTONE_PERCENT);
-                    b.iter(|| {
-                        let mut set = ConvoySet::with_tuning(tuning);
-                        for cv in stream {
-                            set.update(cv.clone());
-                        }
-                        black_box(set.len())
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
 fn bench_merge(c: &mut Criterion) {
     // The parallel miner's final maximality: merging many per-task sets.
     let mut group = c.benchmark_group("convoyset/merge");
@@ -139,5 +107,5 @@ fn bench_merge(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_update, bench_index_threshold, bench_merge);
+criterion_group!(benches, bench_update, bench_merge);
 criterion_main!(benches);

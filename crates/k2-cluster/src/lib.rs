@@ -45,7 +45,7 @@ mod grid_state;
 pub use grid::dist2_filter_chunked;
 pub use grid_state::{GridCounters, GridState};
 
-use k2_model::{ObjPos, ObjectSet, Oid, SetPool};
+use k2_model::{ObjPos, ObjectSet, Oid};
 
 /// Point sets up to this size skip the grid entirely: a direct `O(n²)`
 /// pairwise scan beats building any index for the tiny `reCluster`
@@ -123,13 +123,6 @@ pub struct GridScratch {
     /// double as cluster sizes for [`dbscan_labelling_with`].
     cluster_offsets: Vec<u32>,
     member_oids: Vec<u32>,
-    /// Interning arena for the emitted cluster sets: a candidate that
-    /// survives a probe intact re-emerges as the *same* set at every
-    /// timestamp, so hash-consing turns the per-cluster `ObjectSet`
-    /// allocation into a table hit with shared storage.
-    pool: SetPool,
-    /// Sort buffer for the (rare) unsorted-input gather path.
-    sort_buf: Vec<u32>,
     /// Identity candidate list (`0, 1, 2, …`) for the gridless small
     /// path, so it shares the chunked distance kernel (grown on demand,
     /// never shrunk).
@@ -148,12 +141,6 @@ impl GridScratch {
     /// Creates an empty scratch (no allocation until first use).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The scratch's set-interning pool, for callers that bound what it
-    /// retains (the mining pipeline clears it per hop-window).
-    pub fn pool_mut(&mut self) -> &mut SetPool {
-        &mut self.pool
     }
 
     /// Grid-reuse counters of the scratch's [`GridState`], cumulative
@@ -210,9 +197,9 @@ fn find(parent: &mut [u32], mut i: u32) -> u32 {
 /// instead of gathered sets: `out` is cleared, then receives one pair per
 /// clustered point, ascending by oid. Grouping the pairs by cluster gives
 /// exactly [`dbscan_with`]'s clusters — the same labelling runs, and the
-/// same size bound drops the same clusters — but no set is gathered,
-/// interned or sorted. Cluster numbers are below `points.len()` and
-/// otherwise opaque: a cluster the size bound drops leaves a gap.
+/// same size bound drops the same clusters — but no set is gathered or
+/// sorted. Cluster numbers are below `points.len()` and otherwise opaque:
+/// a cluster the size bound drops leaves a gap.
 ///
 /// This is the form two adjacent benchmark snapshots are intersected in
 /// (§4.2): both labellings are oid-sorted, so a merge-join pairs them in
@@ -305,18 +292,13 @@ fn dbscan_impl(
         if slice.len() >= params.min_pts {
             // Members follow the input point order; snapshots and probe
             // restrictions are oid-sorted, so the slice is almost always
-            // already strictly ascending and interns directly. Arbitrary
-            // caller input falls back to a sort + dedup in scratch.
-            let id = if slice.windows(2).all(|w| w[0] < w[1]) {
-                scratch.pool.intern_sorted(slice)
+            // already strictly ascending. Arbitrary caller input falls
+            // back to a sort + dedup.
+            out.push(if slice.windows(2).all(|w| w[0] < w[1]) {
+                ObjectSet::from_sorted(slice.to_vec())
             } else {
-                scratch.sort_buf.clear();
-                scratch.sort_buf.extend_from_slice(slice);
-                scratch.sort_buf.sort_unstable();
-                scratch.sort_buf.dedup();
-                scratch.pool.intern_sorted(&scratch.sort_buf)
-            };
-            out.push(scratch.pool.handle(id));
+                ObjectSet::new(slice.to_vec())
+            });
         }
     }
     out.sort_by(|a, b| a.ids().cmp(b.ids()));

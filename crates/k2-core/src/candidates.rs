@@ -12,8 +12,8 @@
 //! 2. two stable counting-sort passes over the hits, by right cluster and
 //!    then by left cluster, make every `(left, right)` group contiguous
 //!    and keep it oid-ascending — each group *is* one `cᵢ ∩ cᵢ₊₁`;
-//! 3. every group of at least `m` objects is emitted, interned through
-//!    the worker's [`SetPool`], and the output is sorted by members.
+//! 3. every group of at least `m` objects is emitted as an [`ObjectSet`],
+//!    and the output is sorted by members.
 //!
 //! Nothing is hashed and nothing is allocated per window beyond the
 //! emitted sets: the join and sort buffers live in per-worker scratch.
@@ -21,7 +21,7 @@
 //! sets.
 
 use k2_cluster::{dbscan, DbscanParams};
-use k2_model::{ObjectSet, Oid, SetPool, Time};
+use k2_model::{ObjectSet, Oid, Time};
 use k2_storage::{SnapshotSource, StoreResult};
 
 /// Clusters the full snapshot at one benchmark point.
@@ -88,21 +88,13 @@ struct Hit {
     oid: Oid,
 }
 
-/// A worker's working memory for candidate clusters: the interning pool
-/// the emitted sets go through, and the join and counting-sort buffers,
-/// reused window after window.
-///
-/// Interning makes a candidate repeated from window to window — a
-/// cluster that survives a hop intact — share storage with its earlier
-/// copies, so every downstream equality/subsumption check starts with a
-/// pointer compare.
+/// A worker's working memory for candidate clusters: the join and
+/// counting-sort buffers, reused window after window.
 #[derive(Debug, Default)]
 pub(crate) struct CandidateScratch {
-    pool: SetPool,
     hits: Vec<Hit>,
     sorted: Vec<Hit>,
     counts: Vec<u32>,
-    ids: Vec<Oid>,
 }
 
 impl CandidateScratch {
@@ -116,11 +108,9 @@ impl CandidateScratch {
         m: usize,
     ) -> Vec<ObjectSet> {
         let Self {
-            pool,
             hits,
             sorted,
             counts,
-            ids,
         } = self;
         hits.clear();
         let (mut left_keys, mut right_keys) = (0u32, 0u32);
@@ -150,10 +140,9 @@ impl CandidateScratch {
         let mut out = Vec::new();
         for group in hits.chunk_by(|a, b| (a.left, a.right) == (b.left, b.right)) {
             if group.len() >= m {
-                ids.clear();
-                ids.extend(group.iter().map(|h| h.oid));
-                let id = pool.intern_sorted(ids);
-                out.push(pool.handle(id));
+                out.push(ObjectSet::from_sorted(
+                    group.iter().map(|h| h.oid).collect(),
+                ));
             }
         }
         out.sort_by(|a, b| a.ids().cmp(b.ids()));

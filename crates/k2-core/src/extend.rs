@@ -66,12 +66,6 @@ fn extend(
         Direction::Left { min_len, .. } if v.len() < min_len => {}
         _ => emitted.push(v),
     };
-    // The set-interning pool is rotated per seed: a convoy that extends
-    // intact re-derives the *same* (shared) object set at every frontier,
-    // so the survived-intact equality below is a pointer compare, and
-    // clearing keeps the pool's retention bounded by a single chain's
-    // distinct sets.
-    scratch.cluster.pool_mut().clear();
     // Vprev: convoys still extending (line 2).
     let mut prev: Vec<Convoy> = vec![seed];
     loop {

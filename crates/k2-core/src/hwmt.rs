@@ -59,12 +59,12 @@ pub fn mine_window_ordered<S: SnapshotSource + ?Sized>(
 /// convoy with lifespan `[b_left, b_right]` (the window's bordering
 /// benchmark points, line 11 of Algorithm 2).
 ///
-/// The pipeline passes one `scratch` (buffers + set-interning pool)
+/// The pipeline passes one `scratch` (clustering and probe buffers)
 /// across all the hop-windows a worker mines, so the steady state of the
-/// probe loop never allocates. The candidate reclusters inside each
-/// probe filter distances through the chunked kernel
-/// (`k2_cluster::dist2_filter_chunked`), the same four-lane path the
-/// benchmark clustering uses.
+/// probe loop allocates only the clusters it returns. The candidate
+/// reclusters inside each probe filter distances through the chunked
+/// kernel (`k2_cluster::dist2_filter_chunked`), the same four-lane path
+/// the benchmark clustering uses.
 pub(crate) fn mine_window_with(
     params: DbscanParams,
     b_left: Time,

@@ -1,7 +1,7 @@
 //! Merging 1st-order spanning convoys into maximal spanning convoys
 //! (§4.4, the DCM merge of \[16\]).
 
-use k2_model::{Convoy, ConvoySet, Oid, SetPool};
+use k2_model::{Convoy, ConvoySet, Oid};
 
 /// Merges the per-window spanning convoy sets (windows ordered left to
 /// right; window `i` spans `[bᵢ, bᵢ₊₁]`) into the set of **maximal
@@ -28,11 +28,6 @@ pub fn merge_spanning(windows: &[Vec<Convoy>], m: usize) -> ConvoySet {
     debug_assert!(m >= 1, "an empty intersection is not a convoy");
     let mut result = ConvoySet::new();
     let mut active = ConvoySet::new();
-    // Interning arena for the intersections: a convoy that keeps merging
-    // across windows re-derives the same object set every step, so the
-    // repeat intersections cost a table hit, share storage, and make the
-    // maximality checks inside `update()` pointer-fast.
-    let mut pool = SetPool::new();
     let mut index: Vec<(Oid, u32)> = Vec::new();
     let mut sharing: Vec<u32> = Vec::new();
     for (i, spanning) in windows.iter().enumerate() {
@@ -71,7 +66,7 @@ pub fn merge_spanning(windows: &[Vec<Convoy>], m: usize) -> ConvoySet {
             let mut extended_fully = false;
             for &j in &sharing {
                 let w = &spanning[j as usize];
-                let inter = pool.intersect_sets(&v.objects, &w.objects);
+                let inter = v.objects.intersect(&w.objects);
                 if inter.len() >= m {
                     if inter.len() == v.objects.len() {
                         extended_fully = true;

@@ -37,8 +37,8 @@ pub(crate) struct BenchClusters {
 ///
 /// Every worker builds one context with `make_ctx` and reuses it across
 /// all the items it claims — this is how per-worker scratch
-/// (`GridScratch`, probe buffers, set pools) is threaded through without
-/// any locking.
+/// (`GridScratch`, probe buffers, candidate buffers) is threaded through
+/// without any locking.
 pub(crate) fn self_scheduled_map<T, R, C>(
     threads: usize,
     items: &[T],

@@ -63,16 +63,6 @@ impl K2HopParallel {
             threads: threads.max(1),
         }
     }
-
-    /// The configuration in use.
-    pub fn config(&self) -> K2Config {
-        self.config
-    }
-
-    /// The worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
 }
 
 impl crate::ConvoyMiner for K2HopParallel {

@@ -56,16 +56,6 @@ impl K2Hop {
             threads: threads.max(1),
         }
     }
-
-    /// The configuration in use.
-    pub fn config(&self) -> K2Config {
-        self.config
-    }
-
-    /// The benchmark-clustering worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
 }
 
 impl crate::ConvoyMiner for K2Hop {
@@ -168,8 +158,7 @@ impl Pipeline {
         timings.benchmark = t0.elapsed();
 
         // Step 2: candidate clusters per hop-window, merge-joined from
-        // adjacent labellings and interned through a worker-local pool
-        // so candidates repeated from window to window share storage.
+        // adjacent labellings.
         let t0 = Instant::now();
         let pairs: Vec<&[Vec<(Oid, u32)>]> = bench_res.labellings.windows(2).collect();
         let ccs: Vec<Vec<ObjectSet>> = self_scheduled_map(
@@ -279,13 +268,6 @@ impl Window<'_> {
         probe: impl crate::Probe,
         scratch: &mut ProbeScratch,
     ) -> StoreResult<crate::hwmt::WindowResult> {
-        // The interning pool is rotated per window: the repeats that
-        // matter (a candidate surviving every probe of its window) are
-        // within-window, and clearing bounds the pool to one window's
-        // distinct sets instead of pinning every cluster ever emitted
-        // until the run ends (outstanding handles stay valid through
-        // their `Arc`s).
-        scratch.cluster.pool_mut().clear();
         mine_window_with(
             params, self.left, self.right, self.cc, hwmt_order, probe, scratch,
         )

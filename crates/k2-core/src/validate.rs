@@ -29,7 +29,7 @@ use crate::par::{Chain, PassResult, ProbeReader};
 use crate::record::IntactRecord;
 use crate::{recluster_at, Probe, ProbeScratch};
 use k2_cluster::DbscanParams;
-use k2_model::{Convoy, ConvoySet, ObjectSet, SetPool, Time, TimeInterval};
+use k2_model::{Convoy, ConvoySet, ObjectSet, Time, TimeInterval};
 use k2_storage::StoreResult;
 use std::collections::HashMap;
 
@@ -74,9 +74,6 @@ fn validate_one(
     let mut fc = Vec::new();
     let mut queue = vec![candidate.clone()];
     while let Some(vin) = queue.pop() {
-        // Per-run pool rotation: HWMT*'s probe repeats are within one
-        // convoy's lifespan sweep; clearing bounds retention.
-        scratch.cluster.pool_mut().clear();
         let out = hwmt_star(
             params,
             min_len,
@@ -164,11 +161,7 @@ fn hwmt_star(
     }
 
     // Phase 2: sweep the cached clusters left to right (an uncached
-    // timestamp answered `[O]`). Intersections go through an interning
-    // pool — a stable active convoy re-derives the same set at every
-    // timestamp, so the repeats share storage and the `update()`
-    // maximality checks compare by pointer.
-    let mut pool = SetPool::new();
+    // timestamp answered `[O]`).
     let mut active: Vec<Convoy> = Vec::new();
     let mut results = ConvoySet::new();
     for t in span.iter() {
@@ -179,7 +172,7 @@ fn hwmt_star(
         for av in &active {
             let mut extended_fully = false;
             for c in clusters {
-                let inter = pool.intersect_sets(&av.objects, c);
+                let inter = av.objects.intersect(c);
                 if inter.len() >= params.min_pts {
                     if inter.len() == av.objects.len() {
                         extended_fully = true;

@@ -62,11 +62,6 @@ impl Convoy {
     pub fn is_sub_convoy_of(&self, other: &Convoy) -> bool {
         other.lifespan.contains_interval(&self.lifespan) && self.objects.is_subset(&other.objects)
     }
-
-    /// Is `self` a *strict* sub-convoy of `other` (sub-convoy and not equal)?
-    pub fn is_strict_sub_convoy_of(&self, other: &Convoy) -> bool {
-        self != other && self.is_sub_convoy_of(other)
-    }
 }
 
 impl fmt::Debug for Convoy {
@@ -110,48 +105,6 @@ impl fmt::Debug for Convoy {
 #[derive(Clone, Default)]
 pub struct ConvoySet {
     repr: Repr,
-    tuning: ConvoySetTuning,
-}
-
-/// Tuning knobs for [`ConvoySet`]'s adaptive representation.
-///
-/// The defaults are the measured first-guess crossover points (the
-/// `convoyset` criterion bench shows the indexed path clearly winning by
-/// 128 live convoys); expose them through `K2Config` to experiment — the
-/// semantics of `update()` are identical at every setting, which the
-/// stress tests pin by running at several tunings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConvoySetTuning {
-    /// Live-convoy count past which the set switches from the plain
-    /// insertion-ordered `Vec` (whose linear scans are unbeatable for
-    /// the handful-of-active-convoys case that dominates extension
-    /// frontiers) to the posting-list index. Clamped to ≥ 1.
-    pub index_threshold: usize,
-    /// Tombstone share (percent of slots, 1..=99) past which the indexed
-    /// representation re-packs its slots and posting lists. Rebuilds are
-    /// also gated on `2 × index_threshold` total slots so tiny sets
-    /// never churn.
-    pub rebuild_tombstone_percent: u32,
-}
-
-impl Default for ConvoySetTuning {
-    fn default() -> Self {
-        Self {
-            index_threshold: ConvoySet::INDEX_THRESHOLD,
-            rebuild_tombstone_percent: ConvoySet::REBUILD_TOMBSTONE_PERCENT,
-        }
-    }
-}
-
-impl ConvoySetTuning {
-    /// Creates a tuning, clamping out-of-range values into the valid
-    /// ranges (`index_threshold ≥ 1`, `1 ≤ percent ≤ 99`).
-    pub fn new(index_threshold: usize, rebuild_tombstone_percent: u32) -> Self {
-        Self {
-            index_threshold: index_threshold.max(1),
-            rebuild_tombstone_percent: rebuild_tombstone_percent.clamp(1, 99),
-        }
-    }
 }
 
 #[derive(Clone)]
@@ -170,8 +123,6 @@ impl Default for Repr {
 
 #[derive(Clone, Default)]
 struct Indexed {
-    /// The tuning the owning set was built with (rebuild cadence).
-    tuning: ConvoySetTuning,
     /// Insertion-ordered storage; evicted convoys become `None` and the
     /// posting lists below are purged lazily.
     slots: Vec<Option<Convoy>>,
@@ -271,15 +222,12 @@ impl Indexed {
         }
         self.slots.push(Some(convoy));
         self.live += 1;
-        // Rebuild once tombstones dominate (the configured share of the
-        // slots), bounding slot/posting growth relative to the live set.
-        // The percent is re-clamped here because the tuning fields are
-        // public: >= 100 would make the condition unsatisfiable and let
-        // slots grow without bound.
+        // Rebuild once tombstones pass `REBUILD_TOMBSTONE_PERCENT` of the
+        // slots, bounding slot/posting growth relative to the live set;
+        // the `2 × INDEX_THRESHOLD` floor keeps tiny sets from churning.
         let tombstones = self.slots.len() - self.live;
-        let percent = self.tuning.rebuild_tombstone_percent.clamp(1, 99) as usize;
-        if self.slots.len() >= 2 * self.tuning.index_threshold
-            && tombstones * 100 > self.slots.len() * percent
+        if self.slots.len() >= 2 * ConvoySet::INDEX_THRESHOLD
+            && tombstones * 100 > self.slots.len() * ConvoySet::REBUILD_TOMBSTONE_PERCENT
         {
             self.rebuild();
         }
@@ -329,37 +277,25 @@ impl Indexed {
 }
 
 impl ConvoySet {
-    /// Default live-convoy count at which the posting-list index engages
-    /// (see [`ConvoySetTuning::index_threshold`]).
+    /// Live-convoy count past which the set switches from the plain
+    /// insertion-ordered `Vec` (whose linear scans are unbeatable for the
+    /// handful-of-active-convoys case that dominates extension frontiers)
+    /// to the posting-list index.
     ///
-    /// Measured: the `convoyset/index_threshold` criterion sweep
-    /// (thresholds 1..256 over subsumption-heavy streams of 512 and
-    /// 2048 candidates) shows a flat optimum across 16–64 — e.g.
-    /// ~207–220 µs at 512 candidates for 16/32/64 versus ~280 µs at 1
-    /// and ~330–350 µs at 256 — so 32, the plateau's midpoint, stays
-    /// the default.
+    /// Measured: a criterion sweep of this threshold (1..256 over
+    /// subsumption-heavy streams of 512 and 2048 candidates) showed a
+    /// flat optimum across 16–64 — e.g. ~207–220 µs at 512 candidates
+    /// for 16/32/64 versus ~280 µs at 1 and ~330–350 µs at 256 — so 32,
+    /// the plateau's midpoint, is the threshold.
     pub const INDEX_THRESHOLD: usize = 32;
 
-    /// Default tombstone share (percent of slots) that triggers an index
-    /// rebuild (see [`ConvoySetTuning::rebuild_tombstone_percent`]).
-    pub const REBUILD_TOMBSTONE_PERCENT: u32 = 50;
+    /// Tombstone share (percent of slots) past which the indexed
+    /// representation re-packs its slots and posting lists.
+    const REBUILD_TOMBSTONE_PERCENT: usize = 50;
 
     /// Creates an empty set.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty set with explicit representation tuning.
-    pub fn with_tuning(tuning: ConvoySetTuning) -> Self {
-        Self {
-            repr: Repr::default(),
-            tuning,
-        }
-    }
-
-    /// The tuning in effect.
-    pub fn tuning(&self) -> ConvoySetTuning {
-        self.tuning
     }
 
     /// Builds a maximal set from arbitrary convoys.
@@ -399,7 +335,7 @@ impl ConvoySet {
                 }
                 v.retain(|c| !c.is_sub_convoy_of(&candidate));
                 v.push(candidate);
-                if v.len() > self.tuning.index_threshold {
+                if v.len() > Self::INDEX_THRESHOLD {
                     self.engage_index();
                 }
                 true
@@ -415,10 +351,7 @@ impl ConvoySet {
         let Repr::Small(v) = std::mem::take(&mut self.repr) else {
             unreachable!("engage_index on an indexed set");
         };
-        let mut ix = Indexed {
-            tuning: self.tuning,
-            ..Indexed::default()
-        };
+        let mut ix = Indexed::default();
         for c in v {
             ix.insert(c);
         }
@@ -533,10 +466,8 @@ mod tests {
         let small = cv(&[0, 1], 1, 2);
         let big = cv(&[0, 1, 2], 1, 3);
         assert!(small.is_sub_convoy_of(&big));
-        assert!(small.is_strict_sub_convoy_of(&big));
         assert!(!big.is_sub_convoy_of(&small));
         assert!(big.is_sub_convoy_of(&big));
-        assert!(!big.is_strict_sub_convoy_of(&big));
     }
 
     #[test]

@@ -106,16 +106,6 @@ impl Dataset {
         ))
     }
 
-    /// `DB|O` — the dataset restricted to a set of objects.
-    pub fn restrict_objects(&self, objects: &ObjectSet) -> Dataset {
-        let snapshots = self
-            .snapshots
-            .iter()
-            .map(|s| Snapshot::from_sorted(s.restrict(objects)))
-            .collect();
-        Dataset::from_snapshots(self.start, snapshots)
-    }
-
     /// Positions of the given objects at timestamp `t` (`DB[t]|O`).
     /// Empty outside the time range.
     pub fn restrict_at(&self, t: Time, objects: &ObjectSet) -> Vec<ObjPos> {
@@ -189,16 +179,6 @@ impl DatasetBuilder {
     /// Adds a record from its fields.
     pub fn record(&mut self, oid: Oid, x: f64, y: f64, t: Time) {
         self.points.push(Point::new(oid, x, y, t));
-    }
-
-    /// Number of records buffered so far.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Is the builder empty?
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 
     /// Finalises the dataset; `None` when no record was added.
@@ -282,14 +262,6 @@ mod tests {
         assert_eq!(r.span(), TimeInterval::new(11, 12));
         assert_eq!(r.num_points(), 3);
         assert!(d.restrict_time(TimeInterval::new(20, 30)).is_none());
-    }
-
-    #[test]
-    fn restrict_objects_drops_others() {
-        let d = toy();
-        let r = d.restrict_objects(&ObjectSet::from([1]));
-        assert_eq!(r.num_points(), 2);
-        assert_eq!(r.snapshot(12).unwrap().len(), 0);
     }
 
     #[test]

@@ -7,11 +7,9 @@
 //!   `<oid, x, y, t>` schema, §3.2),
 //! * [`ObjectSet`] — a sorted, deduplicated set of object ids (the object
 //!   side of clusters and convoys),
-//! * [`SetPool`] / [`SetId`] — a hash-consing arena that interns object
-//!   sets so equal sets share storage and compare by id,
 //! * [`Snapshot`] — all object positions at one timestamp,
 //! * [`Dataset`] — a snapshot-organised in-memory trajectory database with
-//!   restriction operators `DB[T]` and `DB|O` (paper Table 1),
+//!   restriction operators `DB[T]` and `DB[t]|O` (paper Table 1),
 //! * [`Convoy`] / [`ConvoySet`] — convoy candidates and maximality
 //!   maintenance (`update()` in the paper's pseudo-code),
 //! * [`codec`] — binary and CSV serialisation of movement data,
@@ -28,15 +26,13 @@ pub mod interpolate;
 mod interval;
 mod object_set;
 mod point;
-mod set_pool;
 mod snapshot;
 
-pub use convoy::{Convoy, ConvoySet, ConvoySetTuning};
+pub use convoy::{Convoy, ConvoySet};
 pub use dataset::{Dataset, DatasetBuilder, DatasetStats};
 pub use interval::TimeInterval;
 pub use object_set::ObjectSet;
 pub use point::{ObjPos, Point};
-pub use set_pool::{SetId, SetPool};
 pub use snapshot::{restrict_sorted_ids_into, Snapshot};
 
 /// Object identifier. Movement datasets identify each moving object (car,

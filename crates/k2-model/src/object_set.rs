@@ -14,8 +14,8 @@ use std::sync::Arc;
 ///
 /// The member storage is shared (`Arc<[Oid]>`): cloning a set — which the
 /// convoy maintenance loops do constantly — is a reference-count bump, and
-/// sets produced by a [`SetPool`](crate::SetPool) are hash-consed so equal
-/// sets share one allocation and equality starts with a pointer compare.
+/// equality and subset tests between clones of one set settle on a
+/// pointer compare.
 ///
 /// ```
 /// use k2_model::ObjectSet;
@@ -32,8 +32,8 @@ pub struct ObjectSet(Arc<[Oid]>);
 impl PartialEq for ObjectSet {
     #[inline]
     fn eq(&self, other: &Self) -> bool {
-        // Interned sets share storage: one pointer compare settles the
-        // common case before any member is touched.
+        // Clones share storage: one pointer compare settles them before
+        // any member is touched.
         Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
     }
 }
@@ -68,14 +68,6 @@ impl ObjectSet {
     /// The empty set.
     pub fn empty() -> Self {
         Self(Arc::new([]))
-    }
-
-    /// Do `self` and `other` share the same member storage? Interned sets
-    /// (see [`SetPool`](crate::SetPool)) make this the cheap positive
-    /// answer to equality.
-    #[inline]
-    pub fn ptr_eq(&self, other: &ObjectSet) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
     }
 
     /// Number of member objects.
@@ -143,7 +135,7 @@ impl ObjectSet {
     /// Is `self ⊆ other`? Linear merge over the sorted slices, after the
     /// shared-storage and length fast paths.
     pub fn is_subset(&self, other: &ObjectSet) -> bool {
-        if self.ptr_eq(other) {
+        if Arc::ptr_eq(&self.0, &other.0) {
             return true;
         }
         if self.len() > other.len() {

@@ -121,20 +121,6 @@ impl Snapshot {
     pub fn object_set(&self) -> ObjectSet {
         ObjectSet::from_sorted(self.positions.iter().map(|p| p.oid).collect())
     }
-
-    /// Inserts or replaces the position of one object.
-    ///
-    /// `O(n)`: the shared backing slice is rebuilt (snapshots are
-    /// read-mostly; mutation is an edge path for tests and streaming
-    /// ingest, never the mining loops).
-    pub fn upsert(&mut self, pos: ObjPos) {
-        let mut positions = self.positions.to_vec();
-        match positions.binary_search_by_key(&pos.oid, |p| p.oid) {
-            Ok(i) => positions[i] = pos,
-            Err(i) => positions.insert(i, pos),
-        }
-        self.positions = positions.into();
-    }
 }
 
 /// Restricts a position slice to a sorted id list, appending matches to
@@ -285,15 +271,5 @@ mod tests {
             Arc::ptr_eq(&a, &clone.positions_shared()),
             "cloning a snapshot must not copy records"
         );
-    }
-
-    #[test]
-    fn upsert_inserts_and_replaces() {
-        let mut s = snap();
-        s.upsert(ObjPos::new(2, 2.0, 0.0));
-        assert_eq!(s.len(), 4);
-        s.upsert(ObjPos::new(2, 7.0, 0.0));
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.get(2).unwrap().x, 7.0);
     }
 }

@@ -1,7 +1,6 @@
 //! # k2-server — MVCC snapshot serving for convoy mining
 //!
-//! The serving story the ROADMAP's "heavy traffic" north star asks for:
-//! one LSM store ingesting a live movement stream while any number of
+//! One LSM store ingesting a live movement stream while any number of
 //! clients mine it concurrently, each against its own immutable pinned
 //! snapshot.
 //!

@@ -10,7 +10,7 @@ use k2_model::{codec, Dataset, ObjPos, Oid, Point, Time, TimeInterval};
 use std::cell::RefCell;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Read granularity for sequential scans (a generous readahead window, as
 /// an OS would give a sequential reader).
@@ -30,7 +30,6 @@ const SCAN_CHUNK: usize = 64 * 1024;
 /// fails in the paper).
 #[derive(Debug)]
 pub struct FlatFileStore {
-    path: PathBuf,
     file: RefCell<File>,
     num_points: u64,
     span: TimeInterval,
@@ -74,8 +73,7 @@ impl FlatFileStore {
     /// first and last record to learn the time span (two seeks — the only
     /// non-sequential access this engine ever performs).
     pub fn open(path: impl AsRef<Path>) -> StoreResult<Self> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = File::open(&path)?;
+        let mut file = File::open(path)?;
         let len = file.metadata()?.len();
         if len == 0 || len % RECORD_SIZE as u64 != 0 {
             return Err(StoreError::Corrupt(format!(
@@ -93,7 +91,6 @@ impl FlatFileStore {
             return Err(StoreError::Corrupt("records not sorted by time".into()));
         }
         Ok(Self {
-            path,
             file: RefCell::new(file),
             num_points,
             span: TimeInterval::new(first.t, last.t),
@@ -101,11 +98,6 @@ impl FlatFileStore {
             // Vacuously valid: no record lives before offset 0.
             cursor: RefCell::new(ScanCursor::default()),
         })
-    }
-
-    /// Path of the backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Loads the whole file into an [`InMemoryStore`] (the k2-File mode).

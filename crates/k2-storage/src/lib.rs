@@ -69,11 +69,6 @@ pub enum SnapshotRef<'a> {
 }
 
 impl SnapshotRef<'_> {
-    /// Did the engine serve this snapshot without copying records?
-    pub fn is_shared(&self) -> bool {
-        matches!(self, SnapshotRef::Shared(_))
-    }
-
     /// The positions, sorted by object id.
     #[inline]
     pub fn positions(&self) -> &[ObjPos] {

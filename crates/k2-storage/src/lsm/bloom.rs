@@ -82,14 +82,6 @@ impl BloomFilter {
         Ok(())
     }
 
-    /// Serialises the filter (see [`write_to`](Self::write_to)).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.serialized_len());
-        self.write_to(&mut out)
-            .expect("writing to a Vec cannot fail");
-        out
-    }
-
     /// Reads a filter serialised in `len` bytes from `r`, decoding in
     /// small chunks straight into one exact-size word array — the inverse
     /// of [`write_to`](Self::write_to). `Ok(None)` on malformed input:
@@ -126,12 +118,6 @@ impl BloomFilter {
         }))
     }
 
-    /// Deserialises a filter; `None` on malformed input.
-    pub fn from_bytes(mut bytes: &[u8]) -> Option<Self> {
-        let len = bytes.len() as u64;
-        Self::read_from(&mut bytes, len).ok().flatten()
-    }
-
     /// Size of the bit array in bits.
     pub fn num_bits(&self) -> u64 {
         self.num_bits
@@ -141,6 +127,18 @@ impl BloomFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn to_bytes(f: &BloomFilter) -> Vec<u8> {
+        let mut out = Vec::new();
+        f.write_to(&mut out).unwrap();
+        out
+    }
+
+    fn from_bytes(bytes: &[u8]) -> Option<BloomFilter> {
+        BloomFilter::read_from(&mut &bytes[..], bytes.len() as u64)
+            .ok()
+            .flatten()
+    }
 
     #[test]
     fn inserted_keys_are_found() {
@@ -170,7 +168,7 @@ mod tests {
         for k in [1u64, 99, 12345, u64::MAX] {
             f.insert(k);
         }
-        let g = BloomFilter::from_bytes(&f.to_bytes()).unwrap();
+        let g = from_bytes(&to_bytes(&f)).unwrap();
         assert_eq!(g.num_bits(), f.num_bits());
         for k in [1u64, 99, 12345, u64::MAX] {
             assert!(g.may_contain(k));
@@ -185,12 +183,12 @@ mod tests {
         for k in 0..5000u64 {
             f.insert(k.wrapping_mul(0x9E37_79B9));
         }
-        let bytes = f.to_bytes();
+        let bytes = to_bytes(&f);
         assert_eq!(bytes.len(), f.serialized_len());
         let g = BloomFilter::read_from(&mut &bytes[..], bytes.len() as u64)
             .unwrap()
             .unwrap();
-        assert_eq!(g.to_bytes(), bytes);
+        assert_eq!(to_bytes(&g), bytes);
         // A length that disagrees with the header is malformed, not an
         // allocation request.
         assert!(BloomFilter::read_from(&mut &bytes[..], u64::MAX)
@@ -203,10 +201,10 @@ mod tests {
 
     #[test]
     fn malformed_bytes_rejected() {
-        assert!(BloomFilter::from_bytes(&[1, 2, 3]).is_none());
-        let mut good = BloomFilter::with_capacity(10, 10).to_bytes();
+        assert!(from_bytes(&[1, 2, 3]).is_none());
+        let mut good = to_bytes(&BloomFilter::with_capacity(10, 10));
         good.pop();
-        assert!(BloomFilter::from_bytes(&good).is_none());
+        assert!(from_bytes(&good).is_none());
     }
 
     #[test]

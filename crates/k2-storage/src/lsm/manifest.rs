@@ -28,7 +28,7 @@ use super::wal::{frame, scan_frames};
 use crate::{StoreError, StoreResult};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Manifest file name inside a store directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -121,7 +121,6 @@ impl ManifestRecord {
 #[derive(Debug)]
 pub struct Manifest {
     file: File,
-    path: PathBuf,
 }
 
 impl Manifest {
@@ -135,7 +134,7 @@ impl Manifest {
         file.sync_all()?;
         fs::rename(&tmp, &path)?;
         sync_dir(dir)?;
-        Ok(Self { file, path })
+        Ok(Self { file })
     }
 
     /// Opens the manifest in `dir` and folds its log: returns the handle
@@ -170,7 +169,7 @@ impl Manifest {
             // clean prefix so the next append doesn't leave a zero gap.
             file.seek(SeekFrom::Start(clean))?;
         }
-        Ok((Self { file, path }, records))
+        Ok((Self { file }, records))
     }
 
     /// Appends one record and `fsync`s it — the record is the commit
@@ -179,11 +178,6 @@ impl Manifest {
         self.file.write_all(&frame(&rec.encode()))?;
         self.file.sync_data()?;
         Ok(())
-    }
-
-    /// The manifest's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -197,7 +191,7 @@ pub(crate) fn sync_dir(dir: &Path) -> StoreResult<()> {
 mod tests {
     use super::*;
 
-    fn tmpdir(name: &str) -> PathBuf {
+    fn tmpdir(name: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("k2manifest-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         fs::create_dir_all(&d).unwrap();

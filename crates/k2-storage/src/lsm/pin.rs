@@ -112,11 +112,6 @@ impl StorePin {
         current_version.saturating_sub(self.state.version)
     }
 
-    /// Number of SSTables in the pinned state.
-    pub fn num_tables(&self) -> usize {
-        self.state.tables.len()
-    }
-
     /// Sequence numbers of the pinned SSTables, oldest first. A seq may
     /// refer to a file compaction has since unlinked; the pin still
     /// reads it through its open descriptor.

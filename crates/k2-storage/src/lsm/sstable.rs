@@ -275,11 +275,6 @@ impl BlockCache {
         }
     }
 
-    /// Drops every cached block belonging to table `id`.
-    pub fn evict_table(&self, id: u64) {
-        self.evict_tables(&[id]);
-    }
-
     /// Number of blocks currently resident (across all shards).
     pub fn len(&self) -> usize {
         self.shards
@@ -291,11 +286,6 @@ impl BlockCache {
     /// Whether the cache holds no blocks.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Whether caching is enabled (capacity > 0).
-    pub fn is_enabled(&self) -> bool {
-        !self.shards.is_empty()
     }
 }
 
@@ -367,12 +357,6 @@ impl SsTableWriter {
         self.block.clear();
         self.block_first_key = None;
         Ok(())
-    }
-
-    /// Records a key in the bloom filter (done automatically by `add`;
-    /// exposed for tests).
-    pub fn note_bloom(&mut self, key: u64) {
-        self.bloom.insert(key);
     }
 
     /// Finishes the table: writes index, bloom and footer.
@@ -611,11 +595,6 @@ impl SsTableReader {
         })
     }
 
-    /// Table id (the store's flush/compaction sequence number).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Number of entries in the table.
     pub fn num_entries(&self) -> u64 {
         self.num_entries
@@ -743,13 +722,8 @@ impl SsTableReader {
             .map(|(_, val)| val))
     }
 
-    /// Cursor positioned at the first entry with key `>= key`.
-    pub fn iter_from(&self, key: u64) -> SsTableIter<'_> {
-        self.iter_from_with(key, &self.io)
-    }
-
-    /// [`iter_from`](Self::iter_from) with block fetches accounted into
-    /// `io` — the per-pin scan path (see
+    /// Cursor positioned at the first entry with key `>= key`, with block
+    /// fetches accounted into `io` — the per-pin scan path (see
     /// `read_block_with`).
     pub fn iter_from_with<'a>(&'a self, key: u64, io: &'a IoCounters) -> SsTableIter<'a> {
         let (block_idx, entry_idx) = match self.block_for(key) {
@@ -867,7 +841,6 @@ mod tests {
     #[test]
     fn zero_cap_disables_caching() {
         let c = BlockCache::new(0);
-        assert!(!c.is_enabled());
         c.insert((1, 0), block(1));
         assert!(c.get((1, 0)).is_none());
         assert_eq!(c.len(), 0);
@@ -959,7 +932,7 @@ mod tests {
         let (cache, io) = fixtures();
         let r = SsTableReader::open(&path, 2, cache, io).unwrap();
         // Seek to key 501 -> first entry 502.
-        let mut it = r.iter_from(501);
+        let mut it = r.iter_from_with(501, &r.io);
         let mut prev = None;
         let mut count = 0;
         while let Some((k, _)) = it.next().unwrap() {
@@ -978,7 +951,7 @@ mod tests {
         let path = build("iterstart.k2ss", 100..200u64);
         let (cache, io) = fixtures();
         let r = SsTableReader::open(&path, 3, cache, io).unwrap();
-        let mut it = r.iter_from(0);
+        let mut it = r.iter_from_with(0, &r.io);
         assert_eq!(it.next().unwrap().unwrap().0, 100);
     }
 
@@ -1032,7 +1005,10 @@ mod tests {
         let full = SsTableReader::open(&path, 8, cache.clone(), io.clone()).unwrap();
         let scan = SsTableReader::open_scan_only(&path, 9, cache, io).unwrap();
         assert_eq!(scan.num_entries(), full.num_entries());
-        let (mut a, mut b) = (full.iter_from(0), scan.iter_from(0));
+        let (mut a, mut b) = (
+            full.iter_from_with(0, &full.io),
+            scan.iter_from_with(0, &scan.io),
+        );
         loop {
             let (x, y) = (a.next().unwrap(), b.next().unwrap());
             assert_eq!(x, y);
@@ -1225,7 +1201,7 @@ mod tests {
         );
         assert!(!empty.admits(0, u64::MAX));
         assert_eq!(empty.get(5).unwrap(), None);
-        assert!(empty.iter_from(0).next().unwrap().is_none());
+        assert!(empty.iter_from_with(0, &empty.io).next().unwrap().is_none());
         // A single entry: first == last.
         let (one, ..) = open("fence-one.k2ss", 42..43);
         assert_eq!(one.fence(), Some((42, 42)));

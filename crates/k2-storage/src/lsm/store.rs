@@ -877,16 +877,6 @@ impl LsmStore {
         self.unpublished.clone()
     }
 
-    /// Path of the live write-ahead log, if the WAL is enabled.
-    pub fn wal_path(&self) -> Option<&Path> {
-        self.wal.as_ref().map(|w| w.path())
-    }
-
-    /// Storage directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The store's own read view: the writer-private active memtable on
     /// top of what the published state holds.
     fn view(&self) -> ReadView<'_> {
@@ -990,6 +980,11 @@ mod tests {
         let d = std::env::temp_dir().join(format!("k2lsm-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         d
+    }
+
+    /// Path of the live write-ahead log, if the WAL is enabled.
+    fn wal_path(store: &LsmStore) -> Option<&Path> {
+        store.wal.as_ref().map(|w| w.path())
     }
 
     #[test]
@@ -1656,9 +1651,9 @@ mod tests {
         let dir = tmpdir("walretire");
         let mut store = LsmStore::create(&dir).unwrap();
         store.insert(Point::new(1, 1.0, 1.0, 0)).unwrap();
-        let before = store.wal_path().unwrap().to_path_buf();
+        let before = wal_path(&store).unwrap().to_path_buf();
         store.flush().unwrap();
-        let after = store.wal_path().unwrap().to_path_buf();
+        let after = wal_path(&store).unwrap().to_path_buf();
         assert_ne!(before, after, "flush must rotate to a fresh WAL");
         assert!(!before.exists(), "retired WAL file must be deleted");
         // Reopen replays nothing: everything lives in the SSTable.
@@ -1678,7 +1673,7 @@ mod tests {
         };
         let mut store = LsmStore::create_with(&dir, config).unwrap();
         store.insert(Point::new(1, 1.0, 2.0, 0)).unwrap();
-        assert_eq!(store.wal_path(), None);
+        assert_eq!(wal_path(&store), None);
         assert_eq!(store.io_stats().wal_appends, 0);
         store.flush().unwrap();
         drop(store);
@@ -1693,7 +1688,7 @@ mod tests {
         // No per-record WAL traffic during the load…
         assert_eq!(store.io_stats().wal_appends, 0);
         // …but the store is WAL-protected afterwards.
-        assert!(store.wal_path().is_some());
+        assert!(wal_path(&store).is_some());
     }
 
     #[test]

@@ -28,17 +28,6 @@ impl InMemoryStore {
     pub fn dataset(&self) -> &Dataset {
         &self.dataset
     }
-
-    /// Consumes the store, returning the dataset.
-    pub fn into_dataset(self) -> Dataset {
-        self.dataset
-    }
-
-    /// Approximate resident size in bytes (24 bytes per record, the same
-    /// accounting the flat-file loader uses against a memory budget).
-    pub fn resident_bytes(&self) -> u64 {
-        self.dataset.num_points() * k2_model::codec::RECORD_SIZE as u64
-    }
 }
 
 impl SnapshotSource for InMemoryStore {
@@ -148,21 +137,13 @@ mod tests {
     }
 
     #[test]
-    fn resident_bytes_counts_records() {
-        let d = toy_dataset();
-        let store = InMemoryStore::new(d.clone());
-        assert_eq!(store.resident_bytes(), d.num_points() * 24);
-    }
-
-    #[test]
     fn scan_snapshot_ref_is_zero_copy_and_counted_shared() {
         let d = toy_dataset();
         let store = InMemoryStore::new(d.clone());
         let mut buf = vec![ObjPos::new(9, 9.0, 9.0)];
         let snap = store.scan_snapshot_ref(25, &mut buf).unwrap();
-        assert!(snap.is_shared(), "in-memory scans must not copy");
         let SnapshotRef::Shared(arc) = snap else {
-            unreachable!()
+            panic!("in-memory scans must not copy");
         };
         assert!(
             std::sync::Arc::ptr_eq(&arc, &d.snapshot(25).unwrap().positions_shared()),

@@ -94,8 +94,8 @@ pub mod prelude {
     pub use k2_cluster::{dbscan, DbscanParams};
     pub use k2_core::{ConvoyMiner, K2Config, K2Hop, MineError, MineOutcome, MineStats};
     pub use k2_model::{
-        Convoy, ConvoySet, Dataset, DatasetBuilder, ObjPos, ObjectSet, Oid, Point, SetId, SetPool,
-        Snapshot, Time, TimeInterval,
+        Convoy, ConvoySet, Dataset, DatasetBuilder, ObjPos, ObjectSet, Oid, Point, Snapshot, Time,
+        TimeInterval,
     };
     pub use k2_storage::{InMemoryStore, SnapshotSource, TrajectoryStore};
 }

@@ -1,16 +1,9 @@
-//! Property-based equivalence of the two data-structure rewrites in the
-//! candidate-set layer:
-//!
-//! * the **indexed** `ConvoySet` (posting lists by member / smallest
-//!   member) must behave exactly like the old quadratic
-//!   scan-all-candidates `update()`, on arbitrary candidate sequences;
-//! * the **interned** `SetPool` set operations must agree with the plain
-//!   `ObjectSet` operations (and with a `BTreeSet` model) on arbitrary id
-//!   sets, with hash-consing actually consing.
+//! Property-based equivalence of the **indexed** `ConvoySet` (posting
+//! lists by member / smallest member) and the old quadratic
+//! scan-all-candidates `update()`, on arbitrary candidate sequences.
 
-use k2hop::model::{Convoy, ConvoySet, ConvoySetTuning, ObjectSet, SetPool};
+use k2hop::model::{Convoy, ConvoySet};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
 
 /// The pre-index `ConvoySet` semantics, kept as the executable spec.
 #[derive(Default, Debug)]
@@ -85,50 +78,6 @@ proptest! {
         indexed.merge(right.into_iter().collect());
         prop_assert_eq!(indexed.into_sorted_vec(), reference.into_sorted_vec());
     }
-
-    /// SetPool's interned ops equal the ObjectSet ops and the BTreeSet
-    /// model; equal contents intern to the same id and share storage.
-    #[test]
-    fn set_pool_ops_equal_object_set_ops(
-        a in proptest::collection::vec(0u32..50, 0..30),
-        b in proptest::collection::vec(0u32..50, 0..30),
-    ) {
-        let sa = ObjectSet::new(a.clone());
-        let sb = ObjectSet::new(b.clone());
-        let mut pool = SetPool::new();
-        let ia = pool.intern(&sa);
-        let ib = pool.intern(&sb);
-
-        // Hash-consing: same contents -> same id, shared storage.
-        prop_assert_eq!(pool.intern_sorted(sa.ids()), ia);
-        prop_assert!(pool.handle(ia).ptr_eq(&sa));
-        prop_assert_eq!(ia == ib, sa == sb);
-
-        let ma: BTreeSet<u32> = a.into_iter().collect();
-        let mb: BTreeSet<u32> = b.into_iter().collect();
-        let inter: Vec<u32> = ma.intersection(&mb).copied().collect();
-        let union: Vec<u32> = ma.union(&mb).copied().collect();
-
-        prop_assert_eq!(pool.is_subset(ia, ib), sa.is_subset(&sb));
-        prop_assert_eq!(pool.intersection_len(ia, ib), sa.intersection_len(&sb));
-        let ii = pool.intersect(ia, ib);
-        prop_assert_eq!(pool.ids(ii), &inter[..]);
-        prop_assert_eq!(pool.get(ii), &sa.intersect(&sb));
-        let iu = pool.union(ia, ib);
-        prop_assert_eq!(pool.ids(iu), &union[..]);
-        prop_assert_eq!(pool.get(iu), &sa.union(&sb));
-
-        // Interned results are stable: re-running the op returns the same id.
-        prop_assert_eq!(pool.intersect(ia, ib), ii);
-        prop_assert_eq!(pool.union(ia, ib), iu);
-
-        // `intersect_sets` (the merge/validation path) agrees too and
-        // interns its result.
-        let first = pool.intersect_sets(&sa, &sb);
-        prop_assert_eq!(first.ids(), &inter[..]);
-        let second = pool.intersect_sets(&sa, &sb);
-        prop_assert!(first.ptr_eq(&second));
-    }
 }
 
 /// Mining-shaped candidate stream for the stress tests: small-eps
@@ -169,58 +118,30 @@ fn stress_stream() -> Vec<Convoy> {
     stream
 }
 
-/// Drives `stream` through a tuned `ConvoySet` against the quadratic
-/// reference, asserting identical verdicts and final contents; returns
-/// the peak live-set size.
-fn stress_against_reference(stream: &[Convoy], tuning: ConvoySetTuning) -> usize {
-    let mut indexed = ConvoySet::with_tuning(tuning);
-    let mut reference = QuadraticConvoySet::default();
-    let mut max_live = 0usize;
-    for cv in stream {
-        let a = indexed.update(cv.clone());
-        let b = reference.update(cv.clone());
-        assert_eq!(
-            a,
-            b,
-            "verdict diverged at live size {} (tuning {tuning:?})",
-            indexed.len()
-        );
-        assert_eq!(indexed.len(), reference.convoys.len());
-        max_live = max_live.max(indexed.len());
-    }
-    assert_eq!(indexed.into_sorted_vec(), reference.into_sorted_vec());
-    max_live
-}
-
 /// Stress past the index threshold with a *real* mining-shaped stream.
 /// The random proptest streams above rarely hold more than a handful of
 /// incomparable convoys at once, so the indexed path's steady state —
 /// hundreds of live candidates, posting-list probes, lazy tombstone
 /// rebuilds — went unexercised; this pins it against the quadratic
-/// reference end to end, at the default tuning (index at 32, rebuild at
-/// 50% tombstones) *and* at the bench-suggested late-index tuning
-/// (128 / 75%, where the `convoyset` criterion bench shows the indexed
-/// path clearly winning), so the ROADMAP's crossover experiments can
-/// move the knobs without a semantics risk.
+/// reference end to end: identical verdicts and final contents, with the
+/// live set past `INDEX_THRESHOLD`.
 #[test]
-fn indexed_convoyset_matches_quadratic_at_both_tunings() {
+fn indexed_convoyset_matches_quadratic_past_index_threshold() {
     let stream = stress_stream();
-
-    let max_live = stress_against_reference(&stream, ConvoySetTuning::default());
+    let mut indexed = ConvoySet::new();
+    let mut reference = QuadraticConvoySet::default();
+    let mut max_live = 0usize;
+    for cv in &stream {
+        let a = indexed.update(cv.clone());
+        let b = reference.update(cv.clone());
+        assert_eq!(a, b, "verdict diverged at live size {}", indexed.len());
+        assert_eq!(indexed.len(), reference.convoys.len());
+        max_live = max_live.max(indexed.len());
+    }
+    assert_eq!(indexed.into_sorted_vec(), reference.into_sorted_vec());
     assert!(
         max_live > ConvoySet::INDEX_THRESHOLD,
         "stream never crossed INDEX_THRESHOLD (peak {max_live} live \
          convoys) — the indexed path was not exercised"
     );
-
-    let late = ConvoySetTuning::new(128, 75);
-    let max_live = stress_against_reference(&stream, late);
-    assert!(
-        max_live > late.index_threshold,
-        "stream never crossed the late threshold (peak {max_live}) — \
-         the 128-live indexed path was not exercised"
-    );
-
-    // Degenerate tunings are clamped, not crashes.
-    stress_against_reference(&stream[..64.min(stream.len())], ConvoySetTuning::new(0, 0));
 }

@@ -8,9 +8,7 @@ use k2hop::cluster::{
 use k2hop::core::candidates::candidate_clusters;
 use k2hop::core::merge::merge_spanning;
 use k2hop::core::{ConvoyMiner, K2Config, K2Hop, K2HopParallel};
-use k2hop::model::{
-    Convoy, ConvoySet, Dataset, ObjPos, ObjectSet, Oid, Point, SetPool, Time, TimeInterval,
-};
+use k2hop::model::{Convoy, ConvoySet, Dataset, ObjPos, ObjectSet, Oid, Point, Time, TimeInterval};
 use k2hop::storage::{InMemoryStore, TimeRange};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -150,7 +148,6 @@ fn gappy_oid(i: u32) -> Oid {
 fn pairwise_merge(windows: &[Vec<Convoy>], m: usize) -> ConvoySet {
     let mut result = ConvoySet::new();
     let mut active = ConvoySet::new();
-    let mut pool = SetPool::new();
     for (i, spanning) in windows.iter().enumerate() {
         if i == 0 {
             for v in spanning {
@@ -167,7 +164,7 @@ fn pairwise_merge(windows: &[Vec<Convoy>], m: usize) -> ConvoySet {
             }
             let mut extended_fully = false;
             for w in spanning {
-                let inter = pool.intersect_sets(&v.objects, &w.objects);
+                let inter = v.objects.intersect(&w.objects);
                 if inter.len() >= m {
                     if inter.len() == v.objects.len() {
                         extended_fully = true;
