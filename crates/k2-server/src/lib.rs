@@ -5,7 +5,7 @@
 //! snapshot.
 //!
 //! The crate is a thin front end over the MVCC substrate in
-//! `k2-storage` ([`SharedLsm`](k2_storage::SharedLsm) /
+//! `k2-storage` ([`LsmStore`](k2_storage::LsmStore) /
 //! [`StorePin`](k2_storage::StorePin)):
 //!
 //! * [`protocol`] — a length-prefixed binary request protocol
@@ -34,16 +34,17 @@
 //! ingest sees the new data; issuing it concurrently with ingest sees
 //! the pinned past. An `Ingest` batch becomes visible as a whole, when
 //! it is acknowledged: a request pinned while the batch is being applied
-//! sees none of it and does not wait for it. Writers are never blocked
-//! by readers: ingest under any number of live pins costs the writer
-//! nothing beyond its normal path.
+//! sees none of it and does not wait for it, and neither does a `Stats`
+//! request, whose gauges are read off the same published state. Writers
+//! are never blocked by readers: ingest under any number of live pins
+//! costs the writer nothing beyond its normal path.
 //!
 //! ```no_run
 //! use k2_server::{K2Service, LocalClient, Pattern, Request, Response};
-//! use k2_storage::{LsmConfig, SharedLsm};
+//! use k2_storage::{LsmConfig, LsmStore};
 //! use std::sync::Arc;
 //!
-//! let store = SharedLsm::create_with("/tmp/k2-serve", LsmConfig::default())?;
+//! let store = LsmStore::create_with("/tmp/k2-serve", LsmConfig::default())?;
 //! let service = Arc::new(K2Service::new(store));
 //! let client = LocalClient::new(service, 4);
 //! let reply = client.request(&Request::MineRange {

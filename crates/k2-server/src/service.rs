@@ -1,17 +1,20 @@
 //! [`K2Service`]: the request handler both transports share.
 //!
-//! Each `MineRange` request pins its own MVCC snapshot ([`SharedLsm::pin`]),
+//! Each `MineRange` request pins its own MVCC snapshot ([`LsmStore::pin`]),
 //! clamps it to the requested time range ([`TimeRange`]), and runs a
 //! mining session against the pinned view — so any number of mine
 //! requests proceed concurrently with each other and with live ingest,
 //! each seeing exactly the store contents at its own pin instant and
-//! reporting exactly its own I/O.
+//! reporting exactly its own I/O. `Ingest` is one
+//! [`LsmStore::insert_batch`], and `Stats` reads the store's gauges off
+//! its published state: neither pins nor `Stats` wait for a batch in
+//! flight.
 
 use crate::protocol::{MineReply, Pattern, Request, Response, StatsReply, WireConvoy};
 use k2_core::{ConvoyMiner, K2Config, K2Hop};
 use k2_model::{Convoy, Point};
 use k2_patterns::{FlockConfig, FlockMiner};
-use k2_storage::{SharedLsm, SnapshotSource, TimeRange};
+use k2_storage::{LsmStore, SnapshotSource, TimeRange};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -30,21 +33,21 @@ struct MineParams {
 /// [`Request`]s from any number of threads.
 #[derive(Debug)]
 pub struct K2Service {
-    store: SharedLsm,
+    store: LsmStore,
     requests: AtomicU64,
 }
 
 impl K2Service {
-    /// Wraps a shared store.
-    pub fn new(store: SharedLsm) -> Self {
+    /// Serves `store`.
+    pub fn new(store: LsmStore) -> Self {
         Self {
             store,
             requests: AtomicU64::new(0),
         }
     }
 
-    /// The underlying store handle (cloneable).
-    pub fn store(&self) -> &SharedLsm {
+    /// The underlying store.
+    pub fn store(&self) -> &LsmStore {
         &self.store
     }
 
@@ -180,12 +183,12 @@ impl K2Service {
             };
         }
         // One writer-lock hold and one publish for the batch; pins do not
-        // wait for it (see `SharedLsm::pin`).
-        let mut store = self.store.lock();
-        match store.insert_batch(&points) {
-            Ok(()) => Response::Ingested {
+        // wait for it. The reply carries the version this batch published,
+        // which a concurrent `Ingest` cannot have moved.
+        match self.store.insert_batch(&points) {
+            Ok(version) => Response::Ingested {
                 count: points.len() as u64,
-                version: store.version(),
+                version,
             },
             Err(e) => Response::Error {
                 message: e.to_string(),
@@ -195,28 +198,20 @@ impl K2Service {
 
     fn stats(&self, quiesce: bool) -> Response {
         if quiesce {
-            if let Err(e) = self.store.quiesce_maintenance() {
+            if let Err(e) = self.store.wait_for_compactions() {
                 return Response::Error {
                     message: e.to_string(),
                 };
             }
         }
-        let (num_points, num_tables, memtable_len, maintenance_depth) = {
-            let store = self.store.lock();
-            (
-                store.num_points(),
-                store.num_tables() as u64,
-                store.memtable_len() as u64,
-                store.compaction_queue_depth() as u64,
-            )
-        };
+        let store = &self.store;
         Response::Stats(StatsReply {
-            num_points,
-            num_tables,
-            memtable_len,
-            version: self.store.version(),
-            live_pins: self.store.live_pins(),
-            maintenance_depth,
+            num_points: store.num_points(),
+            num_tables: store.num_tables() as u64,
+            memtable_len: store.memtable_len() as u64,
+            version: store.version(),
+            live_pins: store.live_pins(),
+            maintenance_depth: store.compaction_queue_depth() as u64,
             requests_served: self.requests_served(),
         })
     }

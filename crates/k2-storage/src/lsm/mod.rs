@@ -18,16 +18,15 @@
 //!   [`LsmStore::compact_blocking`] runs the same merges inline for
 //!   deterministic tests and benches),
 //! * block reads go through a **sharded LRU block cache** shared behind
-//!   an `Arc` (per-shard mutex, O(1) eviction), making [`LsmStore`]
-//!   `Send`,
+//!   an `Arc` (per-shard mutex, O(1) eviction),
 //! * every flush, compaction and WAL rotation is committed by an
 //!   `fsync`ed record in the append-only **manifest** ([`manifest`]),
 //!   written strictly *after* the files it references are durable,
-//! * reads go through one private read view (`read.rs`) — built by the
-//!   store over its own fields and by a [`StorePin`] over its pinned
-//!   state — that consults the memtables (active, then frozen
-//!   generations), then tables newest-first; range scans k-way-merge
-//!   the sources,
+//! * reads go through one private read view (`read.rs`) over one
+//!   published state — the store's own reads and a [`StorePin`]'s build
+//!   the same view, each charging its own counters — that consults the
+//!   frozen memtable generations, newest first, then tables newest-first;
+//!   range scans k-way-merge the sources,
 //! * a request only reaches the sources whose key range admits it:
 //!   every frozen generation and every SSTable carries a resident key
 //!   fence (first and last key), and a key, a sorted batch or a scan
@@ -39,25 +38,23 @@
 //!
 //! # MVCC state swap
 //!
-//! The store's durable structure — frozen memtable generations plus the
-//! ordered table list — is published as an immutable `LsmState` behind
-//! `Arc<RwLock<Arc<LsmState>>>` (the classic state-swap idiom).
-//! Records fill a writer-private active memtable; every structural
-//! change builds a fresh state and swaps the pointer under a short write
-//! lock — once per [`LsmStore::insert_batch`] (the batch frozen into one
-//! generation; a flush or compaction commit falling inside it is held
-//! back to its end, so no reader sees part of a batch), and at each
-//! flush and compaction commit outside one. A [`StorePin`] is an `Arc`
-//! of a published state that serves reads for an entire mining run
-//! without blocking ingest (retired SSTables stay readable through the
-//! pin's open descriptors after compaction unlinks them; pinned reads
-//! share the block cache but account into per-pin counters).
-//! [`SharedLsm`] wraps a store for `&self` ingest + pinning across
-//! threads — the serving substrate `k2-server` builds on: its `pin()`
-//! clones the published pointer without touching the writer, falling
-//! back to [`LsmStore::pin_snapshot`] under the writer lock only while
-//! single inserts are acknowledged but not yet published. It is read
-//! only through those pins.
+//! [`LsmStore`] is one `Send + Sync` store whose methods all take
+//! `&self`, after mini-lsm's `LsmStorageInner`: a published
+//! `RwLock<Arc<LsmState>>` (frozen memtable generations plus the ordered
+//! table list, the classic state-swap idiom) beside a writer-only mutex.
+//! Every structural change builds a fresh state and swaps the pointer —
+//! once per [`LsmStore::insert_batch`] (a flush or compaction commit
+//! falling inside it is held back to its end, so no reader sees part of
+//! a batch), and at each flush and compaction commit outside one.
+//! Every reader reads a published state: the store's own reads, its
+//! gauges, and [`LsmStore::pin`], whose [`StorePin`] serves a whole
+//! mining run without blocking ingest (retired SSTables stay readable
+//! through the pin's open descriptors; pinned reads share the block
+//! cache but account into per-pin counters). Only acknowledged single
+//! inserts not yet published send a reader through the writer lock, to
+//! freeze them in. A panicked writer poisons the lock, and every later
+//! write fails closed. Threads share the store through an `Arc` — the
+//! serving substrate `k2-server` builds on.
 //!
 //! Opening a store runs recovery: fold the manifest (dropping a torn
 //! tail), delete orphaned files from crashed flushes/compactions, open
@@ -82,7 +79,6 @@ mod compaction;
 pub mod manifest;
 mod pin;
 mod read;
-mod shared;
 mod sstable;
 mod store;
 pub mod wal;
@@ -91,7 +87,11 @@ pub use bloom::BloomFilter;
 pub use compaction::CompactionController;
 pub use manifest::{Manifest, ManifestRecord};
 pub use pin::StorePin;
-pub use shared::SharedLsm;
 pub use sstable::{BlockCache, SsTableReader, SsTableWriter};
 pub use store::{LsmConfig, LsmStore};
+
+/// The store's former name, from when it was a mutex-wrapped handle.
+/// Kept only until the benchmark harness's callers are renamed to
+/// [`LsmStore`]; delete it with [`LsmStore::lock`].
+pub type SharedLsm = LsmStore;
 pub use wal::{replay_wal, WalReplay, WalSyncPolicy, WalWriter, WAL_FRAME_SIZE};

@@ -18,14 +18,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One immutable published state of an `LsmStore`: everything a reader
-/// needs, shared by `Arc`. The SSTable readers inside keep their files
-/// readable even after compaction unlinks them (unix unlink-while-open),
-/// so a state stays fully servable for as long as anything holds it.
-#[derive(Debug)]
+/// needs, shared by `Arc`. Every read of the store goes through one — the
+/// store's own reads, its gauges and its pins. The SSTable readers
+/// inside keep their files readable even after compaction unlinks them
+/// (unix unlink-while-open), so a state stays fully servable for as long
+/// as anything holds it.
+#[derive(Debug, Default)]
 pub(crate) struct LsmState {
     /// Frozen memtable generations, oldest first. The writer's active
     /// memtable is *not* here — it is frozen in when a batch ends, or
-    /// at pin time after single inserts.
+    /// by the next reader after single inserts.
     pub(crate) frozen: Vec<Arc<Frozen>>,
     /// Open SSTable readers, oldest first (index = recency rank).
     pub(crate) tables: Vec<Arc<SsTableReader>>,
@@ -38,49 +40,31 @@ pub(crate) struct LsmState {
 }
 
 impl LsmState {
-    pub(crate) fn empty() -> Self {
-        Self {
-            frozen: Vec::new(),
-            tables: Vec::new(),
-            table_seqs: Vec::new(),
-            span: None,
-            version: 0,
-        }
-    }
-
-    pub(crate) fn new(
-        frozen: Vec<Arc<Frozen>>,
-        tables: Vec<Arc<SsTableReader>>,
-        table_seqs: Vec<u64>,
-        span: Option<(Time, Time)>,
-        version: u64,
-    ) -> Self {
-        Self {
-            frozen,
-            tables,
-            table_seqs,
-            span,
-            version,
+    /// The time span covered, a single instant at 0 when empty.
+    pub(crate) fn time_span(&self) -> TimeInterval {
+        match self.span {
+            Some((lo, hi)) => TimeInterval::new(lo, hi),
+            None => TimeInterval::instant(0),
         }
     }
 }
 
 /// A pinned, immutable view of an `LsmStore` at one instant.
 ///
-/// Created by `LsmStore::pin_snapshot` (or `SharedLsm::pin`). The pin is
-/// a full [`SnapshotSource`] + [`TrajectoryStore`] reader: a miner can
-/// hold it for an entire run while the store keeps ingesting, flushing
-/// and compacting underneath — the pin's view never changes, because it
-/// owns `Arc`s to the frozen memtable generations and the open SSTable
-/// readers of its state. Compaction may unlink a pinned table's file;
-/// the open descriptor keeps the data readable until the pin drops.
+/// Created by `LsmStore::pin`. The pin is a full [`SnapshotSource`] +
+/// [`TrajectoryStore`] reader: a miner can hold it for an entire run
+/// while the store keeps ingesting, flushing and compacting underneath —
+/// the pin's view never changes, because it owns `Arc`s to the frozen
+/// memtable generations and the open SSTable readers of its state.
+/// Compaction may unlink a pinned table's file; the open descriptor
+/// keeps the data readable until the pin drops.
 ///
-/// Reads take the same `ReadView` path as the store's own (lookup
-/// order, merge ranking and accounting are decided there, once) and go
-/// through the store's shared block cache (cache ids are table seqs,
-/// unique for the directory's whole history, so a retired table's
-/// blocks can never alias a live one's) but are accounted into the
-/// pin's **own** counters — `io_stats()` reports exactly the work this
+/// Reads take the same `ReadView` path over a published state as the
+/// store's own (lookup order, merge ranking and accounting are decided
+/// there, once) and go through the store's shared block cache (cache ids
+/// are table seqs, unique for the directory's whole history, so a
+/// retired table's blocks can never alias a live one's) but are
+/// accounted into the pin's **own** counters — `io_stats()` reports exactly the work this
 /// pin caused, which is what per-request serving stats want.
 #[derive(Debug)]
 pub struct StorePin {
@@ -101,7 +85,7 @@ impl StorePin {
 
     /// The publish version of the pinned state. The difference between
     /// the store's current version and this is the pin's staleness in
-    /// state swaps (batches, flushes, compaction commits, pin freezes).
+    /// state swaps (batches, flushes, compaction commits, reader freezes).
     pub fn version(&self) -> u64 {
         self.state.version
     }
@@ -119,15 +103,10 @@ impl StorePin {
         &self.state.table_seqs
     }
 
-    /// The pinned state as a read view: no active memtable (a pin sees
-    /// only what was published), reads charged to the pin's counters.
+    /// The pinned state as a read view, reads charged to the pin's
+    /// counters.
     fn view(&self) -> ReadView<'_> {
-        ReadView {
-            active: None,
-            frozen: &self.state.frozen,
-            tables: &self.state.tables,
-            io: &self.io,
-        }
+        ReadView::new(&self.state, &self.io)
     }
 }
 
@@ -139,10 +118,7 @@ impl Drop for StorePin {
 
 impl SnapshotSource for StorePin {
     fn span(&self) -> TimeInterval {
-        match self.state.span {
-            Some((lo, hi)) => TimeInterval::new(lo, hi),
-            None => TimeInterval::instant(0),
-        }
+        self.state.time_span()
     }
 
     fn num_points(&self) -> u64 {

@@ -3,12 +3,11 @@
 //! the k-way merge its scans (and the flush and compaction writers) run
 //! on.
 //!
-//! A view borrows what a reader can see — optionally the writer-private
-//! active memtable, then the frozen generations and SSTables of a
-//! published state — plus the counters its reads are charged to.
-//! [`LsmStore`](super::LsmStore) builds one over its own fields,
-//! [`StorePin`](super::StorePin) over the `Arc<LsmState>` it holds (no
-//! active memtable, its own counters); nothing else reads the tree.
+//! A view borrows one published state — its frozen generations and
+//! SSTables — plus the counters its reads are charged to. Every reader
+//! builds one over a published `LsmState`: [`LsmStore`](super::LsmStore)
+//! charging its own counters, [`StorePin`](super::StorePin) its pin's;
+//! nothing else reads the tree.
 //!
 //! A request only reaches the sources whose key range admits it. Every
 //! immutable source carries a key fence — a frozen generation's is
@@ -19,6 +18,7 @@
 //! filter → sparse index → block cache → disk, so a sorted batch
 //! requests each block it needs once.
 
+use super::pin::LsmState;
 use super::sstable::{overlaps, BlockInHand, Fence, SsTableIter, SsTableReader};
 use super::store::{key_of, key_parts, val_parts, Memtable};
 use crate::iostats::IoCounters;
@@ -54,39 +54,32 @@ impl Frozen {
     }
 }
 
-/// Everything one reader sees, newest source first: `active`, then
-/// `frozen` from its last generation back, then `tables` from the last
-/// back.
+/// Everything one reader sees, newest source first: `frozen` from its
+/// last generation back, then `tables` from the last back.
 pub(crate) struct ReadView<'a> {
-    /// The writer-private active memtable; `None` for a pinned state,
-    /// which holds only what was published.
-    pub(crate) active: Option<&'a Memtable>,
     /// Frozen memtable generations, oldest first.
-    pub(crate) frozen: &'a [Arc<Frozen>],
+    frozen: &'a [Arc<Frozen>],
     /// Open SSTable readers, oldest first (index = recency rank).
-    pub(crate) tables: &'a [Arc<SsTableReader>],
+    tables: &'a [Arc<SsTableReader>],
     /// Where this view's reads are accounted.
-    pub(crate) io: &'a IoCounters,
+    io: &'a IoCounters,
 }
 
-impl ReadView<'_> {
-    /// Newest version of one key.
-    fn get_raw(&self, key: u64) -> StoreResult<Option<[u8; VAL_SIZE]>> {
-        if let Some(v) = self.active.and_then(|m| m.get(&key)) {
-            return Ok(Some(*v));
+impl<'a> ReadView<'a> {
+    /// A view of `state` whose reads are charged to `io`.
+    pub(crate) fn new(state: &'a LsmState, io: &'a IoCounters) -> Self {
+        Self {
+            frozen: &state.frozen,
+            tables: &state.tables,
+            io,
         }
-        self.get_published(key, &mut None)
     }
 
-    /// Newest version of one key below the active memtable: frozen
-    /// generations newest to oldest, then SSTables newest to oldest,
-    /// asking only those whose fence admits the key. `hand` carries the
-    /// SSTable block in hand from one key of a sorted batch to the next.
-    fn get_published(
-        &self,
-        key: u64,
-        hand: &mut Option<BlockInHand>,
-    ) -> StoreResult<Option<[u8; VAL_SIZE]>> {
+    /// Newest version of one key: frozen generations newest to oldest,
+    /// then SSTables newest to oldest, asking only those whose fence
+    /// admits the key. `hand` carries the SSTable block in hand from one
+    /// key of a sorted batch to the next.
+    fn get(&self, key: u64, hand: &mut Option<BlockInHand>) -> StoreResult<Option<[u8; VAL_SIZE]>> {
         for generation in self.frozen.iter().rev().filter(|g| g.admits(key, key)) {
             if let Some(v) = generation.entries.get(&key) {
                 return Ok(Some(*v));
@@ -114,9 +107,6 @@ impl ReadView<'_> {
         for generation in self.frozen.iter().filter(|g| g.admits(lo, hi)) {
             merge.add_mem(generation.entries.range(lo..=hi));
         }
-        if let Some(active) = self.active {
-            merge.add_mem(active.range(lo..=hi));
-        }
         while let Some((k, v)) = merge.next()? {
             if k > hi {
                 break;
@@ -132,12 +122,9 @@ impl ReadView<'_> {
     /// the caller's buffer — the k/2-hop probe loops call this thousands
     /// of times on tiny candidate sets, so nothing here allocates.
     ///
-    /// The batch's keys ascend (fixed `t`, sorted oids), so the
-    /// active-memtable side is one ordered range cursor walked in step
-    /// with the oids instead of a `log n` tree descent per oid; only
-    /// keys it does not hold fall through to the frozen generations and
-    /// SSTables, where consecutive keys are answered from the one block
-    /// in hand for as long as they fall inside it.
+    /// The batch's keys ascend (fixed `t`, sorted oids), so consecutive
+    /// keys are answered from the one SSTable block in hand for as long
+    /// as they fall inside it.
     pub(crate) fn multi_get_into(
         &self,
         t: Time,
@@ -146,25 +133,10 @@ impl ReadView<'_> {
     ) -> StoreResult<()> {
         debug_assert!(oids.windows(2).all(|w| w[0] < w[1]));
         out.clear();
-        let (Some(&first), Some(&last)) = (oids.first(), oids.last()) else {
-            return Ok(());
-        };
         self.io.add_point_queries(oids.len() as u64);
-        let mut cursor = self
-            .active
-            .map(|m| m.range(key_of(t, first)..=key_of(t, last)).peekable());
         let mut hand = None;
         for &oid in oids {
-            let key = key_of(t, oid);
-            let in_active = cursor.as_mut().and_then(|mem| {
-                while mem.next_if(|&(&k, _)| k < key).is_some() {}
-                mem.next_if(|&(&k, _)| k == key).map(|(_, v)| *v)
-            });
-            let found = match in_active {
-                Some(v) => Some(v),
-                None => self.get_published(key, &mut hand)?,
-            };
-            if let Some(v) = found {
+            if let Some(v) = self.get(key_of(t, oid), &mut hand)? {
                 let (x, y) = val_parts(&v);
                 out.push(ObjPos::new(oid, x, y));
             }
@@ -203,7 +175,7 @@ impl ReadView<'_> {
     /// `TrajectoryStore::point_get`.
     pub(crate) fn point_get(&self, t: Time, oid: Oid) -> StoreResult<Option<ObjPos>> {
         self.io.add_point_query();
-        Ok(self.get_raw(key_of(t, oid))?.map(|v| {
+        Ok(self.get(key_of(t, oid), &mut None)?.map(|v| {
             let (x, y) = val_parts(&v);
             ObjPos::new(oid, x, y)
         }))
@@ -212,8 +184,7 @@ impl ReadView<'_> {
     /// `SnapshotSource::num_points`. Counts versions, not unique keys;
     /// exact for the append-only workloads of the experiments.
     pub(crate) fn num_points(&self) -> u64 {
-        let buffered = self.frozen.iter().map(|m| m.entries.len()).sum::<usize>()
-            + self.active.map_or(0, |m| m.len());
+        let buffered = self.frozen.iter().map(|m| m.entries.len()).sum::<usize>();
         self.tables.iter().map(|t| t.num_entries()).sum::<u64>() + buffered as u64
     }
 }

@@ -11,21 +11,22 @@ use super::sstable::{BlockCache, SsTableReader, SsTableWriter};
 use super::wal::{replay_wal, WalSyncPolicy, WalWriter};
 use crate::iostats::IoCounters;
 use crate::keys::VAL_SIZE;
-use crate::{IoStats, SnapshotRef, SnapshotSource, StoreResult, TrajectoryStore};
+use crate::{IoStats, SnapshotRef, SnapshotSource, StoreError, StoreResult, TrajectoryStore};
 use k2_model::{Dataset, ObjPos, Oid, Point, Time, TimeInterval};
 use std::collections::BTreeMap;
 use std::fs;
+use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// Tuning knobs for [`LsmStore`].
 #[derive(Debug, Clone, Copy)]
 pub struct LsmConfig {
     /// Memtable capacity in entries before an automatic flush. Counts
-    /// everything buffered in memory: the active memtable plus any
-    /// generations frozen by [`LsmStore::pin_snapshot`].
+    /// everything buffered in memory: the active memtable plus the
+    /// generations frozen into the published state.
     pub memtable_entries: usize,
     /// Compaction trigger: compact when the number of SSTables exceeds
     /// this.
@@ -116,43 +117,35 @@ pub(crate) type Memtable = BTreeMap<u64, [u8; VAL_SIZE]>;
 /// read-only mining, and durability there is established wholesale by
 /// the final flush.
 ///
-/// # The state-swap write path (MVCC)
+/// # One `&self` store: a published state and a writer lock
 ///
-/// The store's durable structure — frozen memtable generations and the
-/// ordered SSTable list — is published as an immutable `LsmState`
-/// behind `Arc<RwLock<Arc<LsmState>>>`. Writers never mutate a published
-/// state: records fill a **writer-private active memtable**, and every
-/// structural change builds a fresh `Arc<LsmState>` and swaps it in
-/// under a short write lock. The swaps happen where the writer is at a
-/// boundary anyway:
+/// `LsmStore` is `Send + Sync`, every method takes `&self`, and threads
+/// share one store through an `Arc`. Frozen memtable generations and the
+/// ordered SSTable list form an immutable `LsmState` behind
+/// `RwLock<Arc<LsmState>>`, which every reader reads: the store's own
+/// [`SnapshotSource`] / [`TrajectoryStore`] methods, [`Self::pin`] and
+/// the gauges. The active memtable, the WAL and the compaction machinery
+/// sit behind one writer mutex that each write method takes once per
+/// call. Writers never mutate a published state: a structural change
+/// builds a fresh `Arc<LsmState>` and swaps it in under a short write
+/// lock —
 ///
-/// * at the end of each [`LsmStore::insert_batch`] — the batch is frozen
-///   into one generation and published whole; swaps that fall due inside
-///   it (a mid-batch flush, a finished compaction) are held back to that
-///   point, so the published state never shows part of a batch;
+/// * at the end of each [`LsmStore::insert_batch`], which is published
+///   whole: swaps that fall due inside it (a mid-batch flush, a finished
+///   compaction) are held back to its end;
 /// * at a flush or compaction commit outside a batch;
-/// * at [`LsmStore::pin_snapshot`], when single [`LsmStore::insert`]s
-///   have left acknowledged entries in the active memtable: they are
-///   frozen in first, so the pin sees everything acknowledged before it.
+/// * when a reader finds acknowledged single [`LsmStore::insert`]s not
+///   yet published: it takes the writer lock and freezes them in first.
+///   A store fed by batches never has such entries.
 ///
 /// A [`StorePin`] is an `Arc` of a published state plus its own I/O
-/// counters, and serves reads for an entire mining run without ever
-/// blocking ingest. [`SharedLsm::pin`](crate::SharedLsm::pin) takes it
-/// straight from the published pointer — without the writer — whenever
-/// no single insert is waiting to be published, which on a store fed by
-/// batches is always. Compaction may unlink a pinned table's file, but
-/// unix keeps the data readable through the pin's open descriptor;
-/// pinned block reads share the store's block cache and account into
-/// the pin's counters.
-///
-/// Compaction runs under a [`CompactionController`] (size-tiered by
-/// default: only similarly sized young runs are merged, settled tables
-/// are left alone) and, by default, on a background worker thread — the
-/// write path only enqueues. `LsmStore` is `Send`: its shared internals
-/// (block cache, I/O counters, manifest, published state) are `Arc`ed
-/// and thread-safe, so a store can be handed to another thread whole;
-/// [`SharedLsm`](crate::SharedLsm) wraps one in a mutex for `&self`
-/// ingest alongside live pins.
+/// counters; it serves a whole mining run without blocking ingest, and
+/// reads retired tables through its open descriptors. A panic under the
+/// writer lock poisons it, and the store fails closed: every later write
+/// returns an error, while reads, pins and gauges keep answering from
+/// the last published state. Compaction runs under a
+/// [`CompactionController`] (size-tiered by default) and, by default, on
+/// a background worker thread — the write path only enqueues.
 ///
 /// ```
 /// use k2_storage::{LsmStore, TrajectoryStore};
@@ -160,7 +153,7 @@ pub(crate) type Memtable = BTreeMap<u64, [u8; VAL_SIZE]>;
 ///
 /// let dir = std::env::temp_dir().join(format!("lsm-doc-{}", std::process::id()));
 /// let _ = std::fs::remove_dir_all(&dir);
-/// let mut store = LsmStore::create(&dir)?;
+/// let store = LsmStore::create(&dir)?;
 /// store.insert(Point::new(1, 2.0, 3.0, 0))?;
 /// store.insert(Point::new(2, 2.5, 3.0, 0))?;
 /// store.flush()?;
@@ -172,10 +165,35 @@ pub(crate) type Memtable = BTreeMap<u64, [u8; VAL_SIZE]>;
 #[derive(Debug)]
 pub struct LsmStore {
     dir: PathBuf,
+    /// The published MVCC state every reader reads; see the struct docs.
+    state: RwLock<Arc<LsmState>>,
+    /// Everything only writers touch. Taken through [`Self::writer`].
+    writer: Mutex<Writer>,
+    /// True while the active memtable holds acknowledged entries the
+    /// published state lacks — the one case in which a reader has to go
+    /// through the writer.
+    unpublished: AtomicBool,
+    /// A background compaction job is queued or running (the store
+    /// keeps at most one in flight). Written and read by the writer
+    /// under its lock, which orders it; the gauge reads it `Relaxed`, as
+    /// a statistic that publishes no other data.
+    compacting: AtomicBool,
+    /// Live [`StorePin`] count (each pin decrements on drop).
+    pins: Arc<AtomicU64>,
+    /// Shared with the background compaction worker, which appends its
+    /// own commit records.
+    manifest: Arc<Mutex<Manifest>>,
+    cache: Arc<BlockCache>,
+    io: Arc<IoCounters>,
+}
+
+/// The writer's half of an [`LsmStore`], behind its writer mutex.
+#[derive(Debug)]
+struct Writer {
     config: LsmConfig,
-    /// Writer-private active memtable: inserts land here without
-    /// touching the published state, so a swap is only paid when the
-    /// structure changes (flush/compaction/pin), never per record.
+    /// Active memtable: inserts land here without touching the published
+    /// state, so a swap is only paid when the structure changes, never
+    /// per record.
     active: Memtable,
     /// Frozen generations (oldest first) already visible in the
     /// published state; written out together at the next flush.
@@ -187,22 +205,12 @@ pub struct LsmStore {
     tables: Vec<Arc<SsTableReader>>,
     /// Sequence numbers of `tables`, same order.
     table_seqs: Vec<u64>,
-    /// The published MVCC state; see the struct docs.
-    state: Arc<RwLock<Arc<LsmState>>>,
+    span: Option<(Time, Time)>,
     /// Version of the currently published state; bumped on every swap.
     version: u64,
-    /// True while the active memtable holds acknowledged entries the
-    /// published state lacks — the one case in which a pin has to come
-    /// through the writer (see [`SharedLsm::pin`](crate::SharedLsm::pin)).
-    unpublished: Arc<AtomicBool>,
-    /// Inside [`Self::insert_batch`]: swaps are held back until the batch
-    /// ends, so no pin sees part of it.
+    /// Inside [`LsmStore::insert_batch`]: swaps are held back until the
+    /// batch ends, so no reader sees part of it.
     in_batch: bool,
-    /// Live [`StorePin`] count (each pin decrements on drop).
-    pins: Arc<AtomicU64>,
-    /// Shared with the background compaction worker, which appends its
-    /// own commit records.
-    manifest: Arc<Mutex<Manifest>>,
     /// Live WAL appender (present iff `config.wal`).
     wal: Option<WalWriter>,
     /// A live WAL inherited from a previous WAL-enabled incarnation when
@@ -210,14 +218,42 @@ pub struct LsmStore {
     /// the memtable and it is retired at the next flush.
     stale_wal: Option<PathBuf>,
     next_seq: u64,
-    cache: Arc<BlockCache>,
-    io: Arc<IoCounters>,
     controller: CompactionController,
     /// Background worker, spawned lazily at the first enqueued job.
     compactor: Option<CompactionHandle>,
-    /// Input seqs of the one in-flight background job, if any.
-    inflight: Option<Vec<u64>>,
-    span: Option<(Time, Time)>,
+}
+
+impl Writer {
+    fn new(config: LsmConfig) -> Self {
+        Self {
+            config,
+            active: Memtable::new(),
+            frozen: Vec::new(),
+            frozen_entries: 0,
+            tables: Vec::new(),
+            table_seqs: Vec::new(),
+            span: None,
+            version: 0,
+            in_batch: false,
+            wal: None,
+            stale_wal: None,
+            next_seq: 1,
+            controller: CompactionController::new(config.max_tables),
+            compactor: None,
+        }
+    }
+
+    /// Moves the active memtable, if it holds anything, into a new frozen
+    /// generation. The caller publishes.
+    fn freeze_active(&mut self) -> bool {
+        if self.active.is_empty() {
+            return false;
+        }
+        let generation = Arc::new(Frozen::new(std::mem::take(&mut self.active)));
+        self.frozen_entries += generation.entries.len();
+        self.frozen.push(generation);
+        true
+    }
 }
 
 impl LsmStore {
@@ -230,36 +266,38 @@ impl LsmStore {
     pub fn create_with(dir: impl AsRef<Path>, config: LsmConfig) -> StoreResult<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let manifest = Arc::new(Mutex::new(Manifest::create(&dir)?));
-        let state = Arc::new(RwLock::new(Arc::new(LsmState::empty())));
-        let mut store = Self {
+        let manifest = Manifest::create(&dir)?;
+        let store = Self::assemble(
             dir,
-            config,
-            active: Memtable::new(),
-            frozen: Vec::new(),
-            frozen_entries: 0,
-            tables: Vec::new(),
-            table_seqs: Vec::new(),
-            state,
-            version: 0,
-            unpublished: Arc::new(AtomicBool::new(false)),
-            in_batch: false,
-            pins: Arc::new(AtomicU64::new(0)),
             manifest,
-            wal: None,
-            stale_wal: None,
-            next_seq: 1,
-            cache: Arc::new(BlockCache::new(config.cache_blocks)),
-            io: Arc::new(IoCounters::new()),
-            controller: CompactionController::new(config.max_tables),
-            compactor: None,
-            inflight: None,
-            span: None,
-        };
+            Writer::new(config),
+            Arc::new(BlockCache::new(config.cache_blocks)),
+            Arc::new(IoCounters::new()),
+        );
         if config.wal {
-            store.rotate_wal()?;
+            store.rotate_wal(&mut *store.writer()?)?;
         }
         Ok(store)
+    }
+
+    fn assemble(
+        dir: PathBuf,
+        manifest: Manifest,
+        writer: Writer,
+        cache: Arc<BlockCache>,
+        io: Arc<IoCounters>,
+    ) -> Self {
+        Self {
+            dir,
+            state: RwLock::default(),
+            writer: Mutex::new(writer),
+            unpublished: AtomicBool::new(false),
+            compacting: AtomicBool::new(false),
+            pins: Arc::new(AtomicU64::new(0)),
+            manifest: Arc::new(Mutex::new(manifest)),
+            cache,
+            io,
+        }
     }
 
     /// Opens an existing store directory.
@@ -382,35 +420,28 @@ impl LsmStore {
             widen((lo >> 32) as Time, (hi >> 32) as Time);
         }
 
-        let mut store = Self {
-            dir,
-            config,
+        let writer = Writer {
             active,
-            frozen: Vec::new(),
-            frozen_entries: 0,
             tables,
             table_seqs: live,
-            state: Arc::new(RwLock::new(Arc::new(LsmState::empty()))),
-            version: 0,
-            unpublished: Arc::new(AtomicBool::new(false)),
-            in_batch: false,
-            pins: Arc::new(AtomicU64::new(0)),
-            manifest: Arc::new(Mutex::new(manifest)),
+            span,
             wal,
             stale_wal,
             next_seq,
-            cache,
-            io,
-            controller: CompactionController::new(config.max_tables),
-            compactor: None,
-            inflight: None,
-            span,
+            ..Writer::new(config)
         };
-        store.publish();
-        // WAL requested but no live generation (fresh store, or one last
-        // run with the WAL off): start one now.
-        if store.config.wal && store.wal.is_none() {
-            store.rotate_wal()?;
+        let store = Self::assemble(dir, manifest, writer, cache, io);
+        {
+            let mut w = store.writer()?;
+            // The replayed tail is published with the tables, so readers
+            // of a reopened store never need the writer.
+            w.freeze_active();
+            store.publish(&mut w);
+            // WAL requested but no live generation (fresh store, or one
+            // last run with the WAL off): start one now.
+            if w.config.wal && w.wal.is_none() {
+                store.rotate_wal(&mut w)?;
+            }
         }
         Ok(store)
     }
@@ -426,13 +457,14 @@ impl LsmStore {
         Self::bulk_load_with(dir, dataset, LsmConfig::default())
     }
 
-    /// Bulk-load with explicit configuration.
+    /// Bulk-load with explicit configuration. The writer lock is taken
+    /// once for the whole load.
     pub fn bulk_load_with(
         dir: impl AsRef<Path>,
         dataset: &Dataset,
         config: LsmConfig,
     ) -> StoreResult<Self> {
-        let mut store = Self::create_with(
+        let store = Self::create_with(
             dir,
             LsmConfig {
                 wal: false,
@@ -440,73 +472,110 @@ impl LsmStore {
                 ..config
             },
         )?;
-        for p in dataset.iter_points() {
-            store.insert(p)?;
-        }
-        store.flush()?;
-        store.config.wal = config.wal;
-        store.config.background_compaction = config.background_compaction;
-        if config.wal {
-            store.rotate_wal()?;
+        {
+            let mut w = store.writer()?;
+            for p in dataset.iter_points() {
+                store.insert_locked(&mut w, p)?;
+            }
+            store.flush_locked(&mut w)?;
+            w.config.wal = config.wal;
+            w.config.background_compaction = config.background_compaction;
+            if config.wal {
+                store.rotate_wal(&mut w)?;
+            }
         }
         Ok(store)
     }
 
-    /// Rebuilds the published [`LsmState`] from the writer-side fields
-    /// and swaps it in. The clone is shallow — vectors of `Arc`s — so a
-    /// swap costs two small allocations, never a data copy; the write
-    /// lock is held only for the pointer store.
-    fn publish(&mut self) {
-        if self.in_batch {
+    /// Takes the writer lock — the one place it is taken. A writer that
+    /// panicked while holding it may have left the memtable, the WAL or
+    /// the table list half-changed, so a poisoned lock is never entered
+    /// again: the store fails closed for writes, and readers keep the
+    /// last published state.
+    fn writer(&self) -> StoreResult<MutexGuard<'_, Writer>> {
+        self.writer.lock().map_err(|_| {
+            StoreError::Io(io::Error::other(
+                "LSM writer poisoned by an earlier panic; the store is read-only",
+            ))
+        })
+    }
+
+    /// A clone of the published state pointer.
+    fn published(&self) -> Arc<LsmState> {
+        // Writers hold the write lock for a pointer store only, so a
+        // poisoned lock still guards a whole state.
+        self.state
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    /// The state a reader sees: the published one, once any acknowledged
+    /// single inserts it lacks are frozen in. Only that freeze takes the
+    /// writer lock (and waits out whatever the writer is doing).
+    fn current(&self) -> StoreResult<Arc<LsmState>> {
+        // Acquire, paired with the Release stores in `insert_locked` and
+        // `publish`: a reader that finds the flag clear also finds the
+        // state that published those entries.
+        if self.unpublished.load(Ordering::Acquire) {
+            let mut w = self.writer()?;
+            if w.freeze_active() {
+                self.publish(&mut w);
+            }
+        }
+        Ok(self.published())
+    }
+
+    /// [`Self::current`] for the readers that cannot fail: on a poisoned
+    /// writer they answer from the last published state.
+    fn current_or_published(&self) -> Arc<LsmState> {
+        self.current().unwrap_or_else(|_| self.published())
+    }
+
+    /// Runs one read against the current state, charged to the store's
+    /// own counters.
+    fn read<R>(&self, read: impl FnOnce(&ReadView<'_>) -> StoreResult<R>) -> StoreResult<R> {
+        let state = self.current()?;
+        read(&ReadView::new(&state, &self.io))
+    }
+
+    /// Builds the published [`LsmState`] from the writer-side fields and
+    /// swaps it in. The clone is shallow — vectors of `Arc`s — so a swap
+    /// costs a few small allocations, never a data copy; the write lock
+    /// is held only for the pointer store.
+    fn publish(&self, w: &mut Writer) {
+        if w.in_batch {
             return; // `insert_batch` publishes when it is done
         }
-        self.version += 1;
-        let next = Arc::new(LsmState::new(
-            self.frozen.clone(),
-            self.tables.clone(),
-            self.table_seqs.clone(),
-            self.span,
-            self.version,
-        ));
-        *self.state.write().expect("state lock") = next;
-        // Release, paired with the Acquire load in `SharedLsm::pin`: a
-        // reader that finds the flag clear also finds the state above.
+        w.version += 1;
+        let next = Arc::new(LsmState {
+            frozen: w.frozen.clone(),
+            tables: w.tables.clone(),
+            table_seqs: w.table_seqs.clone(),
+            span: w.span,
+            version: w.version,
+        });
+        *self.state.write().unwrap_or_else(PoisonError::into_inner) = next;
+        // Release: see `current`.
         self.unpublished
-            .store(!self.active.is_empty(), Ordering::Release);
+            .store(!w.active.is_empty(), Ordering::Release);
     }
 
-    /// Moves the active memtable, if it holds anything, into a new frozen
-    /// generation. The caller publishes.
-    fn freeze_active(&mut self) -> bool {
-        if self.active.is_empty() {
-            return false;
-        }
-        let generation = Arc::new(Frozen::new(std::mem::take(&mut self.active)));
-        self.frozen_entries += generation.entries.len();
-        self.frozen.push(generation);
-        true
-    }
-
-    /// Pins the store's current contents as an immutable snapshot.
+    /// Pins the store's current contents as an immutable snapshot: every
+    /// insert and batch acknowledged before this call, and nothing after
+    /// it — in particular no part of a batch in flight.
     ///
-    /// The active memtable (non-empty only after single
-    /// [`Self::insert`]s; [`Self::insert_batch`] leaves it empty) is
-    /// frozen into the published state first, so the pin sees every
-    /// insert acknowledged before this call and nothing after it. The
+    /// Normally a clone of the published state that waits for no writer.
+    /// Only when single [`Self::insert`]s have left acknowledged entries
+    /// unpublished does it take the writer lock to freeze them in. The
     /// returned [`StorePin`] is a self-contained [`SnapshotSource`]: it
-    /// holds `Arc`s to the frozen
-    /// generations and open SSTable readers (compaction may unlink a
-    /// retired table's file, but the open descriptor keeps it readable),
-    /// reads through the store's shared block cache, and accounts its
-    /// I/O into its own counters. Dropping the pin releases it; the
-    /// writer is never blocked either way.
-    pub fn pin_snapshot(&mut self) -> StoreResult<StorePin> {
-        self.drain_finished()?;
-        if self.freeze_active() {
-            self.publish();
-        }
-        let state = self.state.read().expect("state lock").clone();
-        Ok(StorePin::new(state, self.pins.clone()))
+    /// holds `Arc`s to the frozen generations and open SSTable readers
+    /// (compaction may unlink a retired table's file, but the open
+    /// descriptor keeps it readable), reads through the store's shared
+    /// block cache, and accounts its I/O into its own counters. Dropping
+    /// the pin releases it; the writer is never blocked either way.
+    pub fn pin(&self) -> StoreResult<StorePin> {
+        Ok(StorePin::new(self.current()?, self.pins.clone()))
     }
 
     /// Inserts one record; may trigger an automatic memtable flush.
@@ -517,67 +586,75 @@ impl LsmStore {
     /// failure window). With background compaction (the default) the
     /// flush only writes the memtable and enqueues any merge work, so
     /// insert latency never includes an O(total data) compaction. The
-    /// record lands in the writer-private active memtable — no state
-    /// swap, no lock a concurrent pinned reader could contend on. It is
-    /// published by the next pin, batch or flush; feed a served store
-    /// through [`Self::insert_batch`], which publishes as it returns and
-    /// so keeps pins off the writer altogether.
-    pub fn insert(&mut self, p: Point) -> StoreResult<()> {
+    /// record lands in the active memtable — no state swap per record.
+    /// The next reader freezes it into the published state, taking the
+    /// writer lock to do so; feed a served store through
+    /// [`Self::insert_batch`], which publishes as it returns and so keeps
+    /// readers off the writer altogether.
+    pub fn insert(&self, p: Point) -> StoreResult<()> {
+        self.insert_locked(&mut *self.writer()?, p)
+    }
+
+    fn insert_locked(&self, w: &mut Writer, p: Point) -> StoreResult<()> {
         let key = key_of(p.t, p.oid);
         let val = val_of(p.x, p.y);
-        if let Some(w) = &mut self.wal {
-            w.append(key, &val)?;
+        if let Some(wal) = &mut w.wal {
+            wal.append(key, &val)?;
         }
-        self.active.insert(key, val);
-        if !self.in_batch {
-            // Acknowledged on return, visible only through the writer
-            // until the next publish. Release: see `publish`.
+        w.active.insert(key, val);
+        if !w.in_batch {
+            // Acknowledged on return, unpublished until the next swap.
+            // Release: see `current`.
             self.unpublished.store(true, Ordering::Release);
         }
-        self.span = Some(match self.span {
+        w.span = Some(match w.span {
             None => (p.t, p.t),
             Some((lo, hi)) => (lo.min(p.t), hi.max(p.t)),
         });
-        if self.active.len() + self.frozen_entries >= self.config.memtable_entries {
-            self.flush()?;
+        if w.active.len() + w.frozen_entries >= w.config.memtable_entries {
+            self.flush_locked(w)?;
         }
         Ok(())
     }
 
-    /// Inserts `points` in order as one unit of publication: each record
-    /// takes the same path as [`Self::insert`] (WAL append under the
-    /// configured [`WalSyncPolicy`], memtable, flush when full), but the
-    /// published state moves exactly once, when the last record is in —
-    /// the batch is frozen into one generation and swapped in. A
-    /// [`StorePin`] taken from the published state while the batch runs
-    /// (see [`SharedLsm::pin`](crate::SharedLsm::pin)) sees none of it,
-    /// even when the memtable fills and flushes midway: the flush's swap,
-    /// and that of any compaction finishing meanwhile, is held back to the
-    /// end. A pin taken after this returns sees all of it.
+    /// Inserts `points` in order as one unit of publication, and returns
+    /// the version it published. Each record takes the same path as
+    /// [`Self::insert`] (WAL append under the configured
+    /// [`WalSyncPolicy`], memtable, flush when full), but the published
+    /// state moves exactly once, when the last record is in — the batch
+    /// is frozen into one generation and swapped in. A reader of the
+    /// published state while the batch runs sees none of it, and does
+    /// not wait for it, even when the memtable fills and flushes midway:
+    /// the flush's swap, and that of any compaction finishing meanwhile,
+    /// is held back to the end. A reader after this returns sees all of
+    /// it; the returned version is the one its pin reports.
     ///
     /// If a record fails, the records before it stay applied (they are
     /// in the WAL, recovery would bring them back) and are published;
     /// the error is returned.
-    pub fn insert_batch(&mut self, points: &[Point]) -> StoreResult<()> {
-        self.drain_finished()?;
+    pub fn insert_batch(&self, points: &[Point]) -> StoreResult<u64> {
+        let mut w = self.writer()?;
+        self.drain_finished(&mut w)?;
         // Earlier single inserts are acknowledged: publish them now, or a
-        // pin would have to come through the writer for them and wait
+        // reader would have to come through the writer for them and wait
         // for this batch.
-        if self.freeze_active() {
-            self.publish();
+        if w.freeze_active() {
+            self.publish(&mut w);
         }
         if points.is_empty() {
-            return Ok(());
+            return Ok(w.version);
         }
-        self.in_batch = true;
-        let result = points.iter().try_for_each(|&p| self.insert(p));
-        self.in_batch = false;
+        w.in_batch = true;
+        let result = points
+            .iter()
+            .try_for_each(|&p| self.insert_locked(&mut w, p));
+        w.in_batch = false;
         // Whatever the batch left in the active memtable becomes one
         // generation; if its last record filled the memtable instead, the
         // flush's swap is still owed.
-        self.freeze_active();
-        self.publish();
-        result
+        w.freeze_active();
+        self.publish(&mut w);
+        result.map(|()| w.version)
     }
 
     /// Flushes all buffered entries — frozen generations and the active
@@ -593,13 +670,17 @@ impl LsmStore {
     /// leaves an orphan file that recovery ignores, while the WAL still
     /// holds every entry. Pins taken before the flush keep reading the
     /// frozen generations they hold; the swap is invisible to them.
-    pub fn flush(&mut self) -> StoreResult<()> {
-        self.drain_finished()?;
-        if self.active.is_empty() && self.frozen.is_empty() {
+    pub fn flush(&self) -> StoreResult<()> {
+        self.flush_locked(&mut *self.writer()?)
+    }
+
+    fn flush_locked(&self, w: &mut Writer) -> StoreResult<()> {
+        self.drain_finished(w)?;
+        if w.active.is_empty() && w.frozen.is_empty() {
             return Ok(());
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = w.next_seq;
+        w.next_seq += 1;
         let path = self.dir.join(sst_name(seq));
         // The frozen generations (oldest first) and the active memtable
         // are merged newest-wins straight into the writer — the order
@@ -607,11 +688,11 @@ impl LsmStore {
         // filter is sized by the number of distinct keys, which takes a
         // counting pass of its own when generations may overlap.
         let buffered = || {
-            let generations = self.frozen.iter().map(|g| &g.entries);
-            MergeIter::over_memtables(generations.chain(std::iter::once(&self.active)))
+            let generations = w.frozen.iter().map(|g| &g.entries);
+            MergeIter::over_memtables(generations.chain(std::iter::once(&w.active)))
         };
-        let distinct = if self.frozen.is_empty() {
-            self.active.len()
+        let distinct = if w.frozen.is_empty() {
+            w.active.len()
         } else {
             let mut merge = buffered();
             let mut n = 0;
@@ -620,30 +701,30 @@ impl LsmStore {
             }
             n
         };
-        let mut w = SsTableWriter::create(&path, distinct)?;
+        let mut table = SsTableWriter::create(&path, distinct)?;
         let mut merge = buffered();
         while let Some((k, v)) = merge.next()? {
-            w.put(k, &v)?;
+            table.put(k, &v)?;
         }
-        w.finish()?;
+        table.finish()?;
         sync_dir(&self.dir)?;
         self.append_manifest(&ManifestRecord::Flush { seq })?;
         let reader = SsTableReader::open(&path, seq, self.cache.clone(), self.io.clone())?;
-        self.tables.push(Arc::new(reader));
-        self.table_seqs.push(seq);
-        self.active.clear();
-        self.frozen.clear();
-        self.frozen_entries = 0;
-        self.publish();
+        w.tables.push(Arc::new(reader));
+        w.table_seqs.push(seq);
+        w.active.clear();
+        w.frozen.clear();
+        w.frozen_entries = 0;
+        self.publish(w);
         // The flushed entries are durable in the SSTable; retire the WAL
         // generation that covered them.
-        if self.config.wal {
-            self.rotate_wal()?;
-        } else if let Some(stale) = self.stale_wal.take() {
+        if w.config.wal {
+            self.rotate_wal(w)?;
+        } else if let Some(stale) = w.stale_wal.take() {
             self.append_manifest(&ManifestRecord::WalRotate { seq: 0 })?;
             let _ = fs::remove_file(stale);
         }
-        self.maybe_compact()?;
+        self.maybe_compact(w)?;
         Ok(())
     }
 
@@ -656,38 +737,44 @@ impl LsmStore {
     /// crash before it leaves an orphaned output that recovery deletes
     /// (the inputs stay live); a crash after it leaves stale inputs that
     /// recovery deletes (the output is live).
-    pub fn compact_blocking(&mut self) -> StoreResult<()> {
-        self.wait_for_compactions()?;
-        if self.tables.len() <= 1 {
+    pub fn compact_blocking(&self) -> StoreResult<()> {
+        let mut w = self.writer()?;
+        self.wait_locked(&mut w)?;
+        if w.tables.len() <= 1 {
             return Ok(());
         }
-        let range = 0..self.tables.len();
-        self.run_inline(range)
+        let range = 0..w.tables.len();
+        self.run_inline(&mut w, range)
     }
 
     /// Drives compaction to its policy steady state and blocks until no
     /// work remains: any in-flight background job is waited out and
     /// applied, and the controller is re-consulted until it picks
-    /// nothing. After this returns `num_tables() <= max_tables`.
-    pub fn wait_for_compactions(&mut self) -> StoreResult<()> {
+    /// nothing. After this returns `num_tables() <= max_tables`. Holds
+    /// the writer lock while it waits; readers do not wait for it.
+    pub fn wait_for_compactions(&self) -> StoreResult<()> {
+        self.wait_locked(&mut *self.writer()?)
+    }
+
+    fn wait_locked(&self, w: &mut Writer) -> StoreResult<()> {
         loop {
-            self.drain_finished()?;
-            if self.inflight.is_some() {
-                let res = self
+            self.drain_finished(w)?;
+            if self.compacting.load(Ordering::Relaxed) {
+                let res = w
                     .compactor
                     .as_ref()
                     .expect("in-flight job implies a worker")
                     .recv();
-                self.inflight = None;
+                self.compacting.store(false, Ordering::Relaxed);
                 if let Some(res) = res {
                     let done = res?;
-                    self.apply_compaction(done)?;
+                    self.apply_compaction(w, done)?;
                 }
                 continue;
             }
-            let sizes: Vec<u64> = self.tables.iter().map(|t| t.num_entries()).collect();
-            match self.controller.pick(&sizes) {
-                Some(range) => self.start_compaction(range)?,
+            let sizes: Vec<u64> = w.tables.iter().map(|t| t.num_entries()).collect();
+            match w.controller.pick(&sizes) {
+                Some(range) => self.start_compaction(w, range)?,
                 None => return Ok(()),
             }
         }
@@ -696,18 +783,18 @@ impl LsmStore {
     /// Applies finished background jobs and, if the controller picks a
     /// run and none is in flight, starts the next one. Blocking mode
     /// loops inline until the policy is satisfied.
-    fn maybe_compact(&mut self) -> StoreResult<()> {
-        self.drain_finished()?;
+    fn maybe_compact(&self, w: &mut Writer) -> StoreResult<()> {
+        self.drain_finished(w)?;
         loop {
-            if self.inflight.is_some() {
+            if self.compacting.load(Ordering::Relaxed) {
                 return Ok(());
             }
-            let sizes: Vec<u64> = self.tables.iter().map(|t| t.num_entries()).collect();
-            let Some(range) = self.controller.pick(&sizes) else {
+            let sizes: Vec<u64> = w.tables.iter().map(|t| t.num_entries()).collect();
+            let Some(range) = w.controller.pick(&sizes) else {
                 return Ok(());
             };
-            self.start_compaction(range)?;
-            if self.config.background_compaction {
+            self.start_compaction(w, range)?;
+            if w.config.background_compaction {
                 return Ok(());
             }
         }
@@ -715,48 +802,45 @@ impl LsmStore {
 
     /// Launches one compaction over the given contiguous table range —
     /// enqueued to the worker in background mode, run inline otherwise.
-    fn start_compaction(&mut self, range: Range<usize>) -> StoreResult<()> {
-        if self.config.background_compaction {
-            let inputs: Vec<u64> = self.table_seqs[range].to_vec();
-            let output = self.next_seq;
-            self.next_seq += 1;
-            let job = CompactionJob {
-                inputs: inputs.clone(),
-                output,
-            };
-            let compactor = self.compactor.get_or_insert_with(|| {
-                CompactionHandle::spawn(self.dir.clone(), self.manifest.clone(), self.io.clone())
-            });
-            compactor.enqueue(job);
-            self.inflight = Some(inputs);
-            Ok(())
-        } else {
-            self.run_inline(range)
+    fn start_compaction(&self, w: &mut Writer, range: Range<usize>) -> StoreResult<()> {
+        if !w.config.background_compaction {
+            return self.run_inline(w, range);
         }
+        let job = CompactionJob {
+            inputs: w.table_seqs[range].to_vec(),
+            output: w.next_seq,
+        };
+        w.next_seq += 1;
+        let compactor = w.compactor.get_or_insert_with(|| {
+            CompactionHandle::spawn(self.dir.clone(), self.manifest.clone(), self.io.clone())
+        });
+        compactor.enqueue(job);
+        self.compacting.store(true, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Runs one compaction inline and splices the result in.
-    fn run_inline(&mut self, range: Range<usize>) -> StoreResult<()> {
-        let inputs: Vec<u64> = self.table_seqs[range].to_vec();
-        let output = self.next_seq;
-        self.next_seq += 1;
+    fn run_inline(&self, w: &mut Writer, range: Range<usize>) -> StoreResult<()> {
+        let inputs: Vec<u64> = w.table_seqs[range].to_vec();
+        let output = w.next_seq;
+        w.next_seq += 1;
         let job = CompactionJob { inputs, output };
         let done = run_job(&self.dir, &self.manifest, &self.io, &job)?;
-        self.apply_compaction(done)
+        self.apply_compaction(w, done)
     }
 
     /// Applies any background results that are already waiting (never
     /// blocks).
-    fn drain_finished(&mut self) -> StoreResult<()> {
+    fn drain_finished(&self, w: &mut Writer) -> StoreResult<()> {
         loop {
-            let res = match &self.compactor {
+            let res = match &w.compactor {
                 Some(c) => c.try_recv(),
                 None => None,
             };
             let Some(res) = res else { return Ok(()) };
-            self.inflight = None;
+            self.compacting.store(false, Ordering::Relaxed);
             let done = res?;
-            self.apply_compaction(done)?;
+            self.apply_compaction(w, done)?;
         }
     }
 
@@ -769,21 +853,21 @@ impl LsmStore {
     /// through their open descriptors (the worker already unlinked the
     /// files); cache ids are table seqs, unique forever, so a pin
     /// re-caching a retired table's block can never alias the output's.
-    fn apply_compaction(&mut self, done: CompactionDone) -> StoreResult<()> {
-        let pos = self
+    fn apply_compaction(&self, w: &mut Writer, done: CompactionDone) -> StoreResult<()> {
+        let pos = w
             .table_seqs
             .iter()
             .position(|s| done.inputs.contains(s))
             .expect("compaction inputs must be live tables");
         debug_assert!(
-            self.table_seqs[pos..pos + done.inputs.len()]
+            w.table_seqs[pos..pos + done.inputs.len()]
                 .iter()
                 .all(|s| done.inputs.contains(s)),
             "compaction inputs must be contiguous in recency order"
         );
         for _ in 0..done.inputs.len() {
-            self.tables.remove(pos);
-            self.table_seqs.remove(pos);
+            w.tables.remove(pos);
+            w.table_seqs.remove(pos);
         }
         self.cache.evict_tables(&done.inputs);
         let reader = SsTableReader::open(
@@ -792,9 +876,9 @@ impl LsmStore {
             self.cache.clone(),
             self.io.clone(),
         )?;
-        self.tables.insert(pos, Arc::new(reader));
-        self.table_seqs.insert(pos, done.output);
-        self.publish();
+        w.tables.insert(pos, Arc::new(reader));
+        w.table_seqs.insert(pos, done.output);
+        self.publish(w);
         Ok(())
     }
 
@@ -807,17 +891,17 @@ impl LsmStore {
     /// committed to the manifest, then the old file is deleted. A crash
     /// between those steps only ever leaves an orphan file or an
     /// idempotent replay.
-    fn rotate_wal(&mut self) -> StoreResult<()> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+    fn rotate_wal(&self, w: &mut Writer) -> StoreResult<()> {
+        let seq = w.next_seq;
+        w.next_seq += 1;
         let path = self.dir.join(wal_name(seq));
-        let writer = WalWriter::create(&path, self.config.wal_sync, self.io.clone())?;
+        let writer = WalWriter::create(&path, w.config.wal_sync, self.io.clone())?;
         sync_dir(&self.dir)?;
         self.append_manifest(&ManifestRecord::WalRotate { seq })?;
-        if let Some(old) = self.wal.replace(writer) {
+        if let Some(old) = w.wal.replace(writer) {
             let _ = fs::remove_file(old.path());
         }
-        if let Some(stale) = self.stale_wal.take() {
+        if let Some(stale) = w.stale_wal.take() {
             let _ = fs::remove_file(stale);
         }
         Ok(())
@@ -825,29 +909,31 @@ impl LsmStore {
 
     /// Forces the live WAL (if any) to stable storage, regardless of the
     /// configured [`WalSyncPolicy`].
-    pub fn sync_wal(&mut self) -> StoreResult<()> {
-        if let Some(w) = &mut self.wal {
-            w.sync()?;
+    pub fn sync_wal(&self) -> StoreResult<()> {
+        if let Some(wal) = &mut self.writer()?.wal {
+            wal.sync()?;
         }
         Ok(())
     }
 
-    /// Number of on-disk SSTables.
+    /// Number of on-disk SSTables in the published state.
     pub fn num_tables(&self) -> usize {
-        self.tables.len()
+        self.published().tables.len()
     }
 
-    /// Entries currently buffered in memory: the active memtable plus
-    /// any generations frozen by [`Self::pin_snapshot`].
+    /// Entries buffered in memory: the frozen memtable generations of
+    /// the current state.
     pub fn memtable_len(&self) -> usize {
-        self.active.len() + self.frozen_entries
+        let state = self.current_or_published();
+        state.frozen.iter().map(|g| g.entries.len()).sum()
     }
 
     /// Version of the currently published state; bumped by every swap
-    /// (batch end, flush, compaction commit, a pin that had to freeze).
-    /// `version() - pin.version()` is a pin's staleness in state swaps.
+    /// (batch end, flush, compaction commit, a reader that had to
+    /// freeze single inserts in). `version() - pin.version()` is a pin's
+    /// staleness in state swaps.
     pub fn version(&self) -> u64 {
-        self.version
+        self.published().version
     }
 
     /// Number of live [`StorePin`]s.
@@ -858,34 +944,15 @@ impl LsmStore {
     /// Number of compaction jobs currently queued or running in the
     /// background (the store keeps at most one in flight).
     pub fn compaction_queue_depth(&self) -> usize {
-        usize::from(self.inflight.is_some())
+        usize::from(self.compacting.load(Ordering::Relaxed))
     }
 
-    /// The shared handle to the published state, for wrappers that need
-    /// to peek at the current version without borrowing the store.
-    pub(crate) fn state_handle(&self) -> Arc<RwLock<Arc<LsmState>>> {
-        self.state.clone()
-    }
-
-    /// The shared live-pin counter.
-    pub(crate) fn pins_handle(&self) -> Arc<AtomicU64> {
-        self.pins.clone()
-    }
-
-    /// The shared "acknowledged entries await publication" flag.
-    pub(crate) fn unpublished_handle(&self) -> Arc<AtomicBool> {
-        self.unpublished.clone()
-    }
-
-    /// The store's own read view: the writer-private active memtable on
-    /// top of what the published state holds.
-    fn view(&self) -> ReadView<'_> {
-        ReadView {
-            active: Some(&self.active),
-            frozen: &self.frozen,
-            tables: &self.tables,
-            io: &self.io,
-        }
+    /// The store itself. Kept only until the benchmark harness, which
+    /// still calls `lock()` on what was a mutex-wrapped handle, is
+    /// renamed to the `&self` API; delete it with
+    /// [`SharedLsm`](crate::SharedLsm).
+    pub fn lock(&self) -> &Self {
+        self
     }
 }
 
@@ -894,8 +961,12 @@ impl Drop for LsmStore {
         // Wait out an in-flight background job so its manifest commit
         // and input deletions are not torn by process-level teardown;
         // dropping the handle afterwards joins the worker.
-        if self.inflight.take().is_some() {
-            if let Some(c) = &self.compactor {
+        if std::mem::take(self.compacting.get_mut()) {
+            let w = self
+                .writer
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner);
+            if let Some(c) = &w.compactor {
                 let _ = c.recv();
             }
         }
@@ -904,14 +975,11 @@ impl Drop for LsmStore {
 
 impl SnapshotSource for LsmStore {
     fn span(&self) -> TimeInterval {
-        match self.span {
-            Some((lo, hi)) => TimeInterval::new(lo, hi),
-            None => TimeInterval::instant(0),
-        }
+        self.current_or_published().time_span()
     }
 
     fn num_points(&self) -> u64 {
-        self.view().num_points()
+        ReadView::new(&self.current_or_published(), &self.io).num_points()
     }
 
     fn scan_snapshot_ref<'a>(
@@ -919,12 +987,12 @@ impl SnapshotSource for LsmStore {
         t: Time,
         buf: &'a mut Vec<ObjPos>,
     ) -> StoreResult<SnapshotRef<'a>> {
-        self.view().scan_snapshot_into(t, buf)?;
+        self.read(|v| v.scan_snapshot_into(t, buf))?;
         Ok(SnapshotRef::Buffered(buf))
     }
 
     fn multi_get_into(&self, t: Time, oids: &[Oid], out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        self.view().multi_get_into(t, oids, out)
+        self.read(|v| v.multi_get_into(t, oids, out))
     }
 
     fn io_stats(&self) -> IoStats {
@@ -938,19 +1006,19 @@ impl SnapshotSource for LsmStore {
 
 impl TrajectoryStore for LsmStore {
     fn scan_snapshot(&self, t: Time) -> StoreResult<Vec<ObjPos>> {
-        self.view().scan_snapshot(t)
+        self.read(|v| v.scan_snapshot(t))
     }
 
     fn scan_snapshot_into(&self, t: Time, out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        self.view().scan_snapshot_into(t, out)
+        self.read(|v| v.scan_snapshot_into(t, out))
     }
 
     fn multi_get(&self, t: Time, oids: &[Oid]) -> StoreResult<Vec<ObjPos>> {
-        self.view().multi_get(t, oids)
+        self.read(|v| v.multi_get(t, oids))
     }
 
     fn point_get(&self, t: Time, oid: Oid) -> StoreResult<Option<ObjPos>> {
-        self.view().point_get(t, oid)
+        self.read(|v| v.point_get(t, oid))
     }
 
     fn reset_io_stats(&self) {
@@ -962,11 +1030,12 @@ impl TrajectoryStore for LsmStore {
 impl LsmStore {
     /// Test-only flush variant that skips the compaction consult, so a
     /// test can pin a deliberately un-compacted table layout.
-    fn flush_without_compaction_for_tests(&mut self) -> StoreResult<()> {
+    fn flush_without_compaction_for_tests(&self) -> StoreResult<()> {
+        let mut w = self.writer()?;
         let controller =
-            std::mem::replace(&mut self.controller, CompactionController::new(usize::MAX));
-        let res = self.flush();
-        self.controller = controller;
+            std::mem::replace(&mut w.controller, CompactionController::new(usize::MAX));
+        let res = self.flush_locked(&mut w);
+        w.controller = controller;
         res
     }
 }
@@ -983,16 +1052,17 @@ mod tests {
     }
 
     /// Path of the live write-ahead log, if the WAL is enabled.
-    fn wal_path(store: &LsmStore) -> Option<&Path> {
-        store.wal.as_ref().map(|w| w.path())
+    fn wal_path(store: &LsmStore) -> Option<PathBuf> {
+        let w = store.writer().unwrap();
+        w.wal.as_ref().map(|wal| wal.path().to_path_buf())
     }
 
     #[test]
-    fn lsm_store_is_send() {
-        fn assert_send<T: Send>() {}
-        assert_send::<LsmStore>();
-        assert_send::<BlockCache>();
-        assert_send::<SsTableReader>();
+    fn lsm_store_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<LsmStore>();
+        assert_send_sync::<BlockCache>();
+        assert_send_sync::<SsTableReader>();
     }
 
     #[test]
@@ -1052,7 +1122,7 @@ mod tests {
             max_tables: 100, // no auto-compaction
             ..LsmConfig::default()
         };
-        let mut store = LsmStore::bulk_load_with(tmpdir("explicit"), &d, config).unwrap();
+        let store = LsmStore::bulk_load_with(tmpdir("explicit"), &d, config).unwrap();
         assert!(store.num_tables() > 1);
         store.compact_blocking().unwrap();
         assert_eq!(store.num_tables(), 1);
@@ -1070,7 +1140,7 @@ mod tests {
             wal: false,
             ..LsmConfig::default()
         };
-        let mut store = LsmStore::bulk_load_with(&dir, &d, config).unwrap();
+        let store = LsmStore::bulk_load_with(&dir, &d, config).unwrap();
         assert_eq!(store.num_tables(), 1); // one settled 1000-entry table
         let settled_bytes = store.io_stats().bytes_compacted;
         // Pour in small flushes: the tiered policy must merge the young
@@ -1113,7 +1183,7 @@ mod tests {
         // Unique `(t, oid)` keys, 300 objects per timestamp.
         let ingest = |name: &str, config: LsmConfig| {
             let dir = tmpdir(name);
-            let mut store = LsmStore::create_with(&dir, config).unwrap();
+            let store = LsmStore::create_with(&dir, config).unwrap();
             for i in 0..POINTS {
                 let (oid, t) = ((i % 300) as u32, (i / 300) as u32);
                 store
@@ -1185,7 +1255,7 @@ mod tests {
             wal: false,
             ..LsmConfig::default()
         };
-        let mut store = LsmStore::create_with(&dir, config).unwrap();
+        let store = LsmStore::create_with(&dir, config).unwrap();
         for i in 0..2000u32 {
             store
                 .insert(Point::new(i % 500, (i % 97) as f64, 2.0, (i / 500) as Time))
@@ -1212,7 +1282,7 @@ mod tests {
                 wal: false,
                 ..LsmConfig::default()
             };
-            let mut store = LsmStore::create_with(&dir, config).unwrap();
+            let store = LsmStore::create_with(&dir, config).unwrap();
             for i in 0..600u32 {
                 store
                     .insert(Point::new(
@@ -1243,7 +1313,7 @@ mod tests {
             wal: false,
             ..LsmConfig::default()
         };
-        let mut store = LsmStore::bulk_load_with(&dir, &d, config).unwrap();
+        let store = LsmStore::bulk_load_with(&dir, &d, config).unwrap();
         assert_eq!(store.num_tables(), 1);
         // Warm the cache on the settled table.
         let _ = store.point_get(0, 5).unwrap();
@@ -1276,7 +1346,7 @@ mod tests {
     #[test]
     fn newest_version_wins_after_overwrite() {
         let dir = tmpdir("overwrite");
-        let mut store = LsmStore::create(&dir).unwrap();
+        let store = LsmStore::create(&dir).unwrap();
         store.insert(Point::new(1, 1.0, 1.0, 5)).unwrap();
         store.flush().unwrap();
         store.insert(Point::new(1, 9.0, 9.0, 5)).unwrap();
@@ -1296,13 +1366,13 @@ mod tests {
     #[test]
     fn newest_version_wins_across_frozen_generations() {
         let dir = tmpdir("frozenwins");
-        let mut store = LsmStore::create(&dir).unwrap();
+        let store = LsmStore::create(&dir).unwrap();
         store.insert(Point::new(1, 1.0, 1.0, 5)).unwrap();
-        let _pin_a = store.pin_snapshot().unwrap(); // freezes generation 1
+        let _pin_a = store.pin().unwrap(); // freezes generation 1
         store.insert(Point::new(1, 2.0, 2.0, 5)).unwrap();
-        let _pin_b = store.pin_snapshot().unwrap(); // freezes generation 2
+        let _pin_b = store.pin().unwrap(); // freezes generation 2
         store.insert(Point::new(1, 3.0, 3.0, 5)).unwrap();
-        // Active beats both frozen generations.
+        // The read freezes a third generation, which beats both others.
         assert_eq!(store.point_get(5, 1).unwrap().unwrap().x, 3.0);
         assert_eq!(store.scan_snapshot(5).unwrap()[0].x, 3.0);
         assert_eq!(store.multi_get(5, &[1]).unwrap()[0].x, 3.0);
@@ -1320,11 +1390,11 @@ mod tests {
     #[test]
     fn pin_is_isolated_from_later_writes() {
         let dir = tmpdir("pinisolate");
-        let mut store = LsmStore::create(&dir).unwrap();
+        let store = LsmStore::create(&dir).unwrap();
         for oid in 0..10u32 {
             store.insert(Point::new(oid, oid as f64, 1.0, 0)).unwrap();
         }
-        let pin = store.pin_snapshot().unwrap();
+        let pin = store.pin().unwrap();
         assert_eq!(store.live_pins(), 1);
         // Everything inserted before the pin is visible through it…
         assert_eq!(pin.scan_snapshot(0).unwrap().len(), 10);
@@ -1339,7 +1409,7 @@ mod tests {
         assert!(pin.scan_snapshot(1).unwrap().is_empty());
         assert_eq!(store.scan_snapshot(0).unwrap().len(), 30);
         // A fresh pin sees the new data.
-        let pin2 = store.pin_snapshot().unwrap();
+        let pin2 = store.pin().unwrap();
         assert_eq!(pin2.scan_snapshot(0).unwrap().len(), 30);
         assert_eq!(pin2.scan_snapshot(1).unwrap().len(), 1);
         assert!(pin2.version() > pin.version());
@@ -1358,7 +1428,7 @@ mod tests {
             wal: false,
             ..LsmConfig::default()
         };
-        let mut store = LsmStore::create_with(&dir, config).unwrap();
+        let store = LsmStore::create_with(&dir, config).unwrap();
         // Three flushed tables (max_tables 2 compacts on the third).
         let mut pinned_tables = Vec::new();
         let mut pin = None;
@@ -1371,8 +1441,8 @@ mod tests {
             if round == 1 {
                 // Pin while two un-compacted tables are live.
                 store.flush_without_compaction_for_tests().unwrap();
-                let p = store.pin_snapshot().unwrap();
-                pinned_tables = store.table_seqs.clone();
+                let p = store.pin().unwrap();
+                pinned_tables = store.published().table_seqs.clone();
                 pin = Some(p);
             } else {
                 store.flush().unwrap();
@@ -1398,8 +1468,8 @@ mod tests {
     #[test]
     fn pin_io_is_accounted_separately_but_shares_the_cache() {
         let d = toy_dataset();
-        let mut store = LsmStore::bulk_load(tmpdir("pinio"), &d).unwrap();
-        let pin = store.pin_snapshot().unwrap();
+        let store = LsmStore::bulk_load(tmpdir("pinio"), &d).unwrap();
+        let pin = store.pin().unwrap();
         store.reset_io_stats();
         // A cold pinned scan misses into the shared cache…
         let first = {
@@ -1427,13 +1497,13 @@ mod tests {
     #[test]
     fn version_bumps_on_every_swap_only() {
         let dir = tmpdir("version");
-        let mut store = LsmStore::create(&dir).unwrap();
+        let store = LsmStore::create(&dir).unwrap();
         let v0 = store.version();
         for oid in 0..5u32 {
             store.insert(Point::new(oid, 1.0, 1.0, 0)).unwrap();
         }
         assert_eq!(store.version(), v0, "plain inserts must not swap");
-        let pin = store.pin_snapshot().unwrap();
+        let pin = store.pin().unwrap();
         assert_eq!(store.version(), v0 + 1, "pin freezes and swaps");
         assert_eq!(pin.version(), store.version());
         store.flush().unwrap();
@@ -1444,7 +1514,7 @@ mod tests {
         );
         // Pinning a quiescent store swaps nothing.
         let v = store.version();
-        let pin2 = store.pin_snapshot().unwrap();
+        let pin2 = store.pin().unwrap();
         assert_eq!(store.version(), v);
         assert_eq!(pin2.version(), v);
     }
@@ -1458,9 +1528,9 @@ mod tests {
             background_compaction: false,
             ..LsmConfig::default()
         };
-        let mut store = LsmStore::create_with(&dir, config).unwrap();
+        let store = LsmStore::create_with(&dir, config).unwrap();
         store.insert(Point::new(0, 0.0, 0.0, 0)).unwrap();
-        let before = store.pin_snapshot().unwrap();
+        let before = store.pin().unwrap();
         let v0 = store.version();
         // 100 records through a 32-entry memtable: three flushes and an
         // inline compaction land inside the batch.
@@ -1471,7 +1541,7 @@ mod tests {
         assert!(store.num_tables() >= 1, "the batch must have flushed");
         assert_eq!(store.version(), v0 + 1, "one swap per batch");
         assert_eq!(before.scan_snapshot(0).unwrap().len(), 1);
-        let after = store.pin_snapshot().unwrap();
+        let after = store.pin().unwrap();
         assert_eq!(after.version(), v0 + 1, "nothing left to freeze");
         assert_eq!(after.scan_snapshot(0).unwrap().len(), 101);
         // An empty batch publishes nothing.
@@ -1484,6 +1554,90 @@ mod tests {
         assert_eq!(store.version(), v0 + 3);
         // The WAL covered every record of the batch.
         assert_eq!(store.io_stats().wal_appends, 103);
+    }
+
+    #[test]
+    fn insert_batch_returns_the_version_it_published() {
+        let store = LsmStore::create(tmpdir("batchversion")).unwrap();
+        let mut last = store.version();
+        for round in 0..4u32 {
+            let batch: Vec<Point> = (0..10u32)
+                .map(|oid| Point::new(oid, 1.0, 1.0, round))
+                .collect();
+            let version = store.insert_batch(&batch).unwrap();
+            assert_eq!(version, store.pin().unwrap().version());
+            assert!(version > last, "round {round}: {version} after {last}");
+            last = version;
+        }
+    }
+
+    #[test]
+    fn concurrent_ingest_under_live_pin() {
+        let config = LsmConfig {
+            memtable_entries: 128,
+            wal: false,
+            ..LsmConfig::default()
+        };
+        let store = Arc::new(LsmStore::create_with(tmpdir("concurrent"), config).unwrap());
+        for oid in 0..64u32 {
+            store.insert(Point::new(oid, oid as f64, 0.0, 0)).unwrap();
+        }
+        let pin = store.pin().unwrap();
+        assert_eq!(store.live_pins(), 1);
+        // Four writer threads ingest past several flush boundaries while
+        // the pin is live on this thread.
+        let writers: Vec<_> = (0..4u32)
+            .map(|w| {
+                let store = store.clone();
+                std::thread::spawn(move || {
+                    for i in 0..256u32 {
+                        let t = 1 + (i % 4) as Time;
+                        store
+                            .insert(Point::new(1000 + w * 1000 + i, 1.0, 1.0, t))
+                            .unwrap();
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        store.flush().unwrap();
+        store.wait_for_compactions().unwrap();
+        // The pin's view is exactly the pre-ingest state.
+        assert_eq!(pin.scan_snapshot(0).unwrap().len(), 64);
+        assert!(pin.scan_snapshot(1).unwrap().is_empty());
+        // The store sees everything.
+        assert_eq!(store.num_points(), 64 + 4 * 256);
+        drop(pin);
+        assert_eq!(store.live_pins(), 0);
+    }
+
+    #[test]
+    fn poisoned_writer_fails_closed_and_readers_keep_answering() {
+        let store = LsmStore::create(tmpdir("poison")).unwrap();
+        let batch: Vec<Point> = (0..20u32).map(|oid| Point::new(oid, 1.0, 1.0, 0)).collect();
+        let version = store.insert_batch(&batch).unwrap();
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _w = store.writer().unwrap();
+                panic!("writer panics while holding the lock");
+            })
+            .join()
+        });
+        assert!(panicked.is_err());
+        // Every write is refused, none panics.
+        assert!(store.insert_batch(&batch).is_err());
+        assert!(store.insert(Point::new(99, 1.0, 1.0, 1)).is_err());
+        assert!(store.flush().is_err());
+        // Reads, pins and gauges answer from the last published state.
+        let pin = store.pin().unwrap();
+        assert_eq!(pin.version(), version);
+        assert_eq!(pin.scan_snapshot(0).unwrap().len(), 20);
+        assert_eq!(store.scan_snapshot(0).unwrap().len(), 20);
+        assert_eq!(store.num_points(), 20);
+        assert_eq!(store.version(), version);
+        assert_eq!(store.memtable_len(), 20);
     }
 
     /// Writes `entries` the way the pre-streaming flush and compaction
@@ -1511,7 +1665,7 @@ mod tests {
             wal: false,
             ..LsmConfig::default()
         };
-        let mut store = LsmStore::create_with(&dir, config).unwrap();
+        let store = LsmStore::create_with(&dir, config).unwrap();
         let mut all_tables: Vec<Memtable> = Vec::new();
         // Three flushes; each folds three overlapping frozen generations
         // (freeze points set by pins) under a live active memtable. The
@@ -1529,11 +1683,11 @@ mod tests {
                     folded.insert(key_of(p.t, p.oid), val_of(p.x, p.y));
                 }
                 if generation + 1 < generations {
-                    drop(store.pin_snapshot().unwrap());
+                    drop(store.pin().unwrap());
                 }
             }
             store.flush().unwrap();
-            let seq = *store.table_seqs.last().unwrap();
+            let seq = *store.published().table_seqs.last().unwrap();
             assert_eq!(
                 fs::read(dir.join(sst_name(seq))).unwrap(),
                 reference_table(&dir, &folded, folded.len()),
@@ -1551,7 +1705,7 @@ mod tests {
         assert!(merged.len() < total, "the inputs must share keys");
         store.compact_blocking().unwrap();
         assert_eq!(store.num_tables(), 1);
-        let out = dir.join(sst_name(store.table_seqs[0]));
+        let out = dir.join(sst_name(store.published().table_seqs[0]));
         assert_eq!(
             fs::read(&out).unwrap(),
             reference_table(&dir, &merged, total),
@@ -1562,7 +1716,7 @@ mod tests {
     #[test]
     fn unflushed_memtable_is_readable() {
         let dir = tmpdir("memread");
-        let mut store = LsmStore::create(&dir).unwrap();
+        let store = LsmStore::create(&dir).unwrap();
         store.insert(Point::new(7, 3.0, 4.0, 2)).unwrap();
         assert_eq!(store.memtable_len(), 1);
         assert_eq!(
@@ -1605,7 +1759,7 @@ mod tests {
     fn wal_recovers_unflushed_inserts_on_reopen() {
         let dir = tmpdir("walrecover");
         {
-            let mut store = LsmStore::create(&dir).unwrap();
+            let store = LsmStore::create(&dir).unwrap();
             for oid in 0..10u32 {
                 store.insert(Point::new(oid, oid as f64, 1.0, 3)).unwrap();
             }
@@ -1629,11 +1783,11 @@ mod tests {
     fn wal_covers_frozen_generations_until_flush() {
         let dir = tmpdir("walfrozen");
         {
-            let mut store = LsmStore::create(&dir).unwrap();
+            let store = LsmStore::create(&dir).unwrap();
             for oid in 0..5u32 {
                 store.insert(Point::new(oid, oid as f64, 1.0, 0)).unwrap();
             }
-            let _pin = store.pin_snapshot().unwrap(); // freeze, no flush
+            let _pin = store.pin().unwrap(); // freeze, no flush
             for oid in 5..8u32 {
                 store.insert(Point::new(oid, oid as f64, 1.0, 0)).unwrap();
             }
@@ -1649,7 +1803,7 @@ mod tests {
     #[test]
     fn flush_retires_the_wal_generation() {
         let dir = tmpdir("walretire");
-        let mut store = LsmStore::create(&dir).unwrap();
+        let store = LsmStore::create(&dir).unwrap();
         store.insert(Point::new(1, 1.0, 1.0, 0)).unwrap();
         let before = wal_path(&store).unwrap().to_path_buf();
         store.flush().unwrap();
@@ -1671,7 +1825,7 @@ mod tests {
             wal: false,
             ..LsmConfig::default()
         };
-        let mut store = LsmStore::create_with(&dir, config).unwrap();
+        let store = LsmStore::create_with(&dir, config).unwrap();
         store.insert(Point::new(1, 1.0, 2.0, 0)).unwrap();
         assert_eq!(wal_path(&store), None);
         assert_eq!(store.io_stats().wal_appends, 0);

@@ -14,7 +14,7 @@
 //! ```
 
 use k2hop::server::{K2Service, Pattern, Request, Response, Server, TcpClient};
-use k2hop::storage::{LsmConfig, SharedLsm};
+use k2hop::storage::{LsmConfig, LsmStore};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -37,7 +37,7 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("k2-example-serve-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let seeded = k2hop::model::Dataset::from_points(&past).expect("non-empty past");
-    let store = SharedLsm::bulk_load_with(
+    let store = LsmStore::bulk_load_with(
         &dir,
         &seeded,
         LsmConfig {

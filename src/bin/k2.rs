@@ -16,9 +16,7 @@ use k2hop::baselines::{cuts, dcm, spare, vcoda};
 use k2hop::core::{K2Config, K2HopParallel};
 use k2hop::model::{codec, Dataset};
 use k2hop::server::{K2Service, Server};
-use k2hop::storage::{
-    FlatFileStore, InMemoryStore, LsmConfig, LsmStore, RelationalStore, SharedLsm,
-};
+use k2hop::storage::{FlatFileStore, InMemoryStore, LsmConfig, LsmStore, RelationalStore};
 use k2hop::{MiningSession, PatternKind};
 use std::collections::HashMap;
 use std::fs::File;
@@ -328,10 +326,10 @@ fn serve(args: &[&String]) -> Result<(), String> {
                 dataset.num_points(),
                 dataset.span().len()
             );
-            SharedLsm::bulk_load_with(&dir, &dataset, LsmConfig::default())
+            LsmStore::bulk_load_with(&dir, &dataset, LsmConfig::default())
         }
-        None if dir.join("MANIFEST").exists() => LsmStore::open(&dir).map(SharedLsm::new),
-        None => SharedLsm::create_with(&dir, LsmConfig::default()),
+        None if dir.join("MANIFEST").exists() => LsmStore::open(&dir),
+        None => LsmStore::create_with(&dir, LsmConfig::default()),
     }
     .map_err(|e| e.to_string())?;
     let service = Arc::new(K2Service::new(store));

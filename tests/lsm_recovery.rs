@@ -132,7 +132,7 @@ fn flushing_config() -> LsmConfig {
 }
 
 /// Streams every dataset point through the WAL-protected insert path.
-fn stream_insert(store: &mut LsmStore, dataset: &Dataset) {
+fn stream_insert(store: &LsmStore, dataset: &Dataset) {
     for p in dataset.iter_points() {
         store.insert(p).unwrap();
     }
@@ -180,8 +180,8 @@ fn kill_before_flush_recovers_every_acknowledged_insert() {
     {
         // Default config: memtable holds the whole workload, nothing is
         // flushed — the WAL is the only durable copy.
-        let mut store = LsmStore::create(&dir).unwrap();
-        stream_insert(&mut store, &dataset);
+        let store = LsmStore::create(&dir).unwrap();
+        stream_insert(&store, &dataset);
         assert_eq!(store.num_tables(), 0, "workload must stay unflushed");
         // Killed here: dropped without flush.
     }
@@ -213,8 +213,8 @@ fn kill_mid_insert_drops_only_the_torn_frame() {
     let dir = tmpdir("midinsert");
     let last = dataset.iter_points().last().unwrap();
     {
-        let mut store = LsmStore::create(&dir).unwrap();
-        stream_insert(&mut store, &dataset);
+        let store = LsmStore::create(&dir).unwrap();
+        stream_insert(&store, &dataset);
     }
     // Tear the final frame mid-write: 13 bytes of it never hit the disk.
     let wal = TornWriter::new(wal_file(&dir));
@@ -233,7 +233,6 @@ fn kill_mid_insert_drops_only_the_torn_frame() {
     );
     // The WAL was truncated to its last whole frame, so the client's
     // retry of the unacknowledged write continues the log cleanly.
-    let mut store = store;
     store.insert(last).unwrap();
     assert_mines_golden(&store, cfg, &expected, "kill-mid-insert");
 
@@ -251,8 +250,8 @@ fn kill_mid_flush_ignores_orphan_sstable_and_replays_wal() {
     let (dataset, cfg, expected) = golden_workload();
     let dir = tmpdir("midflush");
     {
-        let mut store = LsmStore::create(&dir).unwrap();
-        stream_insert(&mut store, &dataset);
+        let store = LsmStore::create(&dir).unwrap();
+        stream_insert(&store, &dataset);
     }
     // A flush died after writing half an SSTable: fabricate the orphan
     // from a torn copy of real table bytes (here: garbage prefix — the
@@ -278,8 +277,8 @@ fn kill_mid_compaction_keeps_inputs_drops_torn_output() {
     let (dataset, cfg, expected) = golden_workload();
     let dir = tmpdir("midcompact");
     {
-        let mut store = LsmStore::create_with(&dir, flushing_config()).unwrap();
-        stream_insert(&mut store, &dataset);
+        let store = LsmStore::create_with(&dir, flushing_config()).unwrap();
+        stream_insert(&store, &dataset);
         store.flush().unwrap();
         assert!(store.num_tables() > 1, "need several tables to compact");
     }
@@ -312,8 +311,8 @@ fn kill_after_compaction_commit_sweeps_stale_inputs() {
     let dir = tmpdir("postcompact");
     let stale: Vec<(PathBuf, Vec<u8>)>;
     {
-        let mut store = LsmStore::create_with(&dir, flushing_config()).unwrap();
-        stream_insert(&mut store, &dataset);
+        let store = LsmStore::create_with(&dir, flushing_config()).unwrap();
+        stream_insert(&store, &dataset);
         store.flush().unwrap();
         assert!(store.num_tables() > 1);
         // Snapshot the input files, run the real compaction, then put
@@ -351,8 +350,8 @@ fn corrupt_manifest_tail_truncates_to_last_whole_record() {
     let (dataset, cfg, expected) = golden_workload();
     let dir = tmpdir("manifesttail");
     {
-        let mut store = LsmStore::create_with(&dir, flushing_config()).unwrap();
-        stream_insert(&mut store, &dataset);
+        let store = LsmStore::create_with(&dir, flushing_config()).unwrap();
+        stream_insert(&store, &dataset);
         store.flush().unwrap();
     }
     let manifest = TornWriter::new(dir.join("MANIFEST"));
@@ -374,8 +373,8 @@ fn torn_manifest_tail_truncates_to_last_whole_record() {
     let (dataset, cfg, expected) = golden_workload();
     let dir = tmpdir("manifesttorn");
     {
-        let mut store = LsmStore::create_with(&dir, flushing_config()).unwrap();
-        stream_insert(&mut store, &dataset);
+        let store = LsmStore::create_with(&dir, flushing_config()).unwrap();
+        stream_insert(&store, &dataset);
         store.flush().unwrap();
     }
     let manifest = TornWriter::new(dir.join("MANIFEST"));
@@ -411,7 +410,7 @@ fn kill_between_partial_compactions_folds_both_commits() {
     let dir = tmpdir("partialcompact");
     let mid_run: Vec<(PathBuf, Vec<u8>)>;
     {
-        let mut store = LsmStore::create_with(&dir, tiered_config()).unwrap();
+        let store = LsmStore::create_with(&dir, tiered_config()).unwrap();
         let points: Vec<Point> = dataset.iter_points().collect();
         let half = points.len() / 2;
         for p in &points[..half] {
@@ -472,8 +471,8 @@ fn kill_with_background_compactions_recovers_to_golden() {
         ..tiered_config()
     };
     {
-        let mut store = LsmStore::create_with(&dir, config).unwrap();
-        stream_insert(&mut store, &dataset);
+        let store = LsmStore::create_with(&dir, config).unwrap();
+        stream_insert(&store, &dataset);
         // Killed here: in-flight background work + unflushed tail.
     }
     let store = LsmStore::open_with(&dir, config).unwrap();
@@ -491,8 +490,8 @@ fn corrupt_sstable_index_row_is_reported_not_panicked_on() {
     let (dataset, cfg, expected) = golden_workload();
     let dir = tmpdir("badindexrow");
     {
-        let mut store = LsmStore::create_with(&dir, flushing_config()).unwrap();
-        stream_insert(&mut store, &dataset);
+        let store = LsmStore::create_with(&dir, flushing_config()).unwrap();
+        stream_insert(&store, &dataset);
         store.flush().unwrap();
         assert!(store.num_tables() > 1);
     }
@@ -535,8 +534,8 @@ fn background_and_blocking_compaction_mine_identical_goldens() {
             background_compaction: background,
             ..tiered_config()
         };
-        let mut store = LsmStore::create_with(&dir, config).unwrap();
-        stream_insert(&mut store, &dataset);
+        let store = LsmStore::create_with(&dir, config).unwrap();
+        stream_insert(&store, &dataset);
         store.flush().unwrap();
         store.wait_for_compactions().unwrap();
         for threads in [1, 2, 4] {
@@ -564,7 +563,7 @@ fn torn_wal_tail_recovers_longest_whole_prefix() {
         .map(|i| Point::new(i % 8, i as f64, 0.5, i / 8))
         .collect();
     {
-        let mut store = LsmStore::create(&dir).unwrap();
+        let store = LsmStore::create(&dir).unwrap();
         for p in &points {
             store.insert(*p).unwrap();
         }

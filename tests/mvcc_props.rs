@@ -9,8 +9,9 @@
 //! taken at pin time.
 
 use k2hop::model::{Dataset, Point};
+use k2hop::server::{K2Service, Request, Response};
 use k2hop::storage::{
-    LsmConfig, LsmStore, SharedLsm, SnapshotSource, StorePin, TrajectoryStore, WalSyncPolicy,
+    LsmConfig, LsmStore, SnapshotSource, StorePin, TrajectoryStore, WalSyncPolicy,
 };
 use k2hop::MiningSession;
 use proptest::prelude::*;
@@ -90,7 +91,7 @@ proptest! {
             background_compaction: true,
             ..LsmConfig::default()
         };
-        let mut store = LsmStore::create_with(dir.join("lsm"), config).unwrap();
+        let store = LsmStore::create_with(dir.join("lsm"), config).unwrap();
         let mut model: Model = BTreeMap::new();
         // (pin, frozen copy at pin time), verified after the sequence.
         let mut pins: Vec<(StorePin, Dataset)> = Vec::new();
@@ -103,7 +104,7 @@ proptest! {
                 6 => store.flush().unwrap(),
                 7 => store.wait_for_compactions().unwrap(),
                 8 | 9 => {
-                    let pin = store.pin_snapshot().unwrap();
+                    let pin = store.pin().unwrap();
                     let frozen = freeze(&model).expect("model non-empty after insert");
                     // The pin is also correct *immediately*…
                     prop_assert_eq!(pin.span(), frozen.span());
@@ -154,9 +155,9 @@ fn store_and_pin_read_alike_and_cost_alike() {
             background_compaction: false,
             ..LsmConfig::default()
         };
-        let mut store = LsmStore::create_with(dir.join("lsm"), config).unwrap();
+        let store = LsmStore::create_with(dir.join("lsm"), config).unwrap();
         // Version `v` writes x = v, so a read shows which layer won.
-        let put = |store: &mut LsmStore, v: u32, ts: std::ops::Range<u32>, oids: &[u32]| {
+        let put = |store: &LsmStore, v: u32, ts: std::ops::Range<u32>, oids: &[u32]| {
             for t in ts {
                 for &oid in oids {
                     store
@@ -166,20 +167,15 @@ fn store_and_pin_read_alike_and_cost_alike() {
             }
         };
         let every = |step: usize| (0..300u32).step_by(step).collect::<Vec<_>>();
-        put(&mut store, 1, 0..6, &every(1));
+        put(&store, 1, 0..6, &every(1));
         store.flush().unwrap();
-        put(&mut store, 2, 0..6, &every(3));
+        put(&store, 2, 0..6, &every(3));
         store.flush().unwrap();
-        let tables_only = store.pin_snapshot().unwrap();
-        put(
-            &mut store,
-            3,
-            2..5,
-            &[every(5), (300..320).collect()].concat(),
-        );
-        let first = store.pin_snapshot().unwrap();
-        put(&mut store, 4, 3..7, &every(7));
-        let pin = store.pin_snapshot().unwrap();
+        let tables_only = store.pin().unwrap();
+        put(&store, 3, 2..5, &[every(5), (300..320).collect()].concat());
+        let first = store.pin().unwrap();
+        put(&store, 4, 3..7, &every(7));
+        let pin = store.pin().unwrap();
         assert_eq!(store.num_tables(), 2);
         assert_eq!(pin.version(), first.version() + 1, "a second generation");
         assert_eq!(store.num_points(), pin.num_points());
@@ -277,12 +273,12 @@ fn pin_before_ingest_serves_the_past_reissue_serves_the_present() {
         max_tables: 2,
         ..LsmConfig::default()
     };
-    let mut store = LsmStore::bulk_load_with(dir.join("lsm"), &dataset, config).unwrap();
+    let store = LsmStore::bulk_load_with(dir.join("lsm"), &dataset, config).unwrap();
     let session = MiningSession::with_params(2, 5, 2.0).unwrap();
     let golden = session.mine(&dataset).unwrap().convoys;
     assert_eq!(golden.len(), 1, "workload must produce exactly one convoy");
 
-    let pin = store.pin_snapshot().unwrap();
+    let pin = store.pin().unwrap();
     // Ingest a second travelling pair at t=0..10, forcing flushes and a
     // compaction — several state swaps.
     for t in 0..10u32 {
@@ -295,7 +291,7 @@ fn pin_before_ingest_serves_the_past_reissue_serves_the_present() {
     // The pinned mine is byte-identical to the pre-ingest golden…
     assert_eq!(session.mine(&pin).unwrap().convoys, golden);
     // …while a fresh pin (a re-issued request) sees the new convoy too.
-    let repin = store.pin_snapshot().unwrap();
+    let repin = store.pin().unwrap();
     let now = session.mine(&repin).unwrap().convoys;
     assert_eq!(now.len(), 2, "re-issued request must see the ingested pair");
     assert!(now.iter().any(|c| c.objects.ids() == [5, 6]));
@@ -315,16 +311,16 @@ fn insert_p99_stays_bounded_under_a_live_pin() {
         wal: false, // isolate the in-memory write path from fs jitter
         ..LsmConfig::default()
     };
-    let shared = SharedLsm::create_with(dir.join("lsm"), config).unwrap();
+    let store = LsmStore::create_with(dir.join("lsm"), config).unwrap();
     for oid in 0..256u32 {
-        shared.insert(Point::new(oid, oid as f64, 0.0, 0)).unwrap();
+        store.insert(Point::new(oid, oid as f64, 0.0, 0)).unwrap();
     }
-    let pin = shared.pin().unwrap();
+    let pin = store.pin().unwrap();
     // A busy reader hammering the pinned snapshot for the whole run.
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let reader = {
         let stop = stop.clone();
-        let reader_pin = shared.pin().unwrap();
+        let reader_pin = store.pin().unwrap();
         std::thread::spawn(move || {
             let mut scans = 0u64;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
@@ -341,7 +337,7 @@ fn insert_p99_stays_bounded_under_a_live_pin() {
     for i in 0..N as u32 {
         let p = Point::new(1000 + (i % 4096), 1.0, 2.0, 1 + i / 4096);
         let t0 = std::time::Instant::now();
-        shared.insert(p).unwrap();
+        store.insert(p).unwrap();
         lat.push(t0.elapsed().as_nanos() as u64);
     }
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
@@ -375,7 +371,7 @@ fn store_stays_model_exact_while_pins_churn() {
         max_tables: 2,
         ..LsmConfig::default()
     };
-    let mut store = LsmStore::create_with(dir.join("lsm"), config).unwrap();
+    let store = LsmStore::create_with(dir.join("lsm"), config).unwrap();
     let mut model: Model = BTreeMap::new();
     let mut held: Vec<(StorePin, Dataset)> = Vec::new();
     for i in 0..400u32 {
@@ -384,7 +380,7 @@ fn store_stays_model_exact_while_pins_churn() {
         store.insert(Point::new(oid, x, y, t)).unwrap();
         model.insert((t, oid), (x, y));
         if i % 37 == 0 {
-            held.push((store.pin_snapshot().unwrap(), freeze(&model).unwrap()));
+            held.push((store.pin().unwrap(), freeze(&model).unwrap()));
         }
         if i % 90 == 0 {
             held.clear(); // mass unpin mid-churn
@@ -427,8 +423,10 @@ fn disk_progress(dir: &Path) -> (u64, usize) {
 /// `insert_batch` — slowed to seconds by an fsync per record — return
 /// without waiting for it, see everything acknowledged before it and
 /// nothing of it; with `memtable_entries` below the batch size the
-/// memtable also fills and flushes midway. Afterwards a pin sees the
-/// whole batch, and further pins publish nothing.
+/// memtable also fills and flushes midway. So does a `Stats` request:
+/// its gauges return as fast as the pins and agree with the pin taken
+/// beside them. Afterwards a pin sees the whole batch, and
+/// further pins publish nothing.
 fn pins_during_a_batch(name: &str, memtable_entries: usize) {
     const BATCH: u32 = 16_384;
     let dir = tmp(name, 0).join("lsm");
@@ -437,29 +435,29 @@ fn pins_during_a_batch(name: &str, memtable_entries: usize) {
         wal_sync: WalSyncPolicy::EveryAppend,
         ..LsmConfig::default()
     };
-    let shared = SharedLsm::create_with(&dir, config).unwrap();
+    let service = Arc::new(K2Service::new(LsmStore::create_with(&dir, config).unwrap()));
+    let store = service.store();
 
     // Acknowledged beforehand: one batch and one single insert.
     let first: Vec<Point> = (0..300u32)
         .map(|oid| Point::new(oid, 1.0, 1.0, 0))
         .collect();
     let v_first = {
-        let mut store = shared.lock();
         store.insert_batch(&first).unwrap();
         store.version()
     };
-    assert_eq!(shared.pin().unwrap().version(), v_first);
-    shared.insert(Point::new(300, 1.0, 1.0, 0)).unwrap();
+    assert_eq!(store.pin().unwrap().version(), v_first);
+    store.insert(Point::new(300, 1.0, 1.0, 0)).unwrap();
     let acked = 301;
 
     let base = disk_progress(&dir);
     let done = Arc::new(AtomicBool::new(false));
     let writer = {
-        let (shared, done) = (shared.clone(), done.clone());
+        let (service, done) = (service.clone(), done.clone());
         std::thread::spawn(move || {
             let batch: Vec<Point> = (0..BATCH).map(|i| Point::new(i, 2.0, 2.0, 1)).collect();
             let version = {
-                let mut store = shared.lock();
+                let store = service.store();
                 store.insert_batch(&batch).unwrap();
                 store.version()
             };
@@ -474,18 +472,26 @@ fn pins_during_a_batch(name: &str, memtable_entries: usize) {
     }
 
     let mut waits = Vec::new();
+    let mut gauge_waits = Vec::new();
     let mut pinned_after_flush = false;
     let mut last_version = v_first;
     loop {
         let flushed = disk_progress(&dir).1 > base.1;
         let t0 = Instant::now();
-        let pin = shared.pin().unwrap();
+        let pin = store.pin().unwrap();
         let waited = t0.elapsed();
+        let t0 = Instant::now();
+        let stats = match service.handle(Request::Stats { quiesce: false }) {
+            Response::Stats(s) => s,
+            other => panic!("expected stats, got {other:?}"),
+        };
+        let gauge_waited = t0.elapsed();
         if done.load(Ordering::Acquire) {
             break; // the batch may have ended under this pin: it proves nothing
         }
         // Requested and returned while the writer held the store.
         waits.push(waited);
+        gauge_waits.push(gauge_waited);
         pinned_after_flush |= flushed;
         assert_eq!(
             pin.num_points(),
@@ -496,18 +502,26 @@ fn pins_during_a_batch(name: &str, memtable_entries: usize) {
         assert!(pin.scan_snapshot(1).unwrap().is_empty());
         assert!(pin.version() >= last_version, "pin versions went backwards");
         last_version = pin.version();
+        // The gauges describe the pinned state: no table was published
+        // before the batch, so every pinned point is still buffered.
+        let gauges = (stats.num_points, stats.num_tables, stats.memtable_len);
+        let tables = pin.table_seqs().len() as u64;
+        assert_eq!(gauges, (acked, tables, acked), "a gauge saw the batch");
+        assert_eq!((stats.maintenance_depth, stats.version), (0, pin.version()));
         std::thread::sleep(Duration::from_millis(2));
     }
     let v_batch = writer.join().unwrap();
 
     assert!(!waits.is_empty(), "no pin landed inside the batch");
-    waits.sort_unstable();
-    assert!(
-        waits[waits.len() / 2] < Duration::from_millis(5),
-        "pins queued behind the batch: median {:?}, worst {:?}",
-        waits[waits.len() / 2],
-        waits[waits.len() - 1]
-    );
+    for (what, waits) in [("pins", &mut waits), ("gauges", &mut gauge_waits)] {
+        waits.sort_unstable();
+        assert!(
+            waits[waits.len() / 2] < Duration::from_millis(5),
+            "{what} queued behind the batch: median {:?}, worst {:?}",
+            waits[waits.len() / 2],
+            waits[waits.len() - 1]
+        );
+    }
     if memtable_entries < BATCH as usize {
         assert!(disk_progress(&dir).1 > base.1, "the batch never flushed");
         assert!(
@@ -518,15 +532,15 @@ fn pins_during_a_batch(name: &str, memtable_entries: usize) {
 
     // After the ack: all of it, at the version the batch reported.
     assert!(v_batch > last_version);
-    let after = shared.pin().unwrap();
+    let after = store.pin().unwrap();
     assert_eq!(after.version(), v_batch);
     assert_eq!(after.num_points(), acked + u64::from(BATCH));
     assert_eq!(after.scan_snapshot(1).unwrap().len(), BATCH as usize);
     // Pins between batches freeze nothing and publish nothing.
     for _ in 0..3 {
-        assert_eq!(shared.pin().unwrap().version(), v_batch);
+        assert_eq!(store.pin().unwrap().version(), v_batch);
     }
-    assert_eq!(shared.version(), v_batch);
+    assert_eq!(store.version(), v_batch);
     let _ = std::fs::remove_dir_all(dir.parent().unwrap());
 }
 

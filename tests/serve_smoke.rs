@@ -6,7 +6,7 @@
 
 use k2hop::model::{Dataset, Point};
 use k2hop::server::{K2Service, LocalClient, Pattern, Request, Response, Server, TcpClient};
-use k2hop::storage::{LsmConfig, SharedLsm, SnapshotSource};
+use k2hop::storage::{LsmConfig, LsmStore, SnapshotSource};
 use k2hop::MiningSession;
 use std::sync::Arc;
 
@@ -66,7 +66,7 @@ fn local_and_tcp_clients_mine_golden_convoys() {
     assert!(want.len() >= 2, "workload must plant convoys");
     let span_end = dataset.span().end;
 
-    let store = SharedLsm::bulk_load_with(tmp("golden"), &dataset, LsmConfig::default()).unwrap();
+    let store = LsmStore::bulk_load_with(tmp("golden"), &dataset, LsmConfig::default()).unwrap();
     let service = Arc::new(K2Service::new(store));
     let mut server = Server::bind("127.0.0.1:0", Arc::clone(&service), 2).unwrap();
     let local = LocalClient::new(Arc::clone(&service), 2);
@@ -106,7 +106,7 @@ fn local_and_tcp_clients_mine_golden_convoys() {
 fn ingest_then_reissue_sees_new_data_and_stats_quiesces() {
     let dataset = workload();
     let span_end = dataset.span().end;
-    let store = SharedLsm::bulk_load_with(
+    let store = LsmStore::bulk_load_with(
         tmp("ingest"),
         &dataset,
         LsmConfig {
@@ -165,7 +165,7 @@ fn ingest_then_reissue_sees_new_data_and_stats_quiesces() {
 fn concurrent_miners_under_live_ingest_agree_with_their_pins() {
     let dataset = workload();
     let span_end = dataset.span().end;
-    let store = SharedLsm::bulk_load_with(
+    let store = LsmStore::bulk_load_with(
         tmp("concurrent"),
         &dataset,
         LsmConfig {
@@ -236,7 +236,7 @@ fn concurrent_miners_under_live_ingest_agree_with_their_pins() {
 #[test]
 fn flock_requests_serve_over_the_wire() {
     let dataset = workload();
-    let store = SharedLsm::bulk_load_with(tmp("flock"), &dataset, LsmConfig::default()).unwrap();
+    let store = LsmStore::bulk_load_with(tmp("flock"), &dataset, LsmConfig::default()).unwrap();
     let service = Arc::new(K2Service::new(store));
     let local = LocalClient::new(service, 1);
     let resp = local
@@ -262,7 +262,7 @@ fn flock_requests_serve_over_the_wire() {
 #[test]
 fn back_to_back_round_trips_do_not_wait_for_delayed_acks() {
     let dataset = workload();
-    let store = SharedLsm::bulk_load_with(tmp("rtt"), &dataset, LsmConfig::default()).unwrap();
+    let store = LsmStore::bulk_load_with(tmp("rtt"), &dataset, LsmConfig::default()).unwrap();
     let service = Arc::new(K2Service::new(store));
     let server = Server::bind("127.0.0.1:0", service, 1).unwrap();
     let mut tcp = TcpClient::connect(server.addr()).unwrap();
@@ -283,7 +283,7 @@ fn back_to_back_round_trips_do_not_wait_for_delayed_acks() {
 #[test]
 fn wire_thread_count_is_clamped_to_the_machine() {
     let dataset = workload();
-    let store = SharedLsm::bulk_load_with(tmp("threads"), &dataset, LsmConfig::default()).unwrap();
+    let store = LsmStore::bulk_load_with(tmp("threads"), &dataset, LsmConfig::default()).unwrap();
     let local = LocalClient::new(Arc::new(K2Service::new(store)), 1);
     let span_end = dataset.span().end;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u32;
@@ -303,8 +303,7 @@ fn wire_thread_count_is_clamped_to_the_machine() {
 #[test]
 fn a_batch_with_a_non_finite_point_is_rejected_whole() {
     let dataset = workload();
-    let store =
-        SharedLsm::bulk_load_with(tmp("nonfinite"), &dataset, LsmConfig::default()).unwrap();
+    let store = LsmStore::bulk_load_with(tmp("nonfinite"), &dataset, LsmConfig::default()).unwrap();
     let service = Arc::new(K2Service::new(store));
     let local = LocalClient::new(Arc::clone(&service), 1);
     let stats = |local: &LocalClient| match local.request(&Request::Stats { quiesce: false }) {
@@ -333,7 +332,7 @@ fn a_batch_with_a_non_finite_point_is_rejected_whole() {
     assert_eq!(after.num_points, before.num_points);
     assert_eq!(after.memtable_len, before.memtable_len);
     assert_eq!(after.version, before.version);
-    assert_eq!(service.store().lock().io_stats().wal_appends, 0);
+    assert_eq!(service.store().io_stats().wal_appends, 0);
     // The store still takes a clean batch.
     let points = vec![Point::new(7001, 1.0, 1.0, t)];
     match local.request(&Request::Ingest { points }).unwrap() {
@@ -343,4 +342,39 @@ fn a_batch_with_a_non_finite_point_is_rejected_whole() {
         }
         other => panic!("expected ingest ack, got {other:?}"),
     }
+}
+
+/// Each `Ingested` reply carries the version its own batch published,
+/// even when other batches land in between: four simultaneous `Ingest`s
+/// get four distinct versions, the last of them the store's.
+#[test]
+fn simultaneous_ingests_reply_with_distinct_versions() {
+    let dataset = workload();
+    let store = LsmStore::bulk_load_with(tmp("versions"), &dataset, LsmConfig::default()).unwrap();
+    let service = Arc::new(K2Service::new(store));
+    let t = dataset.span().end + 1;
+    let start = Arc::new(std::sync::Barrier::new(4));
+    let senders: Vec<_> = (0..4u32)
+        .map(|w| {
+            let (service, start) = (Arc::clone(&service), Arc::clone(&start));
+            std::thread::spawn(move || {
+                let points = (0..64u32)
+                    .map(|i| Point::new(8000 + w * 100 + i, 1.0, 1.0, t))
+                    .collect();
+                start.wait();
+                match service.handle(Request::Ingest { points }) {
+                    Response::Ingested { count, version } => {
+                        assert_eq!(count, 64);
+                        version
+                    }
+                    other => panic!("expected ingest ack, got {other:?}"),
+                }
+            })
+        })
+        .collect();
+    let mut versions: Vec<u64> = senders.into_iter().map(|s| s.join().unwrap()).collect();
+    versions.sort_unstable();
+    versions.dedup();
+    assert_eq!(versions.len(), 4, "replies shared a version: {versions:?}");
+    assert_eq!(versions[3], service.store().version());
 }

@@ -139,7 +139,7 @@ proptest! {
             max_tables: 3,
             ..LsmConfig::default()
         };
-        let mut lsm = LsmStore::create_with(dir.join("lsm"), config).unwrap();
+        let lsm = LsmStore::create_with(dir.join("lsm"), config).unwrap();
         for (i, p) in points.iter().enumerate() {
             lsm.insert(*p).unwrap();
             if i % flush_every == flush_every - 1 {
@@ -231,7 +231,7 @@ proptest! {
             wal_sync: WalSyncPolicy::EveryAppend,
             ..LsmConfig::default()
         };
-        let mut lsm = LsmStore::create_with(dir.join("lsm"), config).unwrap();
+        let lsm = LsmStore::create_with(dir.join("lsm"), config).unwrap();
         for (i, p) in points.iter().enumerate() {
             lsm.insert(*p).unwrap();
             if i % flush_every == flush_every - 1 {
