@@ -2,7 +2,7 @@
 //!
 //! The experimental section of the paper compares k/2-hop against a zoo of
 //! sequential and parallel convoy miners. This crate implements all of
-//! them, from scratch, against the same [`TrajectoryStore`](k2_storage::TrajectoryStore) interface:
+//! them, from scratch, against the same [`SnapshotSource`](k2_storage::SnapshotSource) interface:
 //!
 //! | Module | Algorithm | Source | Notes |
 //! |---|---|---|---|

@@ -7,7 +7,6 @@ use k2_datagen::ConvoyInjector;
 use k2_model::Dataset;
 use k2_storage::{
     FlatFileStore, InMemoryStore, LsmStore, MemoryBudget, RelationalStore, SnapshotSource,
-    TrajectoryStore,
 };
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -47,7 +46,7 @@ fn engines() -> Engines {
 fn bench_snapshot_scan(c: &mut Criterion) {
     let e = engines();
     let mut group = c.benchmark_group("storage/scan_snapshot");
-    let stores: [(&str, &dyn TrajectoryStore); 4] = [
+    let stores: [(&str, &dyn SnapshotSource); 4] = [
         ("memory", &e.mem),
         ("flat", &e.flat),
         ("btree", &e.btree),
@@ -55,10 +54,10 @@ fn bench_snapshot_scan(c: &mut Criterion) {
     ];
     for (name, store) in stores {
         group.bench_with_input(BenchmarkId::from_parameter(name), &store, |b, s| {
-            let mut t = 0u32;
+            let (mut t, mut buf) = (0u32, Vec::new());
             b.iter(|| {
                 t = (t + 37) % 200;
-                black_box(s.scan_snapshot(t).unwrap().len())
+                black_box(s.scan_snapshot_ref(t, &mut buf).unwrap().len())
             })
         });
     }
@@ -71,7 +70,7 @@ fn bench_point_get(c: &mut Criterion) {
     // The flat file pays a sequential scan per lookup; keep its sample
     // small so the suite stays fast.
     group.sample_size(10);
-    let stores: [(&str, &dyn TrajectoryStore); 4] = [
+    let stores: [(&str, &dyn SnapshotSource); 4] = [
         ("memory", &e.mem),
         ("flat", &e.flat),
         ("btree", &e.btree),
@@ -79,10 +78,11 @@ fn bench_point_get(c: &mut Criterion) {
     ];
     for (name, store) in stores {
         group.bench_with_input(BenchmarkId::from_parameter(name), &store, |b, s| {
-            let mut i = 0u32;
+            let (mut i, mut buf) = (0u32, Vec::new());
             b.iter(|| {
                 i = i.wrapping_add(101);
-                black_box(s.point_get(i % 200, i % 1_000).unwrap())
+                s.multi_get_into(i % 200, &[i % 1_000], &mut buf).unwrap();
+                black_box(buf.first().copied())
             })
         });
     }
@@ -95,14 +95,15 @@ fn bench_multi_get(c: &mut Criterion) {
     let e = engines();
     let oids: Vec<u32> = (0..8).map(|i| i * 117).collect();
     let mut group = c.benchmark_group("storage/multi_get_8");
-    let stores: [(&str, &dyn TrajectoryStore); 3] =
+    let stores: [(&str, &dyn SnapshotSource); 3] =
         [("memory", &e.mem), ("btree", &e.btree), ("lsm", &e.lsm)];
     for (name, store) in stores {
         group.bench_with_input(BenchmarkId::from_parameter(name), &store, |b, s| {
-            let mut t = 0u32;
+            let (mut t, mut buf) = (0u32, Vec::new());
             b.iter(|| {
                 t = (t + 13) % 200;
-                black_box(s.multi_get(t, &oids).unwrap().len())
+                s.multi_get_into(t, &oids, &mut buf).unwrap();
+                black_box(buf.len())
             })
         });
     }

@@ -206,7 +206,7 @@ pub(crate) fn shard_ranges(len: usize, shards: usize) -> Vec<std::ops::Range<usi
 ///
 /// `fetch` resolves one benchmark timestamp to a [`SnapshotRef`], filling
 /// the passed buffer only when the engine cannot share its storage (see
-/// `TrajectoryStore::scan_snapshot_ref`). Fetching stays on the calling
+/// `SnapshotSource::scan_snapshot_ref`). Fetching stays on the calling
 /// thread (store I/O and its statistics are single-threaded, so stores
 /// need not be `Sync`); clustering fans out over `threads` workers off an
 /// atomic counter, one [`GridScratch`] per worker.

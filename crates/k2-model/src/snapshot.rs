@@ -112,7 +112,7 @@ impl Snapshot {
     }
 
     /// [`restrict_into`](Self::restrict_into) over a raw sorted id slice
-    /// (what the storage layer's `multi_get` receives).
+    /// (what the storage layer's `multi_get_into` receives).
     pub fn restrict_ids_into(&self, ids: &[Oid], out: &mut Vec<ObjPos>) {
         restrict_sorted_ids_into(&self.positions, ids, out);
     }

@@ -71,7 +71,7 @@ impl Default for BTreeConfig {
 /// A read-only, bulk-loaded clustered B+tree store.
 ///
 /// ```
-/// use k2_storage::{RelationalStore, TrajectoryStore};
+/// use k2_storage::{RelationalStore, SnapshotSource};
 /// use k2_model::{Dataset, Point};
 ///
 /// let dataset = Dataset::from_points(&[
@@ -80,8 +80,10 @@ impl Default for BTreeConfig {
 /// ]).unwrap();
 /// let path = std::env::temp_dir().join(format!("btree-doc-{}.k2bt", std::process::id()));
 /// let store = RelationalStore::create(&path, &dataset)?;
-/// assert_eq!(store.point_get(1, 1)?.unwrap().x, 2.5);
-/// assert_eq!(store.scan_snapshot(0)?.len(), 1);
+/// let mut buf = Vec::new();
+/// store.multi_get_into(1, &[1], &mut buf)?;
+/// assert_eq!(buf[0].x, 2.5);
+/// assert_eq!(store.scan_snapshot_ref(0, &mut buf)?.len(), 1);
 /// # std::fs::remove_file(&path).ok();
 /// # Ok::<(), k2_storage::StoreError>(())
 /// ```
@@ -409,7 +411,7 @@ impl RelationalStore {
     }
 
     /// Looks `key` up inside one leaf page, decoding the value on a hit.
-    /// The single leaf-probe behind both `point_get` and `multi_get_into`.
+    /// The leaf probe behind `multi_get_into`: one key, one leaf.
     fn leaf_lookup(page: &[u8], key: &[u8; KEY_SIZE]) -> Option<(f64, f64)> {
         let idx = Self::leaf_lower_bound(page, key);
         if idx < Self::leaf_count(page) {
@@ -486,9 +488,15 @@ impl SnapshotSource for RelationalStore {
         t: Time,
         buf: &'a mut Vec<ObjPos>,
     ) -> StoreResult<SnapshotRef<'a>> {
-        // Disk engine: records are decoded into the caller's reused
-        // buffer (one copy, no fresh allocation per scan).
-        self.scan_snapshot_into(t, buf)?;
+        self.io.add_range_query();
+        self.io.add_snapshot_copied();
+        // Disk engine: leaf entries decode straight into the caller's
+        // reused buffer; one buffer serves every benchmark snapshot a
+        // worker scans.
+        buf.clear();
+        self.scan_key_range(encode_key(t, 0), encode_key(t, Oid::MAX), |_, p| {
+            buf.push(p)
+        })?;
         Ok(SnapshotRef::Buffered(buf))
     }
 
@@ -545,37 +553,6 @@ impl SnapshotSource for RelationalStore {
 }
 
 impl TrajectoryStore for RelationalStore {
-    fn scan_snapshot(&self, t: Time) -> StoreResult<Vec<ObjPos>> {
-        let mut out = Vec::new();
-        self.scan_snapshot_into(t, &mut out)?;
-        Ok(out)
-    }
-
-    fn scan_snapshot_into(&self, t: Time, out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        self.io.add_range_query();
-        self.io.add_snapshot_copied();
-        // Leaf entries decode straight into the caller's buffer; one
-        // buffer serves every benchmark snapshot a worker scans.
-        out.clear();
-        self.scan_key_range(encode_key(t, 0), encode_key(t, Oid::MAX), |_, p| {
-            out.push(p)
-        })?;
-        Ok(())
-    }
-
-    fn multi_get(&self, t: Time, oids: &[Oid]) -> StoreResult<Vec<ObjPos>> {
-        let mut out = Vec::with_capacity(oids.len());
-        self.multi_get_into(t, oids, &mut out)?;
-        Ok(out)
-    }
-
-    fn point_get(&self, t: Time, oid: Oid) -> StoreResult<Option<ObjPos>> {
-        self.io.add_point_query();
-        let key = encode_key(t, oid);
-        let page = self.find_leaf(&key)?;
-        Ok(Self::leaf_lookup(&page, &key).map(|(x, y)| ObjPos::new(oid, x, y)))
-    }
-
     fn reset_io_stats(&self) {
         self.io.reset()
     }
@@ -584,7 +561,7 @@ impl TrajectoryStore for RelationalStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trait_tests::{conformance, toy_dataset};
+    use crate::trait_tests::{conformance, get, scan, toy_dataset};
     use k2_model::Point;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -624,26 +601,23 @@ mod tests {
         let store = RelationalStore::create(tmp("big.k2bt"), &d).unwrap();
         assert!(store.height() >= 2, "height = {}", store.height());
         // Spot-check extremes and middles.
-        assert_eq!(
-            store.point_get(0, 0).unwrap(),
-            Some(ObjPos::new(0, 0.0, 0.0))
-        );
-        assert_eq!(
-            store.point_get(99, 499).unwrap(),
-            Some(ObjPos::new(499, 499.0, 99.0))
-        );
-        assert_eq!(store.point_get(50, 500).unwrap(), None);
-        assert_eq!(store.scan_snapshot(42).unwrap().len(), 500);
+        assert_eq!(get(&store, 0, 0), Some(ObjPos::new(0, 0.0, 0.0)));
+        assert_eq!(get(&store, 99, 499), Some(ObjPos::new(499, 499.0, 99.0)));
+        assert_eq!(get(&store, 50, 500), None);
+        assert_eq!(scan(&store, 42).len(), 500);
     }
 
     #[test]
     fn buffer_pool_caches_hot_pages() {
         let d = toy_dataset();
         let store = RelationalStore::create(tmp("pool.k2bt"), &d).unwrap();
-        store.reset_io_stats();
-        let _ = store.point_get(10, 1).unwrap();
+        let _ = get(&store, 10, 1);
+        // A far key between the two probes: the second probe misses the
+        // leaf the first one retained, descends from the root and finds
+        // every page on its way in the pool.
+        let _ = get(&store, 40, 1);
         let cold = store.io_stats();
-        let _ = store.point_get(10, 2).unwrap();
+        let _ = get(&store, 10, 2);
         let warm = store.io_stats().since(&cold);
         assert_eq!(warm.blocks_read, 0, "second probe should hit the pool");
         assert!(warm.cache_hits >= 1);
@@ -669,7 +643,7 @@ mod tests {
         // root descent and still answer correctly.
         let far: Vec<Oid> = vec![4];
         store.multi_get_into(40, &far, &mut out).unwrap();
-        assert_eq!(out, vec![store.point_get(40, 4).unwrap().unwrap()]);
+        assert_eq!(out, [*d.snapshot(40).unwrap().get(4).unwrap()]);
     }
 
     #[test]
@@ -695,6 +669,6 @@ mod tests {
     fn snapshot_scan_of_absent_timestamp_is_empty() {
         let d = toy_dataset();
         let store = RelationalStore::create(tmp("absent.k2bt"), &d).unwrap();
-        assert!(store.scan_snapshot(9999).unwrap().is_empty());
+        assert!(scan(&store, 9999).is_empty());
     }
 }

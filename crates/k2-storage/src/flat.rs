@@ -19,7 +19,7 @@ const SCAN_CHUNK: usize = 64 * 1024;
 /// A flat file of 24-byte records sorted by `(t, oid)`.
 ///
 /// Flat files are "good for scans but not suitable for random access"
-/// (§5): there is no index, so *every* query — snapshot scan, point get —
+/// (§5): there is no index, so *every* query — snapshot scan or probe —
 /// is a sequential scan from the start of the file until the target
 /// timestamp block has passed. The sortedness only allows early
 /// termination, not skipping.
@@ -271,9 +271,15 @@ impl SnapshotSource for FlatFileStore {
         t: Time,
         buf: &'a mut Vec<ObjPos>,
     ) -> StoreResult<SnapshotRef<'a>> {
-        // Disk engine: records are decoded into the caller's reused
-        // buffer (one copy, no fresh allocation per scan).
-        self.scan_snapshot_into(t, buf)?;
+        self.io.add_range_query();
+        self.io.add_snapshot_copied();
+        // Disk engine: the record scan decodes straight into the caller's
+        // reused buffer — a benchmark-clustering worker reuses one buffer
+        // for every snapshot this engine serves it — resuming from the
+        // sequential cursor on ascending scans (the benchmark-point
+        // pattern).
+        buf.clear();
+        self.scan_at(t, |p| buf.push(p.pos()))?;
         Ok(SnapshotRef::Buffered(buf))
     }
 
@@ -304,46 +310,6 @@ impl SnapshotSource for FlatFileStore {
 }
 
 impl TrajectoryStore for FlatFileStore {
-    fn scan_snapshot(&self, t: Time) -> StoreResult<Vec<ObjPos>> {
-        let mut out = Vec::new();
-        self.scan_snapshot_into(t, &mut out)?;
-        Ok(out)
-    }
-
-    fn scan_snapshot_into(&self, t: Time, out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        self.io.add_range_query();
-        self.io.add_snapshot_copied();
-        // The record scan decodes straight into the caller's buffer — a
-        // benchmark-clustering worker reuses one buffer for every
-        // snapshot this engine serves it — resuming from the sequential
-        // cursor on ascending scans (the benchmark-point pattern).
-        out.clear();
-        self.scan_at(t, |p| out.push(p.pos()))?;
-        Ok(())
-    }
-
-    fn multi_get(&self, t: Time, oids: &[Oid]) -> StoreResult<Vec<ObjPos>> {
-        let mut out = Vec::with_capacity(oids.len());
-        self.multi_get_into(t, oids, &mut out)?;
-        Ok(out)
-    }
-
-    fn point_get(&self, t: Time, oid: Oid) -> StoreResult<Option<ObjPos>> {
-        self.io.add_point_query();
-        let mut found = None;
-        self.scan_from_start(|p| {
-            if p.t > t || (p.t == t && p.oid > oid) {
-                return false;
-            }
-            if p.t == t && p.oid == oid {
-                found = Some(p.pos());
-                return false;
-            }
-            true
-        })?;
-        Ok(found)
-    }
-
     fn reset_io_stats(&self) {
         self.io.reset()
     }
@@ -352,7 +318,7 @@ impl TrajectoryStore for FlatFileStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trait_tests::{conformance, toy_dataset};
+    use crate::trait_tests::{conformance, scan, toy_dataset};
 
     fn tmpdir() -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -409,7 +375,7 @@ mod tests {
         let d = toy_dataset();
         let store = FlatFileStore::create(tmpdir().join("io.bin"), &d).unwrap();
         store.reset_io_stats();
-        let _ = store.scan_snapshot(49).unwrap();
+        let _ = scan(&store, 49);
         let s = store.io_stats();
         // One rewind seek; whole file read in chunks.
         assert_eq!(s.seeks, 1);
@@ -423,10 +389,10 @@ mod tests {
         // this pins the underlying early-termination property.
         let p = tmpdir().join("early.bin");
         let store = FlatFileStore::create(&p, &d).unwrap();
-        let _ = store.scan_snapshot(0).unwrap();
+        let _ = scan(&store, 0);
         let early = store.io_stats().bytes_read;
         let store = FlatFileStore::open(&p).unwrap();
-        let _ = store.scan_snapshot(49).unwrap();
+        let _ = scan(&store, 49);
         let late = store.io_stats().bytes_read;
         assert!(early <= late);
     }

@@ -16,9 +16,10 @@ pub struct IoStats {
     pub blocks_read: u64,
     /// Block/page requests satisfied by a cache (buffer pool / block
     /// cache). `cache_hits + cache_misses` is the number of block
-    /// requests. An LSM `multi_get` batch makes one per distinct block
-    /// it needs, not one per key: keys answered from the block already
-    /// in hand request nothing, so they are neither hits nor misses.
+    /// requests. An LSM `multi_get_into` batch makes one per distinct
+    /// block it needs, not one per key: keys answered from the block
+    /// already in hand request nothing, so they are neither hits nor
+    /// misses.
     pub cache_hits: u64,
     /// Block/page requests that had to go to disk because the cache did
     /// not hold them (or caching is disabled); always equal to
@@ -40,8 +41,8 @@ pub struct IoStats {
     /// Snapshot scans served zero-copy, as shared views of resident
     /// storage (`scan_snapshot_ref` on an in-memory engine).
     pub snapshots_shared: u64,
-    /// Snapshot scans that materialised records into a fresh or caller
-    /// buffer (owned `scan_snapshot`, or any disk-engine scan).
+    /// Snapshot scans that materialised records into the caller's
+    /// buffer (any disk-engine `scan_snapshot_ref`).
     pub snapshots_copied: u64,
     /// Records appended to the write-ahead log (LSM only).
     pub wal_appends: u64,
@@ -138,12 +139,8 @@ impl IoCounters {
         bump(&self.cache_hits_misses, 1);
     }
 
-    pub(crate) fn add_point_query(&self) {
-        bump(&self.point_queries, 1);
-    }
-
-    /// Bulk form of [`add_point_query`](Self::add_point_query) — one
-    /// atomic round-trip for a whole sorted-probe `multi_get` batch.
+    /// Counts `n` point queries — one atomic round-trip for a whole
+    /// sorted-probe `multi_get_into` batch.
     pub(crate) fn add_point_queries(&self, n: u64) {
         bump(&self.point_queries, n);
     }
@@ -285,7 +282,7 @@ mod tests {
         c.add_block_read(4096);
         c.add_cache_hit();
         c.add_cache_miss();
-        c.add_point_query();
+        c.add_point_queries(1);
         c.add_range_query();
         c.add_bloom_negative();
         c.add_snapshot_shared();

@@ -8,7 +8,8 @@
 //!    hop-windows (only candidate objects are fetched).
 //!
 //! This crate implements, from scratch, the three storage structures the
-//! paper evaluates, all behind the [`TrajectoryStore`] trait:
+//! paper evaluates, all read through those two paths alone — the
+//! [`SnapshotSource`] trait:
 //!
 //! * [`FlatFileStore`] — sorted fixed-width records, sequential scans only
 //!   (the paper's *k2-File* loads it fully into memory, see
@@ -49,8 +50,8 @@ pub use memory::InMemoryStore;
 use k2_model::{Dataset, ObjPos, Oid, Time, TimeInterval};
 use std::sync::Arc;
 
-/// A borrowed view of one timestamp's snapshot — the zero-copy form of
-/// [`TrajectoryStore::scan_snapshot`].
+/// A borrowed view of one timestamp's snapshot — what
+/// [`SnapshotSource::scan_snapshot_ref`] returns.
 ///
 /// Cow-like: engines whose snapshots already live in memory hand out a
 /// shared `Arc` slice (no record is copied, the view is `Send` and out-
@@ -122,8 +123,8 @@ pub trait SnapshotSource {
     /// fills `buf` (cleared first) and returns [`SnapshotRef::Buffered`].
     /// Positions are sorted by object id; timestamps outside the span
     /// yield an empty snapshot. The integration suite
-    /// (`tests/snapshot_parity.rs`) pins parity with the owned scans
-    /// across all engines.
+    /// (`tests/snapshot_parity.rs`) pins every engine's scans to the
+    /// reference [`Dataset`] snapshots.
     fn scan_snapshot_ref<'a>(
         &self,
         t: Time,
@@ -252,42 +253,10 @@ impl<S: SnapshotSource> SnapshotSource for TimeRange<S> {
     // would let parallel miners read around the time clamp.
 }
 
-/// Read-side interface shared by every storage engine.
-///
-/// Extends [`SnapshotSource`] (the access paths mining needs) with the
-/// owned-allocation scan forms, single-record point gets, and counter
-/// management that the experiment harnesses and conformance tests use.
+/// Counter management shared by every storage engine. Reads go through
+/// [`SnapshotSource`]'s two access paths; this adds only what the
+/// experiment harnesses need between measurements.
 pub trait TrajectoryStore: SnapshotSource {
-    /// All object positions at timestamp `t`, sorted by object id.
-    ///
-    /// The owned-allocation form of
-    /// [`scan_snapshot_ref`](SnapshotSource::scan_snapshot_ref). Returns
-    /// an empty vector for timestamps outside the span.
-    fn scan_snapshot(&self, t: Time) -> StoreResult<Vec<ObjPos>>;
-
-    /// [`scan_snapshot`](Self::scan_snapshot) into a caller-provided
-    /// buffer (cleared first).
-    ///
-    /// The benchmark-clustering phase scans one snapshot per benchmark
-    /// point; engines that materialise records (flat/B+tree/LSM) should
-    /// override the default so a worker reuses one buffer across every
-    /// snapshot it scans instead of allocating per scan.
-    fn scan_snapshot_into(&self, t: Time, out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        out.clear();
-        out.extend(self.scan_snapshot(t)?);
-        Ok(())
-    }
-
-    /// Positions of the given objects at timestamp `t` (`DB[t]|O`), as an
-    /// owned vector.
-    ///
-    /// `oids` must be sorted ascending. Engines are free to implement it
-    /// as point queries (the paper's LSMT formulation) or sorted probes.
-    fn multi_get(&self, t: Time, oids: &[Oid]) -> StoreResult<Vec<ObjPos>>;
-
-    /// Position of one object at one timestamp.
-    fn point_get(&self, t: Time, oid: Oid) -> StoreResult<Option<ObjPos>>;
-
     /// Resets the I/O counters to zero.
     fn reset_io_stats(&self);
 }
@@ -317,6 +286,7 @@ impl SnapshotSource for Dataset {
     }
 
     fn multi_get_into(&self, t: Time, oids: &[Oid], out: &mut Vec<ObjPos>) -> StoreResult<()> {
+        debug_assert!(oids.windows(2).all(|w| w[0] < w[1]));
         out.clear();
         if let Some(snap) = self.snapshot(t) {
             snap.restrict_ids_into(oids, out);
@@ -359,63 +329,59 @@ mod trait_tests {
         Dataset::from_points(&pts).unwrap()
     }
 
+    /// The whole snapshot at `t`, read through `scan_snapshot_ref`.
+    pub(crate) fn scan(s: &dyn SnapshotSource, t: Time) -> Vec<ObjPos> {
+        let mut buf = Vec::new();
+        s.scan_snapshot_ref(t, &mut buf).unwrap().to_vec()
+    }
+
+    /// One record, read as a one-oid `multi_get_into`.
+    pub(crate) fn get(s: &dyn SnapshotSource, t: Time, oid: Oid) -> Option<ObjPos> {
+        let mut buf = Vec::new();
+        s.multi_get_into(t, &[oid], &mut buf).unwrap();
+        buf.pop()
+    }
+
     pub(crate) fn conformance<S: TrajectoryStore>(store: &S, reference: &Dataset) {
         assert_eq!(store.span(), reference.span());
         assert_eq!(store.num_points(), reference.num_points());
 
-        // Snapshot scans agree with the reference dataset.
-        for t in [0u32, 1, 25, 49] {
-            let got = store.scan_snapshot(t).unwrap();
-            let want = reference.snapshot(t).unwrap().positions();
-            assert_eq!(got, want, "snapshot {t} mismatch for {}", store.name());
-        }
-        // Outside the span: empty.
-        assert!(store.scan_snapshot(1000).unwrap().is_empty());
-
-        // The borrowed and buffered scan forms agree with the owned scan,
-        // including clearing stale buffer content and absent timestamps.
+        // Snapshot scans agree with the reference dataset, clear stale
+        // buffer content, and are empty outside the span.
         let mut scan_buf = vec![ObjPos::new(123, 1.0, 1.0)];
-        for t in [0u32, 25, 49, 1000] {
-            let want = store.scan_snapshot(t).unwrap();
+        for t in [0u32, 1, 25, 49, 1000] {
+            let want = reference.snapshot(t).map_or(&[][..], |s| s.positions());
             let snap = store.scan_snapshot_ref(t, &mut scan_buf).unwrap();
             assert_eq!(
                 snap.positions(),
-                &want[..],
-                "scan_snapshot_ref({t}) mismatch for {}",
-                store.name()
-            );
-            drop(snap);
-            store.scan_snapshot_into(t, &mut scan_buf).unwrap();
-            assert_eq!(
-                scan_buf,
                 want,
-                "scan_snapshot_into({t}) mismatch for {}",
+                "scan_snapshot_ref({t}) mismatch for {}",
                 store.name()
             );
         }
 
-        // Point gets.
+        // Single-key probes: present, absent object, outside the span.
         let want = *reference.snapshot(25).unwrap().get(3).unwrap();
-        assert_eq!(store.point_get(25, 3).unwrap(), Some(want));
-        assert_eq!(store.point_get(25, 999).unwrap(), None);
-        assert_eq!(store.point_get(1000, 3).unwrap(), None);
+        assert_eq!(get(store, 25, 3), Some(want));
+        assert_eq!(get(store, 25, 999), None);
+        assert_eq!(get(store, 1000, 3), None);
 
-        // Multi gets (sorted oids, some absent).
-        let got = store.multi_get(10, &[1, 3, 999]).unwrap();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].oid, 1);
-        assert_eq!(got[1].oid, 3);
-
-        // The buffer-reusing form agrees and clears stale content.
+        // Batch probes (sorted oids, some absent) clear stale content.
+        let at10 = reference.snapshot(10).unwrap();
         let mut buf = vec![ObjPos::new(77, 0.0, 0.0)];
         store.multi_get_into(10, &[1, 3, 999], &mut buf).unwrap();
-        assert_eq!(buf, got, "multi_get_into mismatch for {}", store.name());
+        assert_eq!(
+            buf,
+            [*at10.get(1).unwrap(), *at10.get(3).unwrap()],
+            "multi_get_into mismatch for {}",
+            store.name()
+        );
         store.multi_get_into(1000, &[1], &mut buf).unwrap();
         assert!(buf.is_empty(), "out-of-span must clear the buffer");
 
         // I/O stats move and reset.
         store.reset_io_stats();
-        let _ = store.scan_snapshot(25).unwrap();
+        let _ = scan(store, 25);
         let after = store.io_stats();
         assert!(
             after.range_queries >= 1,
@@ -424,5 +390,13 @@ mod trait_tests {
         );
         store.reset_io_stats();
         assert_eq!(store.io_stats().range_queries, 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic]
+    fn dataset_probe_rejects_unsorted_oids() {
+        let d = toy_dataset();
+        let _ = d.multi_get_into(10, &[3, 1], &mut Vec::new());
     }
 }

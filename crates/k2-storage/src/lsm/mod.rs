@@ -33,8 +33,9 @@
 //!   range outside it skips the source for two integer compares. Within
 //!   an admitted table the lookup order is **fence → block in hand →
 //!   bloom filter → sparse index → block cache → disk**: the keys of a
-//!   sorted batch (`multi_get`) that fall in the block the previous key
-//!   used are answered from it, so a batch requests each block once.
+//!   sorted batch (`multi_get_into`) that fall in the block the
+//!   previous key used are answered from it, so a batch requests each
+//!   block once.
 //!
 //! # MVCC state swap
 //!

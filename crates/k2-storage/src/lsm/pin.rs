@@ -51,11 +51,12 @@ impl LsmState {
 
 /// A pinned, immutable view of an `LsmStore` at one instant.
 ///
-/// Created by `LsmStore::pin`. The pin is a full [`SnapshotSource`] +
-/// [`TrajectoryStore`] reader: a miner can hold it for an entire run
-/// while the store keeps ingesting, flushing and compacting underneath —
-/// the pin's view never changes, because it owns `Arc`s to the frozen
-/// memtable generations and the open SSTable readers of its state.
+/// Created by `LsmStore::pin`. The pin is a full [`SnapshotSource`]
+/// reader with its own resettable counters: a miner can hold it for an
+/// entire run while the store keeps ingesting, flushing and compacting
+/// underneath — the pin's view never changes, because it owns `Arc`s to
+/// the frozen memtable generations and the open SSTable readers of its
+/// state.
 /// Compaction may unlink a pinned table's file; the open descriptor
 /// keeps the data readable until the pin drops.
 ///
@@ -130,7 +131,7 @@ impl SnapshotSource for StorePin {
         t: Time,
         buf: &'a mut Vec<ObjPos>,
     ) -> StoreResult<SnapshotRef<'a>> {
-        self.view().scan_snapshot_into(t, buf)?;
+        self.view().scan_into(t, buf)?;
         Ok(SnapshotRef::Buffered(buf))
     }
 
@@ -148,22 +149,6 @@ impl SnapshotSource for StorePin {
 }
 
 impl TrajectoryStore for StorePin {
-    fn scan_snapshot(&self, t: Time) -> StoreResult<Vec<ObjPos>> {
-        self.view().scan_snapshot(t)
-    }
-
-    fn scan_snapshot_into(&self, t: Time, out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        self.view().scan_snapshot_into(t, out)
-    }
-
-    fn multi_get(&self, t: Time, oids: &[Oid]) -> StoreResult<Vec<ObjPos>> {
-        self.view().multi_get(t, oids)
-    }
-
-    fn point_get(&self, t: Time, oid: Oid) -> StoreResult<Option<ObjPos>> {
-        self.view().point_get(t, oid)
-    }
-
     fn reset_io_stats(&self) {
         self.io.reset()
     }

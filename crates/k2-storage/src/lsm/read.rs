@@ -144,17 +144,10 @@ impl<'a> ReadView<'a> {
         Ok(())
     }
 
-    /// `TrajectoryStore::multi_get`.
-    pub(crate) fn multi_get(&self, t: Time, oids: &[Oid]) -> StoreResult<Vec<ObjPos>> {
-        let mut out = Vec::with_capacity(oids.len());
-        self.multi_get_into(t, oids, &mut out)?;
-        Ok(out)
-    }
-
-    /// `TrajectoryStore::scan_snapshot_into`: merged entries decode
+    /// `SnapshotSource::scan_snapshot_ref`: merged entries decode
     /// straight into the caller's reused buffer (one copy, no
     /// intermediate entry vector, no per-scan allocation).
-    pub(crate) fn scan_snapshot_into(&self, t: Time, out: &mut Vec<ObjPos>) -> StoreResult<()> {
+    pub(crate) fn scan_into(&self, t: Time, out: &mut Vec<ObjPos>) -> StoreResult<()> {
         self.io.add_range_query();
         self.io.add_snapshot_copied();
         out.clear();
@@ -163,22 +156,6 @@ impl<'a> ReadView<'a> {
             let (x, y) = val_parts(&v);
             out.push(ObjPos::new(oid, x, y));
         })
-    }
-
-    /// `TrajectoryStore::scan_snapshot`.
-    pub(crate) fn scan_snapshot(&self, t: Time) -> StoreResult<Vec<ObjPos>> {
-        let mut out = Vec::new();
-        self.scan_snapshot_into(t, &mut out)?;
-        Ok(out)
-    }
-
-    /// `TrajectoryStore::point_get`.
-    pub(crate) fn point_get(&self, t: Time, oid: Oid) -> StoreResult<Option<ObjPos>> {
-        self.io.add_point_query();
-        Ok(self.get(key_of(t, oid), &mut None)?.map(|v| {
-            let (x, y) = val_parts(&v);
-            ObjPos::new(oid, x, y)
-        }))
     }
 
     /// `SnapshotSource::num_points`. Counts versions, not unique keys;

@@ -458,6 +458,12 @@ pub struct SsTableReader {
     bloom: Option<BloomFilter>,
     num_entries: u64,
     cache: Arc<BlockCache>,
+    /// The opener's counters. No lookup reads them — `probe` and
+    /// `iter_from_with` charge the caller's — but deleting the field
+    /// moved the repo benchmark's `serve_ingest` `peak_rss_mb` from 34
+    /// to 46 MB on a 2-vCPU Linux VM (0 of 16 pairs) through heap layout
+    /// alone; see ROADMAP, "Recorded negative results".
+    #[allow(dead_code)]
     io: Arc<IoCounters>,
 }
 
@@ -645,7 +651,7 @@ impl SsTableReader {
     }
 
     /// Fetches one data block, accounting the access (cache hit/miss,
-    /// seek, bytes) into `io` instead of the table's own counters. The
+    /// seek, bytes) into the caller's `io` (the store's or a pin's). The
     /// block still goes through the shared [`BlockCache`] — a pinned
     /// snapshot reader and the owning store populate and hit the same
     /// cache entries; only the attribution differs.
@@ -666,17 +672,6 @@ impl SsTableReader {
         io.add_block_read(len as u64);
         self.cache.insert(cache_key, block.clone());
         Ok(block)
-    }
-
-    /// Point lookup. Consults the bloom filter first.
-    pub fn get(&self, key: u64) -> StoreResult<Option<[u8; VAL_SIZE]>> {
-        self.get_with(key, &self.io)
-    }
-
-    /// [`get`](Self::get) with the access accounted into `io` — the
-    /// per-pin read path (see `read_block_with`).
-    pub fn get_with(&self, key: u64, io: &IoCounters) -> StoreResult<Option<[u8; VAL_SIZE]>> {
-        self.probe(key, &mut None, io)
     }
 
     /// The in-table lookup, for one key or a batch of ascending keys
@@ -723,8 +718,7 @@ impl SsTableReader {
     }
 
     /// Cursor positioned at the first entry with key `>= key`, with block
-    /// fetches accounted into `io` — the per-pin scan path (see
-    /// `read_block_with`).
+    /// fetches accounted into `io` (see `read_block_with`).
     pub fn iter_from_with<'a>(&'a self, key: u64, io: &'a IoCounters) -> SsTableIter<'a> {
         let (block_idx, entry_idx) = match self.block_for(key) {
             None => (0, 0),
@@ -744,7 +738,7 @@ impl SsTableReader {
 /// Forward cursor over an SSTable.
 pub struct SsTableIter<'a> {
     table: &'a SsTableReader,
-    /// Where this cursor's block fetches are accounted (the table's own
+    /// Where this cursor's block fetches are accounted (the store's
     /// counters, or a pin's).
     io: &'a IoCounters,
     block_idx: usize,
@@ -911,11 +905,11 @@ mod tests {
         assert_eq!(r.num_entries(), 5000);
         assert_eq!(r.min_key(), Some(0));
         for k in [0u64, 3, 2997, 14997] {
-            let v = r.get(k).unwrap().unwrap();
+            let v = r.probe(k, &mut None, &r.io).unwrap().unwrap();
             assert_eq!(v[0], (k % 251) as u8);
         }
-        assert_eq!(r.get(1).unwrap(), None);
-        assert_eq!(r.get(15000).unwrap(), None);
+        assert_eq!(r.probe(1, &mut None, &r.io).unwrap(), None);
+        assert_eq!(r.probe(15000, &mut None, &r.io).unwrap(), None);
     }
 
     #[test]
@@ -963,7 +957,7 @@ mod tests {
         let mut skipped = 0;
         for k in 1..500u64 {
             // Keys not multiples of 1000: mostly bloom-rejected.
-            let _ = r.get(k * 1000 + 1).unwrap();
+            let _ = r.probe(k * 1000 + 1, &mut None, &r.io).unwrap();
         }
         skipped += io.snapshot().bloom_negatives;
         assert!(skipped > 400, "bloom skipped only {skipped}");
@@ -974,10 +968,10 @@ mod tests {
         let path = build("cache.k2ss", 0..100u64);
         let (cache, io) = fixtures();
         let r = SsTableReader::open(&path, 5, cache, io.clone()).unwrap();
-        let _ = r.get(50).unwrap();
+        let _ = r.probe(50, &mut None, &r.io).unwrap();
         assert_eq!(io.snapshot().cache_misses, 1);
         let before = io.snapshot();
-        let _ = r.get(51).unwrap();
+        let _ = r.probe(51, &mut None, &r.io).unwrap();
         let after = io.snapshot().since(&before);
         assert_eq!(after.blocks_read, 0);
         assert_eq!(after.cache_misses, 0);
@@ -990,8 +984,8 @@ mod tests {
         let cache = Arc::new(BlockCache::new(0));
         let io = Arc::new(IoCounters::new());
         let r = SsTableReader::open(&path, 7, cache, io.clone()).unwrap();
-        let _ = r.get(50).unwrap();
-        let _ = r.get(51).unwrap();
+        let _ = r.probe(50, &mut None, &r.io).unwrap();
+        let _ = r.probe(51, &mut None, &r.io).unwrap();
         let s = io.snapshot();
         assert_eq!(s.blocks_read, 2, "cache_blocks: 0 must not cache");
         assert_eq!(s.cache_hits, 0);
@@ -1017,10 +1011,13 @@ mod tests {
             }
         }
         // Without a filter every key is a "maybe"; lookups stay right.
-        assert!(!full.may_contain(1) || full.get(1).unwrap().is_none());
+        assert!(!full.may_contain(1) || full.probe(1, &mut None, &full.io).unwrap().is_none());
         assert!(scan.may_contain(1));
-        assert_eq!(scan.get(1).unwrap(), None);
-        assert_eq!(scan.get(10).unwrap(), full.get(10).unwrap());
+        assert_eq!(scan.probe(1, &mut None, &scan.io).unwrap(), None);
+        assert_eq!(
+            scan.probe(10, &mut None, &scan.io).unwrap(),
+            full.probe(10, &mut None, &full.io).unwrap()
+        );
     }
 
     /// Footer field `i` (of the five u64s) of the table at `path`.
@@ -1200,7 +1197,7 @@ mod tests {
             (None, None, None)
         );
         assert!(!empty.admits(0, u64::MAX));
-        assert_eq!(empty.get(5).unwrap(), None);
+        assert_eq!(empty.probe(5, &mut None, &empty.io).unwrap(), None);
         assert!(empty.iter_from_with(0, &empty.io).next().unwrap().is_none());
         // A single entry: first == last.
         let (one, ..) = open("fence-one.k2ss", 42..43);
@@ -1256,7 +1253,11 @@ mod tests {
             let mut found = 0;
             for &key in batch {
                 let got = r.probe(key, &mut hand, &io).unwrap();
-                assert_eq!(got, r.get(key).unwrap(), "{what}: key {key}");
+                assert_eq!(
+                    got,
+                    r.probe(key, &mut None, &r.io).unwrap(),
+                    "{what}: key {key}"
+                );
                 found += usize::from(got.is_some());
             }
             let want = batch
@@ -1279,7 +1280,7 @@ mod tests {
         // Single gets pay one request per filter-positive key.
         let before = io.snapshot();
         for &key in &all {
-            r.get(key).unwrap();
+            r.probe(key, &mut None, &r.io).unwrap();
         }
         let cost = io.snapshot().since(&before);
         assert!(cost.cache_hits + cost.cache_misses >= 1200);

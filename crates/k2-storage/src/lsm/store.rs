@@ -123,7 +123,7 @@ pub(crate) type Memtable = BTreeMap<u64, [u8; VAL_SIZE]>;
 /// share one store through an `Arc`. Frozen memtable generations and the
 /// ordered SSTable list form an immutable `LsmState` behind
 /// `RwLock<Arc<LsmState>>`, which every reader reads: the store's own
-/// [`SnapshotSource`] / [`TrajectoryStore`] methods, [`Self::pin`] and
+/// [`SnapshotSource`] methods, [`Self::pin`] and
 /// the gauges. The active memtable, the WAL and the compaction machinery
 /// sit behind one writer mutex that each write method takes once per
 /// call. Writers never mutate a published state: a structural change
@@ -148,7 +148,7 @@ pub(crate) type Memtable = BTreeMap<u64, [u8; VAL_SIZE]>;
 /// a background worker thread — the write path only enqueues.
 ///
 /// ```
-/// use k2_storage::{LsmStore, TrajectoryStore};
+/// use k2_storage::{LsmStore, SnapshotSource};
 /// use k2_model::Point;
 ///
 /// let dir = std::env::temp_dir().join(format!("lsm-doc-{}", std::process::id()));
@@ -157,8 +157,10 @@ pub(crate) type Memtable = BTreeMap<u64, [u8; VAL_SIZE]>;
 /// store.insert(Point::new(1, 2.0, 3.0, 0))?;
 /// store.insert(Point::new(2, 2.5, 3.0, 0))?;
 /// store.flush()?;
-/// assert_eq!(store.scan_snapshot(0)?.len(), 2);
-/// assert_eq!(store.point_get(0, 1)?.unwrap().x, 2.0);
+/// let mut buf = Vec::new();
+/// assert_eq!(store.scan_snapshot_ref(0, &mut buf)?.len(), 2);
+/// store.multi_get_into(0, &[1], &mut buf)?;
+/// assert_eq!(buf[0].x, 2.0);
 /// # std::fs::remove_dir_all(&dir).ok();
 /// # Ok::<(), k2_storage::StoreError>(())
 /// ```
@@ -987,7 +989,7 @@ impl SnapshotSource for LsmStore {
         t: Time,
         buf: &'a mut Vec<ObjPos>,
     ) -> StoreResult<SnapshotRef<'a>> {
-        self.read(|v| v.scan_snapshot_into(t, buf))?;
+        self.read(|v| v.scan_into(t, buf))?;
         Ok(SnapshotRef::Buffered(buf))
     }
 
@@ -1005,22 +1007,6 @@ impl SnapshotSource for LsmStore {
 }
 
 impl TrajectoryStore for LsmStore {
-    fn scan_snapshot(&self, t: Time) -> StoreResult<Vec<ObjPos>> {
-        self.read(|v| v.scan_snapshot(t))
-    }
-
-    fn scan_snapshot_into(&self, t: Time, out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        self.read(|v| v.scan_snapshot_into(t, out))
-    }
-
-    fn multi_get(&self, t: Time, oids: &[Oid]) -> StoreResult<Vec<ObjPos>> {
-        self.read(|v| v.multi_get(t, oids))
-    }
-
-    fn point_get(&self, t: Time, oid: Oid) -> StoreResult<Option<ObjPos>> {
-        self.read(|v| v.point_get(t, oid))
-    }
-
     fn reset_io_stats(&self) {
         self.io.reset()
     }
@@ -1043,7 +1029,7 @@ impl LsmStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trait_tests::{conformance, toy_dataset};
+    use crate::trait_tests::{conformance, get, scan, toy_dataset};
 
     fn tmpdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("k2lsm-{}-{name}", std::process::id()));
@@ -1070,6 +1056,66 @@ mod tests {
         let d = toy_dataset();
         let store = LsmStore::bulk_load(tmpdir("conform"), &d).unwrap();
         conformance(&store, &d);
+    }
+
+    /// The toy dataset behind a pin over every layer a reader merges:
+    /// timestamps 0–19 and 20–39 in two SSTables, 40–49 in the frozen
+    /// generation the pin itself freezes in.
+    fn pin_over_two_tables_and_a_frozen_generation(name: &str) -> (Dataset, StorePin) {
+        let d = toy_dataset();
+        let config = LsmConfig {
+            memtable_entries: 1 << 20,
+            background_compaction: false,
+            wal: false,
+            ..LsmConfig::default()
+        };
+        let store = LsmStore::create_with(tmpdir(name), config).unwrap();
+        for (lo, hi) in [(0, 20), (20, 40), (40, 50)] {
+            for p in d.iter_points().filter(|p| (lo..hi).contains(&p.t)) {
+                store.insert(p).unwrap();
+            }
+            if hi < 50 {
+                store.flush().unwrap();
+            }
+        }
+        let pin = store.pin().unwrap();
+        let state = store.published();
+        assert_eq!((state.tables.len(), state.frozen.len()), (2, 1));
+        (d, pin)
+    }
+
+    #[test]
+    fn pin_conforms_to_trait_contract() {
+        let (d, pin) = pin_over_two_tables_and_a_frozen_generation("pinconform");
+        conformance(&pin, &d);
+    }
+
+    #[test]
+    fn time_range_clamps_a_pin() {
+        let (d, pin) = pin_over_two_tables_and_a_frozen_generation("pinclamp");
+        let range = crate::TimeRange::new(pin, 10, 45);
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        // Inside the clamp — across both tables and the frozen
+        // generation — the clamped source reads what the pin reads.
+        for t in [10, 19, 20, 39, 40, 45] {
+            assert_eq!(scan(&range, t), scan(range.inner(), t), "scan {t}");
+            assert_eq!(scan(&range, t), d.snapshot(t).unwrap().positions());
+            range.multi_get_into(t, &[1, 3, 999], &mut got).unwrap();
+            range
+                .inner()
+                .multi_get_into(t, &[1, 3, 999], &mut want)
+                .unwrap();
+            assert_eq!((got.len(), &got), (2, &want), "probe {t}");
+        }
+        // Outside it, both paths answer empty without reaching the pin.
+        let before = range.inner().io_stats();
+        for t in [0, 9, 46, 49, 1000] {
+            assert!(scan(&range, t).is_empty(), "scan {t}");
+            got.push(ObjPos::new(7, 0.0, 0.0));
+            range.multi_get_into(t, &[1, 3], &mut got).unwrap();
+            assert!(got.is_empty(), "probe {t}");
+        }
+        assert_eq!(range.inner().io_stats(), before);
     }
 
     #[test]
@@ -1165,7 +1211,7 @@ mod tests {
             "tiered compaction rewrote settled data: {compacted} bytes"
         );
         // Everything still readable.
-        assert_eq!(store.scan_snapshot(100).unwrap().len(), 40);
+        assert_eq!(scan(&store, 100).len(), 40);
         conformance_scan(&store, &d);
     }
 
@@ -1240,7 +1286,7 @@ mod tests {
                 .map(|p| ObjPos::new(p.oid, p.x, p.y))
                 .collect();
             want.sort_by_key(|o| o.oid);
-            let got = store.scan_snapshot(t).unwrap();
+            let got = scan(store, t);
             assert_eq!(got, want, "snapshot {t} mismatch");
         }
     }
@@ -1268,7 +1314,7 @@ mod tests {
         assert!(s.compactions > 0, "background worker never ran");
         assert!(s.bytes_compacted > 0);
         // Contents identical to what was inserted (newest version wins).
-        let snap = store.scan_snapshot(0).unwrap();
+        let snap = scan(&store, 0);
         assert_eq!(snap.len(), 500);
     }
 
@@ -1295,7 +1341,7 @@ mod tests {
             }
             store.flush().unwrap();
             store.wait_for_compactions().unwrap();
-            (0..6).map(|t| store.scan_snapshot(t).unwrap()).collect()
+            (0..6).map(|t| scan(&store, t)).collect()
         };
         let a = build(tmpdir("agree-bg"), true);
         let b = build(tmpdir("agree-bl"), false);
@@ -1316,9 +1362,9 @@ mod tests {
         let store = LsmStore::bulk_load_with(&dir, &d, config).unwrap();
         assert_eq!(store.num_tables(), 1);
         // Warm the cache on the settled table.
-        let _ = store.point_get(0, 5).unwrap();
+        let _ = get(&store, 0, 5);
         store.reset_io_stats();
-        let _ = store.point_get(0, 5).unwrap();
+        let _ = get(&store, 0, 5);
         assert_eq!(store.io_stats().blocks_read, 0, "warm read must hit cache");
         // Trigger a tiered compaction of young tables only.
         for round in 0..4u32 {
@@ -1334,7 +1380,7 @@ mod tests {
         // The settled table was not an input, so its blocks must still
         // be resident.
         store.reset_io_stats();
-        let _ = store.point_get(0, 5).unwrap();
+        let _ = get(&store, 0, 5);
         let s = store.io_stats();
         assert_eq!(
             s.blocks_read, 0,
@@ -1351,16 +1397,16 @@ mod tests {
         store.flush().unwrap();
         store.insert(Point::new(1, 9.0, 9.0, 5)).unwrap();
         // Read from memtable over table.
-        assert_eq!(store.point_get(5, 1).unwrap().unwrap().x, 9.0);
+        assert_eq!(get(&store, 5, 1).unwrap().x, 9.0);
         store.flush().unwrap();
         // Read newest table over oldest.
-        assert_eq!(store.point_get(5, 1).unwrap().unwrap().x, 9.0);
-        let snap = store.scan_snapshot(5).unwrap();
+        assert_eq!(get(&store, 5, 1).unwrap().x, 9.0);
+        let snap = scan(&store, 5);
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].x, 9.0);
         // And compaction collapses to the newest version.
         store.compact_blocking().unwrap();
-        assert_eq!(store.point_get(5, 1).unwrap().unwrap().x, 9.0);
+        assert_eq!(get(&store, 5, 1).unwrap().x, 9.0);
     }
 
     #[test]
@@ -1373,16 +1419,18 @@ mod tests {
         let _pin_b = store.pin().unwrap(); // freezes generation 2
         store.insert(Point::new(1, 3.0, 3.0, 5)).unwrap();
         // The read freezes a third generation, which beats both others.
-        assert_eq!(store.point_get(5, 1).unwrap().unwrap().x, 3.0);
-        assert_eq!(store.scan_snapshot(5).unwrap()[0].x, 3.0);
-        assert_eq!(store.multi_get(5, &[1]).unwrap()[0].x, 3.0);
+        assert_eq!(get(&store, 5, 1).unwrap().x, 3.0);
+        assert_eq!(scan(&store, 5)[0].x, 3.0);
+        let mut buf = Vec::new();
+        store.multi_get_into(5, &[1], &mut buf).unwrap();
+        assert_eq!(buf[0].x, 3.0);
         drop(_pin_a);
         drop(_pin_b);
         // Flush folds the generations newest-wins.
         store.flush().unwrap();
         assert_eq!(store.memtable_len(), 0);
-        assert_eq!(store.point_get(5, 1).unwrap().unwrap().x, 3.0);
-        let snap = store.scan_snapshot(5).unwrap();
+        assert_eq!(get(&store, 5, 1).unwrap().x, 3.0);
+        let snap = scan(&store, 5);
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].x, 3.0);
     }
@@ -1397,7 +1445,7 @@ mod tests {
         let pin = store.pin().unwrap();
         assert_eq!(store.live_pins(), 1);
         // Everything inserted before the pin is visible through it…
-        assert_eq!(pin.scan_snapshot(0).unwrap().len(), 10);
+        assert_eq!(scan(&pin, 0).len(), 10);
         // …and nothing after: inserts, flushes and compactions included.
         for oid in 10..30u32 {
             store.insert(Point::new(oid, oid as f64, 1.0, 0)).unwrap();
@@ -1405,13 +1453,13 @@ mod tests {
         store.flush().unwrap();
         store.insert(Point::new(99, 9.0, 9.0, 1)).unwrap();
         store.compact_blocking().unwrap();
-        assert_eq!(pin.scan_snapshot(0).unwrap().len(), 10);
-        assert!(pin.scan_snapshot(1).unwrap().is_empty());
-        assert_eq!(store.scan_snapshot(0).unwrap().len(), 30);
+        assert_eq!(scan(&pin, 0).len(), 10);
+        assert!(scan(&pin, 1).is_empty());
+        assert_eq!(scan(&store, 0).len(), 30);
         // A fresh pin sees the new data.
         let pin2 = store.pin().unwrap();
-        assert_eq!(pin2.scan_snapshot(0).unwrap().len(), 30);
-        assert_eq!(pin2.scan_snapshot(1).unwrap().len(), 1);
+        assert_eq!(scan(&pin2, 0).len(), 30);
+        assert_eq!(scan(&pin2, 1).len(), 1);
         assert!(pin2.version() > pin.version());
         drop(pin);
         drop(pin2);
@@ -1459,10 +1507,10 @@ mod tests {
         }
         // …but the pin still reads them through its open descriptors.
         let pin = pin.unwrap();
-        assert_eq!(pin.scan_snapshot(0).unwrap().len(), 50);
-        assert_eq!(pin.scan_snapshot(1).unwrap().len(), 50);
-        assert!(pin.scan_snapshot(2).unwrap().is_empty());
-        assert_eq!(pin.point_get(0, 5).unwrap(), Some(ObjPos::new(5, 1.0, 1.0)));
+        assert_eq!(scan(&pin, 0).len(), 50);
+        assert_eq!(scan(&pin, 1).len(), 50);
+        assert!(scan(&pin, 2).is_empty());
+        assert_eq!(get(&pin, 0, 5), Some(ObjPos::new(5, 1.0, 1.0)));
     }
 
     #[test]
@@ -1473,7 +1521,7 @@ mod tests {
         store.reset_io_stats();
         // A cold pinned scan misses into the shared cache…
         let first = {
-            let _ = pin.scan_snapshot(25).unwrap();
+            let _ = scan(&pin, 25);
             pin.io_stats()
         };
         assert!(first.range_queries == 1 && first.cache_misses > 0);
@@ -1482,13 +1530,13 @@ mod tests {
         assert_eq!(store.io_stats().cache_misses, 0);
         // …and a store-side read of the same snapshot now hits the
         // blocks the pin populated.
-        let _ = store.scan_snapshot(25).unwrap();
+        let _ = scan(&store, 25);
         let s = store.io_stats();
         assert!(s.cache_hits > 0);
         assert_eq!(s.blocks_read, 0, "pin-warmed blocks must be shared");
         // The pin's second scan also hits.
         let before = pin.io_stats();
-        let _ = pin.scan_snapshot(25).unwrap();
+        let _ = scan(&pin, 25);
         let diff = pin.io_stats().since(&before);
         assert_eq!(diff.blocks_read, 0);
         assert!(diff.cache_hits > 0);
@@ -1540,10 +1588,10 @@ mod tests {
         store.insert_batch(&batch).unwrap();
         assert!(store.num_tables() >= 1, "the batch must have flushed");
         assert_eq!(store.version(), v0 + 1, "one swap per batch");
-        assert_eq!(before.scan_snapshot(0).unwrap().len(), 1);
+        assert_eq!(scan(&before, 0).len(), 1);
         let after = store.pin().unwrap();
         assert_eq!(after.version(), v0 + 1, "nothing left to freeze");
-        assert_eq!(after.scan_snapshot(0).unwrap().len(), 101);
+        assert_eq!(scan(&after, 0).len(), 101);
         // An empty batch publishes nothing.
         store.insert_batch(&[]).unwrap();
         assert_eq!(store.version(), v0 + 1);
@@ -1605,8 +1653,8 @@ mod tests {
         store.flush().unwrap();
         store.wait_for_compactions().unwrap();
         // The pin's view is exactly the pre-ingest state.
-        assert_eq!(pin.scan_snapshot(0).unwrap().len(), 64);
-        assert!(pin.scan_snapshot(1).unwrap().is_empty());
+        assert_eq!(scan(&pin, 0).len(), 64);
+        assert!(scan(&pin, 1).is_empty());
         // The store sees everything.
         assert_eq!(store.num_points(), 64 + 4 * 256);
         drop(pin);
@@ -1633,8 +1681,8 @@ mod tests {
         // Reads, pins and gauges answer from the last published state.
         let pin = store.pin().unwrap();
         assert_eq!(pin.version(), version);
-        assert_eq!(pin.scan_snapshot(0).unwrap().len(), 20);
-        assert_eq!(store.scan_snapshot(0).unwrap().len(), 20);
+        assert_eq!(scan(&pin, 0).len(), 20);
+        assert_eq!(scan(&store, 0).len(), 20);
         assert_eq!(store.num_points(), 20);
         assert_eq!(store.version(), version);
         assert_eq!(store.memtable_len(), 20);
@@ -1719,11 +1767,8 @@ mod tests {
         let store = LsmStore::create(&dir).unwrap();
         store.insert(Point::new(7, 3.0, 4.0, 2)).unwrap();
         assert_eq!(store.memtable_len(), 1);
-        assert_eq!(
-            store.point_get(2, 7).unwrap(),
-            Some(ObjPos::new(7, 3.0, 4.0))
-        );
-        assert_eq!(store.scan_snapshot(2).unwrap().len(), 1);
+        assert_eq!(get(&store, 2, 7), Some(ObjPos::new(7, 3.0, 4.0)));
+        assert_eq!(scan(&store, 2).len(), 1);
         assert_eq!(store.span(), TimeInterval::instant(2));
     }
 
@@ -1731,8 +1776,8 @@ mod tests {
     fn empty_store_is_sane() {
         let store = LsmStore::create(tmpdir("empty")).unwrap();
         assert_eq!(store.num_points(), 0);
-        assert!(store.scan_snapshot(0).unwrap().is_empty());
-        assert_eq!(store.point_get(0, 0).unwrap(), None);
+        assert!(scan(&store, 0).is_empty());
+        assert_eq!(get(&store, 0, 0), None);
     }
 
     #[test]
@@ -1741,7 +1786,7 @@ mod tests {
         let store = LsmStore::bulk_load(tmpdir("bloom"), &d).unwrap();
         store.reset_io_stats();
         for oid in 1000..1200u32 {
-            let _ = store.point_get(0, oid).unwrap();
+            let _ = get(&store, 0, oid);
         }
         assert!(store.io_stats().bloom_negatives > 150);
     }
@@ -1772,10 +1817,7 @@ mod tests {
         assert_eq!(store.io_stats().wal_replayed, 10);
         assert_eq!(store.span(), TimeInterval::instant(3));
         for oid in 0..10u32 {
-            assert_eq!(
-                store.point_get(3, oid).unwrap(),
-                Some(ObjPos::new(oid, oid as f64, 1.0))
-            );
+            assert_eq!(get(&store, 3, oid), Some(ObjPos::new(oid, oid as f64, 1.0)));
         }
     }
 
@@ -1797,7 +1839,7 @@ mod tests {
         }
         let store = LsmStore::open(&dir).unwrap();
         assert_eq!(store.memtable_len(), 8);
-        assert_eq!(store.scan_snapshot(0).unwrap().len(), 8);
+        assert_eq!(scan(&store, 0).len(), 8);
     }
 
     #[test]
@@ -1815,7 +1857,7 @@ mod tests {
         let store = LsmStore::open(&dir).unwrap();
         assert_eq!(store.io_stats().wal_replayed, 0);
         assert_eq!(store.memtable_len(), 0);
-        assert_eq!(store.point_get(0, 1).unwrap().unwrap().x, 1.0);
+        assert_eq!(get(&store, 0, 1).unwrap().x, 1.0);
     }
 
     #[test]
@@ -1832,7 +1874,7 @@ mod tests {
         store.flush().unwrap();
         drop(store);
         let store = LsmStore::open_with(&dir, config).unwrap();
-        assert_eq!(store.point_get(0, 1).unwrap().unwrap().y, 2.0);
+        assert_eq!(get(&store, 0, 1).unwrap().y, 2.0);
     }
 
     #[test]
@@ -1856,8 +1898,8 @@ mod tests {
         conformance(&store, &d);
         // Re-reading the same snapshot never hits: nothing is retained.
         store.reset_io_stats();
-        let _ = store.scan_snapshot(25).unwrap();
-        let _ = store.scan_snapshot(25).unwrap();
+        let _ = scan(&store, 25);
+        let _ = scan(&store, 25);
         let s = store.io_stats();
         assert_eq!(s.cache_hits, 0, "cache_blocks: 0 must disable caching");
         assert!(s.cache_misses > 0);

@@ -1,4 +1,4 @@
-//! In-memory store: a [`Dataset`] behind the [`TrajectoryStore`] trait.
+//! In-memory store: a [`Dataset`] with I/O accounting.
 
 use crate::iostats::IoCounters;
 use crate::{IoStats, SnapshotRef, SnapshotSource, StoreResult, TrajectoryStore};
@@ -59,6 +59,7 @@ impl SnapshotSource for InMemoryStore {
     }
 
     fn multi_get_into(&self, t: Time, oids: &[Oid], out: &mut Vec<ObjPos>) -> StoreResult<()> {
+        debug_assert!(oids.windows(2).all(|w| w[0] < w[1]));
         self.io.add_point_queries(oids.len() as u64);
         out.clear();
         if let Some(snap) = self.dataset.snapshot(t) {
@@ -81,44 +82,6 @@ impl SnapshotSource for InMemoryStore {
 }
 
 impl TrajectoryStore for InMemoryStore {
-    fn scan_snapshot(&self, t: Time) -> StoreResult<Vec<ObjPos>> {
-        let mut out = Vec::new();
-        self.scan_snapshot_into(t, &mut out)?;
-        Ok(out)
-    }
-
-    fn scan_snapshot_into(&self, t: Time, out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        self.io.add_range_query();
-        self.io.add_snapshot_copied();
-        out.clear();
-        if let Some(s) = self.dataset.snapshot(t) {
-            out.extend_from_slice(s.positions());
-        }
-        Ok(())
-    }
-
-    fn multi_get(&self, t: Time, oids: &[Oid]) -> StoreResult<Vec<ObjPos>> {
-        debug_assert!(oids.windows(2).all(|w| w[0] < w[1]));
-        for _ in oids {
-            self.io.add_point_query();
-        }
-        let Some(snap) = self.dataset.snapshot(t) else {
-            return Ok(Vec::new());
-        };
-        let mut out = Vec::with_capacity(oids.len());
-        for &oid in oids {
-            if let Some(p) = snap.get(oid) {
-                out.push(*p);
-            }
-        }
-        Ok(out)
-    }
-
-    fn point_get(&self, t: Time, oid: Oid) -> StoreResult<Option<ObjPos>> {
-        self.io.add_point_query();
-        Ok(self.dataset.snapshot(t).and_then(|s| s.get(oid)).copied())
-    }
-
     fn reset_io_stats(&self) {
         self.io.reset()
     }
@@ -154,15 +117,23 @@ mod tests {
         assert_eq!(buf.len(), 1);
         let s = store.io_stats();
         assert_eq!((s.snapshots_shared, s.snapshots_copied), (1, 0));
-        let _ = store.scan_snapshot(25).unwrap();
-        assert_eq!(store.io_stats().snapshots_copied, 1);
     }
 
     #[test]
     fn point_queries_counted_per_oid() {
         let d = toy_dataset();
         let store = InMemoryStore::new(d);
-        store.multi_get(0, &[0, 1, 2]).unwrap();
+        store
+            .multi_get_into(0, &[0, 1, 2], &mut Vec::new())
+            .unwrap();
         assert_eq!(store.io_stats().point_queries, 3);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic]
+    fn probe_rejects_unsorted_oids() {
+        let store = InMemoryStore::new(toy_dataset());
+        let _ = store.multi_get_into(10, &[3, 1], &mut Vec::new());
     }
 }

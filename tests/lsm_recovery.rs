@@ -28,10 +28,10 @@
 //!    neither panics nor sizes a buffer by the rotten row).
 
 use k2hop::datagen::trucks::TrucksConfig;
-use k2hop::model::{Convoy, Dataset};
+use k2hop::model::{Convoy, Dataset, ObjPos};
 use k2hop::prelude::*;
 use k2hop::storage::{
-    LsmConfig, LsmStore, SnapshotSource, StoreError, TrajectoryStore, WalSyncPolicy, WAL_FRAME_SIZE,
+    LsmConfig, LsmStore, SnapshotSource, StoreError, WalSyncPolicy, WAL_FRAME_SIZE,
 };
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -67,6 +67,13 @@ impl TornWriter {
         bytes[offset as usize] ^= mask;
         fs::write(&self.path, &bytes).unwrap();
     }
+}
+
+/// One record, read as a one-oid `multi_get_into`.
+fn get(store: &LsmStore, t: u32, oid: u32) -> Option<ObjPos> {
+    let mut buf = Vec::new();
+    store.multi_get_into(t, &[oid], &mut buf).unwrap();
+    buf.pop()
 }
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -194,9 +201,7 @@ fn kill_before_flush_recovers_every_acknowledged_insert() {
     assert_eq!(store.io_stats().wal_replayed, dataset.num_points());
     // Record-by-record: no point was lost, positions intact.
     for p in dataset.iter_points() {
-        let got = store
-            .point_get(p.t, p.oid)
-            .unwrap()
+        let got = get(&store, p.t, p.oid)
             .unwrap_or_else(|| panic!("lost acknowledged insert ({}, {})", p.t, p.oid));
         assert_eq!((got.x, got.y), (p.x, p.y));
     }
@@ -227,7 +232,7 @@ fn kill_mid_insert_drops_only_the_torn_frame() {
         "exactly the torn frame is dropped"
     );
     assert_eq!(
-        store.point_get(last.t, last.oid).unwrap(),
+        get(&store, last.t, last.oid),
         None,
         "the unacknowledged in-flight insert must not resurface"
     );
@@ -595,7 +600,7 @@ fn torn_wal_tail_recovers_longest_whole_prefix() {
             "cut at byte {cut}"
         );
         for (i, p) in points.iter().enumerate() {
-            let got = store.point_get(p.t, p.oid).unwrap();
+            let got = get(&store, p.t, p.oid);
             if (i as u64) < whole_frames {
                 assert_eq!(got.unwrap().x, p.x, "cut {cut}: frame {i} must survive");
             }

@@ -8,7 +8,7 @@
 //! many times — is byte-identical to mining a frozen copy of the store
 //! taken at pin time.
 
-use k2hop::model::{Dataset, Point};
+use k2hop::model::{Dataset, ObjPos, Point};
 use k2hop::server::{K2Service, Request, Response};
 use k2hop::storage::{
     LsmConfig, LsmStore, SnapshotSource, StorePin, TrajectoryStore, WalSyncPolicy,
@@ -30,6 +30,19 @@ fn tmp(name: &str, salt: u64) -> std::path::PathBuf {
     d
 }
 
+/// The whole snapshot at `t`, read through `scan_snapshot_ref`.
+fn scan(s: &dyn SnapshotSource, t: u32) -> Vec<ObjPos> {
+    let mut buf = Vec::new();
+    s.scan_snapshot_ref(t, &mut buf).unwrap().to_vec()
+}
+
+/// The records of sorted `oids` at `t`, read through `multi_get_into`.
+fn get(s: &dyn SnapshotSource, t: u32, oids: &[u32]) -> Vec<ObjPos> {
+    let mut out = Vec::new();
+    s.multi_get_into(t, oids, &mut out).unwrap();
+    out
+}
+
 /// A frozen in-memory copy of the model, for mining comparison.
 fn freeze(model: &Model) -> Option<Dataset> {
     if model.is_empty() {
@@ -48,7 +61,7 @@ fn assert_pin_matches_frozen(pin: &StorePin, frozen: &Dataset) {
     assert_eq!(pin.span(), frozen.span(), "pinned span drifted");
     let span = frozen.span();
     for t in span.iter() {
-        let got = pin.scan_snapshot(t).unwrap();
+        let got = scan(pin, t);
         let want = frozen
             .snapshot(t)
             .map(|s| s.positions().to_vec())
@@ -56,7 +69,7 @@ fn assert_pin_matches_frozen(pin: &StorePin, frozen: &Dataset) {
         assert_eq!(got, want, "pinned scan at t={t} drifted");
     }
     // Nothing newer leaked past the span end.
-    assert!(pin.scan_snapshot(span.end + 1).unwrap().is_empty());
+    assert!(scan(pin, span.end + 1).is_empty());
     // The mining outcome over the pin is byte-identical to mining the
     // frozen copy (m=2, k=2, generous eps: small random workloads still
     // produce convoys often enough to make the comparison meaningful).
@@ -181,22 +194,22 @@ fn store_and_pin_read_alike_and_cost_alike() {
         assert_eq!(store.num_points(), pin.num_points());
 
         let probe: Vec<u32> = (0..330u32).step_by(2).chain([1000]).collect();
-        type Read<'a> = Box<dyn Fn(&dyn TrajectoryStore) -> Vec<k2hop::model::ObjPos> + 'a>;
+        type Read<'a> = Box<dyn Fn(&dyn TrajectoryStore) -> Vec<ObjPos> + 'a>;
         let mut reads: Vec<(String, Read<'_>)> = Vec::new();
         for t in 0..8u32 {
             reads.push((
-                format!("scan_snapshot({t})"),
-                Box::new(move |s| s.scan_snapshot(t).unwrap()),
+                format!("scan_snapshot_ref({t})"),
+                Box::new(move |s| scan(s, t)),
             ));
             let probe = &probe;
             reads.push((
-                format!("multi_get({t})"),
-                Box::new(move |s| s.multi_get(t, probe).unwrap()),
+                format!("multi_get_into({t})"),
+                Box::new(move |s| get(s, t, probe)),
             ));
             for oid in [0u32, 3, 5, 7, 105, 299, 310, 1000] {
                 reads.push((
-                    format!("point_get({t}, {oid})"),
-                    Box::new(move |s| s.point_get(t, oid).unwrap().into_iter().collect()),
+                    format!("multi_get_into({t}, [{oid}])"),
+                    Box::new(move |s| get(s, t, &[oid])),
                 ));
             }
         }
@@ -233,7 +246,7 @@ fn store_and_pin_read_alike_and_cost_alike() {
         // ends at t = 4, so their fences exclude the batch; the younger
         // generation admits it and does not hold it. Exactly one block
         // request, and no filter consulted.
-        let tail: Read<'_> = Box::new(|s| s.multi_get(5, &[298, 299]).unwrap());
+        let tail: Read<'_> = Box::new(|s| get(s, 5, &[298, 299]));
         for s in [&store as &dyn TrajectoryStore, &pin] {
             let (got, tail_cost) = cost(s, &tail);
             assert_eq!(got.len(), 2, "cache {cache_blocks}");
@@ -242,7 +255,7 @@ fn store_and_pin_read_alike_and_cost_alike() {
         // Both generations start at t >= 2: below that they change
         // neither the answer nor the cost of a batch.
         for t in 0..2u32 {
-            let below: Read<'_> = Box::new(|s| s.multi_get(t, &probe).unwrap());
+            let below: Read<'_> = Box::new(|s| get(s, t, &probe));
             let (without, cost_without) = cost(&tables_only, &below);
             let (with, cost_with) = cost(&pin, &below);
             assert_eq!(with, without, "t {t}, cache {cache_blocks}");
@@ -322,9 +335,9 @@ fn insert_p99_stays_bounded_under_a_live_pin() {
         let stop = stop.clone();
         let reader_pin = store.pin().unwrap();
         std::thread::spawn(move || {
-            let mut scans = 0u64;
+            let (mut scans, mut buf) = (0u64, Vec::new());
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                let n = reader_pin.scan_snapshot(0).unwrap().len();
+                let n = reader_pin.scan_snapshot_ref(0, &mut buf).unwrap().len();
                 assert_eq!(n, 256);
                 scans += 1;
             }
@@ -354,8 +367,8 @@ fn insert_p99_stays_bounded_under_a_live_pin() {
         "insert p99 under live pin too high: {p99}ns"
     );
     // The pin still reads its frozen past.
-    assert_eq!(pin.scan_snapshot(0).unwrap().len(), 256);
-    assert_eq!(pin.scan_snapshot(1).unwrap().len(), 0);
+    assert_eq!(scan(&pin, 0).len(), 256);
+    assert_eq!(scan(&pin, 1).len(), 0);
     drop(pin);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -394,7 +407,7 @@ fn store_stays_model_exact_while_pins_churn() {
     let full = freeze(&model).unwrap();
     for t in 0..20u32 {
         assert_eq!(
-            store.scan_snapshot(t).unwrap(),
+            scan(&store, t),
             full.snapshot(t)
                 .map(|s| s.positions().to_vec())
                 .unwrap_or_default()
@@ -498,8 +511,8 @@ fn pins_during_a_batch(name: &str, memtable_entries: usize) {
             acked,
             "a pin saw part of a batch in flight"
         );
-        assert_eq!(pin.scan_snapshot(0).unwrap().len(), acked as usize);
-        assert!(pin.scan_snapshot(1).unwrap().is_empty());
+        assert_eq!(scan(&pin, 0).len(), acked as usize);
+        assert!(scan(&pin, 1).is_empty());
         assert!(pin.version() >= last_version, "pin versions went backwards");
         last_version = pin.version();
         // The gauges describe the pinned state: no table was published
@@ -535,7 +548,7 @@ fn pins_during_a_batch(name: &str, memtable_entries: usize) {
     let after = store.pin().unwrap();
     assert_eq!(after.version(), v_batch);
     assert_eq!(after.num_points(), acked + u64::from(BATCH));
-    assert_eq!(after.scan_snapshot(1).unwrap().len(), BATCH as usize);
+    assert_eq!(scan(&after, 1).len(), BATCH as usize);
     // Pins between batches freeze nothing and publish nothing.
     for _ in 0..3 {
         assert_eq!(store.pin().unwrap().version(), v_batch);

@@ -1,8 +1,7 @@
-//! Cross-engine parity of the borrowed snapshot API: for every engine,
-//! `scan_snapshot_ref` and `scan_snapshot_into` must return exactly what
-//! `scan_snapshot` returns — same records, same (oid-sorted) order — on
-//! arbitrary datasets, including absent timestamps and single-point
-//! snapshots. Plus the zero-copy contract itself: the in-memory engine
+//! Cross-engine parity of the snapshot scan: for every engine,
+//! `scan_snapshot_ref` must return exactly the reference `Dataset`
+//! snapshot — same records, same (oid-sorted) order — on arbitrary
+//! datasets, including absent timestamps and single-point snapshots. Plus the zero-copy contract itself: the in-memory engine
 //! must serve every borrowed scan from shared storage, and a full mining
 //! run over it must clone no benchmark snapshot at all.
 
@@ -32,17 +31,17 @@ fn tmp(name: &str, salt: u64) -> std::path::PathBuf {
 }
 
 /// The parity contract for one engine: every timestamp of the span, plus
-/// out-of-span probes on both sides, through all three scan forms.
-fn check_scan_parity(store: &dyn TrajectoryStore) {
+/// out-of-span probes on both sides, against the reference snapshots.
+fn check_scan_parity(store: &dyn SnapshotSource, reference: &Dataset) {
     let span = store.span();
     let mut buf = vec![ObjPos::new(u32::MAX, f64::MAX, f64::MAX)]; // stale content
     let probes = (span.start.saturating_sub(3)..=span.end).chain([span.end + 1, span.end + 1000]);
     for t in probes {
-        let owned = store.scan_snapshot(t).unwrap();
+        let want = reference.snapshot(t).map_or(&[][..], |s| s.positions());
         let borrowed = store.scan_snapshot_ref(t, &mut buf).unwrap();
         assert_eq!(
             borrowed.positions(),
-            &owned[..],
+            want,
             "{} scan_snapshot_ref({t})",
             store.name()
         );
@@ -51,19 +50,15 @@ fn check_scan_parity(store: &dyn TrajectoryStore) {
             "{} snapshot {t} must be strictly oid-sorted",
             store.name()
         );
-        drop(borrowed);
-        store.scan_snapshot_into(t, &mut buf).unwrap();
-        assert_eq!(buf, owned, "{} scan_snapshot_into({t})", store.name());
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// All four engines serve identical content and order through the
-    /// owned, borrowed and buffered scan forms.
+    /// All four engines serve the reference content and order.
     #[test]
-    fn borrowed_scans_match_owned_scans_on_all_engines(
+    fn borrowed_scans_match_the_reference_on_all_engines(
         points in points_strategy(),
         salt in 0u64..1_000_000,
     ) {
@@ -71,30 +66,26 @@ proptest! {
         let dir = tmp("parity", salt);
 
         let mem = InMemoryStore::new(dataset.clone());
-        check_scan_parity(&mem);
+        check_scan_parity(&mem, &dataset);
         let flat = FlatFileStore::create(dir.join("d.bin"), &dataset).unwrap();
-        check_scan_parity(&flat);
+        check_scan_parity(&flat, &dataset);
         let btree = RelationalStore::create(dir.join("d.k2bt"), &dataset).unwrap();
-        check_scan_parity(&btree);
+        check_scan_parity(&btree, &dataset);
         let lsm = LsmStore::bulk_load(dir.join("lsm"), &dataset).unwrap();
-        check_scan_parity(&lsm);
+        check_scan_parity(&lsm, &dataset);
 
-        // The in-memory engine must have served every in-span borrowed
-        // scan zero-copy (absent timestamps return an empty borrow and
-        // count as neither shared nor copied), while its owned/buffered
-        // forms copy; the disk engines must have copied every scan.
+        // The in-memory engine must have served every in-span scan
+        // zero-copy (absent timestamps return an empty borrow and count
+        // as neither shared nor copied); the disk engines must have
+        // copied every scan.
         let span = mem.span();
         let in_span = span.len() as u64;
         let probes = in_span + u64::from(span.start - span.start.saturating_sub(3)) + 2;
         let mem_io = mem.io_stats();
         prop_assert_eq!(mem_io.snapshots_shared, in_span);
-        prop_assert_eq!(mem_io.snapshots_copied, 2 * probes);
-        prop_assert_eq!(mem_io.range_queries, 3 * probes);
-        for disk in [
-            &flat as &dyn TrajectoryStore,
-            &btree as &dyn TrajectoryStore,
-            &lsm as &dyn TrajectoryStore,
-        ] {
+        prop_assert_eq!(mem_io.snapshots_copied, 0);
+        prop_assert_eq!(mem_io.range_queries, probes);
+        for disk in [&flat as &dyn SnapshotSource, &btree, &lsm] {
             let io = disk.io_stats();
             prop_assert_eq!(io.snapshots_shared, 0, "{}", disk.name());
             prop_assert_eq!(io.snapshots_copied, io.range_queries, "{}", disk.name());
@@ -113,8 +104,8 @@ fn single_point_snapshot_parity() {
     let flat = FlatFileStore::create(dir.join("d.bin"), &dataset).unwrap();
     let btree = RelationalStore::create(dir.join("d.k2bt"), &dataset).unwrap();
     let lsm = LsmStore::bulk_load(dir.join("lsm"), &dataset).unwrap();
-    for store in [&mem as &dyn TrajectoryStore, &flat, &btree, &lsm] {
-        check_scan_parity(store);
+    for store in [&mem as &dyn SnapshotSource, &flat, &btree, &lsm] {
+        check_scan_parity(store, &dataset);
         let mut buf = Vec::new();
         let snap = store.scan_snapshot_ref(10, &mut buf).unwrap();
         assert_eq!(snap.len(), 1, "{}", store.name());

@@ -63,15 +63,16 @@ fn model_of(points: &[Point]) -> BTreeMap<(u32, u32), (f64, f64)> {
     m
 }
 
-fn check_against_model(store: &dyn TrajectoryStore, model: &BTreeMap<(u32, u32), (f64, f64)>) {
+fn check_against_model(store: &dyn SnapshotSource, model: &BTreeMap<(u32, u32), (f64, f64)>) {
     let (t_lo, t_hi) = (
         model.keys().map(|k| k.0).min().unwrap(),
         model.keys().map(|k| k.0).max().unwrap(),
     );
     assert_eq!(store.span().start, t_lo, "{}", store.name());
     assert_eq!(store.span().end, t_hi, "{}", store.name());
+    let mut buf = Vec::new();
     for t in t_lo..=t_hi {
-        let snap = store.scan_snapshot(t).unwrap();
+        let snap = store.scan_snapshot_ref(t, &mut buf).unwrap();
         let want: Vec<(u32, f64, f64)> = model
             .range((t, 0)..=(t, u32::MAX))
             .map(|(&(_, oid), &(x, y))| (oid, x, y))
@@ -79,15 +80,18 @@ fn check_against_model(store: &dyn TrajectoryStore, model: &BTreeMap<(u32, u32),
         let got: Vec<(u32, f64, f64)> = snap.iter().map(|p| (p.oid, p.x, p.y)).collect();
         assert_eq!(got, want, "{} snapshot {t}", store.name());
     }
-    // Random probes including misses.
+    // Random single-key probes including misses.
     for (i, (&(t, oid), &(x, y))) in model.iter().enumerate() {
         if i % 3 == 0 {
-            let got = store.point_get(t, oid).unwrap().unwrap();
-            assert_eq!((got.x, got.y), (x, y), "{}", store.name());
+            store.multi_get_into(t, &[oid], &mut buf).unwrap();
+            let got: Vec<(f64, f64)> = buf.iter().map(|p| (p.x, p.y)).collect();
+            assert_eq!(got, [(x, y)], "{}", store.name());
         }
     }
-    assert_eq!(store.point_get(t_hi + 10, 0).unwrap(), None);
-    assert_eq!(store.point_get(t_lo, 9999).unwrap(), None);
+    for (t, oid) in [(t_hi + 10, 0), (t_lo, 9999)] {
+        store.multi_get_into(t, &[oid], &mut buf).unwrap();
+        assert!(buf.is_empty(), "{} ({t}, {oid})", store.name());
+    }
     // Sorted batches: every oid the strategy can draw plus absent ones,
     // and every third oid.
     let everyone: Vec<u32> = (0..20).chain([21, 500, 9999]).collect();
@@ -98,9 +102,9 @@ fn check_against_model(store: &dyn TrajectoryStore, model: &BTreeMap<(u32, u32),
                 .iter()
                 .filter_map(|&oid| model.get(&(t, oid)).map(|&(x, y)| (oid, x, y)))
                 .collect();
-            let got = store.multi_get(t, oids).unwrap();
-            let got: Vec<(u32, f64, f64)> = got.iter().map(|p| (p.oid, p.x, p.y)).collect();
-            assert_eq!(got, want, "{} multi_get {t} of {oids:?}", store.name());
+            store.multi_get_into(t, oids, &mut buf).unwrap();
+            let got: Vec<(u32, f64, f64)> = buf.iter().map(|p| (p.oid, p.x, p.y)).collect();
+            assert_eq!(got, want, "{} multi_get_into {t} of {oids:?}", store.name());
         }
     }
 }
@@ -260,11 +264,12 @@ proptest! {
         let lsm = LsmStore::bulk_load(dir.join("lsm"), &Dataset::from_points(&points).unwrap()).unwrap();
         let t = points[0].t;
         lsm.reset_io_stats();
-        let first = lsm.scan_snapshot(t).unwrap();
+        let mut buf = Vec::new();
+        let first = lsm.scan_snapshot_ref(t, &mut buf).unwrap().to_vec();
         let cold = lsm.io_stats();
         assert_eq!(cold.blocks_read, cold.cache_misses, "misses are disk reads");
-        let again = lsm.scan_snapshot(t).unwrap();
-        assert_eq!(first, again);
+        let again = lsm.scan_snapshot_ref(t, &mut buf).unwrap();
+        assert_eq!(first, &again[..]);
         let warm = lsm.io_stats().since(&cold);
         assert_eq!(warm.cache_misses, 0, "default cache holds a toy table");
         assert_eq!(warm.blocks_read, 0);
