@@ -50,14 +50,6 @@ pub enum MineError {
     Config(ConfigError),
     /// A storage engine failed underneath the miner.
     Store(StoreError),
-    /// The requested engine/pattern combination is not supported (e.g.
-    /// a convoy engine asked to mine flocks).
-    UnsupportedPattern {
-        /// The configured engine.
-        engine: &'static str,
-        /// The requested pattern kind.
-        pattern: &'static str,
-    },
 }
 
 impl fmt::Display for MineError {
@@ -65,9 +57,6 @@ impl fmt::Display for MineError {
         match self {
             MineError::Config(e) => write!(f, "invalid mining parameters: {e}"),
             MineError::Store(e) => write!(f, "storage failure while mining: {e}"),
-            MineError::UnsupportedPattern { engine, pattern } => {
-                write!(f, "engine '{engine}' cannot mine pattern '{pattern}'")
-            }
         }
     }
 }
@@ -77,7 +66,6 @@ impl std::error::Error for MineError {
         match self {
             MineError::Config(e) => Some(e),
             MineError::Store(e) => Some(e),
-            MineError::UnsupportedPattern { .. } => None,
         }
     }
 }
@@ -125,7 +113,7 @@ pub struct MineOutcome {
     /// The mined patterns, canonically sorted (by lifespan, then
     /// objects). For fully-connected engines these are maximal FC
     /// convoys; sweep baselines yield partially-connected convoys and
-    /// flock sessions yield flocks — the semantics follow the engine.
+    /// the flock miner yields flocks — the semantics follow the engine.
     pub convoys: Vec<Convoy>,
     /// Run metadata: engine, threads, timings, pruning counters.
     pub stats: MineStats,
@@ -139,16 +127,17 @@ pub struct MineOutcome {
 /// Object-safe: sessions hold `Box<dyn ConvoyMiner>` and every source is
 /// passed as `&dyn SnapshotSource`, so any engine mines from any storage
 /// backend. Implemented by [`K2Hop`](crate::K2Hop),
-/// [`K2HopParallel`](crate::K2HopParallel), and the baseline miners
-/// (e.g. the CMC/PCCD snapshot sweep in `k2-baselines`).
+/// [`K2HopParallel`](crate::K2HopParallel), the baseline miners
+/// (e.g. the CMC/PCCD snapshot sweep in `k2-baselines`) and the
+/// k/2-hop flock miner in `k2-patterns`.
 pub trait ConvoyMiner {
     /// Stable engine identifier for reports (e.g. `"k2hop"`).
     fn engine_name(&self) -> &'static str;
 
     /// Mines `source` end to end.
     ///
-    /// The convoy semantics (fully connected, partially connected, …)
-    /// are the implementing engine's; every implementation must be
+    /// The pattern semantics (fully or partially connected convoys,
+    /// flocks, …) are the implementing engine's; every implementation must be
     /// deterministic for a fixed source and configuration.
     fn mine(&self, source: &dyn SnapshotSource) -> Result<MineOutcome, MineError>;
 }

@@ -114,16 +114,6 @@ impl Dataset {
             .unwrap_or_default()
     }
 
-    /// [`restrict_at`](Self::restrict_at) into a caller-provided buffer
-    /// (cleared first) — the allocation-free form used by the `reCluster`
-    /// probe loops, which call this thousands of times per mining run.
-    pub fn restrict_at_into(&self, t: Time, objects: &ObjectSet, out: &mut Vec<ObjPos>) {
-        out.clear();
-        if let Some(s) = self.snapshot(t) {
-            s.restrict_into(objects, out);
-        }
-    }
-
     /// Summary statistics (object counts, densities).
     pub fn stats(&self) -> DatasetStats {
         let mut objects = BTreeSet::new();
@@ -269,22 +259,6 @@ mod tests {
         let d = toy();
         assert!(d.restrict_at(99, &ObjectSet::from([1])).is_empty());
         assert_eq!(d.restrict_at(10, &ObjectSet::from([1, 3])).len(), 1);
-    }
-
-    #[test]
-    fn restrict_at_into_matches_restrict_at_and_clears() {
-        let d = toy();
-        let mut buf = vec![ObjPos::new(99, 0.0, 0.0)]; // stale content
-        for t in [9, 10, 11, 12, 13, 99] {
-            for set in [
-                ObjectSet::from([1]),
-                ObjectSet::from([1, 2, 3]),
-                ObjectSet::empty(),
-            ] {
-                d.restrict_at_into(t, &set, &mut buf);
-                assert_eq!(buf, d.restrict_at(t, &set), "t {t} set {set:?}");
-            }
-        }
     }
 
     #[test]

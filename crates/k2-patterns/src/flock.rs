@@ -13,6 +13,11 @@
 //!   therefore *exact* and the accelerated miner needs **no** final
 //!   FC-style validation phase.
 //!
+//! The accelerated miner is an engine like the convoy miners:
+//! [`FlockMiner`] implements [`ConvoyMiner`] and reads a source only
+//! through its two §5 access paths — one snapshot scan per benchmark
+//! point, restricted `DB[t]|O` probes everywhere else.
+//!
 //! Per-timestamp maximal disk groups are found with the classic
 //! pair-disk enumeration (Vieira et al., "BFE"): every maximal group
 //! with ≥ 2 members is contained in a radius-`r` disk whose boundary
@@ -23,8 +28,8 @@
 use crate::mec::min_enclosing_circle;
 use k2_core::benchpoints::{benchmark_points, hop_window, hwmt_order};
 use k2_core::merge::merge_spanning;
-use k2_core::{MineError, MineOutcome, MineStats};
-use k2_model::{Convoy, ConvoySet, Dataset, ObjPos, ObjectSet, Snapshot, Time, TimeInterval};
+use k2_core::{ConvoyMiner, MineError, MineOutcome, MineStats};
+use k2_model::{Convoy, ConvoySet, Dataset, ObjPos, ObjectSet, Time, TimeInterval};
 use k2_storage::{SnapshotSource, StoreResult};
 use std::time::Instant;
 
@@ -49,9 +54,16 @@ impl FlockConfig {
     }
 }
 
-/// Flock miner: exact sweep and k/2-hop-accelerated variants.
+/// Flock miner: the k/2-hop-accelerated engine behind [`ConvoyMiner`],
+/// plus the exact sweep it is checked against.
+///
+/// As an engine it reads only the two §5 access paths: one snapshot scan
+/// per benchmark point and restricted `DB[t]|O` probes in hop-windows and
+/// extension — so it mines a bare [`Dataset`], any store or a clamped
+/// pin without copying it.
 ///
 /// ```
+/// use k2_core::ConvoyMiner;
 /// use k2_patterns::{FlockConfig, FlockMiner};
 /// use k2_model::{Dataset, Point};
 ///
@@ -64,7 +76,7 @@ impl FlockConfig {
 /// }
 /// let d = Dataset::from_points(&pts).unwrap();
 /// let miner = FlockMiner::new(FlockConfig::new(3, 5, 0.5));
-/// let flocks = miner.mine_hop(&d);
+/// let flocks = miner.mine(&d).unwrap().convoys;
 /// assert_eq!(flocks, miner.mine_sweep(&d)); // the acceleration is exact
 /// assert_eq!(flocks.len(), 1);
 /// assert_eq!(flocks[0].len(), 10);
@@ -74,33 +86,19 @@ pub struct FlockMiner {
     config: FlockConfig,
 }
 
-impl FlockMiner {
-    /// Creates a miner.
-    pub fn new(config: FlockConfig) -> Self {
-        Self { config }
+impl ConvoyMiner for FlockMiner {
+    fn engine_name(&self) -> &'static str {
+        "flock-k2hop"
     }
 
-    /// [`mine_hop`](Self::mine_hop) over any [`SnapshotSource`], in the
-    /// unified outcome shape — what a flock session and a served flock
-    /// request both run. A source that is not resident is materialised
-    /// through the snapshot scan path first: flocks re-read whole
-    /// snapshots, so there is no restriction to hide behind.
-    pub fn mine_source(&self, source: &dyn SnapshotSource) -> Result<MineOutcome, MineError> {
+    fn mine(&self, source: &dyn SnapshotSource) -> Result<MineOutcome, MineError> {
         let t0 = Instant::now();
-        let materialized;
-        let dataset = match source.as_dataset() {
-            Some(d) => d,
-            None => {
-                materialized = materialize(source)?;
-                &materialized
-            }
-        };
-        let convoys = self.mine_hop(dataset);
+        let convoys = self.flocks(source)?;
         // Pruning counters stay zero: the flock miner does not track its
         // reads, and setting only `total_points` would make
         // `pruning_ratio()` report a false 100%.
         let mut stats = MineStats {
-            engine: "flock-k2hop",
+            engine: self.engine_name(),
             threads: 1,
             timings: Default::default(),
             pruning: Default::default(),
@@ -113,6 +111,13 @@ impl FlockMiner {
             stats,
             io: source.io_stats(),
         })
+    }
+}
+
+impl FlockMiner {
+    /// Creates a miner.
+    pub fn new(config: FlockConfig) -> Self {
+        Self { config }
     }
 
     /// Exact baseline: disk-group every snapshot, sweep left to right
@@ -156,25 +161,21 @@ impl FlockMiner {
     /// snapshots, intersect, validate hop-windows in farthest-first
     /// order, merge, extend. No validation phase is needed (see module
     /// docs). Output is identical to [`FlockMiner::mine_sweep`].
-    pub fn mine_hop(&self, dataset: &Dataset) -> Vec<Convoy> {
+    fn flocks(&self, source: &dyn SnapshotSource) -> StoreResult<Vec<Convoy>> {
         let FlockConfig { m, k, r } = self.config;
-        let span = dataset.span();
+        let span = source.span();
         if span.len() < k {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let bench = benchmark_points(span, k / 2);
 
         // Benchmark disk groups.
-        let bench_groups: Vec<Vec<ObjectSet>> = bench
-            .iter()
-            .map(|&b| {
-                disk_groups(
-                    dataset.snapshot(b).map(|s| s.positions()).unwrap_or(&[]),
-                    r,
-                    m,
-                )
-            })
-            .collect();
+        let mut buf = Vec::new();
+        let mut bench_groups: Vec<Vec<ObjectSet>> = Vec::with_capacity(bench.len());
+        for &b in &bench {
+            let snap = source.scan_snapshot_ref(b, &mut buf)?;
+            bench_groups.push(disk_groups(snap.positions(), r, m));
+        }
 
         // Candidate groups per window (pairwise intersection + maximality;
         // disk groups may overlap, so the inverted-index trick of the
@@ -191,36 +192,36 @@ impl FlockMiner {
                     }
                 }
             }
-            windows.push(self.mine_window(dataset, bench[w], bench[w + 1], &cc));
+            windows.push(self.mine_window(source, bench[w], bench[w + 1], &cc)?);
         }
 
         // Merge and extend (shared with the convoy pipeline).
         let merged = merge_spanning(&windows, m);
         let mut results = ConvoySet::new();
         for v in merged {
-            for rightward in self.extend(dataset, v, true) {
-                for full in self.extend(dataset, rightward, false) {
+            for rightward in self.extend(source, v, true)? {
+                for full in self.extend(source, rightward, false)? {
                     if full.len() >= k {
                         results.update(full);
                     }
                 }
             }
         }
-        results.into_sorted_vec()
+        Ok(results.into_sorted_vec())
     }
 
     /// HWMT with the disk predicate: survivors of every window timestamp
     /// in farthest-first order.
     fn mine_window(
         &self,
-        dataset: &Dataset,
+        source: &dyn SnapshotSource,
         b_left: Time,
         b_right: Time,
         cc: &[ObjectSet],
-    ) -> Vec<Convoy> {
+    ) -> StoreResult<Vec<Convoy>> {
         let FlockConfig { m, r, .. } = self.config;
         if cc.is_empty() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let mut survivors: Vec<ObjectSet> = cc.to_vec();
         let mut positions = Vec::new();
@@ -228,7 +229,7 @@ impl FlockMiner {
             for t in hwmt_order(window) {
                 let mut next: Vec<ObjectSet> = Vec::new();
                 for candidate in &survivors {
-                    dataset.restrict_at_into(t, candidate, &mut positions);
+                    source.multi_get_into(t, candidate.ids(), &mut positions)?;
                     for g in disk_groups(&positions, r, m) {
                         if !next.iter().any(|c| g.is_subset(c)) {
                             next.retain(|c| !c.is_subset(&g));
@@ -237,22 +238,27 @@ impl FlockMiner {
                     }
                 }
                 if next.is_empty() {
-                    return Vec::new();
+                    return Ok(Vec::new());
                 }
                 survivors = next;
             }
         }
-        survivors
+        Ok(survivors
             .into_iter()
             .map(|objects| Convoy::new(objects, TimeInterval::new(b_left, b_right)))
-            .collect()
+            .collect())
     }
 
     /// Directed extension with the disk predicate (subset-closure makes
     /// emitted shrunken flocks valid without re-checking the past).
-    fn extend(&self, dataset: &Dataset, seed: Convoy, rightward: bool) -> Vec<Convoy> {
+    fn extend(
+        &self,
+        source: &dyn SnapshotSource,
+        seed: Convoy,
+        rightward: bool,
+    ) -> StoreResult<Vec<Convoy>> {
         let FlockConfig { m, r, .. } = self.config;
-        let span = dataset.span();
+        let span = source.span();
         let mut result = ConvoySet::new();
         let mut prev = vec![seed];
         let mut positions = Vec::new();
@@ -272,7 +278,7 @@ impl FlockMiner {
             };
             let mut next = ConvoySet::new();
             for v in &prev {
-                dataset.restrict_at_into(frontier, &v.objects, &mut positions);
+                source.multi_get_into(frontier, v.objects.ids(), &mut positions)?;
                 let groups = disk_groups(&positions, r, m);
                 if groups.is_empty() {
                     result.update(v.clone());
@@ -303,20 +309,8 @@ impl FlockMiner {
         for v in prev {
             result.update(v);
         }
-        result.into_sorted_vec()
+        Ok(result.into_sorted_vec())
     }
-}
-
-/// Reads every snapshot of `source` into an owned [`Dataset`].
-fn materialize(source: &dyn SnapshotSource) -> StoreResult<Dataset> {
-    let span = source.span();
-    let mut snapshots = Vec::with_capacity(span.len() as usize);
-    let mut buf: Vec<ObjPos> = Vec::new();
-    for t in span.iter() {
-        let positions = source.scan_snapshot_ref(t, &mut buf)?.positions().to_vec();
-        snapshots.push(Snapshot::from_sorted(positions));
-    }
-    Ok(Dataset::from_snapshots(span.start, snapshots))
 }
 
 /// Maximal sets of ≥ `m` objects coverable by a radius-`r` disk at one
@@ -500,11 +494,16 @@ mod tests {
         assert_eq!(flocks[0].lifespan, TimeInterval::new(5, 25));
     }
 
+    /// The engine's flocks over `source`.
+    fn hop(miner: &FlockMiner, source: &dyn SnapshotSource) -> Vec<Convoy> {
+        miner.mine(source).unwrap().convoys
+    }
+
     #[test]
     fn hop_matches_sweep_on_fixture() {
         let d = flock_dataset();
         let miner = FlockMiner::new(FlockConfig::new(3, 10, 0.6));
-        assert_eq!(miner.mine_hop(&d), miner.mine_sweep(&d));
+        assert_eq!(hop(&miner, &d), miner.mine_sweep(&d));
     }
 
     #[test]
@@ -527,11 +526,7 @@ mod tests {
         let d = Dataset::from_points(&out).unwrap();
         for (m, k, r) in [(2usize, 4u32, 1.0), (3, 5, 1.5), (2, 8, 0.8)] {
             let miner = FlockMiner::new(FlockConfig::new(m, k, r));
-            assert_eq!(
-                miner.mine_hop(&d),
-                miner.mine_sweep(&d),
-                "m={m} k={k} r={r}"
-            );
+            assert_eq!(hop(&miner, &d), miner.mine_sweep(&d), "m={m} k={k} r={r}");
         }
     }
 
@@ -540,7 +535,7 @@ mod tests {
         let d = flock_dataset();
         let miner = FlockMiner::new(FlockConfig::new(3, 30, 0.6));
         assert!(miner.mine_sweep(&d).is_empty());
-        assert!(miner.mine_hop(&d).is_empty());
+        assert!(hop(&miner, &d).is_empty());
     }
 
     #[test]

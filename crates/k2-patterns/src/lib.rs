@@ -9,12 +9,15 @@
 //!
 //! * [`flock`] — flock mining (Gudmundsson & van Kreveld; Vieira et al.):
 //!   ≥ `m` objects inside a disk of radius `r` for ≥ `k` consecutive
-//!   timestamps. Both an exact full-sweep miner and a
-//!   **k/2-hop-accelerated** miner (benchmark points + candidate
-//!   intersection + hop-window validation) are provided; they provably
-//!   agree because Lemma 3 is pattern-agnostic — any group pattern of
-//!   length ≥ `k = 2h` crosses two consecutive benchmark points, and the
-//!   disk predicate is *self-sufficient* (it never depends on non-member
+//!   timestamps. [`FlockMiner`] is a **k/2-hop-accelerated** engine
+//!   behind `k2-core`'s `ConvoyMiner` trait (benchmark points +
+//!   candidate intersection + hop-window validation), so it mines any
+//!   `SnapshotSource` — a dataset, a store, a clamped pin — through the
+//!   same two access paths as the convoy miners; its exact full sweep
+//!   ([`FlockMiner::mine_sweep`]) is the reference. They provably agree
+//!   because Lemma 3 is pattern-agnostic — any group pattern of length
+//!   ≥ `k = 2h` crosses two consecutive benchmark points, and the disk
+//!   predicate is *self-sufficient* (it never depends on non-member
 //!   objects, so restricted re-checks are exact — flocks need no
 //!   FC-style final validation).
 //! * [`moving_cluster`] — moving clusters (Kalnis et al.): cluster chains

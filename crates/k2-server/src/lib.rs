@@ -12,8 +12,9 @@
 //!   ([`Request::MineRange`], [`Request::Ingest`], [`Request::Stats`])
 //!   with full round-trip codecs;
 //! * [`K2Service`] — the transport-agnostic handler: a mine request
-//!   pins a snapshot, clamps it to the requested time range, runs a
-//!   k/2-hop (or flock) mining session against the pin, and replies
+//!   pins a snapshot, clamps it to the requested time range, runs the
+//!   request's one engine (k/2-hop for convoys, the flock miner for
+//!   flocks) against the pin, and replies
 //!   with convoys + per-phase timings + exactly the I/O that request
 //!   caused;
 //! * [`Server`] — TCP accept loop + thread-per-connection framing, with

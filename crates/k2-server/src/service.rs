@@ -1,33 +1,23 @@
 //! [`K2Service`]: the request handler both transports share.
 //!
-//! Each `MineRange` request pins its own MVCC snapshot ([`LsmStore::pin`]),
-//! clamps it to the requested time range ([`TimeRange`]), and runs a
-//! mining session against the pinned view — so any number of mine
-//! requests proceed concurrently with each other and with live ingest,
-//! each seeing exactly the store contents at its own pin instant and
-//! reporting exactly its own I/O. `Ingest` is one
+//! Each `MineRange` request turns its wire [`Pattern`] into one
+//! [`ConvoyMiner`] ([`K2Hop`] for convoys, [`FlockMiner`] for flocks),
+//! pins its own MVCC snapshot ([`LsmStore::pin`]), clamps it to the
+//! requested time range ([`TimeRange`]), and mines the pinned view — so
+//! any number of mine requests proceed concurrently with each other and
+//! with live ingest, each seeing exactly the store contents at its own
+//! pin instant and reporting exactly its own I/O. `Ingest` is one
 //! [`LsmStore::insert_batch`], and `Stats` reads the store's gauges off
 //! its published state: neither pins nor `Stats` wait for a batch in
 //! flight.
 
 use crate::protocol::{MineReply, Pattern, Request, Response, StatsReply, WireConvoy};
-use k2_core::{ConvoyMiner, K2Config, K2Hop};
+use k2_core::{ConfigError, ConvoyMiner, K2Config, K2Hop};
 use k2_model::{Convoy, Point};
 use k2_patterns::{FlockConfig, FlockMiner};
 use k2_storage::{LsmStore, SnapshotSource, TimeRange};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// The [`Request::MineRange`] fields, regrouped for the handler.
-struct MineParams {
-    t_lo: u32,
-    t_hi: u32,
-    pattern: Pattern,
-    m: u32,
-    k: u32,
-    eps: f64,
-    threads: u32,
-}
 
 /// The shared request handler: owns the store handle and serves
 /// [`Request`]s from any number of threads.
@@ -69,37 +59,25 @@ impl K2Service {
                 k,
                 eps,
                 threads,
-            } => self.mine(MineParams {
-                t_lo,
-                t_hi,
-                pattern,
-                m,
-                k,
-                eps,
-                threads,
-            }),
+            } => self.mine(t_lo, t_hi, engine(pattern, m, k, eps, threads)),
             Request::Ingest { points } => self.ingest(points),
             Request::Stats { quiesce } => self.stats(quiesce),
         }
     }
 
-    fn mine(&self, params: MineParams) -> Response {
-        let MineParams {
-            t_lo,
-            t_hi,
-            pattern,
-            m,
-            k,
-            eps,
-            threads,
-        } = params;
+    fn mine(
+        &self,
+        t_lo: u32,
+        t_hi: u32,
+        miner: Result<Box<dyn ConvoyMiner>, ConfigError>,
+    ) -> Response {
         if t_lo > t_hi {
             return Response::Error {
                 message: format!("invalid range: t_lo {t_lo} > t_hi {t_hi}"),
             };
         }
-        let config = match K2Config::new(m as usize, k, eps) {
-            Ok(c) => c,
+        let miner = match miner {
+            Ok(miner) => miner,
             Err(e) => {
                 return Response::Error {
                     message: e.to_string(),
@@ -118,24 +96,7 @@ impl K2Service {
             }
         };
         let pin_version = pin.version();
-        let ranged = TimeRange::new(pin, t_lo, t_hi);
-        let outcome = match pattern {
-            Pattern::Convoy => {
-                let miner = if threads == 0 {
-                    K2Hop::new(config)
-                } else {
-                    // The count comes off the wire and sizes per-worker
-                    // state: more workers than cores buys nothing, so the
-                    // machine caps it. The reply reports the value used.
-                    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                    K2Hop::with_threads(config, (threads as usize).min(cores))
-                };
-                ConvoyMiner::mine(&miner, &ranged)
-            }
-            Pattern::Flock => FlockMiner::new(FlockConfig::new(config.m, config.k, config.eps))
-                .mine_source(&ranged),
-        };
-        let outcome = match outcome {
+        let outcome = match miner.mine(&TimeRange::new(pin, t_lo, t_hi)) {
             Ok(o) => o,
             Err(e) => {
                 return Response::Error {
@@ -215,6 +176,36 @@ impl K2Service {
             requests_served: self.requests_served(),
         })
     }
+}
+
+/// The engine a `MineRange` request runs: [`K2Hop`] for convoys, the
+/// [`FlockMiner`] for flocks, each over the request's validated `m`, `k`
+/// and `eps` (the flock's disk radius).
+fn engine(
+    pattern: Pattern,
+    m: u32,
+    k: u32,
+    eps: f64,
+    threads: u32,
+) -> Result<Box<dyn ConvoyMiner>, ConfigError> {
+    let config = K2Config::new(m as usize, k, eps)?;
+    Ok(match pattern {
+        Pattern::Convoy => {
+            // The count comes off the wire and sizes per-worker state:
+            // more workers than cores buys nothing, so the machine caps
+            // it, and 0 asks for all of them. The reply reports the value
+            // used.
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let threads = match threads {
+                0 => cores,
+                n => (n as usize).min(cores),
+            };
+            Box::new(K2Hop::with_threads(config, threads))
+        }
+        Pattern::Flock => Box::new(FlockMiner::new(FlockConfig::new(
+            config.m, config.k, config.eps,
+        ))),
+    })
 }
 
 fn wire_convoy(c: &Convoy) -> WireConvoy {

@@ -50,8 +50,8 @@ fn main() {
     }
 
     // --- Flocks (disk-based): the column is NOT a flock, the peloton is ---
-    // The session mines flocks with the k/2-hop-accelerated miner; the
-    // exact full-sweep miner cross-checks it.
+    // A pattern is an engine: the session runs the k/2-hop-accelerated
+    // flock miner, and its exact full sweep cross-checks it.
     let miner = FlockMiner::new(FlockConfig::new(4, 30, 1.0));
     let t0 = Instant::now();
     let flocks_sweep = miner.mine_sweep(&dataset);
@@ -59,7 +59,7 @@ fn main() {
     let t0 = Instant::now();
     let flocks_hop = MiningSession::with_params(4, 30, 1.0)
         .expect("config")
-        .pattern(PatternKind::Flock)
+        .engine(miner)
         .mine(&dataset)
         .expect("mining")
         .convoys;

@@ -15,9 +15,10 @@ use k2hop::baselines::sweep::SweepMiner;
 use k2hop::baselines::{cuts, dcm, spare, vcoda};
 use k2hop::core::{K2Config, K2HopParallel};
 use k2hop::model::{codec, Dataset};
+use k2hop::patterns::{FlockConfig, FlockMiner};
 use k2hop::server::{K2Service, Server};
 use k2hop::storage::{FlatFileStore, InMemoryStore, LsmConfig, LsmStore, RelationalStore};
-use k2hop::{MiningSession, PatternKind};
+use k2hop::MiningSession;
 use std::collections::HashMap;
 use std::fs::File;
 use std::process::ExitCode;
@@ -50,7 +51,7 @@ usage:
 algorithms (--algo): k2hop (default), k2hop-parallel, vcoda, vcoda-star,
                      cmc, pccd, cuts, spare, dcm
 engines    (--engine): memory (default), flat, rdbms, lsmt
-patterns   (--pattern, unified algos only): convoy (default), flock
+patterns   (--pattern): convoy (default), flock (--algo k2hop only)
 files:     *.csv is CSV (oid,x,y,t); anything else is the binary format
 serve:     optional [file] is bulk-loaded first; --dir persists the store
            (default: a temp dir); clients speak the k2-server protocol";
@@ -202,11 +203,17 @@ fn mine(args: &[&String]) -> Result<(), String> {
     let threads = threads_flag.unwrap_or(4);
     let quiet = flags.contains_key("quiet");
 
-    let pattern = match flags.get("pattern").copied().unwrap_or("convoy") {
-        "convoy" => PatternKind::Convoy,
-        "flock" => PatternKind::Flock,
+    // A pattern is an engine: flocks have one, the k/2-hop flock miner.
+    let flock = match flags.get("pattern").copied().unwrap_or("convoy") {
+        "convoy" => false,
+        "flock" => true,
         other => return Err(format!("unknown pattern '{other}'")),
     };
+    if flock && algo != "k2hop" {
+        return Err(format!(
+            "--pattern flock is valid only with --algo k2hop, not --algo {algo}"
+        ));
+    }
 
     let dataset = load(path)?;
     let start = Instant::now();
@@ -216,6 +223,10 @@ fn mine(args: &[&String]) -> Result<(), String> {
     // research entry points (in-memory only).
     let config = K2Config::new(m, k, eps).map_err(|e| e.to_string())?;
     let session = match algo {
+        "k2hop" if flock => {
+            let miner = FlockMiner::new(FlockConfig::new(m, k, eps));
+            Some(MiningSession::new(config).engine(miner))
+        }
         "k2hop" => {
             let mut session = MiningSession::new(config);
             if let Some(n) = threads_flag {
@@ -232,7 +243,6 @@ fn mine(args: &[&String]) -> Result<(), String> {
     };
     let (convoys, extra) = match session {
         Some(session) => {
-            let session = session.pattern(pattern);
             let tmp = std::env::temp_dir().join(format!("k2cli-{}", std::process::id()));
             let outcome = match engine {
                 "memory" => session.mine(&dataset),
@@ -273,9 +283,6 @@ fn mine(args: &[&String]) -> Result<(), String> {
             (outcome.convoys, extra)
         }
         None => {
-            if pattern != PatternKind::Convoy {
-                return Err(format!("--pattern is not supported by --algo {algo}"));
-            }
             let store = InMemoryStore::new(dataset);
             let result = match algo {
                 "vcoda" => vcoda::vcoda(&store, m, k, eps),

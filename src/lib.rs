@@ -22,7 +22,8 @@
 //!
 //! and adds the unified entry point: [`MiningSession`], a builder that
 //! runs any engine ([`ConvoyMiner`]) over any data source
-//! ([`SnapshotSource`]) for any supported [`PatternKind`].
+//! ([`SnapshotSource`]). A pattern is an engine: flocks are mined by
+//! [`FlockMiner`](patterns::FlockMiner) behind the same trait.
 //!
 //! ## Quickstart
 //!
@@ -86,11 +87,11 @@ mod session;
 
 pub use k2_core::{ConvoyMiner, MineError, MineOutcome, MineStats};
 pub use k2_storage::SnapshotSource;
-pub use session::{MiningSession, PatternKind};
+pub use session::MiningSession;
 
 /// The most common imports, re-exported flat.
 pub mod prelude {
-    pub use crate::session::{MiningSession, PatternKind};
+    pub use crate::session::MiningSession;
     pub use k2_cluster::{dbscan, DbscanParams};
     pub use k2_core::{ConvoyMiner, K2Config, K2Hop, MineError, MineOutcome, MineStats};
     pub use k2_model::{

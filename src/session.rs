@@ -2,35 +2,15 @@
 //! run and executes it against any data source.
 //!
 //! One session type fronts every engine ([`K2Hop`], [`K2HopParallel`],
-//! the baselines — anything implementing [`ConvoyMiner`]), every storage
-//! backend (all four engines plus bare
-//! [`Dataset`](crate::model::Dataset)s, via [`SnapshotSource`]), and
-//! every supported pattern kind ([`PatternKind`]). This is the API the
-//! examples, the CLI, and the bench harness are built on.
+//! the baselines, the flock miner — anything implementing
+//! [`ConvoyMiner`]) and every storage backend (all four engines plus
+//! bare [`Dataset`](crate::model::Dataset)s, via [`SnapshotSource`]).
+//! A pattern is an engine: a flock session is
+//! `.engine(FlockMiner::new(..))`. This is the API the examples, the
+//! CLI, and the bench harness are built on.
 
 use crate::core::{ConvoyMiner, K2Config, K2Hop, MineError, MineOutcome};
-use crate::patterns::{FlockConfig, FlockMiner};
 use crate::storage::SnapshotSource;
-
-/// Which movement pattern a [`MiningSession`] mines.
-///
-/// The k/2-hop benchmark-point lemma is pattern-agnostic for
-/// *consecutive* group patterns (§7 of the paper), which is why one
-/// session API covers more than convoys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum PatternKind {
-    /// Density-connected groups of ≥ `m` objects for ≥ `k` consecutive
-    /// timestamps (the paper's convoys) — mined by the configured
-    /// [`ConvoyMiner`] engine.
-    #[default]
-    Convoy,
-    /// Disk-confined groups (radius `eps`) of ≥ `m` objects for ≥ `k`
-    /// consecutive timestamps — mined with the k/2-hop-accelerated flock
-    /// miner ([`FlockMiner::mine_source`]); the session's `eps` is the
-    /// disk radius.
-    Flock,
-}
 
 /// Builder for one configured mining run.
 ///
@@ -49,15 +29,14 @@ pub enum PatternKind {
 /// assert!(outcome.convoys.len() >= 2);
 /// ```
 ///
-/// The defaults mine [`PatternKind::Convoy`] with the sequential
-/// [`K2Hop`] engine, one clustering worker per core. Everything is
-/// overridable:
+/// The defaults mine convoys with the sequential [`K2Hop`] engine, one
+/// clustering worker per core. Both are overridable:
 ///
 /// * [`threads`](Self::threads) pins the worker count of the default
 ///   engine,
 /// * [`engine`](Self::engine) swaps in any [`ConvoyMiner`] (e.g.
-///   [`K2HopParallel`](crate::core::K2HopParallel) or a baseline),
-/// * [`pattern`](Self::pattern) switches the pattern kind.
+///   [`K2HopParallel`](crate::core::K2HopParallel), a baseline, or the
+///   [`FlockMiner`](crate::patterns::FlockMiner), which mines flocks).
 ///
 /// [`mine`](Self::mine) accepts `&dyn SnapshotSource`: a bare
 /// [`Dataset`](crate::model::Dataset),
@@ -67,7 +46,6 @@ pub struct MiningSession {
     config: K2Config,
     threads: Option<usize>,
     engine: Option<Box<dyn ConvoyMiner>>,
-    pattern: PatternKind,
 }
 
 impl std::fmt::Debug for MiningSession {
@@ -79,7 +57,6 @@ impl std::fmt::Debug for MiningSession {
                 "engine",
                 &self.engine.as_deref().map(ConvoyMiner::engine_name),
             )
-            .field("pattern", &self.pattern)
             .finish()
     }
 }
@@ -91,7 +68,6 @@ impl MiningSession {
             config,
             threads: None,
             engine: None,
-            pattern: PatternKind::Convoy,
         }
     }
 
@@ -101,8 +77,7 @@ impl MiningSession {
         Ok(Self::new(K2Config::new(m, k, eps)?))
     }
 
-    /// Pins the worker-thread count of the *default* engine (and of the
-    /// flock miner's clustering, which is single-threaded today).
+    /// Pins the worker-thread count of the *default* [`K2Hop`] engine.
     ///
     /// Ignored when an explicit [`engine`](Self::engine) is set — a
     /// custom miner carries its own parallelism.
@@ -117,13 +92,6 @@ impl MiningSession {
         self
     }
 
-    /// Selects the pattern kind to mine (default:
-    /// [`PatternKind::Convoy`]).
-    pub fn pattern(mut self, pattern: PatternKind) -> Self {
-        self.pattern = pattern;
-        self
-    }
-
     /// The session's configuration.
     pub fn config(&self) -> K2Config {
         self.config
@@ -135,28 +103,14 @@ impl MiningSession {
     /// golden-output and API-parity suites pin the output byte for byte
     /// across engines, storage backends and thread counts.
     pub fn mine(&self, source: &dyn SnapshotSource) -> Result<MineOutcome, MineError> {
-        match self.pattern {
-            PatternKind::Convoy => match &self.engine {
-                Some(engine) => engine.mine(source),
-                None => {
-                    let miner = match self.threads {
-                        Some(n) => K2Hop::with_threads(self.config, n),
-                        None => K2Hop::new(self.config),
-                    };
-                    ConvoyMiner::mine(&miner, source)
-                }
-            },
-            PatternKind::Flock => {
-                // A convoy engine cannot mine flocks — reject rather
-                // than silently ignoring the configured engine.
-                if let Some(engine) = &self.engine {
-                    return Err(MineError::UnsupportedPattern {
-                        engine: engine.engine_name(),
-                        pattern: "flock",
-                    });
-                }
-                let cfg = FlockConfig::new(self.config.m, self.config.k, self.config.eps);
-                FlockMiner::new(cfg).mine_source(source)
+        match &self.engine {
+            Some(engine) => engine.mine(source),
+            None => {
+                let miner = match self.threads {
+                    Some(n) => K2Hop::with_threads(self.config, n),
+                    None => K2Hop::new(self.config),
+                };
+                ConvoyMiner::mine(&miner, source)
             }
         }
     }
@@ -166,7 +120,9 @@ impl MiningSession {
 mod tests {
     use super::*;
     use crate::core::K2HopParallel;
+    use crate::patterns::{FlockConfig, FlockMiner};
     use crate::prelude::*;
+    use crate::storage::TimeRange;
 
     fn dataset() -> Dataset {
         crate::datagen::ConvoyInjector::new(80, 60)
@@ -208,32 +164,19 @@ mod tests {
     }
 
     #[test]
-    fn convoy_engine_with_flock_pattern_is_rejected() {
-        let d = dataset();
-        let cfg = K2Config::new(3, 10, 1.0).unwrap();
-        let err = MiningSession::new(cfg)
-            .engine(K2HopParallel::new(cfg, 2))
-            .pattern(PatternKind::Flock)
-            .mine(&d)
-            .unwrap_err();
-        assert!(
-            matches!(err, MineError::UnsupportedPattern { .. }),
-            "configured engines must not be silently ignored: {err}"
-        );
-    }
-
-    #[test]
     fn flock_session_matches_direct_flock_miner() {
         let d = dataset();
+        let miner = FlockMiner::new(FlockConfig::new(3, 10, 1.5));
         let session = MiningSession::with_params(3, 10, 1.5)
             .unwrap()
-            .pattern(PatternKind::Flock);
+            .engine(miner);
         let via_session = session.mine(&d).unwrap();
-        let direct = FlockMiner::new(FlockConfig::new(3, 10, 1.5)).mine_hop(&d);
-        assert_eq!(via_session.convoys, direct);
+        let sweep = miner.mine_sweep(&d);
+        assert_eq!(via_session.convoys, sweep);
         assert_eq!(via_session.stats.engine, "flock-k2hop");
-        // Through a store, incl. materialization: same flocks.
-        let store = InMemoryStore::new(d);
-        assert_eq!(session.mine(&store).unwrap().convoys, direct);
+        assert_eq!(via_session.stats.threads, 1);
+        // Through a store that is not resident: same flocks.
+        let store = TimeRange::new(InMemoryStore::new(d), 0, Time::MAX);
+        assert_eq!(session.mine(&store).unwrap().convoys, sweep);
     }
 }

@@ -85,6 +85,24 @@ fn generate_stats_mine_convert_round_trip() {
         assert!(out.starts_with("2 convoys"), "{engine}: {out}");
     }
 
+    // A pattern is an engine: `--pattern flock` runs the flock miner.
+    let out = run_ok(k2().args([
+        "mine",
+        bin.to_str().unwrap(),
+        "--m",
+        "3",
+        "--k",
+        "25",
+        "--eps",
+        "1.0",
+        "--pattern",
+        "flock",
+        "--engine",
+        "lsmt",
+        "--quiet",
+    ]));
+    assert!(out.contains("engine flock-k2hop"), "{out}");
+
     // Binary -> CSV -> binary preserves the dataset.
     run_ok(k2().args(["convert", bin.to_str().unwrap(), csv.to_str().unwrap()]));
     let bin2 = tmp("flow2.bin");
@@ -92,6 +110,35 @@ fn generate_stats_mine_convert_round_trip() {
     let a = std::fs::read(&bin).unwrap();
     let b = std::fs::read(&bin2).unwrap();
     assert_eq!(a, b, "binary -> csv -> binary must round-trip");
+}
+
+/// Only `--algo k2hop` has a flock engine; any other algorithm is refused
+/// before the input is even read.
+#[test]
+fn flock_pattern_requires_algo_k2hop() {
+    let out = k2()
+        .args([
+            "mine",
+            "/nonexistent.bin",
+            "--m",
+            "3",
+            "--k",
+            "25",
+            "--eps",
+            "1.0",
+            "--pattern",
+            "flock",
+            "--algo",
+            "pccd",
+        ])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--pattern flock is valid only with --algo k2hop"),
+        "{stderr}"
+    );
 }
 
 #[test]

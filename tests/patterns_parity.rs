@@ -5,6 +5,7 @@
 use k2hop::patterns::flock::disk_groups;
 use k2hop::patterns::{min_enclosing_circle, FlockConfig, FlockMiner, MovingClusterConfig};
 use k2hop::prelude::*;
+use k2hop::storage::TimeRange;
 use proptest::prelude::*;
 
 fn dataset_strategy() -> impl Strategy<Value = Dataset> {
@@ -27,11 +28,17 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Headline: the benchmark-hopping flock miner is exact.
+    /// Headline: the benchmark-hopping flock miner is exact, on a bare
+    /// dataset and through a source that is not resident (the path a
+    /// served flock takes).
     #[test]
     fn flock_hop_equals_sweep(d in dataset_strategy(), m in 2usize..4, k in 2u32..8) {
         let miner = FlockMiner::new(FlockConfig::new(m, k, 1.2));
-        prop_assert_eq!(miner.mine_hop(&d), miner.mine_sweep(&d));
+        let sweep = miner.mine_sweep(&d);
+        prop_assert_eq!(&miner.mine(&d).unwrap().convoys, &sweep);
+        let store = TimeRange::new(InMemoryStore::new(d.clone()), 0, Time::MAX);
+        prop_assert!(store.as_dataset().is_none());
+        prop_assert_eq!(&miner.mine(&store).unwrap().convoys, &sweep);
     }
 
     /// Every reported flock actually fits a radius-r disk at every

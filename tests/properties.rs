@@ -9,7 +9,7 @@ use k2hop::core::candidates::candidate_clusters;
 use k2hop::core::merge::merge_spanning;
 use k2hop::core::{ConvoyMiner, K2Config, K2Hop, K2HopParallel};
 use k2hop::model::{Convoy, ConvoySet, Dataset, ObjPos, ObjectSet, Oid, Point, Time, TimeInterval};
-use k2hop::storage::{InMemoryStore, TimeRange};
+use k2hop::storage::{InMemoryStore, SnapshotSource, TimeRange};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -395,10 +395,10 @@ proptest! {
         );
     }
 
-    /// `restrict_at_into` is exactly `restrict_at` into a reused buffer,
-    /// for arbitrary datasets, timestamps and object sets.
+    /// A dataset's `multi_get_into` probe is exactly `restrict_at` into a
+    /// reused buffer, for arbitrary datasets, timestamps and object sets.
     #[test]
-    fn restrict_at_into_equals_restrict_at(
+    fn multi_get_into_equals_restrict_at(
         d in dataset_strategy(),
         ids in proptest::collection::vec(0u32..12, 0..10),
         t_off in 0u32..20,
@@ -406,7 +406,7 @@ proptest! {
         let set = ObjectSet::new(ids);
         let t = d.start() + t_off; // sometimes outside the span
         let mut buf = vec![ObjPos::new(u32::MAX, -1.0, -1.0)]; // stale content
-        d.restrict_at_into(t, &set, &mut buf);
+        d.multi_get_into(t, set.ids(), &mut buf).unwrap();
         prop_assert_eq!(buf, d.restrict_at(t, &set));
     }
 

@@ -4,7 +4,9 @@
 //!
 //! This is the suite the `serve-smoke` CI job runs.
 
-use k2hop::model::{Dataset, Point};
+use k2hop::core::benchpoints::benchmark_points;
+use k2hop::model::{Dataset, Point, TimeInterval};
+use k2hop::patterns::{FlockConfig, FlockMiner};
 use k2hop::server::{K2Service, LocalClient, Pattern, Request, Response, Server, TcpClient};
 use k2hop::storage::{LsmConfig, LsmStore, SnapshotSource};
 use k2hop::MiningSession;
@@ -233,25 +235,45 @@ fn concurrent_miners_under_live_ingest_agree_with_their_pins() {
     }
 }
 
+/// A served flock mines a clamped pin through the two access paths: its
+/// flocks are the exact sweep's over the range, and it scans exactly one
+/// snapshot per benchmark point of the clamped span — no more.
 #[test]
 fn flock_requests_serve_over_the_wire() {
     let dataset = workload();
     let store = LsmStore::bulk_load_with(tmp("flock"), &dataset, LsmConfig::default()).unwrap();
     let service = Arc::new(K2Service::new(store));
     let local = LocalClient::new(service, 1);
+    let (m, k, r) = (4, 10, 1.5);
+    let range = TimeInterval::new(5, 34);
     let resp = local
         .request(&Request::MineRange {
-            t_lo: 0,
-            t_hi: dataset.span().end,
+            t_lo: range.start,
+            t_hi: range.end,
             pattern: Pattern::Flock,
-            m: 4,
-            k: 10,
-            eps: 1.5,
+            m,
+            k,
+            eps: r,
             threads: 0,
         })
         .unwrap();
+    let sweep: Vec<_> = FlockMiner::new(FlockConfig::new(m as usize, k, r))
+        .mine_sweep(&dataset.restrict_time(range).unwrap())
+        .iter()
+        .map(|c| (c.objects.ids().to_vec(), c.lifespan.start, c.lifespan.end))
+        .collect();
+    assert!(!sweep.is_empty(), "the fixture must hold a flock");
+    assert_eq!(reply_convoys(&resp), sweep);
     match resp {
-        Response::Convoys(r) => assert_eq!(r.engine, "flock-k2hop"),
+        Response::Convoys(r) => {
+            assert_eq!(r.engine, "flock-k2hop");
+            assert_eq!(r.threads, 1);
+            assert_eq!(
+                r.io.range_queries,
+                benchmark_points(range, k / 2).len() as u64,
+                "one snapshot scan per benchmark point"
+            );
+        }
         other => panic!("expected flock convoys, got {other:?}"),
     }
 }
