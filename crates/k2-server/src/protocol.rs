@@ -232,7 +232,6 @@ fn put_io(buf: &mut Vec<u8>, io: &IoStats) {
         io.bytes_read,
         io.point_queries,
         io.range_queries,
-        io.bloom_negatives,
         io.snapshots_shared,
         io.snapshots_copied,
         io.wal_appends,
@@ -253,7 +252,6 @@ fn get_io(c: &mut Cursor<'_>) -> Result<IoStats, ServerError> {
         bytes_read: c.u64()?,
         point_queries: c.u64()?,
         range_queries: c.u64()?,
-        bloom_negatives: c.u64()?,
         snapshots_shared: c.u64()?,
         snapshots_copied: c.u64()?,
         wal_appends: c.u64()?,
@@ -572,13 +570,12 @@ mod tests {
             bytes_read: 5,
             point_queries: 6,
             range_queries: 7,
-            bloom_negatives: 8,
-            snapshots_shared: 9,
-            snapshots_copied: 10,
-            wal_appends: 11,
-            wal_replayed: 12,
-            compactions: 13,
-            bytes_compacted: 14,
+            snapshots_shared: 8,
+            snapshots_copied: 9,
+            wal_appends: 10,
+            wal_replayed: 11,
+            compactions: 12,
+            bytes_compacted: 13,
         };
         let resps = [
             Response::Convoys(MineReply {

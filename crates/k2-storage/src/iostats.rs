@@ -33,11 +33,6 @@ pub struct IoStats {
     pub point_queries: u64,
     /// Range/snapshot scans served.
     pub range_queries: u64,
-    /// Bloom filters that were consulted and answered "absent" (LSM
-    /// only). A table whose key fence excludes the key, and a batch key
-    /// answered from the block in hand, consult no filter and count
-    /// nothing here.
-    pub bloom_negatives: u64,
     /// Snapshot scans served zero-copy, as shared views of resident
     /// storage (`scan_snapshot_ref` on an in-memory engine).
     pub snapshots_shared: u64,
@@ -68,7 +63,6 @@ impl IoStats {
             bytes_read: self.bytes_read - earlier.bytes_read,
             point_queries: self.point_queries - earlier.point_queries,
             range_queries: self.range_queries - earlier.range_queries,
-            bloom_negatives: self.bloom_negatives - earlier.bloom_negatives,
             snapshots_shared: self.snapshots_shared - earlier.snapshots_shared,
             snapshots_copied: self.snapshots_copied - earlier.snapshots_copied,
             wal_appends: self.wal_appends - earlier.wal_appends,
@@ -102,7 +96,6 @@ pub struct IoCounters {
     bytes_read: AtomicU64,
     point_queries: AtomicU64,
     range_queries: AtomicU64,
-    bloom_negatives: AtomicU64,
     snapshots_shared: AtomicU64,
     snapshots_copied: AtomicU64,
     wal_appends: AtomicU64,
@@ -149,10 +142,6 @@ impl IoCounters {
         bump(&self.range_queries, 1);
     }
 
-    pub(crate) fn add_bloom_negative(&self) {
-        bump(&self.bloom_negatives, 1);
-    }
-
     pub(crate) fn add_snapshot_shared(&self) {
         bump(&self.snapshots_shared, 1);
     }
@@ -161,8 +150,10 @@ impl IoCounters {
         bump(&self.snapshots_copied, 1);
     }
 
-    pub(crate) fn add_wal_append(&self) {
-        bump(&self.wal_appends, 1);
+    /// Counts `n` records appended to the write-ahead log — one atomic
+    /// round-trip for a whole batch run.
+    pub(crate) fn add_wal_appends(&self, n: u64) {
+        bump(&self.wal_appends, n);
     }
 
     pub(crate) fn add_wal_replayed(&self, records: u64) {
@@ -192,7 +183,6 @@ impl IoCounters {
             bytes_read: get(&self.bytes_read),
             point_queries: get(&self.point_queries),
             range_queries: get(&self.range_queries),
-            bloom_negatives: get(&self.bloom_negatives),
             snapshots_shared: get(&self.snapshots_shared),
             snapshots_copied: get(&self.snapshots_copied),
             wal_appends: get(&self.wal_appends),
@@ -211,7 +201,6 @@ impl IoCounters {
         zero(&self.bytes_read);
         zero(&self.point_queries);
         zero(&self.range_queries);
-        zero(&self.bloom_negatives);
         zero(&self.snapshots_shared);
         zero(&self.snapshots_copied);
         zero(&self.wal_appends);
@@ -284,10 +273,9 @@ mod tests {
         c.add_cache_miss();
         c.add_point_queries(1);
         c.add_range_query();
-        c.add_bloom_negative();
         c.add_snapshot_shared();
         c.add_snapshot_copied();
-        c.add_wal_append();
+        c.add_wal_appends(1);
         c.add_wal_replayed(3);
         c.add_compaction(96);
         let s = c.snapshot();
@@ -298,7 +286,6 @@ mod tests {
         assert_eq!(s.cache_misses, 1);
         assert_eq!(s.point_queries, 1);
         assert_eq!(s.range_queries, 1);
-        assert_eq!(s.bloom_negatives, 1);
         assert_eq!(s.snapshots_shared, 1);
         assert_eq!(s.snapshots_copied, 1);
         assert_eq!(s.wal_appends, 1);

@@ -18,8 +18,9 @@
 //!   composite key `(t, oid)` with an LRU buffer pool (the paper's
 //!   *k2-RDBMS*);
 //! * [`LsmStore`] — a **log-structured merge-tree**: in-memory memtable,
-//!   immutable SSTables with block-sparse indexes and bloom filters,
-//!   size-tiered compaction (the paper's *k2-LSMT*).
+//!   immutable SSTables with block-sparse indexes and resident key fences,
+//!   size-tiered compaction, group-committed batch ingest (the paper's
+//!   *k2-LSMT*).
 //!
 //! Every store keeps [`IoStats`] counters (seeks, blocks, bytes, query
 //! counts) so the experiments can compare access behaviour, and loading
@@ -41,9 +42,9 @@ pub use flat::FlatFileStore;
 pub use iostats::{IoCounters, IoStats, MemoryBudget};
 pub use keys::{decode_key, decode_val, encode_key, encode_val, KEY_SIZE, VAL_SIZE};
 pub use lsm::{
-    replay_wal, BlockCache, BloomFilter, CompactionController, LsmConfig, LsmStore, Manifest,
-    ManifestRecord, SharedLsm, SsTableReader, SsTableWriter, StorePin, WalReplay, WalSyncPolicy,
-    WalWriter, WAL_FRAME_SIZE,
+    replay_wal, BlockCache, CompactionController, LsmConfig, LsmStore, Manifest, ManifestRecord,
+    SharedLsm, SsTableReader, SsTableWriter, StorePin, WalReplay, WalSyncPolicy, WalWriter,
+    WAL_FRAME_SIZE,
 };
 pub use memory::InMemoryStore;
 

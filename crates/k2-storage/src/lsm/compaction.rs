@@ -115,8 +115,7 @@ pub(crate) struct CompactionDone {
 /// the input files. Used inline by `compact_blocking()` and on the
 /// worker thread by [`CompactionHandle`]; both paths are byte-identical.
 ///
-/// The inputs are read through private scan-only readers (no bloom
-/// filters — the merge iterates, it never probes) with caching disabled
+/// The inputs are read through private readers with caching disabled
 /// and scratch counters: a compaction streams every input block exactly
 /// once, so routing it through the shared cache would evict the read
 /// path's hot blocks, and charging its sequential sweep to the shared
@@ -129,15 +128,14 @@ pub(crate) fn run_job(
     io: &IoCounters,
     job: &CompactionJob,
 ) -> StoreResult<CompactionDone> {
-    let scratch_io = Arc::new(IoCounters::new());
+    let scratch_io = IoCounters::new();
     let no_cache = Arc::new(BlockCache::new(0));
     let mut readers = Vec::with_capacity(job.inputs.len());
     for &seq in &job.inputs {
-        readers.push(Arc::new(SsTableReader::open_scan_only(
+        readers.push(Arc::new(SsTableReader::open(
             dir.join(sst_name(seq)),
             seq,
             no_cache.clone(),
-            scratch_io.clone(),
         )?));
     }
     let total: u64 = readers.iter().map(|t| t.num_entries()).sum();
@@ -147,7 +145,7 @@ pub(crate) fn run_job(
     {
         let mut merge = MergeIter::over_tables(&readers, 0, u64::MAX, &scratch_io)?;
         while let Some((k, v)) = merge.next()? {
-            w.put(k, &v)?;
+            w.add(k, &v)?;
             written += 1;
         }
     }

@@ -5,11 +5,14 @@
 //!
 //! * writes are first appended to a CRC-framed **write-ahead log**
 //!   ([`wal`]), then land in an in-memory **memtable** (a sorted map) —
-//!   an acknowledged insert survives a crash at any later point,
+//!   an acknowledged insert survives a crash at any later point. A batch
+//!   ([`LsmStore::insert_batch`]) is **group-committed**: each run of it
+//!   up to a memtable flush is one WAL write and, except under
+//!   [`WalSyncPolicy::OnRotate`], one `sync_data` before the ack,
 //! * full memtables are flushed to immutable **SSTables** — sorted runs of
 //!   `(t, oid) → (x, y)` entries split into 4 KiB blocks with a sparse
-//!   in-memory index and a per-table **bloom filter** — after which the
-//!   WAL generation that covered them is retired,
+//!   in-memory index — after which the WAL generation that covered them
+//!   is retired,
 //! * when the number of tables grows past a threshold a
 //!   [`CompactionController`] picks a run to merge — **size-tiered** by
 //!   default: only the newest run of similarly sized tables, leaving
@@ -30,12 +33,14 @@
 //! * a request only reaches the sources whose key range admits it:
 //!   every frozen generation and every SSTable carries a resident key
 //!   fence (first and last key), and a key, a sorted batch or a scan
-//!   range outside it skips the source for two integer compares. Within
-//!   an admitted table the lookup order is **fence → block in hand →
-//!   bloom filter → sparse index → block cache → disk**: the keys of a
-//!   sorted batch (`multi_get_into`) that fall in the block the
-//!   previous key used are answered from it, so a batch requests each
-//!   block once.
+//!   range outside it skips the source for two integer compares. Keys
+//!   are `(t, oid)` and ingest runs in time order, so the fences are
+//!   disjoint and a probe reaches the one table that can hold its key —
+//!   there is no bloom filter. Within an admitted table the lookup order
+//!   is **fence → block in hand → sparse index → block cache → disk**:
+//!   the keys of a sorted batch (`multi_get_into`) that fall in the
+//!   block the previous key used are answered from it, so a batch
+//!   requests each block once.
 //!
 //! # MVCC state swap
 //!
@@ -59,8 +64,8 @@
 //!
 //! Opening a store runs recovery: fold the manifest (dropping a torn
 //! tail), delete orphaned files from crashed flushes/compactions, open
-//! the live tables (footer, every index row and the filter header are
-//! validated; a table that fails is [`StoreError::Corrupt`](crate::StoreError),
+//! the live tables (footer and every index row are validated; a table
+//! that fails is [`StoreError::Corrupt`](crate::StoreError),
 //! never a panic or an allocation sized by its bytes), replay the live
 //! WAL tail into the memtable (truncating at the first torn or corrupt
 //! frame), and rebuild the time span from the tables' key fences and the
@@ -73,9 +78,8 @@
 //! corresponding to a timestamp `t` is co-located \[and\] fetched with a
 //! single seek" — the property §5.2 credits for k2-LSMT's benchmark-point
 //! scan performance. Hop-window accesses are point queries, pruned by
-//! the key fences and bloom filters and batched per block.
+//! the key fences and batched per block.
 
-mod bloom;
 mod compaction;
 pub mod manifest;
 mod pin;
@@ -84,7 +88,6 @@ mod sstable;
 mod store;
 pub mod wal;
 
-pub use bloom::BloomFilter;
 pub use compaction::CompactionController;
 pub use manifest::{Manifest, ManifestRecord};
 pub use pin::StorePin;

@@ -31,8 +31,6 @@ pub(crate) struct LsmState {
     pub(crate) frozen: Vec<Arc<Frozen>>,
     /// Open SSTable readers, oldest first (index = recency rank).
     pub(crate) tables: Vec<Arc<SsTableReader>>,
-    /// Sequence numbers of `tables`, same order.
-    pub(crate) table_seqs: Vec<u64>,
     /// Time span covered by this state, `None` when empty.
     pub(crate) span: Option<(Time, Time)>,
     /// Monotonic publish counter; newer states have larger versions.
@@ -95,13 +93,6 @@ impl StorePin {
     /// swaps have been published since this pin was taken.
     pub fn staleness(&self, current_version: u64) -> u64 {
         current_version.saturating_sub(self.state.version)
-    }
-
-    /// Sequence numbers of the pinned SSTables, oldest first. A seq may
-    /// refer to a file compaction has since unlinked; the pin still
-    /// reads it through its open descriptor.
-    pub fn table_seqs(&self) -> &[u64] {
-        &self.state.table_seqs
     }
 
     /// The pinned state as a read view, reads charged to the pin's

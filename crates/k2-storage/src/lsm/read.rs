@@ -14,9 +14,9 @@
 //! recorded when it is frozen, an SSTable's is read at `open` — and a
 //! key, a batch or a scan range outside it skips the source at the cost
 //! of two integer compares. Inside an admitted SSTable the order is:
-//! block in hand (the block the batch's previous key used) → bloom
-//! filter → sparse index → block cache → disk, so a sorted batch
-//! requests each block it needs once.
+//! block in hand (the block the batch's previous key used) → sparse
+//! index → block cache → disk, so a sorted batch requests each block it
+//! needs once.
 
 use super::pin::LsmState;
 use super::sstable::{overlaps, BlockInHand, Fence, SsTableIter, SsTableReader};

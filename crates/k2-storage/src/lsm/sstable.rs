@@ -3,25 +3,28 @@
 //! An SSTable is one sorted run of `(key, value)` entries:
 //!
 //! ```text
-//! ┌──────────────┬──────────────┬───────┬────────┐
-//! │ data blocks  │ sparse index │ bloom │ footer │
-//! └──────────────┴──────────────┴───────┴────────┘
+//! ┌──────────────┬──────────────┬────────┐
+//! │ data blocks  │ sparse index │ footer │
+//! └──────────────┴──────────────┴────────┘
 //! data block: up to 4096 bytes of 24-byte entries (key u64 BE-order, x, y)
 //! index row:  first_key u64 | offset u64 | len u32
-//! footer:     index_off u64 | index_len u64 | bloom_off u64 | bloom_len u64
-//!             | num_entries u64 | magic "K2SS"
+//! footer:     index_off u64 | index_len u64 | num_entries u64 | magic "K2S2"
 //! ```
 //!
-//! The sparse index and bloom filter are small and held in memory; data
-//! blocks are fetched through a shared [`BlockCache`].
+//! The sparse index ends where the footer begins. It is small and held in
+//! memory; data blocks are fetched through a shared [`BlockCache`]. The
+//! magic names the format, so a table of another layout — such as the
+//! bloom-carrying one under magic `"K2SS"` — is rejected as corrupt,
+//! never misread.
 //!
-//! A lookup is decided as early as it can be: the table's key fence
-//! (its first and last key, resident) → the block a batch already has in
-//! hand → the bloom filter → the sparse index → the block cache → disk.
-//! The fence is the caller's check ([`SsTableReader::admits`]); the rest
-//! is [`SsTableReader::probe`], the one in-table lookup.
+//! There is no bloom filter. Keys are `(t, oid)` and ingest runs in time
+//! order, so the tables' key fences are disjoint and a probe reaches the
+//! one table that can hold its key. A lookup is decided as early as it
+//! can be: the table's key fence (its first and last key, resident) → the
+//! block a batch already has in hand → the sparse index → the block cache
+//! → disk. The fence is the caller's check ([`SsTableReader::admits`]);
+//! the rest is [`SsTableReader::probe`], the one in-table lookup.
 
-use super::bloom::BloomFilter;
 use crate::iostats::IoCounters;
 use crate::keys::VAL_SIZE;
 use crate::{StoreError, StoreResult};
@@ -36,12 +39,9 @@ use std::sync::{Arc, Mutex};
 pub const BLOCK_SIZE: usize = 4096;
 /// Entry width: 8-byte key + 16-byte value.
 pub const ENTRY_SIZE: usize = 8 + VAL_SIZE;
-/// Bloom-filter budget of every table written, in bits per key (the
-/// filter header records it, so readers need no constant).
-const BLOOM_BITS_PER_KEY: usize = 10;
 
-const MAGIC: &[u8; 4] = b"K2SS";
-const FOOTER_SIZE: usize = 8 * 5 + 4;
+const MAGIC: &[u8; 4] = b"K2S2";
+const FOOTER_SIZE: usize = 8 * 3 + 4;
 /// Index row width: `first_key u64 | offset u64 | len u32`.
 const INDEX_ROW: usize = 20;
 
@@ -296,15 +296,14 @@ pub struct SsTableWriter {
     block: Vec<u8>,
     block_first_key: Option<u64>,
     index: Vec<(u64, u64, u32)>,
-    bloom: BloomFilter,
     offset: u64,
     num_entries: u64,
     last_key: Option<u64>,
 }
 
 impl SsTableWriter {
-    /// Creates a writer; `expected_entries` sizes the bloom filter and
-    /// the index.
+    /// Creates a writer; `expected_entries`, an upper bound on the
+    /// entries to come, sizes the index.
     pub fn create(path: impl AsRef<Path>, expected_entries: usize) -> StoreResult<Self> {
         let path = path.as_ref().to_path_buf();
         let out = BufWriter::new(File::create(&path)?);
@@ -313,10 +312,9 @@ impl SsTableWriter {
             out,
             block: Vec::with_capacity(BLOCK_SIZE),
             block_first_key: None,
-            // Sized up front like the filter: growing by doubling would
-            // shed a trail of dead buffers half the final size.
+            // Sized up front: growing by doubling would shed a trail of
+            // dead buffers half the final size.
             index: Vec::with_capacity(expected_entries.div_ceil(BLOCK_SIZE / ENTRY_SIZE)),
-            bloom: BloomFilter::with_capacity(expected_entries, BLOOM_BITS_PER_KEY),
             offset: 0,
             num_entries: 0,
             last_key: None,
@@ -359,7 +357,7 @@ impl SsTableWriter {
         Ok(())
     }
 
-    /// Finishes the table: writes index, bloom and footer.
+    /// Finishes the table: writes index and footer.
     pub fn finish(mut self) -> StoreResult<PathBuf> {
         self.flush_block()?;
         let index_off = self.offset;
@@ -369,30 +367,15 @@ impl SsTableWriter {
             self.out.write_all(&off.to_le_bytes())?;
             self.out.write_all(&len.to_le_bytes())?;
         }
-        let bloom_off = index_off + index_len;
-        // Streamed through the buffered writer: the filter of a
-        // multi-million-entry run is megabytes, and a serialised copy
-        // beside the live words would double it at the worst moment.
-        self.bloom.write_to(&mut self.out)?;
         let mut footer = Vec::with_capacity(FOOTER_SIZE);
         footer.extend_from_slice(&index_off.to_le_bytes());
         footer.extend_from_slice(&index_len.to_le_bytes());
-        footer.extend_from_slice(&bloom_off.to_le_bytes());
-        footer.extend_from_slice(&(self.bloom.serialized_len() as u64).to_le_bytes());
         footer.extend_from_slice(&self.num_entries.to_le_bytes());
         footer.extend_from_slice(MAGIC);
         self.out.write_all(&footer)?;
         self.out.flush()?;
         self.out.get_ref().sync_all()?;
         Ok(self.path)
-    }
-}
-
-impl SsTableWriter {
-    /// Convenience: `add` + bloom in one call (the normal write path).
-    pub fn put(&mut self, key: u64, val: &[u8; VAL_SIZE]) -> StoreResult<()> {
-        self.bloom.insert(key);
-        self.add(key, val)
     }
 }
 
@@ -453,51 +436,15 @@ pub struct SsTableReader {
     /// Key of the last entry (meaningless while `index` is empty); with
     /// `index[0]`'s first key, the table's key fence.
     last_key: u64,
-    /// `None` on a scan-only reader, which answers every membership
-    /// question with "maybe".
-    bloom: Option<BloomFilter>,
     num_entries: u64,
     cache: Arc<BlockCache>,
-    /// The opener's counters. No lookup reads them — `probe` and
-    /// `iter_from_with` charge the caller's — but deleting the field
-    /// moved the repo benchmark's `serve_ingest` `peak_rss_mb` from 34
-    /// to 46 MB on a 2-vCPU Linux VM (0 of 16 pairs) through heap layout
-    /// alone; see ROADMAP, "Recorded negative results".
-    #[allow(dead_code)]
-    io: Arc<IoCounters>,
 }
 
 impl SsTableReader {
     /// Opens a table; `id` must be unique per open store (cache keying).
-    pub fn open(
-        path: impl AsRef<Path>,
-        id: u64,
-        cache: Arc<BlockCache>,
-        io: Arc<IoCounters>,
-    ) -> StoreResult<Self> {
-        Self::open_impl(path.as_ref(), id, cache, io, true)
-    }
-
-    /// Opens a table for sequential scans only: the bloom filter — the
-    /// one part of a table's resident metadata that grows with its entry
-    /// count — stays on disk. Compaction reads its inputs this way; it
-    /// iterates every entry and never probes a key.
-    pub fn open_scan_only(
-        path: impl AsRef<Path>,
-        id: u64,
-        cache: Arc<BlockCache>,
-        io: Arc<IoCounters>,
-    ) -> StoreResult<Self> {
-        Self::open_impl(path.as_ref(), id, cache, io, false)
-    }
-
-    fn open_impl(
-        path: &Path,
-        id: u64,
-        cache: Arc<BlockCache>,
-        io: Arc<IoCounters>,
-        load_bloom: bool,
-    ) -> StoreResult<Self> {
+    /// Reads the footer, the index and the last key — the resident
+    /// metadata — and no data block.
+    pub fn open(path: impl AsRef<Path>, id: u64, cache: Arc<BlockCache>) -> StoreResult<Self> {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
         if len < FOOTER_SIZE as u64 {
@@ -505,31 +452,28 @@ impl SsTableReader {
         }
         let mut footer = [0u8; FOOTER_SIZE];
         file.read_exact_at(&mut footer, len - FOOTER_SIZE as u64)?;
-        if &footer[40..44] != MAGIC {
+        if &footer[24..28] != MAGIC {
             return Err(StoreError::Corrupt("bad SSTable magic".into()));
         }
         let index_off = u64::from_le_bytes(footer[0..8].try_into().expect("8"));
         let index_len = u64::from_le_bytes(footer[8..16].try_into().expect("8"));
-        let bloom_off = u64::from_le_bytes(footer[16..24].try_into().expect("8"));
-        let bloom_len = u64::from_le_bytes(footer[24..32].try_into().expect("8"));
-        let num_entries = u64::from_le_bytes(footer[32..40].try_into().expect("8"));
+        let num_entries = u64::from_le_bytes(footer[16..24].try_into().expect("8"));
 
-        // The footer is input: both regions must lie inside the file
-        // before anything is sized by them.
+        // The footer is input: the index must run exactly up to it before
+        // anything is sized by it.
         let body = len - FOOTER_SIZE as u64;
-        let inside = |off: u64, n: u64| off.checked_add(n).is_some_and(|end| end <= body);
-        if !inside(index_off, index_len) || !inside(bloom_off, bloom_len) {
+        if index_off.checked_add(index_len) != Some(body) {
             return Err(StoreError::Corrupt(
-                "SSTable footer points outside the file".into(),
+                "SSTable index does not end at the footer".into(),
             ));
         }
         if index_len % INDEX_ROW as u64 != 0 {
             return Err(StoreError::Corrupt("bad SSTable index length".into()));
         }
-        // Index and filter are decoded off the file in small pieces
-        // straight into their exact-size resident form: a serialised copy
-        // of either would be a large short-lived allocation per open, and
-        // the holes those leave are what later fragments the heap.
+        // The index is decoded off the file in small pieces straight into
+        // its exact-size resident form: a serialised copy would be a large
+        // short-lived allocation per open, and the holes those leave are
+        // what later fragments the heap.
         let mut region = &file;
         region.seek(SeekFrom::Start(index_off))?;
         let rows = (index_len / INDEX_ROW as u64) as usize;
@@ -565,8 +509,8 @@ impl SsTableReader {
             ));
         }
         // The upper key fence: the last entry's key, read once. Like the
-        // index and the filter it is metadata — not a block request, not
-        // cached, not counted.
+        // index it is metadata — not a block request, not cached, not
+        // counted.
         let mut last_key = 0u64;
         if let Some(&(first, off, blen)) = index.last() {
             let mut key = [0u8; 8];
@@ -579,25 +523,13 @@ impl SsTableReader {
             }
         }
 
-        let bloom = if load_bloom {
-            region.seek(SeekFrom::Start(bloom_off))?;
-            Some(
-                BloomFilter::read_from(&mut region, bloom_len)?
-                    .ok_or_else(|| StoreError::Corrupt("bad SSTable bloom filter".into()))?,
-            )
-        } else {
-            None
-        };
-
         Ok(Self {
             id,
             file,
             index,
             last_key,
-            bloom,
             num_entries,
             cache,
-            io,
         })
     }
 
@@ -626,11 +558,6 @@ impl SsTableReader {
     /// table that cannot is not asked anything else.
     pub(crate) fn admits(&self, lo: u64, hi: u64) -> bool {
         self.fence().is_some_and(|fence| overlaps(fence, lo, hi))
-    }
-
-    /// May `key` be present according to the bloom filter?
-    pub fn may_contain(&self, key: u64) -> bool {
-        self.bloom.as_ref().is_none_or(|b| b.may_contain(key))
     }
 
     /// Index of the block that could contain `key` (last block whose first
@@ -678,9 +605,8 @@ impl SsTableReader {
     /// sharing `hand`. While a key still falls in the key range of the
     /// block in hand it is answered there — present, or absent from this
     /// table for good — by a binary search that starts where the
-    /// previous key's ended: no filter, index or cache lookup. Any other
-    /// key goes filter → index → cache, and the block it fetches becomes
-    /// the one in hand. One hand serves every table of a view: where
+    /// previous key's ended: no index or cache lookup. Any other key goes
+    /// index → cache, and the block it fetches becomes the one in hand. One hand serves every table of a view: where
     /// tables overlap it changes owner back and forth, which costs
     /// block requests, never answers.
     pub(crate) fn probe(
@@ -695,10 +621,6 @@ impl SsTableReader {
         let h = match held {
             Some(h) => h,
             None => {
-                if !self.may_contain(key) {
-                    io.add_bloom_negative();
-                    return Ok(None);
-                }
                 let Some(idx) = self.block_for(key) else {
                     return Ok(None);
                 };
@@ -795,7 +717,7 @@ mod tests {
         let mut w = SsTableWriter::create(&path, 1024).unwrap();
         for k in keys {
             let val = [(k % 251) as u8; VAL_SIZE];
-            w.put(k, &val).unwrap();
+            w.add(k, &val).unwrap();
         }
         w.finish().unwrap()
     }
@@ -901,32 +823,32 @@ mod tests {
     fn write_read_round_trip() {
         let path = build("roundtrip.k2ss", (0..5000u64).map(|i| i * 3));
         let (cache, io) = fixtures();
-        let r = SsTableReader::open(&path, 1, cache, io).unwrap();
+        let r = SsTableReader::open(&path, 1, cache).unwrap();
         assert_eq!(r.num_entries(), 5000);
         assert_eq!(r.min_key(), Some(0));
         for k in [0u64, 3, 2997, 14997] {
-            let v = r.probe(k, &mut None, &r.io).unwrap().unwrap();
+            let v = r.probe(k, &mut None, &io).unwrap().unwrap();
             assert_eq!(v[0], (k % 251) as u8);
         }
-        assert_eq!(r.probe(1, &mut None, &r.io).unwrap(), None);
-        assert_eq!(r.probe(15000, &mut None, &r.io).unwrap(), None);
+        assert_eq!(r.probe(1, &mut None, &io).unwrap(), None);
+        assert_eq!(r.probe(15000, &mut None, &io).unwrap(), None);
     }
 
     #[test]
     fn out_of_order_keys_rejected() {
         let mut w = SsTableWriter::create(tmp("order.k2ss"), 16).unwrap();
-        w.put(10, &[0; VAL_SIZE]).unwrap();
-        assert!(w.put(10, &[0; VAL_SIZE]).is_err());
-        assert!(w.put(5, &[0; VAL_SIZE]).is_err());
+        w.add(10, &[0; VAL_SIZE]).unwrap();
+        assert!(w.add(10, &[0; VAL_SIZE]).is_err());
+        assert!(w.add(5, &[0; VAL_SIZE]).is_err());
     }
 
     #[test]
     fn iter_from_scans_in_order() {
         let path = build("iter.k2ss", (0..1000u64).map(|i| i * 2));
         let (cache, io) = fixtures();
-        let r = SsTableReader::open(&path, 2, cache, io).unwrap();
+        let r = SsTableReader::open(&path, 2, cache).unwrap();
         // Seek to key 501 -> first entry 502.
-        let mut it = r.iter_from_with(501, &r.io);
+        let mut it = r.iter_from_with(501, &io);
         let mut prev = None;
         let mut count = 0;
         while let Some((k, _)) = it.next().unwrap() {
@@ -944,34 +866,20 @@ mod tests {
     fn iter_from_before_table_start() {
         let path = build("iterstart.k2ss", 100..200u64);
         let (cache, io) = fixtures();
-        let r = SsTableReader::open(&path, 3, cache, io).unwrap();
-        let mut it = r.iter_from_with(0, &r.io);
+        let r = SsTableReader::open(&path, 3, cache).unwrap();
+        let mut it = r.iter_from_with(0, &io);
         assert_eq!(it.next().unwrap().unwrap().0, 100);
-    }
-
-    #[test]
-    fn bloom_filter_skips_absent_keys() {
-        let path = build("bloom.k2ss", (0..1000u64).map(|i| i * 1000));
-        let (cache, io) = fixtures();
-        let r = SsTableReader::open(&path, 4, cache, io.clone()).unwrap();
-        let mut skipped = 0;
-        for k in 1..500u64 {
-            // Keys not multiples of 1000: mostly bloom-rejected.
-            let _ = r.probe(k * 1000 + 1, &mut None, &r.io).unwrap();
-        }
-        skipped += io.snapshot().bloom_negatives;
-        assert!(skipped > 400, "bloom skipped only {skipped}");
     }
 
     #[test]
     fn block_cache_hits_on_repeat_reads() {
         let path = build("cache.k2ss", 0..100u64);
         let (cache, io) = fixtures();
-        let r = SsTableReader::open(&path, 5, cache, io.clone()).unwrap();
-        let _ = r.probe(50, &mut None, &r.io).unwrap();
+        let r = SsTableReader::open(&path, 5, cache).unwrap();
+        let _ = r.probe(50, &mut None, &io).unwrap();
         assert_eq!(io.snapshot().cache_misses, 1);
         let before = io.snapshot();
-        let _ = r.probe(51, &mut None, &r.io).unwrap();
+        let _ = r.probe(51, &mut None, &io).unwrap();
         let after = io.snapshot().since(&before);
         assert_eq!(after.blocks_read, 0);
         assert_eq!(after.cache_misses, 0);
@@ -983,97 +891,26 @@ mod tests {
         let path = build("nocache.k2ss", 0..100u64);
         let cache = Arc::new(BlockCache::new(0));
         let io = Arc::new(IoCounters::new());
-        let r = SsTableReader::open(&path, 7, cache, io.clone()).unwrap();
-        let _ = r.probe(50, &mut None, &r.io).unwrap();
-        let _ = r.probe(51, &mut None, &r.io).unwrap();
+        let r = SsTableReader::open(&path, 7, cache).unwrap();
+        let _ = r.probe(50, &mut None, &io).unwrap();
+        let _ = r.probe(51, &mut None, &io).unwrap();
         let s = io.snapshot();
         assert_eq!(s.blocks_read, 2, "cache_blocks: 0 must not cache");
         assert_eq!(s.cache_hits, 0);
         assert_eq!(s.cache_misses, 2);
     }
 
-    #[test]
-    fn scan_only_reader_iterates_and_never_says_no() {
-        let path = build("scanonly.k2ss", (0..3000u64).map(|i| i * 5));
-        let (cache, io) = fixtures();
-        let full = SsTableReader::open(&path, 8, cache.clone(), io.clone()).unwrap();
-        let scan = SsTableReader::open_scan_only(&path, 9, cache, io).unwrap();
-        assert_eq!(scan.num_entries(), full.num_entries());
-        let (mut a, mut b) = (
-            full.iter_from_with(0, &full.io),
-            scan.iter_from_with(0, &scan.io),
-        );
-        loop {
-            let (x, y) = (a.next().unwrap(), b.next().unwrap());
-            assert_eq!(x, y);
-            if x.is_none() {
-                break;
-            }
-        }
-        // Without a filter every key is a "maybe"; lookups stay right.
-        assert!(!full.may_contain(1) || full.probe(1, &mut None, &full.io).unwrap().is_none());
-        assert!(scan.may_contain(1));
-        assert_eq!(scan.probe(1, &mut None, &scan.io).unwrap(), None);
-        assert_eq!(
-            scan.probe(10, &mut None, &scan.io).unwrap(),
-            full.probe(10, &mut None, &full.io).unwrap()
-        );
-    }
-
-    /// Footer field `i` (of the five u64s) of the table at `path`.
+    /// Footer field `i` (of the three u64s) of the table bytes.
     fn footer_field(bytes: &[u8], i: usize) -> u64 {
         let at = bytes.len() - FOOTER_SIZE + 8 * i;
         u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
     }
 
-    /// Writes `bytes` as table file `name` and opens it, whole or
-    /// scan-only.
-    fn open_bytes(name: &str, bytes: &[u8], scan_only: bool) -> StoreResult<SsTableReader> {
+    /// Writes `bytes` as table file `name` and opens it.
+    fn open_bytes(name: &str, bytes: &[u8]) -> StoreResult<SsTableReader> {
         let p = tmp(name);
         std::fs::write(&p, bytes).unwrap();
-        let (cache, io) = fixtures();
-        if scan_only {
-            SsTableReader::open_scan_only(&p, 11, cache, io)
-        } else {
-            SsTableReader::open(&p, 10, cache, io)
-        }
-    }
-
-    #[test]
-    fn malformed_and_truncated_blooms_are_corrupt() {
-        let path = build("badbloom.k2ss", 0..2000u64);
-        let good = std::fs::read(&path).unwrap();
-        let (bloom_off, bloom_len) = (footer_field(&good, 2), footer_field(&good, 3));
-        let open = |bytes: &[u8]| open_bytes("badbloom-case.k2ss", bytes, false);
-        assert!(open(&good).is_ok());
-        let footer_at = good.len() - FOOTER_SIZE;
-
-        // The filter's own header disagrees with the region's length.
-        let mut bits_off = good.clone();
-        bits_off[bloom_off as usize] ^= 0x40;
-        assert!(matches!(open(&bits_off), Err(StoreError::Corrupt(_))));
-        // Zero hash functions.
-        let mut no_hashes = good.clone();
-        no_hashes[bloom_off as usize + 8..bloom_off as usize + 12].fill(0);
-        assert!(matches!(open(&no_hashes), Err(StoreError::Corrupt(_))));
-        // The footer announces a truncated filter…
-        let mut short = good.clone();
-        short[footer_at + 24..footer_at + 32].copy_from_slice(&(bloom_len - 8).to_le_bytes());
-        assert!(matches!(open(&short), Err(StoreError::Corrupt(_))));
-        // …one shorter than its header…
-        let mut tiny = good.clone();
-        tiny[footer_at + 24..footer_at + 32].copy_from_slice(&5u64.to_le_bytes());
-        assert!(matches!(open(&tiny), Err(StoreError::Corrupt(_))));
-        // …or one reaching past the end of the file: rejected before
-        // anything is allocated for it.
-        let mut huge = good.clone();
-        huge[footer_at + 24..footer_at + 32].copy_from_slice(&(1u64 << 40).to_le_bytes());
-        assert!(matches!(open(&huge), Err(StoreError::Corrupt(_))));
-        let mut far = good.clone();
-        far[footer_at + 16..footer_at + 24].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(open(&far), Err(StoreError::Corrupt(_))));
-        // A scan-only open does not read the filter at all.
-        assert!(open_bytes("badbloom-case.k2ss", &bits_off, true).is_ok());
+        SsTableReader::open(&p, 10, Arc::new(BlockCache::new(64)))
     }
 
     #[test]
@@ -1143,7 +980,7 @@ mod tests {
             ),
             (
                 "entry count disagrees",
-                footer_at + 32,
+                footer_at + 16,
                 2001u64.to_le_bytes().into(),
             ),
             (
@@ -1152,18 +989,16 @@ mod tests {
                 0u64.to_be_bytes().into(),
             ),
         ];
-        let open = |bytes: &[u8], scan_only| open_bytes("badindex-case.k2ss", bytes, scan_only);
-        assert!(open(&good, false).is_ok() && open(&good, true).is_ok());
+        let open = |bytes: &[u8]| open_bytes("badindex-case.k2ss", bytes);
+        assert!(open(&good).is_ok());
         for (what, at, bytes) in cases {
             let mut bad = good.clone();
             bad[at..at + bytes.len()].copy_from_slice(&bytes);
             assert_ne!(bad, good, "{what}: the case must change the file");
-            for scan_only in [false, true] {
-                assert!(
-                    matches!(open(&bad, scan_only), Err(StoreError::Corrupt(_))),
-                    "{what} (scan_only {scan_only}) must be Corrupt"
-                );
-            }
+            assert!(
+                matches!(open(&bad), Err(StoreError::Corrupt(_))),
+                "{what} must be Corrupt"
+            );
         }
     }
 
@@ -1187,18 +1022,18 @@ mod tests {
 
         let open = |name: &str, keys: std::ops::Range<u64>| {
             let (cache, io) = fixtures();
-            let r = SsTableReader::open(build(name, keys), 14, cache.clone(), io.clone()).unwrap();
+            let r = SsTableReader::open(build(name, keys), 14, cache.clone()).unwrap();
             (r, cache, io)
         };
         // An empty table admits nothing and answers nothing.
-        let (empty, ..) = open("fence-empty.k2ss", 0..0);
+        let (empty, _, io) = open("fence-empty.k2ss", 0..0);
         assert_eq!(
             (empty.min_key(), empty.max_key(), empty.fence()),
             (None, None, None)
         );
         assert!(!empty.admits(0, u64::MAX));
-        assert_eq!(empty.probe(5, &mut None, &empty.io).unwrap(), None);
-        assert!(empty.iter_from_with(0, &empty.io).next().unwrap().is_none());
+        assert_eq!(empty.probe(5, &mut None, &io).unwrap(), None);
+        assert!(empty.iter_from_with(0, &io).next().unwrap().is_none());
         // A single entry: first == last.
         let (one, ..) = open("fence-one.k2ss", 42..43);
         assert_eq!(one.fence(), Some((42, 42)));
@@ -1225,7 +1060,7 @@ mod tests {
         // Keys 1000, 1003, …: gaps between any two, 8 blocks.
         let path = build("hand.k2ss", (0..1200u64).map(|i| 1000 + i * 3));
         let (cache, io) = fixtures();
-        let r = SsTableReader::open(&path, 15, cache, io.clone()).unwrap();
+        let r = SsTableReader::open(&path, 15, cache).unwrap();
         let blocks = r.index.len() as u64;
         assert!(blocks >= 6);
         let per_block = (BLOCK_SIZE / ENTRY_SIZE) as u64;
@@ -1255,7 +1090,7 @@ mod tests {
                 let got = r.probe(key, &mut hand, &io).unwrap();
                 assert_eq!(
                     got,
-                    r.probe(key, &mut None, &r.io).unwrap(),
+                    r.probe(key, &mut None, &io).unwrap(),
                     "{what}: key {key}"
                 );
                 found += usize::from(got.is_some());
@@ -1267,8 +1102,7 @@ mod tests {
             assert_eq!(found, want, "{what}");
         }
 
-        // A batch over the whole table requests each block exactly once
-        // and consults the filter only where it enters a block.
+        // A batch over the whole table requests each block exactly once.
         let before = io.snapshot();
         let mut hand = None;
         for &key in &all {
@@ -1276,24 +1110,52 @@ mod tests {
         }
         let cost = io.snapshot().since(&before);
         assert_eq!(cost.cache_hits + cost.cache_misses, blocks);
-        assert!(cost.bloom_negatives <= 10 + 2 * blocks, "{cost:?}");
-        // Single gets pay one request per filter-positive key.
+        // Single gets pay one request per key from the first key on,
+        // present or not; the ten keys before the table request nothing.
         let before = io.snapshot();
         for &key in &all {
-            r.probe(key, &mut None, &r.io).unwrap();
+            r.probe(key, &mut None, &io).unwrap();
         }
         let cost = io.snapshot().since(&before);
-        assert!(cost.cache_hits + cost.cache_misses >= 1200);
+        assert_eq!(cost.cache_hits + cost.cache_misses, all.len() as u64 - 10);
     }
 
     #[test]
     fn corrupt_footer_rejected() {
-        let path = tmp("corrupt.k2ss");
-        std::fs::write(&path, vec![7u8; 100]).unwrap();
-        let (cache, io) = fixtures();
-        assert!(matches!(
-            SsTableReader::open(&path, 6, cache, io),
-            Err(StoreError::Corrupt(_))
-        ));
+        let good = std::fs::read(build("footer.k2ss", 0..2000u64)).unwrap();
+        let (index_off, index_len) = (footer_field(&good, 0), footer_field(&good, 1));
+        let footer_at = good.len() - FOOTER_SIZE;
+        let open = |bytes: &[u8]| open_bytes("footer-case.k2ss", bytes);
+        assert!(open(&good).is_ok());
+        let patched = |at: usize, bytes: &[u8]| {
+            let mut bad = good.clone();
+            bad[at..at + bytes.len()].copy_from_slice(bytes);
+            bad
+        };
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("garbage", vec![7u8; 100]),
+            ("shorter than a footer", good[footer_at + 1..].to_vec()),
+            // The earlier format: a bloom region and two more footer
+            // fields, under the old magic.
+            ("old magic", patched(footer_at + 24, b"K2SS")),
+            (
+                "index ends before the footer",
+                patched(footer_at + 8, &(index_len - INDEX_ROW as u64).to_le_bytes()),
+            ),
+            (
+                "index reaches past the footer",
+                patched(footer_at, &(index_off + 8).to_le_bytes()),
+            ),
+            (
+                "index length overflows",
+                patched(footer_at + 8, &u64::MAX.to_le_bytes()),
+            ),
+        ];
+        for (what, bad) in cases {
+            assert!(
+                matches!(open(&bad), Err(StoreError::Corrupt(_))),
+                "{what} must be Corrupt"
+            );
+        }
     }
 }

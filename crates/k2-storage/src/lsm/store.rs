@@ -42,12 +42,14 @@ pub struct LsmConfig {
     /// which is what tests, goldens and write-amp benches want.
     pub background_compaction: bool,
     /// Write every `insert` to the write-ahead log before acknowledging
-    /// it, so a crash before the next flush loses nothing. Bulk loads
-    /// ([`LsmStore::bulk_load`]) bypass the log during the load and
+    /// it, so a crash before the next flush loses nothing; an
+    /// `insert_batch` writes each of its runs as one group commit. Bulk
+    /// loads ([`LsmStore::bulk_load`]) bypass the log during the load and
     /// start it afterwards.
     pub wal: bool,
     /// When the WAL is `fsync`ed (see [`WalSyncPolicy`]); irrelevant
-    /// when `wal` is off.
+    /// when `wal` is off. A batch run is one append, synced before the
+    /// batch is acknowledged under every policy but `OnRotate`.
     pub wal_sync: WalSyncPolicy,
 }
 
@@ -106,10 +108,11 @@ pub(crate) type Memtable = BTreeMap<u64, [u8; VAL_SIZE]>;
 /// A log-structured merge-tree over `(t, oid) → (x, y)`.
 ///
 /// See the `k2_storage::lsm` module docs for the design. Writes go to
-/// [`LsmStore::insert`] and are crash-safe: with the default
-/// [`LsmConfig`] every insert is appended to a CRC-framed write-ahead
-/// log before it is acknowledged, every flush/compaction is committed
-/// by an `fsync`ed record in the append-only manifest, and
+/// [`LsmStore::insert`] or [`LsmStore::insert_batch`] and are crash-safe:
+/// with the default [`LsmConfig`] every insert is appended to a
+/// CRC-framed write-ahead log before it is acknowledged (a batch as one
+/// synced group commit per memtable run), every flush/compaction is
+/// committed by an `fsync`ed record in the append-only manifest, and
 /// [`LsmStore::open`] runs a recovery procedure (fold the manifest,
 /// drop orphans of crashed flushes/compactions, replay the live WAL
 /// tail into the memtable). [`LsmStore::bulk_load`] bypasses the WAL
@@ -243,6 +246,22 @@ impl Writer {
             controller: CompactionController::new(config.max_tables),
             compactor: None,
         }
+    }
+
+    /// Puts `p` in the active memtable and widens the span to its time.
+    fn put(&mut self, p: Point) {
+        self.active.insert(key_of(p.t, p.oid), val_of(p.x, p.y));
+        self.span = Some(match self.span {
+            None => (p.t, p.t),
+            Some((lo, hi)) => (lo.min(p.t), hi.max(p.t)),
+        });
+    }
+
+    /// Entries buffered in memory, the flush trigger's count: the active
+    /// memtable plus the frozen generations. An upper bound on the
+    /// distinct keys a flush writes.
+    fn buffered(&self) -> usize {
+        self.active.len() + self.frozen_entries
     }
 
     /// Moves the active memtable, if it holds anything, into a new frozen
@@ -380,8 +399,7 @@ impl LsmStore {
             // The table seq is the cache id: unique per file for the
             // directory's whole history, so a reopened store can never
             // alias cache entries of a retired table.
-            let reader =
-                SsTableReader::open(dir.join(sst_name(seq)), seq, cache.clone(), io.clone())?;
+            let reader = SsTableReader::open(dir.join(sst_name(seq)), seq, cache.clone())?;
             tables.push(Arc::new(reader));
         }
 
@@ -553,7 +571,6 @@ impl LsmStore {
         let next = Arc::new(LsmState {
             frozen: w.frozen.clone(),
             tables: w.tables.clone(),
-            table_seqs: w.table_seqs.clone(),
             span: w.span,
             version: w.version,
         });
@@ -598,42 +615,44 @@ impl LsmStore {
     }
 
     fn insert_locked(&self, w: &mut Writer, p: Point) -> StoreResult<()> {
-        let key = key_of(p.t, p.oid);
-        let val = val_of(p.x, p.y);
         if let Some(wal) = &mut w.wal {
-            wal.append(key, &val)?;
+            wal.append(key_of(p.t, p.oid), &val_of(p.x, p.y))?;
         }
-        w.active.insert(key, val);
+        w.put(p);
         if !w.in_batch {
             // Acknowledged on return, unpublished until the next swap.
             // Release: see `current`.
             self.unpublished.store(true, Ordering::Release);
         }
-        w.span = Some(match w.span {
-            None => (p.t, p.t),
-            Some((lo, hi)) => (lo.min(p.t), hi.max(p.t)),
-        });
-        if w.active.len() + w.frozen_entries >= w.config.memtable_entries {
+        if w.buffered() >= w.config.memtable_entries {
             self.flush_locked(w)?;
         }
         Ok(())
     }
 
     /// Inserts `points` in order as one unit of publication, and returns
-    /// the version it published. Each record takes the same path as
-    /// [`Self::insert`] (WAL append under the configured
-    /// [`WalSyncPolicy`], memtable, flush when full), but the published
-    /// state moves exactly once, when the last record is in — the batch
-    /// is frozen into one generation and swapped in. A reader of the
-    /// published state while the batch runs sees none of it, and does
-    /// not wait for it, even when the memtable fills and flushes midway:
-    /// the flush's swap, and that of any compaction finishing meanwhile,
-    /// is held back to the end. A reader after this returns sees all of
-    /// it; the returned version is the one its pin reports.
+    /// the version it published.
     ///
-    /// If a record fails, the records before it stay applied (they are
-    /// in the WAL, recovery would bring them back) and are published;
-    /// the error is returned.
+    /// The batch is group-committed in runs split at memtable-fill
+    /// boundaries. Each run is one WAL append ([`WalWriter::append_run`]:
+    /// one `write`, and one `sync_data` under every [`WalSyncPolicy`] but
+    /// `OnRotate`), then goes into the memtable, which flushes if the run
+    /// filled it — the flush points of the same records inserted one by
+    /// one. So with the default policy every point of an acknowledged
+    /// batch is on stable storage.
+    ///
+    /// The published state moves exactly once, when the last record is
+    /// in — the batch is frozen into one generation and swapped in. A
+    /// reader of the published state while the batch runs sees none of
+    /// it, and does not wait for it, even when the memtable fills and
+    /// flushes midway: the flush's swap, and that of any compaction
+    /// finishing meanwhile, is held back to the end. A reader after this
+    /// returns sees all of it; the returned version is the one its pin
+    /// reports.
+    ///
+    /// If a run fails, the runs before it stay applied (they are in the
+    /// WAL, recovery would bring them back) and are published; the error
+    /// is returned.
     pub fn insert_batch(&self, points: &[Point]) -> StoreResult<u64> {
         let mut w = self.writer()?;
         self.drain_finished(&mut w)?;
@@ -647,9 +666,7 @@ impl LsmStore {
             return Ok(w.version);
         }
         w.in_batch = true;
-        let result = points
-            .iter()
-            .try_for_each(|&p| self.insert_locked(&mut w, p));
+        let result = self.insert_runs(&mut w, points);
         w.in_batch = false;
         // Whatever the batch left in the active memtable becomes one
         // generation; if its last record filled the memtable instead, the
@@ -657,6 +674,27 @@ impl LsmStore {
         w.freeze_active();
         self.publish(&mut w);
         result.map(|()| w.version)
+    }
+
+    /// The body of [`Self::insert_batch`]: one group commit per run of
+    /// `points` that fits in the memtable.
+    fn insert_runs(&self, w: &mut Writer, mut points: &[Point]) -> StoreResult<()> {
+        while !points.is_empty() {
+            let room = w.config.memtable_entries.saturating_sub(w.buffered());
+            let (run, rest) = points.split_at(room.clamp(1, points.len()));
+            points = rest;
+            if let Some(wal) = &mut w.wal {
+                wal.append_run(run.iter().map(|p| (key_of(p.t, p.oid), val_of(p.x, p.y))))?;
+            }
+            for &p in run {
+                w.put(p);
+            }
+            // A run that repeats keys can leave room; the next run fills it.
+            if w.buffered() >= w.config.memtable_entries {
+                self.flush_locked(w)?;
+            }
+        }
+        Ok(())
     }
 
     /// Flushes all buffered entries — frozen generations and the active
@@ -686,32 +724,18 @@ impl LsmStore {
         let path = self.dir.join(sst_name(seq));
         // The frozen generations (oldest first) and the active memtable
         // are merged newest-wins straight into the writer — the order
-        // MergeIter resolves reads in — without a merged copy. The bloom
-        // filter is sized by the number of distinct keys, which takes a
-        // counting pass of its own when generations may overlap.
-        let buffered = || {
-            let generations = w.frozen.iter().map(|g| &g.entries);
-            MergeIter::over_memtables(generations.chain(std::iter::once(&w.active)))
-        };
-        let distinct = if w.frozen.is_empty() {
-            w.active.len()
-        } else {
-            let mut merge = buffered();
-            let mut n = 0;
-            while merge.next()?.is_some() {
-                n += 1;
-            }
-            n
-        };
-        let mut table = SsTableWriter::create(&path, distinct)?;
-        let mut merge = buffered();
+        // MergeIter resolves reads in — without a merged copy. The
+        // buffered count bounds the distinct keys, which sizes the index.
+        let mut table = SsTableWriter::create(&path, w.buffered())?;
+        let generations = w.frozen.iter().map(|g| &g.entries);
+        let mut merge = MergeIter::over_memtables(generations.chain(std::iter::once(&w.active)));
         while let Some((k, v)) = merge.next()? {
-            table.put(k, &v)?;
+            table.add(k, &v)?;
         }
         table.finish()?;
         sync_dir(&self.dir)?;
         self.append_manifest(&ManifestRecord::Flush { seq })?;
-        let reader = SsTableReader::open(&path, seq, self.cache.clone(), self.io.clone())?;
+        let reader = SsTableReader::open(&path, seq, self.cache.clone())?;
         w.tables.push(Arc::new(reader));
         w.table_seqs.push(seq);
         w.active.clear();
@@ -876,7 +900,6 @@ impl LsmStore {
             self.dir.join(sst_name(done.output)),
             done.output,
             self.cache.clone(),
-            self.io.clone(),
         )?;
         w.tables.insert(pos, Arc::new(reader));
         w.table_seqs.insert(pos, done.output);
@@ -1490,7 +1513,7 @@ mod tests {
                 // Pin while two un-compacted tables are live.
                 store.flush_without_compaction_for_tests().unwrap();
                 let p = store.pin().unwrap();
-                pinned_tables = store.published().table_seqs.clone();
+                pinned_tables = store.writer().unwrap().table_seqs.clone();
                 pin = Some(p);
             } else {
                 store.flush().unwrap();
@@ -1605,6 +1628,54 @@ mod tests {
     }
 
     #[test]
+    fn an_acknowledged_batch_is_synced() {
+        let store = LsmStore::create(tmpdir("batchsynced")).unwrap();
+        let batch: Vec<Point> = (0..100u32)
+            .map(|oid| Point::new(oid, 1.0, 1.0, 0))
+            .collect();
+        store.insert_batch(&batch).unwrap();
+        // One group commit under the default policy: every point is
+        // written and synced before the batch is acknowledged.
+        assert_eq!(store.writer().unwrap().wal.as_ref().unwrap().unsynced(), 0);
+        assert_eq!(store.io_stats().wal_appends, 100);
+    }
+
+    #[test]
+    fn batch_runs_flush_where_single_inserts_do() {
+        let config = LsmConfig {
+            memtable_entries: 64,
+            max_tables: 100,
+            background_compaction: false,
+            ..LsmConfig::default()
+        };
+        // 300 points, every tenth a repeat of the point before it, so
+        // some runs leave room the next run has to fill.
+        let points: Vec<Point> = (0..300u32)
+            .map(|i| {
+                let oid = if i % 10 == 9 { i - 1 } else { i };
+                Point::new(oid, f64::from(i), 1.0, 0)
+            })
+            .collect();
+        let singles = LsmStore::create_with(tmpdir("runs-single"), config).unwrap();
+        for &p in &points {
+            singles.insert(p).unwrap();
+        }
+        let batched = LsmStore::create_with(tmpdir("runs-batch"), config).unwrap();
+        batched.insert_batch(&points).unwrap();
+        let tables = |s: &LsmStore| -> Vec<u64> {
+            s.published()
+                .tables
+                .iter()
+                .map(|t| t.num_entries())
+                .collect()
+        };
+        assert_eq!(tables(&batched), tables(&singles));
+        assert_eq!(tables(&batched).len(), 4);
+        assert_eq!(scan(&batched, 0), scan(&singles, 0));
+        assert_eq!(batched.io_stats().wal_appends, 300);
+    }
+
+    #[test]
     fn insert_batch_returns_the_version_it_published() {
         let store = LsmStore::create(tmpdir("batchversion")).unwrap();
         let mut last = store.version();
@@ -1689,13 +1760,12 @@ mod tests {
     }
 
     /// Writes `entries` the way the pre-streaming flush and compaction
-    /// did — from one fully merged map, the bloom sized by `expected` —
-    /// and returns the file's bytes.
-    fn reference_table(dir: &Path, entries: &Memtable, expected: usize) -> Vec<u8> {
+    /// did — from one fully merged map — and returns the file's bytes.
+    fn reference_table(dir: &Path, entries: &Memtable) -> Vec<u8> {
         let path = dir.join("reference.k2ss");
-        let mut w = SsTableWriter::create(&path, expected).unwrap();
+        let mut w = SsTableWriter::create(&path, entries.len()).unwrap();
         for (&k, v) in entries {
-            w.put(k, v).unwrap();
+            w.add(k, v).unwrap();
         }
         w.finish().unwrap();
         let bytes = fs::read(&path).unwrap();
@@ -1704,7 +1774,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_flush_and_scan_only_compaction_write_the_same_bytes() {
+    fn streaming_flush_and_compaction_write_the_same_bytes() {
         let dir = tmpdir("bytes");
         let config = LsmConfig {
             memtable_entries: 1 << 20,
@@ -1735,16 +1805,15 @@ mod tests {
                 }
             }
             store.flush().unwrap();
-            let seq = *store.published().table_seqs.last().unwrap();
+            let seq = *store.writer().unwrap().table_seqs.last().unwrap();
             assert_eq!(
                 fs::read(dir.join(sst_name(seq))).unwrap(),
-                reference_table(&dir, &folded, folded.len()),
+                reference_table(&dir, &folded),
                 "flush {round} differs from the folded-copy table"
             );
             all_tables.push(folded);
         }
-        // Compaction: newest table wins, the bloom sized by the inputs'
-        // total entry count.
+        // Compaction: newest table wins.
         let total: usize = all_tables.iter().map(|t| t.len()).sum();
         let mut merged = Memtable::new();
         for table in &all_tables {
@@ -1753,10 +1822,10 @@ mod tests {
         assert!(merged.len() < total, "the inputs must share keys");
         store.compact_blocking().unwrap();
         assert_eq!(store.num_tables(), 1);
-        let out = dir.join(sst_name(store.published().table_seqs[0]));
+        let out = dir.join(sst_name(store.writer().unwrap().table_seqs[0]));
         assert_eq!(
             fs::read(&out).unwrap(),
-            reference_table(&dir, &merged, total),
+            reference_table(&dir, &merged),
             "compaction output differs from the full-reader merge"
         );
     }
@@ -1778,17 +1847,6 @@ mod tests {
         assert_eq!(store.num_points(), 0);
         assert!(scan(&store, 0).is_empty());
         assert_eq!(get(&store, 0, 0), None);
-    }
-
-    #[test]
-    fn bloom_negatives_accumulate_on_missing_probes() {
-        let d = toy_dataset();
-        let store = LsmStore::bulk_load(tmpdir("bloom"), &d).unwrap();
-        store.reset_io_stats();
-        for oid in 1000..1200u32 {
-            let _ = get(&store, 0, oid);
-        }
-        assert!(store.io_stats().bloom_negatives > 150);
     }
 
     #[test]

@@ -2,7 +2,12 @@
 //!
 //! Every acknowledged [`LsmStore::insert`] is first appended here as one
 //! CRC-framed record, so a crash between `insert` and the next memtable
-//! flush loses nothing. The on-disk format is a flat sequence of frames:
+//! flush loses nothing. [`LsmStore::insert_batch`] commits in groups: each
+//! run of a batch up to the next memtable flush is one `write` of its
+//! frames and — under every [`WalSyncPolicy`] but `OnRotate` — one
+//! `sync_data`, both before the run reaches the memtable, so an
+//! acknowledged batch is on stable storage. The on-disk format is a flat
+//! sequence of frames, the same for both paths:
 //!
 //! ```text
 //! ┌────────────┬─────────────┬──────────────────────────────┐
@@ -22,6 +27,7 @@
 //! manifest (see [`super::manifest`]).
 //!
 //! [`LsmStore::insert`]: super::LsmStore::insert
+//! [`LsmStore::insert_batch`]: super::LsmStore::insert_batch
 
 use crate::iostats::IoCounters;
 use crate::keys::VAL_SIZE;
@@ -121,12 +127,17 @@ pub fn encode_frame(key: u64, val: &[u8; VAL_SIZE]) -> [u8; WAL_FRAME_SIZE] {
 /// When the WAL file is `fsync`ed. Appends are always `write(2)`-visible
 /// immediately (a crashed *process* loses nothing either way); the policy
 /// only decides how much acknowledged data a crashed *machine* may lose.
+///
+/// A batch run ([`WalWriter::append_run`]) is one append whatever its
+/// length: it is synced before it is acknowledged under `EveryAppend` and
+/// `Batched`, and left to the rotation under `OnRotate`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalSyncPolicy {
     /// `fsync` after every append — zero loss on power failure, slowest.
     EveryAppend,
-    /// `fsync` after every `n` appends (and at rotation) — bounds power-
-    /// failure loss to `n` acknowledged inserts.
+    /// `fsync` after every batch run, and after every `n` single
+    /// appends — bounds power-failure loss to `n - 1` acknowledged single
+    /// inserts and no acknowledged batch point.
     Batched(usize),
     /// `fsync` only when the log rotates at a memtable flush.
     OnRotate,
@@ -191,16 +202,39 @@ impl WalWriter {
     /// crash after acknowledgement cannot lose it.
     pub fn append(&mut self, key: u64, val: &[u8; VAL_SIZE]) -> StoreResult<()> {
         self.file.write_all(&encode_frame(key, val))?;
-        self.io.add_wal_append();
-        match self.policy {
-            WalSyncPolicy::EveryAppend => self.sync()?,
-            WalSyncPolicy::Batched(n) => {
-                self.unsynced += 1;
-                if self.unsynced >= n.max(1) {
-                    self.sync()?;
-                }
-            }
-            WalSyncPolicy::OnRotate => {}
+        self.appended(1, false)
+    }
+
+    /// Appends a run of entries as one group commit: their frames are
+    /// encoded into one buffer, handed to the OS with one `write_all` and,
+    /// unless the policy is `OnRotate`, made durable with one `sync_data`
+    /// before this returns.
+    pub fn append_run(
+        &mut self,
+        entries: impl ExactSizeIterator<Item = (u64, [u8; VAL_SIZE])>,
+    ) -> StoreResult<()> {
+        let n = entries.len();
+        let mut frames = Vec::with_capacity(n * WAL_FRAME_SIZE);
+        for (key, val) in entries {
+            frames.extend_from_slice(&encode_frame(key, &val));
+        }
+        self.file.write_all(&frames)?;
+        self.appended(n, true)
+    }
+
+    /// Accounts `n` entries just written and syncs if the policy says so:
+    /// after every append under `EveryAppend`, after a run or every
+    /// `n`-th single append under `Batched(n)`, never under `OnRotate`.
+    fn appended(&mut self, n: usize, run: bool) -> StoreResult<()> {
+        self.io.add_wal_appends(n as u64);
+        self.unsynced += n;
+        let due = match self.policy {
+            WalSyncPolicy::EveryAppend => true,
+            WalSyncPolicy::Batched(every) => run || self.unsynced >= every.max(1),
+            WalSyncPolicy::OnRotate => false,
+        };
+        if due {
+            self.sync()?;
         }
         Ok(())
     }
@@ -215,6 +249,12 @@ impl WalWriter {
     /// The log's path.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// Entries appended since the last sync.
+    #[cfg(test)]
+    pub(crate) fn unsynced(&self) -> usize {
+        self.unsynced
     }
 }
 
@@ -315,6 +355,30 @@ mod tests {
         for (i, (k, v)) in got.iter().enumerate() {
             assert_eq!(*k, i as u64);
             assert_eq!(v[0], i as u8);
+        }
+    }
+
+    #[test]
+    fn a_run_is_one_append_synced_unless_on_rotate() {
+        let run = || (0..5u32).map(|k| (u64::from(k), [k as u8; VAL_SIZE]));
+        let singles: Vec<u8> = run().flat_map(|(k, v)| encode_frame(k, &v)).collect();
+        for (policy, unsynced) in [
+            (WalSyncPolicy::EveryAppend, 0),
+            (WalSyncPolicy::Batched(64), 0),
+            (WalSyncPolicy::OnRotate, 5),
+        ] {
+            let path = tmp("run.log");
+            let counters = io();
+            let mut w = WalWriter::create(&path, policy, counters.clone()).unwrap();
+            w.append_run(run()).unwrap();
+            assert_eq!(w.unsynced(), unsynced, "{policy:?}");
+            assert_eq!(counters.snapshot().wal_appends, 5);
+            drop(w);
+            // The same frames single appends write, so replay is unchanged.
+            assert_eq!(std::fs::read(&path).unwrap(), singles, "{policy:?}");
+            let mut got = Vec::new();
+            replay_wal(&path, |k, _| got.push(k)).unwrap();
+            assert_eq!(got, vec![0, 1, 2, 3, 4]);
         }
     }
 

@@ -1,9 +1,9 @@
 //! Fault-injection recovery suite for the LSM engine's crash-safe write
 //! path (WAL + append-only manifest).
 //!
-//! Each scenario builds a store by streaming inserts (the WAL-protected
-//! path, not bulk load), simulates a crash by reproducing the exact
-//! on-disk state a kill would leave — torn files, orphaned SSTables,
+//! Each scenario builds a store by streaming inserts or batches (the
+//! WAL-protected paths, not bulk load), simulates a crash by reproducing
+//! the exact on-disk state a kill would leave — torn files, orphaned SSTables,
 //! corrupt record tails, stale compaction inputs — via the [`TornWriter`]
 //! crash-point layer, then reopens the store, re-mines it through
 //! [`MiningSession`], and asserts the convoy output is byte-identical to
@@ -12,7 +12,9 @@
 //!
 //! Crash points covered:
 //!
-//! 1. kill before any flush (every acknowledged insert must survive),
+//! 1. kill before any flush (every acknowledged insert must survive,
+//!    single or batched), and kill after a batch whose group-committed
+//!    runs straddle a flush,
 //! 2. kill mid-insert (torn WAL tail — the in-flight frame was never
 //!    acknowledged and is dropped),
 //! 3. kill mid-flush (orphaned partial SSTable, no manifest record),
@@ -28,7 +30,7 @@
 //!    neither panics nor sizes a buffer by the rotten row).
 
 use k2hop::datagen::trucks::TrucksConfig;
-use k2hop::model::{Convoy, Dataset, ObjPos};
+use k2hop::model::{Convoy, Dataset, ObjPos, Point};
 use k2hop::prelude::*;
 use k2hop::storage::{
     LsmConfig, LsmStore, SnapshotSource, StoreError, WalSyncPolicy, WAL_FRAME_SIZE,
@@ -145,6 +147,17 @@ fn stream_insert(store: &LsmStore, dataset: &Dataset) {
     }
 }
 
+/// Feeds every dataset point through the group-committed batch path, in
+/// batches of `batch` points, and returns the batches it acknowledged.
+fn batch_insert(store: &LsmStore, dataset: &Dataset, batch: usize) -> Vec<Vec<Point>> {
+    let points: Vec<Point> = dataset.iter_points().collect();
+    let batches: Vec<Vec<Point>> = points.chunks(batch).map(<[Point]>::to_vec).collect();
+    for b in &batches {
+        store.insert_batch(b).unwrap();
+    }
+    batches
+}
+
 fn wal_file(dir: &Path) -> PathBuf {
     let mut wals: Vec<PathBuf> = fs::read_dir(dir)
         .unwrap()
@@ -178,35 +191,94 @@ fn sst_files(dir: &Path) -> Vec<PathBuf> {
 
 /// Crash point 1 — the headline durability guarantee: a WAL-enabled
 /// store killed before any flush recovers every acknowledged insert on
-/// open. Zero lost points, verified record by record.
+/// open, whether single inserts or group-committed batches fed it. Zero
+/// lost points, verified record by record.
 #[test]
 fn kill_before_flush_recovers_every_acknowledged_insert() {
     let (dataset, cfg, expected) = golden_workload();
-    let dir = tmpdir("prefush");
     let unique: BTreeSet<(u32, u32)> = dataset.iter_points().map(|p| (p.t, p.oid)).collect();
-    {
-        // Default config: memtable holds the whole workload, nothing is
-        // flushed — the WAL is the only durable copy.
-        let store = LsmStore::create(&dir).unwrap();
-        stream_insert(&store, &dataset);
-        assert_eq!(store.num_tables(), 0, "workload must stay unflushed");
-        // Killed here: dropped without flush.
+    for mode in ["stream", "batch"] {
+        let dir = tmpdir(&format!("preflush-{mode}"));
+        {
+            // Default config: memtable holds the whole workload, nothing
+            // is flushed — the WAL is the only durable copy.
+            let store = LsmStore::create(&dir).unwrap();
+            if mode == "stream" {
+                stream_insert(&store, &dataset);
+            } else {
+                batch_insert(&store, &dataset, 1000);
+            }
+            assert_eq!(
+                store.num_tables(),
+                0,
+                "{mode}: workload must stay unflushed"
+            );
+            // Killed here: dropped without flush.
+        }
+        let store = LsmStore::open(&dir).unwrap();
+        assert_eq!(
+            store.memtable_len(),
+            unique.len(),
+            "{mode}: every acknowledged insert must be recovered"
+        );
+        assert_eq!(store.io_stats().wal_replayed, dataset.num_points());
+        // Record-by-record: no point was lost, positions intact.
+        for p in dataset.iter_points() {
+            let got = get(&store, p.t, p.oid)
+                .unwrap_or_else(|| panic!("{mode}: lost acknowledged insert ({}, {})", p.t, p.oid));
+            assert_eq!((got.x, got.y), (p.x, p.y));
+        }
+        assert_eq!(store.span(), dataset.span());
+        assert_mines_golden(
+            &store,
+            cfg,
+            &expected,
+            &format!("kill-before-flush ({mode})"),
+        );
     }
-    let store = LsmStore::open(&dir).unwrap();
-    assert_eq!(
-        store.memtable_len(),
-        unique.len(),
-        "every acknowledged insert must be recovered"
-    );
-    assert_eq!(store.io_stats().wal_replayed, dataset.num_points());
-    // Record-by-record: no point was lost, positions intact.
-    for p in dataset.iter_points() {
+}
+
+/// Crash point 1b — a batch larger than the memtable: its runs are group-
+/// committed to two WAL generations, one on each side of the flush the
+/// first run triggers. Killed after the ack, the store recovers every
+/// point of every acknowledged batch — the flushed runs from their
+/// SSTables, the last run from the live WAL — and re-mines the golden
+/// output.
+#[test]
+fn kill_after_a_batch_spanning_a_flush_recovers_every_run() {
+    const MEMTABLE: usize = 4096;
+    const BATCH: usize = 10_000;
+    let (dataset, cfg, expected) = golden_workload();
+    let n = dataset.num_points() as usize;
+    assert!(n > MEMTABLE * 2, "the workload must span two flushes");
+    let dir = tmpdir("batch-spans-flush");
+    let config = LsmConfig {
+        memtable_entries: MEMTABLE,
+        ..LsmConfig::default()
+    };
+    let batches = {
+        let store = LsmStore::create_with(&dir, config).unwrap();
+        let batches = batch_insert(&store, &dataset, BATCH);
+        assert!(
+            batches[0].len() > MEMTABLE,
+            "a batch must outgrow the memtable"
+        );
+        assert_eq!(store.num_tables(), n / MEMTABLE);
+        batches
+        // Killed here: dropped without flush.
+    };
+    let store = LsmStore::open_with(&dir, config).unwrap();
+    // The flushed runs are in tables; only the last run is replayed.
+    assert_eq!(store.num_tables(), n / MEMTABLE);
+    assert_eq!(store.io_stats().wal_replayed, (n % MEMTABLE) as u64);
+    for p in batches.iter().flatten() {
         let got = get(&store, p.t, p.oid)
-            .unwrap_or_else(|| panic!("lost acknowledged insert ({}, {})", p.t, p.oid));
+            .unwrap_or_else(|| panic!("lost acknowledged batch point ({}, {})", p.t, p.oid));
         assert_eq!((got.x, got.y), (p.x, p.y));
     }
+    assert_eq!(store.num_points(), dataset.num_points());
     assert_eq!(store.span(), dataset.span());
-    assert_mines_golden(&store, cfg, &expected, "kill-before-flush");
+    assert_mines_golden(&store, cfg, &expected, "kill-after-batch-spanning-flush");
 }
 
 /// Crash point 2 — kill mid-insert: the WAL tail holds a torn frame.
@@ -502,10 +574,10 @@ fn corrupt_sstable_index_row_is_reported_not_panicked_on() {
     }
     let victim = sst_files(&dir).pop().unwrap();
     let good = fs::read(&victim).unwrap();
-    // Footer: index_off u64 | index_len u64 | … (44 bytes, at the end);
+    // Footer: index_off u64 | index_len u64 | … (28 bytes, at the end);
     // index row: first_key u64 | offset u64 | len u32.
     let word = |at: usize| u64::from_le_bytes(good[at..at + 8].try_into().unwrap()) as usize;
-    let (index_off, index_len) = (word(good.len() - 44), word(good.len() - 36));
+    let (index_off, index_len) = (word(good.len() - 28), word(good.len() - 20));
     let last_row_len = index_off + index_len - 4;
 
     // One flipped bit: the last block claims 2 GiB.
