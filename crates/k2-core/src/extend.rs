@@ -7,6 +7,7 @@ use crate::{recluster_at, Probe, ProbeScratch};
 use k2_cluster::DbscanParams;
 use k2_model::{Convoy, ConvoySet, Time};
 use k2_storage::StoreResult;
+use std::collections::HashMap;
 
 /// Which way a pass extends, and where it has to stop.
 #[derive(Debug, Clone, Copy)]
@@ -30,18 +31,76 @@ pub(crate) enum Direction {
     },
 }
 
-/// One extension pass: every seed is extended in `dir` — seeds fan out
-/// over the reader's workers, each an independent chain of probes — and
-/// what the chains emit is folded, in seed order, into one maximal set.
-pub(crate) fn extend_pass(
-    reader: &ProbeReader<'_>,
-    params: DbscanParams,
-    seeds: Vec<Convoy>,
+/// The extension chains of one direction, each run once and kept by its
+/// seed until the pass that needs it folds it.
+///
+/// A chain is a function of its seed and the source alone, and a pass
+/// folds its chains into a maximal set, which does not depend on the
+/// order they ran in. So the pipeline runs a chain as soon as its seed
+/// turns up — while the blocks it reads are still cached — and the pass
+/// over the final seeds then folds exactly the chains it would have run
+/// itself. A chain whose seed is later subsumed is never folded.
+pub(crate) struct Chains {
     dir: Direction,
-) -> StoreResult<PassResult> {
-    reader.map_maximal(&seeds, |seed, probe, scratch| {
-        extend(params, seed.clone(), dir, probe, scratch)
-    })
+    run: HashMap<Convoy, Chain>,
+}
+
+impl Chains {
+    /// No chain run yet, in `dir`.
+    pub(crate) fn new(dir: Direction) -> Self {
+        Self {
+            dir,
+            run: HashMap::new(),
+        }
+    }
+
+    /// Runs the chain of every seed whose chain has not run — seeds fan
+    /// out over the reader's workers — and returns what these new chains
+    /// emitted, folded in seed order into one maximal set: the seeds of
+    /// the opposite direction.
+    pub(crate) fn run(
+        &mut self,
+        reader: &mut ProbeReader<'_>,
+        params: DbscanParams,
+        seeds: &[Convoy],
+    ) -> StoreResult<Vec<Convoy>> {
+        let new: Vec<&Convoy> = seeds
+            .iter()
+            .filter(|seed| !self.run.contains_key(*seed))
+            .collect();
+        let dir = self.dir;
+        let chains = reader.map(&new, |&seed, probe, scratch| {
+            extend(params, seed.clone(), dir, probe, scratch)
+        })?;
+        let mut emitted = ConvoySet::new();
+        for (seed, mut chain) in new.into_iter().zip(chains) {
+            for v in &chain.emitted {
+                emitted.update(v.clone());
+            }
+            // Kept until the sweep ends, beside every other chain: most
+            // emit one convoy and confirm one run, so drop the growth
+            // slack.
+            chain.emitted.shrink_to_fit();
+            chain.intact.shrink_to_fit();
+            self.run.insert(seed.clone(), chain);
+        }
+        Ok(emitted.drain())
+    }
+
+    /// One extension pass: every seed is extended in this direction, and
+    /// what the chains emit is folded, in seed order, into one maximal
+    /// set. Chains already run are taken as they are; the rest run now.
+    pub(crate) fn pass(
+        mut self,
+        reader: &mut ProbeReader<'_>,
+        params: DbscanParams,
+        seeds: &[Convoy],
+    ) -> StoreResult<PassResult> {
+        self.run(reader, params, seeds)?;
+        Ok(PassResult::fold(seeds.iter().map(|seed| {
+            self.run.remove(seed).expect("every seed's chain has run")
+        })))
+    }
 }
 
 /// Extends one seed one timestamp at a time until no cluster survives or
@@ -145,12 +204,10 @@ mod tests {
         seeds: impl IntoIterator<Item = Convoy>,
         end: Time,
     ) -> StoreResult<PassResult> {
-        let seeds = seeds.into_iter().collect();
-        extend_pass(
-            &ProbeReader::Source(store),
+        Chains::new(Direction::Right { end }).pass(
+            &mut ProbeReader::source(store),
             params,
-            seeds,
-            Direction::Right { end },
+            &seeds.into_iter().collect::<Vec<_>>(),
         )
     }
 
@@ -161,12 +218,10 @@ mod tests {
         start: Time,
         min_len: u32,
     ) -> StoreResult<PassResult> {
-        let seeds = seeds.into_iter().collect();
-        extend_pass(
-            &ProbeReader::Source(store),
+        Chains::new(Direction::Left { start, min_len }).pass(
+            &mut ProbeReader::source(store),
             params,
-            seeds,
-            Direction::Left { start, min_len },
+            &seeds.into_iter().collect::<Vec<_>>(),
         )
     }
 

@@ -24,9 +24,12 @@
 //!
 //! The steps are orchestrated exactly once, by one pipeline that mines
 //! any [`SnapshotSource`] (in-memory dataset, flat file, B+tree, or
-//! LSM-tree). The two engines behind the [`ConvoyMiner`] trait are thin
-//! constructors of it and differ only in how the hop-window probes
-//! `DB[t]|O` of steps 3, 5 and 6 are fetched:
+//! LSM-tree). Steps 3–5 run as one sweep over the hop-windows in time
+//! order — on a disk engine one window at a time, extending each convoy
+//! the merge retires while the blocks HWMT just read are still cached —
+//! and validation runs last. The two engines behind the [`ConvoyMiner`]
+//! trait are thin constructors of it and differ only in how the
+//! hop-window probes `DB[t]|O` of steps 3, 5 and 6 are fetched:
 //!
 //! * [`K2Hop`] issues every probe to the source as it needs it (§5.2's
 //!   per-probe formulation) on the calling thread, and shards only the

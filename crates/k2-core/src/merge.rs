@@ -7,15 +7,38 @@ use k2_model::{Convoy, ConvoySet, Oid};
 /// right; window `i` spans `[bᵢ, bᵢ₊₁]`) into the set of **maximal
 /// spanning convoys** `V_M`. `m` is at least 1.
 ///
+/// Pushes every window into a [`SpanningMerger`], then finishes it, and
+/// folds everything it retired into one maximal set.
+pub fn merge_spanning(windows: &[Vec<Convoy>], m: usize) -> ConvoySet {
+    let mut merger = SpanningMerger::new(m);
+    let mut result = ConvoySet::new();
+    for spanning in windows {
+        for v in merger.push(spanning) {
+            result.update(v);
+        }
+    }
+    for v in merger.finish() {
+        result.update(v);
+    }
+    result
+}
+
+/// The DCM merge as a left-to-right sweep, one hop-window at a time.
+///
 /// Sweep semantics (Table 3):
 ///
 /// * an *active* convoy ends at the current benchmark; it merges with each
 ///   next-window convoy via object-set intersection (kept if ≥ m),
 /// * an active convoy that never extends *with its full object set* is
-///   maximal and moves to the result,
+///   maximal and is retired,
 /// * every next-window convoy also enters the active set (it may extend
 ///   further right), subject to subsumption,
-/// * after the last window, all remaining active convoys are maximal.
+/// * after the last window, all remaining active convoys are retired.
+///
+/// `V_M` is the maximal set of everything retired. A retired convoy ends
+/// at or before the window just pushed, so a caller can act on it while
+/// that window's data is still at hand; it may still be subsumed by a
+/// convoy retired later.
 ///
 /// Each window's spanning convoys are indexed by object — one sorted
 /// `(oid, convoy)` vector, which may list an object under several
@@ -24,50 +47,64 @@ use k2_model::{Convoy, ConvoySet, Oid};
 /// meets in the empty set, which is below `m` and cannot extend anything
 /// fully, so the merge makes exactly the `update` calls of intersecting
 /// every active convoy with every spanning convoy.
-pub fn merge_spanning(windows: &[Vec<Convoy>], m: usize) -> ConvoySet {
-    debug_assert!(m >= 1, "an empty intersection is not a convoy");
-    let mut result = ConvoySet::new();
-    let mut active = ConvoySet::new();
-    let mut index: Vec<(Oid, u32)> = Vec::new();
-    let mut sharing: Vec<u32> = Vec::new();
-    for (i, spanning) in windows.iter().enumerate() {
-        if i == 0 {
-            for v in spanning {
-                active.update(v.clone());
-            }
-            continue;
+#[derive(Debug)]
+pub struct SpanningMerger {
+    m: usize,
+    active: ConvoySet,
+    index: Vec<(Oid, u32)>,
+    sharing: Vec<u32>,
+}
+
+impl SpanningMerger {
+    /// An empty sweep merging with the size threshold `m` (at least 1).
+    pub fn new(m: usize) -> Self {
+        debug_assert!(m >= 1, "an empty intersection is not a convoy");
+        Self {
+            m,
+            active: ConvoySet::new(),
+            index: Vec::new(),
+            sharing: Vec::new(),
         }
-        index.clear();
-        index.extend(
-            spanning
-                .iter()
-                .enumerate()
-                .flat_map(|(j, w)| w.objects.iter().map(move |oid| (oid, j as u32))),
-        );
-        index.sort_unstable();
+    }
+
+    /// Pushes the next window's spanning convoys and returns the convoys
+    /// this step retired, in the order the sweep retired them.
+    pub fn push(&mut self, spanning: &[Convoy]) -> Vec<Convoy> {
+        let mut retired = Vec::new();
         let mut next_active = ConvoySet::new();
+        if !self.active.is_empty() {
+            self.index.clear();
+            self.index.extend(
+                spanning
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(j, w)| w.objects.iter().map(move |oid| (oid, j as u32))),
+            );
+            self.index.sort_unstable();
+        }
         let boundary = spanning.first().map(|w| w.start());
-        for v in active.drain() {
+        for v in self.active.drain() {
             // Only convoys that end exactly at this window's left
             // benchmark can merge; stragglers (from windows whose spanning
             // sets were empty) are maximal.
             if Some(v.end()) != boundary {
-                result.update(v);
+                retired.push(v);
                 continue;
             }
-            sharing.clear();
-            let mut rest = &index[..];
+            self.sharing.clear();
+            let mut rest = &self.index[..];
             for oid in v.objects.iter() {
                 rest = &rest[rest.partition_point(|&(o, _)| o < oid)..];
-                sharing.extend(rest.iter().take_while(|&&(o, _)| o == oid).map(|&(_, j)| j));
+                self.sharing
+                    .extend(rest.iter().take_while(|&&(o, _)| o == oid).map(|&(_, j)| j));
             }
-            sharing.sort_unstable();
-            sharing.dedup();
+            self.sharing.sort_unstable();
+            self.sharing.dedup();
             let mut extended_fully = false;
-            for &j in &sharing {
+            for &j in &self.sharing {
                 let w = &spanning[j as usize];
                 let inter = v.objects.intersect(&w.objects);
-                if inter.len() >= m {
+                if inter.len() >= self.m {
                     if inter.len() == v.objects.len() {
                         extended_fully = true;
                     }
@@ -75,18 +112,20 @@ pub fn merge_spanning(windows: &[Vec<Convoy>], m: usize) -> ConvoySet {
                 }
             }
             if !extended_fully {
-                result.update(v);
+                retired.push(v);
             }
         }
         for w in spanning {
             next_active.update(w.clone());
         }
-        active = next_active;
+        self.active = next_active;
+        retired
     }
-    for v in active.drain() {
-        result.update(v);
+
+    /// Ends the sweep: retires and returns every convoy still active.
+    pub fn finish(&mut self) -> Vec<Convoy> {
+        self.active.drain()
     }
-    result
 }
 
 #[cfg(test)]
@@ -154,6 +193,44 @@ mod tests {
             assert!(result.contains(e), "missing {e:?}\ngot {result:#?}");
         }
         assert_eq!(result.len(), expected.len(), "got {result:#?}");
+    }
+
+    #[test]
+    fn merger_retires_table3_convoys_at_their_merge() {
+        // Table 3, one column per push: a convoy is retired by the merge
+        // that first fails to extend it with its full object set, and the
+        // five convoys alive after the 3rd merge are retired by `finish`.
+        let mut merger = SpanningMerger::new(2);
+        let mut steps: Vec<Vec<Convoy>> =
+            figure5_windows().iter().map(|w| merger.push(w)).collect();
+        steps.push(merger.finish());
+        let expected = [
+            // H0 only opens the sweep.
+            vec![],
+            // 1st merge (H1): {e,f,g,h} splits, {i,j,k} finds no partner.
+            vec![cv(&[4, 5, 6, 7], 0, 1), cv(&[8, 9, 10], 0, 1)],
+            // 2nd merge (H2): {a,b,c,d} splits into {a,b} and {c,d}.
+            vec![cv(&[0, 1, 2, 3], 0, 2)],
+            // 3rd merge (H3): {a,b,e,f} splits, {i,j,k} ends again.
+            vec![cv(&[0, 1, 4, 5], 2, 3), cv(&[8, 9, 10], 2, 3)],
+            // After the last window.
+            vec![
+                cv(&[0, 1], 0, 4),
+                cv(&[2, 3], 0, 4),
+                cv(&[4, 5], 0, 4),
+                cv(&[6, 7], 0, 4),
+                cv(&[2, 3, 6, 7], 2, 4),
+            ],
+        ];
+        assert_eq!(steps.len(), expected.len());
+        let sorted = |v: &[Convoy]| {
+            let mut v = v.to_vec();
+            v.sort_by(|a, b| (a.lifespan, a.objects.ids()).cmp(&(b.lifespan, b.objects.ids())));
+            v
+        };
+        for (i, (got, want)) in steps.iter().zip(&expected).enumerate() {
+            assert_eq!(sorted(got), sorted(want), "step {i}");
+        }
     }
 
     #[test]

@@ -92,8 +92,8 @@ pub(crate) enum ProbeReader<'a> {
     /// Any source, probed through its `multi_get_into` (the paper's §5.2
     /// formulation) on the calling thread only: engines keep buffer
     /// pools and I/O counters behind interior mutability and need not be
-    /// `Sync`.
-    Source(&'a dyn SnapshotSource),
+    /// `Sync`. One scratch serves every map over the run.
+    Source(&'a dyn SnapshotSource, Box<ProbeScratch>),
     /// A resident dataset. Its `multi_get_into` is its own restriction,
     /// and it is immutable and `Sync`, so `workers` threads probe it at
     /// once.
@@ -129,25 +129,50 @@ pub(crate) struct PassResult {
     pub intact: IntactRuns,
 }
 
-impl ProbeReader<'_> {
+impl PassResult {
+    /// Folds chains, in order, as a pass does: their emissions into one
+    /// maximal set, their points into one total, their intact runs into
+    /// one list.
+    pub(crate) fn fold(chains: impl IntoIterator<Item = Chain>) -> Self {
+        let mut result = PassResult {
+            convoys: ConvoySet::new(),
+            points_fetched: 0,
+            intact: IntactRuns::new(),
+        };
+        for chain in chains {
+            result.points_fetched += chain.points;
+            result.intact.extend(chain.intact);
+            for v in chain.emitted {
+                result.convoys.update(v);
+            }
+        }
+        result
+    }
+}
+
+impl<'a> ProbeReader<'a> {
+    /// A reader that probes `source` itself on the calling thread.
+    pub(crate) fn source(source: &'a dyn SnapshotSource) -> Self {
+        ProbeReader::Source(source, Box::default())
+    }
+
     /// Maps `f` over `items`, preserving order. Each call gets the probe
     /// into this reader's data and a worker-local [`ProbeScratch`];
     /// the first error ends the map.
     pub(crate) fn map<T: Sync, R: Send>(
-        &self,
+        &mut self,
         items: &[T],
         f: impl Fn(&T, &mut dyn Probe, &mut ProbeScratch) -> StoreResult<R> + Sync,
     ) -> StoreResult<Vec<R>> {
-        match *self {
-            ProbeReader::Source(source) => {
-                let mut probe = probe_of(source);
-                let mut scratch = ProbeScratch::default();
+        match self {
+            ProbeReader::Source(source, scratch) => {
+                let mut probe = probe_of(*source);
                 items
                     .iter()
-                    .map(|item| f(item, &mut probe, &mut scratch))
+                    .map(|item| f(item, &mut probe, scratch))
                     .collect()
             }
-            ProbeReader::Resident { dataset, workers } => {
+            &mut ProbeReader::Resident { dataset, workers } => {
                 self_scheduled_map(workers, items, ProbeScratch::default, |scratch, item| {
                     f(item, &mut probe_of(dataset), scratch)
                 })
@@ -155,29 +180,6 @@ impl ProbeReader<'_> {
                 .collect()
             }
         }
-    }
-
-    /// [`map`](Self::map) for chains of probes: folds the convoys they
-    /// emit, in item and emission order, into one maximal set, totals the
-    /// points and gathers the intact reclusters.
-    pub(crate) fn map_maximal<T: Sync>(
-        &self,
-        items: &[T],
-        f: impl Fn(&T, &mut dyn Probe, &mut ProbeScratch) -> StoreResult<Chain> + Sync,
-    ) -> StoreResult<PassResult> {
-        let mut result = PassResult {
-            convoys: ConvoySet::new(),
-            points_fetched: 0,
-            intact: IntactRuns::new(),
-        };
-        for chain in self.map(items, f)? {
-            result.points_fetched += chain.points;
-            result.intact.extend(chain.intact);
-            for v in chain.emitted {
-                result.convoys.update(v);
-            }
-        }
-        Ok(result)
     }
 }
 

@@ -20,7 +20,8 @@
 //!   windows at a time — exactly the points k/2-hop's pruning would
 //!   fetch anyway, never more than `O(window × threads)` of them
 //!   resident ([`PrefetchStats`](crate::PrefetchStats)) — and extension
-//!   and validation probe the source point by point,
+//!   of what each shard's merge retired, then validation, probe the
+//!   source point by point,
 //! * only the cheap DCM merge (and final maximality) runs sequentially.
 //!
 //! Either way the output is *identical* to `K2Hop`'s — the unit tests

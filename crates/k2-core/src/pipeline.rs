@@ -1,19 +1,30 @@
 //! The k/2-hop pipeline (Algorithm 1) — orchestrated here and nowhere
 //! else — and the [`K2Hop`] engine that runs it per-probe.
+//!
+//! Steps 3–5 (HWMT, the DCM merge, extension) run as one sweep over the
+//! hop-windows in time order, a step of windows at a time: each step's
+//! windows are mined, merged, and the convoys the merge retires are
+//! extended right and left at once, while the blocks the step read are
+//! still in the store's cache. On a disk engine a step is one
+//! hop-window; over a resident dataset it is the whole window list, so
+//! the three phases run one after another as the paper lists them.
+//! Extension chains are kept by seed and folded only for the final
+//! seeds, so the convoys and every counter are the same for any step.
+//! Validation (step 6) runs after the sweep: it needs the final left set.
 
 use crate::benchpoints::{benchmark_points, hwmt_order};
 use crate::candidates::{object_id_union, CandidateScratch};
 use crate::config::K2Config;
-use crate::extend::{extend_pass, Direction};
-use crate::hwmt::{mine_window_with, WindowSlab};
-use crate::merge::merge_spanning;
+use crate::extend::{Chains, Direction};
+use crate::hwmt::{mine_window_with, WindowResult, WindowSlab};
+use crate::merge::SpanningMerger;
 use crate::par::{cluster_benchmark_snapshots, self_scheduled_map, shard_ranges, ProbeReader};
 use crate::record::{IntactRecord, IntactRuns};
 use crate::stats::{GridStats, PhaseTimings, PrefetchStats, PruningStats};
 use crate::validate::validate_pass;
 use crate::{MineError, MineOutcome, MineStats, ProbeScratch};
 use k2_cluster::DbscanParams;
-use k2_model::{Convoy, ObjectSet, Oid, Time};
+use k2_model::{Convoy, ConvoySet, ObjectSet, Oid, Time};
 use k2_storage::{SnapshotSource, StoreResult};
 use std::time::Instant;
 
@@ -101,6 +112,9 @@ impl Pipeline {
     /// 4. DCM-merge into maximal spanning convoys,
     /// 5. extend right then left (discarding convoys shorter than `k`),
     /// 6. validate into maximal fully-connected convoys.
+    ///
+    /// Steps 3–5 sweep the hop-windows a step at a time (see the module
+    /// doc); validation runs after the sweep.
     pub(crate) fn run(&self, source: &dyn SnapshotSource) -> Result<MineOutcome, MineError> {
         let cfg = self.config;
         let params = cfg.dbscan();
@@ -136,11 +150,11 @@ impl Pipeline {
         // The two values the engines differ in: where the probe phases
         // read from, and how many workers they may use.
         let workers = if self.fan_out_probes { self.threads } else { 1 };
-        let (reader, prefetched) = match source.as_dataset() {
+        let (mut reader, prefetched) = match source.as_dataset() {
             Some(dataset) if self.fan_out_probes => {
                 (ProbeReader::Resident { dataset, workers }, false)
             }
-            _ => (ProbeReader::Source(source), self.fan_out_probes),
+            _ => (ProbeReader::source(source), self.fan_out_probes),
         };
 
         // Step 1: benchmark clusters (the only full-snapshot scans),
@@ -170,10 +184,13 @@ impl Pipeline {
         pruning.candidate_clusters = ccs.iter().map(|cc| cc.len() as u32).sum();
         timings.intersect = t0.elapsed();
 
-        // Step 3: HWMT per window. Every hop-window and extension chain
-        // hands back where a probe of exactly a set returned it intact;
-        // validation reads that record instead of probing again.
-        let t0 = Instant::now();
+        // Steps 3–5, a step of hop-windows at a time. A resident source
+        // has no block cache to keep warm, so its step is the whole list
+        // and each phase fans out once over all of it; over prefetched
+        // slabs the step is one temporal shard; otherwise one window.
+        // Every hop-window and extension chain hands back where a probe
+        // of exactly a set returned it intact; validation reads that
+        // record instead of probing again.
         let mut intact = IntactRuns::new();
         let windows: Vec<Window<'_>> = bench
             .windows(2)
@@ -184,67 +201,82 @@ impl Pipeline {
                 cc,
             })
             .collect();
-        let spanning: Vec<Vec<Convoy>> = if prefetched {
-            hwmt_over_slabs(
-                source,
-                params,
-                &windows,
-                workers,
-                pruning,
-                prefetch,
-                &mut intact,
-            )?
-        } else {
-            let mined = reader.map(&windows, |w, probe, scratch| w.mine(params, probe, scratch))?;
-            mined
+        let shards = match source.as_dataset() {
+            Some(_) => 1,
+            None => windows.len().div_ceil(workers),
+        };
+        let steps = shard_ranges(windows.len(), shards);
+        let mut slabs: Vec<WindowSlab> = Vec::new();
+        let mut merger = SpanningMerger::new(cfg.m);
+        let mut merged = ConvoySet::new();
+        let mut rights = Chains::new(Direction::Right { end: span.end });
+        let mut lefts = Chains::new(Direction::Left {
+            start: span.start,
+            min_len: cfg.k,
+        });
+        for (i, range) in steps.iter().enumerate() {
+            // Step 3: HWMT per window.
+            let t0 = Instant::now();
+            let step = &windows[range.clone()];
+            let mined = if prefetched {
+                hwmt_over_slabs(source, params, step, workers, &mut slabs, prefetch)?
+            } else {
+                reader.map(step, |w, probe, scratch| w.mine(params, probe, scratch))?
+            };
+            let spanning: Vec<Vec<Convoy>> = mined
                 .into_iter()
                 .map(|res| {
                     pruning.hwmt_points += res.points_fetched;
                     intact.extend(res.intact);
                     res.spanning
                 })
-                .collect()
-        };
-        pruning.spanning_convoys = spanning.iter().map(|s| s.len() as u32).sum();
-        timings.hwmt = t0.elapsed();
+                .collect();
+            pruning.spanning_convoys += spanning.iter().map(|s| s.len() as u32).sum::<u32>();
+            timings.hwmt += t0.elapsed();
 
-        // Step 4: merge into maximal spanning convoys.
-        let t0 = Instant::now();
-        let merged = merge_spanning(&spanning, cfg.m);
+            // Step 4: merge into maximal spanning convoys.
+            let t0 = Instant::now();
+            let mut retired: Vec<Convoy> = spanning.iter().flat_map(|s| merger.push(s)).collect();
+            if i + 1 == steps.len() {
+                retired.extend(merger.finish());
+            }
+            for v in &retired {
+                merged.update(v.clone());
+            }
+            // A convoy already subsumed can never be a seed.
+            retired.retain(|v| merged.contains(v));
+            timings.merge += t0.elapsed();
+
+            // Step 5, speculatively: the chains of what this step retired.
+            let t0 = Instant::now();
+            let emitted = rights.run(&mut reader, params, &retired)?;
+            timings.extend_right += t0.elapsed();
+            let t0 = Instant::now();
+            lefts.run(&mut reader, params, &emitted)?;
+            timings.extend_left += t0.elapsed();
+        }
         pruning.merged_convoys = merged.len() as u32;
-        timings.merge = t0.elapsed();
 
-        // Step 5: extension (right, then left with the k filter).
+        // Step 5: extension (right, then left with the k filter) of the
+        // final seeds, from the chains the sweep ran.
         let t0 = Instant::now();
-        let mut right = extend_pass(
-            &reader,
-            params,
-            merged.into_iter().collect(),
-            Direction::Right { end: span.end },
-        )?;
+        let mut right = rights.pass(&mut reader, params, &merged.drain())?;
         pruning.extend_points += right.points_fetched;
         intact.append(&mut right.intact);
-        timings.extend_right = t0.elapsed();
+        timings.extend_right += t0.elapsed();
 
         let t0 = Instant::now();
-        let mut left = extend_pass(
-            &reader,
-            params,
-            right.convoys.into_iter().collect(),
-            Direction::Left {
-                start: span.start,
-                min_len: cfg.k,
-            },
-        )?;
+        let mut left = lefts.pass(&mut reader, params, &right.convoys.drain())?;
         pruning.extend_points += left.points_fetched;
         pruning.pre_validation_convoys = left.convoys.len() as u32;
         intact.append(&mut left.intact);
-        timings.extend_left = t0.elapsed();
+        timings.extend_left += t0.elapsed();
 
-        // Step 6: validation to fully-connected convoys.
+        // Step 6: validation to fully-connected convoys, once the left
+        // set is final.
         let t0 = Instant::now();
         let record = IntactRecord::new(intact);
-        let validated = validate_pass(&reader, params, cfg.k, left.convoys, &record)?;
+        let validated = validate_pass(&mut reader, params, cfg.k, left.convoys, &record)?;
         pruning.validation_points = validated.points_fetched;
         timings.validation = t0.elapsed();
 
@@ -267,72 +299,70 @@ impl Window<'_> {
         params: DbscanParams,
         probe: impl crate::Probe,
         scratch: &mut ProbeScratch,
-    ) -> StoreResult<crate::hwmt::WindowResult> {
+    ) -> StoreResult<WindowResult> {
         mine_window_with(
             params, self.left, self.right, self.cc, hwmt_order, probe, scratch,
         )
     }
 }
 
-/// Step 3 over prefetched slabs — the memory discipline of
+/// Step 3 over prefetched slabs, for one temporal shard of the
+/// hop-window list — the memory discipline of
 /// [`K2HopParallel`](crate::K2HopParallel) on a source that is not
 /// resident. Store I/O never leaves the calling thread (engines need not
 /// be `Sync`), and no more than one temporal shard of the data is ever
 /// materialised.
 ///
-/// The hop-window list is split into contiguous **temporal shards** of
+/// The pipeline steps through contiguous **temporal shards** of
 /// `workers` windows. Per shard, the calling thread fetches one
 /// [`WindowSlab`] per window — `DB[t]|union(CCᵢ)` for the window's open
-/// timestamps, via sorted-probe `multi_get_into` into buffers reused
+/// timestamps, via sorted-probe `multi_get_into` into `slabs`, reused
 /// shard to shard — then the shard's windows fan out to the workers,
 /// each probing its own slab. Peak resident slab bytes are
 /// `O(window span × workers)`, not `O(full span × union)`;
-/// [`PrefetchStats`] reports the measured peak, `hwmt_points` counts
-/// what the slabs fetched, and the windows' intact reclusters go to
-/// `intact`.
+/// [`PrefetchStats`] reports the measured peak. Each window's
+/// `points_fetched` is what its slab fetched.
 fn hwmt_over_slabs(
     source: &dyn SnapshotSource,
     params: DbscanParams,
-    windows: &[Window<'_>],
+    shard: &[Window<'_>],
     workers: usize,
-    pruning: &mut PruningStats,
+    slabs: &mut Vec<WindowSlab>,
     prefetch: &mut PrefetchStats,
-    intact: &mut IntactRuns,
-) -> StoreResult<Vec<Vec<Convoy>>> {
-    let mut slabs: Vec<WindowSlab> = Vec::new();
-    let mut spanning = Vec::with_capacity(windows.len());
-    for range in shard_ranges(windows.len(), windows.len().div_ceil(workers)) {
-        prefetch.shards += 1;
-        let shard = &windows[range];
-        slabs.resize_with(shard.len().max(slabs.len()), WindowSlab::default);
-        let mut shard_bytes = 0u64;
-        for (w, slab) in shard.iter().zip(&mut slabs) {
-            let union: Vec<Oid> = object_id_union(w.cc);
-            pruning.hwmt_points += slab.fill(source, w.left, w.right, &union)?;
-            shard_bytes += slab.bytes();
-            prefetch.windows_fetched += u32::from(!slab.is_empty());
-        }
-        prefetch.prefetch_bytes_peak = prefetch.prefetch_bytes_peak.max(shard_bytes);
-        let inputs: Vec<(&Window<'_>, &WindowSlab)> = shard.iter().zip(&slabs).collect();
-        let mined = self_scheduled_map(
-            workers,
-            &inputs,
-            ProbeScratch::default,
-            |scratch, &(w, slab)| {
-                w.mine(
-                    params,
-                    |t, oids: &[Oid], out: &mut _| slab.probe(t, oids, out),
-                    scratch,
-                )
-            },
-        );
-        for res in mined {
-            let res = res?;
-            intact.extend(res.intact);
-            spanning.push(res.spanning);
-        }
+) -> StoreResult<Vec<WindowResult>> {
+    prefetch.shards += 1;
+    slabs.resize_with(shard.len().max(slabs.len()), WindowSlab::default);
+    let mut fetched = Vec::with_capacity(shard.len());
+    let mut shard_bytes = 0u64;
+    for (w, slab) in shard.iter().zip(slabs.iter_mut()) {
+        let union: Vec<Oid> = object_id_union(w.cc);
+        fetched.push(slab.fill(source, w.left, w.right, &union)?);
+        shard_bytes += slab.bytes();
+        prefetch.windows_fetched += u32::from(!slab.is_empty());
     }
-    Ok(spanning)
+    prefetch.prefetch_bytes_peak = prefetch.prefetch_bytes_peak.max(shard_bytes);
+    let inputs: Vec<(&Window<'_>, &WindowSlab)> = shard.iter().zip(slabs.iter()).collect();
+    self_scheduled_map(
+        workers,
+        &inputs,
+        ProbeScratch::default,
+        |scratch, &(w, slab)| {
+            w.mine(
+                params,
+                |t, oids: &[Oid], out: &mut _| slab.probe(t, oids, out),
+                scratch,
+            )
+        },
+    )
+    .into_iter()
+    .zip(fetched)
+    .map(|(res, points)| {
+        res.map(|res| WindowResult {
+            points_fetched: points,
+            ..res
+        })
+    })
+    .collect()
 }
 
 #[cfg(test)]

@@ -9,6 +9,11 @@ use std::time::Duration;
 /// Figure 8i of the paper plots exactly this breakdown (benchmark
 /// clustering and candidate intersection are folded into `benchmark` as in
 /// the paper's "rest of the phases take negligible time").
+///
+/// Steps 3–5 run as one sweep over the hop-windows, a step of windows at
+/// a time (one window on a disk engine), so `hwmt`, `merge`,
+/// `extend_right` and `extend_left` are each the sum of that phase's
+/// durations over the steps, not one contiguous interval.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimings {
     /// Step 1: DBSCAN at the benchmark points.

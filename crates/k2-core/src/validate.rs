@@ -40,7 +40,7 @@ use std::collections::HashMap;
 /// fully-connected convoys they yield are folded, in candidate order,
 /// into one maximal set.
 pub(crate) fn validate_pass(
-    reader: &ProbeReader<'_>,
+    reader: &mut ProbeReader<'_>,
     params: DbscanParams,
     min_len: u32,
     candidates: impl IntoIterator<Item = Convoy>,
@@ -54,9 +54,10 @@ pub(crate) fn validate_pass(
     // would pop them in. The per-probe fetch sequence a store (and its
     // block cache) sees is pinned to that order.
     candidates.reverse();
-    reader.map_maximal(&candidates, |v, probe, scratch| {
+    let chains = reader.map(&candidates, |v, probe, scratch| {
         validate_one(params, min_len, v, record, probe, scratch)
-    })
+    })?;
+    Ok(PassResult::fold(chains))
 }
 
 /// Validates one candidate: HWMT\* either confirms it unchanged or
@@ -259,7 +260,7 @@ mod tests {
         record: &IntactRecord,
     ) -> StoreResult<PassResult> {
         validate_pass(
-            &ProbeReader::Source(store),
+            &mut ProbeReader::source(store),
             params,
             min_len,
             candidates,
