@@ -159,33 +159,6 @@ impl ObjectSet {
         true
     }
 
-    /// Set union via linear merge.
-    pub fn union(&self, other: &ObjectSet) -> ObjectSet {
-        let mut out = Vec::with_capacity(self.len() + other.len());
-        let (mut i, mut j) = (0, 0);
-        let (a, b) = (&self.0, &other.0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(b[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
-        ObjectSet(out.into())
-    }
-
     /// Iterator over member ids in ascending order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = Oid> + '_ {
         self.0.iter().copied()
@@ -276,13 +249,6 @@ mod tests {
         assert!(!b.is_subset(&a));
         assert!(a.is_subset(&a));
         assert!(ObjectSet::empty().is_subset(&a));
-    }
-
-    #[test]
-    fn union_merges() {
-        let a = ObjectSet::from([1, 3, 5]);
-        let b = ObjectSet::from([2, 3, 6]);
-        assert_eq!(a.union(&b).ids(), &[1, 2, 3, 5, 6]);
     }
 
     #[test]

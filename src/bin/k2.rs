@@ -20,7 +20,9 @@ use k2hop::server::{K2Service, Server};
 use k2hop::storage::{FlatFileStore, InMemoryStore, LsmConfig, LsmStore, RelationalStore};
 use k2hop::MiningSession;
 use std::collections::HashMap;
+use std::error::Error;
 use std::fs::File;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -29,8 +31,15 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
+        // A reader that stops early (`k2 stats f | head -1`) is not a failure.
+        Err(e)
+            if e.downcast_ref::<io::Error>()
+                .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
             eprintln!();
             eprintln!("{USAGE}");
             ExitCode::from(2)
@@ -56,7 +65,11 @@ files:     *.csv is CSV (oid,x,y,t); anything else is the binary format
 serve:     optional [file] is bulk-loaded first; --dir persists the store
            (default: a temp dir); clients speak the k2-server protocol";
 
-fn run(args: &[String]) -> Result<(), String> {
+/// A command's failure: a usage or input message, or an `io::Error` from
+/// writing to stdout.
+type CmdResult = Result<(), Box<dyn Error>>;
+
+fn run(args: &[String]) -> CmdResult {
     let mut it = args.iter();
     let cmd = it.next().ok_or("missing command")?;
     let rest: Vec<&String> = it.collect();
@@ -67,11 +80,8 @@ fn run(args: &[String]) -> Result<(), String> {
         "interpolate" => interpolate_cmd(&rest),
         "convert" => convert(&rest),
         "serve" => serve(&rest),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}'")),
+        "--help" | "-h" | "help" => Ok(writeln!(io::stdout().lock(), "{USAGE}")?),
+        other => Err(format!("unknown command '{other}'").into()),
     }
 }
 
@@ -134,7 +144,7 @@ fn save(dataset: &Dataset, path: &str) -> Result<(), String> {
     }
 }
 
-fn generate(args: &[&String]) -> Result<(), String> {
+fn generate(args: &[&String]) -> CmdResult {
     let (pos, flags) = parse_flags(args)?;
     let kind = *pos.first().ok_or("generate: missing dataset kind")?;
     let out: String = flag_parse(&flags, "out", None)?;
@@ -159,33 +169,37 @@ fn generate(args: &[&String]) -> Result<(), String> {
                 .seed(seed)
                 .generate()
         }
-        other => return Err(format!("unknown dataset kind '{other}'")),
+        other => return Err(format!("unknown dataset kind '{other}'").into()),
     };
     save(&dataset, &out)?;
     let s = dataset.stats();
-    println!(
+    writeln!(
+        io::stdout().lock(),
         "wrote {out}: {} points, {} objects, {} timestamps",
-        s.num_points, s.num_objects, s.num_timestamps
-    );
+        s.num_points,
+        s.num_objects,
+        s.num_timestamps
+    )?;
     Ok(())
 }
 
-fn stats(args: &[&String]) -> Result<(), String> {
+fn stats(args: &[&String]) -> CmdResult {
     let (pos, _) = parse_flags(args)?;
     let path = *pos.first().ok_or("stats: missing file")?;
     let dataset = load(path)?;
     let s = dataset.stats();
-    println!("file            : {path}");
-    println!("points          : {}", s.num_points);
-    println!("objects         : {}", s.num_objects);
-    println!("timestamps      : {}", s.num_timestamps);
-    println!("time range      : {}", dataset.span());
-    println!("max snapshot    : {}", s.max_snapshot_size);
-    println!("avg snapshot    : {:.1}", s.avg_snapshot_size);
+    let mut out = io::stdout().lock();
+    writeln!(out, "file            : {path}")?;
+    writeln!(out, "points          : {}", s.num_points)?;
+    writeln!(out, "objects         : {}", s.num_objects)?;
+    writeln!(out, "timestamps      : {}", s.num_timestamps)?;
+    writeln!(out, "time range      : {}", dataset.span())?;
+    writeln!(out, "max snapshot    : {}", s.max_snapshot_size)?;
+    writeln!(out, "avg snapshot    : {:.1}", s.avg_snapshot_size)?;
     Ok(())
 }
 
-fn mine(args: &[&String]) -> Result<(), String> {
+fn mine(args: &[&String]) -> CmdResult {
     let (pos, flags) = parse_flags(args)?;
     let path = *pos.first().ok_or("mine: missing file")?;
     let m: usize = flag_parse(&flags, "m", None)?;
@@ -207,12 +221,12 @@ fn mine(args: &[&String]) -> Result<(), String> {
     let flock = match flags.get("pattern").copied().unwrap_or("convoy") {
         "convoy" => false,
         "flock" => true,
-        other => return Err(format!("unknown pattern '{other}'")),
+        other => return Err(format!("unknown pattern '{other}'").into()),
     };
     if flock && algo != "k2hop" {
-        return Err(format!(
-            "--pattern flock is valid only with --algo k2hop, not --algo {algo}"
-        ));
+        return Err(
+            format!("--pattern flock is valid only with --algo k2hop, not --algo {algo}").into(),
+        );
     }
 
     let dataset = load(path)?;
@@ -263,7 +277,7 @@ fn mine(args: &[&String]) -> Result<(), String> {
                         .map_err(|e| e.to_string())?;
                     session.mine(&store)
                 }
-                other => return Err(format!("unknown engine '{other}'")),
+                other => return Err(format!("unknown engine '{other}'").into()),
             }
             .map_err(|e| e.to_string())?;
             let _ = std::fs::remove_dir_all(&tmp);
@@ -290,7 +304,7 @@ fn mine(args: &[&String]) -> Result<(), String> {
                 "cuts" => cuts::mine(&store, m, k, eps, cuts::CutsParams::default()),
                 "spare" => spare::mine(&store, m, k, eps, threads),
                 "dcm" => dcm::mine(&store, m, k, eps, threads),
-                other => return Err(format!("unknown algorithm '{other}'")),
+                other => return Err(format!("unknown algorithm '{other}'").into()),
             }
             .map_err(|e| e.to_string())?;
             (
@@ -300,10 +314,21 @@ fn mine(args: &[&String]) -> Result<(), String> {
         }
     };
     let elapsed = start.elapsed();
-    println!("{} convoys in {elapsed:.2?} ({algo}{extra})", convoys.len());
+    let mut out = io::stdout().lock();
+    writeln!(
+        out,
+        "{} convoys in {elapsed:.2?} ({algo}{extra})",
+        convoys.len()
+    )?;
     if !quiet {
         for c in &convoys {
-            println!("  {:?} over {} (len {})", c.objects, c.lifespan, c.len());
+            writeln!(
+                out,
+                "  {:?} over {} (len {})",
+                c.objects,
+                c.lifespan,
+                c.len()
+            )?;
         }
     }
     Ok(())
@@ -313,7 +338,7 @@ fn mine(args: &[&String]) -> Result<(), String> {
 /// serve mine/ingest/stats requests over TCP until killed. Every mine
 /// request pins its own MVCC snapshot, so clients mine concurrently with
 /// each other and with live `Ingest` traffic.
-fn serve(args: &[&String]) -> Result<(), String> {
+fn serve(args: &[&String]) -> CmdResult {
     let (pos, flags) = parse_flags(args)?;
     let addr = flags.get("addr").copied().unwrap_or("127.0.0.1:7878");
     let workers: usize = flag_parse(&flags, "workers", Some(4))?;
@@ -328,11 +353,12 @@ fn serve(args: &[&String]) -> Result<(), String> {
     let store = match pos.first() {
         Some(path) => {
             let dataset = load(path)?;
-            println!(
+            writeln!(
+                io::stdout().lock(),
                 "loaded {} points over {} timestamps from {path}",
                 dataset.num_points(),
                 dataset.span().len()
-            );
+            )?;
             LsmStore::bulk_load_with(&dir, &dataset, LsmConfig::default())
         }
         None if dir.join("MANIFEST").exists() => LsmStore::open(&dir),
@@ -341,18 +367,19 @@ fn serve(args: &[&String]) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
     let service = Arc::new(K2Service::new(store));
     let server = Server::bind(addr, service, workers).map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        io::stdout().lock(),
         "serving on {} with {workers} workers (store: {})",
         server.addr(),
         dir.display()
-    );
+    )?;
     // Serve until killed; the accept thread does the work.
     loop {
         std::thread::park();
     }
 }
 
-fn interpolate_cmd(args: &[&String]) -> Result<(), String> {
+fn interpolate_cmd(args: &[&String]) -> CmdResult {
     let (pos, flags) = parse_flags(args)?;
     let [input, output] = pos.as_slice() else {
         return Err("interpolate: need <in> <out>".into());
@@ -362,23 +389,25 @@ fn interpolate_cmd(args: &[&String]) -> Result<(), String> {
     let before = dataset.num_points();
     let (dense, inserted) = k2hop::model::interpolate::interpolate(&dataset, max_gap);
     save(&dense, output)?;
-    println!(
+    writeln!(
+        io::stdout().lock(),
         "interpolated {input} -> {output}: {before} + {inserted} = {} points (max gap {max_gap})",
         dense.num_points()
-    );
+    )?;
     Ok(())
 }
 
-fn convert(args: &[&String]) -> Result<(), String> {
+fn convert(args: &[&String]) -> CmdResult {
     let (pos, _) = parse_flags(args)?;
     let [input, output] = pos.as_slice() else {
         return Err("convert: need <in> <out>".into());
     };
     let dataset = load(input)?;
     save(&dataset, output)?;
-    println!(
+    writeln!(
+        io::stdout().lock(),
         "converted {input} -> {output} ({} points)",
         dataset.num_points()
-    );
+    )?;
     Ok(())
 }

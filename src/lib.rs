@@ -14,8 +14,8 @@
 //! * [`baselines`] — CMC, PCCD, VCoDA/VCoDA*, CuTS, SPARE and DCM,
 //! * [`datagen`] — seeded synthetic workloads (Brinkhoff-style network
 //!   traffic, Trucks-like, T-Drive-like, convoy injection),
-//! * [`patterns`] — the paper's §7 future work: flocks (with k/2-hop
-//!   acceleration) and moving clusters,
+//! * [`patterns`] — the paper's §7 future work: flocks, mined with
+//!   k/2-hop acceleration,
 //! * [`server`] — MVCC snapshot serving: concurrent mining under live
 //!   ingest over a length-prefixed TCP protocol (plus an in-process
 //!   client),

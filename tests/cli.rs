@@ -178,6 +178,27 @@ fn help_prints_usage() {
     assert!(out.contains("k2hop-parallel"));
 }
 
+/// Output into a pipe whose reader is gone (`k2 stats f | head -0`) ends
+/// the command quietly: exit 0, no panic, no error.
+#[test]
+fn closed_stdout_is_a_quiet_success() {
+    let bin = tmp("pipe.bin");
+    let path = bin.to_str().unwrap();
+    run_ok(k2().args(["generate", "inject", "--out", path, "--seed", "3"]));
+    for args in [
+        &["stats", path][..],
+        &["mine", path, "--m", "3", "--k", "25", "--eps", "1.0"][..],
+    ] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = k2().args(args).stdout(writer).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {:?}\n{stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("error"), "{args:?}: {stderr}");
+    }
+}
+
 /// A running `k2 serve`, SIGKILLed when dropped so a failing test leaves
 /// no server behind.
 struct Served {

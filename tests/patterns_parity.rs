@@ -3,7 +3,7 @@
 //! pattern semantics must relate to convoys as the literature says.
 
 use k2hop::patterns::flock::disk_groups;
-use k2hop::patterns::{min_enclosing_circle, FlockConfig, FlockMiner, MovingClusterConfig};
+use k2hop::patterns::{min_enclosing_circle, FlockConfig, FlockMiner};
 use k2hop::prelude::*;
 use k2hop::storage::TimeRange;
 use proptest::prelude::*;
@@ -110,22 +110,6 @@ proptest! {
         for f in &flocks {
             let inside = convoys.iter().any(|c| f.is_sub_convoy_of(c));
             prop_assert!(inside, "flock {:?} not inside any convoy {:?}", f, convoys);
-        }
-    }
-
-    /// Moving clusters at theta = 1 with no member churn coincide with
-    /// cluster chains; their lifespans obey k.
-    #[test]
-    fn moving_cluster_k_filter(d in dataset_strategy(), k in 2u32..8) {
-        let chains = k2hop::patterns::moving_cluster::mine(
-            &d,
-            MovingClusterConfig::new(2, k, 1.2, 0.5),
-        );
-        for mc in chains {
-            assert!(mc.len() as u32 >= k);
-            // Chain timestamps are consecutive.
-            let times: Vec<_> = mc.chain.iter().map(|(t, _)| *t).collect();
-            assert!(times.windows(2).all(|w| w[1] == w[0] + 1));
         }
     }
 }
