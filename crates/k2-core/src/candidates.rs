@@ -70,16 +70,6 @@ pub fn candidate_clusters(left: &[ObjectSet], right: &[ObjectSet], m: usize) -> 
     CandidateScratch::default().candidates(&labelling(left), &labelling(right), m)
 }
 
-/// Sorted union of the object ids across `sets` — the id list one
-/// hop-window's slab fetch asks the store for (every object HWMT can
-/// probe in that window belongs to one of its candidate clusters).
-pub(crate) fn object_id_union(sets: &[ObjectSet]) -> Vec<Oid> {
-    let mut ids: Vec<Oid> = sets.iter().flat_map(|s| s.iter()).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    ids
-}
-
 /// One object clustered at both benchmarks of a hop-window.
 #[derive(Debug, Clone, Copy, Default)]
 struct Hit {

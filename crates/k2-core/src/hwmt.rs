@@ -4,7 +4,7 @@ use crate::benchpoints::{hop_window, hwmt_order};
 use crate::record::{push_runs, IntactRuns};
 use crate::{probe_of, recluster_at, Probe, ProbeScratch};
 use k2_cluster::DbscanParams;
-use k2_model::{Convoy, ObjPos, ObjectSet, Oid, Time, TimeInterval};
+use k2_model::{Convoy, ObjectSet, Time, TimeInterval};
 use k2_storage::{SnapshotSource, StoreResult};
 
 /// Outcome of mining one hop-window.
@@ -124,80 +124,6 @@ pub(crate) fn mine_window_with(
         result.spanning.push(Convoy::new(objects, lifespan));
     }
     Ok(result)
-}
-
-/// One hop-window's worth of prefetched store data: `DB[t]|union(CCᵢ)`
-/// for every *open-window* timestamp `t ∈ (b_left, b_right)`, one
-/// oid-sorted column per timestamp.
-///
-/// [`K2HopParallel`](crate::K2HopParallel) on a non-resident source
-/// fills a ring of these on the calling thread (store I/O is
-/// single-threaded) and hands them to the HWMT workers; the column
-/// buffers are reused across temporal shards, so peak memory is one
-/// shard's slabs, never the span.
-#[derive(Debug, Default)]
-pub(crate) struct WindowSlab {
-    /// First open-window timestamp (`b_left + 1`); meaningless while
-    /// `cols` is empty (degenerate `h = 1` windows fetch nothing).
-    start: Time,
-    /// One column per open-window timestamp, ascending from `start`.
-    cols: Vec<Vec<ObjPos>>,
-}
-
-impl WindowSlab {
-    /// Logical bytes resident in this slab's columns.
-    pub(crate) fn bytes(&self) -> u64 {
-        let points: u64 = self.cols.iter().map(|c| c.len() as u64).sum();
-        points * std::mem::size_of::<ObjPos>() as u64
-    }
-
-    /// Does the slab hold no column (nothing was fetched for its window)?
-    pub(crate) fn is_empty(&self) -> bool {
-        self.cols.is_empty()
-    }
-
-    /// Fetches the slab for the window `(b_left, b_right)` restricted to
-    /// the sorted id list `union`, reusing this slab's column buffers.
-    /// Returns the number of points fetched.
-    pub(crate) fn fill<S: SnapshotSource + ?Sized>(
-        &mut self,
-        store: &S,
-        b_left: Time,
-        b_right: Time,
-        union: &[Oid],
-    ) -> StoreResult<u64> {
-        let window = match hop_window(b_left, b_right) {
-            Some(w) if !union.is_empty() => w,
-            _ => {
-                self.cols.clear();
-                return Ok(0);
-            }
-        };
-        self.start = window.start;
-        let n = window.len() as usize;
-        self.cols.truncate(n);
-        self.cols.resize_with(n, Vec::new);
-        let mut fetched = 0u64;
-        for (col, t) in self.cols.iter_mut().zip(window.iter()) {
-            store.multi_get_into(t, union, col)?;
-            fetched += col.len() as u64;
-        }
-        Ok(fetched)
-    }
-
-    /// The probe over this slab: `DB[t]|O` read from the prefetched
-    /// column of `t` instead of the store.
-    ///
-    /// Restricting a column (already `DB[t]|union(CCᵢ)`, oid-sorted) by a
-    /// candidate's ids equals restricting the full snapshot, because
-    /// every set HWMT probes is a subset of the window's candidate union
-    /// — so the clusters are bit-identical to probing the store, with
-    /// zero I/O here.
-    pub(crate) fn probe(&self, t: Time, oids: &[Oid], out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        out.clear();
-        k2_model::restrict_sorted_ids_into(&self.cols[(t - self.start) as usize], oids, out);
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -22,27 +22,21 @@
 //! 6. **Validation** (`validate`) — the corrected HWMT\*-based recursive
 //!    validation producing maximal *fully connected* convoys.
 //!
-//! The steps are orchestrated exactly once, by one pipeline that mines
-//! any [`SnapshotSource`] (in-memory dataset, flat file, B+tree, or
-//! LSM-tree). Steps 3–5 run as one sweep over the hop-windows in time
-//! order — on a disk engine one window at a time, extending each convoy
-//! the merge retires while the blocks HWMT just read are still cached —
-//! and validation runs last. The two engines behind the [`ConvoyMiner`]
-//! trait are thin constructors of it and differ only in how the
-//! hop-window probes `DB[t]|O` of steps 3, 5 and 6 are fetched:
+//! The steps are orchestrated exactly once, by the one engine behind the
+//! [`ConvoyMiner`] trait, [`K2Hop`], which mines any [`SnapshotSource`]
+//! (in-memory dataset, flat file, B+tree, or LSM-tree). Steps 3–5 run as
+//! one sweep over the hop-windows in time order — on a disk engine one
+//! window at a time, extending each convoy the merge retires while the
+//! blocks HWMT just read are still cached — and validation runs last.
+//! Benchmark clustering is sharded over the engine's workers; the
+//! hop-window probes `DB[t]|O` of steps 3, 5 and 6 fan out over them too
+//! when the source is a resident dataset, and otherwise go to the source
+//! one by one on the calling thread (§5.2's per-probe formulation).
 //!
-//! * [`K2Hop`] issues every probe to the source as it needs it (§5.2's
-//!   per-probe formulation) on the calling thread, and shards only the
-//!   benchmark clustering over its workers;
-//! * [`K2HopParallel`] fans the probe phases out as well — over the
-//!   resident dataset when the source has one, and for HWMT on any other
-//!   source over hop-window slabs prefetched one temporal shard at a
-//!   time.
-//!
-//! Either way a run returns a [`MineOutcome`]: the convoys together with
+//! A run returns a [`MineOutcome`]: the convoys together with
 //! [`PhaseTimings`] (Figure 8i), [`PruningStats`] (Table 5), and the
-//! source's I/O profile — identical convoys from both engines at every
-//! thread count.
+//! source's I/O profile — identical convoys and pruning counters at
+//! every thread count.
 //!
 //! [`SnapshotSource`]: k2_storage::SnapshotSource
 //!
@@ -76,15 +70,13 @@ mod config;
 mod extend;
 mod miner;
 mod par;
-mod parallel;
 mod pipeline;
 mod record;
 mod validate;
 
 pub use config::{ConfigError, K2Config};
 pub use miner::{ConvoyMiner, MineError, MineOutcome, MineStats};
-pub use parallel::K2HopParallel;
-pub use pipeline::K2Hop;
+pub use pipeline::{K2Hop, K2HopParallel};
 pub use stats::{GridStats, PhaseTimings, PrefetchStats, PruningStats};
 
 use k2_cluster::{recluster_with, DbscanParams, GridScratch};
@@ -94,7 +86,8 @@ use k2_storage::{SnapshotSource, StoreResult};
 /// How a probe loop reads `DB[t]|O`: positions of the sorted ids `O` at
 /// timestamp `t` into the buffer (cleared first) — the signature of
 /// [`SnapshotSource::multi_get_into`](k2_storage::SnapshotSource::multi_get_into),
-/// which is what the closure wraps unless the hop-window was prefetched.
+/// which is what every probe wraps ([`probe_of`]): over the source, or
+/// over the resident dataset when the workers share it.
 pub(crate) trait Probe: FnMut(Time, &[Oid], &mut Vec<ObjPos>) -> StoreResult<()> {}
 
 impl<F: FnMut(Time, &[Oid], &mut Vec<ObjPos>) -> StoreResult<()>> Probe for F {}

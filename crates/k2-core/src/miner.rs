@@ -10,7 +10,7 @@
 //! metadata, never panicking on storage failures:
 //!
 //! ```
-//! use k2_core::{ConvoyMiner, K2Config, K2Hop, K2HopParallel};
+//! use k2_core::{ConvoyMiner, K2Config, K2Hop};
 //! use k2_model::{Dataset, Point};
 //!
 //! let mut pts = Vec::new();
@@ -22,10 +22,10 @@
 //! let dataset = Dataset::from_points(&pts).unwrap();
 //! let config = K2Config::new(3, 5, 1.0).unwrap();
 //!
-//! // Both miners behind the same trait, both straight off the dataset.
+//! // One worker or four, behind the same trait, straight off the dataset.
 //! let miners: [&dyn ConvoyMiner; 2] = [
-//!     &K2Hop::new(config),
-//!     &K2HopParallel::new(config, 4),
+//!     &K2Hop::with_threads(config, 1),
+//!     &K2Hop::with_threads(config, 4),
 //! ];
 //! for miner in miners {
 //!     let outcome = miner.mine(&dataset).unwrap();
@@ -97,8 +97,8 @@ pub struct MineStats {
     /// Data-pruning counters (Table 5). Engines fill the counters their
     /// execution strategy tracks; untracked counters stay zero.
     pub pruning: PruningStats,
-    /// Memory discipline of the store path's bounded hop-window
-    /// prefetch. All-zero for engines (or paths) that never prefetch.
+    /// Always zero: read only by the benchmark harness (see
+    /// [`PrefetchStats`]).
     pub prefetch: PrefetchStats,
     /// Grid-reuse counters of the benchmark-clustering phase (patched vs
     /// rebuilt snapshot grids). All-zero for engines that do not cluster
@@ -126,8 +126,7 @@ pub struct MineOutcome {
 ///
 /// Object-safe: sessions hold `Box<dyn ConvoyMiner>` and every source is
 /// passed as `&dyn SnapshotSource`, so any engine mines from any storage
-/// backend. Implemented by [`K2Hop`](crate::K2Hop),
-/// [`K2HopParallel`](crate::K2HopParallel), the baseline miners
+/// backend. Implemented by [`K2Hop`](crate::K2Hop), the baseline miners
 /// (e.g. the CMC/PCCD snapshot sweep in `k2-baselines`) and the
 /// k/2-hop flock miner in `k2-patterns`.
 pub trait ConvoyMiner {
@@ -145,9 +144,9 @@ pub trait ConvoyMiner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{K2Config, K2Hop, K2HopParallel};
+    use crate::{K2Config, K2Hop};
     use k2_model::{Dataset, Point};
-    use k2_storage::InMemoryStore;
+    use k2_storage::{InMemoryStore, TrajectoryStore};
 
     fn dataset() -> Dataset {
         let mut pts = Vec::new();
@@ -167,7 +166,7 @@ mod tests {
         let store = InMemoryStore::new(d.clone());
         let miners: [Box<dyn ConvoyMiner>; 2] = [
             Box::new(K2Hop::with_threads(cfg, 2)),
-            Box::new(K2HopParallel::new(cfg, 2)),
+            Box::new(K2Hop::with_threads(cfg, 3)),
         ];
         let mut all = Vec::new();
         for miner in &miners {
@@ -175,10 +174,9 @@ mod tests {
             let from_store = miner.mine(&store).unwrap();
             assert_eq!(from_dataset.convoys, from_store.convoys);
             assert_eq!(from_dataset.stats.engine, miner.engine_name());
-            assert_eq!(from_dataset.stats.threads, 2);
             all.push(from_store.convoys);
         }
-        assert_eq!(all[0], all[1], "engines agree behind the trait");
+        assert_eq!(all[0], all[1], "thread counts agree behind the trait");
         assert_eq!(all[0].len(), 1);
     }
 
@@ -187,8 +185,13 @@ mod tests {
         let d = dataset();
         let cfg = K2Config::new(3, 8, 1.0).unwrap();
         let store = InMemoryStore::new(d);
-        let outcome = ConvoyMiner::mine(&K2Hop::new(cfg), &store).unwrap();
+        // One worker probes the store itself; several read its resident
+        // dataset directly, which no counter sees.
+        let outcome = ConvoyMiner::mine(&K2Hop::with_threads(cfg, 1), &store).unwrap();
         assert!(outcome.io.point_queries > 0);
+        store.reset_io_stats();
+        let outcome = ConvoyMiner::mine(&K2Hop::with_threads(cfg, 2), &store).unwrap();
+        assert_eq!(outcome.io.point_queries, 0);
         // A bare dataset has no counters to move.
         let outcome = ConvoyMiner::mine(&K2Hop::new(cfg), store.dataset()).unwrap();
         assert_eq!(outcome.io.point_queries, 0);

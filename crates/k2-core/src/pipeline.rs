@@ -1,5 +1,5 @@
 //! The k/2-hop pipeline (Algorithm 1) — orchestrated here and nowhere
-//! else — and the [`K2Hop`] engine that runs it per-probe.
+//! else — run by the [`K2Hop`] engine.
 //!
 //! Steps 3–5 (HWMT, the DCM merge, extension) run as one sweep over the
 //! hop-windows in time order, a step of windows at a time: each step's
@@ -13,14 +13,14 @@
 //! Validation (step 6) runs after the sweep: it needs the final left set.
 
 use crate::benchpoints::{benchmark_points, hwmt_order};
-use crate::candidates::{object_id_union, CandidateScratch};
+use crate::candidates::CandidateScratch;
 use crate::config::K2Config;
 use crate::extend::{Chains, Direction};
-use crate::hwmt::{mine_window_with, WindowResult, WindowSlab};
+use crate::hwmt::{mine_window_with, WindowResult};
 use crate::merge::SpanningMerger;
-use crate::par::{cluster_benchmark_snapshots, self_scheduled_map, shard_ranges, ProbeReader};
+use crate::par::{cluster_benchmark_snapshots, self_scheduled_map, ProbeReader};
 use crate::record::{IntactRecord, IntactRuns};
-use crate::stats::{GridStats, PhaseTimings, PrefetchStats, PruningStats};
+use crate::stats::{GridStats, PhaseTimings, PruningStats};
 use crate::validate::validate_pass;
 use crate::{MineError, MineOutcome, MineStats, ProbeScratch};
 use k2_cluster::DbscanParams;
@@ -35,15 +35,23 @@ use std::time::Instant;
 /// Benchmark clustering — the only full-snapshot work in the algorithm and
 /// the largest phase of a mine over dense traffic — is sharded across
 /// worker threads: snapshots are fetched from the store sequentially (I/O
-/// and statistics stay on the calling thread; stores use interior
-/// mutability and need not be `Sync`), then DBSCANed off an atomic work
-/// counter with one `GridScratch` per worker, each into an oid-sorted
-/// labelling that step 2 merge-joins with its neighbour. Every later
-/// phase probes the source point by point on the calling thread.
+/// and statistics stay on the calling thread), then DBSCANed off an
+/// atomic work counter with one `GridScratch` per worker, each into an
+/// oid-sorted labelling that step 2 merge-joins with its neighbour.
+///
+/// The later phases use the workers too when the source is resident
+/// ([`SnapshotSource::as_dataset`]: a bare `Dataset`, an
+/// `InMemoryStore`): §4.3 observes that each hop-window can be mined on
+/// its own, so candidate intersection, hop-windows, extension seeds and
+/// validation candidates fan out as independent tasks probing the
+/// dataset's own storage — nothing is copied and no point query is
+/// issued. Every other mine probes the source point by point on the
+/// calling thread.
+///
 /// [`K2Hop::new`] sizes the worker pool to the machine;
-/// [`K2Hop::with_threads`] pins it (1 = fully sequential). Clustering is
-/// deterministic, so the mined convoys are identical at every thread
-/// count.
+/// [`K2Hop::with_threads`] pins it (1 = fully sequential). Every phase is
+/// deterministic, so the mined convoys and the pruning counters are
+/// identical at every thread count.
 #[derive(Debug, Clone, Copy)]
 pub struct K2Hop {
     config: K2Config,
@@ -51,7 +59,7 @@ pub struct K2Hop {
 }
 
 impl K2Hop {
-    /// Creates a miner with one clustering worker per available core.
+    /// Creates a miner with one worker per available core.
     pub fn new(config: K2Config) -> Self {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -59,8 +67,8 @@ impl K2Hop {
         Self::with_threads(config, threads)
     }
 
-    /// Creates a miner with an explicit benchmark-clustering worker count
-    /// (≥ 1; 1 runs the whole pipeline on the calling thread).
+    /// Creates a miner with an explicit worker count (≥ 1; 1 runs the
+    /// whole pipeline on the calling thread).
     pub fn with_threads(config: K2Config, threads: usize) -> Self {
         Self {
             config,
@@ -69,41 +77,25 @@ impl K2Hop {
     }
 }
 
+/// The former multi-threaded engine's constructor, kept only because the
+/// benchmark harness still compiles against it; ROADMAP item 1(d3)
+/// deletes it. `K2HopParallel::new(c, n)` is [`K2Hop::with_threads`].
+#[derive(Debug)]
+pub struct K2HopParallel;
+
+impl K2HopParallel {
+    /// `K2Hop::with_threads(config, threads)`.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(config: K2Config, threads: usize) -> K2Hop {
+        K2Hop::with_threads(config, threads)
+    }
+}
+
 impl crate::ConvoyMiner for K2Hop {
     fn engine_name(&self) -> &'static str {
         "k2hop"
     }
 
-    fn mine(&self, source: &dyn SnapshotSource) -> Result<MineOutcome, MineError> {
-        Pipeline {
-            config: self.config,
-            engine: self.engine_name(),
-            threads: self.threads,
-            fan_out_probes: false,
-        }
-        .run(source)
-    }
-}
-
-/// One configured run of Algorithm 1. Both engines build one of these
-/// and call [`Pipeline::run`]; everything they differ in is in the two
-/// last fields.
-pub(crate) struct Pipeline {
-    pub(crate) config: K2Config,
-    /// [`ConvoyMiner::engine_name`](crate::ConvoyMiner::engine_name) of
-    /// the engine this run reports as.
-    pub(crate) engine: &'static str,
-    /// Benchmark-clustering workers; reported as `MineStats::threads`.
-    pub(crate) threads: usize,
-    /// Whether the hop-window phases use the workers too
-    /// ([`K2HopParallel`](crate::K2HopParallel)): every probe phase over
-    /// the resident dataset when the source has one, otherwise HWMT over
-    /// prefetched [`WindowSlab`]s. When false ([`K2Hop`]) every probe
-    /// goes to the source on the calling thread.
-    pub(crate) fan_out_probes: bool,
-}
-
-impl Pipeline {
     /// Algorithm 1 end to end:
     ///
     /// 1. cluster benchmark snapshots into labellings,
@@ -115,18 +107,18 @@ impl Pipeline {
     ///
     /// Steps 3–5 sweep the hop-windows a step at a time (see the module
     /// doc); validation runs after the sweep.
-    pub(crate) fn run(&self, source: &dyn SnapshotSource) -> Result<MineOutcome, MineError> {
+    fn mine(&self, source: &dyn SnapshotSource) -> Result<MineOutcome, MineError> {
         let cfg = self.config;
         let params = cfg.dbscan();
         let mut stats = MineStats {
-            engine: self.engine,
+            engine: self.engine_name(),
             threads: self.threads,
             timings: PhaseTimings::default(),
             pruning: PruningStats {
                 total_points: source.num_points(),
                 ..PruningStats::default()
             },
-            prefetch: PrefetchStats::default(),
+            prefetch: Default::default(),
             grid: GridStats::default(),
         };
         let outcome = |convoys, stats| MineOutcome {
@@ -142,19 +134,23 @@ impl Pipeline {
         let MineStats {
             timings,
             pruning,
-            prefetch,
             grid,
             ..
         } = &mut stats;
 
-        // The two values the engines differ in: where the probe phases
-        // read from, and how many workers they may use.
-        let workers = if self.fan_out_probes { self.threads } else { 1 };
-        let (mut reader, prefetched) = match source.as_dataset() {
-            Some(dataset) if self.fan_out_probes => {
-                (ProbeReader::Resident { dataset, workers }, false)
-            }
-            _ => (ProbeReader::source(source), self.fan_out_probes),
+        // Where steps 2–6 read from, and on how many workers: the
+        // resident dataset on all of them, or the source itself on the
+        // calling thread.
+        let resident = source.as_dataset();
+        let (mut reader, workers) = match resident {
+            Some(dataset) if self.threads > 1 => (
+                ProbeReader::Resident {
+                    dataset,
+                    workers: self.threads,
+                },
+                self.threads,
+            ),
+            _ => (ProbeReader::source(source), 1),
         };
 
         // Step 1: benchmark clusters (the only full-snapshot scans),
@@ -186,11 +182,10 @@ impl Pipeline {
 
         // Steps 3–5, a step of hop-windows at a time. A resident source
         // has no block cache to keep warm, so its step is the whole list
-        // and each phase fans out once over all of it; over prefetched
-        // slabs the step is one temporal shard; otherwise one window.
-        // Every hop-window and extension chain hands back where a probe
-        // of exactly a set returned it intact; validation reads that
-        // record instead of probing again.
+        // and each phase maps over all of it at once; otherwise a step is
+        // one window. Every hop-window and extension chain hands back
+        // where a probe of exactly a set returned it intact; validation
+        // reads that record instead of probing again.
         let mut intact = IntactRuns::new();
         let windows: Vec<Window<'_>> = bench
             .windows(2)
@@ -201,12 +196,12 @@ impl Pipeline {
                 cc,
             })
             .collect();
-        let shards = match source.as_dataset() {
-            Some(_) => 1,
-            None => windows.len().div_ceil(workers),
+        let step_len = match resident {
+            Some(_) => windows.len().max(1),
+            None => 1,
         };
-        let steps = shard_ranges(windows.len(), shards);
-        let mut slabs: Vec<WindowSlab> = Vec::new();
+        let steps = windows.chunks(step_len);
+        let last_step = steps.len().saturating_sub(1);
         let mut merger = SpanningMerger::new(cfg.m);
         let mut merged = ConvoySet::new();
         let mut rights = Chains::new(Direction::Right { end: span.end });
@@ -214,15 +209,10 @@ impl Pipeline {
             start: span.start,
             min_len: cfg.k,
         });
-        for (i, range) in steps.iter().enumerate() {
+        for (i, step) in steps.enumerate() {
             // Step 3: HWMT per window.
             let t0 = Instant::now();
-            let step = &windows[range.clone()];
-            let mined = if prefetched {
-                hwmt_over_slabs(source, params, step, workers, &mut slabs, prefetch)?
-            } else {
-                reader.map(step, |w, probe, scratch| w.mine(params, probe, scratch))?
-            };
+            let mined = reader.map(step, |w, probe, scratch| w.mine(params, probe, scratch))?;
             let spanning: Vec<Vec<Convoy>> = mined
                 .into_iter()
                 .map(|res| {
@@ -237,7 +227,7 @@ impl Pipeline {
             // Step 4: merge into maximal spanning convoys.
             let t0 = Instant::now();
             let mut retired: Vec<Convoy> = spanning.iter().flat_map(|s| merger.push(s)).collect();
-            if i + 1 == steps.len() {
+            if i == last_step {
                 retired.extend(merger.finish());
             }
             for v in &retired {
@@ -306,71 +296,12 @@ impl Window<'_> {
     }
 }
 
-/// Step 3 over prefetched slabs, for one temporal shard of the
-/// hop-window list — the memory discipline of
-/// [`K2HopParallel`](crate::K2HopParallel) on a source that is not
-/// resident. Store I/O never leaves the calling thread (engines need not
-/// be `Sync`), and no more than one temporal shard of the data is ever
-/// materialised.
-///
-/// The pipeline steps through contiguous **temporal shards** of
-/// `workers` windows. Per shard, the calling thread fetches one
-/// [`WindowSlab`] per window — `DB[t]|union(CCᵢ)` for the window's open
-/// timestamps, via sorted-probe `multi_get_into` into `slabs`, reused
-/// shard to shard — then the shard's windows fan out to the workers,
-/// each probing its own slab. Peak resident slab bytes are
-/// `O(window span × workers)`, not `O(full span × union)`;
-/// [`PrefetchStats`] reports the measured peak. Each window's
-/// `points_fetched` is what its slab fetched.
-fn hwmt_over_slabs(
-    source: &dyn SnapshotSource,
-    params: DbscanParams,
-    shard: &[Window<'_>],
-    workers: usize,
-    slabs: &mut Vec<WindowSlab>,
-    prefetch: &mut PrefetchStats,
-) -> StoreResult<Vec<WindowResult>> {
-    prefetch.shards += 1;
-    slabs.resize_with(shard.len().max(slabs.len()), WindowSlab::default);
-    let mut fetched = Vec::with_capacity(shard.len());
-    let mut shard_bytes = 0u64;
-    for (w, slab) in shard.iter().zip(slabs.iter_mut()) {
-        let union: Vec<Oid> = object_id_union(w.cc);
-        fetched.push(slab.fill(source, w.left, w.right, &union)?);
-        shard_bytes += slab.bytes();
-        prefetch.windows_fetched += u32::from(!slab.is_empty());
-    }
-    prefetch.prefetch_bytes_peak = prefetch.prefetch_bytes_peak.max(shard_bytes);
-    let inputs: Vec<(&Window<'_>, &WindowSlab)> = shard.iter().zip(slabs.iter()).collect();
-    self_scheduled_map(
-        workers,
-        &inputs,
-        ProbeScratch::default,
-        |scratch, &(w, slab)| {
-            w.mine(
-                params,
-                |t, oids: &[Oid], out: &mut _| slab.probe(t, oids, out),
-                scratch,
-            )
-        },
-    )
-    .into_iter()
-    .zip(fetched)
-    .map(|(res, points)| {
-        res.map(|res| WindowResult {
-            points_fetched: points,
-            ..res
-        })
-    })
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ConvoyMiner;
     use k2_model::{Dataset, ObjectSet, Point, TimeInterval};
-    use k2_storage::InMemoryStore;
+    use k2_storage::{InMemoryStore, TimeRange};
 
     fn store_of(pts: Vec<Point>) -> InMemoryStore {
         InMemoryStore::new(Dataset::from_points(&pts).unwrap())
@@ -571,6 +502,62 @@ mod tests {
         let store = simple_convoy(30);
         let res = mine(&store, 3, 10, 1.0);
         assert!(res.stats.timings.total() > std::time::Duration::ZERO);
+    }
+
+    /// Deterministic pseudo-random walkers plus a convoy of four
+    /// planted over `[8, 30]`.
+    fn random_dataset(seed: u64) -> Dataset {
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut pts = Vec::new();
+        for t in 0..40u32 {
+            for oid in 0..20u32 {
+                let x = (next() % 400) as f64 / 4.0;
+                let y = (next() % 400) as f64 / 4.0;
+                pts.push(Point::new(oid, x, y, t));
+            }
+            for oid in 100..104u32 {
+                let (x, y) = if (8..=30).contains(&t) {
+                    (t as f64, (oid - 100) as f64 * 0.4)
+                } else {
+                    (500.0 + oid as f64 * 40.0, t as f64 * 3.0)
+                };
+                pts.push(Point::new(oid, x, y, t));
+            }
+        }
+        Dataset::from_points(&pts).unwrap()
+    }
+
+    #[test]
+    fn thread_count_changes_neither_convoys_nor_counters() {
+        for seed in 0..5u64 {
+            let d = random_dataset(seed);
+            let cfg = K2Config::new(3, 8, 1.5).unwrap();
+            let store = InMemoryStore::new(d.clone());
+            // Hides `as_dataset`, so every probe goes to the store.
+            let opaque = TimeRange::new(InMemoryStore::new(d.clone()), 0, Time::MAX);
+            let sequential = K2Hop::with_threads(cfg, 1).mine(&store).unwrap();
+            for threads in [1usize, 2, 4, 8] {
+                let miner = K2Hop::with_threads(cfg, threads);
+                for source in [&d as &dyn SnapshotSource, &store, &opaque] {
+                    let got = miner.mine(source).unwrap();
+                    let at = format!("seed {seed}, {threads} threads, {}", source.name());
+                    assert_eq!(got.convoys, sequential.convoys, "{at}");
+                    assert_eq!(got.stats.pruning, sequential.stats.pruning, "{at}");
+                    assert_eq!(got.stats.threads, threads, "{at}");
+                }
+            }
+        }
+        let found = K2Hop::with_threads(K2Config::new(4, 20, 1.0).unwrap(), 4)
+            .mine(&random_dataset(1))
+            .unwrap()
+            .convoys;
+        assert!(found.contains(&Convoy::from_parts([100u32, 101, 102, 103], 8, 30)));
     }
 
     #[test]

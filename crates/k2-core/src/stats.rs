@@ -1,5 +1,5 @@
 //! Instrumentation: phase timings (Figure 8i), pruning statistics
-//! (Table 5), and the memory/reuse counters of the optimized phases.
+//! (Table 5), and the grid-reuse counters of benchmark clustering.
 
 use k2_cluster::GridCounters;
 use std::time::Duration;
@@ -66,8 +66,7 @@ pub struct PruningStats {
     pub total_points: u64,
     /// Points scanned at benchmark timestamps (full snapshots).
     pub benchmark_points: u64,
-    /// Points fetched for HWMT re-clustering: what its probes read, or
-    /// what the hop-window slabs fetched when the run prefetched them.
+    /// Points fetched for HWMT re-clustering.
     pub hwmt_points: u64,
     /// Points fetched during extension.
     pub extend_points: u64,
@@ -109,29 +108,13 @@ impl PruningStats {
     }
 }
 
-/// Memory discipline of the hop-window prefetch — the bounded slab
-/// fetch strategy [`K2HopParallel`](crate::K2HopParallel) uses for HWMT
-/// on a source that is not resident.
-///
-/// The counters are deterministic for a fixed source, configuration and
-/// thread count (they measure logical slab contents, not allocator
-/// behaviour), so `tests/scale_invariants.rs` pins
-/// `prefetch_bytes_peak` to one value while the store grows sevenfold.
-/// Runs that fetch per probe ([`K2Hop`](crate::K2Hop), and
-/// `K2HopParallel` over a resident dataset) report all-zero stats.
+/// What the benchmark harness still reads as `core.prefetch_bytes_peak`.
+/// No engine prefetches, so it is always zero; ROADMAP item 1(d3)
+/// deletes it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefetchStats {
-    /// Peak bytes of hop-window slab data resident at once: the largest
-    /// `Σ points × sizeof(record)` over any temporal shard's slabs.
-    /// Bounded by `O(shard windows × window span × candidate union)`
-    /// instead of the old single-sweep `O(full span × union)`.
+    /// Always 0.
     pub prefetch_bytes_peak: u64,
-    /// Hop-windows whose slab was actually fetched (degenerate `h = 1`
-    /// windows and windows without candidates fetch nothing).
-    pub windows_fetched: u32,
-    /// Temporal shards the hop-window list was processed in
-    /// (`windows.div_ceil(threads)`).
-    pub shards: u32,
 }
 
 /// Grid-reuse discipline of the benchmark-clustering phase — how often
@@ -142,11 +125,11 @@ pub struct PrefetchStats {
 /// The counters cover step 1 (benchmark clustering) only: that is the
 /// phase whose adjacent-snapshot structure the incremental grid exploits,
 /// and scoping them there keeps the numbers comparable across engines.
-/// Like [`PrefetchStats`], they are deterministic for a fixed workload,
-/// configuration and thread count — the patch-or-rebuild decision depends
-/// only on the data — so `tests/golden_convoys.rs` pins
-/// `(grid_builds, grid_patches)` of the 1-thread run per workload, which
-/// keeps the fast path from silently regressing to always-rebuild.
+/// They are deterministic for a fixed workload, configuration and thread
+/// count — the patch-or-rebuild decision depends only on the data — so
+/// `tests/golden_convoys.rs` pins `(grid_builds, grid_patches)` of the
+/// 1-thread run per workload, which keeps the fast path from silently
+/// regressing to always-rebuild.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GridStats {
     /// Full grid rebuilds (extent retune + counting sort), including the

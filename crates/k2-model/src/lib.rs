@@ -33,7 +33,7 @@ pub use dataset::{Dataset, DatasetBuilder, DatasetStats};
 pub use interval::TimeInterval;
 pub use object_set::ObjectSet;
 pub use point::{ObjPos, Point};
-pub use snapshot::{restrict_sorted_ids_into, Snapshot};
+pub use snapshot::Snapshot;
 
 /// Object identifier. Movement datasets identify each moving object (car,
 /// truck, taxi, person) with a dense integer id.

@@ -124,15 +124,13 @@ impl Snapshot {
 }
 
 /// Restricts a position slice to a sorted id list, appending matches to
-/// `out` — the free-standing form of
-/// [`Snapshot::restrict_ids_into`] for positions that live outside a
-/// snapshot (e.g. a prefetched hop-window slab column).
+/// `out` — the body of [`Snapshot::restrict_ids_into`].
 ///
 /// Both sequences are sorted by oid, so this is a galloping merge:
 /// whichever side is behind jumps forward by exponential search instead
 /// of stepping — `O(|ids| · log |positions|)` for sparse id sets,
 /// degrading gracefully to the linear merge for dense ones.
-pub fn restrict_sorted_ids_into(positions: &[ObjPos], ids: &[Oid], out: &mut Vec<ObjPos>) {
+fn restrict_sorted_ids_into(positions: &[ObjPos], ids: &[Oid], out: &mut Vec<ObjPos>) {
     debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
     debug_assert!(positions.windows(2).all(|w| w[0].oid < w[1].oid));
     let (mut i, mut j) = (0usize, 0usize);

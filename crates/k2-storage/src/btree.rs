@@ -508,9 +508,10 @@ impl SnapshotSource for RelationalStore {
         // usually land in the same leaf — the descent from the root is
         // repeated only when the current leaf's key range is exhausted.
         // The first key additionally tries the leaf retained from the
-        // previous batch: the slab prefetcher's batches themselves ascend
-        // (next timestamp, adjacent key space), so cross-call reuse skips
-        // the root descent for most batches of a hop-window sweep.
+        // previous batch: consecutive batches often probe the same
+        // timestamp (the candidates of one HWMT level) or the next one
+        // (an extension chain), adjacent key space either way — a fifth
+        // of a one-thread mine's batches skip the root descent this way.
         out.clear();
         self.io.add_point_queries(oids.len() as u64);
         let mut retained = self.last_leaf.borrow_mut();
@@ -561,26 +562,23 @@ impl TrajectoryStore for RelationalStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::temp_dir::TempDir;
     use crate::trait_tests::{conformance, get, scan, toy_dataset};
     use k2_model::Point;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("k2btree-{}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        d.join(name)
-    }
-
     #[test]
     fn conforms_to_trait_contract() {
+        let tmp = TempDir::new("btree");
         let d = toy_dataset();
-        let store = RelationalStore::create(tmp("toy.k2bt"), &d).unwrap();
+        let store = RelationalStore::create(tmp.join("toy.k2bt"), &d).unwrap();
         conformance(&store, &d);
     }
 
     #[test]
     fn reopen_preserves_contents() {
+        let tmp = TempDir::new("btree");
         let d = toy_dataset();
-        let path = tmp("reopen.k2bt");
+        let path = tmp.join("reopen.k2bt");
         {
             let _ = RelationalStore::create(&path, &d).unwrap();
         }
@@ -590,6 +588,7 @@ mod tests {
 
     #[test]
     fn multi_level_tree() {
+        let tmp = TempDir::new("btree");
         // Enough records to force height >= 2 (leaf cap is ~170).
         let mut pts = Vec::new();
         for t in 0..100u32 {
@@ -598,7 +597,7 @@ mod tests {
             }
         }
         let d = Dataset::from_points(&pts).unwrap();
-        let store = RelationalStore::create(tmp("big.k2bt"), &d).unwrap();
+        let store = RelationalStore::create(tmp.join("big.k2bt"), &d).unwrap();
         assert!(store.height() >= 2, "height = {}", store.height());
         // Spot-check extremes and middles.
         assert_eq!(get(&store, 0, 0), Some(ObjPos::new(0, 0.0, 0.0)));
@@ -609,8 +608,9 @@ mod tests {
 
     #[test]
     fn buffer_pool_caches_hot_pages() {
+        let tmp = TempDir::new("btree");
         let d = toy_dataset();
-        let store = RelationalStore::create(tmp("pool.k2bt"), &d).unwrap();
+        let store = RelationalStore::create(tmp.join("pool.k2bt"), &d).unwrap();
         let _ = get(&store, 10, 1);
         // A far key between the two probes: the second probe misses the
         // leaf the first one retained, descends from the root and finds
@@ -625,8 +625,9 @@ mod tests {
 
     #[test]
     fn retained_leaf_serves_next_batch_without_descending() {
+        let tmp = TempDir::new("btree");
         let d = toy_dataset();
-        let store = RelationalStore::create(tmp("retained.k2bt"), &d).unwrap();
+        let store = RelationalStore::create(tmp.join("retained.k2bt"), &d).unwrap();
         let oids: Vec<Oid> = vec![1, 2, 3];
         let mut out = Vec::new();
         store.multi_get_into(0, &oids, &mut out).unwrap();
@@ -648,7 +649,8 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let path = tmp("bad.k2bt");
+        let tmp = TempDir::new("btree");
+        let path = tmp.join("bad.k2bt");
         std::fs::write(&path, vec![0u8; PAGE_SIZE]).unwrap();
         assert!(matches!(
             RelationalStore::open(&path),
@@ -658,17 +660,22 @@ mod tests {
 
     #[test]
     fn tiny_pool_still_correct() {
+        let tmp = TempDir::new("btree");
         let d = toy_dataset();
-        let store =
-            RelationalStore::create_with(tmp("tinypool.k2bt"), &d, BTreeConfig { pool_pages: 1 })
-                .unwrap();
+        let store = RelationalStore::create_with(
+            tmp.join("tinypool.k2bt"),
+            &d,
+            BTreeConfig { pool_pages: 1 },
+        )
+        .unwrap();
         conformance(&store, &d);
     }
 
     #[test]
     fn snapshot_scan_of_absent_timestamp_is_empty() {
+        let tmp = TempDir::new("btree");
         let d = toy_dataset();
-        let store = RelationalStore::create(tmp("absent.k2bt"), &d).unwrap();
+        let store = RelationalStore::create(tmp.join("absent.k2bt"), &d).unwrap();
         assert!(scan(&store, 9999).is_empty());
     }
 }

@@ -39,9 +39,9 @@ pub struct FlatFileStore {
     /// rewinding — the tape head stays where the last ascending sweep
     /// left it. This is still sequential-only access (no index, no
     /// binary search, exactly the §5 flat-file characterization); it
-    /// only stops an ascending probe sequence — the access pattern of
-    /// the hop-window slab prefetcher — from re-reading the file prefix
-    /// once per timestamp.
+    /// only stops an ascending probe sequence — step 1's benchmark scans,
+    /// one per ⌊k/2⌋-th timestamp in time order — from re-reading the
+    /// file prefix once per timestamp.
     cursor: RefCell<ScanCursor>,
 }
 
@@ -288,9 +288,7 @@ impl SnapshotSource for FlatFileStore {
         self.io.add_point_queries(oids.len() as u64);
         // The caller's buffer is filled straight from the record scan —
         // no intermediate allocation per probe — resuming from the
-        // sequential cursor when probes ascend (the slab prefetcher's
-        // pattern: one pass over the file per mining run, not per
-        // timestamp).
+        // sequential cursor when probes ascend past it.
         out.clear();
         self.scan_at(t, |p| {
             if oids.binary_search(&p.oid).is_ok() {
@@ -318,44 +316,39 @@ impl TrajectoryStore for FlatFileStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::temp_dir::TempDir;
     use crate::trait_tests::{conformance, scan, toy_dataset};
-
-    fn tmpdir() -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "k2flat-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
 
     #[test]
     fn conforms_to_trait_contract() {
+        let tmp = TempDir::new("flat");
         let d = toy_dataset();
-        let store = FlatFileStore::create(tmpdir().join("toy.bin"), &d).unwrap();
+        let store = FlatFileStore::create(tmp.join("toy.bin"), &d).unwrap();
         conformance(&store, &d);
     }
 
     #[test]
     fn load_in_memory_round_trips() {
+        let tmp = TempDir::new("flat");
         let d = toy_dataset();
-        let store = FlatFileStore::create(tmpdir().join("mem.bin"), &d).unwrap();
+        let store = FlatFileStore::create(tmp.join("mem.bin"), &d).unwrap();
         let mem = store.load_in_memory(MemoryBudget::unlimited()).unwrap();
         assert_eq!(mem.dataset(), &d);
     }
 
     #[test]
     fn memory_budget_blocks_large_load() {
+        let tmp = TempDir::new("flat");
         let d = toy_dataset();
-        let store = FlatFileStore::create(tmpdir().join("budget.bin"), &d).unwrap();
+        let store = FlatFileStore::create(tmp.join("budget.bin"), &d).unwrap();
         let err = store.load_in_memory(MemoryBudget::bytes(10)).unwrap_err();
         assert!(matches!(err, StoreError::MemoryBudgetExceeded { .. }));
     }
 
     #[test]
     fn corrupt_size_rejected() {
-        let p = tmpdir().join("corrupt.bin");
+        let tmp = TempDir::new("flat");
+        let p = tmp.join("corrupt.bin");
         std::fs::write(&p, [0u8; 25]).unwrap();
         assert!(matches!(
             FlatFileStore::open(&p),
@@ -365,15 +358,17 @@ mod tests {
 
     #[test]
     fn empty_file_rejected() {
-        let p = tmpdir().join("empty.bin");
+        let tmp = TempDir::new("flat");
+        let p = tmp.join("empty.bin");
         std::fs::write(&p, []).unwrap();
         assert!(FlatFileStore::open(&p).is_err());
     }
 
     #[test]
     fn scans_are_counted_as_sequential_io() {
+        let tmp = TempDir::new("flat");
         let d = toy_dataset();
-        let store = FlatFileStore::create(tmpdir().join("io.bin"), &d).unwrap();
+        let store = FlatFileStore::create(tmp.join("io.bin"), &d).unwrap();
         store.reset_io_stats();
         let _ = scan(&store, 49);
         let s = store.io_stats();
@@ -384,10 +379,11 @@ mod tests {
 
     #[test]
     fn early_termination_reads_less_for_early_timestamps() {
+        let tmp = TempDir::new("flat");
         let d = toy_dataset();
         // Fresh store per probe so the sequential cursor cannot help:
         // this pins the underlying early-termination property.
-        let p = tmpdir().join("early.bin");
+        let p = tmp.join("early.bin");
         let store = FlatFileStore::create(&p, &d).unwrap();
         let _ = scan(&store, 0);
         let early = store.io_stats().bytes_read;
@@ -411,10 +407,11 @@ mod tests {
 
     #[test]
     fn ascending_probes_resume_instead_of_rescanning() {
+        let tmp = TempDir::new("flat");
         let d = big_dataset();
         let file_bytes = d.num_points() * RECORD_SIZE as u64;
         assert!(file_bytes > SCAN_CHUNK as u64, "test premise");
-        let store = FlatFileStore::create(tmpdir().join("cursor.bin"), &d).unwrap();
+        let store = FlatFileStore::create(tmp.join("cursor.bin"), &d).unwrap();
         store.reset_io_stats();
         let oids: Vec<Oid> = (0..100).step_by(7).collect();
         let mut out = Vec::new();
@@ -441,8 +438,9 @@ mod tests {
 
     #[test]
     fn cursor_probes_match_memory_store_in_any_order() {
+        let tmp = TempDir::new("flat");
         let d = big_dataset();
-        let store = FlatFileStore::create(tmpdir().join("order.bin"), &d).unwrap();
+        let store = FlatFileStore::create(tmp.join("order.bin"), &d).unwrap();
         let mem = InMemoryStore::new(d.clone());
         let oids: Vec<Oid> = vec![0, 3, 13, 50, 99, 250];
         let (mut flat_out, mut mem_out) = (Vec::new(), Vec::new());

@@ -35,6 +35,8 @@ mod iostats;
 mod keys;
 pub mod lsm;
 mod memory;
+#[cfg(test)]
+mod temp_dir;
 
 pub use btree::{BTreeConfig, RelationalStore};
 pub use error::{StoreError, StoreResult};
@@ -98,17 +100,16 @@ impl std::ops::Deref for SnapshotRef<'_> {
 /// inside hop-windows. This trait is those two access paths (in their
 /// zero-copy / buffer-reusing forms) plus the span/size/IO metadata the
 /// miners report — nothing else. Every miner in the workspace
-/// ([`K2Hop`], [`K2HopParallel`], the baselines) is generic over
-/// `SnapshotSource`, so one mining pipeline serves all four storage
-/// engines and bare datasets alike; `&dyn SnapshotSource` is the
-/// argument type of the unified `ConvoyMiner` trait.
+/// ([`K2Hop`], the baselines) is generic over `SnapshotSource`, so one
+/// mining pipeline serves all four storage engines and bare datasets
+/// alike; `&dyn SnapshotSource` is the argument type of the unified
+/// `ConvoyMiner` trait.
 ///
 /// All methods take `&self`; engines use interior mutability for buffer
 /// pools and statistics so that the mining algorithms can hold a single
 /// shared reference.
 ///
 /// [`K2Hop`]: https://docs.rs/k2-core
-/// [`K2HopParallel`]: https://docs.rs/k2-core
 pub trait SnapshotSource {
     /// The dataset's time span `[Ts, Te]`.
     fn span(&self) -> TimeInterval;
@@ -152,9 +153,10 @@ pub trait SnapshotSource {
 
     /// The fully-resident dataset behind this source, if there is one.
     ///
-    /// Parallel miners use this to keep the in-memory fast path
-    /// zero-copy: when the source is (or wraps) a [`Dataset`], hop-window
-    /// probes read it directly instead of prefetching a restricted copy.
+    /// A miner with several workers uses this to fan its probes out:
+    /// when the source is (or wraps) a [`Dataset`], which is immutable
+    /// and `Sync`, every worker probes it directly — no copy, no point
+    /// query through the source.
     fn as_dataset(&self) -> Option<&Dataset> {
         None
     }

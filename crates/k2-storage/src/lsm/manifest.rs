@@ -190,13 +190,7 @@ pub(crate) fn sync_dir(dir: &Path) -> StoreResult<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmpdir(name: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("k2manifest-{}-{name}", std::process::id()));
-        let _ = fs::remove_dir_all(&d);
-        fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use crate::temp_dir::TempDir;
 
     fn sample_records() -> Vec<ManifestRecord> {
         vec![
@@ -213,7 +207,7 @@ mod tests {
 
     #[test]
     fn append_open_round_trip() {
-        let dir = tmpdir("roundtrip");
+        let dir = TempDir::new("manifest");
         let mut m = Manifest::create(&dir).unwrap();
         for rec in sample_records() {
             m.append(&rec).unwrap();
@@ -225,7 +219,7 @@ mod tests {
 
     #[test]
     fn corrupt_tail_is_dropped() {
-        let dir = tmpdir("tail");
+        let dir = TempDir::new("manifest");
         let mut m = Manifest::create(&dir).unwrap();
         for rec in sample_records() {
             m.append(&rec).unwrap();
@@ -246,7 +240,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_dropped() {
-        let dir = tmpdir("torn");
+        let dir = TempDir::new("manifest");
         let mut m = Manifest::create(&dir).unwrap();
         for rec in sample_records() {
             m.append(&rec).unwrap();
@@ -263,7 +257,7 @@ mod tests {
 
     #[test]
     fn appends_continue_after_reopen() {
-        let dir = tmpdir("reopen");
+        let dir = TempDir::new("manifest");
         let mut m = Manifest::create(&dir).unwrap();
         m.append(&ManifestRecord::Flush { seq: 1 }).unwrap();
         drop(m);
@@ -282,14 +276,14 @@ mod tests {
 
     #[test]
     fn bad_header_rejected() {
-        let dir = tmpdir("badheader");
+        let dir = TempDir::new("manifest");
         fs::write(dir.join(MANIFEST_FILE), b"WRONG\n").unwrap();
         assert!(matches!(Manifest::open(&dir), Err(StoreError::Corrupt(_))));
     }
 
     #[test]
     fn create_is_atomic_replacement() {
-        let dir = tmpdir("atomic");
+        let dir = TempDir::new("manifest");
         fs::write(dir.join(MANIFEST_FILE), b"old garbage").unwrap();
         let _ = Manifest::create(&dir).unwrap();
         let (_, got) = Manifest::open(&dir).unwrap();

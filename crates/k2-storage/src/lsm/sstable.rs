@@ -701,19 +701,14 @@ impl SsTableIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("k2sst-{}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        d.join(name)
-    }
+    use crate::temp_dir::TempDir;
 
     fn fixtures() -> (Arc<BlockCache>, Arc<IoCounters>) {
         (Arc::new(BlockCache::new(64)), Arc::new(IoCounters::new()))
     }
 
-    fn build(name: &str, keys: impl Iterator<Item = u64>) -> PathBuf {
-        let path = tmp(name);
+    fn build(dir: &Path, name: &str, keys: impl Iterator<Item = u64>) -> PathBuf {
+        let path = dir.join(name);
         let mut w = SsTableWriter::create(&path, 1024).unwrap();
         for k in keys {
             let val = [(k % 251) as u8; VAL_SIZE];
@@ -821,7 +816,8 @@ mod tests {
 
     #[test]
     fn write_read_round_trip() {
-        let path = build("roundtrip.k2ss", (0..5000u64).map(|i| i * 3));
+        let tmp = TempDir::new("sst");
+        let path = build(&tmp, "roundtrip.k2ss", (0..5000u64).map(|i| i * 3));
         let (cache, io) = fixtures();
         let r = SsTableReader::open(&path, 1, cache).unwrap();
         assert_eq!(r.num_entries(), 5000);
@@ -836,7 +832,8 @@ mod tests {
 
     #[test]
     fn out_of_order_keys_rejected() {
-        let mut w = SsTableWriter::create(tmp("order.k2ss"), 16).unwrap();
+        let tmp = TempDir::new("sst");
+        let mut w = SsTableWriter::create(tmp.join("order.k2ss"), 16).unwrap();
         w.add(10, &[0; VAL_SIZE]).unwrap();
         assert!(w.add(10, &[0; VAL_SIZE]).is_err());
         assert!(w.add(5, &[0; VAL_SIZE]).is_err());
@@ -844,7 +841,8 @@ mod tests {
 
     #[test]
     fn iter_from_scans_in_order() {
-        let path = build("iter.k2ss", (0..1000u64).map(|i| i * 2));
+        let tmp = TempDir::new("sst");
+        let path = build(&tmp, "iter.k2ss", (0..1000u64).map(|i| i * 2));
         let (cache, io) = fixtures();
         let r = SsTableReader::open(&path, 2, cache).unwrap();
         // Seek to key 501 -> first entry 502.
@@ -864,7 +862,8 @@ mod tests {
 
     #[test]
     fn iter_from_before_table_start() {
-        let path = build("iterstart.k2ss", 100..200u64);
+        let tmp = TempDir::new("sst");
+        let path = build(&tmp, "iterstart.k2ss", 100..200u64);
         let (cache, io) = fixtures();
         let r = SsTableReader::open(&path, 3, cache).unwrap();
         let mut it = r.iter_from_with(0, &io);
@@ -873,7 +872,8 @@ mod tests {
 
     #[test]
     fn block_cache_hits_on_repeat_reads() {
-        let path = build("cache.k2ss", 0..100u64);
+        let tmp = TempDir::new("sst");
+        let path = build(&tmp, "cache.k2ss", 0..100u64);
         let (cache, io) = fixtures();
         let r = SsTableReader::open(&path, 5, cache).unwrap();
         let _ = r.probe(50, &mut None, &io).unwrap();
@@ -888,7 +888,8 @@ mod tests {
 
     #[test]
     fn disabled_cache_reads_disk_every_time() {
-        let path = build("nocache.k2ss", 0..100u64);
+        let tmp = TempDir::new("sst");
+        let path = build(&tmp, "nocache.k2ss", 0..100u64);
         let cache = Arc::new(BlockCache::new(0));
         let io = Arc::new(IoCounters::new());
         let r = SsTableReader::open(&path, 7, cache).unwrap();
@@ -907,15 +908,16 @@ mod tests {
     }
 
     /// Writes `bytes` as table file `name` and opens it.
-    fn open_bytes(name: &str, bytes: &[u8]) -> StoreResult<SsTableReader> {
-        let p = tmp(name);
+    fn open_bytes(dir: &Path, name: &str, bytes: &[u8]) -> StoreResult<SsTableReader> {
+        let p = dir.join(name);
         std::fs::write(&p, bytes).unwrap();
         SsTableReader::open(&p, 10, Arc::new(BlockCache::new(64)))
     }
 
     #[test]
     fn corrupt_index_rows_are_rejected_before_anything_is_sized_by_them() {
-        let path = build("badindex.k2ss", 0..2000u64);
+        let tmp = TempDir::new("sst");
+        let path = build(&tmp, "badindex.k2ss", 0..2000u64);
         let good = std::fs::read(&path).unwrap();
         let index_off = footer_field(&good, 0) as usize;
         let rows = footer_field(&good, 1) as usize / INDEX_ROW;
@@ -989,7 +991,7 @@ mod tests {
                 0u64.to_be_bytes().into(),
             ),
         ];
-        let open = |bytes: &[u8]| open_bytes("badindex-case.k2ss", bytes);
+        let open = |bytes: &[u8]| open_bytes(&tmp, "badindex-case.k2ss", bytes);
         assert!(open(&good).is_ok());
         for (what, at, bytes) in cases {
             let mut bad = good.clone();
@@ -1004,6 +1006,7 @@ mod tests {
 
     #[test]
     fn fences_admit_exactly_the_overlapping_ranges() {
+        let tmp = TempDir::new("sst");
         // `overlaps` is inclusive at both ends of both ranges.
         for (lo, hi, want) in [
             (0, 9, false),
@@ -1022,7 +1025,7 @@ mod tests {
 
         let open = |name: &str, keys: std::ops::Range<u64>| {
             let (cache, io) = fixtures();
-            let r = SsTableReader::open(build(name, keys), 14, cache.clone()).unwrap();
+            let r = SsTableReader::open(build(&tmp, name, keys), 14, cache.clone()).unwrap();
             (r, cache, io)
         };
         // An empty table admits nothing and answers nothing.
@@ -1057,8 +1060,9 @@ mod tests {
 
     #[test]
     fn a_block_in_hand_answers_ascending_keys_like_single_gets() {
+        let tmp = TempDir::new("sst");
         // Keys 1000, 1003, …: gaps between any two, 8 blocks.
-        let path = build("hand.k2ss", (0..1200u64).map(|i| 1000 + i * 3));
+        let path = build(&tmp, "hand.k2ss", (0..1200u64).map(|i| 1000 + i * 3));
         let (cache, io) = fixtures();
         let r = SsTableReader::open(&path, 15, cache).unwrap();
         let blocks = r.index.len() as u64;
@@ -1122,10 +1126,11 @@ mod tests {
 
     #[test]
     fn corrupt_footer_rejected() {
-        let good = std::fs::read(build("footer.k2ss", 0..2000u64)).unwrap();
+        let tmp = TempDir::new("sst");
+        let good = std::fs::read(build(&tmp, "footer.k2ss", 0..2000u64)).unwrap();
         let (index_off, index_len) = (footer_field(&good, 0), footer_field(&good, 1));
         let footer_at = good.len() - FOOTER_SIZE;
-        let open = |bytes: &[u8]| open_bytes("footer-case.k2ss", bytes);
+        let open = |bytes: &[u8]| open_bytes(&tmp, "footer-case.k2ss", bytes);
         assert!(open(&good).is_ok());
         let patched = |at: usize, bytes: &[u8]| {
             let mut bad = good.clone();

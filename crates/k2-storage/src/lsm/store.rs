@@ -1052,13 +1052,8 @@ impl LsmStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::temp_dir::TempDir;
     use crate::trait_tests::{conformance, get, scan, toy_dataset};
-
-    fn tmpdir(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("k2lsm-{}-{name}", std::process::id()));
-        let _ = fs::remove_dir_all(&d);
-        d
-    }
 
     /// Path of the live write-ahead log, if the WAL is enabled.
     fn wal_path(store: &LsmStore) -> Option<PathBuf> {
@@ -1076,15 +1071,16 @@ mod tests {
 
     #[test]
     fn conforms_to_trait_contract() {
+        let tmp = TempDir::new("lsm");
         let d = toy_dataset();
-        let store = LsmStore::bulk_load(tmpdir("conform"), &d).unwrap();
+        let store = LsmStore::bulk_load(tmp.join("conform"), &d).unwrap();
         conformance(&store, &d);
     }
 
     /// The toy dataset behind a pin over every layer a reader merges:
     /// timestamps 0–19 and 20–39 in two SSTables, 40–49 in the frozen
     /// generation the pin itself freezes in.
-    fn pin_over_two_tables_and_a_frozen_generation(name: &str) -> (Dataset, StorePin) {
+    fn pin_over_two_tables_and_a_frozen_generation(dir: &Path) -> (Dataset, StorePin) {
         let d = toy_dataset();
         let config = LsmConfig {
             memtable_entries: 1 << 20,
@@ -1092,7 +1088,7 @@ mod tests {
             wal: false,
             ..LsmConfig::default()
         };
-        let store = LsmStore::create_with(tmpdir(name), config).unwrap();
+        let store = LsmStore::create_with(dir, config).unwrap();
         for (lo, hi) in [(0, 20), (20, 40), (40, 50)] {
             for p in d.iter_points().filter(|p| (lo..hi).contains(&p.t)) {
                 store.insert(p).unwrap();
@@ -1109,13 +1105,15 @@ mod tests {
 
     #[test]
     fn pin_conforms_to_trait_contract() {
-        let (d, pin) = pin_over_two_tables_and_a_frozen_generation("pinconform");
+        let dir = TempDir::new("lsm");
+        let (d, pin) = pin_over_two_tables_and_a_frozen_generation(&dir);
         conformance(&pin, &d);
     }
 
     #[test]
     fn time_range_clamps_a_pin() {
-        let (d, pin) = pin_over_two_tables_and_a_frozen_generation("pinclamp");
+        let dir = TempDir::new("lsm");
+        let (d, pin) = pin_over_two_tables_and_a_frozen_generation(&dir);
         let range = crate::TimeRange::new(pin, 10, 45);
         let (mut want, mut got) = (Vec::new(), Vec::new());
         // Inside the clamp — across both tables and the frozen
@@ -1144,7 +1142,7 @@ mod tests {
     #[test]
     fn reopen_preserves_contents() {
         let d = toy_dataset();
-        let dir = tmpdir("reopen");
+        let dir = TempDir::new("lsm");
         // Several tables, so recovery has several key ranges to fold.
         let config = LsmConfig {
             memtable_entries: 100,
@@ -1168,13 +1166,14 @@ mod tests {
 
     #[test]
     fn small_memtable_forces_many_tables_then_compaction() {
+        let tmp = TempDir::new("lsm");
         let d = toy_dataset(); // 1000 points
         let config = LsmConfig {
             memtable_entries: 64,
             max_tables: 4,
             ..LsmConfig::default()
         };
-        let store = LsmStore::bulk_load_with(tmpdir("compact"), &d, config).unwrap();
+        let store = LsmStore::bulk_load_with(tmp.join("compact"), &d, config).unwrap();
         assert!(
             store.num_tables() <= 4,
             "compaction should bound table count, got {}",
@@ -1185,13 +1184,14 @@ mod tests {
 
     #[test]
     fn explicit_compaction_to_single_table() {
+        let tmp = TempDir::new("lsm");
         let d = toy_dataset();
         let config = LsmConfig {
             memtable_entries: 100,
             max_tables: 100, // no auto-compaction
             ..LsmConfig::default()
         };
-        let store = LsmStore::bulk_load_with(tmpdir("explicit"), &d, config).unwrap();
+        let store = LsmStore::bulk_load_with(tmp.join("explicit"), &d, config).unwrap();
         assert!(store.num_tables() > 1);
         store.compact_blocking().unwrap();
         assert_eq!(store.num_tables(), 1);
@@ -1201,7 +1201,7 @@ mod tests {
     #[test]
     fn tiered_compaction_leaves_settled_tables_alone() {
         let d = toy_dataset(); // 1000 points
-        let dir = tmpdir("tiered");
+        let dir = TempDir::new("lsm");
         let config = LsmConfig {
             memtable_entries: 2000,
             max_tables: 3,
@@ -1250,8 +1250,8 @@ mod tests {
             ..LsmConfig::default()
         };
         // Unique `(t, oid)` keys, 300 objects per timestamp.
-        let ingest = |name: &str, config: LsmConfig| {
-            let dir = tmpdir(name);
+        let ingest = |config: LsmConfig| {
+            let dir = TempDir::new("lsm");
             let store = LsmStore::create_with(&dir, config).unwrap();
             for i in 0..POINTS {
                 let (oid, t) = ((i % 300) as u32, (i / 300) as u32);
@@ -1261,10 +1261,7 @@ mod tests {
             }
             store.flush().unwrap();
             store.wait_for_compactions().unwrap();
-            let compacted = store.io_stats().bytes_compacted;
-            drop(store);
-            let _ = fs::remove_dir_all(&dir);
-            compacted
+            store.io_stats().bytes_compacted
         };
         // The cost tiering must beat: every time the table count exceeds
         // `max_tables`, rewrite all entries ingested so far into one table.
@@ -1282,18 +1279,15 @@ mod tests {
 
         // Inline compaction is deterministic: 2.4x write amplification
         // where rewriting everything costs 5.2x.
-        let tiered = ingest("amp-blocking", blocking);
+        let tiered = ingest(blocking);
         assert_eq!(tiered, 4_276_224);
         assert!(tiered < rewrite_everything);
         // Which runs the worker sees depends on when its jobs finish, so
         // the background leg is held to the ordering only.
-        let background = ingest(
-            "amp-background",
-            LsmConfig {
-                background_compaction: true,
-                ..blocking
-            },
-        );
+        let background = ingest(LsmConfig {
+            background_compaction: true,
+            ..blocking
+        });
         assert!(
             background < rewrite_everything,
             "background compaction rewrote {background} bytes"
@@ -1316,7 +1310,7 @@ mod tests {
 
     #[test]
     fn background_compaction_reaches_steady_state() {
-        let dir = tmpdir("background");
+        let dir = TempDir::new("lsm");
         let config = LsmConfig {
             memtable_entries: 64,
             max_tables: 4,
@@ -1343,6 +1337,7 @@ mod tests {
 
     #[test]
     fn background_and_blocking_agree_on_contents() {
+        let tmp = TempDir::new("lsm");
         let build = |dir: PathBuf, background: bool| -> Vec<Vec<ObjPos>> {
             let config = LsmConfig {
                 memtable_entries: 32,
@@ -1366,15 +1361,15 @@ mod tests {
             store.wait_for_compactions().unwrap();
             (0..6).map(|t| scan(&store, t)).collect()
         };
-        let a = build(tmpdir("agree-bg"), true);
-        let b = build(tmpdir("agree-bl"), false);
+        let a = build(tmp.join("agree-bg"), true);
+        let b = build(tmp.join("agree-bl"), false);
         assert_eq!(a, b);
     }
 
     #[test]
     fn compaction_keeps_other_tables_cached() {
         let d = toy_dataset(); // 1000 points over t=0,1
-        let dir = tmpdir("cachesurvive");
+        let dir = TempDir::new("lsm");
         let config = LsmConfig {
             memtable_entries: 2000,
             max_tables: 3,
@@ -1414,7 +1409,7 @@ mod tests {
 
     #[test]
     fn newest_version_wins_after_overwrite() {
-        let dir = tmpdir("overwrite");
+        let dir = TempDir::new("lsm");
         let store = LsmStore::create(&dir).unwrap();
         store.insert(Point::new(1, 1.0, 1.0, 5)).unwrap();
         store.flush().unwrap();
@@ -1434,7 +1429,7 @@ mod tests {
 
     #[test]
     fn newest_version_wins_across_frozen_generations() {
-        let dir = tmpdir("frozenwins");
+        let dir = TempDir::new("lsm");
         let store = LsmStore::create(&dir).unwrap();
         store.insert(Point::new(1, 1.0, 1.0, 5)).unwrap();
         let _pin_a = store.pin().unwrap(); // freezes generation 1
@@ -1460,7 +1455,7 @@ mod tests {
 
     #[test]
     fn pin_is_isolated_from_later_writes() {
-        let dir = tmpdir("pinisolate");
+        let dir = TempDir::new("lsm");
         let store = LsmStore::create(&dir).unwrap();
         for oid in 0..10u32 {
             store.insert(Point::new(oid, oid as f64, 1.0, 0)).unwrap();
@@ -1491,7 +1486,7 @@ mod tests {
 
     #[test]
     fn pin_survives_compaction_unlinking_its_tables() {
-        let dir = tmpdir("pinunlink");
+        let dir = TempDir::new("lsm");
         let config = LsmConfig {
             memtable_entries: 1000,
             max_tables: 2,
@@ -1538,8 +1533,9 @@ mod tests {
 
     #[test]
     fn pin_io_is_accounted_separately_but_shares_the_cache() {
+        let tmp = TempDir::new("lsm");
         let d = toy_dataset();
-        let store = LsmStore::bulk_load(tmpdir("pinio"), &d).unwrap();
+        let store = LsmStore::bulk_load(tmp.join("pinio"), &d).unwrap();
         let pin = store.pin().unwrap();
         store.reset_io_stats();
         // A cold pinned scan misses into the shared cache…
@@ -1567,7 +1563,7 @@ mod tests {
 
     #[test]
     fn version_bumps_on_every_swap_only() {
-        let dir = tmpdir("version");
+        let dir = TempDir::new("lsm");
         let store = LsmStore::create(&dir).unwrap();
         let v0 = store.version();
         for oid in 0..5u32 {
@@ -1592,7 +1588,7 @@ mod tests {
 
     #[test]
     fn a_batch_publishes_once_however_many_flushes_it_spans() {
-        let dir = tmpdir("batchonce");
+        let dir = TempDir::new("lsm");
         let config = LsmConfig {
             memtable_entries: 32,
             max_tables: 2,
@@ -1629,7 +1625,8 @@ mod tests {
 
     #[test]
     fn an_acknowledged_batch_is_synced() {
-        let store = LsmStore::create(tmpdir("batchsynced")).unwrap();
+        let tmp = TempDir::new("lsm");
+        let store = LsmStore::create(tmp.join("batchsynced")).unwrap();
         let batch: Vec<Point> = (0..100u32)
             .map(|oid| Point::new(oid, 1.0, 1.0, 0))
             .collect();
@@ -1642,6 +1639,7 @@ mod tests {
 
     #[test]
     fn batch_runs_flush_where_single_inserts_do() {
+        let tmp = TempDir::new("lsm");
         let config = LsmConfig {
             memtable_entries: 64,
             max_tables: 100,
@@ -1656,11 +1654,11 @@ mod tests {
                 Point::new(oid, f64::from(i), 1.0, 0)
             })
             .collect();
-        let singles = LsmStore::create_with(tmpdir("runs-single"), config).unwrap();
+        let singles = LsmStore::create_with(tmp.join("runs-single"), config).unwrap();
         for &p in &points {
             singles.insert(p).unwrap();
         }
-        let batched = LsmStore::create_with(tmpdir("runs-batch"), config).unwrap();
+        let batched = LsmStore::create_with(tmp.join("runs-batch"), config).unwrap();
         batched.insert_batch(&points).unwrap();
         let tables = |s: &LsmStore| -> Vec<u64> {
             s.published()
@@ -1677,7 +1675,8 @@ mod tests {
 
     #[test]
     fn insert_batch_returns_the_version_it_published() {
-        let store = LsmStore::create(tmpdir("batchversion")).unwrap();
+        let tmp = TempDir::new("lsm");
+        let store = LsmStore::create(tmp.join("batchversion")).unwrap();
         let mut last = store.version();
         for round in 0..4u32 {
             let batch: Vec<Point> = (0..10u32)
@@ -1692,12 +1691,13 @@ mod tests {
 
     #[test]
     fn concurrent_ingest_under_live_pin() {
+        let tmp = TempDir::new("lsm");
         let config = LsmConfig {
             memtable_entries: 128,
             wal: false,
             ..LsmConfig::default()
         };
-        let store = Arc::new(LsmStore::create_with(tmpdir("concurrent"), config).unwrap());
+        let store = Arc::new(LsmStore::create_with(tmp.join("concurrent"), config).unwrap());
         for oid in 0..64u32 {
             store.insert(Point::new(oid, oid as f64, 0.0, 0)).unwrap();
         }
@@ -1734,7 +1734,8 @@ mod tests {
 
     #[test]
     fn poisoned_writer_fails_closed_and_readers_keep_answering() {
-        let store = LsmStore::create(tmpdir("poison")).unwrap();
+        let tmp = TempDir::new("lsm");
+        let store = LsmStore::create(tmp.join("poison")).unwrap();
         let batch: Vec<Point> = (0..20u32).map(|oid| Point::new(oid, 1.0, 1.0, 0)).collect();
         let version = store.insert_batch(&batch).unwrap();
         let panicked = std::thread::scope(|s| {
@@ -1775,7 +1776,7 @@ mod tests {
 
     #[test]
     fn streaming_flush_and_compaction_write_the_same_bytes() {
-        let dir = tmpdir("bytes");
+        let dir = TempDir::new("lsm");
         let config = LsmConfig {
             memtable_entries: 1 << 20,
             max_tables: 100,
@@ -1832,7 +1833,7 @@ mod tests {
 
     #[test]
     fn unflushed_memtable_is_readable() {
-        let dir = tmpdir("memread");
+        let dir = TempDir::new("lsm");
         let store = LsmStore::create(&dir).unwrap();
         store.insert(Point::new(7, 3.0, 4.0, 2)).unwrap();
         assert_eq!(store.memtable_len(), 1);
@@ -1843,7 +1844,8 @@ mod tests {
 
     #[test]
     fn empty_store_is_sane() {
-        let store = LsmStore::create(tmpdir("empty")).unwrap();
+        let tmp = TempDir::new("lsm");
+        let store = LsmStore::create(tmp.join("empty")).unwrap();
         assert_eq!(store.num_points(), 0);
         assert!(scan(&store, 0).is_empty());
         assert_eq!(get(&store, 0, 0), None);
@@ -1852,7 +1854,7 @@ mod tests {
     #[test]
     fn corrupt_manifest_rejected() {
         use crate::StoreError;
-        let dir = tmpdir("badmanifest");
+        let dir = TempDir::new("lsm");
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join(super::super::manifest::MANIFEST_FILE), "WRONG\n").unwrap();
         assert!(matches!(LsmStore::open(&dir), Err(StoreError::Corrupt(_))));
@@ -1860,7 +1862,7 @@ mod tests {
 
     #[test]
     fn wal_recovers_unflushed_inserts_on_reopen() {
-        let dir = tmpdir("walrecover");
+        let dir = TempDir::new("lsm");
         {
             let store = LsmStore::create(&dir).unwrap();
             for oid in 0..10u32 {
@@ -1881,7 +1883,7 @@ mod tests {
 
     #[test]
     fn wal_covers_frozen_generations_until_flush() {
-        let dir = tmpdir("walfrozen");
+        let dir = TempDir::new("lsm");
         {
             let store = LsmStore::create(&dir).unwrap();
             for oid in 0..5u32 {
@@ -1902,7 +1904,7 @@ mod tests {
 
     #[test]
     fn flush_retires_the_wal_generation() {
-        let dir = tmpdir("walretire");
+        let dir = TempDir::new("lsm");
         let store = LsmStore::create(&dir).unwrap();
         store.insert(Point::new(1, 1.0, 1.0, 0)).unwrap();
         let before = wal_path(&store).unwrap().to_path_buf();
@@ -1920,7 +1922,7 @@ mod tests {
 
     #[test]
     fn wal_disabled_store_round_trips() {
-        let dir = tmpdir("nowal");
+        let dir = TempDir::new("lsm");
         let config = LsmConfig {
             wal: false,
             ..LsmConfig::default()
@@ -1937,8 +1939,9 @@ mod tests {
 
     #[test]
     fn bulk_load_bypasses_wal_then_starts_one() {
+        let tmp = TempDir::new("lsm");
         let d = toy_dataset();
-        let store = LsmStore::bulk_load(tmpdir("bulkwal"), &d).unwrap();
+        let store = LsmStore::bulk_load(tmp.join("bulkwal"), &d).unwrap();
         // No per-record WAL traffic during the load…
         assert_eq!(store.io_stats().wal_appends, 0);
         // …but the store is WAL-protected afterwards.
@@ -1947,12 +1950,13 @@ mod tests {
 
     #[test]
     fn disabled_cache_still_serves_reads() {
+        let tmp = TempDir::new("lsm");
         let d = toy_dataset();
         let config = LsmConfig {
             cache_blocks: 0,
             ..LsmConfig::default()
         };
-        let store = LsmStore::bulk_load_with(tmpdir("nocache"), &d, config).unwrap();
+        let store = LsmStore::bulk_load_with(tmp.join("nocache"), &d, config).unwrap();
         conformance(&store, &d);
         // Re-reading the same snapshot never hits: nothing is retained.
         store.reset_io_stats();

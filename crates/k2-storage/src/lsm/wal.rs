@@ -317,14 +317,7 @@ pub fn replay_wal(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("k2wal-{}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        let p = d.join(name);
-        let _ = std::fs::remove_file(&p);
-        p
-    }
+    use crate::temp_dir::TempDir;
 
     fn io() -> Arc<IoCounters> {
         Arc::new(IoCounters::new())
@@ -339,7 +332,8 @@ mod tests {
 
     #[test]
     fn append_replay_round_trip() {
-        let path = tmp("roundtrip.log");
+        let tmp = TempDir::new("wal");
+        let path = tmp.join("roundtrip.log");
         let counters = io();
         let mut w = WalWriter::create(&path, WalSyncPolicy::Batched(3), counters.clone()).unwrap();
         for k in 0..10u64 {
@@ -367,7 +361,8 @@ mod tests {
             (WalSyncPolicy::Batched(64), 0),
             (WalSyncPolicy::OnRotate, 5),
         ] {
-            let path = tmp("run.log");
+            let tmp = TempDir::new("wal");
+            let path = tmp.join("run.log");
             let counters = io();
             let mut w = WalWriter::create(&path, policy, counters.clone()).unwrap();
             w.append_run(run()).unwrap();
@@ -384,7 +379,8 @@ mod tests {
 
     #[test]
     fn torn_tail_is_dropped_and_truncated() {
-        let path = tmp("torn.log");
+        let tmp = TempDir::new("wal");
+        let path = tmp.join("torn.log");
         let mut w = WalWriter::create(&path, WalSyncPolicy::OnRotate, io()).unwrap();
         for k in 0..5u64 {
             w.append(k, &[0; VAL_SIZE]).unwrap();
@@ -417,7 +413,8 @@ mod tests {
 
     #[test]
     fn bit_flip_truncates_at_corrupt_frame() {
-        let path = tmp("flip.log");
+        let tmp = TempDir::new("wal");
+        let path = tmp.join("flip.log");
         let mut w = WalWriter::create(&path, WalSyncPolicy::EveryAppend, io()).unwrap();
         for k in 0..6u64 {
             w.append(k, &[0; VAL_SIZE]).unwrap();
@@ -436,7 +433,8 @@ mod tests {
 
     #[test]
     fn missing_file_replays_empty() {
-        let replay = replay_wal(tmp("absent.log"), |_, _| panic!("no frames")).unwrap();
+        let tmp = TempDir::new("wal");
+        let replay = replay_wal(tmp.join("absent.log"), |_, _| panic!("no frames")).unwrap();
         assert_eq!(replay.frames, 0);
         assert!(!replay.truncated);
     }

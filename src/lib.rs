@@ -52,10 +52,10 @@
 //! assert!(outcome.stats.pruning.pruning_ratio() > 0.5);
 //! ```
 //!
-//! Engines are interchangeable behind [`ConvoyMiner`]:
+//! Any [`ConvoyMiner`] can stand in for the default engine, and the
+//! worker count never changes what k/2-hop finds:
 //!
 //! ```
-//! use k2hop::core::K2HopParallel;
 //! use k2hop::prelude::*;
 //!
 //! let dataset = k2hop::datagen::ConvoyInjector::new(200, 40)
@@ -64,9 +64,9 @@
 //!     .generate();
 //! let config = K2Config::new(4, 10, 1.5).expect("valid parameters");
 //!
-//! let sequential = MiningSession::new(config).mine(&dataset).unwrap();
+//! let sequential = MiningSession::new(config).threads(1).mine(&dataset).unwrap();
 //! let parallel = MiningSession::new(config)
-//!     .engine(K2HopParallel::new(config, 4))
+//!     .engine(K2Hop::with_threads(config, 4))
 //!     .mine(&dataset)
 //!     .unwrap();
 //! assert_eq!(sequential.convoys, parallel.convoys);

@@ -1,8 +1,8 @@
 //! The unified front door: [`MiningSession`] builds a configured mining
 //! run and executes it against any data source.
 //!
-//! One session type fronts every engine ([`K2Hop`], [`K2HopParallel`],
-//! the baselines, the flock miner — anything implementing
+//! One session type fronts every engine ([`K2Hop`], the baselines, the
+//! flock miner — anything implementing
 //! [`ConvoyMiner`]) and every storage backend (all four engines plus
 //! bare [`Dataset`](crate::model::Dataset)s, via [`SnapshotSource`]).
 //! A pattern is an engine: a flock session is
@@ -29,14 +29,14 @@ use crate::storage::SnapshotSource;
 /// assert!(outcome.convoys.len() >= 2);
 /// ```
 ///
-/// The defaults mine convoys with the sequential [`K2Hop`] engine, one
-/// clustering worker per core. Both are overridable:
+/// The defaults mine convoys with the [`K2Hop`] engine, one worker per
+/// core. Both are overridable:
 ///
 /// * [`threads`](Self::threads) pins the worker count of the default
 ///   engine,
-/// * [`engine`](Self::engine) swaps in any [`ConvoyMiner`] (e.g.
-///   [`K2HopParallel`](crate::core::K2HopParallel), a baseline, or the
-///   [`FlockMiner`](crate::patterns::FlockMiner), which mines flocks).
+/// * [`engine`](Self::engine) swaps in any [`ConvoyMiner`] (e.g. a
+///   baseline, or the [`FlockMiner`](crate::patterns::FlockMiner), which
+///   mines flocks).
 ///
 /// [`mine`](Self::mine) accepts `&dyn SnapshotSource`: a bare
 /// [`Dataset`](crate::model::Dataset),
@@ -119,7 +119,6 @@ impl MiningSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::core::K2HopParallel;
     use crate::patterns::{FlockConfig, FlockMiner};
     use crate::prelude::*;
     use crate::storage::TimeRange;
@@ -148,13 +147,15 @@ mod tests {
         let cfg = K2Config::new(3, 10, 1.0).unwrap();
         let default = MiningSession::new(cfg).threads(2).mine(&d).unwrap();
         assert_eq!(default.stats.threads, 2);
-        let parallel = MiningSession::new(cfg)
-            .engine(K2HopParallel::new(cfg, 3))
+        // An explicit engine carries its own worker count.
+        let explicit = MiningSession::new(cfg)
+            .threads(2)
+            .engine(K2Hop::with_threads(cfg, 3))
             .mine(&d)
             .unwrap();
-        assert_eq!(parallel.stats.engine, "k2hop-parallel");
-        assert_eq!(parallel.stats.threads, 3);
-        assert_eq!(parallel.convoys, default.convoys);
+        assert_eq!(explicit.stats.engine, "k2hop");
+        assert_eq!(explicit.stats.threads, 3);
+        assert_eq!(explicit.convoys, default.convoys);
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! API parity: a `MiningSession` must reproduce the committed
 //! `tests/golden/*.golden` files *byte for byte* — on the golden
 //! Brinkhoff/Trucks/T-Drive fixtures, over a bare dataset and all four
-//! storage engines, with either engine, at several thread counts.
+//! storage engines, at several thread counts.
 //!
-//! `tests/golden_convoys.rs` pins the engines themselves against the
-//! same files; this suite pins the session front door and every
-//! storage backend behind it.
+//! `tests/golden_convoys.rs` pins the engine itself against the same
+//! files; this suite pins the session front door and every storage
+//! backend behind it.
 
-use k2hop::core::benchpoints::benchmark_points;
-use k2hop::core::{ConvoyMiner, K2Config, K2Hop, K2HopParallel};
+mod common;
+
+use common::TempDir;
+use k2hop::core::{ConvoyMiner, K2Config, K2Hop};
 use k2hop::datagen::brinkhoff::BrinkhoffConfig;
 use k2hop::datagen::tdrive::TDriveConfig;
 use k2hop::datagen::trucks::TrucksConfig;
@@ -83,14 +85,14 @@ fn golden(name: &str) -> String {
     })
 }
 
-/// For one fixture: session(sequential) and session(parallel) on every
-/// storage engine at several thread counts, all of it byte-identical to
-/// the committed golden file.
+/// For one fixture: a session on every storage engine at several thread
+/// counts, all of it byte-identical to the committed golden file. More
+/// than one thread over a resident source (the dataset, the in-memory
+/// store) fans the probe phases out; every other mine probes the source
+/// on the calling thread.
 fn check_fixture(name: &str, dataset: Dataset, cfg: K2Config) {
     let store = InMemoryStore::new(dataset.clone());
-    let dir = std::env::temp_dir().join(format!("k2-api-parity-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("api-parity");
     let flat = FlatFileStore::create(dir.join("data.bin"), &dataset).unwrap();
     let btree = RelationalStore::create(dir.join("data.k2bt"), &dataset).unwrap();
     let lsm = LsmStore::bulk_load(dir.join("lsm"), &dataset).unwrap();
@@ -102,10 +104,8 @@ fn check_fixture(name: &str, dataset: Dataset, cfg: K2Config) {
         ("lsmt", &lsm),
     ];
 
-    let windows = benchmark_points(dataset.span(), cfg.hop()).len() - 1;
     for threads in [1usize, 2, 4] {
         for (engine_name, source) in engines {
-            // Sequential engine: every probe goes to the source.
             let outcome = MiningSession::new(cfg)
                 .threads(threads)
                 .mine(source)
@@ -116,41 +116,8 @@ fn check_fixture(name: &str, dataset: Dataset, cfg: K2Config) {
                 "{name}: session/k2hop diverged from the golden file \
                  ({engine_name}, {threads} threads)"
             );
-            // Parallel engine over the same source. Every non-resident
-            // engine must go through the bounded hop-window prefetch, in
-            // temporal shards of `threads` windows — so the thread count
-            // moves the shard boundaries, and the output may not notice.
-            let outcome = MiningSession::new(cfg)
-                .engine(K2HopParallel::new(cfg, threads))
-                .mine(source)
-                .unwrap();
-            assert_eq!(
-                render(&outcome.convoys),
-                golden(name),
-                "{name}: session/k2hop-parallel diverged from the golden file \
-                 ({engine_name}, {threads} threads)"
-            );
-            let p = outcome.stats.prefetch;
-            if matches!(engine_name, "flat" | "rdbms" | "lsmt") {
-                assert!(
-                    p.prefetch_bytes_peak > 0 && p.windows_fetched > 0,
-                    "{name}: {engine_name} must prefetch through the slab path"
-                );
-                assert_eq!(
-                    p.shards as usize,
-                    windows.div_ceil(threads),
-                    "{name}: {engine_name}"
-                );
-            } else {
-                assert_eq!(
-                    p,
-                    Default::default(),
-                    "{name}: resident {engine_name} must not prefetch"
-                );
-            }
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -178,8 +145,8 @@ fn dyn_miners_over_dyn_sources() {
     let (dataset, cfg) = brinkhoff();
     let store = InMemoryStore::new(dataset.clone());
     let miners: Vec<Box<dyn ConvoyMiner>> = vec![
+        Box::new(K2Hop::with_threads(cfg, 1)),
         Box::new(K2Hop::with_threads(cfg, 2)),
-        Box::new(K2HopParallel::new(cfg, 2)),
     ];
     let sources: [&dyn SnapshotSource; 2] = [&dataset, &store];
     let expect = ConvoyMiner::mine(&K2Hop::with_threads(cfg, 1), &store)

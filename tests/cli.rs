@@ -1,19 +1,16 @@
 //! End-to-end smoke tests of the `k2` command-line tool.
 
+mod common;
+
+use common::TempDir;
 use k2hop::model::Point;
 use k2hop::server::{Request, Response, TcpClient};
 use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, ChildStdout, Command, Stdio};
 
 fn k2() -> Command {
     Command::new(env!("CARGO_BIN_EXE_k2"))
-}
-
-fn tmp(name: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("k2cli-test-{}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    d.join(name)
 }
 
 fn run_ok(cmd: &mut Command) -> String {
@@ -29,8 +26,9 @@ fn run_ok(cmd: &mut Command) -> String {
 
 #[test]
 fn generate_stats_mine_convert_round_trip() {
-    let bin = tmp("flow.bin");
-    let csv = tmp("flow.csv");
+    let dir = TempDir::new("cli");
+    let bin = dir.join("flow.bin");
+    let csv = dir.join("flow.csv");
 
     let out = run_ok(k2().args([
         "generate",
@@ -52,22 +50,28 @@ fn generate_stats_mine_convert_round_trip() {
     assert!(out.contains("objects         : 68"), "{out}");
     assert!(out.contains("timestamps      : 90"), "{out}");
 
-    // Mining finds the two planted convoys with every algorithm we probe.
-    for algo in ["k2hop", "vcoda-star", "k2hop-parallel"] {
-        let out = run_ok(k2().args([
-            "mine",
-            bin.to_str().unwrap(),
-            "--m",
-            "3",
-            "--k",
-            "25",
-            "--eps",
-            "1.0",
-            "--algo",
-            algo,
-            "--quiet",
-        ]));
-        assert!(out.starts_with("2 convoys"), "{algo}: {out}");
+    // Mining finds the two planted convoys with every algorithm we probe,
+    // and with k/2-hop on any number of threads.
+    for algo in [
+        &["--algo", "k2hop"][..],
+        &["--algo", "vcoda-star"],
+        &["--algo", "k2hop", "--threads", "4"],
+    ] {
+        let out = run_ok(
+            k2().args([
+                "mine",
+                bin.to_str().unwrap(),
+                "--m",
+                "3",
+                "--k",
+                "25",
+                "--eps",
+                "1.0",
+                "--quiet",
+            ])
+            .args(algo),
+        );
+        assert!(out.starts_with("2 convoys"), "{algo:?}: {out}");
     }
 
     // Engine variants agree too.
@@ -108,7 +112,7 @@ fn generate_stats_mine_convert_round_trip() {
 
     // Binary -> CSV -> binary preserves the dataset.
     run_ok(k2().args(["convert", bin.to_str().unwrap(), csv.to_str().unwrap()]));
-    let bin2 = tmp("flow2.bin");
+    let bin2 = dir.join("flow2.bin");
     run_ok(k2().args(["convert", csv.to_str().unwrap(), bin2.to_str().unwrap()]));
     let a = std::fs::read(&bin).unwrap();
     let b = std::fs::read(&bin2).unwrap();
@@ -175,14 +179,15 @@ fn bad_usage_fails_with_help() {
 fn help_prints_usage() {
     let out = run_ok(k2().arg("help"));
     assert!(out.contains("usage"));
-    assert!(out.contains("k2hop-parallel"));
+    assert!(out.contains("k2hop (default)"));
 }
 
 /// Output into a pipe whose reader is gone (`k2 stats f | head -0`) ends
 /// the command quietly: exit 0, no panic, no error.
 #[test]
 fn closed_stdout_is_a_quiet_success() {
-    let bin = tmp("pipe.bin");
+    let dir = TempDir::new("cli");
+    let bin = dir.join("pipe.bin");
     let path = bin.to_str().unwrap();
     run_ok(k2().args(["generate", "inject", "--out", path, "--seed", "3"]));
     for args in [
@@ -273,9 +278,9 @@ fn num_points(client: &mut TcpClient) -> u64 {
 /// covered here.
 #[test]
 fn acknowledged_ingests_survive_a_killed_server() {
-    let bin = tmp("crash.bin");
-    let dir = tmp("crash-store");
-    let _ = std::fs::remove_dir_all(&dir);
+    let tmp = TempDir::new("cli");
+    let bin = tmp.join("crash.bin");
+    let dir = tmp.join("crash-store");
     run_ok(k2().args([
         "generate",
         "inject",
@@ -312,6 +317,4 @@ fn acknowledged_ingests_survive_a_killed_server() {
 
     let server = Served::start(None, &dir);
     assert_eq!(num_points(&mut server.client()), loaded + acked);
-    drop(server);
-    let _ = std::fs::remove_dir_all(&dir);
 }

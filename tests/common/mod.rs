@@ -1,0 +1,44 @@
+//! What the integration suites share: a scratch directory that cleans up
+//! after itself.
+
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A fresh, empty directory under the system temp dir, removed with
+/// everything in it when the guard drops — also when the test panics.
+///
+/// Derefs to its [`Path`], so `dir.join("data.bin")` names a file in it;
+/// keep the guard alive for as long as anything in it is in use.
+pub struct TempDir(PathBuf);
+
+impl TempDir {
+    /// `<temp dir>/k2<prefix>-<pid>-<n>`, unique within the process.
+    pub fn new(prefix: &str) -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("k2{prefix}-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}

@@ -6,15 +6,15 @@
 //! path), at `m = 2`, plus a denser T-Drive at `m = 3` (border points on
 //! the grid path) — are mined end to end and the *full* sorted convoy
 //! output is asserted against committed expectations under
-//! `tests/golden/`. Both engines — `K2Hop` probing the source point by
-//! point, `K2HopParallel` over the resident dataset and over prefetched
-//! hop-window slabs — must reproduce the files bit for bit at several
-//! worker counts, so a future refactor cannot silently change mining
-//! results and still pass CI. The fetch work behind the output is pinned
-//! too: the points each phase examines and the queries the store sees
-//! are fixed per fixture, and every engine accounts them through the
-//! same counters; so is how often benchmark clustering patched the
-//! previous snapshot's grid instead of rebuilding it.
+//! `tests/golden/`. `K2Hop` must reproduce the files bit for bit at
+//! several worker counts — probing the store point by point on one
+//! thread, and fanning the probes out over the resident dataset on
+//! more — so a future refactor cannot silently change mining results and
+//! still pass CI. The fetch work behind the output is pinned too: the
+//! points each phase examines and the queries the store sees are fixed
+//! per fixture, and every thread count accounts them through the same
+//! counters; so is how often benchmark clustering patched the previous
+//! snapshot's grid instead of rebuilding it.
 //!
 //! `points` and `queries` differ by what validation answers from the
 //! run's record of intact reclusters: `validation_points` counts every
@@ -31,13 +31,12 @@
 //! and commit the diff under `tests/golden/` together with the change
 //! that explains it.
 
-use k2hop::core::benchpoints::benchmark_points;
-use k2hop::core::{ConvoyMiner, K2Config, K2Hop, K2HopParallel, PrefetchStats, PruningStats};
+use k2hop::core::{ConvoyMiner, K2Config, K2Hop};
 use k2hop::datagen::brinkhoff::BrinkhoffConfig;
 use k2hop::datagen::tdrive::TDriveConfig;
 use k2hop::datagen::trucks::TrucksConfig;
-use k2hop::model::{Convoy, Dataset, ObjPos, Time};
-use k2hop::storage::{InMemoryStore, TimeRange};
+use k2hop::model::{Convoy, Dataset};
+use k2hop::storage::{InMemoryStore, SnapshotSource};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -74,15 +73,12 @@ struct FetchWork {
     /// this one-worker run only: each worker patches its own grid, so
     /// the split moves with the thread count.
     grid: (u64, u64),
-    /// `hwmt_points` when the hop-windows are prefetched as slabs (each
-    /// fetches its whole candidate union) instead of probed one by one.
-    slab_hwmt_points: u64,
 }
 
-/// Mines `dataset` with the sequential miner at several worker counts and
-/// the parallel miner at several worker counts, asserts they all agree —
-/// on the convoys and on the work they account — and diffs the canonical
-/// output against `tests/golden/<name>.golden`.
+/// Mines `dataset` at several worker counts, from the store and from the
+/// bare dataset, asserts they all agree — on the convoys and on the work
+/// they account — and diffs the canonical output against
+/// `tests/golden/<name>.golden`.
 fn golden_check(name: &str, dataset: Dataset, cfg: K2Config, work: FetchWork) {
     let store = InMemoryStore::new(dataset.clone());
     let outcome = K2Hop::with_threads(cfg, 1)
@@ -118,69 +114,13 @@ fn golden_check(name: &str, dataset: Dataset, cfg: K2Config, work: FetchWork) {
         "{name}: golden workload must contain convoys"
     );
     for threads in [2usize, 5] {
-        let got = K2Hop::with_threads(cfg, threads)
-            .mine(&store)
-            .expect("in-memory mining cannot fail");
-        assert_eq!(
-            got.convoys, sequential,
-            "{name}: K2Hop with {threads} threads"
-        );
-        assert_eq!(
-            got.stats.pruning, pruning,
-            "{name}: K2Hop {threads} threads"
-        );
-    }
-    // Over the resident dataset the parallel engine issues the same
-    // probes and must account them the same way.
-    for threads in [1usize, 4] {
-        let got = K2HopParallel::new(cfg, threads)
-            .mine(&dataset)
-            .expect("dataset mining cannot fail");
-        assert_eq!(
-            got.convoys, sequential,
-            "{name}: K2HopParallel with {threads} threads"
-        );
-        assert_eq!(
-            got.stats.pruning, pruning,
-            "{name}: K2HopParallel {threads} threads"
-        );
-        assert_eq!(got.stats.prefetch, PrefetchStats::default(), "{name}");
-    }
-    // The bounded hop-window prefetch must reproduce the same bytes
-    // wherever the shard boundaries fall: a temporal shard is `threads`
-    // windows, so the thread count moves them. Only HWMT's fetch differs
-    // from the per-probe run.
-    // (A full-range clamp hides the resident dataset, so the miner takes
-    // the slab path without any disk I/O in the loop.)
-    let opaque = TimeRange::new(InMemoryStore::new(dataset.clone()), 0, Time::MAX);
-    let windows = benchmark_points(dataset.span(), cfg.hop()).len() - 1;
-    let max_objects = dataset.iter().map(|(_, s)| s.len()).max().unwrap_or(0);
-    for threads in [1usize, 2, 4] {
-        let got = K2HopParallel::new(cfg, threads)
-            .mine(&opaque)
-            .expect("opaque in-memory mining cannot fail");
-        assert_eq!(
-            got.convoys, sequential,
-            "{name}: K2HopParallel slab path with {threads} threads"
-        );
-        assert_eq!(
-            got.stats.pruning,
-            PruningStats {
-                hwmt_points: work.slab_hwmt_points,
-                ..pruning
-            },
-            "{name}: slab path with {threads} threads"
-        );
-        let p = got.stats.prefetch;
-        assert_eq!(p.shards as usize, windows.div_ceil(threads), "{name}");
-        // O(window x threads): a shard holds at most `threads` windows
-        // of fewer than `hop` open timestamps each.
-        let bound = threads * cfg.hop() as usize * max_objects * std::mem::size_of::<ObjPos>();
-        assert!(
-            p.prefetch_bytes_peak > 0 && p.prefetch_bytes_peak <= bound as u64,
-            "{name}: peak {} outside (0, {bound}] at {threads} threads",
-            p.prefetch_bytes_peak
-        );
+        let miner = K2Hop::with_threads(cfg, threads);
+        for source in [&store as &dyn SnapshotSource, &dataset] {
+            let got = miner.mine(source).expect("in-memory mining cannot fail");
+            let at = format!("{name}: K2Hop with {threads} threads on {}", source.name());
+            assert_eq!(got.convoys, sequential, "{at}");
+            assert_eq!(got.stats.pruning, pruning, "{at}");
+        }
     }
 
     let rendered = render(&sequential);
@@ -225,7 +165,6 @@ fn brinkhoff_golden() {
             points: (935, 452, 350, 678),
             queries: (872, 12),
             grid: (1, 11),
-            slab_hwmt_points: 468,
         },
     );
 }
@@ -253,7 +192,6 @@ fn trucks_golden() {
             // No snapshot exceeds the 24 points up to which clustering
             // scans pairwise and builds no grid.
             grid: (0, 0),
-            slab_hwmt_points: 2282,
         },
     );
 }
@@ -277,7 +215,6 @@ fn tdrive_golden() {
             points: (360, 392, 262, 668),
             queries: (696, 6),
             grid: (2, 4),
-            slab_hwmt_points: 392,
         },
     );
 }
@@ -303,7 +240,6 @@ fn tdrive_m3_golden() {
             points: (4800, 5796, 981, 7324),
             queries: (7521, 12),
             grid: (1, 11),
-            slab_hwmt_points: 5796,
         },
     );
 }

@@ -40,6 +40,9 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
+mod common;
+use common::TempDir;
+
 // ---------------------------------------------------------------- harness
 
 /// Crash-point layer: edits a file the way a kill would leave it —
@@ -76,12 +79,6 @@ fn get(store: &LsmStore, t: u32, oid: u32) -> Option<ObjPos> {
     let mut buf = Vec::new();
     store.multi_get_into(t, &[oid], &mut buf).unwrap();
     buf.pop()
-}
-
-fn tmpdir(name: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("k2lsmrec-{}-{name}", std::process::id()));
-    let _ = fs::remove_dir_all(&d);
-    d
 }
 
 /// The Trucks golden workload of `tests/golden_convoys.rs`: same dataset
@@ -198,7 +195,7 @@ fn kill_before_flush_recovers_every_acknowledged_insert() {
     let (dataset, cfg, expected) = golden_workload();
     let unique: BTreeSet<(u32, u32)> = dataset.iter_points().map(|p| (p.t, p.oid)).collect();
     for mode in ["stream", "batch"] {
-        let dir = tmpdir(&format!("preflush-{mode}"));
+        let dir = TempDir::new("lsmrec");
         {
             // Default config: memtable holds the whole workload, nothing
             // is flushed — the WAL is the only durable copy.
@@ -251,7 +248,7 @@ fn kill_after_a_batch_spanning_a_flush_recovers_every_run() {
     let (dataset, cfg, expected) = golden_workload();
     let n = dataset.num_points() as usize;
     assert!(n > MEMTABLE * 2, "the workload must span two flushes");
-    let dir = tmpdir("batch-spans-flush");
+    let dir = TempDir::new("lsmrec");
     let config = LsmConfig {
         memtable_entries: MEMTABLE,
         ..LsmConfig::default()
@@ -287,7 +284,7 @@ fn kill_after_a_batch_spanning_a_flush_recovers_every_run() {
 #[test]
 fn kill_mid_insert_drops_only_the_torn_frame() {
     let (dataset, cfg, expected) = golden_workload();
-    let dir = tmpdir("midinsert");
+    let dir = TempDir::new("lsmrec");
     let last = dataset.iter_points().last().unwrap();
     {
         let store = LsmStore::create(&dir).unwrap();
@@ -325,7 +322,7 @@ fn kill_mid_insert_drops_only_the_torn_frame() {
 #[test]
 fn kill_mid_flush_ignores_orphan_sstable_and_replays_wal() {
     let (dataset, cfg, expected) = golden_workload();
-    let dir = tmpdir("midflush");
+    let dir = TempDir::new("lsmrec");
     {
         let store = LsmStore::create(&dir).unwrap();
         stream_insert(&store, &dataset);
@@ -352,7 +349,7 @@ fn kill_mid_flush_ignores_orphan_sstable_and_replays_wal() {
 #[test]
 fn kill_mid_compaction_keeps_inputs_drops_torn_output() {
     let (dataset, cfg, expected) = golden_workload();
-    let dir = tmpdir("midcompact");
+    let dir = TempDir::new("lsmrec");
     {
         let store = LsmStore::create_with(&dir, flushing_config()).unwrap();
         stream_insert(&store, &dataset);
@@ -385,7 +382,7 @@ fn kill_mid_compaction_keeps_inputs_drops_torn_output() {
 #[test]
 fn kill_after_compaction_commit_sweeps_stale_inputs() {
     let (dataset, cfg, expected) = golden_workload();
-    let dir = tmpdir("postcompact");
+    let dir = TempDir::new("lsmrec");
     let stale: Vec<(PathBuf, Vec<u8>)>;
     {
         let store = LsmStore::create_with(&dir, flushing_config()).unwrap();
@@ -425,7 +422,7 @@ fn kill_after_compaction_commit_sweeps_stale_inputs() {
 #[test]
 fn corrupt_manifest_tail_truncates_to_last_whole_record() {
     let (dataset, cfg, expected) = golden_workload();
-    let dir = tmpdir("manifesttail");
+    let dir = TempDir::new("lsmrec");
     {
         let store = LsmStore::create_with(&dir, flushing_config()).unwrap();
         stream_insert(&store, &dataset);
@@ -448,7 +445,7 @@ fn corrupt_manifest_tail_truncates_to_last_whole_record() {
 #[test]
 fn torn_manifest_tail_truncates_to_last_whole_record() {
     let (dataset, cfg, expected) = golden_workload();
-    let dir = tmpdir("manifesttorn");
+    let dir = TempDir::new("lsmrec");
     {
         let store = LsmStore::create_with(&dir, flushing_config()).unwrap();
         stream_insert(&store, &dataset);
@@ -484,7 +481,7 @@ fn tiered_config() -> LsmConfig {
 #[test]
 fn kill_between_partial_compactions_folds_both_commits() {
     let (dataset, cfg, expected) = golden_workload();
-    let dir = tmpdir("partialcompact");
+    let dir = TempDir::new("lsmrec");
     let mid_run: Vec<(PathBuf, Vec<u8>)>;
     {
         let store = LsmStore::create_with(&dir, tiered_config()).unwrap();
@@ -542,7 +539,7 @@ fn kill_between_partial_compactions_folds_both_commits() {
 #[test]
 fn kill_with_background_compactions_recovers_to_golden() {
     let (dataset, cfg, expected) = golden_workload();
-    let dir = tmpdir("bgkill");
+    let dir = TempDir::new("lsmrec");
     let config = LsmConfig {
         background_compaction: true,
         ..tiered_config()
@@ -565,7 +562,7 @@ fn kill_with_background_compactions_recovers_to_golden() {
 #[test]
 fn corrupt_sstable_index_row_is_reported_not_panicked_on() {
     let (dataset, cfg, expected) = golden_workload();
-    let dir = tmpdir("badindexrow");
+    let dir = TempDir::new("lsmrec");
     {
         let store = LsmStore::create_with(&dir, flushing_config()).unwrap();
         stream_insert(&store, &dataset);
@@ -606,7 +603,7 @@ fn corrupt_sstable_index_row_is_reported_not_panicked_on() {
 fn background_and_blocking_compaction_mine_identical_goldens() {
     let (dataset, cfg, expected) = golden_workload();
     for background in [false, true] {
-        let dir = tmpdir(&format!("paritybg{background}"));
+        let dir = TempDir::new("lsmrec");
         let config = LsmConfig {
             background_compaction: background,
             ..tiered_config()
@@ -635,7 +632,7 @@ fn background_and_blocking_compaction_mine_identical_goldens() {
 /// the store).
 #[test]
 fn torn_wal_tail_recovers_longest_whole_prefix() {
-    let dir = tmpdir("walsweep");
+    let dir = TempDir::new("lsmrec");
     let points: Vec<Point> = (0..64u32)
         .map(|i| Point::new(i % 8, i as f64, 0.5, i / 8))
         .collect();
@@ -658,7 +655,7 @@ fn torn_wal_tail_recovers_longest_whole_prefix() {
         (7, 0),
         (0, 0),
     ] {
-        let work = tmpdir(&format!("walsweep-cut{cut}"));
+        let work = TempDir::new("lsmrec");
         fs::create_dir_all(&work).unwrap();
         for entry in fs::read_dir(&dir).unwrap() {
             let entry = entry.unwrap();

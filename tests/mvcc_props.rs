@@ -21,14 +21,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-type Model = BTreeMap<(u32, u32), (f64, f64)>;
+mod common;
+use common::TempDir;
 
-fn tmp(name: &str, salt: u64) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("k2mvcc-{}-{name}-{salt}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
+type Model = BTreeMap<(u32, u32), (f64, f64)>;
 
 /// The whole snapshot at `t`, read through `scan_snapshot_ref`.
 fn scan(s: &dyn SnapshotSource, t: u32) -> Vec<ObjPos> {
@@ -94,10 +90,9 @@ proptest! {
         rows in proptest::collection::vec(
             (0u32..16, 0u32..24, -50i32..50, -50i32..50, 0u8..10),
             1..150,
-        ),
-        salt in 0u64..1_000_000,
+        )
     ) {
-        let dir = tmp("interleave", salt);
+        let dir = TempDir::new("mvcc");
         let config = LsmConfig {
             memtable_entries: 32,
             max_tables: 3,
@@ -143,7 +138,6 @@ proptest! {
             assert_pin_matches_frozen(pin, frozen);
         }
         drop(pins);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -161,7 +155,7 @@ proptest! {
 #[test]
 fn store_and_pin_read_alike_and_cost_alike() {
     for cache_blocks in [0usize, 256] {
-        let dir = tmp("readview", cache_blocks as u64);
+        let dir = TempDir::new("mvcc");
         let config = LsmConfig {
             cache_blocks,
             wal: false,
@@ -264,7 +258,7 @@ fn store_and_pin_read_alike_and_cost_alike() {
 
 #[test]
 fn pin_before_ingest_serves_the_past_reissue_serves_the_present() {
-    let dir = tmp("acceptance", 0);
+    let dir = TempDir::new("mvcc");
     let mut points = Vec::new();
     // Two objects travelling together for t=0..10 → one convoy.
     for t in 0..10u32 {
@@ -300,7 +294,6 @@ fn pin_before_ingest_serves_the_past_reissue_serves_the_present() {
     let now = session.mine(&repin).unwrap().convoys;
     assert_eq!(now.len(), 2, "re-issued request must see the ingested pair");
     assert!(now.iter().any(|c| c.objects.ids() == [5, 6]));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Reader-blocks-nothing regression: holding a pin — and actively
@@ -310,7 +303,7 @@ fn pin_before_ingest_serves_the_past_reissue_serves_the_present() {
 /// (which push p99 into milliseconds immediately).
 #[test]
 fn insert_p99_stays_bounded_under_a_live_pin() {
-    let dir = tmp("p99", 0);
+    let dir = TempDir::new("mvcc");
     let config = LsmConfig {
         memtable_entries: 1 << 14,
         wal: false, // isolate the in-memory write path from fs jitter
@@ -362,7 +355,6 @@ fn insert_p99_stays_bounded_under_a_live_pin() {
     assert_eq!(scan(&pin, 0).len(), 256);
     assert_eq!(scan(&pin, 1).len(), 0);
     drop(pin);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Pins interact correctly with reopen-oriented state: a pin holds data
@@ -370,7 +362,7 @@ fn insert_p99_stays_bounded_under_a_live_pin() {
 /// contents stay model-exact throughout.
 #[test]
 fn store_stays_model_exact_while_pins_churn() {
-    let dir = tmp("churn", 0);
+    let dir = TempDir::new("mvcc");
     let config = LsmConfig {
         memtable_entries: 16,
         max_tables: 2,
@@ -405,7 +397,6 @@ fn store_stays_model_exact_while_pins_churn() {
                 .unwrap_or_default()
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// What a store directory shows of its writer's progress: bytes of WAL
@@ -433,9 +424,10 @@ fn disk_progress(dir: &Path) -> (u64, usize) {
 /// its gauges return as fast as the pins and agree with the pin taken
 /// beside them. Afterwards a pin sees the whole batch, and
 /// further pins publish nothing.
-fn pins_during_a_batch(name: &str, memtable_entries: usize) {
+fn pins_during_a_batch(memtable_entries: usize) {
     const BATCH: u32 = 1 << 17;
-    let dir = tmp(name, 0).join("lsm");
+    let tmp = TempDir::new("mvcc");
+    let dir = tmp.join("lsm");
     let config = LsmConfig {
         memtable_entries,
         wal_sync: WalSyncPolicy::EveryAppend,
@@ -546,15 +538,14 @@ fn pins_during_a_batch(name: &str, memtable_entries: usize) {
         assert_eq!(store.pin().unwrap().version(), v_batch);
     }
     assert_eq!(store.version(), v_batch);
-    let _ = std::fs::remove_dir_all(dir.parent().unwrap());
 }
 
 #[test]
 fn pins_do_not_wait_for_a_batch_in_flight() {
-    pins_during_a_batch("inflight", 1 << 18);
+    pins_during_a_batch(1 << 18);
 }
 
 #[test]
 fn pins_do_not_see_a_mid_batch_flush() {
-    pins_during_a_batch("inflight-flush", 1 << 15);
+    pins_during_a_batch(1 << 15);
 }

@@ -1,13 +1,20 @@
-//! Parallel k/2-hop (§7 future work) — equivalence with the sequential
-//! pipeline on realistic workloads.
+//! Parallel k/2-hop (§7 future work): `K2Hop::with_threads` mines what
+//! the one-thread run mines, on realistic workloads and on random ones,
+//! from a resident dataset (where the probe phases fan out) and from
+//! every storage engine (where they stay on the calling thread).
 
-use k2hop::core::{ConvoyMiner, K2Config, K2Hop, K2HopParallel};
+mod common;
+
+use common::TempDir;
+use k2hop::core::{ConvoyMiner, K2Config, K2Hop};
 use k2hop::datagen::{tdrive::TDriveConfig, trucks::TrucksConfig, ConvoyInjector};
-use k2hop::storage::InMemoryStore;
+use k2hop::model::{Dataset, Point};
+use k2hop::storage::{FlatFileStore, InMemoryStore, LsmStore, RelationalStore, SnapshotSource};
+use proptest::prelude::*;
 
-fn sequential(d: &k2hop::model::Dataset, m: usize, k: u32, eps: f64) -> Vec<k2hop::model::Convoy> {
+fn sequential(d: &Dataset, m: usize, k: u32, eps: f64) -> Vec<k2hop::model::Convoy> {
     ConvoyMiner::mine(
-        &K2Hop::new(K2Config::new(m, k, eps).unwrap()),
+        &K2Hop::with_threads(K2Config::new(m, k, eps).unwrap(), 1),
         &InMemoryStore::new(d.clone()),
     )
     .unwrap()
@@ -25,7 +32,7 @@ fn parallel_equals_sequential_on_injected_workloads() {
         assert!(!expect.is_empty());
         for threads in [1usize, 2, 8] {
             let cfg = K2Config::new(3, 20, 1.0).unwrap();
-            let got = ConvoyMiner::mine(&K2HopParallel::new(cfg, threads), &d)
+            let got = ConvoyMiner::mine(&K2Hop::with_threads(cfg, threads), &d)
                 .unwrap()
                 .convoys;
             assert_eq!(got, expect, "seed {seed}, {threads} threads");
@@ -40,7 +47,7 @@ fn parallel_equals_sequential_on_trucks() {
     let expect = sequential(&d, m, k, eps);
     let cfg = K2Config::new(m, k, eps).unwrap();
     assert_eq!(
-        ConvoyMiner::mine(&K2HopParallel::new(cfg, 4), &d)
+        ConvoyMiner::mine(&K2Hop::with_threads(cfg, 4), &d)
             .unwrap()
             .convoys,
         expect
@@ -54,7 +61,7 @@ fn parallel_equals_sequential_on_tdrive() {
     let expect = sequential(&d, m, k, eps);
     let cfg = K2Config::new(m, k, eps).unwrap();
     assert_eq!(
-        ConvoyMiner::mine(&K2HopParallel::new(cfg, 4), &d)
+        ConvoyMiner::mine(&K2Hop::with_threads(cfg, 4), &d)
             .unwrap()
             .convoys,
         expect
@@ -63,8 +70,6 @@ fn parallel_equals_sequential_on_tdrive() {
 
 #[test]
 fn parallel_mines_from_all_four_storage_engines() {
-    use k2hop::storage::{FlatFileStore, LsmStore, RelationalStore};
-
     let d = ConvoyInjector::new(60, 60)
         .convoys(3, 4, 30)
         .seed(11)
@@ -73,16 +78,14 @@ fn parallel_mines_from_all_four_storage_engines() {
     assert!(!expect.is_empty());
     let cfg = K2Config::new(3, 16, 1.0).unwrap();
 
-    let dir = std::env::temp_dir().join(format!("k2par-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("par-store");
     let mem = InMemoryStore::new(d.clone());
     let flat = FlatFileStore::create(dir.join("data.bin"), &d).unwrap();
     let btree = RelationalStore::create(dir.join("data.k2bt"), &d).unwrap();
     let lsm = LsmStore::bulk_load(dir.join("lsm"), &d).unwrap();
 
     for threads in [1usize, 4] {
-        let miner = K2HopParallel::new(cfg, threads);
+        let miner = K2Hop::with_threads(cfg, threads);
         assert_eq!(
             ConvoyMiner::mine(&miner, &mem).unwrap().convoys,
             expect,
@@ -104,7 +107,6 @@ fn parallel_mines_from_all_four_storage_engines() {
             "lsm, {threads} threads"
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -116,9 +118,58 @@ fn oversubscribed_thread_count_is_harmless() {
     let cfg = K2Config::new(3, 10, 1.0).unwrap();
     let expect = sequential(&d, 3, 10, 1.0);
     assert_eq!(
-        ConvoyMiner::mine(&K2HopParallel::new(cfg, 64), &d)
+        ConvoyMiner::mine(&K2Hop::with_threads(cfg, 64), &d)
             .unwrap()
             .convoys,
         expect
     );
+}
+
+fn points_strategy() -> impl Strategy<Value = Vec<Point>> {
+    // A handful of objects over a few dozen timestamps, coordinates
+    // coarse enough that DBSCAN at eps=1.5 finds real clusters.
+    proptest::collection::vec((0u32..12, 0u32..36, 0i32..40, 0i32..40), 30..400).prop_map(|rows| {
+        rows.into_iter()
+            .map(|(oid, t, x, y)| Point::new(oid, x as f64 / 2.0, y as f64 / 2.0, t))
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// On random workloads every thread count mines the one-thread
+    /// reference, from the resident dataset and from all four storage
+    /// engines.
+    #[test]
+    fn any_thread_count_equals_sequential_on_all_engines(
+        points in points_strategy(),
+        m in 2usize..4,
+        k in 4u32..10,
+    ) {
+        let Some(dataset) = Dataset::from_points(&points) else {
+            return Ok(());
+        };
+        let cfg = K2Config::new(m, k, 1.5).unwrap();
+        let store = InMemoryStore::new(dataset.clone());
+        let reference = ConvoyMiner::mine(&K2Hop::with_threads(cfg, 1), &store)
+            .unwrap()
+            .convoys;
+
+        let dir = TempDir::new("par-props");
+        let flat = FlatFileStore::create(dir.join("data.bin"), &dataset).unwrap();
+        let btree = RelationalStore::create(dir.join("data.k2bt"), &dataset).unwrap();
+        let lsm = LsmStore::bulk_load(dir.join("lsm"), &dataset).unwrap();
+        let sources: [&dyn SnapshotSource; 5] = [&dataset, &store, &flat, &btree, &lsm];
+        for threads in [1usize, 2, 4] {
+            let miner = K2Hop::with_threads(cfg, threads);
+            for source in sources {
+                prop_assert_eq!(
+                    &ConvoyMiner::mine(&miner, source).unwrap().convoys,
+                    &reference,
+                    "{} threads {}", source.name(), threads
+                );
+            }
+        }
+    }
 }

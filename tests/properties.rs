@@ -7,7 +7,7 @@ use k2hop::cluster::{
 };
 use k2hop::core::candidates::candidate_clusters;
 use k2hop::core::merge::merge_spanning;
-use k2hop::core::{ConvoyMiner, K2Config, K2Hop, K2HopParallel};
+use k2hop::core::{ConvoyMiner, K2Config, K2Hop};
 use k2hop::model::{Convoy, ConvoySet, Dataset, ObjPos, ObjectSet, Oid, Point, Time, TimeInterval};
 use k2hop::storage::{InMemoryStore, SnapshotSource, TimeRange};
 use proptest::prelude::*;
@@ -192,8 +192,8 @@ proptest! {
 
     /// k/2-hop equals the brute-force reference on arbitrary data — the
     /// headline correctness claim of the reproduction — whichever way the
-    /// hop-window probes are fetched: one by one from the source, from
-    /// the resident dataset on several workers, or from prefetched slabs.
+    /// hop-window probes are fetched: one by one from the source, or from
+    /// the resident dataset on several workers.
     #[test]
     fn k2hop_equals_reference(d in dataset_strategy(), m in 2usize..4, k in 2u32..7) {
         let store = InMemoryStore::new(d.clone());
@@ -202,16 +202,15 @@ proptest! {
         let brute = reference::mine(&store, m, k, eps).unwrap().convoys;
         let k2 = ConvoyMiner::mine(&K2Hop::new(cfg), &store).unwrap().convoys;
         prop_assert_eq!(&k2, &brute);
-        // A full-range clamp changes nothing but hides `as_dataset`, which
-        // sends the parallel engine down the slab path.
+        // A full-range clamp changes nothing but hides `as_dataset`, so
+        // every probe goes to the source whatever the thread count.
         let opaque = TimeRange::new(InMemoryStore::new(d.clone()), 0, Time::MAX);
         for threads in [1usize, 3] {
-            let parallel = K2HopParallel::new(cfg, threads);
-            let resident = ConvoyMiner::mine(&parallel, &d).unwrap().convoys;
+            let miner = K2Hop::with_threads(cfg, threads);
+            let resident = ConvoyMiner::mine(&miner, &d).unwrap().convoys;
             prop_assert_eq!(&resident, &brute, "resident, {} threads", threads);
-            let slabs = ConvoyMiner::mine(&parallel, &opaque).unwrap();
-            prop_assert!(d.span().len() < k || slabs.stats.prefetch.shards > 0);
-            prop_assert_eq!(&slabs.convoys, &brute, "slabs, {} threads", threads);
+            let probed = ConvoyMiner::mine(&miner, &opaque).unwrap().convoys;
+            prop_assert_eq!(&probed, &brute, "probed, {} threads", threads);
         }
     }
 

@@ -12,11 +12,8 @@ use k2hop::storage::{LsmConfig, LsmStore, SnapshotSource};
 use k2hop::MiningSession;
 use std::sync::Arc;
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("k2smoke-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
+mod common;
+use common::TempDir;
 
 /// Two planted convoys plus noise, deterministic.
 fn workload() -> Dataset {
@@ -68,7 +65,9 @@ fn local_and_tcp_clients_mine_golden_convoys() {
     assert!(want.len() >= 2, "workload must plant convoys");
     let span_end = dataset.span().end;
 
-    let store = LsmStore::bulk_load_with(tmp("golden"), &dataset, LsmConfig::default()).unwrap();
+    let dir = TempDir::new("smoke");
+
+    let store = LsmStore::bulk_load_with(&dir, &dataset, LsmConfig::default()).unwrap();
     let service = Arc::new(K2Service::new(store));
     let mut server = Server::bind("127.0.0.1:0", Arc::clone(&service), 2).unwrap();
     let local = LocalClient::new(Arc::clone(&service), 2);
@@ -108,8 +107,9 @@ fn local_and_tcp_clients_mine_golden_convoys() {
 fn ingest_then_reissue_sees_new_data_and_stats_quiesces() {
     let dataset = workload();
     let span_end = dataset.span().end;
+    let dir = TempDir::new("smoke");
     let store = LsmStore::bulk_load_with(
-        tmp("ingest"),
+        &dir,
         &dataset,
         LsmConfig {
             memtable_entries: 512,
@@ -167,8 +167,9 @@ fn ingest_then_reissue_sees_new_data_and_stats_quiesces() {
 fn concurrent_miners_under_live_ingest_agree_with_their_pins() {
     let dataset = workload();
     let span_end = dataset.span().end;
+    let dir = TempDir::new("smoke");
     let store = LsmStore::bulk_load_with(
-        tmp("concurrent"),
+        &dir,
         &dataset,
         LsmConfig {
             memtable_entries: 256,
@@ -241,7 +242,8 @@ fn concurrent_miners_under_live_ingest_agree_with_their_pins() {
 #[test]
 fn flock_requests_serve_over_the_wire() {
     let dataset = workload();
-    let store = LsmStore::bulk_load_with(tmp("flock"), &dataset, LsmConfig::default()).unwrap();
+    let dir = TempDir::new("smoke");
+    let store = LsmStore::bulk_load_with(&dir, &dataset, LsmConfig::default()).unwrap();
     let service = Arc::new(K2Service::new(store));
     let local = LocalClient::new(service, 1);
     let (m, k, r) = (4, 10, 1.5);
@@ -284,7 +286,8 @@ fn flock_requests_serve_over_the_wire() {
 #[test]
 fn back_to_back_round_trips_do_not_wait_for_delayed_acks() {
     let dataset = workload();
-    let store = LsmStore::bulk_load_with(tmp("rtt"), &dataset, LsmConfig::default()).unwrap();
+    let dir = TempDir::new("smoke");
+    let store = LsmStore::bulk_load_with(&dir, &dataset, LsmConfig::default()).unwrap();
     let service = Arc::new(K2Service::new(store));
     let server = Server::bind("127.0.0.1:0", service, 1).unwrap();
     let mut tcp = TcpClient::connect(server.addr()).unwrap();
@@ -305,7 +308,8 @@ fn back_to_back_round_trips_do_not_wait_for_delayed_acks() {
 #[test]
 fn wire_thread_count_is_clamped_to_the_machine() {
     let dataset = workload();
-    let store = LsmStore::bulk_load_with(tmp("threads"), &dataset, LsmConfig::default()).unwrap();
+    let dir = TempDir::new("smoke");
+    let store = LsmStore::bulk_load_with(&dir, &dataset, LsmConfig::default()).unwrap();
     let local = LocalClient::new(Arc::new(K2Service::new(store)), 1);
     let span_end = dataset.span().end;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u32;
@@ -325,7 +329,8 @@ fn wire_thread_count_is_clamped_to_the_machine() {
 #[test]
 fn a_batch_with_a_non_finite_point_is_rejected_whole() {
     let dataset = workload();
-    let store = LsmStore::bulk_load_with(tmp("nonfinite"), &dataset, LsmConfig::default()).unwrap();
+    let dir = TempDir::new("smoke");
+    let store = LsmStore::bulk_load_with(&dir, &dataset, LsmConfig::default()).unwrap();
     let service = Arc::new(K2Service::new(store));
     let local = LocalClient::new(Arc::clone(&service), 1);
     let stats = |local: &LocalClient| match local.request(&Request::Stats { quiesce: false }) {
@@ -372,7 +377,8 @@ fn a_batch_with_a_non_finite_point_is_rejected_whole() {
 #[test]
 fn simultaneous_ingests_reply_with_distinct_versions() {
     let dataset = workload();
-    let store = LsmStore::bulk_load_with(tmp("versions"), &dataset, LsmConfig::default()).unwrap();
+    let dir = TempDir::new("smoke");
+    let store = LsmStore::bulk_load_with(&dir, &dataset, LsmConfig::default()).unwrap();
     let service = Arc::new(K2Service::new(store));
     let t = dataset.span().end + 1;
     let start = Arc::new(std::sync::Barrier::new(4));

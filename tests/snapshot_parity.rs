@@ -13,6 +13,9 @@ use k2hop::storage::{
 };
 use proptest::prelude::*;
 
+mod common;
+use common::TempDir;
+
 fn points_strategy() -> impl Strategy<Value = Vec<Point>> {
     proptest::collection::vec((0u32..20, 0u32..30, -100i32..100, -100i32..100), 1..200).prop_map(
         |rows| {
@@ -21,13 +24,6 @@ fn points_strategy() -> impl Strategy<Value = Vec<Point>> {
                 .collect()
         },
     )
-}
-
-fn tmp(name: &str, salt: u64) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("k2snapref-{}-{name}-{salt}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
 }
 
 /// The parity contract for one engine: every timestamp of the span, plus
@@ -59,11 +55,10 @@ proptest! {
     /// All four engines serve the reference content and order.
     #[test]
     fn borrowed_scans_match_the_reference_on_all_engines(
-        points in points_strategy(),
-        salt in 0u64..1_000_000,
+        points in points_strategy()
     ) {
         let dataset = Dataset::from_points(&points).unwrap();
-        let dir = tmp("parity", salt);
+        let dir = TempDir::new("snapref");
 
         let mem = InMemoryStore::new(dataset.clone());
         check_scan_parity(&mem, &dataset);
@@ -99,7 +94,7 @@ fn single_point_snapshot_parity() {
     // snapshots on both sides of the two occupied timestamps.
     let dataset =
         Dataset::from_points(&[Point::new(7, 1.5, -2.5, 10), Point::new(3, 0.0, 0.0, 14)]).unwrap();
-    let dir = tmp("single", 0);
+    let dir = TempDir::new("snapref");
     let mem = InMemoryStore::new(dataset.clone());
     let flat = FlatFileStore::create(dir.join("d.bin"), &dataset).unwrap();
     let btree = RelationalStore::create(dir.join("d.k2bt"), &dataset).unwrap();

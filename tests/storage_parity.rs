@@ -19,12 +19,8 @@ use k2hop::storage::{
     SnapshotSource, StoreError, TrajectoryStore,
 };
 
-fn tmpdir(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("k2parity-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
+mod common;
+use common::TempDir;
 
 #[test]
 fn all_engines_agree_on_mining_results() {
@@ -32,7 +28,7 @@ fn all_engines_agree_on_mining_results() {
         .convoys(3, 4, 25)
         .seed(21)
         .generate();
-    let dir = tmpdir("agree");
+    let dir = TempDir::new("parity");
 
     let mem = InMemoryStore::new(dataset.clone());
     let flat = FlatFileStore::create(dir.join("data.bin"), &dataset).unwrap();
@@ -118,7 +114,7 @@ fn golden_workloads() -> Vec<(&'static str, Dataset, Vec<K2Config>)> {
 
 #[test]
 fn disk_engines_account_the_same_pruning_as_the_resident_dataset() {
-    let dir = tmpdir("pruning");
+    let dir = TempDir::new("parity");
     for (name, dataset, cfgs) in golden_workloads() {
         // Two cached blocks of 170 points each: every fixture's store is
         // many times larger, so the order of the reads decides what the
@@ -154,7 +150,7 @@ fn disk_engines_serve_benchmark_scans_and_point_queries() {
         .convoys(1, 4, 20)
         .seed(3)
         .generate();
-    let dir = tmpdir("iostats");
+    let dir = TempDir::new("parity");
     let btree = RelationalStore::create(dir.join("d.k2bt"), &dataset).unwrap();
     let lsm = LsmStore::bulk_load(dir.join("lsm"), &dataset).unwrap();
 
@@ -176,7 +172,7 @@ fn vcoda_on_flat_file_hits_memory_budget() {
     // Reproduces the paper's "VCoDA crashed on Brinkhoff" rows: loading
     // the whole dataset in memory fails under a budget.
     let dataset = ConvoyInjector::new(50, 40).seed(1).generate();
-    let dir = tmpdir("budget");
+    let dir = TempDir::new("parity");
     let flat = FlatFileStore::create(dir.join("big.bin"), &dataset).unwrap();
     let needed = dataset.num_points() * 24;
     let err = flat
@@ -193,7 +189,7 @@ fn lsm_reopen_mid_experiment_is_consistent() {
         .convoys(2, 3, 18)
         .seed(8)
         .generate();
-    let dir = tmpdir("reopen");
+    let dir = TempDir::new("parity");
     let miner = K2Hop::new(K2Config::new(3, 8, 1.0).unwrap());
     let before = {
         let lsm = LsmStore::bulk_load_with(
@@ -220,7 +216,7 @@ fn trait_objects_support_heterogeneous_pipelines() {
         .convoys(1, 3, 12)
         .seed(2)
         .generate();
-    let dir = tmpdir("dyn");
+    let dir = TempDir::new("parity");
     let stores: Vec<Box<dyn TrajectoryStore>> = vec![
         Box::new(InMemoryStore::new(dataset.clone())),
         Box::new(RelationalStore::create(dir.join("d.k2bt"), &dataset).unwrap()),

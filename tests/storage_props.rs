@@ -11,6 +11,9 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+mod common;
+use common::TempDir;
+
 fn points_strategy() -> impl Strategy<Value = Vec<Point>> {
     proptest::collection::vec((0u32..20, 0u32..30, -100i32..100, -100i32..100), 1..200).prop_map(
         |rows| {
@@ -19,13 +22,6 @@ fn points_strategy() -> impl Strategy<Value = Vec<Point>> {
                 .collect()
         },
     )
-}
-
-fn tmp(name: &str, salt: u64) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("k2storeprops-{}-{name}-{salt}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
 }
 
 /// Random `(key, value)` WAL entries: arbitrary u64 keys, values packed
@@ -114,10 +110,10 @@ proptest! {
 
     /// All four engines match the sorted-map model on random data.
     #[test]
-    fn engines_match_model(points in points_strategy(), salt in 0u64..1_000_000) {
+    fn engines_match_model(points in points_strategy()) {
         let dataset = Dataset::from_points(&points).unwrap();
         let model = model_of(&points);
-        let dir = tmp("model", salt);
+        let dir = TempDir::new("storeprops");
 
         let mem = InMemoryStore::new(dataset.clone());
         check_against_model(&mem, &model);
@@ -134,10 +130,9 @@ proptest! {
     #[test]
     fn lsm_random_ops_match_model(
         points in points_strategy(),
-        flush_every in 1usize..40,
-        salt in 0u64..1_000_000,
+        flush_every in 1usize..40
     ) {
-        let dir = tmp("lsmops", salt);
+        let dir = TempDir::new("storeprops");
         let config = LsmConfig {
             memtable_entries: 16,
             max_tables: 3,
@@ -164,8 +159,8 @@ proptest! {
     /// WAL frames round-trip: any batch of entries appended to a log
     /// replays back byte-identical, in order, with no truncation.
     #[test]
-    fn wal_frame_round_trip(entries in wal_entries_strategy(), salt in 0u64..1_000_000) {
-        let dir = tmp("walrt", salt);
+    fn wal_frame_round_trip(entries in wal_entries_strategy()) {
+        let dir = TempDir::new("storeprops");
         let path = dir.join("wal-000001.log");
         write_wal(&path, &entries);
 
@@ -183,10 +178,9 @@ proptest! {
     #[test]
     fn wal_torn_tail_replays_longest_whole_prefix(
         entries in wal_entries_strategy(),
-        cut_seed in 0u64..1_000_000,
-        salt in 0u64..1_000_000,
+        cut_seed in 0u64..1_000_000
     ) {
-        let dir = tmp("waltorn", salt);
+        let dir = TempDir::new("storeprops");
         let path = dir.join("wal-000001.log");
         write_wal(&path, &entries);
 
@@ -224,10 +218,9 @@ proptest! {
         points in points_strategy(),
         flush_every in 1usize..24,
         background in 0u8..2,
-        max_tables in 1usize..6,
-        salt in 0u64..1_000_000,
+        max_tables in 1usize..6
     ) {
-        let dir = tmp("tieredops", salt);
+        let dir = TempDir::new("storeprops");
         let config = LsmConfig {
             memtable_entries: 16,
             max_tables,
@@ -259,8 +252,8 @@ proptest! {
     /// all hits when the cache fits the table, and `blocks_read` counts
     /// exactly the misses.
     #[test]
-    fn lsm_cache_counters_account_every_block(points in points_strategy(), salt in 0u64..1_000_000) {
-        let dir = tmp("cachecount", salt);
+    fn lsm_cache_counters_account_every_block(points in points_strategy()) {
+        let dir = TempDir::new("storeprops");
         let lsm = LsmStore::bulk_load(dir.join("lsm"), &Dataset::from_points(&points).unwrap()).unwrap();
         let t = points[0].t;
         lsm.reset_io_stats();
@@ -279,10 +272,10 @@ proptest! {
 
     /// The clustered B+tree file round-trips through close/open.
     #[test]
-    fn btree_reopen_matches_model(points in points_strategy(), salt in 0u64..1_000_000) {
+    fn btree_reopen_matches_model(points in points_strategy()) {
         let dataset = Dataset::from_points(&points).unwrap();
         let model = model_of(&points);
-        let dir = tmp("btreereopen", salt);
+        let dir = TempDir::new("storeprops");
         let path = dir.join("d.k2bt");
         {
             let _ = RelationalStore::create(&path, &dataset).unwrap();
