@@ -36,12 +36,13 @@ pub struct FlatFileStore {
     io: IoCounters,
     /// Sequential-scan resume point. A probe for a timestamp *strictly
     /// after* `done_t` can resume the scan at `offset` instead of
-    /// rewinding — the tape head stays where the last ascending sweep
-    /// left it. This is still sequential-only access (no index, no
-    /// binary search, exactly the §5 flat-file characterization); it
-    /// only stops an ascending probe sequence — step 1's benchmark scans,
-    /// one per ⌊k/2⌋-th timestamp in time order — from re-reading the
-    /// file prefix once per timestamp.
+    /// rewinding — the tape head stays where the last probe, ascending
+    /// or rewound, left it. This is still sequential-only access (no
+    /// index, no binary search, exactly the §5 flat-file
+    /// characterization); it only stops an ascending probe sequence —
+    /// step 1's benchmark scans, one per ⌊k/2⌋-th timestamp in time
+    /// order, and the probes of a hop-window or an extension after a
+    /// step back — from re-reading the file prefix once per timestamp.
     cursor: RefCell<ScanCursor>,
 }
 
@@ -199,9 +200,10 @@ impl FlatFileStore {
     }
 
     /// Scans the block of records at timestamp `t`, resuming from the
-    /// sequential cursor when the probe is later than everything already
-    /// swept past (counted as a cache hit: the prefix was not re-read).
-    /// Advances the cursor to wherever this scan stopped.
+    /// sequential cursor when the probe is later than the one before it
+    /// (counted as a cache hit: the prefix was not re-read), rewinding to
+    /// the start of the file otherwise. Either way the cursor moves to
+    /// wherever this scan stopped.
     fn scan_at(&self, t: Time, mut on_match: impl FnMut(Point)) -> StoreResult<()> {
         let mut cur = self.cursor.borrow_mut();
         let mut emit = |p: Point| {
@@ -240,18 +242,17 @@ impl FlatFileStore {
                 buf: spill,
             };
         } else {
-            // Rewind: a full scan from the start of the file. The cursor
-            // invariant is unaffected, but keep the scan's resume state
-            // if it got lexicographically further than the cursor.
-            let mut spill = Vec::new();
+            // Rewind: a full scan from the start of the file, which then
+            // becomes the cursor — it stopped at the first record past
+            // `t`, so the invariant holds — and the later probes it
+            // precedes (right extension, the next hop-window) resume.
+            let mut spill = std::mem::take(&mut cur.buf);
             let end = self.scan_spill(0, &mut spill, emit)?;
-            if (t, end) > (cur.done_t, cur.offset) {
-                *cur = ScanCursor {
-                    done_t: t,
-                    offset: end,
-                    buf: spill,
-                };
-            }
+            *cur = ScanCursor {
+                done_t: t,
+                offset: end,
+                buf: spill,
+            };
         }
         Ok(())
     }

@@ -3,8 +3,9 @@
 //! [`CompactionController`] picks a contiguous run of SSTables to merge
 //! from the table sizes alone; [`run_job`] executes one merge and commits
 //! it through the shared manifest; [`CompactionHandle`] owns the
-//! background thread that drains a job queue so `flush()` never pays an
-//! O(total data) merge on the write path.
+//! background thread that drains a task queue so `flush()` never pays an
+//! O(total data) merge on the write path — nor the unlink of the WAL
+//! generation it retires.
 //!
 //! Correctness leans on two invariants the rest of the LSM already
 //! provides:
@@ -173,66 +174,92 @@ pub(crate) fn run_job(
     })
 }
 
-/// Owns the background compaction thread: jobs go down one channel,
-/// committed results come back on another. At most one job is in flight
-/// per store (the store enqueues the next only after draining a result),
-/// so the worker never races itself over the table set.
+/// Work for the background thread, done in the order it is enqueued.
+#[derive(Debug)]
+pub(crate) enum Task {
+    /// Merge a run of tables.
+    Compact(CompactionJob),
+    /// Unlink a WAL generation whose retirement the manifest already
+    /// records. Recovery deletes every WAL but the live one, so a crash
+    /// before the unlink leaves nothing to replay twice.
+    RetireWal(PathBuf),
+}
+
+/// What the background thread reports back, one per [`Task`].
+#[derive(Debug)]
+pub(crate) enum Finished {
+    Compacted(StoreResult<CompactionDone>),
+    WalRetired,
+}
+
+/// Owns the background thread: tasks go down one channel, results come
+/// back on another. At most one compaction is in flight per store (the
+/// store enqueues the next only after draining a result), so the worker
+/// never races itself over the table set; WAL retirements queue freely.
 #[derive(Debug)]
 pub(crate) struct CompactionHandle {
-    jobs: Option<mpsc::Sender<CompactionJob>>,
-    results: mpsc::Receiver<StoreResult<CompactionDone>>,
+    tasks: Option<mpsc::Sender<Task>>,
+    results: mpsc::Receiver<Finished>,
     worker: Option<thread::JoinHandle<()>>,
 }
 
 impl CompactionHandle {
     /// Spawns the worker thread for a store rooted at `dir`.
     pub fn spawn(dir: PathBuf, manifest: Arc<Mutex<Manifest>>, io: Arc<IoCounters>) -> Self {
-        let (jobs_tx, jobs_rx) = mpsc::channel::<CompactionJob>();
+        let (tasks_tx, tasks_rx) = mpsc::channel::<Task>();
         let (results_tx, results_rx) = mpsc::channel();
         let worker = thread::Builder::new()
             .name("k2-lsm-compact".into())
             .spawn(move || {
-                while let Ok(job) = jobs_rx.recv() {
-                    let res = run_job(&dir, &manifest, &io, &job);
-                    if results_tx.send(res).is_err() {
+                while let Ok(task) = tasks_rx.recv() {
+                    let done = match task {
+                        Task::Compact(job) => {
+                            Finished::Compacted(run_job(&dir, &manifest, &io, &job))
+                        }
+                        Task::RetireWal(path) => {
+                            let _ = fs::remove_file(path);
+                            Finished::WalRetired
+                        }
+                    };
+                    if results_tx.send(done).is_err() {
                         break;
                     }
                 }
             })
             .expect("spawn compaction worker");
         Self {
-            jobs: Some(jobs_tx),
+            tasks: Some(tasks_tx),
             results: results_rx,
             worker: Some(worker),
         }
     }
 
-    /// Hands a job to the worker (never blocks).
-    pub fn enqueue(&self, job: CompactionJob) {
+    /// Hands a task to the worker (never blocks).
+    pub fn enqueue(&self, task: Task) {
         let _ = self
-            .jobs
+            .tasks
             .as_ref()
-            .expect("job queue open until drop")
-            .send(job);
+            .expect("task queue open until drop")
+            .send(task);
     }
 
-    /// A finished job's result, if one is waiting (never blocks).
-    pub fn try_recv(&self) -> Option<StoreResult<CompactionDone>> {
+    /// A finished task's result, if one is waiting (never blocks).
+    pub fn try_recv(&self) -> Option<Finished> {
         self.results.try_recv().ok()
     }
 
-    /// Blocks for the next finished job; `None` if the worker died.
-    pub fn recv(&self) -> Option<StoreResult<CompactionDone>> {
+    /// Blocks for the next finished task; `None` if the worker died.
+    pub fn recv(&self) -> Option<Finished> {
         self.results.recv().ok()
     }
 }
 
 impl Drop for CompactionHandle {
     fn drop(&mut self) {
-        // Hang up the queue; the worker finishes its current job (its
-        // manifest commit must not be torn mid-run by process teardown
-        // ordering) and exits, then we join it.
-        self.jobs.take();
+        // Hang up the queue; the worker finishes every task already
+        // queued (a manifest commit must not be torn mid-run by process
+        // teardown ordering) and exits, then we join it.
+        self.tasks.take();
         if let Some(w) = self.worker.take() {
             let _ = w.join();
         }

@@ -12,7 +12,7 @@
 //! * full memtables are flushed to immutable **SSTables** — sorted runs of
 //!   `(t, oid) → (x, y)` entries split into 4 KiB blocks with a sparse
 //!   in-memory index — after which the WAL generation that covered them
-//!   is retired,
+//!   is retired (see "What a flush costs" below),
 //! * when the number of tables grows past a threshold a
 //!   [`CompactionController`] picks a run to merge — **size-tiered** by
 //!   default: only the newest run of similarly sized tables, leaving
@@ -41,6 +41,29 @@
 //!   the keys of a sorted batch (`multi_get_into`) that fall in the
 //!   block the previous key used are answered from it, so a batch
 //!   requests each block once.
+//!
+//! # What a flush costs
+//!
+//! A flush runs on the writer's thread, under the writer lock, inside
+//! the [`LsmStore::insert_batch`] (or `insert`) whose run filled the
+//! memtable — so that one call pays it. For a full 65 536-entry memtable
+//! held as ten generations, measured on a 2-vCPU VM (medians of 100
+//! flushes, three runs):
+//!
+//! | part | where it runs | cost |
+//! |---|---|---|
+//! | k-way merge + SSTable write | writer | ≈ 2.9–3.0 ms |
+//! | SSTable `fsync` | writer | ≈ 1.4–1.6 ms |
+//! | directory + manifest syncs | writer | ≈ 0.2–0.3 ms |
+//! | new WAL generation, its directory sync and `WalRotate` record | writer | ≈ 0.3–0.5 ms |
+//! | unlink of the retired WAL (≈ 2 MB) | background worker | ≈ 1.1–1.3 ms |
+//! | compaction, when the controller picks one | background worker | O(run) |
+//!
+//! The merge emits runs (`read.rs`): ingest in time order gives the
+//! generations disjoint key fences, so it copies one generation after
+//! another instead of comparing every head per entry. With
+//! [`LsmConfig::background_compaction`] off, the unlink and the
+//! compaction run on the writer too.
 //!
 //! # MVCC state swap
 //!

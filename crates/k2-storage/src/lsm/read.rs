@@ -169,6 +169,39 @@ impl<'a> ReadView<'a> {
 type Entry = (u64, [u8; VAL_SIZE]);
 type MemRange<'a> = std::collections::btree_map::Range<'a, u64, [u8; VAL_SIZE]>;
 
+/// One input of a [`MergeIter`]: an SSTable cursor or a memtable range.
+enum Source<'a> {
+    Table(SsTableIter<'a>),
+    Mem(MemRange<'a>),
+}
+
+impl Source<'_> {
+    fn next(&mut self) -> StoreResult<Option<Entry>> {
+        match self {
+            Source::Table(it) => it.next(),
+            Source::Mem(range) => Ok(range.next().map(|(&k, v)| (k, *v))),
+        }
+    }
+}
+
+/// One merge input with its recency rank and its next entry.
+struct Input<'a> {
+    rank: usize,
+    head: Option<Entry>,
+    source: Source<'a>,
+}
+
+impl Input<'_> {
+    /// Returns the head and moves on to the source's next entry.
+    fn pop(&mut self) -> StoreResult<Option<Entry>> {
+        let head = self.head;
+        if head.is_some() {
+            self.head = self.source.next()?;
+        }
+        Ok(head)
+    }
+}
+
 /// K-way merging cursor over SSTable iterators plus any number of
 /// memtable ranges. Sources are ranked by recency (higher = newer); for
 /// duplicate keys only the newest version is emitted. Tables rank below
@@ -176,13 +209,18 @@ type MemRange<'a> = std::collections::btree_map::Range<'a, u64, [u8; VAL_SIZE]>;
 /// added (add frozen generations oldest first, the active memtable
 /// last). Shared with the flush and compaction writers, whose merges
 /// rank inputs the same way.
+///
+/// The merge emits runs. A full step scans every head for the minimum
+/// key; when exactly one source holds it, that source becomes the
+/// *leader*, and the smallest other head its *bound*. Until the leader's
+/// head reaches the bound, no other source can hold a key as small, so
+/// later steps pop the leader without looking at the others. Ingest runs
+/// in time order, so generation and table fences are mostly disjoint and
+/// a flush or compaction is one run per input.
 pub(crate) struct MergeIter<'a> {
-    /// `(rank, head, cursor)` per table, ranks `0..tables.len()`.
-    tables: Vec<(usize, Option<Entry>, SsTableIter<'a>)>,
-    /// `(rank, cursor, head)` per memtable range, ranks continuing
-    /// upward in add order.
-    mems: Vec<(usize, MemRange<'a>, Option<Entry>)>,
-    next_rank: usize,
+    inputs: Vec<Input<'a>>,
+    /// `(index into inputs, bound)` while one input leads.
+    leader: Option<(usize, u64)>,
 }
 
 impl<'a> MergeIter<'a> {
@@ -196,29 +234,25 @@ impl<'a> MergeIter<'a> {
         to: u64,
         io: &'a IoCounters,
     ) -> StoreResult<Self> {
-        let mut v = Vec::new();
+        let mut merge = Self {
+            inputs: Vec::new(),
+            leader: None,
+        };
         let admitted = tables
             .iter()
             .enumerate()
             .filter(|(_, t)| t.admits(from, to));
         for (rank, t) in admitted {
-            let mut it = t.iter_from_with(from, io);
-            let head = it.next()?;
-            v.push((rank, head, it));
+            merge.add(rank, Source::Table(t.iter_from_with(from, io)))?;
         }
-        Ok(Self {
-            next_rank: tables.len(),
-            tables: v,
-            mems: Vec::new(),
-        })
+        Ok(merge)
     }
 
     /// Cursor over whole memtables alone, oldest first.
     pub(crate) fn over_memtables(generations: impl Iterator<Item = &'a Memtable>) -> Self {
         let mut merge = Self {
-            tables: Vec::new(),
-            mems: Vec::new(),
-            next_rank: 0,
+            inputs: Vec::new(),
+            leader: None,
         };
         for generation in generations {
             merge.add_mem(generation.range(..));
@@ -228,51 +262,180 @@ impl<'a> MergeIter<'a> {
 
     /// Adds a memtable range outranking the tables and every range
     /// added before it; an empty range adds nothing.
-    pub(crate) fn add_mem(&mut self, mut range: MemRange<'a>) {
-        let Some((&k, v)) = range.next() else {
-            return;
-        };
-        self.mems.push((self.next_rank, range, Some((k, *v))));
-        self.next_rank += 1;
+    pub(crate) fn add_mem(&mut self, range: MemRange<'a>) {
+        let rank = self.inputs.last().map_or(0, |i| i.rank + 1);
+        self.add(rank, Source::Mem(range))
+            .expect("a memtable range cannot fail");
+    }
+
+    fn add(&mut self, rank: usize, mut source: Source<'a>) -> StoreResult<()> {
+        if let Some(head) = source.next()? {
+            self.inputs.push(Input {
+                rank,
+                head: Some(head),
+                source,
+            });
+        }
+        Ok(())
     }
 
     pub(crate) fn next(&mut self) -> StoreResult<Option<Entry>> {
-        // Minimum key across all heads.
-        let mut min_key: Option<u64> = None;
-        for (_, head, _) in &self.tables {
-            if let Some((k, _)) = head {
-                min_key = Some(min_key.map_or(*k, |m: u64| m.min(*k)));
+        if let Some((i, bound)) = self.leader {
+            let input = &mut self.inputs[i];
+            if input.head.is_some_and(|(k, _)| k < bound) {
+                return input.pop();
+            }
+            self.leader = None;
+        }
+        // Full step: the minimum key, how many sources hold it, and the
+        // smallest larger head.
+        let (mut min, mut holder, mut holders, mut bound) = (u64::MAX, 0, 0, u64::MAX);
+        for (i, input) in self.inputs.iter().enumerate() {
+            let Some((k, _)) = input.head else { continue };
+            if holders == 0 || k < min {
+                (bound, min, holder, holders) = (min, k, i, 1);
+            } else if k == min {
+                holders += 1;
+            } else {
+                bound = bound.min(k);
             }
         }
-        for (_, _, head) in &self.mems {
-            if let Some((k, _)) = head {
-                min_key = Some(min_key.map_or(*k, |m: u64| m.min(*k)));
-            }
-        }
-        let Some(key) = min_key else {
+        if holders == 0 {
             return Ok(None);
-        };
+        }
+        if holders == 1 {
+            self.leader = Some((holder, bound));
+            return self.inputs[holder].pop();
+        }
         // Newest version wins: every source holding the key advances,
         // the highest rank keeps the value.
         let mut best: Option<(usize, [u8; VAL_SIZE])> = None;
-        for (rank, head, it) in &mut self.tables {
-            if head.map(|(k, _)| k) == Some(key) {
-                let (_, v) = head.expect("checked above");
-                if best.is_none_or(|(r, _)| *rank > r) {
-                    best = Some((*rank, v));
+        for input in &mut self.inputs {
+            if input.head.is_some_and(|(k, _)| k == min) {
+                let (_, v) = input.pop()?.expect("holds the minimum");
+                if best.is_none_or(|(r, _)| input.rank > r) {
+                    best = Some((input.rank, v));
                 }
-                *head = it.next()?;
             }
         }
-        for (rank, range, head) in &mut self.mems {
-            if head.map(|(k, _)| k) == Some(key) {
-                let (_, v) = head.expect("checked above");
-                if best.is_none_or(|(r, _)| *rank > r) {
-                    best = Some((*rank, v));
-                }
-                *head = range.next().map(|(&k, v)| (k, *v));
+        Ok(best.map(|(_, v)| (min, v)))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lsm::sstable::{BlockCache, SsTableWriter};
+    use crate::temp_dir::TempDir;
+    use std::collections::BTreeMap;
+    use std::path::Path;
+
+    /// A merge input under test: `(entries, written as an SSTable?)`.
+    type Layout = Vec<(Memtable, bool)>;
+
+    /// Runs `MergeIter` over `layout` (oldest first; tables rank below
+    /// memtables, as in the store) on `[lo, hi]`, and the reference: a
+    /// `BTreeMap` fold of every source oldest to newest, so the newest
+    /// version of a key is the one left.
+    fn check(dir: &Path, layout: &Layout, lo: u64, hi: u64) {
+        let cache = Arc::new(BlockCache::new(16));
+        let io = IoCounters::new();
+        let mut tables = Vec::new();
+        for (n, (entries, _)) in layout.iter().filter(|(_, t)| *t).enumerate() {
+            let path = dir.join(format!("t{n}.k2ss"));
+            let mut w = SsTableWriter::create(&path, entries.len()).unwrap();
+            for (&k, v) in entries {
+                w.add(k, v).unwrap();
             }
+            w.finish().unwrap();
+            tables.push(Arc::new(
+                SsTableReader::open(&path, n as u64, cache.clone()).unwrap(),
+            ));
         }
-        Ok(best.map(|(_, v)| (key, v)))
+        let mut merge = MergeIter::over_tables(&tables, lo, hi, &io).unwrap();
+        let mems = layout.iter().filter(|(_, t)| !*t);
+        for (entries, _) in mems.clone() {
+            merge.add_mem(entries.range(lo..=hi));
+        }
+        let mut got = Vec::new();
+        while let Some((k, v)) = merge.next().unwrap() {
+            if k > hi {
+                break;
+            }
+            got.push((k, v));
+        }
+        let mut want = BTreeMap::new();
+        let newest_last = layout.iter().filter(|(_, t)| *t).chain(mems);
+        for (entries, _) in newest_last {
+            want.extend(entries.range(lo..=hi).map(|(&k, &v)| (k, v)));
+        }
+        let want: Vec<Entry> = want.into_iter().collect();
+        assert_eq!(got, want, "[{lo}, {hi}] over {} sources", layout.len());
+        for t in 0..tables.len() {
+            let _ = std::fs::remove_file(dir.join(format!("t{t}.k2ss")));
+        }
+    }
+
+    fn val(source: usize, key: u64) -> [u8; VAL_SIZE] {
+        let mut v = [source as u8; VAL_SIZE];
+        v[..8].copy_from_slice(&key.to_le_bytes());
+        v
+    }
+
+    fn source(id: usize, keys: impl Iterator<Item = u64>) -> Memtable {
+        keys.map(|k| (k, val(id, k))).collect()
+    }
+
+    #[test]
+    fn merge_equals_a_newest_wins_fold() {
+        let dir = TempDir::new("merge");
+        // A duplicate at a leader's run boundary: the older source leads
+        // over 0..100 with bound 100, the first key of the newer one,
+        // which holds it too.
+        for tables in [0, 1, 2] {
+            let layout: Layout = vec![
+                (source(0, 0..=100), tables >= 1),
+                (source(1, 100..200), tables >= 2),
+                (source(2, [50, 150, 199, 250].into_iter()), false),
+            ];
+            check(&dir, &layout, 0, u64::MAX);
+            check(&dir, &layout, 50, 150);
+            check(&dir, &layout, 100, 100);
+        }
+        // Random layouts.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut rand = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for _ in 0..150 {
+            let sources = 1 + rand(6) as usize;
+            let mut layout = Layout::new();
+            let mut base = 0u64;
+            for id in 0..sources {
+                // Disjoint fences (time-ordered ingest), fences that touch
+                // at one key, or fences that overlap their predecessor.
+                let span = 1 + rand(400);
+                base = match rand(3) {
+                    0 => base + 400 + rand(50),
+                    1 => base + 399,
+                    _ => base.saturating_sub(rand(200)),
+                };
+                let count = 1 + rand(span);
+                let keys: Vec<u64> = (0..count).map(|_| base + rand(span)).collect();
+                let mut entries = source(id, keys.into_iter());
+                if rand(2) == 0 {
+                    entries.insert(base + span - 1, val(id, 0));
+                }
+                layout.push((entries, rand(2) == 0));
+            }
+            // Tables rank below memtables whatever their place in `layout`.
+            layout.sort_by_key(|(_, table)| !*table);
+            check(&dir, &layout, 0, u64::MAX);
+            let (a, b) = (rand(base + 800), rand(base + 800));
+            check(&dir, &layout, a.min(b), a.max(b));
+        }
     }
 }

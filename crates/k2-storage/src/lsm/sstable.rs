@@ -44,6 +44,11 @@ const MAGIC: &[u8; 4] = b"K2S2";
 const FOOTER_SIZE: usize = 8 * 3 + 4;
 /// Index row width: `first_key u64 | offset u64 | len u32`.
 const INDEX_ROW: usize = 20;
+/// [`SsTableWriter`]'s output buffer: 16 blocks per `write`, where std's
+/// 8 KiB default makes two. Kept below glibc's 128 KiB mmap threshold,
+/// so the buffer is served from the heap and freeing it does not raise
+/// the threshold (see ROADMAP, "RSS is heap layout").
+const WRITE_BUFFER: usize = 64 * 1024;
 
 /// Cache key: `(table id, block number)`.
 type CacheKey = (u64, u32);
@@ -306,7 +311,7 @@ impl SsTableWriter {
     /// entries to come, sizes the index.
     pub fn create(path: impl AsRef<Path>, expected_entries: usize) -> StoreResult<Self> {
         let path = path.as_ref().to_path_buf();
-        let out = BufWriter::new(File::create(&path)?);
+        let out = BufWriter::with_capacity(WRITE_BUFFER, File::create(&path)?);
         Ok(Self {
             path,
             out,

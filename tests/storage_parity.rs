@@ -13,11 +13,12 @@ use k2hop::datagen::brinkhoff::BrinkhoffConfig;
 use k2hop::datagen::tdrive::TDriveConfig;
 use k2hop::datagen::trucks::TrucksConfig;
 use k2hop::datagen::ConvoyInjector;
-use k2hop::model::Dataset;
+use k2hop::model::{Dataset, ObjPos, Oid, Time, TimeInterval};
 use k2hop::storage::{
-    FlatFileStore, InMemoryStore, LsmConfig, LsmStore, MemoryBudget, RelationalStore,
-    SnapshotSource, StoreError, TrajectoryStore,
+    FlatFileStore, InMemoryStore, IoStats, LsmConfig, LsmStore, MemoryBudget, RelationalStore,
+    SnapshotRef, SnapshotSource, StoreError, StoreResult, TrajectoryStore,
 };
+use std::cell::RefCell;
 
 mod common;
 use common::TempDir;
@@ -181,6 +182,78 @@ fn vcoda_on_flat_file_hits_memory_budget() {
     assert!(matches!(err, StoreError::MemoryBudgetExceeded { .. }));
     // A sufficient budget works.
     assert!(flat.load_in_memory(MemoryBudget::bytes(needed)).is_ok());
+}
+
+/// A flat file that logs the timestamp of every probe made of it.
+struct ProbeLog {
+    flat: FlatFileStore,
+    probes: RefCell<Vec<Time>>,
+}
+
+impl SnapshotSource for ProbeLog {
+    fn span(&self) -> TimeInterval {
+        self.flat.span()
+    }
+
+    fn num_points(&self) -> u64 {
+        self.flat.num_points()
+    }
+
+    fn scan_snapshot_ref<'a>(
+        &self,
+        t: Time,
+        buf: &'a mut Vec<ObjPos>,
+    ) -> StoreResult<SnapshotRef<'a>> {
+        self.probes.borrow_mut().push(t);
+        self.flat.scan_snapshot_ref(t, buf)
+    }
+
+    fn multi_get_into(&self, t: Time, oids: &[Oid], out: &mut Vec<ObjPos>) -> StoreResult<()> {
+        self.probes.borrow_mut().push(t);
+        self.flat.multi_get_into(t, oids, out)
+    }
+
+    fn io_stats(&self) -> IoStats {
+        self.flat.io_stats()
+    }
+
+    fn name(&self) -> &'static str {
+        self.flat.name()
+    }
+}
+
+#[test]
+fn flat_file_probes_resume_whenever_they_ascend() {
+    // A k = 50 mine makes a few benchmark scans, then probes the
+    // hop-windows and extends convoys left and right: a walk that
+    // mostly ascends, with a rewind wherever it steps back in time.
+    let dataset = ConvoyInjector::new(80, 400)
+        .convoys(4, 4, 150)
+        .seed(7)
+        .generate();
+    let dir = TempDir::new("parity");
+    let log = ProbeLog {
+        flat: FlatFileStore::create(dir.join("data.bin"), &dataset).unwrap(),
+        probes: RefCell::new(Vec::new()),
+    };
+    let miner = K2Hop::new(K2Config::new(3, 50, 1.0).unwrap());
+    let convoys = ConvoyMiner::mine(&miner, &log).unwrap().convoys;
+    assert_eq!(
+        convoys,
+        ConvoyMiner::mine(&miner, &dataset).unwrap().convoys
+    );
+    let probes = log.probes.into_inner();
+    let ascents = probes.windows(2).filter(|w| w[1] > w[0]).count() as u64;
+    let io = log.flat.io_stats();
+    // 15 of the ascents are step 1's benchmark scans; the rest come
+    // after it.
+    assert_eq!(io.range_queries, 16);
+    assert_eq!((probes.len(), ascents), (624, 229));
+    // The cursor ends each probe where that probe stopped, so every
+    // probe later than the one before it resumes there — after a rewind
+    // too — and only a probe that does not move forward in time rescans
+    // the prefix.
+    assert_eq!(io.cache_hits, ascents);
 }
 
 #[test]
