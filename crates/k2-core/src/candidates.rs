@@ -79,9 +79,10 @@ struct Hit {
 }
 
 /// A worker's working memory for candidate clusters: the join and
-/// counting-sort buffers, reused window after window.
+/// counting-sort buffers, reused window after window. Step 2 lends one
+/// to every [`Grouping::join`](crate::Grouping::join).
 #[derive(Debug, Default)]
-pub(crate) struct CandidateScratch {
+pub struct CandidateScratch {
     hits: Vec<Hit>,
     sorted: Vec<Hit>,
     counts: Vec<u32>,

@@ -5,7 +5,8 @@ use std::fmt;
 
 /// The three user parameters of convoy mining (§1): a convoy is at least
 /// `m` objects within `eps`-density-connection for at least `k`
-/// consecutive timestamps.
+/// consecutive timestamps. A flock miner reads the same three, with
+/// `eps` as its disk radius.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct K2Config {
     /// Minimum number of objects (`m ≥ 2`).
@@ -13,7 +14,8 @@ pub struct K2Config {
     /// Minimum lifespan in timestamps (`k ≥ 2`; `k = 1` would make every
     /// cluster a convoy and leaves no room for benchmark spacing).
     pub k: u32,
-    /// DBSCAN distance threshold (`eps > 0`).
+    /// DBSCAN distance threshold (`eps > 0`); for flocks, the radius of
+    /// the disk a flock's objects stay inside.
     pub eps: f64,
 }
 

@@ -3,8 +3,7 @@
 
 use crate::par::{Chain, PassResult, ProbeReader};
 use crate::record::{confirm, IntactRuns};
-use crate::{recluster_at, Probe, ProbeScratch};
-use k2_cluster::DbscanParams;
+use crate::{regroup_at, Grouping, Probe, ProbeScratch};
 use k2_model::{Convoy, ConvoySet, Time};
 use k2_storage::StoreResult;
 use std::collections::HashMap;
@@ -12,7 +11,7 @@ use std::collections::HashMap;
 /// Which way a pass extends, and where it has to stop.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Direction {
-    /// Algorithm 3: re-cluster the convoy's objects at `te(v)+1,
+    /// Algorithm 3: re-group the convoy's objects at `te(v)+1,
     /// te(v)+2, …` up to the dataset's last timestamp. No `k` check
     /// happens here — a short convoy may still grow leftwards (§4.5).
     Right {
@@ -58,10 +57,10 @@ impl Chains {
     /// out over the reader's workers — and returns what these new chains
     /// emitted, folded in seed order into one maximal set: the seeds of
     /// the opposite direction.
-    pub(crate) fn run(
+    pub(crate) fn run<G: Grouping>(
         &mut self,
         reader: &mut ProbeReader<'_>,
-        params: DbscanParams,
+        grouping: G,
         seeds: &[Convoy],
     ) -> StoreResult<Vec<Convoy>> {
         let new: Vec<&Convoy> = seeds
@@ -70,7 +69,7 @@ impl Chains {
             .collect();
         let dir = self.dir;
         let chains = reader.map(&new, |&seed, probe, scratch| {
-            extend(params, seed.clone(), dir, probe, scratch)
+            extend(grouping, seed.clone(), dir, probe, scratch)
         })?;
         let mut emitted = ConvoySet::new();
         for (seed, mut chain) in new.into_iter().zip(chains) {
@@ -90,29 +89,29 @@ impl Chains {
     /// One extension pass: every seed is extended in this direction, and
     /// what the chains emit is folded, in seed order, into one maximal
     /// set. Chains already run are taken as they are; the rest run now.
-    pub(crate) fn pass(
+    pub(crate) fn pass<G: Grouping>(
         mut self,
         reader: &mut ProbeReader<'_>,
-        params: DbscanParams,
+        grouping: G,
         seeds: &[Convoy],
     ) -> StoreResult<PassResult> {
-        self.run(reader, params, seeds)?;
+        self.run(reader, grouping, seeds)?;
         Ok(PassResult::fold(seeds.iter().map(|seed| {
             self.run.remove(seed).expect("every seed's chain has run")
         })))
     }
 }
 
-/// Extends one seed one timestamp at a time until no cluster survives or
+/// Extends one seed one timestamp at a time until no group survives or
 /// the dataset ends, reading `DB[t]|O` through `probe`.
 ///
-/// When re-clustering splits or shrinks a convoy, the original is emitted
+/// When re-grouping splits or shrinks a convoy, the original is emitted
 /// (it is maximal in this direction in its current shape) *and* the
 /// shrunken clusters continue extending. Returns the emitted convoys in
 /// emission order, the number of points fetched and where a convoy came
 /// back intact.
-fn extend(
-    params: DbscanParams,
+fn extend<G: Grouping>(
+    grouping: G,
     seed: Convoy,
     dir: Direction,
     mut probe: impl Probe,
@@ -148,16 +147,16 @@ fn extend(
         };
         let mut next = ConvoySet::new();
         for v in &prev {
-            let (clusters, fetched) =
-                recluster_at(&mut probe, params, frontier, &v.objects, scratch)?;
+            let (groups, fetched) =
+                regroup_at(&mut probe, grouping, frontier, &v.objects, scratch)?;
             points_fetched += fetched;
-            if clusters.is_empty() {
+            if groups.is_empty() {
                 // Line 7–8: v cannot be extended.
                 emit(v.clone());
                 continue;
             }
             let mut survived_intact = false;
-            for c in clusters {
+            for c in groups {
                 if c == v.objects {
                     survived_intact = true;
                 }
@@ -195,6 +194,7 @@ fn extend(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use k2_cluster::DbscanParams;
     use k2_model::{Dataset, ObjectSet, Point, TimeInterval};
     use k2_storage::InMemoryStore;
 

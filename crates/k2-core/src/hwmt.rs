@@ -2,7 +2,7 @@
 
 use crate::benchpoints::{hop_window, hwmt_order};
 use crate::record::{push_runs, IntactRuns};
-use crate::{probe_of, recluster_at, Probe, ProbeScratch};
+use crate::{probe_of, regroup_at, Grouping, Probe, ProbeScratch};
 use k2_cluster::DbscanParams;
 use k2_model::{Convoy, ObjectSet, Time, TimeInterval};
 use k2_storage::{SnapshotSource, StoreResult};
@@ -12,7 +12,7 @@ use k2_storage::{SnapshotSource, StoreResult};
 pub struct WindowResult {
     /// 1st-order spanning convoys, lifespan `[b_left, b_right]`.
     pub spanning: Vec<Convoy>,
-    /// Points the probes read while re-clustering.
+    /// Points the probes read while re-grouping.
     pub points_fetched: u64,
     /// Timestamps actually probed (≤ window length thanks to early exit).
     pub timestamps_probed: u32,
@@ -52,12 +52,13 @@ pub fn mine_window_ordered<S: SnapshotSource + ?Sized>(
 
 /// Algorithm 2, reading `DB[t]|O` through `probe`.
 ///
-/// `cc` is the window's candidate cluster set `CCᵢ`. The candidates are
-/// re-clustered at each window timestamp in `order`; candidates that
-/// fail to cluster are shed, and the whole window is abandoned as soon
-/// as no candidate survives. Each surviving cluster becomes a spanning
-/// convoy with lifespan `[b_left, b_right]` (the window's bordering
-/// benchmark points, line 11 of Algorithm 2).
+/// `cc` is the window's candidate set `CCᵢ`. The candidates are
+/// re-grouped at each window timestamp in `order`; candidates that fail
+/// to group are shed, and the whole window is abandoned as soon as no
+/// candidate survives. Each surviving group becomes a spanning convoy
+/// with lifespan `[b_left, b_right]` (the window's bordering benchmark
+/// points, line 11 of Algorithm 2). When the grouping's groups may
+/// overlap ([`Grouping::OVERLAPPING`]), the survivors are kept maximal.
 ///
 /// The pipeline passes one `scratch` (clustering and probe buffers)
 /// across all the hop-windows a worker mines, so the steady state of the
@@ -65,8 +66,8 @@ pub fn mine_window_ordered<S: SnapshotSource + ?Sized>(
 /// reclusters inside each probe filter distances through the chunked
 /// kernel (`k2_cluster::dist2_filter_chunked`), the same four-lane path
 /// the benchmark clustering uses.
-pub(crate) fn mine_window_with(
-    params: DbscanParams,
+pub(crate) fn mine_window_with<G: Grouping>(
+    grouping: G,
     b_left: Time,
     b_right: Time,
     cc: &[ObjectSet],
@@ -96,9 +97,9 @@ pub(crate) fn mine_window_with(
         result.timestamps_probed += 1;
         let mut next = Vec::with_capacity(survivors.len());
         for (candidate, first) in survivors {
-            let (clusters, fetched) = recluster_at(&mut probe, params, t, &candidate, scratch)?;
+            let (groups, fetched) = regroup_at(&mut probe, grouping, t, &candidate, scratch)?;
             result.points_fetched += fetched;
-            let intact = clusters.len() == 1 && clusters[0] == candidate;
+            let intact = groups.len() == 1 && groups[0] == candidate;
             let first = if intact {
                 first
             } else {
@@ -110,10 +111,18 @@ pub(crate) fn mine_window_with(
                 );
                 pos + 1
             };
-            next.extend(clusters.into_iter().map(|c| (c, first)));
+            for g in groups {
+                if G::OVERLAPPING {
+                    if next.iter().any(|(c, _)| g.is_subset(c)) {
+                        continue;
+                    }
+                    next.retain(|(c, _)| !c.is_subset(&g));
+                }
+                next.push((g, first));
+            }
         }
         if next.is_empty() {
-            // Line 7–8: no clusters at this timestamp — no convoy can
+            // Line 7–8: no groups at this timestamp — no convoy can
             // span the window; stop descending the tree.
             return Ok(result);
         }

@@ -1,16 +1,18 @@
-//! # k2-core — the k/2-hop convoy mining algorithm
+//! # k2-core — the k/2-hop mining algorithm
 //!
-//! A faithful implementation of Algorithm 1 of the paper (§4). The six
-//! steps map to the modules of this crate:
+//! A faithful implementation of Algorithm 1 of the paper (§4), for every
+//! pattern k/2-hop can mine. The six steps map to the modules of this
+//! crate:
 //!
-//! 1. **Benchmark clustering** ([`benchpoints`], [`candidates`]) — DBSCAN
-//!    the full snapshots only at every ⌊k/2⌋-th timestamp, each handed
-//!    back as an oid-sorted `(oid, cluster)` labelling.
-//! 2. **Candidate clusters** ([`candidates`]) — set-wise intersection of
-//!    adjacent benchmark cluster sets, discarding sets smaller than `m`:
-//!    a merge-join of the two labellings and two counting-sort passes,
-//!    linear in the objects clustered.
-//! 3. **HWMT** ([`hwmt`]) — per hop-window re-clustering of the candidate
+//! 1. **Benchmark grouping** ([`benchpoints`], [`candidates`]) — group
+//!    the full snapshots only at every ⌊k/2⌋-th timestamp. For convoys
+//!    that is DBSCAN, each snapshot handed back as an oid-sorted
+//!    `(oid, cluster)` labelling.
+//! 2. **Candidate groups** ([`candidates`]) — set-wise intersection of
+//!    adjacent benchmark groupings, discarding sets smaller than `m`:
+//!    for convoys a merge-join of the two labellings and two
+//!    counting-sort passes, linear in the objects clustered.
+//! 3. **HWMT** ([`hwmt`]) — per hop-window re-grouping of the candidate
 //!    objects in binary-tree (farthest-first) timestamp order, yielding
 //!    1st-order spanning convoys.
 //! 4. **DCM merge** ([`merge`]) — left-to-right merging of adjacent
@@ -24,14 +26,17 @@
 //!
 //! The steps are orchestrated exactly once, by the one engine behind the
 //! [`ConvoyMiner`] trait, [`K2Hop`], which mines any [`SnapshotSource`]
-//! (in-memory dataset, flat file, B+tree, or LSM-tree). Steps 3–5 run as
-//! one sweep over the hop-windows in time order — on a disk engine one
-//! window at a time, extending each convoy the merge retires while the
-//! blocks HWMT just read are still cached — and validation runs last.
-//! Benchmark clustering is sharded over the engine's workers; the
-//! hop-window probes `DB[t]|O` of steps 3, 5 and 6 fan out over them too
-//! when the source is a resident dataset, and otherwise go to the source
-//! one by one on the calling thread (§5.2's per-probe formulation).
+//! (in-memory dataset, flat file, B+tree, or LSM-tree). The pattern is
+//! the engine's [`Grouping`]: DBSCAN for convoys by default, radius-`r`
+//! disks for the flocks of `k2-patterns`, which skip step 6. Steps 3–5
+//! run as one sweep over the hop-windows in time order — on a disk
+//! engine one window at a time, extending each convoy the merge retires
+//! while the blocks HWMT just read are still cached — and validation
+//! runs last. Benchmark grouping is sharded over the engine's workers;
+//! the hop-window probes `DB[t]|O` of steps 3, 5 and 6 fan out over them
+//! too when the source is a resident dataset, and otherwise go to the
+//! source one by one on the calling thread (§5.2's per-probe
+//! formulation).
 //!
 //! A run returns a [`MineOutcome`]: the convoys together with
 //! [`PhaseTimings`] (Figure 8i), [`PruningStats`] (Table 5), and the
@@ -68,6 +73,7 @@ pub mod stats;
 
 mod config;
 mod extend;
+mod grouping;
 mod miner;
 mod par;
 mod pipeline;
@@ -75,11 +81,12 @@ mod record;
 mod validate;
 
 pub use config::{ConfigError, K2Config};
+pub use grouping::Grouping;
 pub use miner::{ConvoyMiner, MineError, MineOutcome, MineStats};
 pub use pipeline::{K2Hop, K2HopParallel};
 pub use stats::{GridStats, PhaseTimings, PrefetchStats, PruningStats};
 
-use k2_cluster::{recluster_with, DbscanParams, GridScratch};
+use k2_cluster::GridScratch;
 use k2_model::{ObjPos, ObjectSet, Oid, Time};
 use k2_storage::{SnapshotSource, StoreResult};
 
@@ -109,21 +116,21 @@ pub(crate) struct ProbeScratch {
     cluster: GridScratch,
 }
 
-/// Re-clusters the objects of a candidate at timestamp `t` — the paper's
-/// `reCluster(v, DB[t])`: fetch `DB[t]|O` through `probe`, then DBSCAN
-/// it, reusing `scratch` for both steps.
+/// Re-groups the objects of a candidate at timestamp `t` — the paper's
+/// `reCluster(v, DB[t])`: fetch `DB[t]|O` through `probe`, then group it
+/// with `grouping`, reusing `scratch` for both steps.
 ///
-/// Returns the clusters and the number of points fetched (for pruning
+/// Returns the groups and the number of points fetched (for pruning
 /// statistics).
-pub(crate) fn recluster_at(
+pub(crate) fn regroup_at<G: Grouping>(
     probe: &mut impl Probe,
-    params: DbscanParams,
+    grouping: G,
     t: Time,
     objects: &ObjectSet,
     scratch: &mut ProbeScratch,
 ) -> StoreResult<(Vec<ObjectSet>, u64)> {
     probe(t, objects.ids(), &mut scratch.positions)?;
     let fetched = scratch.positions.len() as u64;
-    let clusters = recluster_with(&scratch.positions, params, &mut scratch.cluster);
-    Ok((clusters, fetched))
+    let groups = grouping.regroup(&scratch.positions, &mut scratch.cluster);
+    Ok((groups, fetched))
 }

@@ -113,7 +113,8 @@ pub struct MineOutcome {
     /// The mined patterns, canonically sorted (by lifespan, then
     /// objects). For fully-connected engines these are maximal FC
     /// convoys; sweep baselines yield partially-connected convoys and
-    /// the flock miner yields flocks — the semantics follow the engine.
+    /// `K2Hop` with a disk grouping yields flocks — the semantics follow
+    /// the engine.
     pub convoys: Vec<Convoy>,
     /// Run metadata: engine, threads, timings, pruning counters.
     pub stats: MineStats,
@@ -126,9 +127,10 @@ pub struct MineOutcome {
 ///
 /// Object-safe: sessions hold `Box<dyn ConvoyMiner>` and every source is
 /// passed as `&dyn SnapshotSource`, so any engine mines from any storage
-/// backend. Implemented by [`K2Hop`](crate::K2Hop), the baseline miners
-/// (e.g. the CMC/PCCD snapshot sweep in `k2-baselines`) and the
-/// k/2-hop flock miner in `k2-patterns`.
+/// backend. Implemented by [`K2Hop`](crate::K2Hop) over any
+/// [`Grouping`](crate::Grouping) (convoys; flocks, through
+/// `k2-patterns`' `FlockMiner`) and the baseline miners (e.g. the
+/// CMC/PCCD snapshot sweep in `k2-baselines`).
 pub trait ConvoyMiner {
     /// Stable engine identifier for reports (e.g. `"k2hop"`).
     fn engine_name(&self) -> &'static str;

@@ -4,22 +4,21 @@
 //! benchmark-snapshot fetcher.
 
 use crate::record::IntactRuns;
-use crate::{probe_of, Probe, ProbeScratch};
-use k2_cluster::{dbscan_labelling_with, DbscanParams, GridCounters, GridScratch};
-use k2_model::{Convoy, ConvoySet, Dataset, ObjPos, Oid, Time};
+use crate::{probe_of, Grouping, Probe, ProbeScratch};
+use k2_cluster::{GridCounters, GridScratch};
+use k2_model::{Convoy, ConvoySet, Dataset, ObjPos, Time};
 use k2_storage::{SnapshotRef, SnapshotSource, StoreResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// What the benchmark-clustering phase hands back to the pipeline: the
-/// per-benchmark labellings (in `bench` order), the number of points
+/// What the benchmark-grouping phase hands back to the pipeline: the
+/// per-benchmark groupings (in `bench` order), the number of points
 /// scanned, and the grid-reuse counters harvested from every worker's
 /// [`GridScratch`].
-pub(crate) struct BenchClusters {
-    /// Each benchmark snapshot's clusters as `(oid, cluster)` pairs,
-    /// ascending by oid ([`dbscan_labelling_with`]), in `bench` order —
-    /// the form step 2 merge-joins (see [`crate::candidates`]).
-    pub labellings: Vec<Vec<(Oid, u32)>>,
+pub(crate) struct BenchGroups<T> {
+    /// Each benchmark snapshot's [`Grouping::group`], in `bench` order —
+    /// the form step 2 joins.
+    pub groups: Vec<T>,
     /// Total points scanned across the benchmark snapshots.
     pub points: u64,
     /// Summed grid build/patch counters of the phase.
@@ -205,14 +204,14 @@ pub(crate) fn shard_ranges(len: usize, shards: usize) -> Vec<std::ops::Range<usi
     out
 }
 
-/// Benchmark clustering over a fetched snapshot stream — step 1 of the
+/// Benchmark grouping over a fetched snapshot stream — step 1 of the
 /// pipeline.
 ///
 /// `fetch` resolves one benchmark timestamp to a [`SnapshotRef`], filling
 /// the passed buffer only when the engine cannot share its storage (see
 /// `SnapshotSource::scan_snapshot_ref`). Fetching stays on the calling
 /// thread (store I/O and its statistics are single-threaded, so stores
-/// need not be `Sync`); clustering fans out over `threads` workers off an
+/// need not be `Sync`); grouping fans out over `threads` workers off an
 /// atomic counter, one [`GridScratch`] per worker.
 ///
 /// The parallel work unit is a contiguous **run** of benchmark snapshots,
@@ -222,7 +221,8 @@ pub(crate) fn shard_ranges(len: usize, shards: usize) -> Vec<std::ops::Range<usi
 /// for the next and only re-scatter the points. Output is identical either
 /// way — DBSCAN depends only on the exact eps-pairs, which the
 /// re-scattered and the rebuilt grid both emit — so the thread-count
-/// invariance the goldens pin is untouched.
+/// invariance the goldens pin is untouched. A grouping that does not
+/// cluster through the grid leaves its scratch, and the counters, alone.
 ///
 /// Two regimes, switched on what the engine actually returns:
 ///
@@ -237,23 +237,23 @@ pub(crate) fn shard_ranges(len: usize, shards: usize) -> Vec<std::ops::Range<usi
 ///   by batch, keeping peak memory at O(batch × population) instead of
 ///   holding every benchmark snapshot of a disk-backed dataset at once.
 ///
-/// Returns a [`BenchClusters`]: labellings in `bench` order (clustering
-/// is deterministic, so the result is identical at every thread count),
+/// Returns a [`BenchGroups`]: groupings in `bench` order (grouping is
+/// deterministic, so the result is identical at every thread count),
 /// points scanned, and the phase's grid-reuse counters.
-pub(crate) fn cluster_benchmark_snapshots<F>(
+pub(crate) fn group_benchmark_snapshots<G: Grouping, F>(
     threads: usize,
     bench: &[Time],
-    params: DbscanParams,
+    grouping: G,
     mut fetch: F,
-) -> StoreResult<BenchClusters>
+) -> StoreResult<BenchGroups<G::Groups>>
 where
     F: for<'a> FnMut(Time, &'a mut Vec<ObjPos>) -> StoreResult<SnapshotRef<'a>>,
 {
     let mut points = 0u64;
     let mut grid = GridCounters::default();
-    let mut labellings = Vec::with_capacity(bench.len());
+    let mut groups = Vec::with_capacity(bench.len());
     if threads <= 1 {
-        // Sequential: cluster each snapshot while it is still hot in
+        // Sequential: group each snapshot while it is still hot in
         // cache, reusing one scratch and one scan buffer across all —
         // one long run, so every adjacent pair is a patch candidate.
         let mut scratch = GridScratch::new();
@@ -261,10 +261,10 @@ where
         for &b in bench {
             let snapshot = fetch(b, &mut buf)?;
             points += snapshot.len() as u64;
-            labellings.push(labelling(&snapshot, params, &mut scratch));
+            groups.push(grouping.group(&snapshot, &mut scratch));
         }
-        return Ok(BenchClusters {
-            labellings,
+        return Ok(BenchGroups {
+            groups,
             points,
             grid: scratch.grid_counters(),
         });
@@ -300,34 +300,7 @@ where
             }
         }
     }
-    // Fan out contiguous runs (one per worker): each worker walks its
-    // run in time order, patching its grid between adjacent snapshots.
-    let runs = shard_ranges(shared.len(), threads);
-    for (run_labellings, delta) in self_scheduled_map(
-        threads,
-        &runs,
-        GridScratch::new,
-        |scratch, range: &std::ops::Range<usize>| {
-            // A worker can claim several runs; the per-run delta keeps the
-            // harvest correct regardless of which worker ran what.
-            let before = scratch.grid_counters();
-            let out: Vec<Vec<(Oid, u32)>> = shared[range.clone()]
-                .iter()
-                .map(|snapshot| labelling(snapshot, params, scratch))
-                .collect();
-            (out, scratch.grid_counters().since(before))
-        },
-    ) {
-        labellings.extend(run_labellings);
-        grid.add(delta);
-    }
-    if rest.is_empty() {
-        return Ok(BenchClusters {
-            labellings,
-            points,
-            grid,
-        });
-    }
+    group_runs(threads, grouping, &shared, &mut groups, &mut grid);
 
     // Buffered remainder: bounded ring of reused buffers.
     let batch = threads * 8;
@@ -350,40 +323,45 @@ where
         // Runs within the ring batch: shorter than the shared path's (the
         // ring bounds resident memory to O(batch)), but still contiguous,
         // so adjacent snapshots within a run patch instead of rebuild.
-        let runs = shard_ranges(snapshots.len(), threads);
-        for (run_labellings, delta) in self_scheduled_map(
-            threads,
-            &runs,
-            GridScratch::new,
-            |scratch, range: &std::ops::Range<usize>| {
-                let before = scratch.grid_counters();
-                let out: Vec<Vec<(Oid, u32)>> = snapshots[range.clone()]
-                    .iter()
-                    .map(|snapshot| labelling(snapshot, params, scratch))
-                    .collect();
-                (out, scratch.grid_counters().since(before))
-            },
-        ) {
-            labellings.extend(run_labellings);
-            grid.add(delta);
-        }
+        group_runs(threads, grouping, &snapshots, &mut groups, &mut grid);
     }
-    Ok(BenchClusters {
-        labellings,
+    Ok(BenchGroups {
+        groups,
         points,
         grid,
     })
 }
 
-/// One benchmark snapshot's labelling, in a vector of its own.
-fn labelling(
-    snapshot: &[ObjPos],
-    params: DbscanParams,
-    scratch: &mut GridScratch,
-) -> Vec<(Oid, u32)> {
-    let mut out = Vec::new();
-    dbscan_labelling_with(snapshot, params, scratch, &mut out);
-    out
+/// Groups `snapshots` on up to `threads` workers, appending the
+/// groupings in order to `groups` and the grid counters to `grid`. The
+/// work unit is a contiguous run (one per worker): each worker walks its
+/// run in time order, patching its grid between adjacent snapshots.
+fn group_runs<G: Grouping, S: std::ops::Deref<Target = [ObjPos]> + Sync>(
+    threads: usize,
+    grouping: G,
+    snapshots: &[S],
+    groups: &mut Vec<G::Groups>,
+    grid: &mut GridCounters,
+) {
+    let runs = shard_ranges(snapshots.len(), threads);
+    for (run_groups, delta) in self_scheduled_map(
+        threads,
+        &runs,
+        GridScratch::new,
+        |scratch, range: &std::ops::Range<usize>| {
+            // A worker can claim several runs; the per-run delta keeps the
+            // harvest correct regardless of which worker ran what.
+            let before = scratch.grid_counters();
+            let out: Vec<G::Groups> = snapshots[range.clone()]
+                .iter()
+                .map(|snapshot| grouping.group(snapshot, scratch))
+                .collect();
+            (out, scratch.grid_counters().since(before))
+        },
+    ) {
+        groups.extend(run_groups);
+        grid.add(delta);
+    }
 }
 
 #[cfg(test)]
@@ -418,6 +396,7 @@ mod tests {
 
     #[test]
     fn benchmark_clustering_is_thread_count_invariant_and_zero_copy() {
+        use k2_cluster::DbscanParams;
         use k2_model::{Dataset, Point};
         use k2_storage::{InMemoryStore, SnapshotSource};
 
@@ -437,19 +416,18 @@ mod tests {
         let params = DbscanParams::new(2, 1.0);
         let bench: Vec<Time> = (0..30).step_by(3).collect();
 
-        let res = cluster_benchmark_snapshots(1, &bench, params, |t, buf| {
-            store.scan_snapshot_ref(t, buf)
-        })
-        .unwrap();
-        let (seq, seq_points) = (res.labellings, res.points);
+        let res =
+            group_benchmark_snapshots(1, &bench, params, |t, buf| store.scan_snapshot_ref(t, buf))
+                .unwrap();
+        let (seq, seq_points) = (res.groups, res.points);
         assert_eq!(seq.len(), bench.len());
         assert!(seq.iter().any(|c| !c.is_empty()));
         for threads in [2usize, 4, 64] {
-            let par = cluster_benchmark_snapshots(threads, &bench, params, |t, buf| {
+            let par = group_benchmark_snapshots(threads, &bench, params, |t, buf| {
                 store.scan_snapshot_ref(t, buf)
             })
             .unwrap();
-            assert_eq!(par.labellings, seq, "{threads} threads");
+            assert_eq!(par.groups, seq, "{threads} threads");
             assert_eq!(par.points, seq_points, "{threads} threads");
         }
         // Every fetch above was served from shared storage: the in-memory
@@ -464,22 +442,22 @@ mod tests {
         // benchmark list spans several ring batches (97 > threads * 8).
         let dataset = store.dataset();
         let long_bench: Vec<Time> = (0..30).cycle().take(97).collect();
-        let res = cluster_benchmark_snapshots(2, &long_bench, params, |t, buf| {
+        let res = group_benchmark_snapshots(2, &long_bench, params, |t, buf| {
             store.scan_snapshot_ref(t, buf)
         })
         .unwrap();
-        let (shared_labellings, shared_points) = (res.labellings, res.points);
-        let buffered = cluster_benchmark_snapshots(2, &long_bench, params, |t, buf| {
+        let (shared_labellings, shared_points) = (res.groups, res.points);
+        let buffered = group_benchmark_snapshots(2, &long_bench, params, |t, buf| {
             buf.clear();
             buf.extend_from_slice(dataset.snapshot(t).map(|s| s.positions()).unwrap_or(&[]));
             Ok(k2_storage::SnapshotRef::Buffered(buf))
         })
         .unwrap();
-        assert_eq!(buffered.labellings, shared_labellings);
+        assert_eq!(buffered.groups, shared_labellings);
         assert_eq!(buffered.points, shared_points);
         for switch_at in [0usize, 1, 40, 96] {
             let mut fetches = 0usize;
-            let mixed = cluster_benchmark_snapshots(2, &long_bench, params, |t, buf| {
+            let mixed = group_benchmark_snapshots(2, &long_bench, params, |t, buf| {
                 fetches += 1;
                 if fetches <= switch_at {
                     store.scan_snapshot_ref(t, buf)
@@ -492,7 +470,7 @@ mod tests {
                 }
             })
             .unwrap();
-            assert_eq!(mixed.labellings, shared_labellings, "switch at {switch_at}");
+            assert_eq!(mixed.groups, shared_labellings, "switch at {switch_at}");
             assert_eq!(mixed.points, shared_points, "switch at {switch_at}");
             assert_eq!(fetches, long_bench.len(), "no refetch at {switch_at}");
         }

@@ -11,6 +11,10 @@
 //! Extension chains are kept by seed and folded only for the final
 //! seeds, so the convoys and every counter are the same for any step.
 //! Validation (step 6) runs after the sweep: it needs the final left set.
+//!
+//! The pattern is the engine's [`Grouping`]: the same orchestration
+//! mines convoys (DBSCAN) and flocks (radius-`r` disks, which skip
+//! step 6).
 
 use crate::benchpoints::{benchmark_points, hwmt_order};
 use crate::candidates::CandidateScratch;
@@ -18,13 +22,13 @@ use crate::config::K2Config;
 use crate::extend::{Chains, Direction};
 use crate::hwmt::{mine_window_with, WindowResult};
 use crate::merge::SpanningMerger;
-use crate::par::{cluster_benchmark_snapshots, self_scheduled_map, ProbeReader};
+use crate::par::{group_benchmark_snapshots, self_scheduled_map, ProbeReader};
 use crate::record::{IntactRecord, IntactRuns};
 use crate::stats::{GridStats, PhaseTimings, PruningStats};
 use crate::validate::validate_pass;
-use crate::{MineError, MineOutcome, MineStats, ProbeScratch};
+use crate::{Grouping, MineError, MineOutcome, MineStats, ProbeScratch};
 use k2_cluster::DbscanParams;
-use k2_model::{Convoy, ConvoySet, ObjectSet, Oid, Time};
+use k2_model::{Convoy, ConvoySet, ObjectSet, Time};
 use k2_storage::{SnapshotSource, StoreResult};
 use std::time::Instant;
 
@@ -32,12 +36,17 @@ use std::time::Instant;
 /// any [`SnapshotSource`] (a storage engine or a bare dataset) through
 /// [`ConvoyMiner::mine`](crate::ConvoyMiner).
 ///
-/// Benchmark clustering — the only full-snapshot work in the algorithm and
+/// What it mines is its [`Grouping`]: DBSCAN with `min_pts = m` and the
+/// config's `eps` unless [`with_grouping`](Self::with_grouping) swaps in
+/// another. Every pattern runs the one orchestration below.
+///
+/// Benchmark grouping — the only full-snapshot work in the algorithm and
 /// the largest phase of a mine over dense traffic — is sharded across
 /// worker threads: snapshots are fetched from the store sequentially (I/O
-/// and statistics stay on the calling thread), then DBSCANed off an
-/// atomic work counter with one `GridScratch` per worker, each into an
-/// oid-sorted labelling that step 2 merge-joins with its neighbour.
+/// and statistics stay on the calling thread), then grouped off an
+/// atomic work counter with one `GridScratch` per worker; for convoys
+/// each becomes an oid-sorted labelling that step 2 merge-joins with its
+/// neighbour.
 ///
 /// The later phases use the workers too when the source is resident
 /// ([`SnapshotSource::as_dataset`]: a bare `Dataset`, an
@@ -53,8 +62,9 @@ use std::time::Instant;
 /// deterministic, so the mined convoys and the pruning counters are
 /// identical at every thread count.
 #[derive(Debug, Clone, Copy)]
-pub struct K2Hop {
+pub struct K2Hop<G = DbscanParams> {
     config: K2Config,
+    grouping: G,
     threads: usize,
 }
 
@@ -72,6 +82,7 @@ impl K2Hop {
     pub fn with_threads(config: K2Config, threads: usize) -> Self {
         Self {
             config,
+            grouping: config.dbscan(),
             threads: threads.max(1),
         }
     }
@@ -91,27 +102,52 @@ impl K2HopParallel {
     }
 }
 
+/// Convoys. The impl is not generic, so the DBSCAN pipeline is compiled
+/// in this crate, beside the phase code it calls.
 impl crate::ConvoyMiner for K2Hop {
     fn engine_name(&self) -> &'static str {
-        "k2hop"
+        DbscanParams::ENGINE
     }
 
-    /// Algorithm 1 end to end:
+    fn mine(&self, source: &dyn SnapshotSource) -> Result<MineOutcome, MineError> {
+        self.run(source)
+    }
+}
+
+impl<G: Grouping> K2Hop<G> {
+    /// The same miner with `grouping` in place of its own: the pattern it
+    /// mines changes, its configuration and worker count do not.
+    pub fn with_grouping<H: Grouping>(self, grouping: H) -> K2Hop<H> {
+        K2Hop {
+            config: self.config,
+            grouping,
+            threads: self.threads,
+        }
+    }
+
+    /// The configuration the miner was built with.
+    pub fn config(&self) -> K2Config {
+        self.config
+    }
+
+    /// Algorithm 1 end to end, with the miner's grouping:
     ///
-    /// 1. cluster benchmark snapshots into labellings,
-    /// 2. merge-join adjacent labellings into candidates,
+    /// 1. group benchmark snapshots,
+    /// 2. join adjacent groupings into candidates,
     /// 3. HWMT every hop-window (spanning convoys),
     /// 4. DCM-merge into maximal spanning convoys,
     /// 5. extend right then left (discarding convoys shorter than `k`),
-    /// 6. validate into maximal fully-connected convoys.
+    /// 6. validate into maximal fully-connected convoys, if the grouping
+    ///    asks for it ([`Grouping::VALIDATES`]).
     ///
     /// Steps 3–5 sweep the hop-windows a step at a time (see the module
-    /// doc); validation runs after the sweep.
-    fn mine(&self, source: &dyn SnapshotSource) -> Result<MineOutcome, MineError> {
+    /// doc); validation runs after the sweep. The `ConvoyMiner::mine` of
+    /// every grouping's engine is this.
+    pub fn run(&self, source: &dyn SnapshotSource) -> Result<MineOutcome, MineError> {
         let cfg = self.config;
-        let params = cfg.dbscan();
+        let grouping = self.grouping;
         let mut stats = MineStats {
-            engine: self.engine_name(),
+            engine: G::ENGINE,
             threads: self.threads,
             timings: PhaseTimings::default(),
             pruning: PruningStats {
@@ -153,13 +189,13 @@ impl crate::ConvoyMiner for K2Hop {
             _ => (ProbeReader::source(source), 1),
         };
 
-        // Step 1: benchmark clusters (the only full-snapshot scans),
+        // Step 1: benchmark groups (the only full-snapshot scans),
         // through the shared zero-copy fetcher: resident sources hand
         // out Arc-backed snapshot views (no clone per benchmark point),
         // disk engines decode into a bounded ring of reused buffers.
         let t0 = Instant::now();
         let bench = benchmark_points(span, cfg.hop());
-        let bench_res = cluster_benchmark_snapshots(self.threads, &bench, params, |t, buf| {
+        let bench_res = group_benchmark_snapshots(self.threads, &bench, grouping, |t, buf| {
             source.scan_snapshot_ref(t, buf)
         })?;
         pruning.benchmark_points = bench_res.points;
@@ -167,15 +203,15 @@ impl crate::ConvoyMiner for K2Hop {
         *grid = GridStats::from(bench_res.grid);
         timings.benchmark = t0.elapsed();
 
-        // Step 2: candidate clusters per hop-window, merge-joined from
-        // adjacent labellings.
+        // Step 2: candidate groups per hop-window, joined from adjacent
+        // benchmark groupings.
         let t0 = Instant::now();
-        let pairs: Vec<&[Vec<(Oid, u32)>]> = bench_res.labellings.windows(2).collect();
+        let pairs: Vec<&[G::Groups]> = bench_res.groups.windows(2).collect();
         let ccs: Vec<Vec<ObjectSet>> = self_scheduled_map(
             workers,
             &pairs,
             CandidateScratch::default,
-            |scratch, pair| scratch.candidates(&pair[0], &pair[1], cfg.m),
+            |scratch, pair| grouping.join(&pair[0], &pair[1], scratch),
         );
         pruning.candidate_clusters = ccs.iter().map(|cc| cc.len() as u32).sum();
         timings.intersect = t0.elapsed();
@@ -212,7 +248,7 @@ impl crate::ConvoyMiner for K2Hop {
         for (i, step) in steps.enumerate() {
             // Step 3: HWMT per window.
             let t0 = Instant::now();
-            let mined = reader.map(step, |w, probe, scratch| w.mine(params, probe, scratch))?;
+            let mined = reader.map(step, |w, probe, scratch| w.mine(grouping, probe, scratch))?;
             let spanning: Vec<Vec<Convoy>> = mined
                 .into_iter()
                 .map(|res| {
@@ -239,10 +275,10 @@ impl crate::ConvoyMiner for K2Hop {
 
             // Step 5, speculatively: the chains of what this step retired.
             let t0 = Instant::now();
-            let emitted = rights.run(&mut reader, params, &retired)?;
+            let emitted = rights.run(&mut reader, grouping, &retired)?;
             timings.extend_right += t0.elapsed();
             let t0 = Instant::now();
-            lefts.run(&mut reader, params, &emitted)?;
+            lefts.run(&mut reader, grouping, &emitted)?;
             timings.extend_left += t0.elapsed();
         }
         pruning.merged_convoys = merged.len() as u32;
@@ -250,23 +286,26 @@ impl crate::ConvoyMiner for K2Hop {
         // Step 5: extension (right, then left with the k filter) of the
         // final seeds, from the chains the sweep ran.
         let t0 = Instant::now();
-        let mut right = rights.pass(&mut reader, params, &merged.drain())?;
+        let mut right = rights.pass(&mut reader, grouping, &merged.drain())?;
         pruning.extend_points += right.points_fetched;
         intact.append(&mut right.intact);
         timings.extend_right += t0.elapsed();
 
         let t0 = Instant::now();
-        let mut left = lefts.pass(&mut reader, params, &right.convoys.drain())?;
+        let mut left = lefts.pass(&mut reader, grouping, &right.convoys.drain())?;
         pruning.extend_points += left.points_fetched;
         pruning.pre_validation_convoys = left.convoys.len() as u32;
         intact.append(&mut left.intact);
         timings.extend_left += t0.elapsed();
+        if !G::VALIDATES {
+            return Ok(outcome(left.convoys.into_sorted_vec(), stats));
+        }
 
         // Step 6: validation to fully-connected convoys, once the left
         // set is final.
         let t0 = Instant::now();
         let record = IntactRecord::new(intact);
-        let validated = validate_pass(&mut reader, params, cfg.k, left.convoys, &record)?;
+        let validated = validate_pass(&mut reader, grouping, cfg.k, left.convoys, &record)?;
         pruning.validation_points = validated.points_fetched;
         timings.validation = t0.elapsed();
 
@@ -275,7 +314,7 @@ impl crate::ConvoyMiner for K2Hop {
 }
 
 /// One hop-window: its bordering benchmark points and its candidate
-/// cluster set `CCᵢ`.
+/// set `CCᵢ`.
 struct Window<'a> {
     left: Time,
     right: Time,
@@ -286,12 +325,12 @@ impl Window<'_> {
     /// HWMT over this window in the paper's binary-tree order.
     fn mine(
         &self,
-        params: DbscanParams,
+        grouping: impl Grouping,
         probe: impl crate::Probe,
         scratch: &mut ProbeScratch,
     ) -> StoreResult<WindowResult> {
         mine_window_with(
-            params, self.left, self.right, self.cc, hwmt_order, probe, scratch,
+            grouping, self.left, self.right, self.cc, hwmt_order, probe, scratch,
         )
     }
 }

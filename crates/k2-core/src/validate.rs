@@ -27,8 +27,7 @@
 use crate::benchpoints::hwmt_star_order;
 use crate::par::{Chain, PassResult, ProbeReader};
 use crate::record::IntactRecord;
-use crate::{recluster_at, Probe, ProbeScratch};
-use k2_cluster::DbscanParams;
+use crate::{regroup_at, Grouping, Probe, ProbeScratch};
 use k2_model::{Convoy, ConvoySet, ObjectSet, Time, TimeInterval};
 use k2_storage::StoreResult;
 use std::collections::HashMap;
@@ -39,9 +38,9 @@ use std::collections::HashMap;
 /// its own chain of HWMT\* runs, all reading the one `record` — and the
 /// fully-connected convoys they yield are folded, in candidate order,
 /// into one maximal set.
-pub(crate) fn validate_pass(
+pub(crate) fn validate_pass<G: Grouping>(
     reader: &mut ProbeReader<'_>,
-    params: DbscanParams,
+    grouping: G,
     min_len: u32,
     candidates: impl IntoIterator<Item = Convoy>,
     record: &IntactRecord,
@@ -55,7 +54,7 @@ pub(crate) fn validate_pass(
     // block cache) sees is pinned to that order.
     candidates.reverse();
     let chains = reader.map(&candidates, |v, probe, scratch| {
-        validate_one(params, min_len, v, record, probe, scratch)
+        validate_one(grouping, min_len, v, record, probe, scratch)
     })?;
     Ok(PassResult::fold(chains))
 }
@@ -63,8 +62,8 @@ pub(crate) fn validate_pass(
 /// Validates one candidate: HWMT\* either confirms it unchanged or
 /// yields smaller convoys, which are validated in turn. Returns the
 /// fully-connected convoys found and the number of points examined.
-fn validate_one(
-    params: DbscanParams,
+fn validate_one<G: Grouping>(
+    grouping: G,
     min_len: u32,
     candidate: &Convoy,
     record: &IntactRecord,
@@ -76,7 +75,7 @@ fn validate_one(
     let mut queue = vec![candidate.clone()];
     while let Some(vin) = queue.pop() {
         let out = hwmt_star(
-            params,
+            grouping,
             min_len,
             &vin,
             record,
@@ -117,8 +116,8 @@ fn validate_one(
 ///    restriction. (Lemma 2 applies within `DB|O`, so the sweep is exact.)
 ///    When every timestamp answered `[O]` the sweep could only yield `v`
 ///    itself, so it is skipped.
-fn hwmt_star(
-    params: DbscanParams,
+fn hwmt_star<G: Grouping>(
+    grouping: G,
     min_len: u32,
     v: &Convoy,
     record: &IntactRecord,
@@ -142,7 +141,7 @@ fn hwmt_star(
             *examined += v.objects.len() as u64;
             continue;
         }
-        let (clusters, n) = recluster_at(&mut probe, params, t, &v.objects, scratch)?;
+        let (clusters, n) = regroup_at(&mut probe, grouping, t, &v.objects, scratch)?;
         *examined += n;
         if clusters.len() == 1 && clusters[0] == v.objects {
             continue;
@@ -174,7 +173,7 @@ fn hwmt_star(
             let mut extended_fully = false;
             for c in clusters {
                 let inter = av.objects.intersect(c);
-                if inter.len() >= params.min_pts {
+                if inter.len() >= grouping.min_size() {
                     if inter.len() == av.objects.len() {
                         extended_fully = true;
                     }
@@ -220,6 +219,7 @@ fn longest_fragment(span: TimeInterval, broken: &[Time]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use k2_cluster::DbscanParams;
     use k2_model::{Dataset, Point};
     use k2_storage::{InMemoryStore, SnapshotSource};
 

@@ -13,10 +13,14 @@
 //!   therefore *exact* and the accelerated miner needs **no** final
 //!   FC-style validation phase.
 //!
-//! The accelerated miner is an engine like the convoy miners:
-//! [`FlockMiner`] implements [`ConvoyMiner`] and reads a source only
-//! through its two §5 access paths — one snapshot scan per benchmark
-//! point, restricted `DB[t]|O` probes everywhere else.
+//! So [`FlockMiner`] is `k2-core`'s [`K2Hop`] with a disk grouping in
+//! place of DBSCAN: the same Algorithm 1, its thread fan-out, its
+//! one-window sweep over disk stores and its counters. The grouping
+//! says four things. A snapshot, or a `DB[t]|O` probe, is grouped into
+//! its maximal disk groups ([`disk_groups`]). Disk groups overlap, so
+//! step 2 intersects two benchmark groupings pair by pair and keeps the
+//! maximal intersections, and HWMT keeps its survivors maximal. And
+//! step 6 does not run.
 //!
 //! Per-timestamp maximal disk groups are found with the classic
 //! pair-disk enumeration (Vieira et al., "BFE"): every maximal group
@@ -26,45 +30,24 @@
 //! predicate itself rests on [`min_enclosing_circle`].
 
 use crate::mec::min_enclosing_circle;
-use k2_core::benchpoints::{benchmark_points, hop_window, hwmt_order};
-use k2_core::merge::merge_spanning;
-use k2_core::{ConvoyMiner, MineError, MineOutcome, MineStats};
-use k2_model::{Convoy, ConvoySet, Dataset, ObjPos, ObjectSet, Time, TimeInterval};
-use k2_storage::{SnapshotSource, StoreResult};
-use std::time::Instant;
+use k2_cluster::GridScratch;
+use k2_core::candidates::CandidateScratch;
+use k2_core::{ConvoyMiner, Grouping, K2Config, K2Hop, MineError, MineOutcome};
+use k2_model::{Convoy, ConvoySet, Dataset, ObjPos, ObjectSet, TimeInterval};
+use k2_storage::SnapshotSource;
 
-/// Flock parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct FlockConfig {
-    /// Minimum flock size (≥ 2).
-    pub m: usize,
-    /// Minimum duration in timestamps (≥ 2).
-    pub k: u32,
-    /// Disk radius.
-    pub r: f64,
-}
-
-impl FlockConfig {
-    /// Validated constructor.
-    pub fn new(m: usize, k: u32, r: f64) -> Self {
-        assert!(m >= 2, "flock m must be >= 2");
-        assert!(k >= 2, "flock k must be >= 2");
-        assert!(r > 0.0 && r.is_finite(), "flock r must be positive");
-        Self { m, k, r }
-    }
-}
-
-/// Flock miner: the k/2-hop-accelerated engine behind [`ConvoyMiner`],
-/// plus the exact sweep it is checked against.
+/// Flock miner: [`K2Hop`] over radius-`r` disks, plus the exact sweep
+/// it is checked against.
 ///
-/// As an engine it reads only the two §5 access paths: one snapshot scan
-/// per benchmark point and restricted `DB[t]|O` probes in hop-windows and
-/// extension — so it mines a bare [`Dataset`], any store or a clamped
-/// pin without copying it.
+/// It reads the [`K2Config`] as `m`, `k` and the disk radius `r = eps`.
+/// As an engine it reads only the two §5 access paths — one snapshot
+/// scan per benchmark point and restricted `DB[t]|O` probes in
+/// hop-windows and extension — so it mines a bare [`Dataset`], any store
+/// or a clamped pin without copying it.
 ///
 /// ```
-/// use k2_core::ConvoyMiner;
-/// use k2_patterns::{FlockConfig, FlockMiner};
+/// use k2_core::{ConvoyMiner, K2Config};
+/// use k2_patterns::FlockMiner;
 /// use k2_model::{Dataset, Point};
 ///
 /// // Three objects inside one unit disk for 10 timestamps.
@@ -75,55 +58,47 @@ impl FlockConfig {
 ///     }
 /// }
 /// let d = Dataset::from_points(&pts).unwrap();
-/// let miner = FlockMiner::new(FlockConfig::new(3, 5, 0.5));
+/// let miner = FlockMiner::new(K2Config::new(3, 5, 0.5).unwrap());
 /// let flocks = miner.mine(&d).unwrap().convoys;
 /// assert_eq!(flocks, miner.mine_sweep(&d)); // the acceleration is exact
 /// assert_eq!(flocks.len(), 1);
 /// assert_eq!(flocks[0].len(), 10);
 /// ```
 #[derive(Debug, Clone, Copy)]
-pub struct FlockMiner {
-    config: FlockConfig,
-}
+pub struct FlockMiner(K2Hop<Disks>);
 
 impl ConvoyMiner for FlockMiner {
     fn engine_name(&self) -> &'static str {
-        "flock-k2hop"
+        Disks::ENGINE
     }
 
     fn mine(&self, source: &dyn SnapshotSource) -> Result<MineOutcome, MineError> {
-        let t0 = Instant::now();
-        let convoys = self.flocks(source)?;
-        // Pruning counters stay zero: the flock miner does not track its
-        // reads, and setting only `total_points` would make
-        // `pruning_ratio()` report a false 100%.
-        let mut stats = MineStats {
-            engine: self.engine_name(),
-            threads: 1,
-            timings: Default::default(),
-            pruning: Default::default(),
-            prefetch: Default::default(),
-            grid: Default::default(),
-        };
-        stats.timings.hwmt = t0.elapsed();
-        Ok(MineOutcome {
-            convoys,
-            stats,
-            io: source.io_stats(),
-        })
+        self.0.run(source)
     }
 }
 
 impl FlockMiner {
-    /// Creates a miner.
-    pub fn new(config: FlockConfig) -> Self {
-        Self { config }
+    /// A miner with one worker per available core.
+    pub fn new(config: K2Config) -> Self {
+        Self::over_disks(K2Hop::new(config))
+    }
+
+    /// A miner with an explicit worker count (≥ 1; 1 runs the whole
+    /// pipeline on the calling thread).
+    pub fn with_threads(config: K2Config, threads: usize) -> Self {
+        Self::over_disks(K2Hop::with_threads(config, threads))
+    }
+
+    /// `miner` grouping by disks of radius `eps` instead of DBSCAN.
+    fn over_disks(miner: K2Hop) -> Self {
+        let K2Config { m, eps: r, .. } = miner.config();
+        Self(miner.with_grouping(Disks { r, m }))
     }
 
     /// Exact baseline: disk-group every snapshot, sweep left to right
     /// (the BFE join). Returns maximal flocks as [`Convoy`] values.
     pub fn mine_sweep(&self, dataset: &Dataset) -> Vec<Convoy> {
-        let FlockConfig { m, k, r } = self.config;
+        let K2Config { m, k, eps: r } = self.0.config();
         let mut active: Vec<Convoy> = Vec::new();
         let mut results = ConvoySet::new();
         for (t, snap) in dataset.iter() {
@@ -156,160 +131,59 @@ impl FlockMiner {
         }
         results.into_sorted_vec()
     }
+}
 
-    /// k/2-hop-accelerated flock mining: disk-group only the benchmark
-    /// snapshots, intersect, validate hop-windows in farthest-first
-    /// order, merge, extend. No validation phase is needed (see module
-    /// docs). Output is identical to [`FlockMiner::mine_sweep`].
-    fn flocks(&self, source: &dyn SnapshotSource) -> StoreResult<Vec<Convoy>> {
-        let FlockConfig { m, k, r } = self.config;
-        let span = source.span();
-        if span.len() < k {
-            return Ok(Vec::new());
-        }
-        let bench = benchmark_points(span, k / 2);
+/// The flock grouping: maximal sets of ≥ `m` objects inside one
+/// radius-`r` disk.
+#[derive(Debug, Clone, Copy)]
+struct Disks {
+    r: f64,
+    m: usize,
+}
 
-        // Benchmark disk groups.
-        let mut buf = Vec::new();
-        let mut bench_groups: Vec<Vec<ObjectSet>> = Vec::with_capacity(bench.len());
-        for &b in &bench {
-            let snap = source.scan_snapshot_ref(b, &mut buf)?;
-            bench_groups.push(disk_groups(snap.positions(), r, m));
-        }
+impl Grouping for Disks {
+    type Groups = Vec<ObjectSet>;
 
-        // Candidate groups per window (pairwise intersection + maximality;
-        // disk groups may overlap, so the inverted-index trick of the
-        // convoy pipeline does not apply).
-        let mut windows: Vec<Vec<Convoy>> = Vec::with_capacity(bench.len().saturating_sub(1));
-        for (w, pair) in bench_groups.windows(2).enumerate() {
-            let mut cc: Vec<ObjectSet> = Vec::new();
-            for l in &pair[0] {
-                for rg in &pair[1] {
-                    let inter = l.intersect(rg);
-                    if inter.len() >= m && !cc.iter().any(|c| inter.is_subset(c)) {
-                        cc.retain(|c| !c.is_subset(&inter));
-                        cc.push(inter);
-                    }
-                }
-            }
-            windows.push(self.mine_window(source, bench[w], bench[w + 1], &cc)?);
-        }
+    const ENGINE: &'static str = "flock-k2hop";
+    const OVERLAPPING: bool = true;
+    const VALIDATES: bool = false;
 
-        // Merge and extend (shared with the convoy pipeline).
-        let merged = merge_spanning(&windows, m);
-        let mut results = ConvoySet::new();
-        for v in merged {
-            for rightward in self.extend(source, v, true)? {
-                for full in self.extend(source, rightward, false)? {
-                    if full.len() >= k {
-                        results.update(full);
-                    }
-                }
-            }
-        }
-        Ok(results.into_sorted_vec())
+    fn min_size(&self) -> usize {
+        self.m
     }
 
-    /// HWMT with the disk predicate: survivors of every window timestamp
-    /// in farthest-first order.
-    fn mine_window(
-        &self,
-        source: &dyn SnapshotSource,
-        b_left: Time,
-        b_right: Time,
-        cc: &[ObjectSet],
-    ) -> StoreResult<Vec<Convoy>> {
-        let FlockConfig { m, r, .. } = self.config;
-        if cc.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut survivors: Vec<ObjectSet> = cc.to_vec();
-        let mut positions = Vec::new();
-        if let Some(window) = hop_window(b_left, b_right) {
-            for t in hwmt_order(window) {
-                let mut next: Vec<ObjectSet> = Vec::new();
-                for candidate in &survivors {
-                    source.multi_get_into(t, candidate.ids(), &mut positions)?;
-                    for g in disk_groups(&positions, r, m) {
-                        if !next.iter().any(|c| g.is_subset(c)) {
-                            next.retain(|c| !c.is_subset(&g));
-                            next.push(g);
-                        }
-                    }
-                }
-                if next.is_empty() {
-                    return Ok(Vec::new());
-                }
-                survivors = next;
-            }
-        }
-        Ok(survivors
-            .into_iter()
-            .map(|objects| Convoy::new(objects, TimeInterval::new(b_left, b_right)))
-            .collect())
+    fn group(&self, snapshot: &[ObjPos], _: &mut GridScratch) -> Self::Groups {
+        disk_groups(snapshot, self.r, self.m)
     }
 
-    /// Directed extension with the disk predicate (subset-closure makes
-    /// emitted shrunken flocks valid without re-checking the past).
-    fn extend(
+    /// Pairwise intersection, kept maximal: disk groups overlap, so the
+    /// merge-join of disjoint labellings does not apply.
+    fn join(
         &self,
-        source: &dyn SnapshotSource,
-        seed: Convoy,
-        rightward: bool,
-    ) -> StoreResult<Vec<Convoy>> {
-        let FlockConfig { m, r, .. } = self.config;
-        let span = source.span();
-        let mut result = ConvoySet::new();
-        let mut prev = vec![seed];
-        let mut positions = Vec::new();
-        loop {
-            let frontier = if rightward {
-                let te = prev[0].end();
-                if te >= span.end {
-                    break;
-                }
-                te + 1
-            } else {
-                let ts = prev[0].start();
-                if ts <= span.start {
-                    break;
-                }
-                ts - 1
-            };
-            let mut next = ConvoySet::new();
-            for v in &prev {
-                source.multi_get_into(frontier, v.objects.ids(), &mut positions)?;
-                let groups = disk_groups(&positions, r, m);
-                if groups.is_empty() {
-                    result.update(v.clone());
-                    continue;
-                }
-                let mut intact = false;
-                for g in groups {
-                    if g == v.objects {
-                        intact = true;
-                    }
-                    let (s, e) = if rightward {
-                        (v.start(), frontier)
-                    } else {
-                        (frontier, v.end())
-                    };
-                    next.update(Convoy::new(g, TimeInterval::new(s, e)));
-                }
-                if !intact {
-                    result.update(v.clone());
-                }
+        left: &Self::Groups,
+        right: &Self::Groups,
+        _: &mut CandidateScratch,
+    ) -> Vec<ObjectSet> {
+        let mut cc = Vec::new();
+        for l in left {
+            for g in right {
+                push_maximal(&mut cc, l.intersect(g), self.m);
             }
-            if next.is_empty() {
-                prev.clear();
-                break;
-            }
-            prev = next.drain();
         }
-        for v in prev {
-            result.update(v);
-        }
-        Ok(result.into_sorted_vec())
+        cc
+    }
+
+    fn regroup(&self, positions: &[ObjPos], _: &mut GridScratch) -> Vec<ObjectSet> {
+        disk_groups(positions, self.r, self.m)
+    }
+}
+
+/// Adds `set` to `sets` if it has at least `m` objects and no member of
+/// `sets` contains it, dropping the members it contains.
+fn push_maximal(sets: &mut Vec<ObjectSet>, set: ObjectSet, m: usize) {
+    if set.len() >= m && !sets.iter().any(|c| set.is_subset(c)) {
+        sets.retain(|c| !c.is_subset(&set));
+        sets.push(set);
     }
 }
 
@@ -321,12 +195,6 @@ pub fn disk_groups(points: &[ObjPos], r: f64, m: usize) -> Vec<ObjectSet> {
     }
     let four_r2 = 4.0 * r * r;
     let mut candidates: Vec<ObjectSet> = Vec::new();
-    let push_maximal = |set: ObjectSet, candidates: &mut Vec<ObjectSet>| {
-        if set.len() >= m && !candidates.iter().any(|c| set.is_subset(c)) {
-            candidates.retain(|c| !c.is_subset(&set));
-            candidates.push(set);
-        }
-    };
     for i in 0..points.len() {
         for j in (i + 1)..points.len() {
             let (p, q) = (&points[i], &points[j]);
@@ -348,7 +216,7 @@ pub fn disk_groups(points: &[ObjPos], r: f64, m: usize) -> Vec<ObjectSet> {
                 // candidate disk over-approximates only by the tolerance).
                 let set = largest_coverable(points, members, r, m);
                 if let Some(set) = set {
-                    push_maximal(set, &mut candidates);
+                    push_maximal(&mut candidates, set, m);
                 }
             }
         }
@@ -488,7 +356,7 @@ mod tests {
     #[test]
     fn sweep_finds_the_flock() {
         let d = flock_dataset();
-        let flocks = FlockMiner::new(FlockConfig::new(3, 10, 0.6)).mine_sweep(&d);
+        let flocks = FlockMiner::new(K2Config::new(3, 10, 0.6).unwrap()).mine_sweep(&d);
         assert_eq!(flocks.len(), 1);
         assert_eq!(flocks[0].objects, ObjectSet::from([0, 1, 2]));
         assert_eq!(flocks[0].lifespan, TimeInterval::new(5, 25));
@@ -502,7 +370,7 @@ mod tests {
     #[test]
     fn hop_matches_sweep_on_fixture() {
         let d = flock_dataset();
-        let miner = FlockMiner::new(FlockConfig::new(3, 10, 0.6));
+        let miner = FlockMiner::new(K2Config::new(3, 10, 0.6).unwrap());
         assert_eq!(hop(&miner, &d), miner.mine_sweep(&d));
     }
 
@@ -525,7 +393,7 @@ mod tests {
         }
         let d = Dataset::from_points(&out).unwrap();
         for (m, k, r) in [(2usize, 4u32, 1.0), (3, 5, 1.5), (2, 8, 0.8)] {
-            let miner = FlockMiner::new(FlockConfig::new(m, k, r));
+            let miner = FlockMiner::new(K2Config::new(m, k, r).unwrap());
             assert_eq!(hop(&miner, &d), miner.mine_sweep(&d), "m={m} k={k} r={r}");
         }
     }
@@ -533,14 +401,8 @@ mod tests {
     #[test]
     fn flock_shorter_than_k_rejected() {
         let d = flock_dataset();
-        let miner = FlockMiner::new(FlockConfig::new(3, 30, 0.6));
+        let miner = FlockMiner::new(K2Config::new(3, 30, 0.6).unwrap());
         assert!(miner.mine_sweep(&d).is_empty());
         assert!(hop(&miner, &d).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "m must be >= 2")]
-    fn invalid_config_panics() {
-        let _ = FlockConfig::new(1, 5, 1.0);
     }
 }

@@ -6,20 +6,21 @@
 //! to mine different movement patterns like moving clusters and flocks."*
 //!
 //! This crate delivers the flock half of that future work. A pattern
-//! here is exactly one thing, an engine behind `k2-core`'s `ConvoyMiner`:
+//! here is a grouping predicate, and nothing else: `k2-core`'s `K2Hop`
+//! runs Algorithm 1 over whichever `Grouping` it is given.
 //!
 //! * [`flock`] — flock mining (Gudmundsson & van Kreveld; Vieira et al.):
 //!   ≥ `m` objects inside a disk of radius `r` for ≥ `k` consecutive
-//!   timestamps. [`FlockMiner`] is a **k/2-hop-accelerated** engine
-//!   (benchmark points + candidate intersection + hop-window
-//!   validation), so it mines any `SnapshotSource` — a dataset, a store,
-//!   a clamped pin — through the same two access paths as the convoy
-//!   miners; its exact full sweep ([`FlockMiner::mine_sweep`]) is the
-//!   reference. They provably agree because Lemma 3 is pattern-agnostic
-//!   — any group pattern of length ≥ `k = 2h` crosses two consecutive
-//!   benchmark points, and the disk predicate is *self-sufficient* (it
-//!   never depends on non-member objects, so restricted re-checks are
-//!   exact — flocks need no FC-style final validation).
+//!   timestamps. [`FlockMiner`] is `K2Hop` with maximal radius-`r` disk
+//!   groups in place of DBSCAN clusters, so it mines any
+//!   `SnapshotSource` — a dataset, a store, a clamped pin — with the
+//!   convoy miner's threads, sweep and counters; its exact full sweep
+//!   ([`FlockMiner::mine_sweep`]) is the reference. They provably agree
+//!   because Lemma 3 is pattern-agnostic — any group pattern of length
+//!   ≥ `k = 2h` crosses two consecutive benchmark points — and the disk
+//!   predicate is *self-sufficient* (it never depends on non-member
+//!   objects, so restricted re-checks are exact — flocks need no
+//!   FC-style final validation).
 //! * [`mec`] — Welzl's minimal enclosing circle, the geometric substrate
 //!   for the exact flock predicate.
 //!
@@ -43,5 +44,5 @@
 pub mod flock;
 pub mod mec;
 
-pub use flock::{FlockConfig, FlockMiner};
+pub use flock::FlockMiner;
 pub use mec::{min_enclosing_circle, Circle};

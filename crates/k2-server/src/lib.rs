@@ -13,8 +13,8 @@
 //!   with full round-trip codecs;
 //! * [`K2Service`] — the transport-agnostic handler: a mine request
 //!   pins a snapshot, clamps it to the requested time range, runs the
-//!   request's one engine (k/2-hop for convoys, the flock miner for
-//!   flocks) against the pin, and replies
+//!   request's one engine (k/2-hop, grouping by DBSCAN for convoys and
+//!   by disks for flocks) against the pin, and replies
 //!   with convoys + per-phase timings + exactly the I/O that request
 //!   caused;
 //! * [`Server`] — TCP accept loop + thread-per-connection framing, with

@@ -37,8 +37,8 @@ pub enum Pattern {
     /// k/2-hop engine.
     #[default]
     Convoy,
-    /// Disk-confined flocks, mined with the k/2-hop-accelerated flock
-    /// miner.
+    /// Disk-confined flocks, mined with the same k/2-hop engine over
+    /// radius-`eps` disk groups.
     Flock,
 }
 
@@ -60,7 +60,8 @@ pub enum Request {
         k: u32,
         /// Clustering radius / disk radius `eps`.
         eps: f64,
-        /// Clustering worker threads; `0` picks the engine default.
+        /// Worker threads, for either pattern: `0` asks for one per core,
+        /// and the core count caps any other value.
         threads: u32,
     },
     /// Append a batch of movement records to the store.

@@ -14,7 +14,7 @@
 use crate::protocol::{MineReply, Pattern, Request, Response, StatsReply, WireConvoy};
 use k2_core::{ConfigError, ConvoyMiner, K2Config, K2Hop};
 use k2_model::{Convoy, Point};
-use k2_patterns::{FlockConfig, FlockMiner};
+use k2_patterns::FlockMiner;
 use k2_storage::{LsmStore, SnapshotSource, TimeRange};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -179,8 +179,9 @@ impl K2Service {
 }
 
 /// The engine a `MineRange` request runs: [`K2Hop`] for convoys, the
-/// [`FlockMiner`] for flocks, each over the request's validated `m`, `k`
-/// and `eps` (the flock's disk radius).
+/// [`FlockMiner`] (k/2-hop with a disk grouping) for flocks, each over
+/// the request's validated `m`, `k` and `eps` (the flock's disk radius)
+/// and the same worker count.
 fn engine(
     pattern: Pattern,
     m: u32,
@@ -189,22 +190,17 @@ fn engine(
     threads: u32,
 ) -> Result<Box<dyn ConvoyMiner>, ConfigError> {
     let config = K2Config::new(m as usize, k, eps)?;
+    // The count comes off the wire and sizes per-worker state: more
+    // workers than cores buys nothing, so the machine caps it, and 0 asks
+    // for all of them. The reply reports the value used.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = match threads {
+        0 => cores,
+        n => (n as usize).min(cores),
+    };
     Ok(match pattern {
-        Pattern::Convoy => {
-            // The count comes off the wire and sizes per-worker state:
-            // more workers than cores buys nothing, so the machine caps
-            // it, and 0 asks for all of them. The reply reports the value
-            // used.
-            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-            let threads = match threads {
-                0 => cores,
-                n => (n as usize).min(cores),
-            };
-            Box::new(K2Hop::with_threads(config, threads))
-        }
-        Pattern::Flock => Box::new(FlockMiner::new(FlockConfig::new(
-            config.m, config.k, config.eps,
-        ))),
+        Pattern::Convoy => Box::new(K2Hop::with_threads(config, threads)),
+        Pattern::Flock => Box::new(FlockMiner::with_threads(config, threads)),
     })
 }
 

@@ -6,7 +6,7 @@
 //! cargo run --release --example patterns
 //! ```
 
-use k2hop::patterns::{FlockConfig, FlockMiner};
+use k2hop::patterns::FlockMiner;
 use k2hop::prelude::*;
 use std::time::Instant;
 
@@ -51,15 +51,16 @@ fn main() {
     }
 
     // --- Flocks (disk-based): the column is NOT a flock, the peloton is ---
-    // A pattern is an engine: the session runs the k/2-hop-accelerated
-    // flock miner, and its exact full sweep cross-checks it.
-    let miner = FlockMiner::new(FlockConfig::new(4, 30, 1.0));
+    // A pattern is an engine: the session runs k/2-hop with a disk
+    // grouping (eps is the radius), and its exact full sweep
+    // cross-checks it.
+    let config = K2Config::new(4, 30, 1.0).expect("config");
+    let miner = FlockMiner::new(config);
     let t0 = Instant::now();
     let flocks_sweep = miner.mine_sweep(&dataset);
     let sweep_time = t0.elapsed();
     let t0 = Instant::now();
-    let flocks_hop = MiningSession::with_params(4, 30, 1.0)
-        .expect("config")
+    let flocks_hop = MiningSession::new(config)
         .engine(miner)
         .mine(&dataset)
         .expect("mining")

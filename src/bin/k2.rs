@@ -15,7 +15,7 @@ use k2hop::baselines::sweep::SweepMiner;
 use k2hop::baselines::{cuts, dcm, spare, vcoda};
 use k2hop::core::K2Config;
 use k2hop::model::{codec, Dataset};
-use k2hop::patterns::{FlockConfig, FlockMiner};
+use k2hop::patterns::FlockMiner;
 use k2hop::server::{K2Service, Server};
 use k2hop::storage::{FlatFileStore, InMemoryStore, LsmConfig, LsmStore, RelationalStore};
 use k2hop::MiningSession;
@@ -238,7 +238,10 @@ fn mine(args: &[&String]) -> CmdResult {
     let config = K2Config::new(m, k, eps).map_err(|e| e.to_string())?;
     let session = match algo {
         "k2hop" if flock => {
-            let miner = FlockMiner::new(FlockConfig::new(m, k, eps));
+            let miner = match threads_flag {
+                Some(n) => FlockMiner::with_threads(config, n),
+                None => FlockMiner::new(config),
+            };
             Some(MiningSession::new(config).engine(miner))
         }
         "k2hop" => {
@@ -279,18 +282,12 @@ fn mine(args: &[&String]) -> CmdResult {
             .map_err(|e| e.to_string())?;
             let _ = std::fs::remove_dir_all(&tmp);
             let pruning = &outcome.stats.pruning;
-            let extra = if pruning.total_points > 0 {
-                format!(
-                    ", engine {}, pruned {:.2}% of {} points",
-                    outcome.stats.engine,
-                    pruning.pruning_ratio() * 100.0,
-                    pruning.total_points
-                )
-            } else {
-                // Engines that do not track pruning (flocks) report no
-                // counters rather than a fictitious ratio.
-                format!(", engine {}", outcome.stats.engine)
-            };
+            let extra = format!(
+                ", engine {}, pruned {:.2}% of {} points",
+                outcome.stats.engine,
+                pruning.pruning_ratio() * 100.0,
+                pruning.total_points
+            );
             (outcome.convoys, extra)
         }
         None => {

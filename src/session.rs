@@ -6,7 +6,7 @@
 //! [`ConvoyMiner`]) and every storage backend (all four engines plus
 //! bare [`Dataset`](crate::model::Dataset)s, via [`SnapshotSource`]).
 //! A pattern is an engine: a flock session is
-//! `.engine(FlockMiner::new(..))`. This is the API the examples, the
+//! `.engine(FlockMiner::new(config))`, k/2-hop with a disk grouping. This is the API the examples, the
 //! CLI, and the bench harness are built on.
 
 use crate::core::{ConvoyMiner, K2Config, K2Hop, MineError, MineOutcome};
@@ -119,7 +119,7 @@ impl MiningSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::patterns::{FlockConfig, FlockMiner};
+    use crate::patterns::FlockMiner;
     use crate::prelude::*;
     use crate::storage::TimeRange;
 
@@ -167,15 +167,14 @@ mod tests {
     #[test]
     fn flock_session_matches_direct_flock_miner() {
         let d = dataset();
-        let miner = FlockMiner::new(FlockConfig::new(3, 10, 1.5));
-        let session = MiningSession::with_params(3, 10, 1.5)
-            .unwrap()
-            .engine(miner);
+        let cfg = K2Config::new(3, 10, 1.5).unwrap();
+        let miner = FlockMiner::with_threads(cfg, 2);
+        let session = MiningSession::new(cfg).engine(miner);
         let via_session = session.mine(&d).unwrap();
         let sweep = miner.mine_sweep(&d);
         assert_eq!(via_session.convoys, sweep);
         assert_eq!(via_session.stats.engine, "flock-k2hop");
-        assert_eq!(via_session.stats.threads, 1);
+        assert_eq!(via_session.stats.threads, 2);
         // Through a store that is not resident: same flocks.
         let store = TimeRange::new(InMemoryStore::new(d), 0, Time::MAX);
         assert_eq!(session.mine(&store).unwrap().convoys, sweep);

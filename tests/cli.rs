@@ -92,7 +92,9 @@ fn generate_stats_mine_convert_round_trip() {
         assert!(out.starts_with("2 convoys"), "{engine}: {out}");
     }
 
-    // A pattern is an engine: `--pattern flock` runs the flock miner.
+    // A pattern is an engine: `--pattern flock` runs k/2-hop with a disk
+    // grouping, on the workers `--threads` asks for, and reports its
+    // pruning like the convoy miner.
     let out = run_ok(k2().args([
         "mine",
         bin.to_str().unwrap(),
@@ -106,9 +108,12 @@ fn generate_stats_mine_convert_round_trip() {
         "flock",
         "--engine",
         "lsmt",
+        "--threads",
+        "2",
         "--quiet",
     ]));
-    assert!(out.contains("engine flock-k2hop"), "{out}");
+    assert!(out.contains("engine flock-k2hop, pruned "), "{out}");
+    assert!(out.contains("% of 6120 points"), "{out}");
 
     // Binary -> CSV -> binary preserves the dataset.
     run_ok(k2().args(["convert", bin.to_str().unwrap(), csv.to_str().unwrap()]));

@@ -8,8 +8,11 @@ mod common;
 use common::TempDir;
 use k2hop::core::{ConvoyMiner, K2Config, K2Hop};
 use k2hop::datagen::{tdrive::TDriveConfig, trucks::TrucksConfig, ConvoyInjector};
-use k2hop::model::{Dataset, Point};
-use k2hop::storage::{FlatFileStore, InMemoryStore, LsmStore, RelationalStore, SnapshotSource};
+use k2hop::model::{Dataset, Point, Time};
+use k2hop::patterns::FlockMiner;
+use k2hop::storage::{
+    FlatFileStore, InMemoryStore, LsmStore, RelationalStore, SnapshotSource, TimeRange,
+};
 use proptest::prelude::*;
 
 fn sequential(d: &Dataset, m: usize, k: u32, eps: f64) -> Vec<k2hop::model::Convoy> {
@@ -36,6 +39,38 @@ fn parallel_equals_sequential_on_injected_workloads() {
                 .unwrap()
                 .convoys;
             assert_eq!(got, expect, "seed {seed}, {threads} threads");
+        }
+    }
+}
+
+/// Flocks run the same pipeline with a disk grouping: flocks and every
+/// pruning counter are the same at every thread count, over the dataset,
+/// a resident store and a store that hides its dataset.
+#[test]
+fn flock_thread_count_changes_neither_flocks_nor_counters() {
+    for seed in [1u64, 17] {
+        let d = ConvoyInjector::new(80, 120)
+            .convoys(4, 4, 50)
+            .seed(seed)
+            .generate();
+        let cfg = K2Config::new(3, 20, 1.0).unwrap();
+        let store = InMemoryStore::new(d.clone());
+        let opaque = TimeRange::new(InMemoryStore::new(d.clone()), 0, Time::MAX);
+        let sequential = FlockMiner::with_threads(cfg, 1).mine(&d).unwrap();
+        assert!(!sequential.convoys.is_empty(), "seed {seed}");
+        assert!(
+            sequential.stats.pruning.points_processed() > 0,
+            "seed {seed}"
+        );
+        for threads in [1usize, 2, 4, 8] {
+            let miner = FlockMiner::with_threads(cfg, threads);
+            for source in [&d as &dyn SnapshotSource, &store, &opaque] {
+                let got = miner.mine(source).unwrap();
+                let at = format!("seed {seed}, {threads} threads, {}", source.name());
+                assert_eq!(got.convoys, sequential.convoys, "{at}");
+                assert_eq!(got.stats.pruning, sequential.stats.pruning, "{at}");
+                assert_eq!(got.stats.threads, threads, "{at}");
+            }
         }
     }
 }

@@ -2,11 +2,19 @@
 //! flock miner must agree with the exact sweep on arbitrary data, and
 //! pattern semantics must relate to convoys as the literature says.
 
+mod common;
+
+use common::TempDir;
 use k2hop::patterns::flock::disk_groups;
-use k2hop::patterns::{min_enclosing_circle, FlockConfig, FlockMiner};
+use k2hop::patterns::{min_enclosing_circle, FlockMiner};
 use k2hop::prelude::*;
-use k2hop::storage::TimeRange;
+use k2hop::storage::{FlatFileStore, TimeRange};
 use proptest::prelude::*;
+
+/// The flock miner over `m`, `k` and the disk radius `r`.
+fn flock_miner(m: usize, k: u32, r: f64) -> FlockMiner {
+    FlockMiner::new(K2Config::new(m, k, r).unwrap())
+}
 
 fn dataset_strategy() -> impl Strategy<Value = Dataset> {
     (3usize..8, 6u32..20).prop_flat_map(|(n, ts)| {
@@ -28,17 +36,20 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Headline: the benchmark-hopping flock miner is exact, on a bare
-    /// dataset and through a source that is not resident (the path a
-    /// served flock takes).
+    /// Headline: k/2-hop with the disk grouping is exact, on a bare
+    /// dataset, through a source that is not resident (the path a served
+    /// flock takes) and through a disk store (one hop-window a step).
     #[test]
     fn flock_hop_equals_sweep(d in dataset_strategy(), m in 2usize..4, k in 2u32..8) {
-        let miner = FlockMiner::new(FlockConfig::new(m, k, 1.2));
+        let miner = flock_miner(m, k, 1.2);
         let sweep = miner.mine_sweep(&d);
         prop_assert_eq!(&miner.mine(&d).unwrap().convoys, &sweep);
         let store = TimeRange::new(InMemoryStore::new(d.clone()), 0, Time::MAX);
         prop_assert!(store.as_dataset().is_none());
         prop_assert_eq!(&miner.mine(&store).unwrap().convoys, &sweep);
+        let dir = TempDir::new("flock");
+        let flat = FlatFileStore::create(dir.join("data.bin"), &d).unwrap();
+        prop_assert_eq!(&miner.mine(&flat).unwrap().convoys, &sweep);
     }
 
     /// Every reported flock actually fits a radius-r disk at every
@@ -46,7 +57,7 @@ proptest! {
     #[test]
     fn flocks_satisfy_the_disk_predicate(d in dataset_strategy()) {
         let r = 1.0;
-        let miner = FlockMiner::new(FlockConfig::new(2, 3, r));
+        let miner = flock_miner(2, 3, r);
         for f in miner.mine_sweep(&d) {
             for t in f.lifespan.iter() {
                 let coords: Vec<(f64, f64)> = d
@@ -102,7 +113,7 @@ proptest! {
     #[test]
     fn every_flock_is_inside_a_convoy(d in dataset_strategy()) {
         let (m, k, r) = (2usize, 3u32, 1.0);
-        let flocks = FlockMiner::new(FlockConfig::new(m, k, r)).mine_sweep(&d);
+        let flocks = flock_miner(m, k, r).mine_sweep(&d);
         let store = InMemoryStore::new(d);
         let convoys = k2hop::baselines::pccd::mine(&store, m, k, 2.0 * r)
             .unwrap()

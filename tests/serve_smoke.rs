@@ -5,8 +5,9 @@
 //! This is the suite the `serve-smoke` CI job runs.
 
 use k2hop::core::benchpoints::benchmark_points;
+use k2hop::core::K2Config;
 use k2hop::model::{Dataset, Point, TimeInterval};
-use k2hop::patterns::{FlockConfig, FlockMiner};
+use k2hop::patterns::FlockMiner;
 use k2hop::server::{K2Service, LocalClient, Pattern, Request, Response, Server, TcpClient};
 use k2hop::storage::{LsmConfig, LsmStore, SnapshotSource};
 use k2hop::MiningSession;
@@ -259,7 +260,7 @@ fn flock_requests_serve_over_the_wire() {
             threads: 0,
         })
         .unwrap();
-    let sweep: Vec<_> = FlockMiner::new(FlockConfig::new(m as usize, k, r))
+    let sweep: Vec<_> = FlockMiner::new(K2Config::new(m as usize, k, r).unwrap())
         .mine_sweep(&dataset.restrict_time(range).unwrap())
         .iter()
         .map(|c| (c.objects.ids().to_vec(), c.lifespan.start, c.lifespan.end))
@@ -269,7 +270,9 @@ fn flock_requests_serve_over_the_wire() {
     match resp {
         Response::Convoys(r) => {
             assert_eq!(r.engine, "flock-k2hop");
-            assert_eq!(r.threads, 1);
+            // `threads: 0` asks for one worker per core, as for convoys.
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            assert_eq!(r.threads as usize, cores);
             assert_eq!(
                 r.io.range_queries,
                 benchmark_points(range, k / 2).len() as u64,

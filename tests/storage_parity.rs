@@ -14,11 +14,12 @@ use k2hop::datagen::tdrive::TDriveConfig;
 use k2hop::datagen::trucks::TrucksConfig;
 use k2hop::datagen::ConvoyInjector;
 use k2hop::model::{Dataset, ObjPos, Oid, Time, TimeInterval};
+use k2hop::patterns::FlockMiner;
 use k2hop::storage::{
     FlatFileStore, InMemoryStore, IoStats, LsmConfig, LsmStore, MemoryBudget, RelationalStore,
     SnapshotRef, SnapshotSource, StoreError, StoreResult, TrajectoryStore,
 };
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 mod common;
 use common::TempDir;
@@ -184,10 +185,22 @@ fn vcoda_on_flat_file_hits_memory_budget() {
     assert!(flat.load_in_memory(MemoryBudget::bytes(needed)).is_ok());
 }
 
-/// A flat file that logs the timestamp of every probe made of it.
+/// A flat file that logs the timestamp of every probe made of it and
+/// counts the points it hands out.
 struct ProbeLog {
     flat: FlatFileStore,
     probes: RefCell<Vec<Time>>,
+    points: Cell<u64>,
+}
+
+impl ProbeLog {
+    fn new(flat: FlatFileStore) -> Self {
+        Self {
+            flat,
+            probes: RefCell::new(Vec::new()),
+            points: Cell::new(0),
+        }
+    }
 }
 
 impl SnapshotSource for ProbeLog {
@@ -205,12 +218,16 @@ impl SnapshotSource for ProbeLog {
         buf: &'a mut Vec<ObjPos>,
     ) -> StoreResult<SnapshotRef<'a>> {
         self.probes.borrow_mut().push(t);
-        self.flat.scan_snapshot_ref(t, buf)
+        let snapshot = self.flat.scan_snapshot_ref(t, buf)?;
+        self.points.set(self.points.get() + snapshot.len() as u64);
+        Ok(snapshot)
     }
 
     fn multi_get_into(&self, t: Time, oids: &[Oid], out: &mut Vec<ObjPos>) -> StoreResult<()> {
         self.probes.borrow_mut().push(t);
-        self.flat.multi_get_into(t, oids, out)
+        self.flat.multi_get_into(t, oids, out)?;
+        self.points.set(self.points.get() + out.len() as u64);
+        Ok(())
     }
 
     fn io_stats(&self) -> IoStats {
@@ -232,10 +249,7 @@ fn flat_file_probes_resume_whenever_they_ascend() {
         .seed(7)
         .generate();
     let dir = TempDir::new("parity");
-    let log = ProbeLog {
-        flat: FlatFileStore::create(dir.join("data.bin"), &dataset).unwrap(),
-        probes: RefCell::new(Vec::new()),
-    };
+    let log = ProbeLog::new(FlatFileStore::create(dir.join("data.bin"), &dataset).unwrap());
     let miner = K2Hop::new(K2Config::new(3, 50, 1.0).unwrap());
     let convoys = ConvoyMiner::mine(&miner, &log).unwrap().convoys;
     assert_eq!(
@@ -254,6 +268,35 @@ fn flat_file_probes_resume_whenever_they_ascend() {
     // too — and only a probe that does not move forward in time rescans
     // the prefix.
     assert_eq!(io.cache_hits, ascents);
+}
+
+/// A flock mine is k/2-hop with a disk grouping, so it counts its work
+/// like a convoy mine: every point it reads, and nothing else. With no
+/// validation step, the points it processed are exactly the points the
+/// store handed out.
+#[test]
+fn flock_pruning_counts_every_point_read() {
+    // Few flock members among many noise objects.
+    let dataset = ConvoyInjector::new(200, 80)
+        .convoys(2, 4, 40)
+        .seed(11)
+        .generate();
+    let dir = TempDir::new("parity");
+    let log = ProbeLog::new(FlatFileStore::create(dir.join("data.bin"), &dataset).unwrap());
+    let miner = FlockMiner::with_threads(K2Config::new(3, 20, 1.0).unwrap(), 2);
+    let outcome = miner.mine(&log).unwrap();
+    assert!(!outcome.convoys.is_empty());
+    assert_eq!(outcome.convoys, miner.mine_sweep(&dataset));
+    let (stats, pruning) = (outcome.stats, outcome.stats.pruning);
+    assert_eq!((stats.engine, stats.threads), ("flock-k2hop", 2));
+    assert_eq!(pruning.total_points, dataset.num_points());
+    assert_eq!(pruning.validation_points, 0);
+    assert!(pruning.hwmt_points > 0 && pruning.extend_points > 0);
+    assert_eq!(pruning.points_processed(), log.points.get());
+    let ratio = pruning.pruning_ratio();
+    assert!(ratio > 0.5 && ratio < 1.0, "pruning ratio {ratio}");
+    assert!(stats.timings.benchmark > std::time::Duration::ZERO);
+    assert!(stats.timings.hwmt > std::time::Duration::ZERO);
 }
 
 #[test]
