@@ -25,6 +25,10 @@ const REQ_MINE: u8 = 1;
 const REQ_INGEST: u8 = 2;
 const REQ_STATS: u8 = 3;
 
+/// Wire width of one [`Request::Ingest`] record: `oid u32`, `t u32`,
+/// `x f64`, `y f64`.
+const POINT_WIRE_SIZE: usize = 24;
+
 const RESP_CONVOYS: u8 = 1;
 const RESP_INGESTED: u8 = 2;
 const RESP_STATS: u8 = 3;
@@ -192,6 +196,10 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn u8(&mut self) -> Result<u8, ServerError> {
         Ok(self.take(1)?[0])
     }
@@ -291,6 +299,7 @@ impl Request {
                 put_u32(&mut buf, *threads);
             }
             Request::Ingest { points } => {
+                buf.reserve_exact(5 + POINT_WIRE_SIZE * points.len());
                 buf.push(REQ_INGEST);
                 put_u32(&mut buf, points.len() as u32);
                 for p in points {
@@ -331,15 +340,24 @@ impl Request {
                 }
             }
             REQ_INGEST => {
+                // The whole body is taken before anything is allocated, so
+                // a count the payload does not back is an error, not a
+                // reservation.
                 let n = c.u32()? as usize;
-                let mut points = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    let oid = c.u32()?;
-                    let t = c.u32()?;
-                    let x = c.f64()?;
-                    let y = c.f64()?;
-                    points.push(Point::new(oid, x, y, t));
-                }
+                let len = n
+                    .checked_mul(POINT_WIRE_SIZE)
+                    .ok_or_else(|| ServerError::protocol("truncated frame"))?;
+                let points = c
+                    .take(len)?
+                    .chunks_exact(POINT_WIRE_SIZE)
+                    .map(|r| {
+                        let u32_at =
+                            |at: usize| u32::from_le_bytes(r[at..at + 4].try_into().expect("4"));
+                        let f64_at =
+                            |at: usize| f64::from_le_bytes(r[at..at + 8].try_into().expect("8"));
+                        Point::new(u32_at(0), f64_at(8), f64_at(16), u32_at(4))
+                    })
+                    .collect();
                 Request::Ingest { points }
             }
             REQ_STATS => Request::Stats {
@@ -416,11 +434,14 @@ impl Response {
                     *t = c.u64()?;
                 }
                 let io = get_io(&mut c)?;
+                // Capacities are capped by what the bytes left can hold
+                // (a convoy is at least 12 bytes, an oid 4), so a forged
+                // count reserves no more than the payload backs.
                 let n = c.u32()? as usize;
-                let mut convoys = Vec::with_capacity(n.min(1 << 20));
+                let mut convoys = Vec::with_capacity(n.min(c.remaining() / 12));
                 for _ in 0..n {
                     let len = c.u32()? as usize;
-                    let mut oids = Vec::with_capacity(len.min(1 << 20));
+                    let mut oids = Vec::with_capacity(len.min(c.remaining() / 4));
                     for _ in 0..len {
                         oids.push(c.u32()?);
                     }
@@ -624,6 +645,62 @@ mod tests {
         longer.push(0);
         assert!(Request::decode(&longer).is_err());
         assert!(Request::decode(&[99]).is_err());
+    }
+
+    #[test]
+    fn a_count_the_payload_does_not_hold_is_an_error() {
+        // Five bytes claiming u32::MAX points: rejected, not reserved.
+        assert!(Request::decode(&[REQ_INGEST, 0xff, 0xff, 0xff, 0xff]).is_err());
+        // Its reply-side twin: a convoy reply claiming u32::MAX convoys,
+        // then one claiming a convoy of u32::MAX oids.
+        let mut forged = Response::Convoys(MineReply {
+            engine: "k2hop".into(),
+            threads: 1,
+            pin_version: 0,
+            staleness: 0,
+            elapsed_nanos: 0,
+            timings_nanos: [0; 7],
+            io: IoStats::default(),
+            convoys: Vec::new(),
+        })
+        .encode();
+        let count = forged.len() - 4;
+        forged[count..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Response::decode(&forged).is_err());
+        forged[count..].copy_from_slice(&1u32.to_le_bytes());
+        forged.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Response::decode(&forged).is_err());
+    }
+
+    #[test]
+    fn random_payloads_never_panic_either_decoder() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut rand = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let tags = [
+            REQ_MINE,
+            REQ_INGEST,
+            REQ_STATS,
+            RESP_CONVOYS,
+            RESP_INGESTED,
+            RESP_STATS,
+            RESP_ERROR,
+        ];
+        for _ in 0..10_000 {
+            let len = rand(4096) as usize;
+            // Half the bytes zero, so counts and lengths are often small
+            // enough to be read past.
+            let mut payload: Vec<u8> = (0..=len)
+                .map(|_| if rand(2) == 0 { 0 } else { rand(256) as u8 })
+                .collect();
+            payload[0] = tags[rand(tags.len() as u64) as usize];
+            let _ = Request::decode(&payload);
+            let _ = Response::decode(&payload);
+        }
     }
 
     #[test]

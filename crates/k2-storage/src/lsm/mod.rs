@@ -65,6 +65,26 @@
 //! [`LsmConfig::background_compaction`] off, the unlink and the
 //! compaction run on the writer too.
 //!
+//! # What a group commit costs
+//!
+//! Each run of an [`LsmStore::insert_batch`] derives every point's
+//! `(key, value)` entry once, encodes its WAL frames in place into one
+//! buffer, checksums them slice-by-8 (see [`wal`]), writes and syncs the
+//! buffer, then bulk-builds the memtable run from the same entries. For
+//! a 4 096-point run on a default store, measured on a 2-vCPU VM
+//! (medians of 263 runs, three runs per side, before → after the
+//! slice-by-8 CRC and the in-place encoding):
+//!
+//! | part | before | after |
+//! |---|---|---|
+//! | CRC and encode | ≈ 0.21–0.22 ms | ≈ 0.07–0.10 ms |
+//! | `write` (128 KiB) | ≈ 0.04–0.05 ms | ≈ 0.05 ms |
+//! | `sync_data` | ≈ 0.20–0.26 ms | ≈ 0.21–0.26 ms |
+//! | memtable run | ≈ 0.07 ms | ≈ 0.06–0.07 ms |
+//! | whole `insert_batch` | ≈ 0.51–0.62 ms | ≈ 0.42–0.50 ms |
+//!
+//! What stays is the `sync_data` that durability requires.
+//!
 //! # MVCC state swap
 //!
 //! [`LsmStore`] is one `Send + Sync` store whose methods all take

@@ -260,17 +260,14 @@ impl Writer {
         self.widen(p.t, p.t);
     }
 
-    /// Puts a batch run in the active memtable, newest version winning,
-    /// and widens the span once. The run is bulk-built into its own
-    /// memtable — `collect` sorts stably and keeps the last of equal
-    /// keys — and appended, which lets the incoming value win: the
-    /// contents `put` gives point by point, without a tree insert per
-    /// point.
-    fn put_run(&mut self, run: &[Point]) {
-        let mut incoming: Memtable = run
-            .iter()
-            .map(|p| (key_of(p.t, p.oid), val_of(p.x, p.y)))
-            .collect();
+    /// Puts a batch run's `(key, value)` entries in the active memtable,
+    /// newest version winning, and widens the span once. The run is
+    /// bulk-built into its own memtable — `collect` sorts stably and
+    /// keeps the last of equal keys — and appended, which lets the
+    /// incoming value win: the contents `put` gives point by point,
+    /// without a tree insert per point.
+    fn put_run(&mut self, entries: Vec<(u64, [u8; VAL_SIZE])>) {
+        let mut incoming: Memtable = entries.into_iter().collect();
         let first = incoming.first_key_value().map(|(&k, _)| k);
         let last = incoming.last_key_value().map(|(&k, _)| k);
         if let Some((lo, hi)) = first.zip(last) {
@@ -717,10 +714,16 @@ impl LsmStore {
             let room = w.config.memtable_entries.saturating_sub(w.buffered());
             let (run, rest) = points.split_at(room.clamp(1, points.len()));
             points = rest;
+            // Each point's entry is derived once: the WAL frames and the
+            // memtable run are both built from it.
+            let entries: Vec<_> = run
+                .iter()
+                .map(|p| (key_of(p.t, p.oid), val_of(p.x, p.y)))
+                .collect();
             if let Some(wal) = &mut w.wal {
-                wal.append_run(run.iter().map(|p| (key_of(p.t, p.oid), val_of(p.x, p.y))))?;
+                wal.append_run(entries.iter().copied())?;
             }
-            w.put_run(run);
+            w.put_run(entries);
             // A run that repeats keys can leave room; the next run fills it.
             if w.buffered() >= w.config.memtable_entries {
                 self.flush_locked(w)?;

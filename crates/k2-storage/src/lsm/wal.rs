@@ -16,7 +16,10 @@
 //! ```
 //!
 //! `len` is the payload length (24 bytes for a `(key, value)` entry) and
-//! the CRC-32 (IEEE) covers the payload only. On replay the log is read
+//! the CRC-32 (IEEE) covers the payload only. [`crc32`] computes it
+//! slice-by-8 — eight 256-entry tables, 8 payload bytes per step — over
+//! the same polynomial, so its values, and every frame, are those of the
+//! textbook byte-at-a-time loop. On replay the log is read
 //! frame by frame and **truncated at the first torn or corrupt frame**:
 //! a crash mid-append leaves a torn tail, which replay drops — every
 //! whole frame before it is recovered.
@@ -46,7 +49,10 @@ pub const WAL_FRAME_SIZE: usize = 8 + WAL_PAYLOAD_SIZE;
 /// length field (prevents a flipped length bit from causing huge reads).
 const MAX_PAYLOAD: usize = 1 << 20;
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+/// Slice-by-8 lookup tables: `CRC_TABLES[0]` is the byte-wise table and
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// so one step folds 8 input bytes with 8 independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 const fn crc32_table() -> [u32; 256] {
     let mut table = [0u32; 256];
@@ -68,11 +74,43 @@ const fn crc32_table() -> [u32; 256] {
     table
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, the `crc32fast` default) of `data`.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    tables[0] = crc32_table();
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// CRC-32 (IEEE 802.3 polynomial, the `crc32fast` default) of `data`,
+/// computed slice-by-8 (Kounavis & Berry, ISCC 2005): 8 bytes per step,
+/// byte-wise only for the remainder.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes(chunk[..4].try_into().expect("4"));
+        let hi = u32::from_le_bytes(chunk[4..].try_into().expect("4"));
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -114,14 +152,20 @@ pub(crate) fn scan_frames(bytes: &[u8], mut visit: impl FnMut(&[u8]) -> bool) ->
 
 /// Encodes one `(key, value)` entry as a WAL frame.
 pub fn encode_frame(key: u64, val: &[u8; VAL_SIZE]) -> [u8; WAL_FRAME_SIZE] {
-    let mut payload = [0u8; WAL_PAYLOAD_SIZE];
-    payload[0..8].copy_from_slice(&key.to_be_bytes());
-    payload[8..].copy_from_slice(val);
     let mut out = [0u8; WAL_FRAME_SIZE];
-    out[0..4].copy_from_slice(&(WAL_PAYLOAD_SIZE as u32).to_le_bytes());
-    out[4..8].copy_from_slice(&crc32(&payload).to_le_bytes());
-    out[8..].copy_from_slice(&payload);
+    encode_frame_into(&mut out, key, val);
     out
+}
+
+/// Writes the frame of one `(key, value)` entry into `out`, which is
+/// exactly [`WAL_FRAME_SIZE`] bytes: payload first, then the header
+/// that checksums it.
+fn encode_frame_into(out: &mut [u8], key: u64, val: &[u8; VAL_SIZE]) {
+    let (header, payload) = out.split_at_mut(8);
+    payload[..8].copy_from_slice(&key.to_be_bytes());
+    payload[8..].copy_from_slice(val);
+    header[..4].copy_from_slice(&(WAL_PAYLOAD_SIZE as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
 }
 
 /// When the WAL file is `fsync`ed. Appends are always `write(2)`-visible
@@ -206,19 +250,20 @@ impl WalWriter {
     }
 
     /// Appends a run of entries as one group commit: their frames are
-    /// encoded into one buffer, handed to the OS with one `write_all` and,
-    /// unless the policy is `OnRotate`, made durable with one `sync_data`
-    /// before this returns.
+    /// encoded in place into one buffer sized for the run, handed to the
+    /// OS with one `write_all` and, unless the policy is `OnRotate`, made
+    /// durable with one `sync_data` before this returns.
     pub fn append_run(
         &mut self,
         entries: impl ExactSizeIterator<Item = (u64, [u8; VAL_SIZE])>,
     ) -> StoreResult<()> {
-        let n = entries.len();
-        let mut frames = Vec::with_capacity(n * WAL_FRAME_SIZE);
-        for (key, val) in entries {
-            frames.extend_from_slice(&encode_frame(key, &val));
+        let mut frames = vec![0u8; entries.len() * WAL_FRAME_SIZE];
+        let mut n = 0;
+        for (out, (key, val)) in frames.chunks_exact_mut(WAL_FRAME_SIZE).zip(entries) {
+            encode_frame_into(out, key, &val);
+            n += 1;
         }
-        self.file.write_all(&frames)?;
+        self.file.write_all(&frames[..n * WAL_FRAME_SIZE])?;
         self.appended(n, true)
     }
 
@@ -323,11 +368,65 @@ mod tests {
         Arc::new(IoCounters::new())
     }
 
+    /// The textbook byte-at-a-time CRC-32: the reference [`crc32`] must
+    /// equal.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let table = crc32_table();
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference_at_every_length_and_offset() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let buf: Vec<u8> = (0..208)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=200 {
+                let data = &buf[start..start + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bytewise(data),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+    }
+
+    /// The frame bytes are pinned: these literals were computed by the
+    /// byte-wise CRC, so a log or manifest written with either one
+    /// replays under the other.
+    #[test]
+    fn frame_bytes_are_pinned() {
+        assert_eq!(
+            encode_frame(0x0000_0007_0000_002a, &[0x11; VAL_SIZE]),
+            [
+                0x18, 0x00, 0x00, 0x00, 0xd6, 0xdd, 0xdb, 0x52, // len 24, crc32
+                0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x2a, // key (BE)
+                0x11, 0x11, 0x11, 0x11, 0x11, 0x11, 0x11, 0x11, // value
+                0x11, 0x11, 0x11, 0x11, 0x11, 0x11, 0x11, 0x11,
+            ]
+        );
+        assert_eq!(
+            frame(b"ok"),
+            [0x02, 0x00, 0x00, 0x00, 0x47, 0xdd, 0xdc, 0x79, b'o', b'k']
+        );
     }
 
     #[test]
