@@ -25,7 +25,7 @@ pub fn benchmark_points(span: TimeInterval, hop: u32) -> Vec<Time> {
 /// The `i`-th hop-window: the timestamps *strictly between* benchmark
 /// points `b[i]` and `b[i+1]`. Empty when the benchmarks are adjacent
 /// (`h = 1`).
-pub fn hop_window(left: Time, right: Time) -> Option<TimeInterval> {
+pub(crate) fn hop_window(left: Time, right: Time) -> Option<TimeInterval> {
     debug_assert!(left < right);
     (right - left >= 2).then(|| TimeInterval::new(left + 1, right - 1))
 }
@@ -65,7 +65,7 @@ pub fn linear_order(window: TimeInterval) -> Vec<Time> {
 
 /// The HWMT\* probe order over a candidate's lifespan: the two extremes
 /// first, then bisection of the interior (§4.6, difference 2).
-pub fn hwmt_star_order(span: TimeInterval) -> Vec<Time> {
+pub(crate) fn hwmt_star_order(span: TimeInterval) -> Vec<Time> {
     if span.len() == 1 {
         return vec![span.start];
     }

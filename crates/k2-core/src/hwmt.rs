@@ -1,6 +1,6 @@
 //! Hop-Window Mining Tree (§4.3, Algorithm 2).
 
-use crate::benchpoints::{hop_window, hwmt_order};
+use crate::benchpoints::hop_window;
 use crate::record::{push_runs, IntactRuns};
 use crate::{probe_of, regroup_at, Grouping, Probe, ProbeScratch};
 use k2_cluster::DbscanParams;
@@ -23,19 +23,9 @@ pub struct WindowResult {
 
 /// Mines the 1st-order spanning convoys of the hop-window between
 /// benchmark points `b_left` and `b_right` (Algorithm 2), probing
-/// `store` point by point in the paper's binary-tree order.
-pub fn mine_window<S: SnapshotSource + ?Sized>(
-    store: &S,
-    params: DbscanParams,
-    b_left: Time,
-    b_right: Time,
-    cc: &[ObjectSet],
-) -> StoreResult<WindowResult> {
-    mine_window_ordered(store, params, b_left, b_right, cc, hwmt_order)
-}
-
-/// [`mine_window`] with an explicit probe order — the ablation hook for
-/// comparing the paper's binary-tree order against
+/// `store` point by point in `order` — the ablation hook for comparing
+/// the paper's binary-tree order,
+/// [`hwmt_order`](crate::benchpoints::hwmt_order), against
 /// [`linear_order`](crate::benchpoints::linear_order) (§4.3's
 /// coincidental-togetherness heuristic).
 pub fn mine_window_ordered<S: SnapshotSource + ?Sized>(
@@ -138,6 +128,7 @@ pub(crate) fn mine_window_with<G: Grouping>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::benchpoints::{hwmt_order, linear_order};
     use k2_model::{Dataset, Point};
     use k2_storage::InMemoryStore;
 
@@ -170,7 +161,7 @@ mod tests {
         let store = figure6();
         let params = DbscanParams::new(3, 2.0);
         let cc = vec![ObjectSet::from([0, 1, 2, 3]), ObjectSet::from([20, 21, 22])];
-        let res = mine_window(&store, params, 0, 8, &cc).unwrap();
+        let res = mine_window_ordered(&store, params, 0, 8, &cc, hwmt_order).unwrap();
         assert_eq!(res.spanning.len(), 1);
         assert_eq!(res.spanning[0].objects, ObjectSet::from([0, 1, 2, 3]));
         assert_eq!(res.spanning[0].lifespan, TimeInterval::new(0, 8));
@@ -185,7 +176,8 @@ mod tests {
     #[test]
     fn empty_candidates_short_circuit() {
         let store = figure6();
-        let res = mine_window(&store, DbscanParams::new(3, 2.0), 0, 8, &[]).unwrap();
+        let res =
+            mine_window_ordered(&store, DbscanParams::new(3, 2.0), 0, 8, &[], hwmt_order).unwrap();
         assert!(res.spanning.is_empty());
         assert_eq!(res.timestamps_probed, 0);
         assert_eq!(res.points_fetched, 0);
@@ -198,7 +190,7 @@ mod tests {
         let store = figure6();
         let params = DbscanParams::new(3, 2.0);
         let cc = vec![ObjectSet::from([20, 21, 22])];
-        let res = mine_window(&store, params, 0, 8, &cc).unwrap();
+        let res = mine_window_ordered(&store, params, 0, 8, &cc, hwmt_order).unwrap();
         assert!(res.spanning.is_empty());
         assert_eq!(res.timestamps_probed, 1, "root probe only");
     }
@@ -208,7 +200,8 @@ mod tests {
         // h = 1: window empty, candidate clusters become spanning convoys.
         let store = figure6();
         let cc = vec![ObjectSet::from([0, 1, 2, 3])];
-        let res = mine_window(&store, DbscanParams::new(3, 2.0), 3, 4, &cc).unwrap();
+        let res =
+            mine_window_ordered(&store, DbscanParams::new(3, 2.0), 3, 4, &cc, hwmt_order).unwrap();
         assert_eq!(res.spanning.len(), 1);
         assert_eq!(res.spanning[0].lifespan, TimeInterval::new(3, 4));
         assert_eq!(res.timestamps_probed, 0);
@@ -233,7 +226,7 @@ mod tests {
         let store = InMemoryStore::new(Dataset::from_points(&pts).unwrap());
         let params = DbscanParams::new(3, 0.5);
         let cc = vec![ObjectSet::from([0, 1, 2, 3, 4, 5])];
-        let res = mine_window(&store, params, 0, 4, &cc).unwrap();
+        let res = mine_window_ordered(&store, params, 0, 4, &cc, hwmt_order).unwrap();
         assert_eq!(res.spanning.len(), 2);
         let mut objs: Vec<_> = res.spanning.iter().map(|c| c.objects.clone()).collect();
         objs.sort_by(|a, b| a.ids().cmp(b.ids()));
@@ -262,10 +255,8 @@ mod tests {
         let store = InMemoryStore::new(Dataset::from_points(&pts).unwrap());
         let params = DbscanParams::new(3, 1.0);
         let cc = vec![ObjectSet::from([0, 1, 2])];
-        let binary = mine_window(&store, params, 0, 16, &cc).unwrap();
-        let linear =
-            mine_window_ordered(&store, params, 0, 16, &cc, crate::benchpoints::linear_order)
-                .unwrap();
+        let binary = mine_window_ordered(&store, params, 0, 16, &cc, hwmt_order).unwrap();
+        let linear = mine_window_ordered(&store, params, 0, 16, &cc, linear_order).unwrap();
         assert!(binary.spanning.is_empty());
         assert!(linear.spanning.is_empty());
         assert_eq!(binary.timestamps_probed, 1, "root probe kills it");
@@ -277,7 +268,7 @@ mod tests {
         let store = figure6();
         let params = DbscanParams::new(3, 2.0);
         let cc = vec![ObjectSet::from([0, 1, 2, 3])];
-        let res = mine_window(&store, params, 0, 8, &cc).unwrap();
+        let res = mine_window_ordered(&store, params, 0, 8, &cc, hwmt_order).unwrap();
         // 7 window timestamps × 4 candidate objects.
         assert_eq!(res.points_fetched, 28);
     }

@@ -7,7 +7,7 @@ use k2_model::{Convoy, ConvoySet, Oid};
 /// right; window `i` spans `[bᵢ, bᵢ₊₁]`) into the set of **maximal
 /// spanning convoys** `V_M`. `m` is at least 1.
 ///
-/// Pushes every window into a [`SpanningMerger`], then finishes it, and
+/// Pushes every window into a `SpanningMerger`, then finishes it, and
 /// folds everything it retired into one maximal set.
 pub fn merge_spanning(windows: &[Vec<Convoy>], m: usize) -> ConvoySet {
     let mut merger = SpanningMerger::new(m);
@@ -48,7 +48,7 @@ pub fn merge_spanning(windows: &[Vec<Convoy>], m: usize) -> ConvoySet {
 /// fully, so the merge makes exactly the `update` calls of intersecting
 /// every active convoy with every spanning convoy.
 #[derive(Debug)]
-pub struct SpanningMerger {
+pub(crate) struct SpanningMerger {
     m: usize,
     active: ConvoySet,
     index: Vec<(Oid, u32)>,

@@ -90,8 +90,8 @@ impl fmt::Debug for Convoy {
 ///
 /// With low-overlap candidate streams (the common mining shape) `update()`
 /// is close to `O(|O(candidate)|)` where the old scan was `O(n)` per call
-/// — the quadratic hot spot BENCH_2 exposed in the DCM merge and final
-/// maximality phases.
+/// — the quadratic hot spot of the DCM merge and final maximality
+/// phases.
 ///
 /// ```
 /// use k2_model::{Convoy, ConvoySet};
@@ -282,11 +282,11 @@ impl ConvoySet {
     /// handful-of-active-convoys case that dominates extension frontiers)
     /// to the posting-list index.
     ///
-    /// Measured: a criterion sweep of this threshold (1..256 over
-    /// subsumption-heavy streams of 512 and 2048 candidates) showed a
-    /// flat optimum across 16–64 — e.g. ~207–220 µs at 512 candidates
-    /// for 16/32/64 versus ~280 µs at 1 and ~330–350 µs at 256 — so 32,
-    /// the plateau's midpoint, is the threshold.
+    /// Measured: timing the update over subsumption-heavy streams of 512
+    /// and 2048 candidates at thresholds 1..256 showed a flat optimum
+    /// across 16–64 — e.g. ~207–220 µs at 512 candidates for 16/32/64
+    /// versus ~280 µs at 1 and ~330–350 µs at 256 — so 32, the plateau's
+    /// midpoint, is the threshold.
     pub const INDEX_THRESHOLD: usize = 32;
 
     /// Tombstone share (percent of slots) past which the indexed
