@@ -20,9 +20,9 @@
 //! Output semantics match CMC/PCCD: partially-connected convoys.
 
 use crate::sweep::{snapshot_sweep, SeedRule};
-use crate::BaselineResult;
 use k2_cluster::{DbscanParams, GridState};
-use k2_model::{Dataset, ObjPos, Oid, Snapshot};
+use k2_core::PruningStats;
+use k2_model::{ConvoySet, Dataset, ObjPos, Oid, Snapshot};
 use k2_storage::{InMemoryStore, SnapshotSource, StoreResult};
 use std::collections::{HashMap, HashSet};
 
@@ -44,17 +44,18 @@ impl Default for CutsParams {
     }
 }
 
-/// Runs CuTS end to end.
-pub fn mine<S: SnapshotSource + ?Sized>(
-    store: &S,
-    m: usize,
+/// Runs CuTS end to end; every point either phase reads counts in
+/// `pruning.benchmark_points`.
+pub(crate) fn mine(
+    store: &dyn SnapshotSource,
+    params: DbscanParams,
     k: u32,
-    eps: f64,
-    params: CutsParams,
-) -> StoreResult<BaselineResult> {
+    cuts: CutsParams,
+    pruning: &mut PruningStats,
+) -> StoreResult<ConvoySet> {
     let span = store.span();
-    let lambda = params.lambda.max(1);
-    let mut points_processed = 0u64;
+    let lambda = cuts.lambda.max(1);
+    let (m, eps) = (params.min_pts, params.eps);
 
     // Filter phase, one λ-partition at a time.
     let mut retained: Vec<Snapshot> = Vec::with_capacity(span.len() as usize);
@@ -66,7 +67,7 @@ pub fn mine<S: SnapshotSource + ?Sized>(
         let mut trajectories: HashMap<Oid, Vec<(f64, f64)>> = HashMap::new();
         for t in window_start..=window_end {
             let snap = store.scan_snapshot_ref(t, &mut scan_buf)?.to_vec();
-            points_processed += snap.len() as u64;
+            pruning.benchmark_points += snap.len() as u64;
             for p in &snap {
                 trajectories.entry(p.oid).or_default().push((p.x, p.y));
             }
@@ -76,9 +77,9 @@ pub fn mine<S: SnapshotSource + ?Sized>(
         oids.sort_unstable();
         let polylines: Vec<Vec<(f64, f64)>> = oids
             .iter()
-            .map(|oid| douglas_peucker(&trajectories[oid], params.delta))
+            .map(|oid| douglas_peucker(&trajectories[oid], cuts.delta))
             .collect();
-        let eps_prime = eps + 2.0 * params.delta;
+        let eps_prime = eps + 2.0 * cuts.delta;
         let survivors = cluster_trajectories(&polylines, m, eps_prime);
         let keep: HashSet<Oid> = survivors.into_iter().map(|i| oids[i]).collect();
         for snap in snapshots {
@@ -95,18 +96,7 @@ pub fn mine<S: SnapshotSource + ?Sized>(
     // Refinement on the filtered dataset.
     let filtered = Dataset::from_snapshots(span.start, retained);
     let filtered_store = InMemoryStore::new(filtered);
-    let refine = snapshot_sweep(
-        &filtered_store,
-        DbscanParams::new(m, eps),
-        k,
-        SeedRule::EveryCluster,
-    )?;
-    points_processed += refine.points_processed;
-    Ok(BaselineResult {
-        convoys: refine.convoys.into_sorted_vec(),
-        points_processed,
-        pre_validation: 0,
-    })
+    snapshot_sweep(&filtered_store, params, k, SeedRule::EveryCluster, pruning)
 }
 
 /// Douglas–Peucker polyline simplification with tolerance `delta`.
@@ -297,9 +287,8 @@ fn segments_intersect(p1: (f64, f64), p2: (f64, f64), q1: (f64, f64), q2: (f64, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pccd;
+    use crate::{run, Algorithm};
     use k2_model::{Dataset, Point};
-    use k2_storage::SnapshotSource;
 
     #[test]
     fn dp_keeps_endpoints_and_straight_lines_collapse() {
@@ -374,18 +363,17 @@ mod tests {
             }
         }
         let store = InMemoryStore::new(Dataset::from_points(&pts).unwrap());
-        let exact = pccd::mine(&store, 3, 10, 1.0).unwrap();
-        let cuts = mine(
+        let exact = run(Algorithm::Pccd, &store, 3, 10, 1.0);
+        let cuts = run(
+            Algorithm::Cuts(CutsParams {
+                lambda: 16,
+                delta: 0.2,
+            }),
             &store,
             3,
             10,
             1.0,
-            CutsParams {
-                lambda: 16,
-                delta: 0.2,
-            },
-        )
-        .unwrap();
+        );
         assert_eq!(cuts.convoys, exact.convoys);
         assert_eq!(cuts.convoys.len(), 1);
     }
@@ -400,20 +388,19 @@ mod tests {
             pts.push(Point::new(99, 5000.0 + t as f64 * 10.0, -4000.0, t));
         }
         let store = InMemoryStore::new(Dataset::from_points(&pts).unwrap());
-        let res = mine(
+        let res = run(
+            Algorithm::Cuts(CutsParams {
+                lambda: 8,
+                delta: 0.1,
+            }),
             &store,
             3,
             8,
             1.0,
-            CutsParams {
-                lambda: 8,
-                delta: 0.1,
-            },
-        )
-        .unwrap();
+        );
         assert_eq!(res.convoys.len(), 1);
         // Refinement never sees the wanderer: strictly fewer points than
         // two full scans.
-        assert!(res.points_processed < 2 * store.num_points());
+        assert!(res.stats.pruning.points_processed() < 2 * store.num_points());
     }
 }

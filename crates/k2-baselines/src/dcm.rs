@@ -15,22 +15,23 @@
 //! Output semantics: maximal partially-connected convoys (DCM is
 //! CMC-based).
 
-use crate::BaselineResult;
 use k2_cluster::{dbscan, DbscanParams};
+use k2_core::PruningStats;
 use k2_model::{Convoy, ConvoySet, ObjPos, Time, TimeInterval};
 use k2_storage::{SnapshotSource, StoreResult};
 
-/// Runs DCM with `nodes` parallel workers.
-pub fn mine<S: SnapshotSource + ?Sized>(
-    store: &S,
-    m: usize,
+/// Runs DCM with `nodes` parallel workers; every point it loads counts in
+/// `pruning.benchmark_points`.
+pub(crate) fn mine(
+    store: &dyn SnapshotSource,
+    params: DbscanParams,
     k: u32,
-    eps: f64,
     nodes: usize,
-) -> StoreResult<BaselineResult> {
+    pruning: &mut PruningStats,
+) -> StoreResult<ConvoySet> {
     let nodes = nodes.max(1);
     let span = store.span();
-    let params = DbscanParams::new(m, eps);
+    let m = params.min_pts;
 
     // Temporal partitioning: `nodes` chunks sharing boundary timestamps.
     let partitions = partition_span(span, nodes);
@@ -39,13 +40,12 @@ pub fn mine<S: SnapshotSource + ?Sized>(
     // be), then parallel local mining.
     type PartitionInput = (TimeInterval, Vec<(Time, Vec<ObjPos>)>);
     let mut inputs: Vec<PartitionInput> = Vec::new();
-    let mut points_processed = 0u64;
     let mut scan_buf = Vec::new();
     for part in &partitions {
         let mut snaps = Vec::with_capacity(part.len() as usize);
         for t in part.iter() {
             let snap = store.scan_snapshot_ref(t, &mut scan_buf)?.to_vec();
-            points_processed += snap.len() as u64;
+            pruning.benchmark_points += snap.len() as u64;
             snaps.push((t, snap));
         }
         inputs.push((*part, snaps));
@@ -103,11 +103,7 @@ pub fn mine<S: SnapshotSource + ?Sized>(
     for v in active {
         emit(&mut result, v, k);
     }
-    Ok(BaselineResult {
-        convoys: result.into_sorted_vec(),
-        points_processed,
-        pre_validation: 0,
-    })
+    Ok(result)
 }
 
 fn emit(result: &mut ConvoySet, v: Convoy, k: u32) {
@@ -180,7 +176,7 @@ fn local_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pccd;
+    use crate::{run, Algorithm};
     use k2_model::{Dataset, Point};
     use k2_storage::InMemoryStore;
 
@@ -224,9 +220,9 @@ mod tests {
     #[test]
     fn dcm_matches_pccd_on_any_node_count() {
         let store = convoy_store(30);
-        let exact = pccd::mine(&store, 2, 6, 1.0).unwrap();
+        let exact = run(Algorithm::Pccd, &store, 2, 6, 1.0);
         for nodes in [1, 2, 3, 4, 7] {
-            let dcm = mine(&store, 2, 6, 1.0, nodes).unwrap();
+            let dcm = run(Algorithm::Dcm(nodes), &store, 2, 6, 1.0);
             assert_eq!(dcm.convoys, exact.convoys, "nodes = {nodes}");
         }
     }
@@ -234,7 +230,7 @@ mod tests {
     #[test]
     fn convoy_spanning_all_partitions_is_stitched() {
         let store = convoy_store(40);
-        let res = mine(&store, 2, 35, 1.0, 4).unwrap();
+        let res = run(Algorithm::Dcm(4), &store, 2, 35, 1.0);
         assert!(res
             .convoys
             .contains(&Convoy::from_parts([0u32, 1, 2], 0, 39)));

@@ -17,32 +17,41 @@
 //! small.
 
 use crate::sweep::{snapshot_sweep, SeedRule};
-use crate::BaselineResult;
 use k2_cluster::{recluster, DbscanParams};
+use k2_core::PruningStats;
 use k2_model::{Convoy, ConvoySet, ObjectSet, TimeInterval};
 use k2_storage::{SnapshotSource, StoreResult};
 
 /// Mines all maximal fully-connected convoys by brute force.
-pub fn mine<S: SnapshotSource + ?Sized>(
-    store: &S,
-    m: usize,
-    k: u32,
-    eps: f64,
-) -> StoreResult<BaselineResult> {
+pub fn mine(store: &dyn SnapshotSource, m: usize, k: u32, eps: f64) -> StoreResult<Vec<Convoy>> {
     let params = DbscanParams::new(m, eps);
-    let sweep = snapshot_sweep(store, params, k, SeedRule::EveryCluster)?;
-    let pre_validation = sweep.convoys.len() as u32;
-    let mut points = sweep.points_processed;
+    let mut pruning = PruningStats::default();
+    let candidates = snapshot_sweep(store, params, k, SeedRule::EveryCluster, &mut pruning)?;
+    Ok(validate_all(store, params, k, candidates, &mut pruning)?.into_sorted_vec())
+}
+
+/// Validates every candidate with [`validate_fc`] and merges the maximal
+/// FC convoys found; the points read count in `pruning.validation_points`.
+pub(crate) fn validate_all(
+    store: &dyn SnapshotSource,
+    params: DbscanParams,
+    k: u32,
+    candidates: ConvoySet,
+    pruning: &mut PruningStats,
+) -> StoreResult<ConvoySet> {
     let mut fc = ConvoySet::new();
-    for cand in sweep.convoys {
-        let found = validate_fc(store, params, k, &cand.objects, cand.lifespan, &mut points)?;
+    for cand in candidates {
+        let found = validate_fc(
+            store,
+            params,
+            k,
+            &cand.objects,
+            cand.lifespan,
+            &mut pruning.validation_points,
+        )?;
         fc.merge(found);
     }
-    Ok(BaselineResult {
-        convoys: fc.into_sorted_vec(),
-        points_processed: points,
-        pre_validation,
-    })
+    Ok(fc)
 }
 
 /// Exhaustively finds all maximal FC convoys with objects ⊆ `objects`,
@@ -120,7 +129,7 @@ mod tests {
         }
         let store = store_of(pts);
         let res = mine(&store, 2, 4, 1.0).unwrap();
-        assert_eq!(res.convoys, vec![Convoy::from_parts([0u32, 1, 2], 0, 7)]);
+        assert_eq!(res, vec![Convoy::from_parts([0u32, 1, 2], 0, 7)]);
     }
 
     #[test]
@@ -141,7 +150,7 @@ mod tests {
         }
         let store = store_of(pts);
         let res = mine(&store, 2, 3, 1.0).unwrap();
-        assert_eq!(res.convoys, vec![Convoy::from_parts([0u32, 1, 2], 0, 4)]);
+        assert_eq!(res, vec![Convoy::from_parts([0u32, 1, 2], 0, 4)]);
     }
 
     #[test]

@@ -22,31 +22,31 @@
 //! Output semantics: maximal partially-connected convoys (GCMP's "group
 //! patterns" with `M = m`, `L = k`, gap `G = 1`).
 
-use crate::BaselineResult;
 use k2_cluster::{dbscan, DbscanParams};
+use k2_core::PruningStats;
 use k2_model::{Convoy, ConvoySet, ObjPos, ObjectSet, Oid, Time, TimeInterval};
 use k2_storage::{SnapshotSource, StoreResult};
 use std::collections::HashMap;
 
-/// Runs SPARE with `threads` worker threads (≥ 1).
-pub fn mine<S: SnapshotSource + ?Sized>(
-    store: &S,
-    m: usize,
+/// Runs SPARE with `threads` worker threads (≥ 1); every point it loads
+/// counts in `pruning.benchmark_points`.
+pub(crate) fn mine(
+    store: &dyn SnapshotSource,
+    params: DbscanParams,
     k: u32,
-    eps: f64,
     threads: usize,
-) -> StoreResult<BaselineResult> {
+    pruning: &mut PruningStats,
+) -> StoreResult<ConvoySet> {
     let threads = threads.max(1);
     let span = store.span();
-    let params = DbscanParams::new(m, eps);
+    let m = params.min_pts;
 
     // Load snapshots (the framework's data ingestion; sequential I/O).
     let mut snapshots: Vec<(Time, Vec<ObjPos>)> = Vec::with_capacity(span.len() as usize);
-    let mut points_processed = 0u64;
     let mut scan_buf = Vec::new();
     for t in span.iter() {
         let snap = store.scan_snapshot_ref(t, &mut scan_buf)?.to_vec();
-        points_processed += snap.len() as u64;
+        pruning.benchmark_points += snap.len() as u64;
         snapshots.push((t, snap));
     }
 
@@ -89,11 +89,7 @@ pub fn mine<S: SnapshotSource + ?Sized>(
     for p in partials {
         all.merge(p);
     }
-    Ok(BaselineResult {
-        convoys: all.into_sorted_vec(),
-        points_processed,
-        pre_validation: 0,
-    })
+    Ok(all)
 }
 
 /// Maps `items` over `threads` scoped worker threads, preserving order.
@@ -234,7 +230,7 @@ fn maximal_runs(times: &[Time]) -> Vec<TimeInterval> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pccd;
+    use crate::{run, Algorithm};
     use k2_model::{Dataset, Point};
     use k2_storage::InMemoryStore;
 
@@ -284,8 +280,8 @@ mod tests {
     #[test]
     fn spare_matches_pccd_output() {
         let store = convoy_store();
-        let exact = pccd::mine(&store, 2, 6, 1.0).unwrap();
-        let spare = mine(&store, 2, 6, 1.0, 1).unwrap();
+        let exact = run(Algorithm::Pccd, &store, 2, 6, 1.0);
+        let spare = run(Algorithm::Spare(1), &store, 2, 6, 1.0);
         assert_eq!(spare.convoys, exact.convoys);
         assert!(!spare.convoys.is_empty());
     }
@@ -293,15 +289,15 @@ mod tests {
     #[test]
     fn threaded_run_matches_sequential() {
         let store = convoy_store();
-        let seq = mine(&store, 2, 6, 1.0, 1).unwrap();
-        let par = mine(&store, 2, 6, 1.0, 4).unwrap();
+        let seq = run(Algorithm::Spare(1), &store, 2, 6, 1.0);
+        let par = run(Algorithm::Spare(4), &store, 2, 6, 1.0);
         assert_eq!(seq.convoys, par.convoys);
     }
 
     #[test]
     fn short_co_travel_filtered_by_k() {
         let store = convoy_store();
-        let res = mine(&store, 2, 6, 1.0, 2).unwrap();
+        let res = run(Algorithm::Spare(2), &store, 2, 6, 1.0);
         // The [5,8] pair lasts 4 < 6: must not appear.
         assert!(res
             .convoys
@@ -312,7 +308,7 @@ mod tests {
     #[test]
     fn m_filter_applies() {
         let store = convoy_store();
-        let res = mine(&store, 5, 6, 1.0, 2).unwrap();
+        let res = run(Algorithm::Spare(2), &store, 5, 6, 1.0);
         assert!(res.convoys.is_empty());
     }
 }

@@ -1,4 +1,5 @@
-//! The snapshot-sweep engine shared by CMC and PCCD.
+//! The snapshot sweep of CMC and PCCD ([`Algorithm::Cmc`] and
+//! [`Algorithm::Pccd`]).
 //!
 //! Both algorithms make one pass over the timestamps, clustering every
 //! full snapshot and matching the clusters against a set of *candidate
@@ -6,24 +7,29 @@
 //! one rule — whether a cluster that matched an existing candidate still
 //! starts a fresh candidate of its own:
 //!
-//! * **CMC** (Jeung et al.) only starts candidates from *unmatched*
-//!   clusters. This loses convoys that begin with a superset of a
-//!   continuing convoy — the recall bug Yoon & Shahabi documented.
-//! * **PCCD** always starts a fresh candidate from every cluster.
+//! * **CMC** (Coherent Moving Cluster, Jeung et al., VLDB 2008) only
+//!   starts candidates from *unmatched* clusters. Kept bug-for-bug
+//!   faithful: this loses convoys that begin with a superset of a
+//!   continuing convoy — the recall bug Yoon & Shahabi documented and §2
+//!   of the k/2-hop paper recounts.
+//! * **PCCD** (Partially Connected Convoy Discovery, Yoon & Shahabi,
+//!   2009) always starts a fresh candidate from every cluster, restoring
+//!   full recall. It is the first stage of VCoDA and the refinement stage
+//!   of CuTS.
 //!
 //! The sweep yields *partially-connected* maximal convoys of length ≥ `k`.
+//!
+//! [`Algorithm::Cmc`]: crate::Algorithm::Cmc
+//! [`Algorithm::Pccd`]: crate::Algorithm::Pccd
 
 use k2_cluster::{dbscan, DbscanParams};
-use k2_core::{
-    ConvoyMiner, K2Config, MineError, MineOutcome, MineStats, PhaseTimings, PruningStats,
-};
+use k2_core::PruningStats;
 use k2_model::{Convoy, ConvoySet, TimeInterval};
 use k2_storage::{SnapshotSource, StoreResult};
-use std::time::Instant;
 
 /// Which candidate-seeding rule the sweep uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeedRule {
+pub(crate) enum SeedRule {
     /// Only unmatched clusters seed new candidates (original CMC —
     /// incomplete).
     UnmatchedOnly,
@@ -31,124 +37,16 @@ pub enum SeedRule {
     EveryCluster,
 }
 
-/// Output of a sweep.
-#[derive(Debug)]
-pub struct SweepResult {
-    /// Maximal partially-connected convoys with lifespan ≥ `k`.
-    pub convoys: ConvoySet,
-    /// Points read (every point of every snapshot — these algorithms scan
-    /// the whole dataset).
-    pub points_processed: u64,
-}
-
-/// The snapshot-sweep baselines (CMC / PCCD) behind the unified
-/// [`ConvoyMiner`] API.
-///
-/// Wraps [`snapshot_sweep`] so the sweep engines plug into the same
-/// sessions and harnesses as k/2-hop. Note the *semantic* difference the
-/// paper stresses: the sweep yields **partially-connected** maximal
-/// convoys, so its output is a superset-ish relative of k/2-hop's
-/// fully-connected convoys, not byte-identical to them.
-///
-/// ```
-/// use k2_baselines::sweep::SweepMiner;
-/// use k2_core::{ConvoyMiner, K2Config};
-/// use k2_model::{Dataset, Point};
-///
-/// let mut pts = Vec::new();
-/// for t in 0..10u32 {
-///     for oid in 0..3u32 {
-///         pts.push(Point::new(oid, t as f64, oid as f64 * 0.4, t));
-///     }
-/// }
-/// let d = Dataset::from_points(&pts).unwrap();
-/// let miner = SweepMiner::pccd(K2Config::new(3, 5, 1.0).unwrap());
-/// let outcome = miner.mine(&d).unwrap();
-/// assert_eq!(outcome.convoys.len(), 1);
-/// assert_eq!(outcome.stats.engine, "pccd-sweep");
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct SweepMiner {
-    config: K2Config,
-    rule: SeedRule,
-}
-
-impl SweepMiner {
-    /// Creates a sweep miner with an explicit seeding rule.
-    pub fn new(config: K2Config, rule: SeedRule) -> Self {
-        Self { config, rule }
-    }
-
-    /// The original CMC sweep (unmatched-only seeding, recall bug and
-    /// all).
-    pub fn cmc(config: K2Config) -> Self {
-        Self::new(config, SeedRule::UnmatchedOnly)
-    }
-
-    /// The corrected PCCD sweep (every cluster seeds).
-    pub fn pccd(config: K2Config) -> Self {
-        Self::new(config, SeedRule::EveryCluster)
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> K2Config {
-        self.config
-    }
-
-    /// The seeding rule in use.
-    pub fn rule(&self) -> SeedRule {
-        self.rule
-    }
-}
-
-impl ConvoyMiner for SweepMiner {
-    fn engine_name(&self) -> &'static str {
-        match self.rule {
-            SeedRule::UnmatchedOnly => "cmc-sweep",
-            SeedRule::EveryCluster => "pccd-sweep",
-        }
-    }
-
-    fn mine(&self, source: &dyn SnapshotSource) -> Result<MineOutcome, MineError> {
-        let t0 = Instant::now();
-        let result = snapshot_sweep(source, self.config.dbscan(), self.config.k, self.rule)?;
-        // The sweep is one long benchmark-clustering pass (every
-        // timestamp is a full-snapshot DBSCAN); the other phases do not
-        // exist for it.
-        let timings = PhaseTimings {
-            benchmark: t0.elapsed(),
-            ..PhaseTimings::default()
-        };
-        let pruning = PruningStats {
-            total_points: source.num_points(),
-            benchmark_points: result.points_processed,
-            benchmark_timestamps: source.span().len(),
-            ..PruningStats::default()
-        };
-        Ok(MineOutcome {
-            convoys: result.convoys.into_sorted_vec(),
-            stats: MineStats {
-                engine: self.engine_name(),
-                threads: 1,
-                timings,
-                pruning,
-                prefetch: Default::default(),
-                grid: Default::default(),
-            },
-            io: source.io_stats(),
-        })
-    }
-}
-
-/// Runs the sweep over the full time range of `store`.
-pub fn snapshot_sweep<S: SnapshotSource + ?Sized>(
-    store: &S,
+/// Runs the sweep over the full time range of `store`; every point it
+/// reads counts in `pruning.benchmark_points`.
+pub(crate) fn snapshot_sweep(
+    store: &dyn SnapshotSource,
     params: DbscanParams,
     k: u32,
     rule: SeedRule,
-) -> StoreResult<SweepResult> {
+    pruning: &mut PruningStats,
+) -> StoreResult<ConvoySet> {
     let span = store.span();
-    let mut points = 0u64;
     let mut active: Vec<Convoy> = Vec::new();
     let mut results = ConvoySet::new();
     let emit = |results: &mut ConvoySet, v: &Convoy| {
@@ -162,7 +60,7 @@ pub fn snapshot_sweep<S: SnapshotSource + ?Sized>(
     let mut scan_buf = Vec::new();
     for t in span.iter() {
         let snapshot = store.scan_snapshot_ref(t, &mut scan_buf)?;
-        points += snapshot.len() as u64;
+        pruning.benchmark_points += snapshot.len() as u64;
         let clusters = dbscan(&snapshot, params);
         let mut matched = vec![false; clusters.len()];
         let mut next = ConvoySet::new();
@@ -196,22 +94,14 @@ pub fn snapshot_sweep<S: SnapshotSource + ?Sized>(
     for v in &active {
         emit(&mut results, v);
     }
-    Ok(SweepResult {
-        convoys: results,
-        points_processed: points,
-    })
+    Ok(results)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use k2_model::{Dataset, ObjectSet, Point};
+    use crate::{run, Algorithm};
+    use k2_model::{Convoy, Dataset, ObjectSet, Point};
     use k2_storage::InMemoryStore;
-
-    const PARAMS: DbscanParams = DbscanParams {
-        min_pts: 2,
-        eps: 1.0,
-    };
 
     /// The CMC recall-bug scenario: objects {0,1} travel together over
     /// [0,9]; objects {2,3} join them during [4,9]. The convoy
@@ -241,7 +131,7 @@ mod tests {
     #[test]
     fn pccd_finds_the_late_superset_convoy() {
         let store = bug_store();
-        let res = snapshot_sweep(&store, PARAMS, 5, SeedRule::EveryCluster).unwrap();
+        let res = run(Algorithm::Pccd, &store, 2, 5, 1.0);
         assert!(res.convoys.contains(&Convoy::from_parts([0u32, 1], 0, 9)));
         assert!(res
             .convoys
@@ -252,7 +142,7 @@ mod tests {
     #[test]
     fn cmc_misses_the_late_superset_convoy() {
         let store = bug_store();
-        let res = snapshot_sweep(&store, PARAMS, 5, SeedRule::UnmatchedOnly).unwrap();
+        let res = run(Algorithm::Cmc, &store, 2, 5, 1.0);
         assert!(res.convoys.contains(&Convoy::from_parts([0u32, 1], 0, 9)));
         // The documented recall bug: {0,1,2,3} over [4,9] is lost.
         assert!(!res
@@ -263,19 +153,16 @@ mod tests {
     #[test]
     fn sweep_scans_every_point() {
         let store = bug_store();
-        let res = snapshot_sweep(&store, PARAMS, 5, SeedRule::EveryCluster).unwrap();
-        assert_eq!(res.points_processed, 40);
+        let res = run(Algorithm::Pccd, &store, 2, 5, 1.0);
+        assert_eq!(res.stats.pruning.points_processed(), 40);
     }
 
     #[test]
     fn short_convoys_filtered_by_k() {
         let store = bug_store();
-        let res = snapshot_sweep(&store, PARAMS, 7, SeedRule::EveryCluster).unwrap();
+        let res = run(Algorithm::Pccd, &store, 2, 7, 1.0);
         assert_eq!(res.convoys.len(), 1);
-        assert_eq!(
-            res.convoys.iter().next().unwrap().objects,
-            ObjectSet::from([0, 1])
-        );
+        assert_eq!(res.convoys[0].objects, ObjectSet::from([0, 1]));
     }
 
     #[test]
@@ -287,7 +174,71 @@ mod tests {
             Point::new(1, 0.5, 0.0, 5),
         ];
         let store = InMemoryStore::new(Dataset::from_points(&pts).unwrap());
-        let res = snapshot_sweep(&store, PARAMS, 2, SeedRule::EveryCluster).unwrap();
+        let res = run(Algorithm::Pccd, &store, 2, 2, 1.0);
         assert!(res.convoys.is_empty()); // two instants, never consecutive
+    }
+
+    // CMC (Jeung et al.) on its own.
+
+    #[test]
+    fn simple_convoy_found() {
+        let mut pts = Vec::new();
+        for t in 0..10u32 {
+            for oid in 0..3u32 {
+                pts.push(Point::new(oid, t as f64, oid as f64 * 0.4, t));
+            }
+        }
+        let store = InMemoryStore::new(Dataset::from_points(&pts).unwrap());
+        let res = run(Algorithm::Cmc, &store, 3, 5, 1.0);
+        assert_eq!(res.convoys, vec![Convoy::from_parts([0u32, 1, 2], 0, 9)]);
+        assert_eq!(res.stats.pruning.points_processed(), 30);
+    }
+
+    #[test]
+    fn no_convoy_when_objects_disperse() {
+        let mut pts = Vec::new();
+        for t in 0..10u32 {
+            for oid in 0..3u32 {
+                pts.push(Point::new(oid, oid as f64 * 50.0 + t as f64, 0.0, t));
+            }
+        }
+        let store = InMemoryStore::new(Dataset::from_points(&pts).unwrap());
+        let res = run(Algorithm::Cmc, &store, 3, 5, 1.0);
+        assert!(res.convoys.is_empty());
+    }
+
+    // PCCD (Yoon & Shahabi) on its own.
+
+    #[test]
+    fn partially_connected_convoy_via_bridge_is_reported() {
+        // {0,2} connected through bridge 1: PCCD (partially-connected
+        // semantics) reports {0,1,2} as one convoy and does not split it.
+        let mut pts = Vec::new();
+        for t in 0..6u32 {
+            pts.push(Point::new(0, 0.0, t as f64 * 0.1, t));
+            pts.push(Point::new(1, 0.9, t as f64 * 0.1, t));
+            pts.push(Point::new(2, 1.8, t as f64 * 0.1, t));
+        }
+        let store = InMemoryStore::new(Dataset::from_points(&pts).unwrap());
+        let res = run(Algorithm::Pccd, &store, 2, 4, 1.0);
+        assert_eq!(res.convoys, vec![Convoy::from_parts([0u32, 1, 2], 0, 5)]);
+    }
+
+    #[test]
+    fn convoy_split_and_rejoin_produces_segments() {
+        // Objects together on [0,4], apart at 5, together on [6,10]:
+        // two maximal convoys with k = 4 (the gap breaks continuity).
+        let mut pts = Vec::new();
+        for t in 0..=10u32 {
+            let spread = if t == 5 { 100.0 } else { 0.5 };
+            for oid in 0..3u32 {
+                pts.push(Point::new(oid, oid as f64 * spread, 0.0, t));
+            }
+        }
+        let store = InMemoryStore::new(Dataset::from_points(&pts).unwrap());
+        let res = run(Algorithm::Pccd, &store, 3, 4, 1.0);
+        assert_eq!(res.convoys.len(), 2);
+        assert_eq!(res.convoys[0], Convoy::from_parts([0u32, 1, 2], 0, 4));
+        assert_eq!(res.convoys[1], Convoy::from_parts([0u32, 1, 2], 6, 10));
     }
 }

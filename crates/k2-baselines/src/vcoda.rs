@@ -1,71 +1,66 @@
 //! VCoDA — Valid Convoy Discovery (Yoon & Shahabi, 2009) and the corrected
-//! VCoDA\* the k/2-hop paper evaluates against.
+//! VCoDA\* the k/2-hop paper evaluates against ([`Algorithm::VCoda`] and
+//! [`Algorithm::VCodaStar`]).
 //!
 //! Both run PCCD over the full dataset first (the expensive part: every
 //! snapshot is scanned and clustered), then validate the candidates into
 //! fully-connected convoys:
 //!
-//! * [`vcoda`] uses the **original DCVal** pass — fast, single sweep per
+//! * VCoDA uses the **original DCVal** pass — fast, single sweep per
 //!   candidate, but admits the false positives documented in §4.6;
-//! * [`vcoda_star`] uses the **corrected recursive validation** and is
-//!   exact. Its output must coincide with `k2_core::K2Hop` (enforced by
-//!   the integration tests), making it the paper's main baseline
-//!   (Figures 7a, 7b, 7h, 8a, 8l).
+//! * VCoDA\* uses the **corrected recursive validation** and is exact.
+//!   Its output must coincide with `k2_core::K2Hop` (enforced by the
+//!   integration tests), making it the paper's main baseline (Figures 7a,
+//!   7b, 7h, 8a, 8l).
+//!
+//! [`Algorithm::VCoda`]: crate::Algorithm::VCoda
+//! [`Algorithm::VCodaStar`]: crate::Algorithm::VCodaStar
 
 use crate::dcval::dcval_original;
-use crate::sweep::{snapshot_sweep, SeedRule};
-use crate::{reference, BaselineResult};
+use crate::{reference, Algorithm, Baseline};
 use k2_cluster::DbscanParams;
+use k2_core::{ConvoyMiner, K2Config, MineError, MineOutcome, PruningStats};
 use k2_model::ConvoySet;
 use k2_storage::{SnapshotSource, StoreResult};
 
-/// VCoDA: PCCD + original DCVal. May return non-FC convoys (the
-/// documented flaw) — provided for the paper's VCoDA-vs-VCoDA\* rows.
-pub fn vcoda<S: SnapshotSource + ?Sized>(
-    store: &S,
+/// VCoDA\* over `store` with `(m, k, eps)`: the same run as
+/// `Baseline::new(K2Config::new(m, k, eps)?, Algorithm::VCodaStar)`.
+/// Kept only because the repo benchmark (`benchmark/src/probes.rs`) calls
+/// it by this name; everything else builds a [`Baseline`].
+pub fn vcoda_star(
+    store: &dyn SnapshotSource,
     m: usize,
     k: u32,
     eps: f64,
-) -> StoreResult<BaselineResult> {
-    let params = DbscanParams::new(m, eps);
-    let sweep = snapshot_sweep(store, params, k, SeedRule::EveryCluster)?;
-    let pre_validation = sweep.convoys.len() as u32;
-    let (validated, val_points) = dcval_original(store, params, k, sweep.convoys)?;
-    Ok(BaselineResult {
-        convoys: validated.into_sorted_vec(),
-        points_processed: sweep.points_processed + val_points,
-        pre_validation,
-    })
+) -> Result<MineOutcome, MineError> {
+    Baseline::new(K2Config::new(m, k, eps)?, Algorithm::VCodaStar).mine(store)
 }
 
-/// VCoDA\*: PCCD + corrected recursive validation. Exact maximal FC
-/// convoy mining by full scan — the strongest sequential baseline.
-pub fn vcoda_star<S: SnapshotSource + ?Sized>(
-    store: &S,
-    m: usize,
+/// Validates PCCD's `candidates` into FC convoys: with the corrected
+/// recursive validation if `exact` (VCoDA\*), else with the original
+/// DCVal (VCoDA). The candidates count as `pre_validation_convoys`, the
+/// points read as `validation_points`.
+pub(crate) fn validate(
+    store: &dyn SnapshotSource,
+    params: DbscanParams,
     k: u32,
-    eps: f64,
-) -> StoreResult<BaselineResult> {
-    let params = DbscanParams::new(m, eps);
-    let sweep = snapshot_sweep(store, params, k, SeedRule::EveryCluster)?;
-    let pre_validation = sweep.convoys.len() as u32;
-    let mut points = sweep.points_processed;
-    let mut fc = ConvoySet::new();
-    for cand in sweep.convoys {
-        let found =
-            reference::validate_fc(store, params, k, &cand.objects, cand.lifespan, &mut points)?;
-        fc.merge(found);
+    candidates: ConvoySet,
+    exact: bool,
+    pruning: &mut PruningStats,
+) -> StoreResult<ConvoySet> {
+    pruning.pre_validation_convoys = candidates.len() as u32;
+    if exact {
+        return reference::validate_all(store, params, k, candidates, pruning);
     }
-    Ok(BaselineResult {
-        convoys: fc.into_sorted_vec(),
-        points_processed: points,
-        pre_validation,
-    })
+    let (validated, points) = dcval_original(store, params, k, candidates)?;
+    pruning.validation_points += points;
+    Ok(validated)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run;
     use k2_model::{Convoy, Dataset, Point};
     use k2_storage::InMemoryStore;
 
@@ -103,7 +98,7 @@ mod tests {
     #[test]
     fn vcoda_star_is_exact_on_adversarial_data() {
         let store = adversarial_store();
-        let res = vcoda_star(&store, 2, 6, 1.0).unwrap();
+        let res = run(Algorithm::VCodaStar, &store, 2, 6, 1.0);
         // {0,1} is FC throughout [0,9] (adjacent the whole time).
         assert!(res.convoys.contains(&Convoy::from_parts([0u32, 1], 0, 9)));
         // {0,1,3} over [0,9] is NOT fully connected (bridge 2 in [0,4]).
@@ -115,8 +110,8 @@ mod tests {
     #[test]
     fn vcoda_original_admits_false_positive() {
         let store = adversarial_store();
-        let exact = vcoda_star(&store, 2, 6, 1.0).unwrap();
-        let flawed = vcoda(&store, 2, 6, 1.0).unwrap();
+        let exact = run(Algorithm::VCodaStar, &store, 2, 6, 1.0);
+        let flawed = run(Algorithm::VCoda, &store, 2, 6, 1.0);
         let fp = Convoy::from_parts([0u32, 1, 3], 0, 9);
         assert!(
             flawed.convoys.contains(&fp),
@@ -129,7 +124,7 @@ mod tests {
     #[test]
     fn k2hop_agrees_with_vcoda_star_on_adversarial_data() {
         let store = adversarial_store();
-        let exact = vcoda_star(&store, 2, 6, 1.0).unwrap();
+        let exact = run(Algorithm::VCodaStar, &store, 2, 6, 1.0);
         let miner = k2_core::K2Hop::new(k2_core::K2Config::new(2, 6, 1.0).unwrap());
         let k2 = k2_core::ConvoyMiner::mine(&miner, &store).unwrap();
         assert_eq!(exact.convoys, k2.convoys);
@@ -144,8 +139,8 @@ mod tests {
             }
         }
         let store = InMemoryStore::new(Dataset::from_points(&pts).unwrap());
-        let a = vcoda(&store, 4, 6, 1.0).unwrap();
-        let b = vcoda_star(&store, 4, 6, 1.0).unwrap();
+        let a = run(Algorithm::VCoda, &store, 4, 6, 1.0);
+        let b = run(Algorithm::VCodaStar, &store, 4, 6, 1.0);
         assert_eq!(a.convoys, b.convoys);
         assert_eq!(a.convoys.len(), 1);
     }
@@ -153,8 +148,11 @@ mod tests {
     #[test]
     fn pre_validation_counts_reported() {
         let store = adversarial_store();
-        let res = vcoda_star(&store, 2, 6, 1.0).unwrap();
-        assert!(res.pre_validation >= 1);
-        assert!(res.points_processed >= 40, "full scan plus validation");
+        let res = run(Algorithm::VCodaStar, &store, 2, 6, 1.0);
+        assert!(res.stats.pruning.pre_validation_convoys >= 1);
+        assert!(
+            res.stats.pruning.points_processed() >= 40,
+            "full scan plus validation"
+        );
     }
 }

@@ -211,7 +211,7 @@ pub fn table5_rows() -> Vec<Table5Row> {
             for &k in preset.ks.iter().step_by(2) {
                 for &eps in &preset.epss {
                     if let Ok(run) = wb.run(Algo::K2(Engine::Rdbms), m, k, eps) {
-                        processed.push(run.points_processed);
+                        processed.push(run.outcome.stats.pruning.points_processed());
                     }
                 }
             }
@@ -491,8 +491,7 @@ fn fig8i() {
     let p = &TRUCKS_PRESET;
     for &k in p.ks {
         if let Ok(run) = wb.run(Algo::K2(Engine::Lsmt), p.default_m, k, p.default_eps) {
-            let t = run.timings.expect("k2 runs carry timings");
-            for (label, d) in t.rows() {
+            for (label, d) in run.outcome.stats.timings.rows() {
                 println!("{k},{label},{:.6}", d.as_secs_f64());
             }
         }
@@ -506,11 +505,11 @@ fn fig8j() {
     let wb = trucks_wb();
     let p = &TRUCKS_PRESET;
     for &k in p.ks {
-        if let Ok(run) = wb.run(Algo::K2(Engine::Lsmt), p.default_m, k, p.default_eps) {
-            println!("{k},k2-LSMT,{}", run.pre_validation);
-        }
-        if let Ok(run) = wb.run(Algo::VCoda, p.default_m, k, p.default_eps) {
-            println!("{k},VCoDA,{}", run.pre_validation);
+        for algo in [Algo::K2(Engine::Lsmt), Algo::VCoda] {
+            if let Ok(run) = wb.run(algo, p.default_m, k, p.default_eps) {
+                let pre = run.outcome.stats.pruning.pre_validation_convoys;
+                println!("{k},{},{pre}", algo.label());
+            }
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Timed, storage-aware algorithm runs.
 
-use k2_baselines::{cmc, cuts, dcm, pccd, spare, vcoda, BaselineResult};
-use k2_core::{ConvoyMiner, K2Config, K2Hop, PhaseTimings, PruningStats};
-use k2_model::{Convoy, Dataset};
+use k2_baselines::{cuts::CutsParams, Algorithm, Baseline};
+use k2_core::{ConvoyMiner, K2Config, K2Hop, MineOutcome};
+use k2_model::Dataset;
 use k2_storage::{
     FlatFileStore, InMemoryStore, LsmStore, MemoryBudget, RelationalStore, StoreError,
 };
@@ -58,23 +58,30 @@ impl Algo {
             Algo::Dcm(n) => format!("DCM({n})"),
         }
     }
+
+    /// The miner that runs `self` with `config`.
+    fn miner(&self, config: K2Config) -> Box<dyn ConvoyMiner> {
+        let algorithm = match *self {
+            Algo::K2(_) => return Box::new(K2Hop::new(config)),
+            Algo::VCoda => Algorithm::VCoda,
+            Algo::VCodaStar => Algorithm::VCodaStar,
+            Algo::Cmc => Algorithm::Cmc,
+            Algo::Pccd => Algorithm::Pccd,
+            Algo::Cuts => Algorithm::Cuts(CutsParams::default()),
+            Algo::Spare(threads) => Algorithm::Spare(threads),
+            Algo::Dcm(nodes) => Algorithm::Dcm(nodes),
+        };
+        Box::new(Baseline::new(config, algorithm))
+    }
 }
 
 /// Outcome of one timed run.
 #[derive(Debug)]
 pub struct Run {
-    /// Wall-clock seconds.
+    /// Wall-clock seconds, k2-File's load included.
     pub secs: f64,
-    /// Convoys reported.
-    pub convoys: Vec<Convoy>,
-    /// Points read from storage.
-    pub points_processed: u64,
-    /// Candidates entering validation (0 for algorithms without one).
-    pub pre_validation: u32,
-    /// k/2-hop phase breakdown (only for `Algo::K2`).
-    pub timings: Option<PhaseTimings>,
-    /// k/2-hop pruning statistics (only for `Algo::K2`).
-    pub pruning: Option<PruningStats>,
+    /// What the miner reported.
+    pub outcome: MineOutcome,
 }
 
 /// A dataset staged into every storage engine, ready for timed runs.
@@ -146,73 +153,30 @@ impl Workbench {
     /// Runs `algo` with parameters `(m, k, eps)`. `Err` carries a crash
     /// reason (the paper's "VCoDA crashed / out of memory" cells).
     pub fn run(&self, algo: Algo, m: usize, k: u32, eps: f64) -> Result<Run, String> {
-        match algo {
-            Algo::K2(engine) => self.run_k2(engine, m, k, eps),
-            Algo::VCoda => {
-                self.check_budget()?;
-                self.timed_baseline(|| vcoda::vcoda(&self.mem, m, k, eps))
-            }
-            Algo::VCodaStar => {
-                self.check_budget()?;
-                self.timed_baseline(|| vcoda::vcoda_star(&self.mem, m, k, eps))
-            }
-            Algo::Cmc => self.timed_baseline(|| cmc::mine(&self.mem, m, k, eps)),
-            Algo::Pccd => self.timed_baseline(|| pccd::mine(&self.mem, m, k, eps)),
-            Algo::Cuts => self
-                .timed_baseline(|| cuts::mine(&self.mem, m, k, eps, cuts::CutsParams::default())),
-            Algo::Spare(threads) => {
-                self.timed_baseline(|| spare::mine(&self.mem, m, k, eps, threads))
-            }
-            Algo::Dcm(nodes) => self.timed_baseline(|| dcm::mine(&self.mem, m, k, eps, nodes)),
+        let miner = algo.miner(K2Config::new(m, k, eps).map_err(|e| e.to_string())?);
+        if matches!(algo, Algo::VCoda | Algo::VCodaStar) {
+            self.budget
+                .check(self.dataset.num_points() * 24)
+                .map_err(|e| format!("crashed: {e}"))?;
         }
-    }
-
-    fn check_budget(&self) -> Result<(), String> {
-        self.budget
-            .check(self.dataset.num_points() * 24)
-            .map_err(|e| format!("crashed: {e}"))
-    }
-
-    fn run_k2(&self, engine: Engine, m: usize, k: u32, eps: f64) -> Result<Run, String> {
-        let miner = K2Hop::new(K2Config::new(m, k, eps).map_err(|e| e.to_string())?);
         let start = Instant::now();
-        let result = match engine {
-            Engine::File => {
+        let outcome = match algo {
+            Algo::K2(Engine::File) => {
                 // k2-File: load the flat file fully, then mine in memory.
                 let mem = self.flat.load_in_memory(self.budget).map_err(|e| match e {
                     StoreError::MemoryBudgetExceeded { .. } => format!("crashed: {e}"),
                     other => other.to_string(),
                 })?;
-                ConvoyMiner::mine(&miner, &mem)
+                miner.mine(&mem)
             }
-            Engine::Rdbms => ConvoyMiner::mine(&miner, &self.btree),
-            Engine::Lsmt => ConvoyMiner::mine(&miner, &self.lsm),
+            Algo::K2(Engine::Rdbms) => miner.mine(&self.btree),
+            Algo::K2(Engine::Lsmt) => miner.mine(&self.lsm),
+            _ => miner.mine(&self.mem),
         }
         .map_err(|e| e.to_string())?;
-        let secs = start.elapsed().as_secs_f64();
-        Ok(Run {
-            secs,
-            points_processed: result.stats.pruning.points_processed(),
-            pre_validation: result.stats.pruning.pre_validation_convoys,
-            convoys: result.convoys,
-            timings: Some(result.stats.timings),
-            pruning: Some(result.stats.pruning),
-        })
-    }
-
-    fn timed_baseline(
-        &self,
-        f: impl FnOnce() -> Result<BaselineResult, StoreError>,
-    ) -> Result<Run, String> {
-        let start = Instant::now();
-        let res = f().map_err(|e| e.to_string())?;
         Ok(Run {
             secs: start.elapsed().as_secs_f64(),
-            convoys: res.convoys,
-            points_processed: res.points_processed,
-            pre_validation: res.pre_validation,
-            timings: None,
-            pruning: None,
+            outcome,
         })
     }
 }
@@ -263,20 +227,36 @@ mod tests {
         let wb = Workbench::new("unit", bench_dataset());
         let k2 = wb.run(Algo::K2(Engine::Rdbms), 3, 10, 1.0).unwrap();
         let vstar = wb.run(Algo::VCodaStar, 3, 10, 1.0).unwrap();
-        assert_eq!(k2.convoys, vstar.convoys);
-        assert!(!k2.convoys.is_empty());
-        for algo in [
-            Algo::K2(Engine::File),
-            Algo::K2(Engine::Lsmt),
-            Algo::VCoda,
-            Algo::Cmc,
-            Algo::Pccd,
-            Algo::Cuts,
-            Algo::Spare(2),
-            Algo::Dcm(2),
+        assert_eq!(k2.outcome.convoys, vstar.outcome.convoys);
+        assert!(!k2.outcome.convoys.is_empty());
+        // (convoys, points processed, pre-validation convoys) per
+        // algorithm: a counter wired to the wrong field changes a row.
+        for (algo, want) in [
+            (Algo::K2(Engine::File), (2, 680, 2)),
+            (Algo::K2(Engine::Rdbms), (2, 680, 2)),
+            (Algo::K2(Engine::Lsmt), (2, 680, 2)),
+            (Algo::VCoda, (2, 1_720, 2)),
+            (Algo::VCodaStar, (2, 1_720, 2)),
+            (Algo::Cmc, (2, 1_520, 0)),
+            (Algo::Pccd, (2, 1_520, 0)),
+            (Algo::Cuts, (2, 1_912, 0)),
+            (Algo::Spare(2), (2, 1_520, 0)),
+            (Algo::Dcm(2), (2, 1_558, 0)),
         ] {
             let run = wb.run(algo, 3, 10, 1.0).unwrap();
             assert!(run.secs >= 0.0, "{}", algo.label());
+            let stats = &run.outcome.stats;
+            let got = (
+                run.outcome.convoys.len(),
+                stats.pruning.points_processed(),
+                stats.pruning.pre_validation_convoys,
+            );
+            assert_eq!(got, want, "{}", algo.label());
+            match algo {
+                Algo::Spare(n) => assert_eq!((stats.engine, stats.threads), ("spare", n)),
+                Algo::Dcm(n) => assert_eq!((stats.engine, stats.threads), ("dcm", n)),
+                _ => {}
+            }
         }
     }
 

@@ -4,20 +4,22 @@
 //! k2 generate trucks --out trucks.bin --scale 0.5 --seed 7
 //! k2 stats trucks.bin
 //! k2 mine trucks.bin --m 3 --k 600 --eps 0.00006 --engine lsmt
-//! k2 mine trucks.bin --algo vcoda-star --m 3 --k 600 --eps 0.00006
+//! k2 mine trucks.bin --algo vcoda-star --m 3 --k 600 --eps 0.00006 --engine rdbms
 //! k2 convert trucks.bin trucks.csv
 //! ```
+//!
+//! `k2 mine` runs every `--algo` as one engine over whichever `--engine`
+//! stores the data, and prints its points processed beside its pruning.
 //!
 //! Movement files are the 24-byte binary record format of
 //! `k2_model::codec` (`.csv` extension switches to CSV).
 
-use k2hop::baselines::sweep::SweepMiner;
-use k2hop::baselines::{cuts, dcm, spare, vcoda};
+use k2hop::baselines::{cuts::CutsParams, Algorithm, Baseline};
 use k2hop::core::K2Config;
 use k2hop::model::{codec, Dataset};
 use k2hop::patterns::FlockMiner;
 use k2hop::server::{K2Service, Server};
-use k2hop::storage::{FlatFileStore, InMemoryStore, LsmConfig, LsmStore, RelationalStore};
+use k2hop::storage::{FlatFileStore, LsmConfig, LsmStore, RelationalStore};
 use k2hop::MiningSession;
 use std::collections::HashMap;
 use std::error::Error;
@@ -59,7 +61,8 @@ usage:
 
 algorithms (--algo): k2hop (default), vcoda, vcoda-star, cmc, pccd, cuts,
                      spare, dcm
-engines    (--engine): memory (default), flat, rdbms, lsmt
+engines    (--engine): memory (default), flat, rdbms, lsmt; every --algo
+                     reads the engine given
 patterns   (--pattern): convoy (default), flock (--algo k2hop only)
 files:     *.csv is CSV (oid,x,y,t); anything else is the binary format
 serve:     optional [file] is bulk-loaded first; --dir persists the store
@@ -229,93 +232,70 @@ fn mine(args: &[&String]) -> CmdResult {
         );
     }
 
+    // Every algorithm is one engine, run by one MiningSession over
+    // whichever storage engine was requested.
+    let config = K2Config::new(m, k, eps).map_err(|e| e.to_string())?;
+    let baseline = |algorithm| Baseline::new(config, algorithm);
+    let session = MiningSession::new(config);
+    let session = match algo {
+        "k2hop" if flock => session.engine(match threads_flag {
+            Some(n) => FlockMiner::with_threads(config, n),
+            None => FlockMiner::new(config),
+        }),
+        "k2hop" => match threads_flag {
+            Some(n) => session.threads(n),
+            None => session,
+        },
+        "vcoda" => session.engine(baseline(Algorithm::VCoda)),
+        "vcoda-star" => session.engine(baseline(Algorithm::VCodaStar)),
+        "cmc" => session.engine(baseline(Algorithm::Cmc)),
+        "pccd" => session.engine(baseline(Algorithm::Pccd)),
+        "cuts" => session.engine(baseline(Algorithm::Cuts(CutsParams::default()))),
+        "spare" => session.engine(baseline(Algorithm::Spare(threads))),
+        "dcm" => session.engine(baseline(Algorithm::Dcm(threads))),
+        other => return Err(format!("unknown algorithm '{other}'").into()),
+    };
+
     let dataset = load(path)?;
     let start = Instant::now();
-
-    // The unified algorithms run through one MiningSession over whichever
-    // storage engine was requested; the remaining baselines keep their
-    // research entry points (in-memory only).
-    let config = K2Config::new(m, k, eps).map_err(|e| e.to_string())?;
-    let session = match algo {
-        "k2hop" if flock => {
-            let miner = match threads_flag {
-                Some(n) => FlockMiner::with_threads(config, n),
-                None => FlockMiner::new(config),
-            };
-            Some(MiningSession::new(config).engine(miner))
+    let tmp = std::env::temp_dir().join(format!("k2cli-{}", std::process::id()));
+    let outcome = match engine {
+        "memory" => session.mine(&dataset),
+        "flat" => {
+            std::fs::create_dir_all(&tmp).map_err(|e| e.to_string())?;
+            let store =
+                FlatFileStore::create(tmp.join("data.bin"), &dataset).map_err(|e| e.to_string())?;
+            session.mine(&store)
         }
-        "k2hop" => {
-            let mut session = MiningSession::new(config);
-            if let Some(n) = threads_flag {
-                session = session.threads(n);
-            }
-            Some(session)
+        "rdbms" => {
+            std::fs::create_dir_all(&tmp).map_err(|e| e.to_string())?;
+            let store = RelationalStore::create(tmp.join("data.k2bt"), &dataset)
+                .map_err(|e| e.to_string())?;
+            session.mine(&store)
         }
-        "cmc" => Some(MiningSession::new(config).engine(SweepMiner::cmc(config))),
-        "pccd" => Some(MiningSession::new(config).engine(SweepMiner::pccd(config))),
-        _ => None,
-    };
-    let (convoys, extra) = match session {
-        Some(session) => {
-            let tmp = std::env::temp_dir().join(format!("k2cli-{}", std::process::id()));
-            let outcome = match engine {
-                "memory" => session.mine(&dataset),
-                "flat" => {
-                    std::fs::create_dir_all(&tmp).map_err(|e| e.to_string())?;
-                    let store = FlatFileStore::create(tmp.join("data.bin"), &dataset)
-                        .map_err(|e| e.to_string())?;
-                    session.mine(&store)
-                }
-                "rdbms" => {
-                    std::fs::create_dir_all(&tmp).map_err(|e| e.to_string())?;
-                    let store = RelationalStore::create(tmp.join("data.k2bt"), &dataset)
-                        .map_err(|e| e.to_string())?;
-                    session.mine(&store)
-                }
-                "lsmt" => {
-                    let store = LsmStore::bulk_load(tmp.join("lsm"), &dataset)
-                        .map_err(|e| e.to_string())?;
-                    session.mine(&store)
-                }
-                other => return Err(format!("unknown engine '{other}'").into()),
-            }
-            .map_err(|e| e.to_string())?;
-            let _ = std::fs::remove_dir_all(&tmp);
-            let pruning = &outcome.stats.pruning;
-            let extra = format!(
-                ", engine {}, pruned {:.2}% of {} points",
-                outcome.stats.engine,
-                pruning.pruning_ratio() * 100.0,
-                pruning.total_points
-            );
-            (outcome.convoys, extra)
+        "lsmt" => {
+            let store =
+                LsmStore::bulk_load(tmp.join("lsm"), &dataset).map_err(|e| e.to_string())?;
+            session.mine(&store)
         }
-        None => {
-            let store = InMemoryStore::new(dataset);
-            let result = match algo {
-                "vcoda" => vcoda::vcoda(&store, m, k, eps),
-                "vcoda-star" => vcoda::vcoda_star(&store, m, k, eps),
-                "cuts" => cuts::mine(&store, m, k, eps, cuts::CutsParams::default()),
-                "spare" => spare::mine(&store, m, k, eps, threads),
-                "dcm" => dcm::mine(&store, m, k, eps, threads),
-                other => return Err(format!("unknown algorithm '{other}'").into()),
-            }
-            .map_err(|e| e.to_string())?;
-            (
-                result.convoys,
-                format!(", {} points processed", result.points_processed),
-            )
-        }
-    };
+        other => return Err(format!("unknown engine '{other}'").into()),
+    }
+    .map_err(|e| e.to_string())?;
+    let _ = std::fs::remove_dir_all(&tmp);
     let elapsed = start.elapsed();
     let mut out = io::stdout().lock();
+    let (stats, convoys) = (&outcome.stats, &outcome.convoys);
     writeln!(
         out,
-        "{} convoys in {elapsed:.2?} ({algo}{extra})",
-        convoys.len()
+        "{} convoys in {elapsed:.2?} ({algo}, engine {}, pruned {:.2}% of {} points, {} points processed)",
+        convoys.len(),
+        stats.engine,
+        stats.pruning.pruning_ratio() * 100.0,
+        stats.pruning.total_points,
+        stats.pruning.points_processed()
     )?;
     if !quiet {
-        for c in &convoys {
+        for c in convoys {
             writeln!(
                 out,
                 "  {:?} over {} (len {})",

@@ -74,22 +74,34 @@ fn generate_stats_mine_convert_round_trip() {
         assert!(out.starts_with("2 convoys"), "{algo:?}: {out}");
     }
 
-    // Engine variants agree too.
-    for engine in ["rdbms", "lsmt"] {
-        let out = run_ok(k2().args([
-            "mine",
-            bin.to_str().unwrap(),
-            "--m",
-            "3",
-            "--k",
-            "25",
-            "--eps",
-            "1.0",
-            "--engine",
-            engine,
-            "--quiet",
-        ]));
-        assert!(out.starts_with("2 convoys"), "{engine}: {out}");
+    // Engine variants agree too, for k/2-hop and the baselines alike:
+    // `--engine` reaches every algorithm.
+    for algo in ["k2hop", "vcoda-star", "spare"] {
+        for engine in ["rdbms", "lsmt"] {
+            let out = run_ok(k2().args([
+                "mine",
+                bin.to_str().unwrap(),
+                "--m",
+                "3",
+                "--k",
+                "25",
+                "--eps",
+                "1.0",
+                "--algo",
+                algo,
+                "--engine",
+                engine,
+                "--quiet",
+            ]));
+            assert!(out.starts_with("2 convoys"), "{algo} {engine}: {out}");
+            assert!(out.contains(" points processed)"), "{algo} {engine}: {out}");
+        }
+        let bad_engine = k2()
+            .args(["mine", bin.to_str().unwrap(), "--m", "3", "--k", "25"])
+            .args(["--eps", "1.0", "--algo", algo, "--engine", "nosuch"])
+            .output()
+            .unwrap();
+        assert!(!bad_engine.status.success(), "{algo} ignored --engine");
     }
 
     // A pattern is an engine: `--pattern flock` runs k/2-hop with a disk

@@ -2,7 +2,7 @@
 //! brute-force reference miner must produce *identical* maximal
 //! fully-connected convoy sets on every workload.
 
-use k2hop::baselines::{reference, vcoda};
+use k2hop::baselines::{reference, Algorithm, Baseline};
 use k2hop::core::{ConvoyMiner, K2Config, K2Hop};
 use k2hop::datagen::ConvoyInjector;
 use k2hop::model::Convoy;
@@ -16,8 +16,9 @@ fn k2(store: &InMemoryStore, m: usize, k: u32, eps: f64) -> Vec<Convoy> {
 
 fn check_all_agree(store: &InMemoryStore, m: usize, k: u32, eps: f64, label: &str) {
     let k2_res = k2(store, m, k, eps);
-    let vstar = vcoda::vcoda_star(store, m, k, eps).unwrap().convoys;
-    let brute = reference::mine(store, m, k, eps).unwrap().convoys;
+    let vcoda_star = Baseline::new(K2Config::new(m, k, eps).unwrap(), Algorithm::VCodaStar);
+    let vstar = vcoda_star.mine(store).unwrap().convoys;
+    let brute = reference::mine(store, m, k, eps).unwrap();
     assert_eq!(vstar, brute, "{label}: VCoDA* vs reference");
     assert_eq!(k2_res, brute, "{label}: k/2-hop vs reference");
 }

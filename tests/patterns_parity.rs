@@ -5,6 +5,7 @@
 mod common;
 
 use common::TempDir;
+use k2hop::baselines::{Algorithm, Baseline};
 use k2hop::patterns::flock::disk_groups;
 use k2hop::patterns::{min_enclosing_circle, FlockMiner};
 use k2hop::prelude::*;
@@ -115,9 +116,8 @@ proptest! {
         let (m, k, r) = (2usize, 3u32, 1.0);
         let flocks = flock_miner(m, k, r).mine_sweep(&d);
         let store = InMemoryStore::new(d);
-        let convoys = k2hop::baselines::pccd::mine(&store, m, k, 2.0 * r)
-            .unwrap()
-            .convoys;
+        let pccd = Baseline::new(K2Config::new(m, k, 2.0 * r).unwrap(), Algorithm::Pccd);
+        let convoys = pccd.mine(&store).unwrap().convoys;
         for f in &flocks {
             let inside = convoys.iter().any(|c| f.is_sub_convoy_of(c));
             prop_assert!(inside, "flock {:?} not inside any convoy {:?}", f, convoys);

@@ -199,7 +199,7 @@ proptest! {
         let store = InMemoryStore::new(d.clone());
         let eps = 1.0;
         let cfg = K2Config::new(m, k, eps).unwrap();
-        let brute = reference::mine(&store, m, k, eps).unwrap().convoys;
+        let brute = reference::mine(&store, m, k, eps).unwrap();
         let k2 = ConvoyMiner::mine(&K2Hop::new(cfg), &store).unwrap().convoys;
         prop_assert_eq!(&k2, &brute);
         // A full-range clamp changes nothing but hides `as_dataset`, so
